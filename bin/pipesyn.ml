@@ -957,13 +957,11 @@ let audit_cmd =
           | Ok r -> (
               match r.Mams.Flow.solve.Mams.Flow.audit_diags with
               | None ->
-                  (* the cascade fell back to a solver-free attempt, or
-                     cold-start mode suppressed the certificate — either
-                     way nothing was proved, which the gate treats as a
+                  (* the cascade fell back to a solver-free attempt, so
+                     nothing was proved, which the gate treats as a
                      failure, not a silent pass *)
                   failed := true;
-                  Fmt.pr "== %s: no certificate to audit (degraded or \
-                          cold-start run) ==@."
+                  Fmt.pr "== %s: no certificate to audit (degraded run) ==@."
                     e.name;
                   (e.name, [])
               | Some diags ->

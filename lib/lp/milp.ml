@@ -67,14 +67,6 @@ let status_label = function
   | Simplex.Iteration_limit -> "iter_limit"
   | Simplex.Time_limit -> "time_limit"
 
-(* PIPESYN_COLD_START (any non-empty value) forces the pre-warm-start
-   behaviour — cold per-node LPs, most-fractional branching, no bound
-   fixing — for A/B comparison. Read per solve so tests can toggle it. *)
-let cold_start_forced () =
-  match Sys.getenv_opt "PIPESYN_COLD_START" with
-  | None | Some "" -> false
-  | Some _ -> true
-
 (* ------------------------------------------------------------------ *)
 (* Node bounds: copy-on-branch chains                                  *)
 (* ------------------------------------------------------------------ *)
@@ -175,26 +167,6 @@ let branch_of (node : node) =
 (* Branching                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let most_fractional raw ~int_tol ?priority x =
-  let best = ref (-1) and best_frac = ref int_tol and best_prio = ref min_int in
-  let prio j = match priority with None -> 0 | Some p -> p.(j) in
-  Array.iteri
-    (fun j isint ->
-      if isint then begin
-        let v = x.(j) in
-        let frac = Float.abs (v -. Float.round v) in
-        if frac > int_tol then begin
-          let p = prio j in
-          if p > !best_prio || (p = !best_prio && frac > !best_frac) then begin
-            best := j;
-            best_frac := frac;
-            best_prio := p
-          end
-        end
-      end)
-    raw.Model.integer;
-  !best
-
 (* Per-variable pseudocosts: observed objective degradation per unit of
    fractional distance, separately for the down and up branch. *)
 type pseudocost = {
@@ -294,8 +266,8 @@ let snap raw ~int_tol x =
 (* ------------------------------------------------------------------ *)
 
 (* PIPESYN_DOMAINS selects how many OCaml 5 domains explore the tree
-   (default 1 = the sequential engine). Read per solve, like
-   PIPESYN_COLD_START, so drivers and tests can toggle it. *)
+   (default 1, a one-worker pool). Read per solve so drivers and tests
+   can toggle it. *)
 let domains_from_env () =
   match Sys.getenv_opt "PIPESYN_DOMAINS" with
   | None | Some "" -> 1
@@ -403,7 +375,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
      warm-start seeding is skipped so the solve reports Unknown, the
      hardest failure the cascade must absorb. *)
   let injected_timeout = Resilience.Fault.fires "milp.timeout" in
-  let cold_mode = cold_start_forced () in
   let raw_orig = Model.to_raw model in
   (* A checkpoint is pinned to the exact model it was taken from:
      replaying a frontier into a different polytope would silently
@@ -416,12 +387,8 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     | None, None -> ""
     | _ -> Checkpoint.fingerprint raw_orig
   in
-  let cuts_on =
-    (match cuts with Some b -> b | None -> cuts_from_env ()) && not cold_mode
-  in
-  let presolve_on =
-    (match presolve with Some b -> b | None -> true) && not cold_mode
-  in
+  let cuts_on = match cuts with Some b -> b | None -> cuts_from_env () in
+  let presolve_on = Option.value presolve ~default:true in
   (* Root presolve: certified bound tightening on the model box. On
      resume the checkpoint's root box already includes the original
      run's tightenings (plus fixings), so only the event log is
@@ -475,12 +442,10 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   | Some ck when ck.Checkpoint.fingerprint <> model_fp ->
       invalid_arg "Milp.solve: checkpoint fingerprint does not match the model"
   | _ -> ());
-  (* Certificates need the warm-start solver state (duals, Farkas rays
-     live in the reusable tableau), so forced cold-start runs emit none.
-     A resumed solve can only be as strong as its checkpoint: if the
+  (* A resumed solve can only be as strong as its checkpoint: if the
      original run kept no certificates there is no prefix to extend. *)
   let certs_on =
-    certificates && (not cold_mode)
+    certificates
     && match resume with Some ck -> ck.Checkpoint.certs_on | None -> true
   in
   (* Certificate node ids: allocated at node creation, independent of the
@@ -551,41 +516,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           ("depth", Obs.Json.Int depth);
           ("seeded", Obs.Json.Bool seeded);
         ]
-  in
-  (* Deterministic incumbent acceptance (any domain): strictly better
-     objectives always replace; objectives tied within tolerance fall
-     back to the lexicographic solution-vector order, so the surviving
-     incumbent does not depend on which domain raced in first. *)
-  let try_improve ~wid ~node_id ~nid ~depth ~open_bound_now x obj =
-    Mutex.lock inc_m;
-    let cur = Atomic.get best_obj in
-    let accept =
-      obj < cur -. 1e-9
-      || obj <= cur +. 1e-9
-         &&
-         match !best_x with None -> true | Some bx -> lex_less x bx
-    in
-    if accept then begin
-      Atomic.set best_obj obj;
-      best_x := Some x;
-      if certs_on then inc_log := (nid, obj) :: !inc_log;
-      Obs.Counter.incr c_incumbents;
-      Obs.Series.add s_incumbents ~x:(elapsed ()) ~y:obj;
-      (* Dual bound over the remaining open nodes (this node itself is
-         integral, so its own value also bounds the search). *)
-      let gap_now =
-        let lo = open_bound_now obj in
-        if Float.is_finite lo then
-          Float.abs (obj -. lo) /. Float.max 1.0 (Float.abs obj)
-        else Float.nan
-      in
-      note_incumbent ~tid:(wid + 1) ~obj ~gap:gap_now ~node:node_id ~depth
-        ~seeded:false ();
-      Log.info (fun f ->
-          f "incumbent %.6g at node %d depth %d (domain %d)" obj node_id
-            depth wid)
-    end;
-    Mutex.unlock inc_m
   in
   (match incumbent with
   | _ when injected_timeout -> ()
@@ -707,7 +637,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   let root_box_ub =
     ref (match resume with Some ck -> Array.copy ck.Checkpoint.root_ub | None -> [||])
   in
-  (* ---------------- supervision state (shared by both engines) ------- *)
+  (* ------------------------ supervision state ------------------------ *)
   (* [pool_m] guards the shared deque [q]/[qlen], every private stack in
      [wlocal], and the lease table [wlease]. A lease is the subtree a
      worker currently holds in its hands: set when a node is taken,
@@ -790,6 +720,57 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     in
     let locals = Array.fold_right (fun r acc -> !r @ acc) wlocal [] in
     leases @ locals @ !q
+  in
+  (* Dual bound over every open node except [wid]'s own lease: the node
+     that worker holds is integral, so [obj], its value, bounds it. Takes
+     [pool_m], so callers must not hold [inc_m] (lock order pool_m ≺
+     inc_m, see [snapshot_locked]). *)
+  let open_bound ~wid obj =
+    let lo = ref obj in
+    let see (n : node) = lo := Float.min !lo n.bound in
+    Mutex.lock pool_m;
+    Array.iteri (fun i l -> if i <> wid then Option.iter see l) wlease;
+    Array.iter (fun r -> List.iter see !r) wlocal;
+    List.iter see !q;
+    Mutex.unlock pool_m;
+    !lo
+  in
+  (* Deterministic incumbent acceptance (any domain): strictly better
+     objectives always replace; objectives tied within tolerance fall
+     back to the lexicographic solution-vector order, so the surviving
+     incumbent does not depend on which domain raced in first. [best_obj]
+     only decreases, so a candidate failing the lock-free pre-check can
+     never be accepted and skips both locks. *)
+  let try_improve ~wid ~node_id ~nid ~depth x obj =
+    if obj <= Atomic.get best_obj +. 1e-9 then begin
+      let lo = open_bound ~wid obj in
+      Mutex.lock inc_m;
+      let cur = Atomic.get best_obj in
+      let accept =
+        obj < cur -. 1e-9
+        || obj <= cur +. 1e-9
+           &&
+           match !best_x with None -> true | Some bx -> lex_less x bx
+      in
+      if accept then begin
+        Atomic.set best_obj obj;
+        best_x := Some x;
+        if certs_on then inc_log := (nid, obj) :: !inc_log;
+        Obs.Counter.incr c_incumbents;
+        Obs.Series.add s_incumbents ~x:(elapsed ()) ~y:obj;
+        let gap_now =
+          if Float.is_finite lo then
+            Float.abs (obj -. lo) /. Float.max 1.0 (Float.abs obj)
+          else Float.nan
+        in
+        note_incumbent ~tid:(wid + 1) ~obj ~gap:gap_now ~node:node_id ~depth
+          ~seeded:false ();
+        Log.info (fun f ->
+            f "incumbent %.6g at node %d depth %d (domain %d)" obj node_id
+              depth wid)
+      end;
+      Mutex.unlock inc_m
+    end
   in
   let snapshot_locked () =
     let ws = Atomic.get all_wctxs in
@@ -907,18 +888,14 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         Resilience.Deadline.clear_cell w.w_cell;
         Atomic.set w.w_nudge false;
         Mutex.lock pool_m;
-        (match wlease.(w.wid) with
-        | Some n ->
-            q := !q @ [ n ];
-            incr qlen;
-            wlease.(w.wid) <- None
-        | None -> ());
-        let mine = !(wlocal.(w.wid)) in
-        if mine <> [] then begin
-          wlocal.(w.wid) := [];
-          q := !q @ mine;
-          qlen := !qlen + List.length mine
-        end;
+        (* Park the lease, then the private stack top-down, at the
+           deque's steal end: the next take replays the dead node first,
+           then resumes the interrupted dive in its original order. *)
+        let parked = Option.to_list wlease.(w.wid) @ !(wlocal.(w.wid)) in
+        wlease.(w.wid) <- None;
+        wlocal.(w.wid) := [];
+        q := !q @ List.rev parked;
+        qlen := !qlen + List.length parked;
         incr n_recoveries;
         Condition.broadcast pool_cv;
         Mutex.unlock pool_m;
@@ -935,28 +912,24 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     end;
     goto ~lb:w.wlb ~ub:w.wub ~from_:w.wcur node.bounds;
     w.wcur <- node.bounds;
-    if cold_mode then
-      Simplex.solve ~max_iters:max_lp_iters ~deadline:w.w_dl ~lb:w.wlb
-        ~ub:w.wub !raw_solve
-    else
-      match w.wstate with
-      | None ->
-          (* Cold builds read [!raw_solve], the cut-extended system:
-             workers that start after the root cut rounds (and resumed
-             solves) inherit every applied cut. *)
-          let r, st =
-            Simplex.solve_state ~max_iters:max_lp_iters ~deadline:w.w_dl
-              ~lb:w.wlb ~ub:w.wub !raw_solve
-          in
-          w.wstate <- Some st;
-          r
-      | Some st ->
-          let r =
-            Simplex.resolve ~max_iters:max_lp_iters ~deadline:w.w_dl
-              ~lb:w.wlb ~ub:w.wub st
-          in
-          if Simplex.last_resolve_warm st then w.w_warm <- w.w_warm + 1;
-          r
+    match w.wstate with
+    | None ->
+        (* Cold builds read [!raw_solve], the cut-extended system:
+           workers that start after the root cut rounds (and resumed
+           solves) inherit every applied cut. *)
+        let r, st =
+          Simplex.solve_state ~max_iters:max_lp_iters ~deadline:w.w_dl
+            ~lb:w.wlb ~ub:w.wub !raw_solve
+        in
+        w.wstate <- Some st;
+        r
+    | Some st ->
+        let r =
+          Simplex.resolve ~max_iters:max_lp_iters ~deadline:w.w_dl ~lb:w.wlb
+            ~ub:w.wub st
+        in
+        if Simplex.last_resolve_warm st then w.w_warm <- w.w_warm + 1;
+        r
   in
   (* Reduced-cost bound fixing at the root: with an incumbent of value
      [z*] and a root relaxation of value [z0], any solution moving an
@@ -992,17 +965,15 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         end
   in
   (* Solve one node on worker [w]; returns the scheduling outcome and
-     the node's certificate entry (engines append it inside their
+     the node's certificate entry (the caller appends it inside its
      completion critical section, so snapshots never see a half-recorded
-     node). [open_bound_now] supplies the dual bound over the currently
-     open nodes for the incumbent gap note (exact for the sequential
-     engine, conservative for the parallel one).
+     node).
 
      Fault sites: [milp.worker_kill] kills the worker at entry, before
      the node is counted — the supervisor replays its lease.
      [milp.stall] wedges the worker here with no progress, which is what
      the watchdog's escalation ladder must unstick. *)
-  let process (w : wctx) ~open_bound_now (node : node) :
+  let process (w : wctx) (node : node) :
       outcome * Cert.node option =
     if Resilience.Fault.fires "milp.worker_kill" then raise Worker_killed;
     if Resilience.Fault.fires "milp.stall" then
@@ -1021,8 +992,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     Obs.Counter.incr ~by:r.Simplex.iterations c_pivots;
     if Obs.Trace.enabled () then begin
       let warm =
-        (not cold_mode)
-        &&
         match w.wstate with
         | Some st -> Simplex.last_resolve_warm st
         | None -> false
@@ -1086,7 +1055,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
             pc_record w.wpc ~j:node.bvar ~dir_up:node.dir_up
               ~unit:(if node.dir_up then 1.0 -. node.bfrac else node.bfrac)
               ~degrade:(Float.max 0.0 (r.Simplex.objective -. node.bound));
-          if depth = 0 && (not cold_mode) && have_inc () then
+          if depth = 0 && have_inc () then
             fix_by_reduced_cost w r.Simplex.objective;
           if r.Simplex.objective >= Atomic.get best_obj -. 1e-9 && have_inc ()
           then begin
@@ -1095,12 +1064,8 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           end
           else begin
             let j =
-              if cold_mode then
-                most_fractional raw ~int_tol ?priority:branch_priority
-                  r.Simplex.x
-              else
-                pseudocost_branch raw ~int_tol ?priority:branch_priority w.wpc
-                  r.Simplex.x
+              pseudocost_branch raw ~int_tol ?priority:branch_priority w.wpc
+                r.Simplex.x
             in
             if j < 0 then begin
               (* integral: candidate incumbent *)
@@ -1109,8 +1074,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
                 Array.fold_left ( +. ) 0.0
                   (Array.mapi (fun j v -> raw.obj.(j) *. v) x)
               in
-              try_improve ~wid:w.wid ~node_id ~nid:node.nid ~depth
-                ~open_bound_now x obj;
+              try_improve ~wid:w.wid ~node_id ~nid:node.nid ~depth x obj;
               fathom := Cert.F_integral;
               Leaf
             end
@@ -1259,113 +1223,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         Some (Domain.spawn (fun () -> watchdog win))
     | _ -> None
   in
-  (* -------------------- sequential engine (domains = 1) ------------- *)
-  (* The private stack lives in [wlocal.(0)] and the lease table is kept
-     current so the watchdog and checkpointer see the same frontier
-     invariant as in the parallel engine. Recovery drains through the
-     shared deque [q]. *)
-  let run_sequential (init : node list) =
-    wlocal.(0) := init;
-    let open_bound_now obj =
-      let acc =
-        List.fold_left (fun acc (n : node) -> min acc n.bound) obj
-          !(wlocal.(0))
-      in
-      List.fold_left (fun acc (n : node) -> min acc n.bound) acc !q
-    in
-    let next_node () =
-      Mutex.lock pool_m;
-      let r =
-        match !(wlocal.(0)) with
-        | n :: rest ->
-            wlocal.(0) := rest;
-            Some n
-        | [] -> (
-            match !q with
-            | n :: rest ->
-                q := rest;
-                decr qlen;
-                Some n
-            | [] -> None)
-      in
-      (match r with Some n -> wlease.(0) <- Some n | None -> ());
-      Mutex.unlock pool_m;
-      (match r with
-      | Some _ -> Atomic.set w0.w_beat (Obs.Clock.wall ())
-      | None -> ());
-      r
-    in
-    let requeue_front node =
-      Mutex.lock pool_m;
-      wlocal.(0) := node :: !(wlocal.(0));
-      wlease.(0) <- None;
-      Mutex.unlock pool_m
-    in
-    let clear_lease () =
-      Mutex.lock pool_m;
-      wlease.(0) <- None;
-      Mutex.unlock pool_m
-    in
-    let append_cert c =
-      match c with Some c -> w0.wcerts <- c :: w0.wcerts | None -> ()
-    in
-    let continue_ = ref true in
-    while !continue_ do
-      match next_node () with
-      | None -> continue_ := false
-      | Some node ->
-          (if budget () then begin
-             (* keep the in-hand node open: the exit gap and a final
-                checkpoint both want its bound *)
-             requeue_front node;
-             budget_hit := true;
-             continue_ := false
-           end
-           else if dominated node then begin
-             append_cert (dominated_cert w0 node);
-             clear_lease ()
-           end
-           else
-             match process w0 ~open_bound_now node with
-             | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-             | exception e when recover w0 e -> ()
-             | exception e ->
-                 clear_lease ();
-                 raise e
-             | Leaf, c ->
-                 append_cert c;
-                 clear_lease ()
-             | Stop_unbounded, c ->
-                 append_cert c;
-                 stopped_unbounded := true;
-                 clear_lease ();
-                 continue_ := false
-             | Stop_budget, _ ->
-                 requeue_front node;
-                 budget_hit := true;
-                 continue_ := false
-             | Cancelled, _ ->
-                 (* watchdog unwedge: re-open the node and re-arm *)
-                 Mutex.lock pool_m;
-                 q := !q @ [ node ];
-                 incr qlen;
-                 wlease.(0) <- None;
-                 incr n_recoveries;
-                 Mutex.unlock pool_m;
-                 Resilience.Deadline.clear_cell w0.w_cell
-             | Children (near, far), c ->
-                 append_cert c;
-                 Mutex.lock pool_m;
-                 wlocal.(0) := near :: far :: !(wlocal.(0));
-                 wlease.(0) <- None;
-                 Mutex.unlock pool_m);
-          Mutex.lock pool_m;
-          write_checkpoint_locked ~force:false ();
-          Mutex.unlock pool_m;
-          Atomic.set w0.w_beat (Obs.Clock.wall ())
-    done
-  in
-  (* -------------------- parallel engine (domains > 1) ---------------- *)
+  (* ------------------------- worker pool ---------------------------- *)
   (* Work distribution: each domain dives depth-first on a private stack;
      after every branch it keeps the near child and publishes the far
      child to a bounded shared deque (oldest entries are the shallowest,
@@ -1374,14 +1232,21 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
      Termination: [pending] counts pushed-but-unfinished nodes; the
      decrement that reaches zero wakes every sleeper. Every taken node is
      leased until its completion section runs, so worker deaths replay
-     exactly the in-flight subtrees and snapshots are complete. *)
-  let run_parallel (init : node list) =
+     exactly the in-flight subtrees and snapshots are complete.
+
+     [domains = 1] is a pool of one worker with no thief to feed: every
+     seed node and both children of every branch stay on its private
+     stack, and a node it takes back from the deque (parked there by
+     recovery) is not a steal. It therefore explores depth-first, near
+     child first, in a fixed order. *)
+  let run_pool (init : node list) =
+    let thieves = domains > 1 in
     (match init with
-    | [] -> ()
-    | first :: rest ->
+    | first :: rest when thieves ->
         wlocal.(0) := [ first ];
         q := rest;
-        qlen := List.length rest);
+        qlen := List.length rest
+    | _ -> wlocal.(0) := init);
     let pending = Atomic.make (List.length init) in
     let stop : [ `Budget | `Unbounded | `Exn of exn ] option Atomic.t =
       Atomic.make None
@@ -1424,7 +1289,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
               Some (n, false)
           | [] -> (
               match steal () with
-              | Some n -> Some (n, true)
+              | Some n -> Some (n, thieves)
               | None ->
                   if Atomic.get pending = 0 then None
                   else begin
@@ -1456,7 +1321,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           (* count the children before retiring the parent so [pending]
              can never dip to 0 with work in flight *)
           ignore (Atomic.fetch_and_add pending 2);
-          let published = !qlen < qcap in
+          let published = thieves && !qlen < qcap in
           if published then begin
             q := far :: !q;
             incr qlen;
@@ -1492,10 +1357,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       Atomic.set w.w_beat (Obs.Clock.wall ())
     in
     let worker (w : wctx) =
-      (* Conservative open bound for incumbent notes: the root
-         relaxation (folding every private stack would need a second
-         lock hierarchy for a purely observational number). *)
-      let open_bound_now obj = Float.min obj !root_bound in
       let rec loop () =
         match take w with
         | None -> ()
@@ -1527,7 +1388,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
                Mutex.unlock pool_m
              end
              else
-               match process w ~open_bound_now node with
+               match process w node with
                | exception ((Out_of_memory | Stack_overflow) as e) ->
                    raise e
                | exception e when recover w e -> ()
@@ -1699,8 +1560,8 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       end
     end
   in
-  (* -------------------- root + engine dispatch ----------------------- *)
-  let run_engines () =
+  (* -------------------- root, then the pool -------------------------- *)
+  let explore () =
     (match resume with
     | Some ck ->
         (* The closed prefix is already loaded into [w0]; rebuild the
@@ -1718,9 +1579,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         else (
           match init with
           | [] -> ()
-          | init ->
-              if domains = 1 then run_sequential init
-              else run_parallel init)
+          | init -> run_pool init)
     | None ->
         let root =
           { nid = alloc_nid (); parent_nid = -1; bounds = Root;
@@ -1740,7 +1599,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
             wlease.(0) <- Some root;
             Mutex.unlock pool_m;
             Atomic.set w0.w_beat (Obs.Clock.wall ());
-            match process w0 ~open_bound_now:(fun obj -> obj) root with
+            match process w0 root with
             | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
             | exception e when recover w0 e ->
                 (* recover parked the root lease on [q]; reclaim it *)
@@ -1791,9 +1650,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
               Mutex.lock pool_m;
               wlocal.(0) := [ root ];
               Mutex.unlock pool_m
-          | Children (near, far) ->
-              if domains = 1 then run_sequential [ near; far ]
-              else run_parallel [ near; far ]
+          | Children (near, far) -> run_pool [ near; far ]
         end);
     (* Exit bound over everything still open, wherever it lives. *)
     Mutex.lock pool_m;
@@ -1814,7 +1671,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     ~finally:(fun () ->
       Atomic.set wd_stop true;
       Option.iter Domain.join wd_dom)
-    run_engines;
+    explore;
   let open_bound = !open_bound_end in
   (* A node LP that hit its iteration cap was pruned unsolved, so neither
      "all nodes closed" nor a closed gap proves optimality. *)

@@ -543,15 +543,16 @@ module Metrics : sig
             heuristic flows (schema v5). The cross-domain-count
             determinism check in CI compares this field. *)
     domains : int;
-        (** B&B worker-domain count the solve ran with (1 = sequential;
-            schema v5, absent fields read back as 1 from older files) *)
+        (** B&B worker-domain count the solve ran with (1 = a one-worker
+            pool; schema v5, absent fields read back as 1 from older
+            files) *)
     nodes_per_s : float;
         (** B&B node throughput [bnb_nodes / solve_s]; nan for heuristic
             flows or unmeasurably fast solves (schema v5) *)
     cert_nodes : int;
         (** node count of the solve's proof-carrying certificate
             ({!Lp.Cert.t}); 0 when the solve carried none — heuristic
-            flows, certificates off, or cold-start mode (schema v6) *)
+            flows or certificates off (schema v6) *)
     audit_errors : int option;
         (** error findings from the exact-rational certificate audit
             ([Analyze.Audit]); [None] when the audit did not run —

@@ -381,7 +381,24 @@ let test_resolve_warm_tighten () =
   Alcotest.(check bool) "warm path" true (Lp.Simplex.last_resolve_warm st);
   (* back to the original bounds: must return to the root optimum *)
   let r = Lp.Simplex.resolve ~lb ~ub:raw.Lp.Model.ub st in
-  check_lp_obj "resolve relaxed back" (-4.0) r
+  check_lp_obj "resolve relaxed back" (-4.0) r;
+  (* branch-and-bound threads the same warm path through its node LPs *)
+  let values = [| 10.0; 13.0; 7.0; 8.0 |] in
+  let weights = [| 5.0; 6.0; 3.0; 4.0 |] in
+  let m = Lp.Model.create () in
+  let xs =
+    Array.mapi (fun i _ -> Lp.Model.bool_var m (Printf.sprintf "x%d" i)) values
+  in
+  Lp.Model.add_le m
+    (Array.to_list (Array.mapi (fun i x -> (weights.(i), x)) xs))
+    10.0;
+  Lp.Model.set_objective m
+    (Array.to_list (Array.mapi (fun i x -> (-.values.(i), x)) xs));
+  let warm = Lp.Milp.solve ~time_limit:10.0 m in
+  Alcotest.(check bool) "warm optimal" true
+    (warm.Lp.Milp.status = Lp.Milp.Optimal);
+  Alcotest.(check bool) "warm path reuses the basis" true
+    (warm.Lp.Milp.stats.Lp.Milp.warm_hits > 0)
 
 let test_resolve_infeasible () =
   let raw, st = resolve_fixture () in
@@ -481,40 +498,6 @@ let resolve_equals_cold_solve =
           && (rw.Lp.Simplex.status <> Lp.Simplex.Optimal
              || feq rw.Lp.Simplex.objective rc.Lp.Simplex.objective))
         steps)
-
-(* --- PIPESYN_COLD_START escape hatch --------------------------------- *)
-
-let test_milp_cold_start_parity () =
-  let knapsack () =
-    let values = [| 10.0; 13.0; 7.0; 8.0 |] in
-    let weights = [| 5.0; 6.0; 3.0; 4.0 |] in
-    let m = Lp.Model.create () in
-    let xs =
-      Array.mapi (fun i _ -> Lp.Model.bool_var m (Printf.sprintf "x%d" i)) values
-    in
-    Lp.Model.add_le m
-      (Array.to_list (Array.mapi (fun i x -> (weights.(i), x)) xs))
-      10.0;
-    Lp.Model.set_objective m
-      (Array.to_list (Array.mapi (fun i x -> (-.values.(i), x)) xs));
-    Lp.Milp.solve ~time_limit:10.0 m
-  in
-  Unix.putenv "PIPESYN_COLD_START" "1";
-  let cold =
-    Fun.protect
-      ~finally:(fun () -> Unix.putenv "PIPESYN_COLD_START" "")
-      knapsack
-  in
-  let warm = knapsack () in
-  Alcotest.(check bool) "cold optimal" true (cold.Lp.Milp.status = Lp.Milp.Optimal);
-  Alcotest.(check bool) "warm optimal" true (warm.Lp.Milp.status = Lp.Milp.Optimal);
-  if not (feq cold.Lp.Milp.objective warm.Lp.Milp.objective) then
-    Alcotest.failf "cold %g vs warm %g" cold.Lp.Milp.objective
-      warm.Lp.Milp.objective;
-  Alcotest.(check int) "cold path never warm-starts" 0
-    cold.Lp.Milp.stats.Lp.Milp.warm_hits;
-  Alcotest.(check bool) "warm path reuses the basis" true
-    (warm.Lp.Milp.stats.Lp.Milp.warm_hits > 0)
 
 (* --- root presolve, cut separation, warm row appends ------------------ *)
 
@@ -769,8 +752,6 @@ let () =
           Alcotest.test_case "fault injection" `Quick test_resolve_fault;
           Alcotest.test_case "refactor parity" `Quick
             test_resolve_refactor_parity;
-          Alcotest.test_case "cold-start parity" `Quick
-            test_milp_cold_start_parity;
         ] );
       ( "presolve-cuts",
         [

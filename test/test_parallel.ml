@@ -2,7 +2,8 @@
    exhaustive (non-budget-truncated) solve must return identical status,
    objective and incumbent vector for domains = 1, 2 and 4 — the shared
    incumbent's tie-breaking makes the result independent of exploration
-   order. Also covered here: the [PIPESYN_DOMAINS] environment knob, and
+   order. Also covered here: pinned work counters of one-domain solves
+   (the golden cases below), the [PIPESYN_DOMAINS] environment knob, and
    the end-to-end fault-injection matrix re-run with four worker
    domains. *)
 
@@ -141,6 +142,169 @@ let test_kernel_clz () =
   check_deterministic "CLZ formulation"
     (kernel_model (fun () -> Benchmarks.Clz.build ~width:4 ()))
 
+(* --- exactness golden at one domain ---------------------------------- *)
+
+(* Pinned single-domain solves: status, objective (as %h), nodes, pivots,
+   warm hits, recoveries and the gap of every incumbent note, for the
+   GFMUL and RS MILP-map formulations and the knapsack (cuts off). Each
+   runs fault-free, under worker kills at the 1st/2nd/5th node, under a
+   torn first checkpoint write and under injected simplex cycling at the
+   3rd LP, plus an interrupt at node 8 whose checkpoint is resumed. Every
+   solve writes a checkpoint every 4 nodes, so the torn write lands.
+
+   These numbers are exploration-order facts, not results: any change to
+   the node order, branching rule or node-LP path at one domain moves
+   them. A change meant to leave the engine's order alone must pass this
+   unedited.
+
+   Left out because when they fire depends on wall time, not on the node
+   count: the [milp.stall] fault and every [~stall_window] (watchdog)
+   case. *)
+
+let golden_ck =
+  Filename.concat (Filename.get_temp_dir_name ()) "pipesyn_golden_ck.json"
+
+let golden_sink =
+  {
+    Lp.Milp.ck_path = golden_ck;
+    ck_every_s = 3600.0;
+    ck_every_nodes = Some 4;
+    ck_meta = Obs.Json.Null;
+  }
+
+let fingerprint (r : Lp.Milp.result) =
+  let s = r.Lp.Milp.stats in
+  let gaps =
+    Obs.Series.points (Obs.Series.get "milp.convergence")
+    |> List.map (fun (_, g) -> Printf.sprintf "%h" g)
+  in
+  Printf.sprintf "%s obj=%h nodes=%d pivots=%d warm=%d recoveries=%d gaps=[%s]"
+    (status_str r.Lp.Milp.status) r.Lp.Milp.objective s.Lp.Milp.nodes
+    s.Lp.Milp.lp_iterations s.Lp.Milp.warm_hits s.Lp.Milp.recoveries
+    (String.concat " " gaps)
+
+let golden_solve ?cuts ?fault ?node_limit ?resume build =
+  Obs.reset ();
+  Resilience.Fault.clear ();
+  Option.iter
+    (fun f ->
+      match Resilience.Fault.arm f with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "arm %s: %s" f e)
+    fault;
+  Fun.protect ~finally:Resilience.Fault.clear @@ fun () ->
+  let r =
+    Lp.Milp.solve ~time_limit:60.0 ?node_limit ~domains:1 ?cuts
+      ~checkpoint:golden_sink ?resume (build ())
+  in
+  fingerprint r
+
+let golden_faults =
+  [
+    "milp.worker_kill@1";
+    "milp.worker_kill@2";
+    "milp.worker_kill@5";
+    "milp.checkpoint_torn@1";
+    "simplex.cycle@3";
+  ]
+
+(* [(case, fingerprint)] for one fixture, in a fixed case order. *)
+let golden_run ?cuts build =
+  let clean = ("clean", golden_solve ?cuts build) in
+  let faulted =
+    List.map (fun f -> (f, golden_solve ?cuts ~fault:f build)) golden_faults
+  in
+  let stopped = golden_solve ?cuts ~node_limit:8 build in
+  let ck =
+    match Lp.Checkpoint.read ~path:golden_ck with
+    | Ok ck -> ck
+    | Error e -> Alcotest.failf "read %s: %s" golden_ck e
+  in
+  let resumed = golden_solve ?cuts ~resume:ck build in
+  Sys.remove golden_ck;
+  (clean :: faulted) @ [ ("stop@8", stopped); ("resume@8", resumed) ]
+
+let check_golden name ?cuts build expected =
+  let got = golden_run ?cuts build in
+  List.iter2
+    (fun (case, want) (case', have) ->
+      assert (case = case');
+      Alcotest.(check string) (Printf.sprintf "%s %s" name case) want have)
+    expected got
+
+(* The registry's GFMUL and RS graphs under the mapped delay model. *)
+let gfmul_map =
+  kernel_model ~mapped:true (fun () -> Benchmarks.Gfmul.build ~width:4 ())
+
+let rs_map =
+  kernel_model ~mapped:true (fun () -> Benchmarks.Rs.full ~width:4 ~taps:4 ())
+
+let golden_gfmul =
+  [
+    ( "clean",
+      "optimal obj=0x1.4p+3 nodes=18 pivots=530 warm=16 recoveries=0 gaps=[0x1.8e38e38e38bep-2 0x1.111111111116dp-3]" );
+    ( "milp.worker_kill@1",
+      "optimal obj=0x1.4p+3 nodes=18 pivots=530 warm=16 recoveries=1 gaps=[0x1.8e38e38e38bep-2 0x1.111111111116dp-3]" );
+    ( "milp.worker_kill@2",
+      "optimal obj=0x1.4p+3 nodes=39 pivots=1198 warm=33 recoveries=1 gaps=[0x1.8e38e38e38bep-2 0x1.1111111111113p-3]" );
+    ( "milp.worker_kill@5",
+      "optimal obj=0x1.4p+3 nodes=21 pivots=784 warm=17 recoveries=1 gaps=[0x1.8e38e38e38bdep-2 0x1.1111111111133p-3]" );
+    ( "milp.checkpoint_torn@1",
+      "optimal obj=0x1.4p+3 nodes=18 pivots=530 warm=16 recoveries=0 gaps=[0x1.8e38e38e38bep-2 0x1.111111111116dp-3]" );
+    ( "simplex.cycle@3",
+      "optimal obj=0x1.4p+3 nodes=18 pivots=530 warm=16 recoveries=0 gaps=[0x1.8e38e38e38bep-2 0x1.111111111116dp-3]" );
+    ( "stop@8",
+      "unknown obj=infinity nodes=8 pivots=331 warm=7 recoveries=0 gaps=[]" );
+    ( "resume@8",
+      "optimal obj=0x1.4p+3 nodes=17 pivots=268 warm=8 recoveries=0 gaps=[0x1.8e38e38e38bep-2 0x1.1111111111173p-3]" );
+  ]
+
+let golden_rs =
+  [
+    ( "clean",
+      "optimal obj=0x1.2fffffffffffdp+4 nodes=82 pivots=2451 warm=75 recoveries=0 gaps=[0x1.a0d0415cabb1fp-4]" );
+    ( "milp.worker_kill@1",
+      "optimal obj=0x1.3p+4 nodes=64 pivots=2128 warm=59 recoveries=1 gaps=[0x1.a0d0415cabb36p-4]" );
+    ( "milp.worker_kill@2",
+      "optimal obj=0x1.3p+4 nodes=46 pivots=1156 warm=42 recoveries=1 gaps=[0x1.a0d0415cabb43p-4]" );
+    ( "milp.worker_kill@5",
+      "optimal obj=0x1.2fffffffffffdp+4 nodes=90 pivots=2663 warm=83 recoveries=1 gaps=[0x1.a0d0415cabb1fp-4]" );
+    ( "milp.checkpoint_torn@1",
+      "optimal obj=0x1.2fffffffffffdp+4 nodes=82 pivots=2451 warm=75 recoveries=0 gaps=[0x1.a0d0415cabb1fp-4]" );
+    ( "simplex.cycle@3",
+      "optimal obj=0x1.3p+4 nodes=54 pivots=1046 warm=47 recoveries=0 gaps=[0x1.d5b5ce960f01bp-4]" );
+    ( "stop@8",
+      "feasible obj=0x1.2fffffffffffdp+4 nodes=8 pivots=433 warm=8 recoveries=0 gaps=[0x1.a0d0415cabb1fp-4]" );
+    ( "resume@8",
+      "optimal obj=0x1.2fffffffffffdp+4 nodes=46 pivots=1392 warm=34 recoveries=0 gaps=[nan]" );
+  ]
+
+let golden_knapsack =
+  [
+    ( "clean",
+      "optimal obj=-0x1.ap+4 nodes=15 pivots=28 warm=12 recoveries=0 gaps=[0x1.47ae147ae147bp-4 0x1.3b13b13b13b14p-5]" );
+    ( "milp.worker_kill@1",
+      "optimal obj=-0x1.ap+4 nodes=15 pivots=28 warm=12 recoveries=1 gaps=[0x1.47ae147ae147bp-4 0x1.3b13b13b13b14p-5]" );
+    ( "milp.worker_kill@2",
+      "optimal obj=-0x1.ap+4 nodes=15 pivots=34 warm=11 recoveries=1 gaps=[0x1.47ae147ae147bp-4 0x1.3b13b13b13b14p-5]" );
+    ( "milp.worker_kill@5",
+      "optimal obj=-0x1.ap+4 nodes=15 pivots=31 warm=11 recoveries=1 gaps=[0x1.47ae147ae147bp-4 0x1.3b13b13b13b14p-5]" );
+    ( "milp.checkpoint_torn@1",
+      "optimal obj=-0x1.ap+4 nodes=15 pivots=28 warm=12 recoveries=0 gaps=[0x1.47ae147ae147bp-4 0x1.3b13b13b13b14p-5]" );
+    ( "simplex.cycle@3",
+      "feasible obj=-0x1.ap+4 nodes=13 pivots=26 warm=9 recoveries=0 gaps=[0x1.d1745d1745d17p-3 0x1p-3 0x1.3b13b13b13b14p-5]" );
+    ( "stop@8",
+      "feasible obj=-0x1.9p+4 nodes=8 pivots=18 warm=6 recoveries=0 gaps=[0x1.47ae147ae147bp-4]" );
+    ( "resume@8",
+      "optimal obj=-0x1.ap+4 nodes=15 pivots=13 warm=5 recoveries=0 gaps=[nan 0x1.3b13b13b13b14p-5]" );
+  ]
+
+let test_golden_gfmul () = check_golden "GFMUL" gfmul_map golden_gfmul
+let test_golden_rs () = check_golden "RS" rs_map golden_rs
+
+let test_golden_knapsack () =
+  check_golden "knapsack" ~cuts:false knapsack golden_knapsack
+
 (* --- random MILPs (qcheck) ------------------------------------------ *)
 
 let parallel_matches_sequential =
@@ -274,6 +438,12 @@ let () =
           Alcotest.test_case "recurrence kernel" `Quick test_kernel_recurrence;
           Alcotest.test_case "RS kernel" `Quick test_kernel_rs;
           Alcotest.test_case "CLZ kernel" `Quick test_kernel_clz;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "GFMUL MILP-map" `Slow test_golden_gfmul;
+          Alcotest.test_case "RS MILP-map" `Slow test_golden_rs;
+          Alcotest.test_case "knapsack" `Quick test_golden_knapsack;
         ] );
       qsuite "determinism-random" [ parallel_matches_sequential ];
       ( "env",
