@@ -3,10 +3,6 @@
 
 open Cmdliner
 
-let setup_logs verbose =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
-
 (* ------------------------------------------------------------------ *)
 (* shared arguments                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -169,9 +165,11 @@ let wall_budget_of deadline =
 let log_path_of flag =
   match flag with Some _ -> flag | None -> Sys.getenv_opt "PIPESYN_LOG"
 
-(* One `\r'-overwritten status line on stderr, re-rendered from the
-   live log events: phase, node throughput, optimality gap, heap. *)
-let install_progress_sink () =
+(* stderr is a view of the event stream, through the log's one sink:
+   each Warn/Error event (Info too with -v) prints as one line, and with
+   --progress a `\r'-overwritten status line re-renders from the same
+   events: phase, node throughput, optimality gap, heap. *)
+let stderr_sink ~verbose ~progress =
   let phase = ref "start" in
   let nps = ref Float.nan and gap = ref Float.nan and heap_w = ref Float.nan in
   let num j = match j with Obs.Json.Float f -> f | Obs.Json.Int i -> float_of_int i | _ -> Float.nan in
@@ -187,41 +185,61 @@ let install_progress_sink () =
     Fmt.epr "\r  %-10s nodes/s %-8s gap %-8s heap %-10s%!" !phase s_nps s_gap
       s_heap
   in
-  Obs.Log.set_sink
-    (Some
-       (fun e ->
-         let arg k = List.assoc_opt k e.Obs.Log.l_args in
-         (match e.Obs.Log.l_name with
-         | "flow.phase" -> (
-             match arg "phase" with
-             | Some (Obs.Json.String p) -> phase := p
-             | _ -> ())
-         | "probe.sample" ->
-             Option.iter (fun j -> nps := num j) (arg "nodes_per_s");
-             Option.iter (fun j -> gap := num j) (arg "gap");
-             Option.iter (fun j -> heap_w := num j) (arg "heap_words")
-         | "milp.incumbent" -> Option.iter (fun j -> gap := num j) (arg "gap")
-         | _ -> ());
-         render ()))
+  fun (e : Obs.Log.event) ->
+    let arg k = List.assoc_opt k e.Obs.Log.l_args in
+    let shown =
+      match e.Obs.Log.l_level with
+      | Obs.Log.Warn | Error -> true
+      | Info -> verbose
+      | Debug -> false
+    in
+    if shown then
+      Fmt.epr "%spipesyn: [%s] %s%a@."
+        (if progress then "\r" ^ String.make 60 ' ' ^ "\r" else "")
+        (Obs.Log.level_name e.Obs.Log.l_level)
+        e.Obs.Log.l_name
+        Fmt.(list ~sep:nop (fun ppf (k, v) ->
+                 pf ppf " %s=%s" k (Obs.Json.to_string v)))
+        e.Obs.Log.l_args;
+    if progress then begin
+      (match e.Obs.Log.l_name with
+      | "flow.phase" -> (
+          match arg "phase" with
+          | Some (Obs.Json.String p) -> phase := p
+          | _ -> ())
+      | "probe.sample" ->
+          Option.iter (fun j -> nps := num j) (arg "nodes_per_s");
+          Option.iter (fun j -> gap := num j) (arg "gap");
+          Option.iter (fun j -> heap_w := num j) (arg "heap_words")
+      | "milp.incumbent" -> Option.iter (fun j -> gap := num j) (arg "gap")
+      | _ -> ());
+      render ()
+    end
 
-(* Enable the log stream (flag or env), the progress renderer, and the
-   resource probe. The probe is started unconditionally: with
-   PIPESYN_PROBE_MS unset, [Obs.Probe.start] is a no-op returning
-   false. Returns the resolved log path for [telemetry_finish]. *)
-let telemetry_start ~log ~progress =
+(* Turn the event stream on with stderr as its view. The log keeps
+   Warn and up, or Info and up when something shows Info events: -v,
+   --progress, or a log file ([log_file]). *)
+let stderr_view ?(progress = false) ?(log_file = false) verbose =
+  Obs.Log.enable
+    ~level:
+      (if verbose || progress || log_file then Obs.Log.Info else Obs.Log.Warn)
+    ();
+  Obs.Log.set_sink (Some (stderr_sink ~verbose ~progress))
+
+(* --log FILE (or PIPESYN_LOG), --progress, and the resource probe. The
+   probe is started unconditionally: with PIPESYN_PROBE_MS unset,
+   [Obs.Probe.start] is a no-op returning false. Returns the resolved
+   log path for [telemetry_finish]. *)
+let telemetry_start ~verbose ~log ~progress =
   let log = log_path_of log in
-  if (log <> None || progress) && not (Obs.Log.enabled ()) then
-    Obs.Log.enable ();
-  if progress then install_progress_sink ();
+  stderr_view ~progress ~log_file:(log <> None) verbose;
   ignore (Obs.Probe.start ());
   log
 
 let telemetry_finish ~log ~progress =
   Obs.Probe.stop ();
-  if progress then begin
-    Obs.Log.set_sink None;
-    Fmt.epr "\r%s\r%!" (String.make 60 ' ')
-  end;
+  Obs.Log.set_sink None;
+  if progress then Fmt.epr "\r%s\r%!" (String.make 60 ' ');
   match log with
   | None -> ()
   | Some path ->
@@ -398,7 +416,6 @@ let run_cmd =
   let run name method_ time_limit ii k alpha beta verbose optimize json trace
       faults deadline domains checkpoint checkpoint_every stall_window audit
       cuts presolve log progress =
-    setup_logs verbose;
     (match domains with
     | Some d when d < 1 ->
         Fmt.epr "--domains: must be >= 1 (got %d)@." d;
@@ -406,7 +423,7 @@ let run_cmd =
     | _ -> ());
     Obs.reset ();
     if trace <> None then Obs.Trace.enable ();
-    let log = telemetry_start ~log ~progress in
+    let log = telemetry_start ~verbose ~log ~progress in
     arm_faults faults;
     let wall_budget = wall_budget_of deadline in
     let e = entry_of name in
@@ -577,14 +594,13 @@ let resume_cmd =
   let int_of j = match j with Some (Obs.Json.Int i) -> Some i | _ -> None in
   let bool_of j = match j with Some (Obs.Json.Bool b) -> Some b | _ -> None in
   let run file time_limit domains audit json log faults stall_window verbose =
-    setup_logs verbose;
     (match domains with
     | Some d when d < 1 ->
         Fmt.epr "--domains: must be >= 1 (got %d)@." d;
         exit exit_error
     | _ -> ());
     Obs.reset ();
-    let log = telemetry_start ~log ~progress:false in
+    let log = telemetry_start ~verbose ~log ~progress:false in
     arm_faults faults;
     let ck =
       match Lp.Checkpoint.read ~path:file with
@@ -858,7 +874,7 @@ let lint_cmd =
     Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
   in
   let run name all json ii k verbose =
-    setup_logs verbose;
+    stderr_view verbose;
     Obs.reset ();
     let entries =
       if all then Benchmarks.Registry.all
@@ -921,7 +937,7 @@ let audit_cmd =
     Arg.(value & opt (some string) None & info [ "json" ] ~doc ~docv:"FILE")
   in
   let run name all json time_limit ii k domains cuts presolve verbose =
-    setup_logs verbose;
+    stderr_view verbose;
     (match domains with
     | Some d when d < 1 ->
         Fmt.epr "--domains: must be >= 1 (got %d)@." d;

@@ -251,8 +251,8 @@ let finalize setup ctx g ~cuts_total cover sched solve method_ =
     Sched.Timing.recompute_starts ~device:setup.device ~delays:setup.delays g
       cover sched
   in
-  if Obs.Log.enabled () then
-    Obs.Log.event "flow.phase" [ ("phase", Obs.Json.String "verify") ];
+  if Obs.recording () then
+    Obs.emit ~cat:"flow" "flow.phase" [ ("phase", Obs.Json.String "verify") ];
   match
     Obs.Trace.span ~cat:"flow" "flow.verify" (fun () ->
         Sched.Verify.check (verify_ctx setup) g cover sched)
@@ -474,8 +474,9 @@ let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
             with
             | Ok () -> Some x
             | Error msg ->
-                Logs.debug (fun fmt ->
-                    fmt "dropping infeasible warm start: %s" msg);
+                if Obs.recording () then
+                  Obs.emit ~cat:"flow" "flow.warm_start_dropped"
+                    [ ("reason", Obs.Json.String msg) ];
                 None)
       in
       let incumbent =
@@ -512,8 +513,8 @@ let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
               None candidates
       in
       let t0 = Obs.Clock.wall () in
-      if Obs.Log.enabled () then
-        Obs.Log.event "flow.phase" [ ("phase", Obs.Json.String "solve") ];
+      if Obs.recording () then
+        Obs.emit ~cat:"flow" "flow.phase" [ ("phase", Obs.Json.String "solve") ];
       let r =
         Obs.Trace.span ~cat:"flow" "flow.solve" (fun () ->
             Lp.Milp.solve
@@ -722,8 +723,8 @@ let run ?deadline setup method_ g =
     ~args:[ ("method", Obs.Json.String (method_name method_)) ]
   @@ fun () ->
   let log_phase phase =
-    if Obs.Log.enabled () then
-      Obs.Log.event "flow.phase"
+    if Obs.recording () then
+      Obs.emit ~cat:"flow" "flow.phase"
         [
           ("phase", Obs.Json.String phase);
           ("method", Obs.Json.String (method_name method_));
@@ -762,18 +763,22 @@ let run ?deadline setup method_ g =
                    d.Analyze.Diag.code ^ " " ^ d.Analyze.Diag.message)
                  (Analyze.Diag.errors diags))))
   | Ok gate_diags -> (
-      List.iter
-        (fun (d : Analyze.Diag.t) ->
-          Logs.warn (fun fmt -> fmt "%a" Analyze.Diag.pp d))
-        (Analyze.Diag.warnings gate_diags);
+      if Obs.recording ~level:Obs.Log.Warn () then
+        List.iter
+          (fun d ->
+            match Analyze.Diag.to_json d with
+            | Obs.Json.Obj fields ->
+                Obs.emit ~level:Obs.Log.Warn ~cat:"flow" "flow.lint" fields
+            | _ -> ())
+          (Analyze.Diag.warnings gate_diags);
       let ctx = { gate_diags; notes = ref [] } in
       match Resilience.Cascade.run ~deadline (steps_of setup ctx method_ g) with
       | Ok { value; trail } ->
           let r =
             stamp_gc (finish ~gate_diags (trail @ List.rev !(ctx.notes)) value)
           in
-          if Obs.Log.enabled () then
-            Obs.Log.event "flow.phase"
+          if Obs.recording () then
+            Obs.emit ~cat:"flow" "flow.phase"
               [
                 ("phase", Obs.Json.String "done");
                 ("method", Obs.Json.String (method_name method_));

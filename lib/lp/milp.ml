@@ -37,10 +37,6 @@ type checkpoint_sink = {
 
 exception Worker_killed
 
-let src = Logs.Src.create "lp.milp" ~doc:"branch and bound"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
 (* Instrumentation (lib/obs): cumulative across solves; reset by the
    driver. Purely observational — branching decisions never read it. *)
 let c_solves = Obs.Counter.get "milp.solves"
@@ -399,9 +395,9 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     | None ->
         if presolve_on && not injected_timeout then begin
           let lb, ub, evs = Presolve.tighten raw_orig in
-          if evs <> [] then
-            Log.info (fun f ->
-                f "presolve tightened %d bounds" (List.length evs));
+          if evs <> [] && Obs.recording () then
+            Obs.emit ~cat:"milp" "milp.presolve"
+              [ ("tightened", Obs.Json.Int (List.length evs)) ];
           (evs, { raw_orig with Model.lb; ub })
         end
         else ([], raw_orig)
@@ -429,11 +425,17 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   let cuts_log =
     ref (match resume with Some ck -> ck.Checkpoint.cuts | None -> [])
   in
-  Log.debug (fun f ->
-      f "model: %d cols (%d integer), %d rows"
-        raw.Model.n
-        (Array.fold_left (fun a b -> if b then a + 1 else a) 0 raw.Model.integer)
-        (Array.length raw.Model.rows));
+  if Obs.recording ~level:Obs.Log.Debug () then
+    Obs.emit ~level:Obs.Log.Debug ~cat:"milp" "milp.model"
+      [
+        ("cols", Obs.Json.Int raw.Model.n);
+        ( "integer",
+          Obs.Json.Int
+            (Array.fold_left
+               (fun a b -> if b then a + 1 else a)
+               0 raw.Model.integer) );
+        ("rows", Obs.Json.Int (Array.length raw.Model.rows));
+      ];
   let raw_solve = ref (extend_raw raw !cuts_log) in
   let cut_rounds = ref 0 in
   let cut_b0 = ref Float.nan in
@@ -491,24 +493,14 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     Atomic.make
       (match resume with Some ck -> ck.Checkpoint.nodes_done | None -> 0)
   in
-  (* Convergence timeline: one point (and one trace instant) per
-     incumbent, carrying the relative incumbent/bound gap at that
-     moment. Observational only. *)
+  (* Convergence timeline: one point (and one event) per incumbent,
+     carrying the relative incumbent/bound gap at that moment.
+     Observational only. *)
   let note_incumbent ?(tid = 1) ~obj ~gap ~node ~depth ~seeded () =
     if Float.is_nan !first_inc then first_inc := elapsed ();
     Obs.Series.add s_conv ~x:(elapsed ()) ~y:gap;
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~cat:"milp" ~tid "milp.incumbent"
-        ~args:
-          [
-            ("objective", Obs.Json.Float obj);
-            ("gap", Obs.Json.Float gap);
-            ("node", Obs.Json.Int node);
-            ("depth", Obs.Json.Int depth);
-            ("seeded", Obs.Json.Bool seeded);
-          ];
-    if Obs.Log.enabled () then
-      Obs.Log.event "milp.incumbent"
+    if Obs.recording () then
+      Obs.emit ~cat:"milp" ~tid "milp.incumbent"
         [
           ("objective", Obs.Json.Float obj);
           ("gap", Obs.Json.Float gap);
@@ -764,10 +756,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           else Float.nan
         in
         note_incumbent ~tid:(wid + 1) ~obj ~gap:gap_now ~node:node_id ~depth
-          ~seeded:false ();
-        Log.info (fun f ->
-            f "incumbent %.6g at node %d depth %d (domain %d)" obj node_id
-              depth wid)
+          ~seeded:false ()
       end;
       Mutex.unlock inc_m
     end
@@ -837,40 +826,23 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           | None -> ());
           Checkpoint.write ~path:s.ck_path (snapshot_locked ());
           incr n_checkpoints;
-          if Obs.Log.enabled () then
-            Obs.Log.event "milp.checkpoint"
+          if Obs.recording () then
+            Obs.emit ~cat:"milp" "milp.checkpoint"
               [
                 ("nodes", Obs.Json.Int nodes_now);
                 ("path", Obs.Json.String s.ck_path);
-              ];
-          if Obs.Trace.enabled () then
-            Obs.Trace.instant ~cat:"milp" "milp.checkpoint"
-              ~args:
-                [
-                  ("nodes", Obs.Json.Int nodes_now);
-                  ("path", Obs.Json.String s.ck_path);
-                ]
+              ]
         end
   in
   let note_recovery (w : wctx) e =
-    Log.warn (fun f ->
-        f "worker %d died (%s); recovered (death %d/%d)" w.wid
-          (Printexc.to_string e) w.w_deaths max_worker_deaths);
-    if Obs.Log.enabled () then
-      Obs.Log.event ~level:Obs.Log.Warn "milp.recovery"
+    if Obs.recording ~level:Obs.Log.Warn () then
+      Obs.emit ~level:Obs.Log.Warn ~cat:"milp" ~tid:(w.wid + 1)
+        "milp.recovery"
         [
           ("worker", Obs.Json.Int w.wid);
           ("error", Obs.Json.String (Printexc.to_string e));
           ("death", Obs.Json.Int w.w_deaths);
-        ];
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~cat:"milp" ~tid:(w.wid + 1) "milp.recovery"
-        ~args:
-          [
-            ("worker", Obs.Json.Int w.wid);
-            ("error", Obs.Json.String (Printexc.to_string e));
-            ("death", Obs.Json.Int w.w_deaths);
-          ]
+        ]
   in
   (* Supervised worker death. Returns whether the slot recovered: the
      leased node and the worker's whole private stack go back to the
@@ -959,9 +931,10 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
                   incr fixed_vars
               | _ -> ()
           done;
-          if Obs.Trace.enabled () && !fixed_vars > before then
-            Obs.Trace.instant ~cat:"milp" "milp.fixed_vars"
-              ~args:[ ("count", Obs.Json.Int (!fixed_vars - before)) ]
+          if !fixed_vars > before && Obs.recording ~level:Obs.Log.Debug ()
+          then
+            Obs.emit ~level:Obs.Log.Debug ~cat:"milp" "milp.fixed_vars"
+              [ ("count", Obs.Json.Int (!fixed_vars - before)) ]
         end
   in
   (* Solve one node on worker [w]; returns the scheduling outcome and
@@ -990,14 +963,13 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     let r = solve_node w node in
     w.w_iters <- w.w_iters + r.Simplex.iterations;
     Obs.Counter.incr ~by:r.Simplex.iterations c_pivots;
-    if Obs.Trace.enabled () then begin
+    if Obs.recording ~level:Obs.Log.Debug () then begin
       let warm =
         match w.wstate with
         | Some st -> Simplex.last_resolve_warm st
         | None -> false
       in
-      Obs.Trace.instant ~cat:"milp" ~tid:(w.wid + 1) "milp.node"
-        ~args:
+      Obs.emit ~level:Obs.Log.Debug ~cat:"milp" ~tid:(w.wid + 1) "milp.node"
           [
             ("n", Obs.Json.Int node_id);
             ("depth", Obs.Json.Int depth);
@@ -1046,9 +1018,10 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
              claims, so count it: any such node demotes Optimal to
              Feasible below. *)
           w.w_limited <- w.w_limited + 1;
-          Log.warn (fun f ->
-              f "LP iteration limit at node %d (depth %d); pruning" node_id
-                depth);
+          if Obs.recording ~level:Obs.Log.Warn () then
+            Obs.emit ~level:Obs.Log.Warn ~cat:"milp" ~tid:(w.wid + 1)
+              "milp.lp_limit"
+              [ ("node", Obs.Json.Int node_id); ("depth", Obs.Json.Int depth) ];
           Leaf
       | Simplex.Optimal ->
           if node.bvar >= 0 then
@@ -1171,17 +1144,9 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   let wd_stop = Atomic.make false in
   let stall_note (w : wctx) level =
     ignore (Atomic.fetch_and_add n_stalls 1);
-    Log.warn (fun f -> f "worker %d stalled; escalation: %s" w.wid level);
-    if Obs.Log.enabled () then
-      Obs.Log.event ~level:Obs.Log.Warn "milp.stall"
-        [
-          ("worker", Obs.Json.Int w.wid);
-          ("level", Obs.Json.String level);
-        ];
-    if Obs.Trace.enabled () then
-      Obs.Trace.instant ~cat:"milp" ~tid:(w.wid + 1) "milp.stall"
-        ~args:
-          [ ("worker", Obs.Json.Int w.wid); ("level", Obs.Json.String level) ]
+    if Obs.recording ~level:Obs.Log.Warn () then
+      Obs.emit ~level:Obs.Log.Warn ~cat:"milp" ~tid:(w.wid + 1) "milp.stall"
+        [ ("worker", Obs.Json.Int w.wid); ("level", Obs.Json.String level) ]
   in
   let watchdog win =
     (* Per-slot beat value at the last nudge: a second trip over the same
@@ -1500,21 +1465,12 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
                   let prev = !cut_b1 in
                   cut_b1 := r.Simplex.objective;
                   cur := r;
-                  if Obs.Trace.enabled () then
-                    Obs.Trace.instant ~cat:"milp" "milp.cut_round"
-                      ~args:
-                        [
-                          ("round", Obs.Json.Int !cut_rounds);
-                          ("added", Obs.Json.Int (List.length chosen));
-                          ("pool", Obs.Json.Int (Cutgen.pending pool));
-                          ("bound0", Obs.Json.Float !cut_b0);
-                          ("bound", Obs.Json.Float r.Simplex.objective);
-                        ];
-                  if Obs.Log.enabled () then
-                    Obs.Log.event "milp.cut_round"
+                  if Obs.recording () then
+                    Obs.emit ~cat:"milp" "milp.cut_round"
                       [
                         ("round", Obs.Json.Int !cut_rounds);
                         ("added", Obs.Json.Int (List.length chosen));
+                        ("pool", Obs.Json.Int (Cutgen.pending pool));
                         ("bound0", Obs.Json.Float !cut_b0);
                         ("bound", Obs.Json.Float r.Simplex.objective);
                       ];
@@ -1542,10 +1498,13 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           !cuts_log <> []
           && !cut_b1 -. !cut_b0 <= 1e-9 *. (1.0 +. Float.abs !cut_b0)
         then begin
-          Log.info (fun f ->
-              f "root cuts: %d separated in %d rounds left the bound at \
-                 %.6g — discarded"
-                (List.length !cuts_log) !cut_rounds !cut_b0);
+          if Obs.recording () then
+            Obs.emit ~cat:"milp" "milp.cuts_discarded"
+              [
+                ("cuts", Obs.Json.Int (List.length !cuts_log));
+                ("rounds", Obs.Json.Int !cut_rounds);
+                ("bound", Obs.Json.Float !cut_b0);
+              ];
           cuts_log := [];
           raw_solve := raw;
           cut_rounds := 0;
@@ -1553,10 +1512,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           cut_b1 := Float.nan;
           w0.wstate <- None
         end
-        else if !cuts_log <> [] then
-          Log.info (fun f ->
-              f "root cuts: %d applied in %d rounds, bound %.6g -> %.6g"
-                (List.length !cuts_log) !cut_rounds !cut_b0 !cut_b1)
       end
     end
   in
@@ -1742,8 +1697,8 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   if not (Float.is_nan stats.gap_closed_root) then
     Obs.Series.add s_gap_closed_root ~x:stats.elapsed ~y:stats.gap_closed_root;
   Obs.Series.add s_gap ~x:stats.elapsed ~y:stats.gap;
-  if Obs.Log.enabled () then
-    Obs.Log.event "milp.done"
+  if Obs.recording () then
+    Obs.emit ~cat:"milp" "milp.done"
       [
         ("nodes", Obs.Json.Int stats.nodes);
         ("pivots", Obs.Json.Int stats.lp_iterations);
@@ -1777,8 +1732,8 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           int_tol;
         }
       in
-      if Obs.Trace.enabled () then
-        Obs.Trace.instant ~cat:"milp" "milp.cert" ~args:(Cert.summary_json c);
+      if Obs.recording () then
+        Obs.emit ~cat:"milp" "milp.cert" (Cert.summary_json c);
       Some c
     end
   in

@@ -610,12 +610,13 @@ let resolve ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
     infeasible_result raw.n
   end
   else begin
-    (* [reason] only feeds the trace: why this resolve fell back to a
-       full refactorization instead of the warm dual-repair path. *)
+    (* [reason] only feeds the [simplex.refactor] event: why this
+       resolve fell back to a full refactorization instead of the warm
+       dual-repair path. *)
     let cold ~reason () =
-      if Obs.Trace.enabled () then
-        Obs.Trace.instant ~cat:"simplex" "simplex.refactor"
-          ~args:[ ("reason", Obs.Json.String reason) ];
+      if Obs.recording ~level:Obs.Log.Debug () then
+        Obs.emit ~level:Obs.Log.Debug ~cat:"simplex" "simplex.refactor"
+          [ ("reason", Obs.Json.String reason) ];
       st.last_warm <- false;
       Obs.Counter.incr c_resolve_cold;
       let lbv = Array.copy lb and ubv = Array.copy ub in

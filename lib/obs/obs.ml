@@ -1,6 +1,6 @@
 (* Process-global instrumentation registry. Everything is stdlib-only:
    the library must be linkable from the innermost subsystems (lp, cuts)
-   without dragging in fmt/logs, and the JSON emitter replaces yojson. *)
+   without dragging in fmt, and the JSON emitter replaces yojson. *)
 
 (* Registries are process-global and may be touched from worker domains
    (simplex counters, trace instants fire inside the parallel B&B pool),
@@ -18,6 +18,34 @@ let locked m f =
   | exception e ->
       Mutex.unlock m;
       raise e
+
+(* The integer in environment variable [var] when it parses (trimmed) to
+   at least [min]; [None] when unset, unparsable or too small. *)
+let env_int var ~min =
+  match Sys.getenv_opt var with
+  | None -> None
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some v when v >= min -> Some v
+      | _ -> None)
+
+(* Lowest {!Log.level} value any sink takes: 0 while tracing (the trace
+   keeps every level), the log's minimum while logging, [max_int] with
+   both off. Each sink publishes its own floor; [floor] caches the
+   minimum so an emission site's guard is one load and one compare. *)
+let sink_floors = [| max_int; max_int |] (* trace, log *)
+let floor = ref max_int
+
+let set_floor sink v =
+  sink_floors.(sink) <- v;
+  floor := min sink_floors.(0) sink_floors.(1)
+
+(* Event cap at a trace/log [enable]: the explicit [cap] clamped to at
+   least 16, else [var] from the environment, else [default]. *)
+let buffer_cap cap var ~default =
+  match cap with
+  | Some v -> max 16 v
+  | None -> Option.value ~default (env_int var ~min:16)
 
 module Clock = struct
   (* Wall clock for deadlines, trace timestamps and throughput. [Sys.time]
@@ -141,14 +169,6 @@ module Series = struct
 
   let default_cap = 4096
 
-  let cap_from_env () =
-    match Sys.getenv_opt "PIPESYN_SERIES_CAP" with
-    | None | Some "" -> default_cap
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some v when v >= 2 -> v
-        | _ -> default_cap)
-
   type t = {
     sname : string;
     cap : int;
@@ -166,8 +186,10 @@ module Series = struct
         | Some s -> s
         | None ->
             let s =
-              { sname = name; cap = cap_from_env (); pts = []; n = 0;
-                stride = 1; seen = 0 }
+              { sname = name;
+                cap = Option.value ~default:default_cap
+                        (env_int "PIPESYN_SERIES_CAP" ~min:2);
+                pts = []; n = 0; stride = 1; seen = 0 }
             in
             Hashtbl.add registry name s;
             s)
@@ -570,19 +592,12 @@ module Trace = struct
     max_depth_seen := 0;
     open_stack := []
 
-  let cap_from_env () =
-    match Sys.getenv_opt "PIPESYN_TRACE_CAP" with
-    | None | Some "" -> default_cap
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some v when v >= 16 -> v
-        | _ -> default_cap)
-
   let enable ?cap:c () =
-    cap := (match c with Some v -> max 16 v | None -> cap_from_env ());
+    cap := buffer_cap c "PIPESYN_TRACE_CAP" ~default:default_cap;
     clear ();
     epoch := Clock.wall ();
-    on := true
+    on := true;
+    set_floor 0 0
 
   let begin_span ?(cat = "app") ?(args = []) name =
     if !on then
@@ -620,7 +635,7 @@ module Trace = struct
           raise e
     end
 
-  let instant ?(cat = "app") ?(tid = 1) ?(args = []) name =
+  let add_instant ~cat ~tid ~args name =
     if !on then
       locked trace_mutex @@ fun () ->
       if !len < !cap then begin
@@ -640,7 +655,8 @@ module Trace = struct
           push (End { name = o.o_name; cat = o.o_cat; ts; tid = 1 }))
       !open_stack;
     open_stack := [];
-    on := false
+    on := false;
+    set_floor 0 max_int
 
   (* ---- export ---------------------------------------------------------- *)
 
@@ -661,56 +677,34 @@ module Trace = struct
 
   let us t = t *. 1e6
 
-  let chrome_of_event e =
-    let common name cat ph ts tid =
-      [
-        ("name", Json.String name);
-        ("cat", Json.String cat);
-        ("ph", Json.String ph);
-        ("ts", Json.Float (us ts));
-        ("pid", Json.Int 1);
-        ("tid", Json.Int tid);
-      ]
+  (* One exported event: the Chrome field set (ts in microseconds, pid,
+     thread-scoped instants) or the native one (ts_s in seconds). *)
+  let json_of_event ~chrome e =
+    let name, cat, ph, ts, tid, args =
+      match e with
+      | Begin b -> (b.name, b.cat, "B", b.ts, b.tid, b.args)
+      | End e -> (e.name, e.cat, "E", e.ts, e.tid, [])
+      | Instant i -> (i.name, i.cat, "i", i.ts, i.tid, i.args)
     in
-    match e with
-    | Begin b ->
-        Json.Obj
-          (common b.name b.cat "B" b.ts b.tid
-          @ if b.args = [] then [] else [ ("args", Json.Obj b.args) ])
-    | End e -> Json.Obj (common e.name e.cat "E" e.ts e.tid)
-    | Instant i ->
-        Json.Obj
-          (common i.name i.cat "i" i.ts i.tid
-          @ [ ("s", Json.String "t") ]
-          @ if i.args = [] then [] else [ ("args", Json.Obj i.args) ])
+    let str v = Json.String v in
+    Json.Obj
+      ((if chrome then
+          [ ("name", str name); ("cat", str cat); ("ph", str ph);
+            ("ts", Json.Float (us ts)); ("pid", Json.Int 1);
+            ("tid", Json.Int tid) ]
+          @ if ph = "i" then [ ("s", str "t") ] else []
+        else
+          [ ("ph", str ph); ("name", str name); ("cat", str cat);
+            ("ts_s", Json.Float ts); ("tid", Json.Int tid) ])
+      @ if args = [] then [] else [ ("args", Json.Obj args) ])
 
   let export_chrome () =
     Json.Obj
       [
-        ("traceEvents", Json.List (List.map chrome_of_event (all_events ())));
+        ("traceEvents",
+          Json.List (List.map (json_of_event ~chrome:true) (all_events ())));
         ("displayTimeUnit", Json.String "ms");
       ]
-
-  let native_of_event e =
-    let common name cat ph ts tid =
-      [
-        ("ph", Json.String ph);
-        ("name", Json.String name);
-        ("cat", Json.String cat);
-        ("ts_s", Json.Float ts);
-        ("tid", Json.Int tid);
-      ]
-    in
-    match e with
-    | Begin b ->
-        Json.Obj
-          (common b.name b.cat "B" b.ts b.tid
-          @ if b.args = [] then [] else [ ("args", Json.Obj b.args) ])
-    | End e -> Json.Obj (common e.name e.cat "E" e.ts e.tid)
-    | Instant i ->
-        Json.Obj
-          (common i.name i.cat "i" i.ts i.tid
-          @ if i.args = [] then [] else [ ("args", Json.Obj i.args) ])
 
   let export_native () =
     Json.Obj
@@ -718,7 +712,8 @@ module Trace = struct
         ("schema", Json.String "pipesyn-trace-v1");
         ("clock", Json.String "wall-s");
         ("dropped", Json.Int !dropped_n);
-        ("events", Json.List (List.map native_of_event (all_events ())));
+        ("events",
+          Json.List (List.map (json_of_event ~chrome:false) (all_events ())));
       ]
 
   let write_chrome ~path =
@@ -1018,14 +1013,14 @@ end
 
 (* Leveled structured event log: the narrative companion to {!Trace}.
    Trace answers "where did the time go" with nested spans; Log answers
-   "what happened" with a flat ordered stream of typed events — flow
-   phase transitions, cascade retries/degradations, incumbents, cut
-   rounds, checkpoints, recoveries, stalls, probe samples — serialized
-   as NDJSON (one JSON object per line, greppable and tail-able, framed
-   by a header and a footer line). Same discipline as Trace:
-   process-global, mutex-guarded, bounded with drop-new-at-the-cap plus
-   a drop count, off by default, and strictly observational — no solver
-   decision may ever read it. *)
+   "what happened" with a flat ordered stream of the events {!emit}
+   routes to it — flow phase transitions, cascade retries/degradations,
+   incumbents, cut rounds, checkpoints, recoveries, stalls, probe
+   samples — serialized as NDJSON (one JSON object per line, greppable
+   and tail-able, framed by a header and a footer line). Same discipline
+   as Trace: process-global, mutex-guarded, bounded with
+   drop-new-at-the-cap plus a drop count, off by default, and strictly
+   observational — no solver decision may ever read it. *)
 module Log = struct
   type level = Debug | Info | Warn | Error
 
@@ -1055,14 +1050,6 @@ module Log = struct
   let schema = "pipesyn-log-v1"
   let default_cap = 200_000
 
-  let cap_from_env () =
-    match Sys.getenv_opt "PIPESYN_LOG_CAP" with
-    | None | Some "" -> default_cap
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some v when v >= 16 -> v
-        | _ -> default_cap)
-
   (* Everything below is guarded by [log_mutex]; [on] is read unlocked
      on the hot path (a stale read can only delay the first or last
      event of an enable window, never corrupt the buffer). *)
@@ -1090,13 +1077,17 @@ module Log = struct
     locked log_mutex (fun () ->
         on := true;
         epoch := Clock.wall ();
-        cap := (match c with Some n -> max 16 n | None -> cap_from_env ());
+        cap := buffer_cap c "PIPESYN_LOG_CAP" ~default:default_cap;
         min_level := level;
         buf := [||];
         len := 0;
-        dropped_n := 0)
+        dropped_n := 0;
+        set_floor 1 (level_value level))
 
-  let disable () = locked log_mutex (fun () -> on := false)
+  let disable () =
+    locked log_mutex (fun () ->
+        on := false;
+        set_floor 1 max_int)
   let enabled () = !on
 
   let clear () =
@@ -1107,7 +1098,7 @@ module Log = struct
 
   let set_sink f = locked log_mutex (fun () -> sink := f)
 
-  let event ?(level = Info) name args =
+  let add ~level name args =
     if !on && level_value level >= level_value !min_level then begin
       let cb =
         locked log_mutex (fun () ->
@@ -1183,24 +1174,25 @@ module Log = struct
           lines)
 end
 
+(* One emission path: each event becomes a trace instant while tracing
+   (every level) and a log event when the log takes its level; the log's
+   sink sees exactly the events the log accepts. *)
+let recording ?(level = Log.Info) () = Log.level_value level >= !floor
+
+let emit ?(level = Log.Info) ?(cat = "app") ?(tid = 1) name args =
+  Trace.add_instant ~cat ~tid ~args name;
+  Log.add ~level name args
+
 (* Background resource sampler: a dedicated domain that wakes every
    [PIPESYN_PROBE_MS] milliseconds and snapshots GC statistics, peak
    RSS, the live solver counters and the incumbent/gap into bounded
-   {!Series}, trace instants and {!Log} events — the live signal that
+   {!Series} and ["probe.sample"] events — the live signal that
    feedback-guided re-solving and the [--progress] line are built from.
    Off by default. Strictly read-only with respect to the solver: it
    reads atomics and registry snapshots and writes only into the
    observability layer, so solver results are byte-identical probe-on
    vs probe-off. *)
 module Probe = struct
-  let period_ms_from_env () =
-    match Sys.getenv_opt "PIPESYN_PROBE_MS" with
-    | None | Some "" -> None
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some v when v >= 1 -> Some v
-        | _ -> None)
-
   (* Peak resident set size from /proc/self/status (VmHWM, kB); [None]
      on platforms without procfs — callers treat the figure as
      best-effort. *)
@@ -1326,9 +1318,7 @@ module Probe = struct
             ("incumbent", Json.Float inc);
           ]
         in
-        if Trace.enabled () then
-          Trace.instant ~cat:"probe" ~tid:999 ~args "probe.sample";
-        Log.event "probe.sample" args;
+        emit ~cat:"probe" ~tid:999 "probe.sample" args;
         ignore (Atomic.fetch_and_add n_samples 1);
         prev_t := now_;
         prev_nodes := nodes;
@@ -1341,7 +1331,7 @@ module Probe = struct
       match period_ms with
       | Some v when v >= 1 -> Some v
       | Some _ -> None
-      | None -> period_ms_from_env ()
+      | None -> env_int "PIPESYN_PROBE_MS" ~min:1
     in
     match p with
     | None -> false

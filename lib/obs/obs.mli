@@ -18,11 +18,15 @@
     burn is the quantity of interest.
 
     {!Json} is a deliberately tiny hand-rolled JSON tree (emitter and a
-    minimal parser for round-trip checks); {!Trace} adds hierarchical
-    spans and instant events with Chrome [trace_event] export (Perfetto);
-    {!Metrics} is the stable per-benchmark record serialized by
-    [pipesyn --json] and the bench harness's [BENCH_results.json]. The
-    schema is documented in README.md ("Observability"). *)
+    minimal parser for round-trip checks); {!Trace} records hierarchical
+    spans with Chrome [trace_event] export (Perfetto); {!Metrics} is the
+    stable per-benchmark record serialized by [pipesyn --json] and the
+    bench harness's [BENCH_results.json]. The schema is documented in
+    README.md ("Observability").
+
+    Point events have one emission call, {!emit}; the trace, the NDJSON
+    {!Log} and (through the log's sink) the CLI's stderr lines and
+    [--progress] line are views over that one stream. *)
 
 (** {1 Clocks} *)
 
@@ -227,11 +231,11 @@ end
     Lifecycle is independent of {!reset}: resetting counters between
     benchmarks does not clear an in-flight trace.
 
-    {b Domain-safety:} {!Trace.instant} may be called from any domain
-    (buffer pushes are serialized by an internal lock) and takes a [tid]
-    that becomes the Chrome/Perfetto thread lane, so the parallel B&B
-    pool renders one row per worker domain. Span open/close
-    ({!Trace.begin_span} / {!Trace.end_span} / {!Trace.span}) keeps a
+    {b Domain-safety:} instants come from {!emit}, which may be called
+    from any domain (buffer pushes are serialized by an internal lock)
+    and takes a [tid] that becomes the Chrome/Perfetto thread lane, so
+    the parallel B&B pool renders one row per worker domain. Span
+    open/close ({!Trace.begin_span} / {!Trace.end_span} / {!Trace.span}) keeps a
     single global stack and must only be used from the coordinating
     domain. *)
 module Trace : sig
@@ -271,16 +275,6 @@ module Trace : sig
     (unit -> 'a) -> 'a
   (** [span name f] brackets [f ()] in {!begin_span}/{!end_span},
       exception-safely; when disabled it is exactly [f ()]. *)
-
-  val instant :
-    ?cat:string -> ?tid:int -> ?args:(string * Json.t) list -> string -> unit
-  (** Records a point event (Chrome phase ["i"], thread scope) — e.g.
-      one ["milp.node"] per B&B node, ["milp.incumbent"] on every
-      incumbent update, ["simplex.refactor"] on cold refactorizations.
-      [tid] (default 1, the coordinator lane) selects the export thread
-      lane; B&B worker slot [w] (0-based, slot 0 = the coordinating
-      domain) passes [w + 1] so Perfetto shows per-domain utilization.
-      Safe to call from any domain. *)
 
   val num_events : unit -> int
   (** Events currently buffered. *)
@@ -380,14 +374,15 @@ end
 
 (** Leveled structured event stream — the narrative companion to
     {!Trace}. Where Trace records nested spans for timing analysis, Log
-    records a flat ordered stream of typed events (flow phase
-    transitions, cascade retries/degradations, MILP incumbents, cut
-    rounds, checkpoints, recoveries, stalls, probe samples) serialized
-    as NDJSON: one JSON object per line, framed by a header line naming
-    the schema ([pipesyn-log-v1]) and a [log.end] footer carrying the
-    event and drop counts. Behind [pipesyn run --log FILE] and the
-    [PIPESYN_LOG] environment variable; the [--progress] TTY status
-    line renders from the same stream via {!Log.set_sink}.
+    keeps the flat ordered stream of the {!emit} events at or above its
+    level (flow phase transitions, cascade retries/degradations, MILP
+    incumbents, cut rounds, checkpoints, recoveries, stalls, probe
+    samples) serialized as NDJSON: one JSON object per line, framed by a
+    header line naming the schema ([pipesyn-log-v1]) and a [log.end]
+    footer carrying the event and drop counts. Behind [pipesyn run --log
+    FILE] and the [PIPESYN_LOG] environment variable; the [--progress]
+    TTY status line and the CLI's stderr lines render from the same
+    stream via {!Log.set_sink}.
 
     Same discipline as {!Trace}: off by default and one flag-check when
     disabled; process-global and mutex-guarded, so events may be
@@ -434,15 +429,11 @@ module Log : sig
   (** Drops buffered events and the drop count (keeps the
       enabled/disabled state). *)
 
-  val event : ?level:level -> string -> (string * Json.t) list -> unit
-  (** [event name args] appends one event (subject to the level filter
-      and the cap). Safe to call from any domain; no-op when
-      disabled. *)
-
   val set_sink : (event -> unit) option -> unit
-  (** Installs (or removes) a live observer called with each accepted
-      event, outside the buffer lock — the [--progress] renderer. Sink
-      exceptions are swallowed. *)
+  (** Installs (or removes) a live observer called once with each event
+      the log accepts (passes the level filter; events dropped at the
+      cap included), outside the buffer lock — the CLI's stderr and
+      [--progress] view. Sink exceptions are swallowed. *)
 
   val num_events : unit -> int
   (** Events currently buffered. *)
@@ -460,6 +451,22 @@ module Log : sig
       (truncating). *)
 end
 
+(** {1 Event emission} *)
+
+val recording : ?level:Log.level -> unit -> bool
+(** Whether an event at [level] (default [Info]) would reach a sink:
+    tracing is on, or the log is on at or below [level]. One load and
+    compare — sites check it before building an argument list. *)
+
+val emit :
+  ?level:Log.level -> ?cat:string -> ?tid:int -> string ->
+  (string * Json.t) list -> unit
+(** [emit name args] records one event: a trace instant (category [cat],
+    default ["app"]) while tracing is on, at any level, and a log event
+    when the log is on at or below [level] (default [Info]). [tid]
+    (default 1, the coordinator lane) is the trace thread lane; B&B
+    worker slot [w] passes [w + 1]. Safe from any domain. *)
+
 (** {1 Resource probe} *)
 
 (** Background resource sampler on its own domain. Every period it
@@ -467,9 +474,8 @@ end
     compactions), the peak RSS, the live solver counters
     ([milp.bnb_nodes], [milp.lp_pivots]) and the current
     incumbent/gap, and derives global and per-worker-domain node rates
-    — appending everything to bounded [probe.*] {!Series}, a
-    ["probe.sample"] trace instant (when tracing is on) and a
-    ["probe.sample"] {!Log} event (when logging is on).
+    — appending everything to bounded [probe.*] {!Series} and one
+    ["probe.sample"] {!emit} ([Info], lane 999).
 
     Off by default: {!Probe.start} without an explicit period reads
     [PIPESYN_PROBE_MS] and does nothing when it is unset. The probe is

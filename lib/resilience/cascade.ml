@@ -87,21 +87,11 @@ let run ~deadline steps =
               && List.mem reason s.retry_on
               && not (Deadline.expired deadline)
             in
-            (* Degradation transitions and retries are trace instants so
-               the cascade's fall-through is visible on the timeline,
-               and log events so the NDJSON stream tells the same
-               story. *)
-            if Obs.Trace.enabled () then
-              Obs.Trace.instant ~cat:"cascade"
-                (if retryable then "cascade.retry" else "cascade.degraded")
-                ~args:
-                  [
-                    ("attempt", Obs.Json.String s.slabel);
-                    ("reason", Obs.Json.String reason);
-                    ("retry", Obs.Json.Int try_n);
-                  ];
-            if Obs.Log.enabled () then
-              Obs.Log.event ~level:Obs.Log.Warn
+            (* Degradation transitions and retries are events, so the
+               cascade's fall-through is visible on the timeline and in
+               the NDJSON stream alike. *)
+            if Obs.recording ~level:Obs.Log.Warn () then
+              Obs.emit ~level:Obs.Log.Warn ~cat:"cascade"
                 (if retryable then "cascade.retry" else "cascade.degraded")
                 [
                   ("attempt", Obs.Json.String s.slabel);
@@ -128,8 +118,8 @@ let run ~deadline steps =
               | Some b -> Deadline.clip deadline ~budget:b
             in
             let attempt () =
-              if Obs.Log.enabled () then
-                Obs.Log.event "cascade.attempt"
+              if Obs.recording () then
+                Obs.emit ~cat:"cascade" "cascade.attempt"
                   [
                     ("attempt", Obs.Json.String s.slabel);
                     ("retry", Obs.Json.Int try_n);

@@ -1,5 +1,6 @@
-(* Tests for the live-telemetry layer (Obs.Log + Obs.Probe): NDJSON
-   stream semantics (levels, cap drops, well-formed output), probe
+(* Tests for the live-telemetry layer (Obs.emit, Obs.Log, Obs.Probe):
+   routing of one emission to every sink, NDJSON stream semantics
+   (levels, cap drops, well-formed output), probe
    sampling, shortest-round-trip float printing — and the load-bearing
    invariant that running the probe and the log stream together never
    changes flow results, across the fault matrix and domain counts. *)
@@ -15,18 +16,18 @@ let reset_log () =
 
 let test_log_disabled_is_inert () =
   reset_log ();
-  Obs.Log.event "x" [];
-  Obs.Log.event ~level:Obs.Log.Error "y" [ ("k", Obs.Json.Int 1) ];
+  Obs.emit "x" [];
+  Obs.emit ~level:Obs.Log.Error "y" [ ("k", Obs.Json.Int 1) ];
   Alcotest.(check int) "no events recorded" 0 (Obs.Log.num_events ());
   Alcotest.(check bool) "reports disabled" false (Obs.Log.enabled ())
 
 let test_log_level_filter () =
   reset_log ();
   Obs.Log.enable ~level:Obs.Log.Warn ();
-  Obs.Log.event ~level:Obs.Log.Debug "d" [];
-  Obs.Log.event ~level:Obs.Log.Info "i" [];
-  Obs.Log.event ~level:Obs.Log.Warn "w" [];
-  Obs.Log.event ~level:Obs.Log.Error "e" [];
+  Obs.emit ~level:Obs.Log.Debug "d" [];
+  Obs.emit ~level:Obs.Log.Info "i" [];
+  Obs.emit ~level:Obs.Log.Warn "w" [];
+  Obs.emit ~level:Obs.Log.Error "e" [];
   Alcotest.(check int) "only warn and error recorded" 2
     (Obs.Log.num_events ());
   Alcotest.(check int) "sub-level events are filtered, not dropped" 0
@@ -38,10 +39,10 @@ let test_log_sink_sees_events () =
   Obs.Log.enable ();
   let seen = ref [] in
   Obs.Log.set_sink (Some (fun e -> seen := e.Obs.Log.l_name :: !seen));
-  Obs.Log.event "a" [];
-  Obs.Log.event "b" [ ("x", Obs.Json.Float 1.5) ];
+  Obs.emit "a" [];
+  Obs.emit "b" [ ("x", Obs.Json.Float 1.5) ];
   Obs.Log.set_sink (Some (fun _ -> failwith "sink exceptions are swallowed"));
-  Obs.Log.event "c" [];
+  Obs.emit "c" [];
   Alcotest.(check (list string)) "sink saw a then b" [ "a"; "b" ]
     (List.rev !seen);
   Alcotest.(check int) "c was still recorded" 3 (Obs.Log.num_events ());
@@ -53,7 +54,7 @@ let test_log_ndjson_well_formed_under_drops () =
   reset_log ();
   Obs.Log.enable ~cap:16 ();
   for i = 0 to 99 do
-    Obs.Log.event "tick" [ ("i", Obs.Json.Int i) ]
+    Obs.emit "tick" [ ("i", Obs.Json.Int i) ]
   done;
   Alcotest.(check int) "buffer at cap" 16 (Obs.Log.num_events ());
   Alcotest.(check int) "drops counted" 84 (Obs.Log.dropped ());
@@ -84,8 +85,8 @@ let test_log_ndjson_well_formed_under_drops () =
 let test_log_write_file () =
   reset_log ();
   Obs.Log.enable ();
-  Obs.Log.event "one" [];
-  Obs.Log.event "two" [ ("t", Obs.Json.Float 0.25) ];
+  Obs.emit "one" [];
+  Obs.emit "two" [ ("t", Obs.Json.Float 0.25) ];
   let path = Filename.temp_file "pipesyn-log" ".ndjson" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
@@ -107,6 +108,106 @@ let test_log_write_file () =
           | Error e -> Alcotest.failf "file line did not parse: %s: %s" s e)
         lines);
   reset_log ()
+
+(* ------------------------------------------------------------------ *)
+(* routing: one emit feeds the trace, the log and the sink              *)
+(* ------------------------------------------------------------------ *)
+
+let reset_sinks () =
+  reset_log ();
+  Obs.Trace.disable ();
+  Obs.Trace.clear ()
+
+(* Args rendered as JSON text, so they compare with Alcotest. *)
+let show_args = List.map (fun (k, v) -> (k, Obs.Json.to_string v))
+
+let args_of j =
+  match Obs.Json.member "args" j with
+  | Some (Obs.Json.Obj a) -> show_args a
+  | _ -> []
+
+(* (name, args) of every trace instant, from the native export. *)
+let trace_instants () =
+  match Obs.Json.member "events" (Obs.Trace.export_native ()) with
+  | Some (Obs.Json.List evs) ->
+      List.filter_map
+        (fun e ->
+          match (Obs.Json.member "ph" e, Obs.Json.member "name" e) with
+          | Some (Obs.Json.String "i"), Some (Obs.Json.String n) ->
+              Some (n, args_of e)
+          | _ -> None)
+        evs
+  | _ -> Alcotest.fail "native trace export has no events list"
+
+(* (name, args) of every NDJSON event line, footer excluded. *)
+let log_events () =
+  List.filter_map
+    (fun l ->
+      match Obs.Json.member "ev" l with
+      | Some (Obs.Json.String n) when n <> "log.end" -> Some (n, args_of l)
+      | _ -> None)
+    (Obs.Log.to_lines ())
+
+let events = Alcotest.(list (pair string (list (pair string string))))
+
+let test_emit_reaches_trace_and_log () =
+  reset_sinks ();
+  Obs.Trace.enable ();
+  Obs.Log.enable ();
+  let args = [ ("n", Obs.Json.Int 3); ("tag", Obs.Json.String "x") ] in
+  Obs.emit ~cat:"t" "routed" args;
+  let want = [ ("routed", show_args args) ] in
+  Alcotest.check events "one trace instant" want (trace_instants ());
+  Alcotest.check events "one log event, same name and args" want
+    (log_events ());
+  reset_sinks ()
+
+let test_debug_reaches_trace_only () =
+  reset_sinks ();
+  Obs.Trace.enable ();
+  Obs.Log.enable ~level:Obs.Log.Info ();
+  Alcotest.(check bool) "debug recorded while tracing" true
+    (Obs.recording ~level:Obs.Log.Debug ());
+  Obs.emit ~level:Obs.Log.Debug "dbg" [];
+  Alcotest.check events "debug event in the trace" [ ("dbg", []) ]
+    (trace_instants ());
+  Alcotest.(check int) "info log skips it" 0 (Obs.Log.num_events ());
+  Obs.Trace.disable ();
+  Alcotest.(check bool) "debug not recorded by an info log alone" false
+    (Obs.recording ~level:Obs.Log.Debug ());
+  Alcotest.(check bool) "info still recorded" true (Obs.recording ());
+  reset_sinks ()
+
+let test_sink_once_per_accepted_event () =
+  reset_sinks ();
+  Obs.Trace.enable ();
+  Obs.Log.enable ~cap:16 ~level:Obs.Log.Warn ();
+  let calls = ref 0 in
+  Obs.Log.set_sink (Some (fun _ -> incr calls));
+  Obs.emit ~level:Obs.Log.Info "below" [];
+  for _ = 1 to 20 do
+    Obs.emit ~level:Obs.Log.Warn "w" []
+  done;
+  Obs.emit ~level:Obs.Log.Error "e" [];
+  Alcotest.(check int) "sink ran once per accepted event, drops included" 21
+    !calls;
+  Alcotest.(check int) "log kept the cap" 16 (Obs.Log.num_events ());
+  Alcotest.(check int) "trace saw all 22" 22 (List.length (trace_instants ()));
+  reset_sinks ()
+
+let test_all_sinks_off () =
+  reset_sinks ();
+  let calls = ref 0 in
+  Obs.Log.set_sink (Some (fun _ -> incr calls));
+  Alcotest.(check bool) "recording () is false" false (Obs.recording ());
+  Alcotest.(check bool) "even for errors" false
+    (Obs.recording ~level:Obs.Log.Error ());
+  Obs.emit "x" [ ("k", Obs.Json.Int 1) ];
+  Obs.emit ~level:Obs.Log.Error "y" [];
+  Alcotest.(check int) "no trace events" 0 (Obs.Trace.num_events ());
+  Alcotest.(check int) "no log events" 0 (Obs.Log.num_events ());
+  Alcotest.(check int) "sink never called" 0 !calls;
+  reset_sinks ()
 
 (* ------------------------------------------------------------------ *)
 (* shortest round-trip float printing                                  *)
@@ -237,7 +338,9 @@ let same_objective a b =
   (Float.is_nan a && Float.is_nan b)
   || Float.abs (a -. b) <= 1e-9 *. (1.0 +. Float.max (Float.abs a) (Float.abs b))
 
-let run_neutrality_case ~fault ~domains () =
+(* [every_sink] adds the trace and a no-op log sink to the telemetry
+   run, so every view of the event stream is on at once. *)
+let run_neutrality_case ?(every_sink = false) ~fault ~domains () =
   let g = Benchmarks.Rs.kernel ~width:2 () in
   (* A stalled worker busy-waits out its entire solve budget before the
      flow degrades, so that one case gets a small budget (the outcome —
@@ -256,12 +359,16 @@ let run_neutrality_case ~fault ~domains () =
     reset_log ();
     if telemetry then begin
       Obs.Log.enable ();
-      ignore (Obs.Probe.start ~period_ms:5 ())
+      ignore (Obs.Probe.start ~period_ms:5 ());
+      if every_sink then begin
+        Obs.Trace.enable ();
+        Obs.Log.set_sink (Some ignore)
+      end
     end;
     let r = run_flow setup g in
     Obs.Probe.stop ();
     Resilience.Fault.clear ();
-    reset_log ();
+    reset_sinks ();
     r
   in
   let off_s, off_f, off_obj = fingerprint ~domains (run_once ~telemetry:false) in
@@ -284,6 +391,12 @@ let run_neutrality_case ~fault ~domains () =
 
 let test_neutrality_no_fault_1d () = run_neutrality_case ~fault:None ~domains:1 ()
 let test_neutrality_no_fault_4d () = run_neutrality_case ~fault:None ~domains:4 ()
+
+let test_neutrality_every_sink_1d () =
+  run_neutrality_case ~every_sink:true ~fault:None ~domains:1 ()
+
+let test_neutrality_every_sink_4d () =
+  run_neutrality_case ~every_sink:true ~fault:None ~domains:4 ()
 
 let test_neutrality_fault_matrix () =
   List.iter
@@ -336,6 +449,16 @@ let () =
             test_log_ndjson_well_formed_under_drops;
           Alcotest.test_case "write file" `Quick test_log_write_file;
         ] );
+      ( "routing",
+        [
+          Alcotest.test_case "emit reaches trace and log" `Quick
+            test_emit_reaches_trace_and_log;
+          Alcotest.test_case "debug reaches trace only" `Quick
+            test_debug_reaches_trace_only;
+          Alcotest.test_case "sink once per accepted event" `Quick
+            test_sink_once_per_accepted_event;
+          Alcotest.test_case "all sinks off" `Quick test_all_sinks_off;
+        ] );
       ( "json",
         [
           Alcotest.test_case "float round-trip exact" `Quick
@@ -359,6 +482,10 @@ let () =
             test_neutrality_no_fault_1d;
           Alcotest.test_case "no fault, 4 domains" `Quick
             test_neutrality_no_fault_4d;
+          Alcotest.test_case "every sink, 1 domain" `Quick
+            test_neutrality_every_sink_1d;
+          Alcotest.test_case "every sink, 4 domains" `Quick
+            test_neutrality_every_sink_4d;
           Alcotest.test_case "fault matrix, domains {1,4}" `Slow
             test_neutrality_fault_matrix;
         ] );

@@ -21,7 +21,7 @@ let analyze_current ?top () =
 let test_disabled_is_inert () =
   reset_trace ();
   Obs.Trace.begin_span "x";
-  Obs.Trace.instant "tick";
+  Obs.emit "tick" [];
   Obs.Trace.end_span ();
   let v = Obs.Trace.span "s" (fun () -> 42) in
   Alcotest.(check int) "span returns the thunk's value" 42 v;
@@ -32,7 +32,7 @@ let test_nesting_and_roundtrip () =
   reset_trace ();
   Obs.Trace.enable ();
   Obs.Trace.span ~cat:"t" "outer" (fun () ->
-      Obs.Trace.instant ~cat:"t" "tick" ~args:[ ("k", Obs.Json.Int 1) ];
+      Obs.emit ~cat:"t" "tick" [ ("k", Obs.Json.Int 1) ];
       Obs.Trace.span ~cat:"t" "inner" (fun () -> ()));
   Obs.Trace.span ~cat:"t" "second" (fun () -> ());
   Alcotest.(check int) "3 B + 3 E + 1 i" 7 (Obs.Trace.num_events ());
@@ -79,7 +79,7 @@ let test_cap_drops_deterministically () =
   Obs.Trace.enable ~cap:16 ();
   Obs.Trace.begin_span "survivor";
   for i = 0 to 29 do
-    Obs.Trace.instant "tick" ~args:[ ("i", Obs.Json.Int i) ]
+    Obs.emit "tick" [ ("i", Obs.Json.Int i) ]
   done;
   Obs.Trace.end_span ();
   (* 1 B + 15 recorded instants fill the cap; the survivor's E is still
@@ -88,7 +88,7 @@ let test_cap_drops_deterministically () =
     (Obs.Trace.num_events ());
   Alcotest.(check int) "drops counted" 15 (Obs.Trace.dropped ());
   (* a span opened after the cap is dropped wholesale *)
-  Obs.Trace.span "late" (fun () -> Obs.Trace.instant "late-tick");
+  Obs.Trace.span "late" (fun () -> Obs.emit "late-tick" []);
   Alcotest.(check int) "late span dropped" 17 (Obs.Trace.num_events ());
   let r = analyze_current () in
   Alcotest.(check (list string)) "truncated trace is well-formed" []
@@ -99,7 +99,7 @@ let test_cap_drops_deterministically () =
 let test_native_export_shape () =
   reset_trace ();
   Obs.Trace.enable ();
-  Obs.Trace.span "s" (fun () -> Obs.Trace.instant "i");
+  Obs.Trace.span "s" (fun () -> Obs.emit "i" []);
   let s = Obs.Json.to_string (Obs.Trace.export_native ()) in
   (match Obs.Json.of_string s with
   | Error e -> Alcotest.failf "native export did not re-parse: %s" e
@@ -119,9 +119,8 @@ let test_summary_shape () =
   reset_trace ();
   Obs.Trace.enable ();
   Obs.Trace.span "s" (fun () ->
-      Obs.Trace.instant "milp.incumbent"
-        ~args:
-          [ ("objective", Obs.Json.Float 12.0); ("gap", Obs.Json.Float 0.25) ]);
+      Obs.emit "milp.incumbent"
+        [ ("objective", Obs.Json.Float 12.0); ("gap", Obs.Json.Float 0.25) ]);
   let j = Obs.Trace.summary () in
   Alcotest.(check bool) "enabled flag" true
     (Obs.Json.member "enabled" j = Some (Obs.Json.Bool true));
