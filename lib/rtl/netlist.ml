@@ -13,6 +13,7 @@ type t = {
   inputs : signal list;
   wires : (signal * [ `Expr of expr | `Instance of instance ]) list;
   regs : reg list;
+  fill : signal option;
   outputs : (signal * expr) list;
 }
 
@@ -24,6 +25,13 @@ let sanitize s =
       | _ -> '_')
     s
 
+let mask ~width v =
+  if width >= 64 then v
+  else Int64.logand v (Int64.sub (Int64.shift_left 1L width) 1L)
+
+(* Bits needed to hold the unsigned value [n]. *)
+let rec bits_for n = if n < 2 then 1 else 1 + bits_for (n lsr 1)
+
 let of_design ?(module_name = "pipeline") g cover (sched : Sched.Schedule.t) =
   (match Sched.Cover.validate g cover with
   | Ok () -> ()
@@ -34,34 +42,69 @@ let of_design ?(module_name = "pipeline") g cover (sched : Sched.Schedule.t) =
   let is_const v =
     match Ir.Cdfg.op g v with Ir.Op.Const _ -> true | _ -> false
   in
+  (* Every read that crosses a register boundary: a non-constant operand
+     of a chosen cone that is loop-carried or produced outside the cone,
+     with the cycle of the cone's root, which is when it is read. *)
+  let iter_reads f =
+    Array.iteri
+      (fun v c ->
+        match c with
+        | None -> ()
+        | Some (cut : Cuts.cut) ->
+            Bitdep.Int_set.iter
+              (fun w ->
+                Array.iter
+                  (fun (e : Ir.Cdfg.edge) ->
+                    if
+                      (not (is_const e.src))
+                      && (e.dist > 0
+                         || not (Bitdep.Int_set.mem e.src cut.Cuts.cone))
+                    then f ~cons_cycle:sched.cycle.(v) e)
+                  (Ir.Cdfg.preds g w))
+              cut.Cuts.cone)
+      cover.Sched.Cover.chosen
+  in
+  let delay_of ~cons_cycle (e : Ir.Cdfg.edge) =
+    cons_cycle + (sched.ii * e.dist) - sched.cycle.(e.src)
+  in
   (* Register stages per root (lifetime), and the reset value carried by
      loop-carried edges out of the root. *)
   let stages = Array.make n 0 in
   let init_of = Array.make n 0L in
-  Array.iteri
-    (fun v c ->
-      match c with
-      | None -> ()
-      | Some (cut : Cuts.cut) ->
-          Bitdep.Int_set.iter
-            (fun w ->
-              Array.iter
-                (fun (e : Ir.Cdfg.edge) ->
-                  if
-                    (not (is_const e.src))
-                    && (e.dist > 0
-                       || not (Bitdep.Int_set.mem e.src cut.Cuts.cone))
-                  then begin
-                    let delay =
-                      sched.cycle.(v) + (sched.ii * e.dist)
-                      - sched.cycle.(e.src)
-                    in
-                    if delay > stages.(e.src) then stages.(e.src) <- delay;
-                    if e.dist > 0 then init_of.(e.src) <- e.init
-                  end)
-                (Ir.Cdfg.preds g w))
-            cut.Cuts.cone)
-    cover.Sched.Cover.chosen;
+  iter_reads (fun ~cons_cycle e ->
+      let delay = delay_of ~cons_cycle e in
+      if delay > stages.(e.src) then stages.(e.src) <- delay;
+      if e.dist > 0 then init_of.(e.src) <- e.init);
+  (* Iteration k < dist of a loop-carried read must see [e.init] in every
+     consumer cycle c < S(cons) + II·dist. The source's delay registers
+     reset to [init_of], which covers only c < delay = S(cons) + II·dist
+     - S(src): once the source sits in a later stage, the first S(src)
+     such reads would see pipeline-fill values. Those reads are gated to
+     [e.init] while a saturating fill counter is below S(cons) + II·dist;
+     so are reads whose init differs from the registers' reset value. *)
+  let gate_threshold ~cons_cycle (e : Ir.Cdfg.edge) =
+    if
+      e.dist > 0
+      && (not (is_const e.src))
+      && (sched.cycle.(e.src) > 0 || not (Int64.equal e.init init_of.(e.src)))
+    then Some (cons_cycle + (sched.ii * e.dist))
+    else None
+  in
+  let fill_max = ref 0 in
+  iter_reads (fun ~cons_cycle e ->
+      Option.iter
+        (fun thr -> fill_max := max !fill_max thr)
+        (gate_threshold ~cons_cycle e));
+  let input_names =
+    List.map (fun v -> sanitize (Ir.Cdfg.node_name g v)) (Ir.Cdfg.inputs g)
+  in
+  let fill =
+    if !fill_max = 0 then None
+    else
+      let rec fresh s = if List.mem s input_names then fresh (s ^ "_") else s in
+      Some { name = fresh "fill"; width = bits_for !fill_max }
+  in
+  let fill_lit (f : signal) v = Lit { width = f.width; value = Int64.of_int v } in
   let sig_of v ~delay =
     if delay <= 0 then { name = base v ^ "_c"; width = width v }
     else { name = Printf.sprintf "%s_d%d" (base v) delay; width = width v }
@@ -71,15 +114,28 @@ let of_design ?(module_name = "pipeline") g cover (sched : Sched.Schedule.t) =
     | Ir.Op.Const c -> Lit { width = width u; value = c }
     | _ -> Ref (sig_of u ~delay)
   in
+  (* A register-crossing read of [e] by a root in [cons_cycle]. *)
+  let read ~cons_cycle (e : Ir.Cdfg.edge) =
+    let v = ref_value e.src ~delay:(delay_of ~cons_cycle e) in
+    match (gate_threshold ~cons_cycle e, fill) with
+    | Some thr, Some f ->
+        let w = width e.src in
+        App
+          ( Ir.Op.Mux,
+            [
+              App (Ir.Op.Cmp Ir.Op.Lt, [ Ref f; fill_lit f thr ], 1);
+              Lit { width = w; value = mask ~width:w e.init };
+              v;
+            ],
+            w )
+    | _ -> v
+  in
   let rec expr_of cone root_cycle w =
     let nd = Ir.Cdfg.node g w in
     let operand i =
       let e = nd.preds.(i) in
       if e.Ir.Cdfg.dist > 0 || not (Bitdep.Int_set.mem e.src cone) then
-        let delay =
-          root_cycle + (sched.ii * e.Ir.Cdfg.dist) - sched.cycle.(e.src)
-        in
-        ref_value e.src ~delay
+        read ~cons_cycle:root_cycle e
       else expr_of cone root_cycle e.src
     in
     match nd.op with
@@ -110,13 +166,7 @@ let of_design ?(module_name = "pipeline") g cover (sched : Sched.Schedule.t) =
           | Ir.Op.Black_box { kind; _ } ->
               let args =
                 Array.to_list
-                  (Array.map
-                     (fun (e : Ir.Cdfg.edge) ->
-                       let delay =
-                         sched.cycle.(v) + (sched.ii * e.dist)
-                         - sched.cycle.(e.src)
-                       in
-                       ref_value e.src ~delay)
+                  (Array.map (read ~cons_cycle:sched.cycle.(v))
                      (Ir.Cdfg.preds g v))
               in
               wires :=
@@ -139,9 +189,28 @@ let of_design ?(module_name = "pipeline") g cover (sched : Sched.Schedule.t) =
           done)
     (Ir.Cdfg.topo_order g);
   let inputs =
-    List.map
-      (fun v -> { name = sanitize (Ir.Cdfg.node_name g v); width = width v })
-      (Ir.Cdfg.inputs g)
+    List.map2
+      (fun v name -> { name; width = width v })
+      (Ir.Cdfg.inputs g) input_names
+  in
+  (* the fill counter counts cycles since reset and holds at [fill_max] *)
+  let fill_reg =
+    Option.map
+      (fun f ->
+        {
+          q = f;
+          d =
+            App
+              ( Ir.Op.Mux,
+                [
+                  App (Ir.Op.Cmp Ir.Op.Lt, [ Ref f; fill_lit f !fill_max ], 1);
+                  App (Ir.Op.Add, [ Ref f; fill_lit f 1 ], f.width);
+                  Ref f;
+                ],
+                f.width );
+          init = 0L;
+        })
+      fill
   in
   let outputs =
     List.mapi
@@ -157,12 +226,15 @@ let of_design ?(module_name = "pipeline") g cover (sched : Sched.Schedule.t) =
     module_name;
     inputs;
     wires = List.rev !wires;
-    regs = List.rev !regs;
+    regs = Option.to_list fill_reg @ List.rev !regs;
+    fill;
     outputs;
   }
 
 let register_bits t =
-  List.fold_left (fun acc r -> acc + r.q.width) 0 t.regs
+  List.fold_left
+    (fun acc r -> if Some r.q = t.fill then acc else acc + r.q.width)
+    0 t.regs
 
 let lut_expressions t =
   List.fold_left
@@ -173,10 +245,6 @@ let lut_expressions t =
     0 t.wires
 
 type sim_result = { cycles : int; outputs : (string * int64 array) list }
-
-let mask ~width v =
-  if width >= 64 then v
-  else Int64.logand v (Int64.sub (Int64.shift_left 1L width) 1L)
 
 let no_black_box ~kind _ =
   invalid_arg ("Netlist.simulate: no handler for black box kind " ^ kind)

@@ -29,6 +29,12 @@ type t = {
   wires : (signal * [ `Expr of expr | `Instance of instance ]) list;
       (** dependency order *)
   regs : reg list;
+  fill : signal option;
+      (** the pipeline-fill counter among [regs], present when a
+          loop-carried read must be gated to its init value while the
+          pipeline fills (a recurrence source scheduled after stage 0):
+          counts cycles since reset and saturates at the largest
+          [S(cons) + II·dist] it gates *)
   outputs : (signal * expr) list;
 }
 
@@ -41,6 +47,9 @@ val of_design :
 (** @raise Invalid_argument if the cover fails {!Sched.Cover.validate}. *)
 
 val register_bits : t -> int
+(** Pipeline register bits: every register except the [fill]
+    counter, which is control state outside the QoR FF model. *)
+
 val lut_expressions : t -> int
 (** Combinational [`Expr] wires, excluding plain input aliases. *)
 

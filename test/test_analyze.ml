@@ -347,7 +347,7 @@ let test_lp_report_cap () =
 let sig_ name width = { Rtl.Netlist.name; width }
 
 let netlist ?(inputs = []) ?(wires = []) ?(regs = []) ~outputs () =
-  { Rtl.Netlist.module_name = "t"; inputs; wires; regs; outputs }
+  { Rtl.Netlist.module_name = "t"; inputs; wires; regs; fill = None; outputs }
 
 let test_net001_undriven () =
   let ghost = sig_ "ghost" 4 in

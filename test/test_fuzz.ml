@@ -142,13 +142,15 @@ let build_random seed =
 
 let device = Fpga.Device.make ~t_clk:10.0 ()
 
-let check_flow g method_ =
+(* [Some reason] when [method_] fails on [g] or its RTL simulation
+   disagrees with the dataflow reference. *)
+let flow_mismatch g method_ =
+  let name = Mams.Flow.method_name method_ in
   let setup =
     { (Mams.Flow.default_setup ~device) with time_limit = 5.0 }
   in
   match Mams.Flow.run setup method_ g with
-  | Error e ->
-      QCheck.Test.fail_reportf "%s failed: %s" (Mams.Flow.method_name method_) e
+  | Error e -> Some (Printf.sprintf "%s failed: %s" name e)
   | Ok r ->
       (* pipeline vs dataflow equivalence *)
       let iterations = 8 in
@@ -164,20 +166,29 @@ let check_flow g method_ =
         Rtl.Netlist.simulate ~black_box:bb_handler nl ~cycles
           ~inputs:(fun ~cycle ~name -> stim ~iter:cycle ~name)
       in
-      List.iteri
-        (fun i po ->
-          let _, arr = List.nth sim.Rtl.Netlist.outputs i in
-          let s_po = r.schedule.Sched.Schedule.cycle.(po) in
-          for k = 0 to iterations - 1 do
-            let cyc = k + s_po in
-            if cyc < cycles && not (Int64.equal arr.(cyc) trace.(k).(po)) then
-              QCheck.Test.fail_reportf
-                "%s: output %d mismatch at iteration %d: rtl 0x%Lx <> 0x%Lx"
-                (Mams.Flow.method_name method_)
-                po k arr.(cyc) trace.(k).(po)
-          done)
-        (Ir.Cdfg.outputs g);
-      true
+      List.find_map Fun.id
+        (List.mapi
+           (fun i po ->
+             let _, arr = List.nth sim.Rtl.Netlist.outputs i in
+             let s_po = r.schedule.Sched.Schedule.cycle.(po) in
+             List.find_map
+               (fun k ->
+                 let cyc = k + s_po in
+                 if cyc < cycles && not (Int64.equal arr.(cyc) trace.(k).(po))
+                 then
+                   Some
+                     (Printf.sprintf
+                        "%s: output %d mismatch at iteration %d: rtl 0x%Lx <> \
+                         0x%Lx"
+                        name po k arr.(cyc) trace.(k).(po))
+                 else None)
+               (List.init iterations Fun.id))
+           (Ir.Cdfg.outputs g))
+
+let check_flow g method_ =
+  match flow_mismatch g method_ with
+  | Some msg -> QCheck.Test.fail_report msg
+  | None -> true
 
 let graph_is_sane =
   QCheck.Test.make ~name:"random graphs validate and simulate" ~count:150
@@ -249,6 +260,25 @@ let flows_verify_and_match =
       List.for_all
         (fun m -> check_flow g m)
         [ Mams.Flow.Hls_tool; Mams.Flow.Sdc_tool; Mams.Flow.Map_heuristic ])
+
+(* Loop-carried reads during pipeline fill: each of these graphs has a
+   distance-2 recurrence whose source the SDC flow schedules in cycle 1.
+   Iteration k < dist must read the recurrence's init value for every
+   consumer cycle before S(cons) + II·dist, which register reset alone
+   covers only when the source sits in stage 0. *)
+let fill_regression_seeds = [ 280; 1846; 2428 ]
+
+let test_fill_regression () =
+  List.iter
+    (fun seed ->
+      let g = build_random seed in
+      List.iter
+        (fun m ->
+          Option.iter
+            (Alcotest.failf "seed %d: %s" seed)
+            (flow_mismatch g m))
+        [ Mams.Flow.Hls_tool; Mams.Flow.Sdc_tool; Mams.Flow.Map_heuristic ])
+    fill_regression_seeds
 
 (* --- cut-validity oracle over random MILPs --------------------------- *)
 
@@ -396,5 +426,8 @@ let () =
       ("graphs", qsuite [ graph_is_sane; cuts_are_sound ]);
       ("opt", qsuite [ simplify_preserves_semantics ]);
       ("milp-cuts", qsuite [ milp_cuts_are_valid ]);
-      ("flows", qsuite [ flows_verify_and_match ]);
+      ( "flows",
+        qsuite [ flows_verify_and_match ]
+        @ [ Alcotest.test_case "pipeline-fill regression seeds" `Quick
+              test_fill_regression ] );
     ]

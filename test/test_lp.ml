@@ -499,6 +499,329 @@ let resolve_equals_cold_solve =
              || feq rw.Lp.Simplex.objective rc.Lp.Simplex.objective))
         steps)
 
+(* --- exactness golden on the cold [Simplex.solve] path ---------------- *)
+
+(* Pinned pivot counts and objective bits for the LPs that go through
+   [Simplex.solve] without the MILP: the SDC scheduler's LPs on the nine
+   registry kernels, and a fixed batch from the [random_lp_gen] space.
+   Like the MILP golden in test_parallel.ml, these are pivot-sequence
+   facts: a kernel change meant to be bit-identical must pass unedited.
+
+   [Sdc.schedule] exposes no LP objective, so each kernel pins its LP
+   count, its pivot total and a digest of the cycle vector the LPs
+   produced. The batch is drawn with a local xorshift rather than
+   [QCheck.Gen], so the instances do not depend on the library version. *)
+
+let fixed_lp_batch count =
+  let rng = ref 0x2545f491 in
+  let rand bound =
+    let x = !rng in
+    let x = x lxor (x lsl 13) in
+    let x = x lxor (x lsr 7) in
+    let x = x lxor (x lsl 17) in
+    rng := x land max_int;
+    !rng mod bound
+  in
+  let coef () = float_of_int (rand 11 - 5) in
+  List.init count (fun _ ->
+      let n = 1 + rand 4 in
+      let m = 1 + rand 4 in
+      let obj = List.init n (fun _ -> coef ()) in
+      let rows = List.init m (fun _ -> List.init n (fun _ -> coef ())) in
+      let rhs = List.init m (fun _ -> float_of_int (rand 13)) in
+      (n, obj, rows, rhs))
+
+let sdc_fingerprint (e : Benchmarks.Registry.entry) =
+  let g = e.build () in
+  let device = Fpga.Device.make ~t_clk:e.t_clk () in
+  let solves0, pivots0 = Sched.Sdc.lp_stats () in
+  let s =
+    match
+      Sched.Sdc.schedule ~device ~delays:Fpga.Delays.default
+        ~resources:e.resources ~ii:1 g
+    with
+    | Ok s -> s
+    | Error err -> Alcotest.failf "%s: %a" e.name Sched.Heuristic.pp_error err
+  in
+  let solves1, pivots1 = Sched.Sdc.lp_stats () in
+  Printf.sprintf "lps=%d pivots=%d cycles=%s" (solves1 - solves0)
+    (pivots1 - pivots0)
+    (Digest.to_hex
+       (Digest.string
+          (String.concat ","
+             (Array.to_list (Array.map string_of_int s.Sched.Schedule.cycle)))))
+
+let batch_fingerprint specs =
+  let runs =
+    List.map
+      (fun spec ->
+        let model, _ = build_random_lp spec in
+        let r = solve_model model in
+        ( r.Lp.Simplex.iterations,
+          Printf.sprintf "%s iters=%d obj=%h"
+            (status_name r.Lp.Simplex.status)
+            r.Lp.Simplex.iterations r.Lp.Simplex.objective ))
+      specs
+  in
+  Printf.sprintf "lps=%d iters=%d digest=%s" (List.length runs)
+    (List.fold_left (fun acc (i, _) -> acc + i) 0 runs)
+    (Digest.to_hex (Digest.string (String.concat "\n" (List.map snd runs))))
+
+let golden_solve_path =
+  [
+    ("SDC CLZ",
+      "lps=1 pivots=459 cycles=47a4c9baf612b309003a516b1d2fd7a2");
+    ("SDC XORR",
+      "lps=1 pivots=383 cycles=2254f6a48ab935c85be21d0508d7e65b");
+    ("SDC GFMUL",
+      "lps=1 pivots=190 cycles=27df930b20d42e409ef700e33423a7a7");
+    ("SDC CORDIC",
+      "lps=1 pivots=214 cycles=0507ef0f4c469c9e739d5ef29c8ead32");
+    ("SDC MT",
+      "lps=1 pivots=75 cycles=6b594cf849454811a81888f9bf9e6fde");
+    ("SDC AES",
+      "lps=1 pivots=88 cycles=46394945c392f17d4310f89271315542");
+    ("SDC RS",
+      "lps=1 pivots=46 cycles=1100950733f23d20f6b0ffce8815f025");
+    ("SDC DR",
+      "lps=1 pivots=109 cycles=c1a64da18390b7e9f38b891b4a4e4417");
+    ("SDC GSM",
+      "lps=1 pivots=313 cycles=813b97c16253441cbb0f58af166be171");
+    ("random_lp_gen batch",
+      "lps=256 iters=335 digest=f134d3899d30880aad50459ba522dc28");
+  ]
+
+let test_golden_solve_path () =
+  let got =
+    List.map
+      (fun (e : Benchmarks.Registry.entry) -> ("SDC " ^ e.name, sdc_fingerprint e))
+      Benchmarks.Registry.all
+    @ [ ("random_lp_gen batch", batch_fingerprint (fixed_lp_batch 256)) ]
+  in
+  Alcotest.(check (list (pair string string))) "fingerprints" golden_solve_path got
+
+(* --- sparse pivot-row kernel: edge cases through the public API ------- *)
+
+(* Audit one LP claim in exact rationals ([Analyze.Audit], CERT103 for
+   duals, CERT104 for Farkas rays) as the root of a one-node certificate
+   whose box is [lb, ub]. *)
+let audit_claim raw ~lb ~ub ~bound claim =
+  let root : Lp.Cert.node =
+    {
+      id = 0;
+      parent = -1;
+      branch = None;
+      depth = 0;
+      domain = 0;
+      claim;
+      bound;
+      incumbent_at = infinity;
+      fathom = Lp.Cert.F_integral;
+    }
+  in
+  let cert : Lp.Cert.t =
+    {
+      status = Lp.Cert.Unknown;
+      objective = infinity;
+      incumbent = None;
+      incumbents = [];
+      root_lb = Array.copy lb;
+      root_ub = Array.copy ub;
+      presolve = [];
+      cuts = [];
+      fixes = [];
+      root_duals = None;
+      root_obj = bound;
+      nodes = [ root ];
+      budget_hit = false;
+      lp_limited = 0;
+      domains = 1;
+      gap_tol = 1e-6;
+      int_tol = 1e-6;
+    }
+  in
+  Analyze.Diag.errors (Analyze.Audit.check raw cert)
+
+(* One resolve under [lb, ub]: must reach [expect], match the cold solve
+   of [raw] (status, and objective when optimal), and its duals or
+   infeasibility evidence must pass the exact audit. *)
+let check_resolve_certified ?(expect = "optimal") name raw st ~lb ~ub =
+  let rw = Lp.Simplex.resolve ~lb ~ub st in
+  let rc = Lp.Simplex.solve ~lb ~ub raw in
+  Alcotest.(check string) (name ^ ": resolve status") expect
+    (status_name rw.Lp.Simplex.status);
+  Alcotest.(check string) (name ^ ": resolve status = cold status")
+    (status_name rc.Lp.Simplex.status) (status_name rw.Lp.Simplex.status);
+  let claim =
+    match rw.Lp.Simplex.status with
+    | Lp.Simplex.Optimal ->
+        if not (feq rw.Lp.Simplex.objective rc.Lp.Simplex.objective) then
+          Alcotest.failf "%s: resolve objective %.9g, cold %.9g" name
+            rw.Lp.Simplex.objective rc.Lp.Simplex.objective;
+        Some
+          (Lp.Cert.Lp_optimal
+             {
+               obj = rw.Lp.Simplex.objective;
+               duals = Option.get (Lp.Simplex.duals st);
+             })
+    | Lp.Simplex.Infeasible ->
+        Some (Lp.Cert.Lp_infeasible (Lp.Simplex.last_infeasibility st))
+    | _ -> None
+  in
+  Option.iter
+    (fun claim ->
+      match
+        audit_claim raw ~lb ~ub ~bound:rw.Lp.Simplex.objective claim
+      with
+      | [] -> ()
+      | errs ->
+          Alcotest.failf "%s: audit rejects the %s evidence:@.%a" name
+            (status_name rw.Lp.Simplex.status)
+            Analyze.Diag.pp_report errs)
+    claim
+
+(* A pivot row with no zero entry. A pivot row always carries zeros in
+   the other rows' basic columns, so only a one-row tableau has one: here
+   every structural column and the slack are nonzero, and the gathered
+   index list is the whole row. *)
+let test_kernel_dense_row () =
+  let m = Lp.Model.create () in
+  let xs =
+    Array.init 4 (fun i -> Lp.Model.add_var m ~ub:2.0 (Printf.sprintf "x%d" i))
+  in
+  Lp.Model.add_le m
+    (List.map2 (fun c x -> (c, x)) [ 2.0; 1.0; 3.0; 1.0 ] (Array.to_list xs))
+    7.0;
+  Lp.Model.set_objective m
+    (List.map2 (fun c x -> (c, x)) [ -1.0; -2.0; -3.0; -1.0 ]
+       (Array.to_list xs));
+  let raw = Lp.Model.to_raw m in
+  let r, st = Lp.Simplex.solve_state raw in
+  check_lp_obj "dense row root" (-9.0) r;
+  let lb = Array.copy raw.Lp.Model.lb and ub = Array.copy raw.Lp.Model.ub in
+  check_resolve_certified "root" raw st ~lb ~ub;
+  (* the audit has teeth: zero multipliers certify only the box minimum *)
+  Alcotest.(check bool) "zeroed duals rejected" true
+    (audit_claim raw ~lb ~ub ~bound:(-9.0)
+       (Lp.Cert.Lp_optimal { obj = -9.0; duals = [| 0.0 |] })
+    <> []);
+  ub.(2) <- 1.0;
+  check_resolve_certified "x2 <= 1" raw st ~lb ~ub;
+  lb.(0) <- 1.5;
+  check_resolve_certified "x0 >= 1.5" raw st ~lb ~ub;
+  (* 2·2 + 3·1 + 1·2 > 7 with x3 pinned at 2: infeasible *)
+  lb.(3) <- 2.0;
+  lb.(0) <- 2.0;
+  ub.(2) <- 2.0;
+  lb.(2) <- 1.0;
+  check_resolve_certified ~expect:"infeasible" "infeasible box" raw st ~lb
+    ~ub;
+  Alcotest.(check bool) "warm path taken" true
+    (Lp.Simplex.last_resolve_warm st)
+
+(* The sparsest pivot row. The leaving variable's unit column is nonzero
+   in its own row, so a pivot row always holds at least two nonzeros:
+   the entering column and the leaving basic column. Singleton bound
+   rows make exactly that happen — x enters at row [x <= 1.5] against
+   its slack, and the coupling row is reduced over two columns only. *)
+let singleton_rows () =
+  let m = Lp.Model.create () in
+  let x = Lp.Model.add_var m ~ub:4.0 "x" in
+  let y = Lp.Model.add_var m ~ub:4.0 "y" in
+  let z = Lp.Model.add_var m ~ub:4.0 "z" in
+  Lp.Model.add_le m [ (1.0, x) ] 1.5;
+  Lp.Model.add_le m [ (1.0, y) ] 2.5;
+  Lp.Model.add_le m [ (1.0, x); (1.0, y); (1.0, z) ] 3.0;
+  Lp.Model.set_objective m [ (-2.0, x); (-1.0, y); (-1.0, z) ];
+  m
+
+let test_kernel_singleton_row () =
+  let raw = Lp.Model.to_raw (singleton_rows ()) in
+  let r, st = Lp.Simplex.solve_state raw in
+  check_lp_obj "singleton rows root" (-4.5) r;
+  let lb = Array.copy raw.Lp.Model.lb and ub = Array.copy raw.Lp.Model.ub in
+  ub.(0) <- 1.0;
+  check_resolve_certified "x <= 1" raw st ~lb ~ub;
+  lb.(1) <- 2.0;
+  check_resolve_certified "y >= 2" raw st ~lb ~ub;
+  lb.(0) <- 1.0;
+  lb.(2) <- 0.5;
+  check_resolve_certified ~expect:"infeasible" "x + y + z > 3" raw st ~lb
+    ~ub;
+  Alcotest.(check bool) "warm path taken" true
+    (Lp.Simplex.last_resolve_warm st)
+
+(* [add_rows] after sparse pivots, then a chain of warm resolves: each
+   must equal the cold solve of the model with the rows appended, and
+   certify over the extended row system. *)
+let sparse_lp ~cuts =
+  let n = 10 in
+  let m = Lp.Model.create () in
+  let xs =
+    Array.init n (fun i -> Lp.Model.add_var m ~ub:3.0 (Printf.sprintf "x%d" i))
+  in
+  (* row i touches columns i, i+3, i+7 (mod n): 30% dense *)
+  for i = 0 to 7 do
+    let terms =
+      List.map
+        (fun (d, c) -> (c, xs.((i + d) mod n)))
+        [ (0, 1.0); (3, float_of_int (1 + (i mod 3))); (7, 2.0) ]
+    in
+    if i mod 4 = 3 then Lp.Model.add_ge m terms 1.0
+    else Lp.Model.add_le m terms (4.0 +. float_of_int i)
+  done;
+  List.iter
+    (fun (terms, rhs) ->
+      Lp.Model.add_le m
+        (Array.to_list (Array.map (fun (j, c) -> (c, xs.(j))) terms))
+        rhs)
+    cuts;
+  Lp.Model.set_objective m
+    (Array.to_list
+       (Array.mapi (fun i x -> (-.float_of_int (1 + (i * 7 mod 5)), x)) xs));
+  m
+
+let test_kernel_add_rows_warm () =
+  let raw = Lp.Model.to_raw (sparse_lp ~cuts:[]) in
+  let r, st = Lp.Simplex.solve_state raw in
+  Alcotest.(check string) "root optimal" "optimal"
+    (status_name r.Lp.Simplex.status);
+  let cuts =
+    [
+      ([| (0, 1.0); (1, 1.0); (4, 1.0) |], 2.0);
+      ([| (2, 1.0); (5, 2.0); (9, 1.0) |], 3.0);
+    ]
+  in
+  Lp.Simplex.add_rows st (Array.of_list cuts);
+  let ext = Lp.Model.to_raw (sparse_lp ~cuts) in
+  let lb = Array.copy ext.Lp.Model.lb and ub = Array.copy ext.Lp.Model.ub in
+  check_resolve_certified "after add_rows" ext st ~lb ~ub;
+  Alcotest.(check bool) "cuts repaired warm" true
+    (Lp.Simplex.last_resolve_warm st);
+  List.iteri
+    (fun k (j, side, v) ->
+      if side then lb.(j) <- Float.max lb.(j) v else ub.(j) <- Float.min ub.(j) v;
+      check_resolve_certified (Printf.sprintf "tightening %d" k) ext st ~lb
+        ~ub)
+    [
+      (3, false, 1.0);
+      (7, true, 1.0);
+      (0, true, 1.0);
+      (6, false, 0.5);
+      (8, true, 2.0);
+    ];
+  (* x0 >= 1 and x1 >= 1.5 overrun the first cut: a Farkas ray over the
+     extended rows *)
+  let lb_bad = Array.copy lb in
+  lb_bad.(1) <- 1.5;
+  check_resolve_certified ~expect:"infeasible" "cut overrun" ext st ~lb:lb_bad
+    ~ub;
+  (* a second round of rows on the already extended, warm tableau *)
+  let cuts' = cuts @ [ ([| (3, 1.0); (6, 1.0); (8, 1.0) |], 2.5) ] in
+  Lp.Simplex.add_rows st [| List.nth cuts' 2 |];
+  let ext' = Lp.Model.to_raw (sparse_lp ~cuts:cuts') in
+  check_resolve_certified "second add_rows" ext' st ~lb ~ub
+
 (* --- root presolve, cut separation, warm row appends ------------------ *)
 
 let test_presolve_tighten () =
@@ -753,6 +1076,16 @@ let () =
           Alcotest.test_case "refactor parity" `Quick
             test_resolve_refactor_parity;
         ] );
+      ( "sparse-kernel",
+        [
+          Alcotest.test_case "dense pivot row" `Quick test_kernel_dense_row;
+          Alcotest.test_case "singleton pivot row" `Quick
+            test_kernel_singleton_row;
+          Alcotest.test_case "add_rows then warm resolves" `Quick
+            test_kernel_add_rows_warm;
+        ] );
+      ( "golden",
+        [ Alcotest.test_case "solve path" `Quick test_golden_solve_path ] );
       ( "presolve-cuts",
         [
           Alcotest.test_case "presolve tighten" `Quick test_presolve_tighten;

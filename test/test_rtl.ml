@@ -153,15 +153,7 @@ let test_netlist_masking () =
    value the bit-accurate dataflow simulator computes for iteration k.
    This validates schedule, cover, register placement and the netlist
    construction end to end. *)
-let check_pipeline_equivalence name method_ =
-  let entry = Benchmarks.Registry.find name in
-  let g = entry.build () in
-  let device = Fpga.Device.make ~t_clk:entry.t_clk () in
-  let setup =
-    { (Mams.Flow.default_setup ~device) with
-      resources = entry.resources;
-      time_limit = 5.0 }
-  in
+let check_equivalence ~name ?black_box ~setup g method_ =
   match Mams.Flow.run setup method_ g with
   | Error err -> Alcotest.failf "%s flow: %s" name err
   | Ok r ->
@@ -171,7 +163,7 @@ let check_pipeline_equivalence name method_ =
         Int64.of_int ((seed + (31 * iter) + (7 * Hashtbl.hash iname)) land 0xfff)
       in
       let black_box =
-        match entry.black_box with
+        match black_box with
         | Some h -> h
         | None -> fun ~kind _ -> Alcotest.failf "unexpected black box %s" kind
       in
@@ -203,6 +195,38 @@ let check_pipeline_equivalence name method_ =
           done)
         (Ir.Cdfg.outputs g)
 
+let check_pipeline_equivalence name method_ =
+  let entry = Benchmarks.Registry.find name in
+  let device = Fpga.Device.make ~t_clk:entry.t_clk () in
+  let setup =
+    { (Mams.Flow.default_setup ~device) with
+      resources = entry.resources;
+      time_limit = 5.0 }
+  in
+  check_equivalence ~name ?black_box:entry.black_box ~setup (entry.build ())
+    method_
+
+(* One node drives two recurrences with different init values: its delay
+   registers can reset to only one of them, so each loop-carried read
+   must see its own init while the pipeline fills. *)
+let test_two_inits_one_driver () =
+  let b = Ir.Builder.create () in
+  let x = Ir.Builder.input b ~width:4 "x" in
+  let c5 = Ir.Builder.feedback b ~width:4 ~init:5L ~dist:1 in
+  let c9 = Ir.Builder.feedback b ~width:4 ~init:9L ~dist:2 in
+  let p = Ir.Builder.xor_ b x c5 in
+  let q = Ir.Builder.add b x c9 in
+  let d = Ir.Builder.add b p q in
+  Ir.Builder.drive b ~cell:c5 d;
+  Ir.Builder.drive b ~cell:c9 d;
+  Ir.Builder.output b p;
+  Ir.Builder.output b q;
+  let g = Ir.Builder.finish b in
+  let setup = { (Mams.Flow.default_setup ~device) with time_limit = 5.0 } in
+  List.iter
+    (check_equivalence ~name:"two-inits" ~setup g)
+    [ Mams.Flow.Hls_tool; Mams.Flow.Sdc_tool; Mams.Flow.Map_heuristic ]
+
 let test_pipeline_equiv_hls () =
   List.iter
     (fun n -> check_pipeline_equivalence n Mams.Flow.Hls_tool)
@@ -228,6 +252,8 @@ let () =
             test_pipeline_equiv_mapfirst;
           Alcotest.test_case "pipeline = dataflow (milp-map)" `Slow
             test_pipeline_equiv_milp_map_small;
+          Alcotest.test_case "two inits, one driver" `Quick
+            test_two_inits_one_driver;
           Alcotest.test_case "register inits" `Quick test_register_init_values;
           Alcotest.test_case "width masking" `Quick test_netlist_masking;
         ] );
