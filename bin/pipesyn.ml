@@ -95,10 +95,10 @@ let cuts_flag_arg =
         ~doc:
           "Force-enable certified root cutting planes (Chvatal-Gomory and \
            knapsack covers separated at the MILP root; see the README's \
-           \"Root cuts\" section). On by default; $(b,--no-cuts) or \
-           $(b,PIPESYN_CUTS=0) disables. Results (status, objective, \
-           incumbent) are identical either way — cuts only change how \
-           much of the gap closes before branching." )
+           \"Root cuts\" section). On by default; $(b,--no-cuts) \
+           disables. Results (status, objective, incumbent) are \
+           identical either way — cuts only change how much of the gap \
+           closes before branching." )
   in
   let off =
     ( Some false,

@@ -16,8 +16,7 @@ type setup = {
   resume : Lp.Checkpoint.t option;
   stall_window : float option;
   cuts : bool option;
-      (** root cutting planes; [None] defers to [PIPESYN_CUTS] (on by
-          default) *)
+      (** root cutting planes; [None] = on *)
   presolve : bool option;  (** certified root bound tightening *)
 }
 

@@ -79,8 +79,7 @@ type setup = {
           watchdog off. See {!Lp.Milp.solve}. *)
   cuts : bool option;
       (** root cutting planes for the MILP rungs ([--cuts]/[--no-cuts]);
-          [None] defers to the [PIPESYN_CUTS] environment variable, on
-          by default. See {!Lp.Milp.solve}. *)
+          [None] = on. See {!Lp.Milp.solve}. *)
   presolve : bool option;
       (** certified root bound tightening ([--presolve]/[--no-presolve]);
           [None] = on. See {!Lp.Milp.solve}. *)

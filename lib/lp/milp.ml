@@ -76,13 +76,11 @@ let status_label = function
    instead of two O(n) array copies, and switching the working arrays
    between two nodes costs O(distance through their lowest common
    ancestor), not O(n). *)
-type side = Lb | Ub
-
 type chain =
   | Root
   | Tighten of {
       j : int;
-      side : side;
+      side : Cert.side;
       v : float;  (** bound value at and below this node *)
       prev : float;  (** the parent's value, for undo *)
       depth : int;
@@ -94,12 +92,16 @@ let chain_depth = function Root -> 0 | Tighten t -> t.depth
 let apply_entry lb ub = function
   | Root -> ()
   | Tighten t -> (
-      match t.side with Lb -> lb.(t.j) <- t.v | Ub -> ub.(t.j) <- t.v)
+      match t.side with
+      | Cert.Lower -> lb.(t.j) <- t.v
+      | Cert.Upper -> ub.(t.j) <- t.v)
 
 let undo_entry lb ub = function
   | Root -> ()
   | Tighten t -> (
-      match t.side with Lb -> lb.(t.j) <- t.prev | Ub -> ub.(t.j) <- t.prev)
+      match t.side with
+      | Cert.Lower -> lb.(t.j) <- t.prev
+      | Cert.Upper -> ub.(t.j) <- t.prev)
 
 (* Rewrite [lb]/[ub] (currently holding [from_]'s bounds) into [target]'s
    bounds: undo up to the common ancestor, re-apply down to [target].
@@ -155,32 +157,32 @@ type node = {
 let branch_of (node : node) =
   match node.bounds with
   | Root -> None
-  | Tighten t ->
-      Some
-        (t.j, (match t.side with Lb -> Cert.Lower | Ub -> Cert.Upper), t.v)
+  | Tighten t -> Some (t.j, t.side, t.v)
 
 (* ------------------------------------------------------------------ *)
 (* Branching                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Per-variable pseudocosts: observed objective degradation per unit of
+(* Per-variable pseudocosts ({!Checkpoint.pc}, the same table a
+   checkpoint stores): observed objective degradation per unit of
    fractional distance, separately for the down and up branch. *)
-type pseudocost = {
-  dn_sum : float array;
-  dn_n : int array;
-  up_sum : float array;
-  up_n : int array;
-}
-
 let pc_create n =
   {
-    dn_sum = Array.make n 0.0;
+    Checkpoint.dn_sum = Array.make n 0.0;
     dn_n = Array.make n 0;
     up_sum = Array.make n 0.0;
     up_n = Array.make n 0;
   }
 
-let pc_record pc ~j ~dir_up ~unit ~degrade =
+let pc_copy (pc : Checkpoint.pc) =
+  {
+    Checkpoint.dn_sum = Array.copy pc.dn_sum;
+    dn_n = Array.copy pc.dn_n;
+    up_sum = Array.copy pc.up_sum;
+    up_n = Array.copy pc.up_n;
+  }
+
+let pc_record (pc : Checkpoint.pc) ~j ~dir_up ~unit ~degrade =
   if unit > 1e-9 then
     if dir_up then begin
       pc.up_sum.(j) <- pc.up_sum.(j) +. (degrade /. unit);
@@ -196,7 +198,7 @@ let pc_record pc ~j ~dir_up ~unit ~degrade =
    degradations. Uninitialized variables use the average observed
    pseudocost; before any observation that degenerates to f·(1−f),
    i.e. plain most-fractional. *)
-let pseudocost_branch raw ~int_tol ?priority pc x =
+let pseudocost_branch raw ~int_tol ?priority (pc : Checkpoint.pc) x =
   let avg sum n =
     let tot = ref 0.0 and cnt = ref 0 in
     Array.iteri
@@ -272,17 +274,6 @@ let domains_from_env () =
       | Some d when d >= 1 -> min d 64
       | _ -> 1)
 
-(* PIPESYN_CUTS toggles the root cutting-plane rounds (default on).
-   Read per solve like PIPESYN_DOMAINS; the [?cuts] argument wins over
-   the environment. *)
-let cuts_from_env () =
-  match Sys.getenv_opt "PIPESYN_CUTS" with
-  | Some s -> (
-      match String.lowercase_ascii (String.trim s) with
-      | "0" | "off" | "false" | "no" -> false
-      | _ -> true)
-  | None -> true
-
 (* Deterministic incumbent tie-breaking: among solutions whose objectives
    agree within the acceptance tolerance, the lexicographically smallest
    solution vector wins. Unlike an exploration-order node id, this key
@@ -319,7 +310,7 @@ type wctx = {
   wub : float array;
   mutable wcur : chain;
   mutable wstate : Simplex.state option;
-  mutable wpc : pseudocost;
+  mutable wpc : Checkpoint.pc;
   mutable w_iters : int;
   mutable w_limited : int;
   mutable w_warm : int;
@@ -371,36 +362,96 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
      warm-start seeding is skipped so the solve reports Unknown, the
      hardest failure the cascade must absorb. *)
   let injected_timeout = Resilience.Fault.fires "milp.timeout" in
-  let raw_orig = Model.to_raw model in
+  let raw = Model.to_raw model in
+  let cuts_on = Option.value cuts ~default:true in
+  let presolve_on = Option.value presolve ~default:true in
+  (* A resume replays the original run's presolve events and cut rows
+     from the checkpoint instead of re-deriving them: its root box
+     already includes the tightenings (plus fixings), so re-tightening
+     would double-apply, and re-separating would change the row system
+     the closed nodes' duals were taken over. These are the only two
+     decisions a resume changes; everything else reads [start]. *)
+  let resumed = Option.is_some resume in
+  (* Root presolve: certified bound tightening on the model box. *)
+  let presolve_events, lb0, ub0 =
+    if presolve_on && (not resumed) && not injected_timeout then begin
+      let lb, ub, evs = Presolve.tighten raw in
+      if evs <> [] && Obs.recording () then
+        Obs.emit ~cat:"milp" "milp.presolve"
+          [ ("tightened", Obs.Json.Int (List.length evs)) ];
+      (evs, lb, ub)
+    end
+    else ([], raw.lb, raw.ub)
+  in
+  let obj_of x =
+    Array.fold_left ( +. ) 0.0 (Array.mapi (fun j v -> raw.obj.(j) *. v) x)
+  in
+  (* The caller's warm start, validated even when a checkpoint's
+     incumbent supersedes it. Near-integral entries are snapped so the
+     stored incumbent is exactly integral — the certificate audit checks
+     integrality with zero tolerance, and [Model.check] already vouched
+     for the unsnapped point at the contract tolerance. *)
+  let seed =
+    Option.map
+      (fun x ->
+        if Array.length x <> raw.n then
+          invalid_arg "Milp.solve: incumbent length mismatch";
+        (match
+           Model.check model ~values:(fun v -> x.(Model.var_index v)) ()
+         with
+        | Error msg -> invalid_arg ("Milp.solve: infeasible incumbent: " ^ msg)
+        | Ok () -> ());
+        let x = snap raw ~int_tol x in
+        (x, obj_of x))
+      incumbent
+  in
   (* A checkpoint is pinned to the exact model it was taken from:
      replaying a frontier into a different polytope would silently
      produce garbage, so a fingerprint mismatch is a caller error. The
      fingerprint is over the caller's model, before presolve or cuts:
      both are recorded in the checkpoint and replayed on resume, so the
      same source model always matches. *)
-  let model_fp =
-    match (checkpoint, resume) with
-    | None, None -> ""
-    | _ -> Checkpoint.fingerprint raw_orig
-  in
-  let cuts_on = match cuts with Some b -> b | None -> cuts_from_env () in
-  let presolve_on = Option.value presolve ~default:true in
-  (* Root presolve: certified bound tightening on the model box. On
-     resume the checkpoint's root box already includes the original
-     run's tightenings (plus fixings), so only the event log is
-     restored — re-tightening would double-apply. *)
-  let presolve_events, raw =
+  let model_fp = lazy (Checkpoint.fingerprint raw) in
+  (* The state the solve starts from. A resume loads it from the
+     checkpoint; a fresh solve builds the same shape: a frontier holding
+     only the unprocessed root (certificate id 0), the presolved box, the
+     caller's incumbent and zeroed counters. From here on both are one
+     path. *)
+  let start =
     match resume with
-    | Some ck -> (ck.Checkpoint.presolve, raw_orig)
+    | Some ck ->
+        if ck.Checkpoint.fingerprint <> Lazy.force model_fp then
+          invalid_arg
+            "Milp.solve: checkpoint fingerprint does not match the model";
+        ck
     | None ->
-        if presolve_on && not injected_timeout then begin
-          let lb, ub, evs = Presolve.tighten raw_orig in
-          if evs <> [] && Obs.recording () then
-            Obs.emit ~cat:"milp" "milp.presolve"
-              [ ("tightened", Obs.Json.Int (List.length evs)) ];
-          (evs, { raw_orig with Model.lb; ub })
-        end
-        else ([], raw_orig)
+        {
+          Checkpoint.fingerprint = "" (* snapshots stamp [model_fp] *);
+          domains;
+          next_nid = 1;
+          nodes_done = 0;
+          lp_limited = 0;
+          fixed_vars = 0;
+          root_bound = neg_infinity;
+          root_lb = lb0;
+          root_ub = ub0;
+          incumbent = seed;
+          first_incumbent_s = Float.nan;
+          elapsed_s = 0.0;
+          frontier =
+            [
+              { Checkpoint.o_nid = 0; o_parent = -1; o_bound = neg_infinity;
+                o_bvar = -1; o_bfrac = 0.0; o_dir_up = false; o_edits = [] };
+            ];
+          pc = [||];
+          certs_on = true;
+          cert_nodes = [];
+          fixes = [];
+          root_duals = None;
+          presolve = presolve_events;
+          cuts = [];
+          meta = Obs.Json.Null;
+        }
   in
   (* The row system nodes actually solve against: the model rows plus
      every applied cut. Extended by the root cut loop (fresh solves) or
@@ -422,9 +473,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
             (Array.of_list (List.map (fun c -> c.Cert.cut_rhs) cs));
       }
   in
-  let cuts_log =
-    ref (match resume with Some ck -> ck.Checkpoint.cuts | None -> [])
-  in
+  let cuts_log = ref start.Checkpoint.cuts in
   if Obs.recording ~level:Obs.Log.Debug () then
     Obs.emit ~level:Obs.Log.Debug ~cat:"milp" "milp.model"
       [
@@ -440,27 +489,18 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   let cut_rounds = ref 0 in
   let cut_b0 = ref Float.nan in
   let cut_b1 = ref Float.nan in
-  (match resume with
-  | Some ck when ck.Checkpoint.fingerprint <> model_fp ->
-      invalid_arg "Milp.solve: checkpoint fingerprint does not match the model"
-  | _ -> ());
   (* A resumed solve can only be as strong as its checkpoint: if the
      original run kept no certificates there is no prefix to extend. *)
-  let certs_on =
-    certificates
-    && match resume with Some ck -> ck.Checkpoint.certs_on | None -> true
-  in
+  let certs_on = certificates && start.Checkpoint.certs_on in
   (* Certificate node ids: allocated at node creation, independent of the
-     processing-order trace id. Resume carries the counter so replayed
-     frontiers never collide with the closed prefix. *)
-  let next_nid =
-    Atomic.make (match resume with Some ck -> ck.Checkpoint.next_nid | None -> 0)
-  in
+     processing-order trace id. The counter continues from the start
+     state, so new children never collide with the closed prefix. *)
+  let next_nid = Atomic.make start.Checkpoint.next_nid in
   let alloc_nid () = Atomic.fetch_and_add next_nid 1 in
   let inc_log = ref [] in  (* accepted incumbents, newest first; under inc_m *)
-  let fix_log = ref [] in  (* root bound-fixing events; coordinator only *)
-  let root_duals = ref None in
-  let cert_root_lb = ref [||] and cert_root_ub = ref [||] in
+  (* root bound-fixing events, newest first; written by the root's worker *)
+  let fix_log = ref (List.rev start.Checkpoint.fixes) in
+  let root_duals = ref start.Checkpoint.root_duals in
   (* Deadline-aware budget: whichever of the caller's deadline and the
      local time budget is tighter governs both the node loop and — via
      Simplex — every pivot inside a node. The clock is the monotonized
@@ -469,11 +509,9 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   let dl = Resilience.Deadline.clip deadline ~budget:time_limit in
   let t0 = Obs.Clock.wall () in
   let cpu0 = Obs.Clock.cpu () in
-  (* A resumed solve reports cumulative solve time: the checkpoint's
-     consumed seconds plus this run's. *)
-  let prior_s =
-    match resume with Some ck -> ck.Checkpoint.elapsed_s | None -> 0.0
-  in
+  (* Solve time is cumulative: the start state's consumed seconds (0 on
+     a fresh solve) plus this run's. *)
+  let prior_s = start.Checkpoint.elapsed_s in
   let elapsed () = Obs.Clock.wall () -. t0 +. prior_s in
   (* Shared incumbent: [best_obj] is the lock-free pruning bound (reads
      may be stale by at most one improvement — only ever too weak, never
@@ -483,16 +521,8 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   let best_x = ref None in
   let best_obj = Atomic.make infinity in
   let have_inc () = Float.is_finite (Atomic.get best_obj) in
-  let first_inc =
-    ref
-      (match resume with
-      | Some ck -> ck.Checkpoint.first_incumbent_s
-      | None -> Float.nan)
-  in
-  let nodes =
-    Atomic.make
-      (match resume with Some ck -> ck.Checkpoint.nodes_done | None -> 0)
-  in
+  let first_inc = ref start.Checkpoint.first_incumbent_s in
+  let nodes = Atomic.make start.Checkpoint.nodes_done in
   (* Convergence timeline: one point (and one event) per incumbent,
      carrying the relative incumbent/bound gap at that moment.
      Observational only. *)
@@ -509,64 +539,23 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           ("seeded", Obs.Json.Bool seeded);
         ]
   in
-  (match incumbent with
+  (* One seeded incumbent: the start state's (a checkpoint's incumbent
+     was accepted by the original run's deterministic tie-breaking,
+     which is exactly the state resume must reproduce), else the
+     caller's. The seeded id -1 is the convention the audit accepts. *)
+  (match (start.Checkpoint.incumbent, seed) with
   | _ when injected_timeout -> ()
-  | None -> ()
-  | Some x ->
-      if Array.length x <> raw.n then
-        invalid_arg "Milp.solve: incumbent length mismatch";
-      (match Model.check model ~values:(fun v -> x.(Model.var_index v)) () with
-      | Error msg -> invalid_arg ("Milp.solve: infeasible incumbent: " ^ msg)
-      | Ok () -> ());
-      (* Snap near-integral entries so the stored incumbent is exactly
-         integral — the certificate audit checks integrality with zero
-         tolerance, and [Model.check] above already vouched for the
-         unsnapped point at the contract tolerance. *)
-      let x = snap raw ~int_tol x in
-      let obj =
-        Array.fold_left ( +. ) 0.0
-          (Array.mapi (fun j v -> raw.obj.(j) *. v) x)
-      in
-      best_x := Some (Array.copy x);
-      Atomic.set best_obj obj;
-      if certs_on then inc_log := (-1, obj) :: !inc_log;
-      Obs.Counter.incr c_incumbents;
-      Obs.Series.add s_incumbents ~x:(elapsed ()) ~y:obj;
-      (* No relaxation solved yet, so no dual bound: gap unknown. *)
-      note_incumbent ~obj ~gap:Float.nan ~node:0 ~depth:0 ~seeded:true ());
-  (* The checkpoint's incumbent wins over a caller-seeded one: it was
-     accepted by the original run's deterministic tie-breaking, which is
-     exactly the state resume must reproduce. The seeded id -1 is the
-     same convention the warm-start seeding uses, and the audit accepts
-     it. *)
-  (match resume with
-  | Some { Checkpoint.incumbent = Some (x, obj); _ } when not injected_timeout
-    ->
+  | Some (x, obj), _ | None, Some (x, obj) ->
       best_x := Some (Array.copy x);
       Atomic.set best_obj obj;
       if certs_on then inc_log := [ (-1, obj) ];
       Obs.Counter.incr c_incumbents;
       Obs.Series.add s_incumbents ~x:(elapsed ()) ~y:obj;
+      (* No relaxation solved yet, so no dual bound: gap unknown. *)
       note_incumbent ~obj ~gap:Float.nan ~node:0 ~depth:0 ~seeded:true ()
-  | _ -> ());
-  let fixed_vars =
-    ref (match resume with Some ck -> ck.Checkpoint.fixed_vars | None -> 0)
-  in
-  let root_bound =
-    ref
-      (match resume with
-      | Some ck -> ck.Checkpoint.root_bound
-      | None -> neg_infinity)
-  in
-  (match resume with
-  | Some ck ->
-      fix_log := List.rev ck.Checkpoint.fixes;
-      root_duals := ck.Checkpoint.root_duals;
-      if certs_on then begin
-        cert_root_lb := Array.copy ck.Checkpoint.root_lb;
-        cert_root_ub := Array.copy ck.Checkpoint.root_ub
-      end
-  | None -> ());
+  | None, None -> ());
+  let fixed_vars = ref start.Checkpoint.fixed_vars in
+  let root_bound = ref start.Checkpoint.root_bound in
   let budget_hit = ref false in
   let infeasible_root = ref false in
   let unbounded_root = ref false in
@@ -576,25 +565,14 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     || Resilience.Deadline.expired dl
     || Atomic.get nodes >= node_limit
   in
-  let pc_of_ck (p : Checkpoint.pc) =
-    {
-      dn_sum = Array.copy p.Checkpoint.dn_sum;
-      dn_n = Array.copy p.Checkpoint.dn_n;
-      up_sum = Array.copy p.Checkpoint.up_sum;
-      up_n = Array.copy p.Checkpoint.up_n;
-    }
-  in
   let mk_wctx wid lb ub =
-    (* Restore this slot's pseudocost table from the checkpoint when one
-       is carried (extra slots of a wider resume start fresh). *)
+    (* Restore this slot's pseudocost table from the start state when it
+       carries one (extra slots of a wider resume start fresh). *)
     let wpc =
-      match resume with
-      | Some ck
-        when wid < Array.length ck.Checkpoint.pc
-             && Array.length ck.Checkpoint.pc.(wid).Checkpoint.dn_sum = raw.n
-        ->
-          pc_of_ck ck.Checkpoint.pc.(wid)
-      | _ -> pc_create raw.n
+      let pcs = start.Checkpoint.pc in
+      if wid < Array.length pcs && Array.length pcs.(wid).dn_sum = raw.n then
+        pc_copy pcs.(wid)
+      else pc_create raw.n
     in
     let cell = Resilience.Deadline.new_cell () in
     { wid; wlb = lb; wub = ub; wcur = Root; wstate = None; wpc;
@@ -604,31 +582,25 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       w_nudge = Atomic.make false; w_deaths = 0;
       w_cnode = Obs.Counter.get ("milp.nodes.d" ^ string_of_int wid) }
   in
-  (* The coordinator context is created up front (not at root-processing
-     time) because the supervision layer — watchdog, checkpointer, crash
-     recovery — observes it for the whole solve. On resume its arrays
-     start at the checkpoint's post-fixing root box, which is the box
-     every serialized chain's [prev] values are relative to. *)
+  (* The coordinator context is created up front because the
+     supervision layer — watchdog, checkpointer, crash recovery —
+     observes it for the whole solve. It carries the start state's
+     closed prefix (unsolved-pruned count, certificate log), and its
+     arrays start at the start state's root box, which is the box every
+     serialized chain's [prev] values are relative to. *)
   let w0 =
-    match resume with
-    | Some ck ->
-        let w = mk_wctx 0 (Array.copy ck.Checkpoint.root_lb)
-            (Array.copy ck.Checkpoint.root_ub)
-        in
-        w.w_limited <- ck.Checkpoint.lp_limited;
-        w.wcerts <- ck.Checkpoint.cert_nodes;
-        w
-    | None -> mk_wctx 0 (Array.copy raw.lb) (Array.copy raw.ub)
+    mk_wctx 0
+      (Array.copy start.Checkpoint.root_lb)
+      (Array.copy start.Checkpoint.root_ub)
   in
-  (* Post-fixing root box, captured once the root is processed (or taken
-     from the checkpoint): what worker contexts copy and what snapshots
-     record so resumed chains rebuild against identical arrays. *)
-  let root_box_lb =
-    ref (match resume with Some ck -> Array.copy ck.Checkpoint.root_lb | None -> [||])
-  in
-  let root_box_ub =
-    ref (match resume with Some ck -> Array.copy ck.Checkpoint.root_ub | None -> [||])
-  in
+  w0.w_limited <- start.Checkpoint.lp_limited;
+  w0.wcerts <- start.Checkpoint.cert_nodes;
+  (* The root box every subtree inherits: the start state's, replaced by
+     the post-fixing box when the root completes. Helper contexts copy
+     it, snapshots record it and the certificate carries it, so resumed
+     chains rebuild against identical arrays. *)
+  let root_box_lb = ref (Array.copy start.Checkpoint.root_lb) in
+  let root_box_ub = ref (Array.copy start.Checkpoint.root_ub) in
   (* ------------------------ supervision state ------------------------ *)
   (* [pool_m] guards the shared deque [q]/[qlen], every private stack in
      [wlocal], and the lease table [wlease]. A lease is the subtree a
@@ -664,9 +636,8 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       | Root -> acc
       | Tighten t ->
           go
-            ({ Checkpoint.e_j = t.j;
-               e_side = (match t.side with Lb -> Cert.Lower | Ub -> Cert.Upper);
-               e_v = t.v; e_prev = t.prev }
+            ({ Checkpoint.e_j = t.j; e_side = t.side; e_v = t.v;
+               e_prev = t.prev }
             :: acc)
             t.parent
     in
@@ -689,11 +660,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         (fun (d, parent) (e : Checkpoint.edit) ->
           ( d + 1,
             Tighten
-              { j = e.Checkpoint.e_j;
-                side =
-                  (match e.Checkpoint.e_side with
-                  | Cert.Lower -> Lb
-                  | Cert.Upper -> Ub);
+              { j = e.Checkpoint.e_j; side = e.Checkpoint.e_side;
                 v = e.Checkpoint.e_v; prev = e.Checkpoint.e_prev;
                 depth = d + 1; parent } ))
         (0, Root) o.Checkpoint.o_edits
@@ -773,7 +740,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     in
     Mutex.unlock inc_m;
     {
-      Checkpoint.fingerprint = model_fp;
+      Checkpoint.fingerprint = Lazy.force model_fp;
       domains;
       next_nid = Atomic.get next_nid;
       nodes_done = Atomic.get nodes;
@@ -786,29 +753,19 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       first_incumbent_s = !first_inc;
       elapsed_s = elapsed ();
       frontier = List.map open_of_node (frontier_locked ());
-      pc =
-        Array.map
-          (fun w ->
-            {
-              Checkpoint.dn_sum = Array.copy w.wpc.dn_sum;
-              dn_n = Array.copy w.wpc.dn_n;
-              up_sum = Array.copy w.wpc.up_sum;
-              up_n = Array.copy w.wpc.up_n;
-            })
-          ws;
+      pc = Array.map (fun w -> pc_copy w.wpc) ws;
       certs_on;
       cert_nodes =
         Array.fold_left (fun acc w -> List.rev_append w.wcerts acc) [] ws;
       fixes = List.rev !fix_log;
       root_duals = !root_duals;
-      presolve = presolve_events;
+      presolve = start.Checkpoint.presolve;
       cuts = !cuts_log;
       meta = (match checkpoint with Some s -> s.ck_meta | None -> Obs.Json.Null);
     }
   in
   (* Called under [pool_m] from node-completion sections. [force] is the
-     final flush at solve exit. The root box guard skips snapshots taken
-     before the root was ever processed (nothing to resume yet). *)
+     final flush at solve exit. *)
   let write_checkpoint_locked ~force () =
     match checkpoint with
     | None -> ()
@@ -819,7 +776,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           || Obs.Clock.wall () -. !last_ck >= s.ck_every_s
           || nodes_now >= !next_ck_nodes
         in
-        if due && Array.length !root_box_lb > 0 then begin
+        if due then begin
           last_ck := Obs.Clock.wall ();
           (match s.ck_every_nodes with
           | Some n -> next_ck_nodes := nodes_now + n
@@ -1043,11 +1000,8 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
             if j < 0 then begin
               (* integral: candidate incumbent *)
               let x = snap raw ~int_tol r.Simplex.x in
-              let obj =
-                Array.fold_left ( +. ) 0.0
-                  (Array.mapi (fun j v -> raw.obj.(j) *. v) x)
-              in
-              try_improve ~wid:w.wid ~node_id ~nid:node.nid ~depth x obj;
+              try_improve ~wid:w.wid ~node_id ~nid:node.nid ~depth x
+                (obj_of x);
               fathom := Cert.F_integral;
               Leaf
             end
@@ -1059,15 +1013,17 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
               let down =
                 { nid = alloc_nid (); parent_nid = node.nid;
                   bounds =
-                    Tighten { j; side = Ub; v = fl; prev = w.wub.(j);
-                              depth = depth + 1; parent = node.bounds };
+                    Tighten
+                      { j; side = Cert.Upper; v = fl; prev = w.wub.(j);
+                        depth = depth + 1; parent = node.bounds };
                   bound = r.Simplex.objective; bvar = j;
                   bfrac = v -. fl; dir_up = false; cancels = 0 }
               and up =
                 { nid = alloc_nid (); parent_nid = node.nid;
                   bounds =
-                    Tighten { j; side = Lb; v = fl +. 1.0; prev = w.wlb.(j);
-                              depth = depth + 1; parent = node.bounds };
+                    Tighten
+                      { j; side = Cert.Lower; v = fl +. 1.0; prev = w.wlb.(j);
+                        depth = depth + 1; parent = node.bounds };
                   bound = r.Simplex.objective; bvar = j;
                   bfrac = v -. fl; dir_up = true; cancels = 0 }
               in
@@ -1203,7 +1159,14 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
      seed node and both children of every branch stay on its private
      stack, and a node it takes back from the deque (parked there by
      recovery) is not a steal. It therefore explores depth-first, near
-     child first, in a fixed order. *)
+     child first, in a fixed order.
+
+     The root is the pool's first node, and worker 0 alone takes it:
+     reduced-cost fixing rewrites the root box in place, so the root must
+     be retired before any helper copies that box. Worker 0 therefore runs
+     the pool's own take/process/complete steps until no root is open,
+     and only then are the helper contexts copied from its post-fixing
+     box and spawned. A frontier without the root spawns them at once. *)
   let run_pool (init : node list) =
     let thieves = domains > 1 in
     (match init with
@@ -1278,6 +1241,12 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     let complete (w : wctx) (node : node) outcome cert =
       Mutex.lock pool_m;
       (match cert with Some c -> w.wcerts <- c :: w.wcerts | None -> ());
+      (* [w] still sits at the root chain, so after the root its arrays
+         hold the post-fixing box every subtree inherits. *)
+      if chain_depth node.bounds = 0 then begin
+        root_box_lb := Array.copy w.wlb;
+        root_box_ub := Array.copy w.wub
+      end;
       (match outcome with
       | Leaf ->
           wlease.(w.wid) <- None;
@@ -1321,9 +1290,9 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       Mutex.unlock pool_m;
       Atomic.set w.w_beat (Obs.Clock.wall ())
     in
-    let worker (w : wctx) =
+    let worker ?(until = fun () -> false) (w : wctx) =
       let rec loop () =
-        match take w with
+        match if until () then None else take w with
         | None -> ()
         | Some (node, stolen) ->
             (if budget () then begin
@@ -1376,6 +1345,17 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         request_stop_locked (`Exn e);
         Mutex.unlock pool_m
     in
+    let root_open () =
+      Mutex.lock pool_m;
+      let r =
+        List.exists
+          (fun (n : node) -> chain_depth n.bounds = 0)
+          (frontier_locked ())
+      in
+      Mutex.unlock pool_m;
+      r
+    in
+    worker ~until:(fun () -> not (root_open ())) w0;
     let wctxs =
       Array.init domains (fun i ->
           if i = 0 then w0
@@ -1515,98 +1495,10 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       end
     end
   in
-  (* -------------------- root, then the pool -------------------------- *)
+  (* ------------------------ the tree ------------------------------- *)
   let explore () =
-    (match resume with
-    | Some ck ->
-        (* The closed prefix is already loaded into [w0]; rebuild the
-           frontier and continue. An empty frontier means the
-           checkpointed solve had already closed the tree — the carried
-           incumbent and certificate log are the whole answer. *)
-        let init = List.map node_of_open ck.Checkpoint.frontier in
-        if budget () then begin
-          budget_hit := true;
-          Mutex.lock pool_m;
-          q := init;
-          qlen := List.length init;
-          Mutex.unlock pool_m
-        end
-        else (
-          match init with
-          | [] -> ()
-          | init -> run_pool init)
-    | None ->
-        let root =
-          { nid = alloc_nid (); parent_nid = -1; bounds = Root;
-            bound = neg_infinity; bvar = -1; bfrac = 0.0; dir_up = false;
-            cancels = 0 }
-        in
-        if budget () then budget_hit := true
-        else begin
-          root_cut_prep ();
-          (* Root: always processed by the coordinator alone, so
-             reduced-cost fixing mutates the root arrays before any
-             worker copies them — under the same supervision (bounded
-             replay on injected kills and watchdog cancels) as every
-             other node. *)
-          let rec do_root () =
-            Mutex.lock pool_m;
-            wlease.(0) <- Some root;
-            Mutex.unlock pool_m;
-            Atomic.set w0.w_beat (Obs.Clock.wall ());
-            match process w0 root with
-            | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
-            | exception e when recover w0 e ->
-                (* recover parked the root lease on [q]; reclaim it *)
-                Mutex.lock pool_m;
-                q := [];
-                qlen := 0;
-                Mutex.unlock pool_m;
-                do_root ()
-            | exception e ->
-                Mutex.lock pool_m;
-                wlease.(0) <- None;
-                Mutex.unlock pool_m;
-                raise e
-            | Cancelled, _ ->
-                Resilience.Deadline.clear_cell w0.w_cell;
-                Mutex.lock pool_m;
-                wlease.(0) <- None;
-                incr n_recoveries;
-                Mutex.unlock pool_m;
-                do_root ()
-            | outcome, cert ->
-                (match cert with
-                | Some c -> w0.wcerts <- c :: w0.wcerts
-                | None -> ());
-                Mutex.lock pool_m;
-                wlease.(0) <- None;
-                Mutex.unlock pool_m;
-                outcome
-          in
-          let root_outcome = do_root () in
-          (* w0 still sits at the root chain here, so its arrays hold the
-             post-fixing root box every subtree inherits. *)
-          root_box_lb := Array.copy w0.wlb;
-          root_box_ub := Array.copy w0.wub;
-          if certs_on then begin
-            cert_root_lb := Array.copy w0.wlb;
-            cert_root_ub := Array.copy w0.wub
-          end;
-          match root_outcome with
-          | Leaf -> ()
-          | Cancelled -> assert false (* handled inside do_root *)
-          | Stop_unbounded -> ()
-          | Stop_budget ->
-              budget_hit := true;
-              (* keep the unprocessed root in the frontier: a checkpoint
-                 of this state must resume into the root, not into an
-                 empty (= already proved) tree *)
-              Mutex.lock pool_m;
-              wlocal.(0) := [ root ];
-              Mutex.unlock pool_m
-          | Children (near, far) -> run_pool [ near; far ]
-        end);
+    if not resumed then root_cut_prep ();
+    run_pool (List.map node_of_open start.Checkpoint.frontier);
     (* Exit bound over everything still open, wherever it lives. *)
     Mutex.lock pool_m;
     open_bound_end :=
@@ -1684,9 +1576,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
      [stats.nodes]. Pivots carry no prefix: [lp_iterations] is
      this-run-only by design, so the live increments already cover it
      exactly. *)
-  Obs.Counter.incr
-    ~by:(match resume with Some ck -> ck.Checkpoint.nodes_done | None -> 0)
-    c_nodes;
+  Obs.Counter.incr ~by:start.Checkpoint.nodes_done c_nodes;
   Obs.Counter.incr ~by:stats.warm_hits c_warm_hits;
   Obs.Counter.incr ~by:stats.fixed_vars c_fixed_vars;
   Obs.Counter.incr ~by:stats.checkpoints c_checkpoints;
@@ -1714,9 +1604,9 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
           objective = best;
           incumbent = Option.map Array.copy !best_x;
           incumbents = List.rev !inc_log;
-          root_lb = !cert_root_lb;
-          root_ub = !cert_root_ub;
-          presolve = presolve_events;
+          root_lb = !root_box_lb;
+          root_ub = !root_box_ub;
+          presolve = start.Checkpoint.presolve;
           cuts = !cuts_log;
           fixes = List.rev !fix_log;
           root_duals = !root_duals;

@@ -129,7 +129,9 @@ val solve :
 (** Defaults: [time_limit = 60.] s, [node_limit = 200_000],
     [gap_tol = 1e-6] (relative), [int_tol = 1e-6]. A provided [incumbent]
     is validated against the model ([Invalid_argument] if it is not
-    feasible) and seeds the pruning bound. [branch_priority] (one entry
+    feasible) and seeds the pruning bound — unless [resume]'s checkpoint
+    carries an incumbent, which is then the one installed (the seed is
+    still validated). [branch_priority] (one entry
     per variable, higher branches first) guides variable selection:
     within the highest priority class with any fractionality, pseudocost
     branching (observed objective degradation per unit of fractional
@@ -164,9 +166,8 @@ val solve :
     bound but never exclude an integer-feasible point, so status,
     objective and incumbent are unchanged by the cuts-on/off toggle on
     exhaustively solved models (property-tested in [test/test_fuzz.ml]).
-    [cuts] (default: on unless the [PIPESYN_CUTS] environment variable
-    is ["0"]/["off"]/["false"]/["no"]) disables the rounds when
-    [false]. Each round emits a
+    [cuts] (default [true]) disables the rounds when [false]. Each
+    round emits a
     ["milp.cut_round"] trace instant (round, cuts added, pool size,
     post-round bound). A resumed solve re-installs the checkpoint's cut
     rows verbatim and never re-separates, so node duals keep matching
@@ -174,9 +175,10 @@ val solve :
 
     [domains] (default: [PIPESYN_DOMAINS], else 1; clamped to
     \[1, 64\]) selects how many OCaml 5 domains explore the tree. The
-    root is solved (and reduced-cost fixing applied) by the calling
-    domain; the two root children then seed a work-stealing pool in
-    which each domain dives depth-first on a private stack, publishing
+    root is the pool's first node: the calling domain takes it (and
+    applies reduced-cost fixing) before the other domains start and
+    copy the post-fixing box. The pool is a work-stealing one in which
+    each domain dives depth-first on a private stack, publishing
     the sibling of every branch to a bounded shared deque that idle
     domains steal the shallowest entries from. [domains = 1] is a pool
     of one worker: with no thief to feed it publishes nothing, so it
@@ -236,7 +238,11 @@ val solve :
     leaves a fresh, resumable file. [resume] rehydrates such a snapshot
     (frontier, incumbent, pseudocost tables, certificate-log prefix,
     root-fixing evidence) and continues; the checkpoint's fingerprint
-    must match the model ([Invalid_argument] otherwise). [stats.elapsed]
+    must match the model ([Invalid_argument] otherwise). A fresh solve
+    starts from the same kind of state — a frontier holding only the
+    root, the presolved box, the seeded incumbent, zeroed counters — so
+    the two differ only in that a resume replays the checkpoint's
+    presolve events and cut rows instead of deriving them. [stats.elapsed]
     and the lp_limited accounting are cumulative across resume, so a
     resumed solve can never claim more than the original plus its own
     work. Resumed solves may use a different [domains] count than the

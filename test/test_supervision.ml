@@ -269,6 +269,115 @@ let test_resume_completed_checkpoint () =
     resumed.Lp.Milp.stats.Lp.Milp.nodes;
   Sys.remove p
 
+let audit_clean name model (r : Lp.Milp.result) =
+  match Analyze.Diag.errors (Analyze.Engine.check_audit model r) with
+  | [] -> ()
+  | errs ->
+      Alcotest.failf "%s: %d audit errors: %s" name (List.length errs)
+        (String.concat "; "
+           (List.map (fun d -> Fmt.str "%a" Analyze.Diag.pp d) errs))
+
+(* A checkpoint whose frontier is the unprocessed root — what a budget
+   stop inside the root LP leaves behind. Built from a mid-tree snapshot
+   by rewinding every closed-node field to the fresh-solve state; with
+   presolve off the root box is the model's own. The resume must be the
+   uninterrupted solve: the root's reduced-cost fixings (a seeded
+   incumbent makes them fire) have to reach every worker's box and the
+   certificate's root box. *)
+let test_resume_root_only () =
+  let p = tmp "pipesyn_ck_root.json" in
+  let sink =
+    { Lp.Milp.ck_path = p; ck_every_s = 3600.0; ck_every_nodes = None;
+      ck_meta = Obs.Json.Null }
+  in
+  ignore
+    (Lp.Milp.solve ~time_limit:60.0 ~node_limit:6 ~certificates:true
+       ~cuts:false ~presolve:false ~checkpoint:sink (knapsack ()));
+  let ck = read_ck p in
+  Sys.remove p;
+  let raw = Lp.Model.to_raw (knapsack ()) in
+  let root =
+    { Lp.Checkpoint.o_nid = 0; o_parent = -1; o_bound = neg_infinity;
+      o_bvar = -1; o_bfrac = 0.0; o_dir_up = false; o_edits = [] }
+  in
+  let ck =
+    { ck with
+      Lp.Checkpoint.frontier = [ root ]; next_nid = 1; nodes_done = 0;
+      lp_limited = 0; fixed_vars = 0; root_bound = neg_infinity;
+      root_lb = Array.copy raw.Lp.Model.lb;
+      root_ub = Array.copy raw.Lp.Model.ub; incumbent = None;
+      first_incumbent_s = Float.nan; elapsed_s = 0.0; pc = [||];
+      cert_nodes = []; fixes = []; root_duals = None }
+  in
+  let seed =
+    (Lp.Milp.solve ~time_limit:60.0 ~cuts:false ~presolve:false (knapsack ()))
+      .Lp.Milp.x
+  in
+  let solve ?resume domains =
+    Lp.Milp.solve ~time_limit:60.0 ~certificates:true ~cuts:false
+      ~presolve:false ~incumbent:seed ~domains ?resume (knapsack ())
+  in
+  List.iter
+    (fun domains ->
+      let name = Printf.sprintf "root-only resume @ %d domains" domains in
+      let clean = solve domains in
+      Alcotest.(check bool) (name ^ ": root fixing fires") true
+        (clean.Lp.Milp.stats.Lp.Milp.fixed_vars > 0);
+      let resumed = solve ~resume:ck domains in
+      check_same_result name clean resumed;
+      if domains = 1 then begin
+        Alcotest.(check int) (name ^ ": nodes")
+          clean.Lp.Milp.stats.Lp.Milp.nodes resumed.Lp.Milp.stats.Lp.Milp.nodes;
+        Alcotest.(check int) (name ^ ": pivots")
+          clean.Lp.Milp.stats.Lp.Milp.lp_iterations
+          resumed.Lp.Milp.stats.Lp.Milp.lp_iterations
+      end;
+      audit_clean name (knapsack ()) resumed)
+    [ 1; 2; 4 ]
+
+(* [pipesyn resume] hands the solver both the warm start and the
+   checkpoint. The checkpoint's incumbent wins and is the only one
+   installed; the discarded seed is still validated. *)
+let test_resume_installs_one_incumbent () =
+  let p = tmp "pipesyn_ck_inc.json" in
+  ignore (checkpointed_solve ~node_limit:16 ~path:p ());
+  let ck = read_ck p in
+  Sys.remove p;
+  let ck_obj =
+    match ck.Lp.Checkpoint.incumbent with
+    | Some (_, obj) -> obj
+    | None -> Alcotest.fail "checkpoint carries no incumbent"
+  in
+  let n = (Lp.Model.to_raw (knapsack ())).Lp.Model.n in
+  let seeded = ref [] in
+  Obs.Log.enable ();
+  Obs.Log.set_sink
+    (Some
+       (fun e ->
+         let arg k = List.assoc_opt k e.Obs.Log.l_args in
+         if
+           e.Obs.Log.l_name = "milp.incumbent"
+           && arg "seeded" = Some (Obs.Json.Bool true)
+         then seeded := arg "objective" :: !seeded));
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Log.set_sink None;
+      Obs.Log.disable ();
+      Obs.Log.clear ())
+    (fun () ->
+      ignore
+        (Lp.Milp.solve ~time_limit:60.0 ~cuts:false
+           ~incumbent:(Array.make n 0.0) ~resume:ck (knapsack ())));
+  Alcotest.(check (list (option string)))
+    "one seeded incumbent, the checkpoint's"
+    [ Some (Obs.Json.to_string (Obs.Json.Float ck_obj)) ]
+    (List.map (Option.map Obs.Json.to_string) !seeded);
+  Alcotest.check_raises "a discarded seed is still validated"
+    (Invalid_argument "Milp.solve: incumbent length mismatch") (fun () ->
+      ignore
+        (Lp.Milp.solve ~cuts:false ~incumbent:[| 0.0 |] ~resume:ck
+           (knapsack ())))
+
 (* --- worker-crash recovery -------------------------------------------- *)
 
 (* A worker killed at node N: the supervisor replays its leased subtree;
@@ -461,6 +570,10 @@ let () =
             test_resume_equivalence;
           Alcotest.test_case "resume of a finished solve" `Quick
             test_resume_completed_checkpoint;
+          Alcotest.test_case "root-only checkpoint @ 1/2/4 domains" `Quick
+            test_resume_root_only;
+          Alcotest.test_case "one incumbent install" `Quick
+            test_resume_installs_one_incumbent;
         ] );
       ( "crash-recovery",
         [
