@@ -1,12 +1,11 @@
 (* Benchmark harness: regenerates every table and figure of the paper
-   (DESIGN.md experiment index) and runs bechamel micro-benchmarks of the
-   compute kernels behind each of them.
+   (DESIGN.md experiment index). Per-kernel timings (pivot, cut
+   enumeration, techmap) come from perfbench's per-layer metrics.
 
    Environment knobs (documented in README.md):
      PIPESYN_TIME_LIMIT   per-MILP budget in seconds (default 20; the
                           paper used 3600)
      PIPESYN_ONLY         comma-separated benchmark filter for Table 1/2
-     PIPESYN_SKIP_MICRO   set to skip the bechamel section
      PIPESYN_JSON         structured-metrics output path
                           (default BENCH_results.json)
      PIPESYN_PROBE_MS     resource-probe cadence in ms (default off)
@@ -643,188 +642,6 @@ let print_scaling () =
   Fmt.pr "%s@." (Report.table ~columns rows)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks                                           *)
-(* ------------------------------------------------------------------ *)
-
-let micro_benchmarks () =
-  section "Micro-benchmarks (bechamel): per-table compute kernels";
-  let open Bechamel in
-  let g_rs = Benchmarks.Rs.kernel ~width:8 () in
-  let g_xorr = Benchmarks.Xorr.build ~elements:8 ~width:8 ~mix_depth:3 () in
-  let device = Fpga.Device.make ~t_clk:10.0 () in
-  let delays = Fpga.Delays.default in
-  let cuts_rs = Cuts.enumerate ~k:4 g_rs in
-  (* A captured mid-tree node LP: the root relaxation of the mapping-aware
-     formulation on RS, branched on its first fractional cut-selection
-     binary — exactly the subproblem B&B hands to the solver at every
-     node. Each benchmark run re-optimizes across the sibling switch
-     (down child <-> up child), a real bound change; the cold variant
-     rebuilds the tableau and runs both phases from scratch, the warm
-     variant threads one state like Milp does and dual-repairs the
-     parent basis, never paying a rebuild or copy. *)
-  let node_raw, node_dn, node_up, node_state =
-    let cfg : Mams.Formulation.config =
-      {
-        device; delays; resources = Fpga.Resource.unlimited;
-        ii = 1; max_latency = 4; alpha = 0.5; beta = 0.5;
-        cut_delay = Mams.Formulation.mapped_delay ~device ~delays;
-      }
-    in
-    let f = Mams.Formulation.build cfg g_rs cuts_rs in
-    let raw = Lp.Model.to_raw (Mams.Formulation.model f) in
-    let lb = Array.copy raw.Lp.Model.lb
-    and ub = Array.copy raw.Lp.Model.ub in
-    let r0, st = Lp.Simplex.solve_state ~lb ~ub raw in
-    let branch = ref (-1) in
-    Array.iteri
-      (fun j isint ->
-        if isint && !branch < 0 then
-          let v = r0.Lp.Simplex.x.(j) in
-          if Float.abs (v -. Float.round v) > 1e-6 then branch := j)
-      raw.Lp.Model.integer;
-    let j = !branch in
-    let v = if j >= 0 then r0.Lp.Simplex.x.(j) else 0.0 in
-    let dn_ub = Array.copy ub and up_lb = Array.copy lb in
-    if j >= 0 then begin
-      dn_ub.(j) <- Float.floor v;
-      up_lb.(j) <- Float.floor v +. 1.0
-    end;
-    (raw, (lb, dn_ub), (up_lb, ub), st)
-  in
-  (* 1-vs-N-domain node throughput on the same GFMUL B&B tree: both
-     variants explore exactly [node_limit] nodes (budget-truncated), so
-     time/run is inversely proportional to nodes/s and the pair exposes
-     the work-stealing pool's speedup (or, on a single-core host, its
-     coordination overhead). *)
-  let gfmul_model =
-    let g = Benchmarks.Gfmul.build () in
-    let cuts = Cuts.enumerate ~k:4 g in
-    let cfg : Mams.Formulation.config =
-      {
-        device; delays; resources = Fpga.Resource.unlimited;
-        ii = 1; max_latency = 4; alpha = 0.5; beta = 0.5;
-        cut_delay = Mams.Formulation.mapped_delay ~device ~delays;
-      }
-    in
-    Mams.Formulation.model (Mams.Formulation.build cfg g cuts)
-  in
-  let bnb_gfmul domains () =
-    ignore
-      (Lp.Milp.solve ~time_limit:30.0 ~node_limit:32 ~domains gfmul_model)
-  in
-  (* Root-strengthening A/B on the same GFMUL tree: both variants are
-     truncated to the same node budget, so the pair isolates what the
-     certified presolve + cut rounds cost at the root and save in the
-     tree (DESIGN.md 3j). *)
-  let root_cuts_gfmul cuts () =
-    ignore
-      (Lp.Milp.solve ~time_limit:30.0 ~node_limit:32 ~cuts gfmul_model)
-  in
-  let flip_cold = ref false and flip_warm = ref false in
-  let node_bounds flip =
-    flip := not !flip;
-    if !flip then node_dn else node_up
-  in
-  let heuristic g () =
-    match
-      Sched.Heuristic.schedule ~device ~delays
-        ~resources:Fpga.Resource.unlimited ~ii:1 g
-    with
-    | Ok s -> ignore (Sys.opaque_identity s)
-    | Error _ -> ()
-  in
-  let tests =
-    Test.make_grouped ~name:"pipesyn"
-      [
-        Test.make ~name:"table1/cut-enumeration-rs"
-          (Staged.stage (fun () -> ignore (Cuts.enumerate ~k:4 g_rs)));
-        Test.make ~name:"table1/cut-enumeration-xorr"
-          (Staged.stage (fun () -> ignore (Cuts.enumerate ~k:4 g_xorr)));
-        Test.make ~name:"table1/hls-baseline-rs" (Staged.stage (heuristic g_rs));
-        Test.make ~name:"table1/techmap-global-rs"
-          (Staged.stage (fun () ->
-               ignore (Techmap.map_global ~device ~delays ~cuts:cuts_rs g_rs)));
-        Test.make ~name:"table2/milp-build-map-rs"
-          (Staged.stage (fun () ->
-               let cfg : Mams.Formulation.config =
-                 {
-                   device; delays; resources = Fpga.Resource.unlimited;
-                   ii = 1; max_latency = 4; alpha = 0.5; beta = 0.5;
-                   cut_delay = Mams.Formulation.mapped_delay ~device ~delays;
-                 }
-               in
-               ignore (Mams.Formulation.build cfg g_rs cuts_rs)));
-        Test.make ~name:"lp/node-cold-solve"
-          (Staged.stage (fun () ->
-               let lb, ub = node_bounds flip_cold in
-               ignore (Lp.Simplex.solve ~lb ~ub node_raw)));
-        Test.make ~name:"lp/node-warm-resolve"
-          (Staged.stage (fun () ->
-               let lb, ub = node_bounds flip_warm in
-               ignore (Lp.Simplex.resolve ~lb ~ub node_state)));
-        Test.make ~name:"milp/bnb-gfmul-1-domain" (Staged.stage (bnb_gfmul 1));
-        Test.make ~name:"milp/bnb-gfmul-4-domains" (Staged.stage (bnb_gfmul 4));
-        Test.make ~name:"milp/root-cuts-on-gfmul"
-          (Staged.stage (root_cuts_gfmul true));
-        Test.make ~name:"milp/root-cuts-off-gfmul"
-          (Staged.stage (root_cuts_gfmul false));
-        Test.make ~name:"fig1/milp-map-rs2"
-          (Staged.stage (fun () ->
-               let g = Benchmarks.Rs.kernel ~width:2 () in
-               let setup =
-                 { (Mams.Flow.default_setup ~device:Fpga.Device.figure1) with
-                   time_limit = 10.0 }
-               in
-               ignore (Mams.Flow.run setup Mams.Flow.Milp_map g)));
-        Test.make ~name:"fig2/bitdep-support-rs"
-          (Staged.stage (fun () ->
-               Array.iter
-                 (fun cs ->
-                   Array.iter
-                     (fun (c : Cuts.cut) ->
-                       ignore
-                         (Bitdep.max_support_width g_rs ~root:c.Cuts.root
-                            ~cone:c.Cuts.cone))
-                     cs)
-                 cuts_rs));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.0) ~kde:None () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      let ns =
-        match Analyze.OLS.estimates ols with
-        | Some [ e ] -> e
-        | Some _ | None -> Float.nan
-      in
-      rows := (name, ns) :: !rows)
-    results;
-  let human ns =
-    if Float.is_nan ns then "-"
-    else if ns > 1e9 then Printf.sprintf "%.2f s" (ns /. 1e9)
-    else if ns > 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-    else if ns > 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
-    else Printf.sprintf "%.0f ns" ns
-  in
-  let columns =
-    Report.
-      [
-        { title = "Kernel"; align = Left };
-        { title = "time/run"; align = Right };
-      ]
-  in
-  let rows =
-    List.sort compare !rows |> List.map (fun (n, v) -> [ n; human v ])
-  in
-  Fmt.pr "%s@." (Report.table ~columns rows)
-
-(* ------------------------------------------------------------------ *)
 (* Structured metrics: BENCH_results.json (README.md "Observability")  *)
 (* ------------------------------------------------------------------ *)
 
@@ -876,5 +693,4 @@ let () =
       Fmt.pr "wrote %s (%d log events%s)@." path (Obs.Log.num_events ())
         (let d = Obs.Log.dropped () in
          if d = 0 then "" else Fmt.str ", %d dropped at cap" d));
-  if Sys.getenv_opt "PIPESYN_SKIP_MICRO" = None then micro_benchmarks ();
   Fmt.pr "@.done.@."

@@ -22,12 +22,27 @@ type vstat = Basic of int (* row *) | At_lower | At_upper
    (build-time) lower bound maps to 0; [lo]/[hi] are the current working
    bounds in that shifted space, so a warm restart can install tightened
    node bounds without rebuilding the tableau (nonbasic-at-lower sits at
-   [lo], not at 0). *)
+   [lo], not at 0).
+
+   The tableau is condensed: every basic column is a unit vector (1 in
+   its own row, 0 elsewhere), so only the [ns = cols - m] nonbasic
+   columns are stored. [slot] and [var_of] tie each nonbasic column to
+   its storage slot; a pivot hands the entering column's slot to the
+   leaving one. A row array may be longer than [ns] (a cold rebuild or
+   {!add_rows} reuses the previous tableau's rows); slots from [ns] on
+   are never read. *)
 type tab = {
   m : int;  (** rows *)
   n : int;  (** structural columns *)
   cols : int;  (** structural + slack + artificial columns *)
-  a : float array array;  (** m x cols dense tableau, kept row-reduced *)
+  ns : int;  (** stored (nonbasic) columns, [cols - m] *)
+  a : float array array;
+      (** m x ns condensed tableau, kept row-reduced: row [i] holds
+          nonbasic column [c] at [slot.(c)] *)
+  slot : int array;
+      (** length [cols]: storage slot of a nonbasic column, -1 for a
+          basic one *)
+  var_of : int array;  (** length [ns]: the column held in each slot *)
   b : float array;
       (** B⁻¹·(shifted rhs): transformed alongside [a] by every pivot so
           basic values can be recomputed exactly after bound changes *)
@@ -35,7 +50,7 @@ type tab = {
   lo : float array;  (** working lower bound (shifted), always finite *)
   hi : float array;  (** working upper bound (shifted), may be +inf *)
   cost : float array;  (** current phase objective coefficients *)
-  z : float array;  (** reduced costs *)
+  z : float array;  (** reduced costs, per column (0 on basic columns) *)
   stat : vstat array;
   basis : int array;  (** column basic in each row *)
   sign : float array;
@@ -46,14 +61,13 @@ type tab = {
           flip applied below cancels out of that algebra, but [sign] does
           not. *)
   nz : int array;
-      (** scratch of length [cols]: the column indices of the nonzeros of
-          the current pivot row ({!row_reduce}), or of the nonbasic
-          columns with a nonzero value ({!recompute_beta}) *)
+      (** scratch of length at least [ns]: the slots of the nonzeros of the
+          current pivot row ({!row_reduce}), or of the nonbasic columns
+          with a nonzero value ({!recompute_beta}) *)
   nzv : float array;
-      (** scratch of length [cols] beside [nz]: the pivot row's values
-          after division, or the nonbasic values. [nz] and [nzv] belong to
-          this tableau alone ({!copy_tab} gives a copy its own), so no
-          pivot allocates. *)
+      (** scratch beside [nz]: the pivot row's values after division, or
+          the nonbasic values. Allocated with the tableau, so no pivot
+          allocates. *)
 }
 
 let value t j =
@@ -63,17 +77,23 @@ let value t j =
   | At_upper -> t.hi.(j)
 
 (* Recompute reduced costs z_j = c_j - c_B . a_j from scratch, row by
-   row: each z_j still subtracts its terms in increasing row order. *)
+   row: each z_j still subtracts its terms in increasing row order. A
+   basic column has one term, its own unit entry. *)
 let recompute_z t =
   Array.blit t.cost 0 t.z 0 t.cols;
   for i = 0 to t.m - 1 do
-    let cb = t.cost.(t.basis.(i)) in
+    let bi = t.basis.(i) in
+    let cb = t.cost.(bi) in
     if cb <> 0.0 then begin
       let row = t.a.(i) in
-      for j = 0 to t.cols - 1 do
-        let aij = row.(j) in
-        if aij <> 0.0 then t.z.(j) <- t.z.(j) -. (cb *. aij)
-      done
+      for s = 0 to t.ns - 1 do
+        let aij = row.(s) in
+        if aij <> 0.0 then begin
+          let j = t.var_of.(s) in
+          t.z.(j) <- t.z.(j) -. (cb *. aij)
+        end
+      done;
+      t.z.(bi) <- t.z.(bi) -. cb
     end
   done
 
@@ -88,7 +108,7 @@ let recompute_beta t =
     | At_lower | At_upper ->
         let x = value t j in
         if x <> 0.0 then begin
-          t.nz.(!k) <- j;
+          t.nz.(!k) <- t.slot.(j);
           t.nzv.(!k) <- x;
           incr k
         end
@@ -131,11 +151,12 @@ exception Unbounded_exc
 (* Ratio test: entering j moves by dir * t. Returns (t*, leaving row or -1
    for a bound flip). *)
 let ratio_test t j ~dir =
+  let s = t.slot.(j) in
   let range = t.hi.(j) -. t.lo.(j) in
   let tmax = ref (if Float.is_finite range then range else infinity) in
   let row = ref (-1) in
   for i = 0 to t.m - 1 do
-    let delta = dir *. t.a.(i).(j) in
+    let delta = dir *. t.a.(i).(s) in
     if delta > pivot_eps then begin
       let ti = (t.beta.(i) -. t.lo.(t.basis.(i))) /. delta in
       let ti = if ti < 0.0 then 0.0 else ti in
@@ -159,8 +180,9 @@ let ratio_test t j ~dir =
   if Float.is_finite !tmax then (!tmax, !row) else raise Unbounded_exc
 
 let do_bound_flip t j ~dir ~tstar =
+  let s = t.slot.(j) in
   for i = 0 to t.m - 1 do
-    t.beta.(i) <- t.beta.(i) -. (dir *. t.a.(i).(j) *. tstar)
+    t.beta.(i) <- t.beta.(i) -. (dir *. t.a.(i).(s) *. tstar)
   done;
   t.stat.(j) <- (match t.stat.(j) with
     | At_lower -> At_upper
@@ -170,51 +192,91 @@ let do_bound_flip t j ~dir ~tstar =
 (* Row reduction making column j a unit vector at row r; transforms [b]
    and the reduced costs alongside. Shared by primal and dual pivots.
 
-   Sparse in the pivot row: its nonzero columns and their divided values
+   Sparse in the pivot row: its nonzero slots and their divided values
    are gathered into [t.nz]/[t.nzv] once, and every [row_i -= f·prow]
    and the reduced-cost update run over that list only (pivot rows are
    about 9-15% nonzero on the registry's MILPs). A zero pivot-row entry
-   leaves its target unchanged up to the sign of a zero, so every nonzero
-   result is bit-identical to a sweep over all [cols]. *)
+   leaves its target unchanged up to the sign of a zero. The slots in
+   [nz] are distinct and below [ns], which is what makes the unchecked
+   accesses safe.
+
+   Column j turns basic and drops out of storage; the leaving column l
+   was the unit vector of row r and takes over j's slot. Its new entries
+   are what a sweep over the full tableau would compute for it: [1/piv]
+   in row r and [0 - f·(1/piv)] in every row i with [f = a_ij <> 0]. A
+   row with [f = 0] already holds a zero in that slot. So every nonzero
+   entry gets the same float operations in the same order as on a
+   tableau that stores all columns. *)
 let row_reduce t j r =
+  let s = t.slot.(j) in
+  let l = t.basis.(r) in
   let prow = t.a.(r) in
-  let piv = prow.(j) in
+  let piv = prow.(s) in
+  let inv = 1.0 /. piv in
   let nz = t.nz and nzv = t.nzv in
   let k = ref 0 in
-  for c = 0 to t.cols - 1 do
-    let v = prow.(c) in
-    if v <> 0.0 then begin
+  for c = 0 to t.ns - 1 do
+    let v = Array.unsafe_get prow c in
+    if v <> 0.0 && c <> s then begin
       let v = v /. piv in
-      prow.(c) <- v;
-      nz.(!k) <- c;
-      nzv.(!k) <- v;
+      Array.unsafe_set prow c v;
+      Array.unsafe_set nz !k c;
+      Array.unsafe_set nzv !k v;
       incr k
     end
   done;
+  prow.(s) <- inv;
   let k = !k in
-  t.b.(r) <- t.b.(r) /. piv;
+  let b = t.b in
+  b.(r) <- b.(r) /. piv;
+  let br = b.(r) in
   for i = 0 to t.m - 1 do
     if i <> r then begin
-      let row_i = t.a.(i) in
-      let f = row_i.(j) in
+      let row_i = Array.unsafe_get t.a i in
+      let f = Array.unsafe_get row_i s in
       if f <> 0.0 then begin
-        for p = 0 to k - 1 do
-          let c = nz.(p) in
-          row_i.(c) <- row_i.(c) -. (f *. nzv.(p))
+        (* row_i -= f·prow over the gathered slots, unrolled four ways;
+           written out here rather than called, so [f] stays unboxed *)
+        let p = ref 0 in
+        while !p + 3 < k do
+          let q = !p in
+          let c0 = Array.unsafe_get nz q
+          and c1 = Array.unsafe_get nz (q + 1)
+          and c2 = Array.unsafe_get nz (q + 2)
+          and c3 = Array.unsafe_get nz (q + 3) in
+          Array.unsafe_set row_i c0
+            (Array.unsafe_get row_i c0 -. (f *. Array.unsafe_get nzv q));
+          Array.unsafe_set row_i c1
+            (Array.unsafe_get row_i c1 -. (f *. Array.unsafe_get nzv (q + 1)));
+          Array.unsafe_set row_i c2
+            (Array.unsafe_get row_i c2 -. (f *. Array.unsafe_get nzv (q + 2)));
+          Array.unsafe_set row_i c3
+            (Array.unsafe_get row_i c3 -. (f *. Array.unsafe_get nzv (q + 3)));
+          p := q + 4
         done;
-        row_i.(j) <- 0.0;
-        t.b.(i) <- t.b.(i) -. (f *. t.b.(r))
+        for q = !p to k - 1 do
+          let c = Array.unsafe_get nz q in
+          Array.unsafe_set row_i c
+            (Array.unsafe_get row_i c -. (f *. Array.unsafe_get nzv q))
+        done;
+        Array.unsafe_set row_i s (0.0 -. (f *. inv));
+        b.(i) <- b.(i) -. (f *. br)
       end
     end
   done;
-  let zf = t.z.(j) in
+  let z = t.z in
+  let zf = z.(j) in
   if zf <> 0.0 then begin
     for p = 0 to k - 1 do
-      let c = nz.(p) in
-      t.z.(c) <- t.z.(c) -. (zf *. nzv.(p))
+      let c = t.var_of.(nz.(p)) in
+      z.(c) <- z.(c) -. (zf *. nzv.(p))
     done;
-    t.z.(j) <- 0.0
+    z.(l) <- z.(l) -. (zf *. inv);
+    z.(j) <- 0.0
   end;
+  t.var_of.(s) <- l;
+  t.slot.(l) <- s;
+  t.slot.(j) <- -1;
   t.basis.(r) <- j;
   t.stat.(j) <- Basic r
 
@@ -224,14 +286,15 @@ let do_pivot t j r ~dir ~tstar =
     | At_upper -> t.hi.(j)
     | Basic _ -> assert false
   in
+  let s = t.slot.(j) in
   let x_new = x_old +. (dir *. tstar) in
   for i = 0 to t.m - 1 do
-    if i <> r then t.beta.(i) <- t.beta.(i) -. (dir *. t.a.(i).(j) *. tstar)
+    if i <> r then t.beta.(i) <- t.beta.(i) -. (dir *. t.a.(i).(s) *. tstar)
   done;
   t.beta.(r) <- x_new;
   (* Leaving variable parks at the bound it hit. *)
   let leaving = t.basis.(r) in
-  let delta_r = dir *. t.a.(r).(j) in
+  let delta_r = dir *. t.a.(r).(s) in
   t.stat.(leaving) <- (if delta_r > 0.0 then At_lower else At_upper);
   row_reduce t j r
 
@@ -289,9 +352,10 @@ let do_dual_pivot t j r ~target ~below =
     | At_upper -> t.hi.(j)
     | Basic _ -> assert false
   in
-  let dx = (t.beta.(r) -. target) /. t.a.(r).(j) in
+  let s = t.slot.(j) in
+  let dx = (t.beta.(r) -. target) /. t.a.(r).(s) in
   for i = 0 to t.m - 1 do
-    if i <> r then t.beta.(i) <- t.beta.(i) -. (t.a.(i).(j) *. dx)
+    if i <> r then t.beta.(i) <- t.beta.(i) -. (t.a.(i).(s) *. dx)
   done;
   t.beta.(r) <- x_old +. dx;
   let leaving = t.basis.(r) in
@@ -339,26 +403,27 @@ let dual_repair t ~max_iters ~iters_used ~deadline =
          dual feasible; tie-break on pivot magnitude for stability *)
       let q = ref (-1) and best = ref infinity and best_a = ref 0.0 in
       for j = 0 to t.cols - 1 do
-        if t.hi.(j) -. t.lo.(j) > 0.0 then begin
-          let arj = arow.(j) in
-          let ok =
-            match t.stat.(j) with
-            | Basic _ -> false
-            | At_lower -> if below then arj < -.pivot_eps else arj > pivot_eps
-            | At_upper -> if below then arj > pivot_eps else arj < -.pivot_eps
-          in
-          if ok then begin
-            let ratio = Float.abs (t.z.(j) /. arj) in
-            if
-              ratio < !best -. 1e-12
-              || (ratio < !best +. 1e-12 && Float.abs arj > Float.abs !best_a)
-            then begin
-              q := j;
-              best := ratio;
-              best_a := arj
-            end
-          end
-        end
+        if t.hi.(j) -. t.lo.(j) > 0.0 then
+          match t.stat.(j) with
+          | Basic _ -> ()
+          | (At_lower | At_upper) as sj ->
+              let arj = arow.(t.slot.(j)) in
+              let ok =
+                match sj with
+                | At_lower -> if below then arj < -.pivot_eps else arj > pivot_eps
+                | _ -> if below then arj > pivot_eps else arj < -.pivot_eps
+              in
+              if ok then begin
+                let ratio = Float.abs (t.z.(j) /. arj) in
+                if
+                  ratio < !best -. 1e-12
+                  || (ratio < !best +. 1e-12 && Float.abs arj > Float.abs !best_a)
+                then begin
+                  q := j;
+                  best := ratio;
+                  best_a := arj
+                end
+              end
       done;
       if !q < 0 then begin
         status := Infeasible;
@@ -396,8 +461,11 @@ let crossed_bounds n lbv ubv =
 let infeasible_result n =
   { status = Infeasible; x = Array.make n 0.0; objective = 0.0; iterations = 0 }
 
-(* Build the shifted tableau for [raw] under bounds [lbv]/[ubv]. *)
-let build (raw : Model.raw) lbv ubv =
+(* Build the shifted tableau for [raw] under bounds [lbv]/[ubv], one
+   condensed row at a time. [reuse] is a tableau about to be dropped: its
+   row and scratch arrays are refilled wherever they are long enough, so
+   a cold rebuild inside a tree search allocates no new rows. *)
+let build ?reuse (raw : Model.raw) lbv ubv =
   let n = raw.n in
   let m = Array.length raw.rows in
   (* Normalize rows: >= becomes <= (negated); compute shifted rhs. *)
@@ -426,51 +494,70 @@ let build (raw : Model.raw) lbv ubv =
   done;
   let n_art = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 need_artificial in
   let cols = n + m + n_art in
-  let a = Array.init m (fun _ -> Array.make cols 0.0) in
+  (* Nonbasic at the start: the structural columns (slot j) and the
+     slacks of the rows that need an artificial (slots n, n+1, ... in row
+     order). Every other slack and every artificial starts basic. *)
+  let ns = n + n_art in
+  let slot = Array.make cols (-1) in
+  let var_of = Array.make ns 0 in
+  for j = 0 to n - 1 do
+    slot.(j) <- j;
+    var_of.(j) <- j
+  done;
   let lo = Array.make cols 0.0 in
   let hi = Array.make cols infinity in
   for j = 0 to n - 1 do
     hi.(j) <- ubv.(j) -. lbv.(j)
   done;
-  for i = 0 to m - 1 do
-    Array.iter (fun (j, c) -> a.(i).(j) <- a.(i).(j) +. (sign.(i) *. c)) raw.rows.(i);
-    a.(i).(n + i) <- 1.0;
-    hi.(n + i) <- (if is_eq.(i) then 0.0 else infinity)
-  done;
+  let old_rows = match reuse with Some o -> o.a | None -> [||] in
+  let a = Array.make m [||] in
   let basis = Array.make m 0 in
   let beta = Array.make m 0.0 in
   let art = ref 0 in
   for i = 0 to m - 1 do
+    let row =
+      if i < Array.length old_rows && Array.length old_rows.(i) >= ns then begin
+        let row = old_rows.(i) in
+        Array.fill row 0 ns 0.0;
+        row
+      end
+      else Array.make ns 0.0
+    in
+    Array.iter (fun (j, c) -> row.(j) <- row.(j) +. (sign.(i) *. c)) raw.rows.(i);
+    hi.(n + i) <- (if is_eq.(i) then 0.0 else infinity);
     if need_artificial.(i) then begin
-      let col = n + m + !art in
-      incr art;
+      let s = n + !art in
+      slot.(n + i) <- s;
+      var_of.(s) <- n + i;
+      row.(s) <- 1.0;
       (* Scale the row so the artificial enters with +1 and value >= 0. *)
       if bshift.(i) < 0.0 then begin
-        for c = 0 to cols - 1 do
-          a.(i).(c) <- -.a.(i).(c)
+        for c = 0 to ns - 1 do
+          row.(c) <- -.row.(c)
         done;
         bshift.(i) <- -.bshift.(i)
       end;
-      a.(i).(col) <- 1.0;
-      basis.(i) <- col;
-      beta.(i) <- bshift.(i)
+      basis.(i) <- n + m + !art;
+      incr art
     end
-    else begin
-      basis.(i) <- n + i;
-      beta.(i) <- bshift.(i)
-    end
+    else basis.(i) <- n + i;
+    beta.(i) <- bshift.(i);
+    a.(i) <- row
   done;
   let stat = Array.make cols At_lower in
   Array.iteri (fun i j -> stat.(j) <- Basic i) basis;
+  let nz, nzv =
+    match reuse with
+    | Some o when Array.length o.nz >= ns -> (o.nz, o.nzv)
+    | _ -> (Array.make ns 0, Array.make ns 0.0)
+  in
   {
-    m; n; cols; a;
+    m; n; cols; ns; a; slot; var_of;
     b = Array.copy bshift;
     beta; lo; hi;
     cost = Array.make cols 0.0;
     z = Array.make cols 0.0;
-    stat; basis; sign;
-    nz = Array.make cols 0;
-    nzv = Array.make cols 0.0;
+    stat; basis; sign; nz; nzv;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -488,13 +575,28 @@ let build (raw : Model.raw) lbv ubv =
    a positive-infeasibility optimum gives a Farkas ray. *)
 let row_multipliers t = Array.init t.m (fun i -> t.sign.(i) *. t.z.(t.n + i))
 
+(* [s·sign_i·T_r(slack_i)] for every row i: row [r] of the reduced
+   tableau read off the slack columns, where a basic slack is the unit
+   vector of its own row. *)
+let slack_multipliers t r s =
+  let row = t.a.(r) in
+  let u = Array.make t.m 0.0 in
+  for i = 0 to t.m - 1 do
+    let e =
+      match t.stat.(t.n + i) with
+      | Basic r' -> if r' = r then 1.0 else 0.0
+      | At_lower | At_upper -> row.(t.slot.(t.n + i))
+    in
+    u.(i) <- s *. t.sign.(i) *. e
+  done;
+  u
+
 (* Farkas ray from a dual-repair failure: row [r] of B⁻¹ read off the
    slack columns proves the box empty (no sign-compatible entering column
    means the basic variable's bound violation cannot be repaired within
    the box); negated when the variable overshot its upper bound. *)
 let farkas_of_row t (r, below) =
-  let s = if below then 1.0 else -1.0 in
-  Array.init t.m (fun i -> s *. t.sign.(i) *. t.a.(r).(t.n + i))
+  slack_multipliers t r (if below then 1.0 else -1.0)
 
 (* Phase 1 (artificials to zero) then phase 2 on the real objective.
    Returns a Farkas ray alongside a phase-1 [Infeasible]. *)
@@ -606,29 +708,6 @@ let solve_state ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
           | _ -> None) } )
   end
 
-let copy_tab t =
-  {
-    t with
-    a = Array.map Array.copy t.a;
-    b = Array.copy t.b;
-    beta = Array.copy t.beta;
-    lo = Array.copy t.lo;
-    hi = Array.copy t.hi;
-    cost = Array.copy t.cost;
-    z = Array.copy t.z;
-    stat = Array.copy t.stat;
-    basis = Array.copy t.basis;
-    nz = Array.make t.cols 0;
-    nzv = Array.make t.cols 0.0;
-  }
-
-let copy st =
-  {
-    st with
-    base_lb = Array.copy st.base_lb;
-    t = Option.map copy_tab st.t;
-  }
-
 let last_resolve_warm st = st.last_warm
 
 let reduced_cost st j =
@@ -666,7 +745,7 @@ let resolve ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
       st.last_warm <- false;
       Obs.Counter.incr c_resolve_cold;
       let lbv = Array.copy lb and ubv = Array.copy ub in
-      let t = build raw lbv ubv in
+      let t = build ?reuse:st.t raw lbv ubv in
       let status, iters, ray = phases t raw ~max_iters ~deadline in
       st.t <- Some t;
       st.base_lb <- lbv;
@@ -769,21 +848,21 @@ let tableau_multipliers st j =
       if j < 0 || j >= t.n then None
       else
         match t.stat.(j) with
-        | Basic r ->
-            Some (Array.init t.m (fun i -> t.sign.(i) *. t.a.(r).(t.n + i)))
+        | Basic r -> Some (slack_multipliers t r 1.0)
         | At_lower | At_upper -> None)
 
 (* Append [<=] rows (cuts) to the solved system without losing the warm
    basis. The extended tableau keeps every old column at its index —
    structural then one slack per old row — drops the artificial columns
-   (all locked at zero after phase 2), and gives each new row its own
-   slack, entered basic after reducing the row against the current
-   basis. Reduced costs are untouched (the new basic slacks cost 0), so
-   a dual-feasible basis stays dual feasible and the next {!resolve}
-   warm-repairs the (intentionally) violated new rows with a few dual
-   pivots. A basic artificial — possible only on a degenerate phase-1
-   exit — forfeits the tableau instead; the next {!resolve} then
-   rebuilds cold over the extended system. *)
+   (all nonbasic and locked at zero after phase 2), and gives each new
+   row its own slack, entered basic after reducing the row against the
+   current basis. That leaves exactly [n] nonbasic columns. Reduced
+   costs are untouched (the new basic slacks cost 0), so a dual-feasible
+   basis stays dual feasible and the next {!resolve} warm-repairs the
+   (intentionally) violated new rows with a few dual pivots. A basic
+   artificial — possible only on a degenerate phase-1 exit — forfeits
+   the tableau instead; the next {!resolve} then rebuilds cold over the
+   extended system. *)
 let add_rows st (new_rows : ((int * float) array * float) array) =
   let k = Array.length new_rows in
   if k > 0 then begin
@@ -806,12 +885,25 @@ let add_rows st (new_rows : ((int * float) array * float) array) =
           let n = t.n and m = t.m in
           let m' = m + k in
           let cols' = n + m' in
-          let a' =
-            Array.init m' (fun i ->
-                let row = Array.make cols' 0.0 in
-                if i < m then Array.blit t.a.(i) 0 row 0 (n + m);
-                row)
-          in
+          (* the old slots minus the artificial ones, in slot order; each
+             old row keeps its array, its live slots moved down in place *)
+          let live = Array.make n 0 in
+          let d = ref 0 in
+          for s = 0 to t.ns - 1 do
+            if t.var_of.(s) < n + m then begin
+              live.(!d) <- s;
+              incr d
+            end
+          done;
+          if t.ns > n then
+            Array.iter
+              (fun row -> Array.iteri (fun d s -> row.(d) <- row.(s)) live)
+              t.a;
+          let var_of' = Array.map (fun s -> t.var_of.(s)) live in
+          let slot' = Array.make cols' (-1) in
+          Array.iteri (fun s c -> slot'.(c) <- s) var_of';
+          let a' = Array.make m' [||] in
+          Array.blit t.a 0 a' 0 m;
           let b' = Array.make m' 0.0 in
           Array.blit t.b 0 b' 0 m;
           let grow dflt src =
@@ -827,38 +919,45 @@ let add_rows st (new_rows : ((int * float) array * float) array) =
           Array.blit t.basis 0 basis' 0 m;
           let sign' = Array.make m' 1.0 in
           Array.blit t.sign 0 sign' 0 m;
+          (* one new row at a time, over the old columns; its own slack is
+             basic and the other new slacks are zero in it *)
+          let row = Array.make (n + m) 0.0 in
           Array.iteri
             (fun p (terms, rhs) ->
               let r = m + p in
-              let row = a'.(r) in
+              Array.fill row 0 (n + m) 0.0;
               Array.iter (fun (j, c) -> row.(j) <- row.(j) +. c) terms;
-              row.(n + r) <- 1.0;
               let bshift = ref rhs in
               Array.iter
                 (fun (j, c) -> bshift := !bshift -. (c *. st.base_lb.(j)))
                 terms;
               (* reduce against the inherited basis so the tableau stays
-                 row-reduced; new-row slacks never appear in old rows *)
+                 row-reduced *)
               for i = 0 to m - 1 do
-                let f = row.(basis'.(i)) in
+                let bi = basis'.(i) in
+                let f = row.(bi) in
                 if f <> 0.0 then begin
                   let src = a'.(i) in
-                  for c = 0 to cols' - 1 do
-                    row.(c) <- row.(c) -. (f *. src.(c))
+                  for s = 0 to n - 1 do
+                    let c = var_of'.(s) in
+                    row.(c) <- row.(c) -. (f *. src.(s))
                   done;
-                  row.(basis'.(i)) <- 0.0;
+                  row.(bi) <- 0.0;
                   bshift := !bshift -. (f *. b'.(i))
                 end
               done;
+              let stored = Array.make n 0.0 in
+              Array.iteri (fun s c -> stored.(s) <- row.(c)) var_of';
+              a'.(r) <- stored;
               b'.(r) <- !bshift;
               basis'.(r) <- n + r;
               stat'.(n + r) <- Basic r)
             new_rows;
           let t' =
-            { m = m'; n; cols = cols'; a = a'; b = b'
-            ; beta = Array.make m' 0.0; lo = lo'; hi = hi'; cost = cost'
-            ; z = z'; stat = stat'; basis = basis'; sign = sign'
-            ; nz = Array.make cols' 0; nzv = Array.make cols' 0.0 }
+            { m = m'; n; cols = cols'; ns = n; a = a'; slot = slot'
+            ; var_of = var_of'; b = b'; beta = Array.make m' 0.0; lo = lo'
+            ; hi = hi'; cost = cost'; z = z'; stat = stat'; basis = basis'
+            ; sign = sign'; nz = t.nz; nzv = t.nzv }
           in
           recompute_beta t';
           st.t <- Some t'

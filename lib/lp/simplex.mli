@@ -1,5 +1,7 @@
-(** Bounded-variable two-phase primal simplex on a dense tableau, with a
-    reusable solver state for warm-started branch-and-bound.
+(** Bounded-variable two-phase primal simplex on a condensed tableau
+    (only the nonbasic columns are stored; every basic column is a unit
+    vector), with a reusable solver state for warm-started
+    branch-and-bound.
 
     Solves [min c·x  s.t.  A x {<=,=,>=} b,  l <= x <= u] with finite lower
     bounds and possibly infinite upper bounds. Upper bounds are handled
@@ -60,8 +62,7 @@ val solve :
 
 type state
 (** Tableau + basis + bound status after a {!solve_state} or {!resolve}
-    call. Mutable: {!resolve} updates it in place, so clone with {!copy}
-    before branching if both children need independent restarts. *)
+    call. Mutable: {!resolve} and {!add_rows} update it in place. *)
 
 val solve_state :
   ?max_iters:int ->
@@ -94,9 +95,6 @@ val resolve :
     Counters ({!Obs}): [simplex.resolve_pivots] (dual + primal pivots
     spent here), [simplex.resolve_warm] / [simplex.resolve_cold] (which
     path ran). *)
-
-val copy : state -> state
-(** Deep copy (tableau, basis, bounds) — clone-on-branch. *)
 
 val last_resolve_warm : state -> bool
 (** Whether the most recent {!resolve} used the warm path (including

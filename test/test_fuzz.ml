@@ -143,17 +143,21 @@ let build_random seed =
 let device = Fpga.Device.make ~t_clk:10.0 ()
 
 (* [Some reason] when [method_] fails on [g] or its RTL simulation
-   disagrees with the dataflow reference. *)
+   disagrees with the dataflow reference. The graph runs at its RecMII,
+   the smallest II its recurrences allow. *)
 let flow_mismatch g method_ =
   let name = Mams.Flow.method_name method_ in
+  let setup = { (Mams.Flow.default_setup ~device) with time_limit = 5.0 } in
   let setup =
-    { (Mams.Flow.default_setup ~device) with time_limit = 5.0 }
+    { setup with ii = Sched.Heuristic.rec_mii ~device ~delays:setup.delays g }
   in
   match Mams.Flow.run setup method_ g with
   | Error e -> Some (Printf.sprintf "%s failed: %s" name e)
   | Ok r ->
-      (* pipeline vs dataflow equivalence *)
+      (* pipeline vs dataflow equivalence: iteration k enters at cycle
+         k·II, and the cycles in between carry don't-care iterations *)
       let iterations = 8 in
+      let ii = r.schedule.Sched.Schedule.ii in
       let stim ~iter ~name =
         Int64.of_int ((Hashtbl.hash (name, iter) land 0xffff) + iter)
       in
@@ -161,10 +165,10 @@ let flow_mismatch g method_ =
         Ir.Eval.run ~black_box:bb_handler g ~iterations ~inputs:stim
       in
       let nl = Rtl.Netlist.of_design g r.cover r.schedule in
-      let cycles = iterations + Sched.Schedule.latency r.schedule in
+      let cycles = (iterations * ii) + Sched.Schedule.latency r.schedule in
       let sim =
         Rtl.Netlist.simulate ~black_box:bb_handler nl ~cycles
-          ~inputs:(fun ~cycle ~name -> stim ~iter:cycle ~name)
+          ~inputs:(fun ~cycle ~name -> stim ~iter:(cycle / ii) ~name)
       in
       List.find_map Fun.id
         (List.mapi
@@ -173,7 +177,7 @@ let flow_mismatch g method_ =
              let s_po = r.schedule.Sched.Schedule.cycle.(po) in
              List.find_map
                (fun k ->
-                 let cyc = k + s_po in
+                 let cyc = (k * ii) + s_po in
                  if cyc < cycles && not (Int64.equal arr.(cyc) trace.(k).(po))
                  then
                    Some
@@ -190,9 +194,13 @@ let check_flow g method_ =
   | Some msg -> QCheck.Test.fail_report msg
   | None -> true
 
+(* A [build_random] seed; a failing case prints it, so the graph can be
+   committed as a fixture. *)
+let graph_seed = QCheck.(make ~print:string_of_int Gen.(int_bound 100_000))
+
 let graph_is_sane =
   QCheck.Test.make ~name:"random graphs validate and simulate" ~count:150
-    QCheck.(make Gen.(int_bound 100_000))
+    graph_seed
     (fun seed ->
       let g = build_random seed in
       (match Ir.Cdfg.validate g with
@@ -206,7 +214,7 @@ let graph_is_sane =
 
 let cuts_are_sound =
   QCheck.Test.make ~name:"random graphs: cut invariants" ~count:60
-    QCheck.(make Gen.(int_bound 100_000))
+    graph_seed
     (fun seed ->
       let g = build_random seed in
       let cuts = Cuts.enumerate ~k:4 g in
@@ -231,7 +239,7 @@ let cuts_are_sound =
 let simplify_preserves_semantics =
   QCheck.Test.make ~name:"random graphs: simplify preserves semantics"
     ~count:120
-    QCheck.(make Gen.(int_bound 100_000))
+    graph_seed
     (fun seed ->
       let g = build_random seed in
       let g', _ = Opt.simplify g in
@@ -254,21 +262,24 @@ let simplify_preserves_semantics =
 let flows_verify_and_match =
   QCheck.Test.make ~name:"random graphs: flows verify, rtl = dataflow"
     ~count:60
-    QCheck.(make Gen.(int_bound 100_000))
+    graph_seed
     (fun seed ->
       let g = build_random seed in
       List.for_all
         (fun m -> check_flow g m)
         [ Mams.Flow.Hls_tool; Mams.Flow.Sdc_tool; Mams.Flow.Map_heuristic ])
 
-(* Loop-carried reads during pipeline fill: each of these graphs has a
-   distance-2 recurrence whose source the SDC flow schedules in cycle 1.
-   Iteration k < dist must read the recurrence's init value for every
-   consumer cycle before S(cons) + II·dist, which register reset alone
-   covers only when the source sits in stage 0. *)
-let fill_regression_seeds = [ 280; 1846; 2428 ]
+(* Fixed graph seeds that once failed the property above.
+   - 280, 1846, 2428: loop-carried reads during pipeline fill. Each has a
+     distance-2 recurrence whose source the SDC flow schedules in cycle
+     1. Iteration k < dist must read the recurrence's init value for
+     every consumer cycle before S(cons) + II·dist, which register reset
+     alone covers only when the source sits in stage 0.
+   - 71097: its recurrence needs II 2, so the flows must run it at its
+     RecMII; at II 1 the lint gate rejects it (PRE001). *)
+let regression_seeds = [ 280; 1846; 2428; 71097 ]
 
-let test_fill_regression () =
+let test_regression_seeds () =
   List.iter
     (fun seed ->
       let g = build_random seed in
@@ -278,7 +289,7 @@ let test_fill_regression () =
             (Alcotest.failf "seed %d: %s" seed)
             (flow_mismatch g m))
         [ Mams.Flow.Hls_tool; Mams.Flow.Sdc_tool; Mams.Flow.Map_heuristic ])
-    fill_regression_seeds
+    regression_seeds
 
 (* --- cut-validity oracle over random MILPs --------------------------- *)
 
@@ -429,5 +440,5 @@ let () =
       ( "flows",
         qsuite [ flows_verify_and_match ]
         @ [ Alcotest.test_case "pipeline-fill regression seeds" `Quick
-              test_fill_regression ] );
+              test_regression_seeds ] );
     ]

@@ -822,6 +822,129 @@ let test_kernel_add_rows_warm () =
   let ext' = Lp.Model.to_raw (sparse_lp ~cuts:cuts') in
   check_resolve_certified "second add_rows" ext' st ~lb ~ub
 
+(* --- condensed tableau: the implicit unit columns ----------------------- *)
+
+(* The root LP of [name]'s MILP-map model: mapped cut delays over the
+   k = 4 cuts, latency bound from the list scheduler. *)
+let milp_map_root name =
+  let e =
+    List.find
+      (fun (e : Benchmarks.Registry.entry) -> e.name = name)
+      Benchmarks.Registry.all
+  in
+  let g = e.build () in
+  let device = Fpga.Device.make ~t_clk:e.t_clk () in
+  let delays = Fpga.Delays.default in
+  let base =
+    match
+      Sched.Heuristic.schedule ~device ~delays ~resources:e.resources ~ii:1 g
+    with
+    | Ok s -> s
+    | Error err -> Alcotest.failf "%s: %a" name Sched.Heuristic.pp_error err
+  in
+  let cfg : Mams.Formulation.config =
+    {
+      device;
+      delays;
+      resources = e.resources;
+      ii = 1;
+      max_latency = Sched.Schedule.latency base;
+      alpha = 0.5;
+      beta = 0.5;
+      cut_delay = Mams.Formulation.mapped_delay ~device ~delays;
+    }
+  in
+  let f = Mams.Formulation.build cfg g (Cuts.enumerate ~k:4 g) in
+  Lp.Model.to_raw (Mams.Formulation.model f)
+
+(* A basic column is stored nowhere, so the tableau row of each basic
+   structural j has to come out of the multipliers alone: Σ_i λ_i·row_i
+   is 1 at j and 0 at every other basic structural column. *)
+let test_condensed_unit_columns () =
+  List.iter
+    (fun name ->
+      let raw = milp_map_root name in
+      let r, st = Lp.Simplex.solve_state raw in
+      Alcotest.(check string) (name ^ ": root optimal") "optimal"
+        (status_name r.Lp.Simplex.status);
+      let n = raw.Lp.Model.n in
+      let basic =
+        List.filter
+          (fun j -> Lp.Simplex.basis_status st j = `Basic)
+          (List.init n Fun.id)
+      in
+      Alcotest.(check bool) (name ^ ": some structural column basic") true
+        (basic <> []);
+      List.iter
+        (fun j ->
+          match Lp.Simplex.tableau_multipliers st j with
+          | None -> Alcotest.failf "%s: no multipliers for basic %d" name j
+          | Some lam ->
+              let agg = Array.make n 0.0 in
+              Array.iteri
+                (fun i l ->
+                  if l <> 0.0 then
+                    Array.iter
+                      (fun (c, a) -> agg.(c) <- agg.(c) +. (l *. a))
+                      raw.Lp.Model.rows.(i))
+                lam;
+              List.iter
+                (fun k ->
+                  let want = if k = j then 1.0 else 0.0 in
+                  if Float.abs (agg.(k) -. want) > 1e-9 then
+                    Alcotest.failf "%s: row of basic %d is %.12g at basic %d"
+                      name j agg.(k) k)
+                basic)
+        basic)
+    [ "GSM"; "RS" ]
+
+(* min -2x - y  s.t.  x + y + z = 3,  x + 2y >= 2,  0 <= x, y, z <= 4,
+   plus [cuts]. Both model rows need an artificial in phase 1, so the
+   first add_rows drops artificial slots from the stored rows. *)
+let artificial_lp ~cuts =
+  let m = Lp.Model.create () in
+  let x = Lp.Model.add_var m ~ub:4.0 "x" in
+  let y = Lp.Model.add_var m ~ub:4.0 "y" in
+  let z = Lp.Model.add_var m ~ub:4.0 "z" in
+  Lp.Model.add_eq m [ (1.0, x); (1.0, y); (1.0, z) ] 3.0;
+  Lp.Model.add_ge m [ (1.0, x); (2.0, y) ] 2.0;
+  List.iter
+    (fun (terms, rhs) ->
+      Lp.Model.add_le m
+        (Array.to_list (Array.map (fun (j, c) -> (c, [| x; y; z |].(j))) terms))
+        rhs)
+    cuts;
+  Lp.Model.set_objective m [ (-2.0, x); (-1.0, y) ];
+  m
+
+let test_condensed_add_rows_artificial () =
+  let raw = Lp.Model.to_raw (artificial_lp ~cuts:[]) in
+  let r, st = Lp.Simplex.solve_state raw in
+  check_lp_obj "root" (-6.0) r;
+  (* x + y <= 2 cuts off the root vertex (3, 0, 0) *)
+  let cuts = [ ([| (0, 1.0); (1, 1.0) |], 2.0) ] in
+  Lp.Simplex.add_rows st (Array.of_list cuts);
+  let ext = Lp.Model.to_raw (artificial_lp ~cuts) in
+  let lb = Array.copy ext.Lp.Model.lb and ub = Array.copy ext.Lp.Model.ub in
+  check_resolve_certified "after add_rows" ext st ~lb ~ub;
+  Alcotest.(check bool) "cut repaired warm" true
+    (Lp.Simplex.last_resolve_warm st);
+  check_lp_obj "resolve = solve on the extended model" (-4.0)
+    (Lp.Simplex.solve ext);
+  (* z <= 0 forces x + y = 3 over the cut. Straight after the append the
+     dual repair fails on the cut's own row, whose basic variable is the
+     cut's slack, and reads the Farkas ray off that row *)
+  let _, st = Lp.Simplex.solve_state raw in
+  Lp.Simplex.add_rows st (Array.of_list cuts);
+  ub.(2) <- 0.0;
+  check_resolve_certified ~expect:"infeasible" "cut overrun" ext st ~lb ~ub;
+  Alcotest.(check bool) "infeasibility found warm" true
+    (Lp.Simplex.last_resolve_warm st);
+  match Lp.Simplex.last_infeasibility st with
+  | Some (Lp.Cert.Ray ray) ->
+      Alcotest.(check int) "ray covers the extended rows" 3 (Array.length ray)
+  | _ -> Alcotest.fail "expected a Farkas ray"
+
 (* --- root presolve, cut separation, warm row appends ------------------ *)
 
 let test_presolve_tighten () =
@@ -1083,6 +1206,13 @@ let () =
             test_kernel_singleton_row;
           Alcotest.test_case "add_rows then warm resolves" `Quick
             test_kernel_add_rows_warm;
+        ] );
+      ( "condensed",
+        [
+          Alcotest.test_case "unit basic columns" `Quick
+            test_condensed_unit_columns;
+          Alcotest.test_case "add_rows drops artificials" `Quick
+            test_condensed_add_rows_artificial;
         ] );
       ( "golden",
         [ Alcotest.test_case "solve path" `Quick test_golden_solve_path ] );
