@@ -211,46 +211,186 @@ let dep g ~node ~bit =
 
 type bit_support = { bits : Bitpos.Set.t; pure_wire : bool }
 
-(* Shared-memo analysis of every output bit of [root] within [cone]. *)
-let analyze g ~root ~cone =
-  if not (Int_set.mem root cone) then
-    invalid_arg "Bitdep.support: root not in cone";
-  let memo : (int * int, bit_support) Hashtbl.t = Hashtbl.create 64 in
-  let rec go node bit =
-    match Hashtbl.find_opt memo (node, bit) with
-    | Some r -> r
-    | None ->
-        (* Seed with an empty result to cut accidental cycles; the dist-0
-           subgraph is acyclic so this is never observed on valid input. *)
-        Hashtbl.replace memo (node, bit)
-          { bits = Bitpos.Set.empty; pure_wire = true };
-        let step = dep g ~node ~bit in
-        let expand (acc_bits, acc_wire) (r : Bitpos.t) =
-          if r.dist > 0 || not (Int_set.mem r.node cone) then
-            (Bitpos.Set.add r acc_bits, acc_wire)
-          else
-            let sub = go r.node r.bit in
-            (Bitpos.Set.union sub.bits acc_bits, acc_wire && sub.pure_wire)
-        in
-        let bits, inner_wire =
-          List.fold_left expand (Bitpos.Set.empty, true) step.reads
-        in
-        let r = { bits; pure_wire = step.passthrough && inner_wire } in
-        Hashtbl.replace memo (node, bit) r;
-        r
+(* A bit position inside a graph is a flat index, [base.(node) + bit]; a
+   boundary read is the key [flat * span + dist], where [span] exceeds
+   every edge distance, so keys of distinct (node, bit, dist) differ. *)
+type step = {
+  keys : int array;  (** one key per read *)
+  srcs : int array;
+      (** the read's node when the read is combinational (it expands when
+          that node is in the cone), -1 for a registered read (never
+          expands) *)
+  passthrough : bool;
+}
+
+type table = {
+  graph : Ir.Cdfg.t;
+  base : int array;
+  owner : int array;  (** flat bit -> node *)
+  span : int;
+  steps : step array;  (** [dep] of every flat bit *)
+  (* Scratch of the closure running now; a closure's stamp [gen] marks the
+     cone's nodes and the memo entries it wrote. *)
+  mutable gen : int;
+  in_cone : int array;
+  memo_gen : int array;
+  memo_bits : int array array;  (** support keys, distinct, unordered *)
+  memo_wire : bool array;
+  (* Union scratch: [seen.(key) = ustamp] while [key] is in the union being
+     built in [buf]. *)
+  mutable ustamp : int;
+  seen : int array;
+  mutable buf : int array;
+}
+
+let table g =
+  let n = Ir.Cdfg.num_nodes g in
+  let base = Array.make n 0 and total = ref 0 and span = ref 1 in
+  for v = 0 to n - 1 do
+    base.(v) <- !total;
+    total := !total + Ir.Cdfg.width g v;
+    Array.iter
+      (fun (e : Ir.Cdfg.edge) -> span := max !span (e.dist + 1))
+      (Ir.Cdfg.preds g v)
+  done;
+  let owner = Array.make !total 0 in
+  for v = 0 to n - 1 do
+    Array.fill owner base.(v) (Ir.Cdfg.width g v) v
+  done;
+  let step flat =
+    let node = owner.(flat) in
+    let d = dep g ~node ~bit:(flat - base.(node)) in
+    let reads = Array.of_list d.reads in
+    let key (r : Bitpos.t) = ((base.(r.node) + r.bit) * !span) + r.dist in
+    let src (r : Bitpos.t) = if r.dist = 0 then r.node else -1 in
+    {
+      keys = Array.map key reads;
+      srcs = Array.map src reads;
+      passthrough = d.passthrough;
+    }
   in
-  Array.init (Ir.Cdfg.width g root) (fun bit -> go root bit)
+  {
+    graph = g;
+    base;
+    owner;
+    span = !span;
+    steps = Array.init !total step;
+    gen = 0;
+    in_cone = Array.make n 0;
+    memo_gen = Array.make !total 0;
+    memo_bits = Array.make !total [||];
+    memo_wire = Array.make !total true;
+    ustamp = 0;
+    seen = Array.make (!total * !span) 0;
+    buf = Array.make 64 0;
+  }
 
-let support g ~root ~cone ~bit = (analyze g ~root ~cone).(bit)
+exception Too_wide
 
-let max_support_width g ~root ~cone =
-  Array.fold_left
-    (fun best s -> max best (Bitpos.Set.cardinal s.bits))
-    0 (analyze g ~root ~cone)
+(* Adds [key] to the union in [buf.(0 .. n-1)]; returns the new size. *)
+let add t ~bound n key =
+  if t.seen.(key) = t.ustamp then n
+  else begin
+    if n >= bound then raise Too_wide;
+    t.seen.(key) <- t.ustamp;
+    if n = Array.length t.buf then begin
+      let b = Array.make (2 * n) 0 in
+      Array.blit t.buf 0 b 0 n;
+      t.buf <- b
+    end;
+    t.buf.(n) <- key;
+    n + 1
+  end
 
-let lut_bits g ~root ~cone =
-  Array.fold_left
-    (fun acc s ->
-      let n = Bitpos.Set.cardinal s.bits in
-      if n >= 2 || (n = 1 && not s.pure_wire) then acc + 1 else acc)
-    0 (analyze g ~root ~cone)
+(* The one closure: the support of every output bit of [root] within
+   [cone], memoised per (node, bit) for this call. Every support reached
+   below a root bit is a subset of that root bit's support, so once any
+   set grows past [bound] the cone is infeasible and [Too_wide] is
+   raised. *)
+let close ~bound t ~root ~cone =
+  t.gen <- t.gen + 1;
+  let gen = t.gen in
+  Int_set.iter (fun v -> t.in_cone.(v) <- gen) cone;
+  if t.in_cone.(root) <> gen then
+    invalid_arg "Bitdep.closure: root not in cone";
+  let rec go flat =
+    if t.memo_gen.(flat) <> gen then begin
+      (* Seed with an empty result to cut accidental cycles; the dist-0
+         subgraph is acyclic so this is never observed on valid input. *)
+      t.memo_gen.(flat) <- gen;
+      t.memo_bits.(flat) <- [||];
+      t.memo_wire.(flat) <- true;
+      let s = t.steps.(flat) in
+      let expands i = s.srcs.(i) >= 0 && t.in_cone.(s.srcs.(i)) = gen in
+      let wire = ref s.passthrough in
+      for i = 0 to Array.length s.keys - 1 do
+        if expands i then begin
+          let sub = s.keys.(i) / t.span in
+          go sub;
+          if not t.memo_wire.(sub) then wire := false
+        end
+      done;
+      if Array.length s.keys = 1 && expands 0 then
+        (* a single expanded read: its support, shared *)
+        t.memo_bits.(flat) <- t.memo_bits.(s.keys.(0) / t.span)
+      else begin
+        t.ustamp <- t.ustamp + 1;
+        let n = ref 0 in
+        for i = 0 to Array.length s.keys - 1 do
+          if expands i then begin
+            let sub = t.memo_bits.(s.keys.(i) / t.span) in
+            for j = 0 to Array.length sub - 1 do
+              n := add t ~bound !n sub.(j)
+            done
+          end
+          else n := add t ~bound !n s.keys.(i)
+        done;
+        t.memo_bits.(flat) <- Array.sub t.buf 0 !n
+      end;
+      t.memo_wire.(flat) <- !wire
+    end
+  in
+  for bit = 0 to Ir.Cdfg.width t.graph root - 1 do
+    go (t.base.(root) + bit)
+  done
+
+type cone_support = { max_support : int; lut_bits : int }
+
+let closure ?(bound = max_int) t ~root ~cone =
+  match close ~bound t ~root ~cone with
+  | exception Too_wide -> None
+  | () ->
+      let max_support = ref 0 and lut_bits = ref 0 in
+      let first = t.base.(root) in
+      for flat = first to first + Ir.Cdfg.width t.graph root - 1 do
+        let n = Array.length t.memo_bits.(flat) in
+        max_support := max !max_support n;
+        if n >= 2 || (n = 1 && not t.memo_wire.(flat)) then
+          incr lut_bits
+      done;
+      Some { max_support = !max_support; lut_bits = !lut_bits }
+
+(* The views below each run the closure once on a fresh table. *)
+
+let support g ~root ~cone ~bit =
+  if bit < 0 || bit >= Ir.Cdfg.width g root then
+    invalid_arg "Bitdep.support: bit outside the root's width";
+  let t = table g in
+  close ~bound:max_int t ~root ~cone;
+  let flat = t.base.(root) + bit in
+  let bitpos key =
+    let f = key / t.span in
+    let node = t.owner.(f) in
+    Bitpos.{ node; bit = f - t.base.(node); dist = key mod t.span }
+  in
+  {
+    bits =
+      Array.fold_left
+        (fun acc key -> Bitpos.Set.add (bitpos key) acc)
+        Bitpos.Set.empty t.memo_bits.(flat);
+    pure_wire = t.memo_wire.(flat);
+  }
+
+let unbounded g ~root ~cone = Option.get (closure (table g) ~root ~cone)
+let max_support_width g ~root ~cone = (unbounded g ~root ~cone).max_support
+let lut_bits g ~root ~cone = (unbounded g ~root ~cone).lut_bits

@@ -10,9 +10,11 @@
     through or zeroes them, and adding a constant leaves bits below [tz c]
     untouched.
 
-    [support] closes [dep] transitively inside a cone, yielding the exact
+    {!closure} closes [dep] transitively inside a cone, yielding the exact
     set of {e boundary bits} a K-LUT implementing that cone's bit would
-    need — the feasibility measure for word-level cuts. *)
+    need — the feasibility measure for word-level cuts. It is the one
+    closure: [support], [max_support_width] and [lut_bits] are views of
+    it. *)
 
 module Bitpos : sig
   type t = {
@@ -44,6 +46,37 @@ val dep : Ir.Cdfg.t -> node:int -> bit:int -> one_step
     are omitted (they are hardwired into the LUT mask).
     @raise Invalid_argument if [bit] is outside the node's width. *)
 
+type table
+(** The one-step [dep] of every (node, bit) of one graph, plus the scratch
+    one {!closure} runs in. Build one per graph and pass it to every
+    closure over that graph; it holds no results across closures. Not
+    safe to share between domains. *)
+
+val table : Ir.Cdfg.t -> table
+
+type cone_support = {
+  max_support : int;
+      (** max over the root's output bits of the boundary-bit support size
+          — a cone is K-feasible iff this is [<= K] *)
+  lut_bits : int;
+      (** number of output bits that actually need a LUT: bits with two or
+          more support bits, or a single support bit reached through
+          non-wiring logic. Constant and pass-through bits are free. *)
+}
+
+val closure :
+  ?bound:int -> table -> root:int -> cone:Int_set.t -> cone_support option
+(** Transitive closure of [dep] from every output bit of [root], expanding
+    through nodes in [cone] and stopping at nodes outside it; registered
+    ([dist > 0]) reads always stop, even if the producer is in the cone.
+    Each (node, bit) is closed once per call.
+
+    [None] iff some output bit's support exceeds [bound] (default
+    unbounded). The closure stops at the first set that grows past
+    [bound]: every support reached below a root bit is contained in that
+    root bit's support, so that root bit must exceed [bound] too.
+    @raise Invalid_argument if [cone] does not contain [root]. *)
+
 type bit_support = {
   bits : Bitpos.Set.t;  (** boundary bits feeding this output bit *)
   pure_wire : bool;
@@ -51,18 +84,16 @@ type bit_support = {
           routed only through wiring — it needs no LUT *)
 }
 
+(** {2 Views}
+
+    Each runs {!closure} once, unbounded, on a fresh {!table}. *)
+
 val support :
   Ir.Cdfg.t -> root:int -> cone:Int_set.t -> bit:int -> bit_support
-(** Transitive closure of [dep] from [root]'s output bit [bit], expanding
-    through nodes in [cone] and stopping at nodes outside it; registered
-    ([dist > 0]) reads always stop, even if the producer is in the cone.
-    [cone] must contain [root]. *)
+(** Output bit [bit]'s support as a set of bit positions. *)
 
 val max_support_width : Ir.Cdfg.t -> root:int -> cone:Int_set.t -> int
-(** Max over the root's output bits of the boundary-bit support size — a
-    cone is K-feasible iff this is [<= K]. *)
+(** [max_support] of the closure. *)
 
 val lut_bits : Ir.Cdfg.t -> root:int -> cone:Int_set.t -> int
-(** Number of output bits that actually need a LUT: bits with two or more
-    support bits, or a single support bit reached through non-wiring
-    logic. Constant and pass-through bits are free. *)
+(** [lut_bits] of the closure. *)

@@ -348,7 +348,7 @@ let run_hls ?(trivial = false) ~deadline ~as_ setup ctx g =
   | Error _ as e -> e
   | Ok sched ->
       let cuts =
-        if trivial then Cuts.trivial_only g
+        if trivial then Cuts.trivial_only ~k:setup.device.Fpga.Device.k g
         else enum_cuts ~deadline setup ctx g
       in
       let cover = map_with ~deadline setup ctx ~cuts g sched in
@@ -368,7 +368,7 @@ let run_sdc ?(trivial = false) ~deadline ~as_ setup ctx g =
         ("schedule", Fmt.str "SDC scheduling failed: %a" Sched.Heuristic.pp_error e)
   | Ok sched ->
       let cuts =
-        if trivial then Cuts.trivial_only g
+        if trivial then Cuts.trivial_only ~k:setup.device.Fpga.Device.k g
         else enum_cuts ~deadline setup ctx g
       in
       let cover = map_with ~deadline setup ctx ~cuts g sched in
@@ -380,7 +380,7 @@ let run_sdc ?(trivial = false) ~deadline ~as_ setup ctx g =
 let run_map_first ?(coarse = false) ?(trivial = false) ~deadline ~as_ setup
     ctx g =
   let cuts =
-    if trivial then Cuts.trivial_only g
+    if trivial then Cuts.trivial_only ~k:setup.device.Fpga.Device.k g
     else enum_cuts ~coarse ~deadline setup ctx g
   in
   let cover = map_global_with ~deadline setup ctx ~cuts g in
@@ -408,7 +408,7 @@ let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
   | Ok base_sched -> (
       let cuts =
         if mapping_aware then enum_cuts ~coarse ~deadline:(phase "cuts") setup ctx g
-        else Cuts.trivial_only g
+        else Cuts.trivial_only ~k:setup.device.Fpga.Device.k g
       in
       (* The warm start must be feasible under the formulation's own delay
          model. For MILP-map that model prices every trivial logic cut at
@@ -453,7 +453,7 @@ let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
           }
       in
       let f = Formulation.build cfg g cuts in
-      let trivial_cover = Sched.Cover.all_trivial g (Cuts.trivial_only g) in
+      let trivial_cover = Sched.Cover.all_trivial g cuts in
       (* For MILP-map the strongest safe warm start is the area-flow mapped
          cover of the warm schedule (the full HLS-Tool result under mapped
          delays); fall back to the all-trivial cover, then to no warm

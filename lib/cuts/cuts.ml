@@ -44,19 +44,19 @@ let absorbable g id =
 
 let ceil_div a b = (a + b - 1) / b
 
-let area ~k g ~root ~cone =
+(* LUT cost of a cone whose closure is [s]. *)
+let area ~k g ~root ~cone (s : Bitdep.cone_support) =
   if Int_set.cardinal cone = 1 then
     match Ir.Cdfg.op g root with
     | Ir.Op.Input _ | Ir.Op.Const _ | Ir.Op.Shl _ | Ir.Op.Shr _
     | Ir.Op.Slice _ | Ir.Op.Concat | Ir.Op.Black_box _ ->
         0
-    | Ir.Op.Not | Ir.Op.Bitwise _ | Ir.Op.Mux ->
-        Bitdep.lut_bits g ~root ~cone
+    | Ir.Op.Not | Ir.Op.Bitwise _ | Ir.Op.Mux -> s.lut_bits
     | Ir.Op.Add | Ir.Op.Sub -> Ir.Cdfg.width g root
     | Ir.Op.Cmp _ ->
         let w_in = Ir.Cdfg.width g (Ir.Cdfg.preds g root).(0).Ir.Cdfg.src in
         max 1 (ceil_div ((2 * w_in) - 1) (k - 1))
-  else Bitdep.lut_bits g ~root ~cone
+  else s.lut_bits
 
 (* Canonical cone of a leaf set: nodes reachable backward from [root] along
    dist-0 edges, stopping at leaves. Returns None when a non-absorbable
@@ -87,24 +87,27 @@ let cone_of g ~root ~leaf_set =
   | Some (cone, reached) -> Some (cone, Int_set.elements reached)
 
 (* The always-legal trivial cut: the node alone, operands as leaves. *)
-let trivial_cut ~k g v =
+let trivial_cut ~k deps g v =
   let leaves =
     Array.to_list (Ir.Cdfg.preds g v)
     |> List.map (fun (e : Ir.Cdfg.edge) -> e.src)
     |> List.sort_uniq Int.compare
   in
   let cone = Int_set.singleton v in
+  let s = Option.get (Bitdep.closure deps ~root:v ~cone) in
   {
     root = v;
     leaves;
     cone;
-    support = Bitdep.max_support_width g ~root:v ~cone;
-    area = area ~k g ~root:v ~cone;
+    support = s.max_support;
+    area = area ~k g ~root:v ~cone s;
   }
 
-let trivial_only g =
-  (* k is irrelevant for areas of trivial cuts except Cmp; use 4. *)
-  Array.init (Ir.Cdfg.num_nodes g) (fun v -> [| trivial_cut ~k:4 g v |])
+let trivial_only ?(k = 4) g =
+  let deps = Bitdep.table g in
+  Array.init (Ir.Cdfg.num_nodes g) (fun v -> [| trivial_cut ~k deps g v |])
+
+let compare_leaves = List.compare Int.compare
 
 let rank a b =
   let c = Int.compare a.area b.area in
@@ -114,26 +117,26 @@ let rank a b =
     if c <> 0 then c
     else
       let c = Int.compare (List.length a.leaves) (List.length b.leaves) in
-      if c <> 0 then c else compare a.leaves b.leaves
+      if c <> 0 then c else compare_leaves a.leaves b.leaves
 
 (* Cartesian product of per-operand choice lists, capped. Each choice is a
    leaf set (as a sorted int list). *)
 let merged_leaf_sets ~cap choices =
-  let push acc leaves =
-    if List.length acc >= cap then acc else leaves :: acc
-  in
-  let rec go acc partial = function
-    | [] -> push acc partial
+  let acc = ref [] and count = ref 0 in
+  let rec go partial = function
+    | [] ->
+        if !count < cap then begin
+          acc := partial :: !acc;
+          incr count
+        end
     | opts :: rest ->
-        List.fold_left
-          (fun acc leaves ->
-            if List.length acc >= cap then acc
-            else go acc (List.rev_append leaves partial) rest)
-          acc opts
+        List.iter
+          (fun leaves ->
+            if !count < cap then go (List.rev_append leaves partial) rest)
+          opts
   in
-  go [] [] choices
-  |> List.map (List.sort_uniq Int.compare)
-  |> List.sort_uniq compare
+  go [] choices;
+  List.map (List.sort_uniq Int.compare) !acc |> List.sort_uniq compare_leaves
 
 let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
   Obs.Timer.span t_enumerate @@ fun () ->
@@ -143,16 +146,19 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
   let forced_timeout = Resilience.Fault.fires "cuts.timeout" in
   let p = match params with Some p -> p | None -> default_params ~k in
   let n = Ir.Cdfg.num_nodes g in
+  (* One dep table for every closure of this call; each node's trivial cut
+     is computed once and reused by every merge. *)
+  let deps = Bitdep.table g in
+  let trivial = Array.init n (trivial_cut ~k:p.k deps g) in
   (* Building blocks: for each node, the leaf sets successors may choose
      from — the singleton {v} plus v's own enumerated (non-trivial) cuts. *)
   let blocks : int list list array = Array.make n [] in
   let result : cut list array = Array.make n [] in
   for v = 0 to n - 1 do
-    let triv = trivial_cut ~k:p.k g v in
-    result.(v) <- [ triv ];
+    result.(v) <- [ trivial.(v) ];
     blocks.(v) <-
       (if absorbable g v then
-         List.sort_uniq compare [ [ v ]; triv.leaves ]
+         List.sort_uniq compare_leaves [ [ v ]; trivial.(v).leaves ]
        else [ [ v ] ])
   done;
   let mk_cut v leaves =
@@ -164,28 +170,26 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
     | Some (cone, leaves) ->
         if Int_set.cardinal cone = 1 then None (* that's the trivial cut *)
         else
-          let support = Bitdep.max_support_width g ~root:v ~cone in
-          if support > p.k then begin
-            Obs.Counter.incr c_infeasible;
-            None
-          end
-          else begin
-            Obs.Counter.incr c_enumerated;
-            Some
-              {
-                root = v;
-                leaves;
-                cone;
-                support;
-                area = area ~k:p.k g ~root:v ~cone;
-              }
-          end
+          match Bitdep.closure ~bound:p.k deps ~root:v ~cone with
+          | None ->
+              Obs.Counter.incr c_infeasible;
+              None
+          | Some s ->
+              Obs.Counter.incr c_enumerated;
+              Some
+                {
+                  root = v;
+                  leaves;
+                  cone;
+                  support = s.max_support;
+                  area = area ~k:p.k g ~root:v ~cone s;
+                }
   in
   let merge v =
-    if not (absorbable g v) then [ trivial_cut ~k:p.k g v ]
+    if not (absorbable g v) then [ trivial.(v) ]
     else
       let preds = Ir.Cdfg.preds g v in
-      if Array.length preds = 0 then [ trivial_cut ~k:p.k g v ]
+      if Array.length preds = 0 then [ trivial.(v) ]
       else
         let choices =
           Array.to_list preds
@@ -201,11 +205,13 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
               else mk_cut v leaves)
             candidates
         in
-        let cuts = List.sort_uniq (fun a b -> compare a.leaves b.leaves) cuts in
+        let cuts =
+          List.sort_uniq (fun a b -> compare_leaves a.leaves b.leaves) cuts
+        in
         let ranked = List.sort rank cuts in
         let kept = List.filteri (fun i _ -> i < p.max_cuts) ranked in
         Obs.Counter.incr ~by:(List.length ranked - List.length kept) c_pruned;
-        trivial_cut ~k:p.k g v :: kept
+        trivial.(v) :: kept
   in
   (* Algorithm 1: worklist over nodes in topological order; re-enqueue
      successors whenever a node's cut set changes. On our graphs (dist-0
@@ -219,7 +225,7 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
     (Ir.Cdfg.topo_order g);
   let same_cutset a b =
     List.length a = List.length b
-    && List.for_all2 (fun x y -> x.leaves = y.leaves) a b
+    && List.for_all2 (fun x y -> List.equal Int.equal x.leaves y.leaves) a b
   in
   (* Deadline degradation: abandoning the worklist early is safe because
      every node's cut set starts as [trivial] — downstream consumers just
@@ -252,7 +258,7 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
       blocks.(v) <-
         (if absorbable g v then
            ([ v ] :: List.map (fun c -> c.leaves) fresh)
-           |> List.sort_uniq compare
+           |> List.sort_uniq compare_leaves
          else [ [ v ] ]);
       List.iter
         (fun (s, dist) ->

@@ -7,7 +7,9 @@
 
     Deviations from bit-level enumeration, per DESIGN.md:
     - feasibility is per output bit: the cone is K-feasible iff every output
-      bit's boundary-bit support (from {!Bitdep.support}) has at most K bits;
+      bit's boundary-bit support has at most K bits. Each candidate cone
+      gets one {!Bitdep.closure} bounded by K, which yields its support and
+      its area together, over one {!Bitdep.table} per {!enumerate} call;
     - cones never cross loop-carried ([dist > 0]) edges — LUTs are
       combinational, so registered operands are always boundaries;
     - black-box, input and constant nodes are never cone members;
@@ -22,7 +24,11 @@ type cut = {
           must themselves be roots when this cut is selected (Eq. 4) *)
   cone : Bitdep.Int_set.t;  (** covered nodes, including [root] *)
   support : int;  (** max per-output-bit boundary support width *)
-  area : int;  (** LUT cost of selecting this cut (see {!val:area}) *)
+  area : int;
+      (** LUT cost of selecting this cut: the per-bit LUT count for logic
+          cones ({!Bitdep.cone_support}'s [lut_bits]), the carry-chain
+          width for single-node arithmetic, a compressor-tree estimate for
+          single-node comparisons, 0 for wires and black boxes *)
 }
 
 type t = cut array array
@@ -59,18 +65,15 @@ val enumerate :
     Fault points ({!Resilience.Fault}): [cuts.raise] raises [Failure] at
     entry; [cuts.timeout] forces immediate truncation. *)
 
-val trivial_only : Ir.Cdfg.t -> t
+val trivial_only : ?k:int -> Ir.Cdfg.t -> t
 (** The cut sets used by MILP-base: every node keeps only its trivial cut
-    (equivalent to skipping cut enumeration, Sec. 4). *)
+    (equivalent to skipping cut enumeration, Sec. 4). [k] (default 4, the
+    default device's) is the LUT input count; it prices a comparison's
+    trivial cut, so pass the device's K to get the same cut 0 as
+    {!enumerate}. *)
 
 val is_trivial : cut -> bool
 (** The cone contains only the root. *)
-
-val area : k:int -> Ir.Cdfg.t -> root:int -> cone:Bitdep.Int_set.t -> int
-(** LUT cost of a cone: per-bit LUT count for logic cones
-    ({!Bitdep.lut_bits}), carry-chain width for single-node arithmetic,
-    a compressor-tree estimate for single-node comparisons, 0 for wires
-    and black boxes. *)
 
 val delay :
   device:Fpga.Device.t -> delays:Fpga.Delays.t -> Ir.Cdfg.t -> cut -> float

@@ -699,9 +699,11 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
      back to the lexicographic solution-vector order, so the surviving
      incumbent does not depend on which domain raced in first. [best_obj]
      only decreases, so a candidate failing the lock-free pre-check can
-     never be accepted and skips both locks. *)
+     never be accepted and skips both locks. Returns whether [x] became
+     the incumbent. *)
   let try_improve ~wid ~node_id ~nid ~depth x obj =
-    if obj <= Atomic.get best_obj +. 1e-9 then begin
+    obj <= Atomic.get best_obj +. 1e-9
+    && begin
       let lo = open_bound ~wid obj in
       Mutex.lock inc_m;
       let cur = Atomic.get best_obj in
@@ -725,7 +727,8 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         note_incumbent ~tid:(wid + 1) ~obj ~gap:gap_now ~node:node_id ~depth
           ~seeded:false ()
       end;
-      Mutex.unlock inc_m
+      Mutex.unlock inc_m;
+      accept
     end
   in
   let snapshot_locked () =
@@ -1000,9 +1003,18 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
             if j < 0 then begin
               (* integral: candidate incumbent *)
               let x = snap raw ~int_tol r.Simplex.x in
-              try_improve ~wid:w.wid ~node_id ~nid:node.nid ~depth x
-                (obj_of x);
-              fathom := Cert.F_integral;
+              (* A rejected point is no better than the incumbent. The LP
+                 objective can still sit a few 1e-9 below it, when
+                 snapping rounds the point's objective up to a tie, so the
+                 leaf is fathomed by that bound: recording it as an
+                 integral leaf would claim an integer point better than
+                 the final objective. *)
+              fathom :=
+                if
+                  try_improve ~wid:w.wid ~node_id ~nid:node.nid ~depth x
+                    (obj_of x)
+                then Cert.F_integral
+                else Cert.F_bound;
               Leaf
             end
             else begin

@@ -165,6 +165,44 @@ let test_audit_infeasible () = check_audit_clean "infeasible" infeasible
 let test_audit_lp_duals () = check_audit_clean "mixed-sense LP" mixed_sense_lp
 let test_audit_lp_farkas () = check_audit_clean "infeasible LP" infeasible_lp
 
+(* An integral leaf whose LP objective sits 5e-9 below a seeded incumbent
+   of equal integer value: min 3y with y >= 1 - 1.7e-9 and y = 1 seeded.
+   The root LP passes the 1e-9 bound test, its point snaps to y = 1 (a
+   tie the incumbent keeps), so the leaf is fathomed by its bound and
+   must not be logged as an integral leaf better than the final
+   objective (CERT107). One domain, no presolve (which would round the
+   row to y >= 1) and no cuts: the case does not depend on timing. *)
+let test_audit_tied_integral_leaf () =
+  let m = Lp.Model.create () in
+  let y = Lp.Model.bool_var m "y" in
+  Lp.Model.add_ge m [ (1.0, y) ] (1.0 -. 1.7e-9);
+  Lp.Model.set_objective m [ (3.0, y) ];
+  let raw = Lp.Model.to_raw m in
+  let r =
+    Lp.Milp.solve ~domains:1 ~certificates:true ~presolve:false ~cuts:false
+      ~incumbent:[| 1.0 |] m
+  in
+  Alcotest.(check (float 0.0)) "objective" 3.0 r.Lp.Milp.objective;
+  match r.Lp.Milp.cert with
+  | None -> Alcotest.fail "solve carried no certificate"
+  | Some cert ->
+      let root =
+        List.find
+          (fun (n : Lp.Cert.node) -> n.Lp.Cert.id = 0)
+          cert.Lp.Cert.nodes
+      in
+      (match root.Lp.Cert.claim with
+      | Lp.Cert.Lp_optimal { obj; _ } ->
+          Alcotest.(check bool) "root LP below the incumbent by > 1e-9" true
+            (obj < 3.0 -. 1e-9)
+      | _ -> Alcotest.fail "root LP not optimal");
+      Alcotest.(check bool) "root fathomed by bound" true
+        (root.Lp.Cert.fathom = Lp.Cert.F_bound);
+      let diags = Analyze.Audit.check raw cert in
+      if Analyze.Diag.has_errors diags then
+        Alcotest.failf "audit found errors:@.%a" Analyze.Diag.pp_report
+          (Analyze.Diag.errors diags)
+
 (* --- positive audits: kernel formulations --------------------------- *)
 
 let device = Fpga.Device.make ~t_clk:10.0 ()
@@ -502,6 +540,8 @@ let () =
           Alcotest.test_case "infeasible MILP" `Quick test_audit_infeasible;
           Alcotest.test_case "mixed-sense LP duals" `Quick test_audit_lp_duals;
           Alcotest.test_case "infeasible LP Farkas" `Quick test_audit_lp_farkas;
+          Alcotest.test_case "tied integral leaf" `Quick
+            test_audit_tied_integral_leaf;
           Alcotest.test_case "recurrence kernel" `Quick test_audit_kernel_recurrence;
           Alcotest.test_case "CLZ kernel" `Quick test_audit_kernel_clz;
           Alcotest.test_case "RS kernel" `Quick test_audit_kernel_rs;

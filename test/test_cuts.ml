@@ -190,6 +190,20 @@ let test_trivial_only () =
       Alcotest.(check bool) "trivial" true (Cuts.is_trivial cs.(0)))
     cuts
 
+(* [trivial_only ~k] prices a comparison's trivial cut for K-LUTs, so at
+   K = 6 its cut 0 is the one [enumerate ~k:6] starts every cut set with. *)
+let test_trivial_only_k () =
+  List.iter
+    (fun (e : Benchmarks.Registry.entry) ->
+      let g = e.build () in
+      let triv = Cuts.trivial_only ~k:6 g and full = Cuts.enumerate ~k:6 g in
+      Array.iteri
+        (fun v cs ->
+          if cs.(0) <> full.(v).(0) then
+            Alcotest.failf "%s node %d: trivial_only's cut 0 differs" e.name v)
+        triv)
+    Benchmarks.Registry.all
+
 (* Structural invariants on random-ish benchmark graphs. *)
 let cut_invariants =
   QCheck.Test.make ~name:"cut invariants on benchmark graphs" ~count:9
@@ -215,6 +229,67 @@ let cut_invariants =
                cs)
         cuts)
 
+(* Cut-set golden: every cut of [Cuts.enumerate] (root, leaves, cone,
+   support, area) over the nine kernels plus the scaling graphs, at K = 4
+   and K = 6, hashed into one digest; and the per-graph enumeration
+   counters hashed into another. Both digests were computed with the
+   enumerator as it was before [Bitdep.closure] replaced its two
+   unbounded closures per cut (one for support, one for area), so they
+   pin that the rewrite returns the same cut sets after the same number
+   of candidates. *)
+let golden_graphs () =
+  List.map
+    (fun (e : Benchmarks.Registry.entry) -> (e.name, e.build ()))
+    Benchmarks.Registry.all
+  @ List.map
+      (fun taps ->
+        ( Printf.sprintf "RS taps=%d" taps,
+          Benchmarks.Rs.full ~width:4 ~taps () ))
+      [ 2; 4; 6 ]
+  @ List.map
+      (fun elements ->
+        ( Printf.sprintf "XORR n=%d" elements,
+          Benchmarks.Xorr.build ~elements ~width:8 ~mix_depth:3 () ))
+      [ 4; 8; 12 ]
+
+let cut_counters =
+  List.map Obs.Counter.get
+    [ "cuts.candidates"; "cuts.enumerated"; "cuts.infeasible"; "cuts.pruned";
+      "cuts.node_merges" ]
+
+let golden_digests () =
+  let cuts_buf = Buffer.create 65536 and counts_buf = Buffer.create 1024 in
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (label, g) ->
+          let before = List.map Obs.Counter.value cut_counters in
+          let cuts = Cuts.enumerate ~k g in
+          let after = List.map Obs.Counter.value cut_counters in
+          Printf.bprintf counts_buf "%s k=%d:%s\n" label k
+            (String.concat ","
+               (List.map2 (fun a b -> string_of_int (b - a)) before after));
+          Printf.bprintf cuts_buf "%s k=%d\n" label k;
+          Array.iter
+            (Array.iter (fun (c : Cuts.cut) ->
+                 let ints l = String.concat "," (List.map string_of_int l) in
+                 Printf.bprintf cuts_buf "%d|%s|%s|%d|%d\n" c.root
+                   (ints c.leaves)
+                   (ints (Bitdep.Int_set.elements c.cone))
+                   c.support c.area))
+            cuts)
+        (golden_graphs ()))
+    [ 4; 6 ];
+  let hex b = Digest.to_hex (Digest.string (Buffer.contents b)) in
+  (hex cuts_buf, hex counts_buf)
+
+let test_golden () =
+  let cuts, counts = golden_digests () in
+  Alcotest.(check string) "cut-set digest" "20aef610ff0b9ab564db142d2ef0d5c0"
+    cuts;
+  Alcotest.(check string) "counter digest" "a937ea1cf56ba636911426264c2b4ef6"
+    counts
+
 let qsuite tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
 
 let () =
@@ -232,6 +307,7 @@ let () =
           Alcotest.test_case "figure 2 msb cut" `Quick test_figure2_msb_cut;
           Alcotest.test_case "pruning cap" `Quick test_pruning_cap;
           Alcotest.test_case "trivial only" `Quick test_trivial_only;
+          Alcotest.test_case "trivial only at K = 6" `Quick test_trivial_only_k;
         ] );
       ( "cost model",
         [
@@ -240,4 +316,6 @@ let () =
           Alcotest.test_case "delay classes" `Quick test_delay_classes;
         ] );
       ("invariants", qsuite [ cut_invariants ]);
+      ( "golden",
+        [ Alcotest.test_case "cut sets and counters" `Quick test_golden ] );
     ]

@@ -236,6 +236,70 @@ let cuts_are_sound =
                cs)
         cuts)
 
+(* The reference for [Bitdep.closure]: the transitive closure of
+   [Bitdep.dep] as plain [Bitpos.Set] unions, memoised per (node, bit). *)
+let reference_closure g ~root ~cone =
+  let memo = Hashtbl.create 64 in
+  let rec go node bit =
+    match Hashtbl.find_opt memo (node, bit) with
+    | Some r -> r
+    | None ->
+        let step = Bitdep.dep g ~node ~bit in
+        let r =
+          List.fold_left
+            (fun (bits, wire) (p : Bitdep.Bitpos.t) ->
+              if p.dist > 0 || not (Bitdep.Int_set.mem p.node cone) then
+                (Bitdep.Bitpos.Set.add p bits, wire)
+              else
+                let sub_bits, sub_wire = go p.node p.bit in
+                (Bitdep.Bitpos.Set.union sub_bits bits, wire && sub_wire))
+            (Bitdep.Bitpos.Set.empty, step.Bitdep.passthrough)
+            step.Bitdep.reads
+        in
+        Hashtbl.replace memo (node, bit) r;
+        r
+  in
+  List.init (Ir.Cdfg.width g root) (fun bit -> go root bit)
+  |> List.fold_left
+       (fun (max_support, lut_bits) (bits, wire) ->
+         let n = Bitdep.Bitpos.Set.cardinal bits in
+         ( max max_support n,
+           if n >= 2 || (n = 1 && not wire) then lut_bits + 1 else lut_bits ))
+       (0, 0)
+
+(* Random graph, random root, random cone (each node below the root joins
+   with probability 1/2), random K: the closure's (max support, LUT bits)
+   equal the reference's, and the closure bounded by K gives up exactly
+   when the reference support exceeds K. *)
+let closure_matches_reference =
+  QCheck.Test.make ~name:"random cones: closure = Bitpos.Set reference"
+    ~count:300
+    QCheck.(quad graph_seed (make Gen.(int_bound 1_000_000))
+              (make Gen.(int_bound 1_000_000)) (make Gen.(int_range 1 8)))
+    (fun (seed, root_pick, cone_seed, k) ->
+      let g = build_random seed in
+      let root = root_pick mod Ir.Cdfg.num_nodes g in
+      let rng = Random.State.make [| cone_seed |] in
+      let cone =
+        List.init root (fun v -> v)
+        |> List.filter (fun _ -> Random.State.bool rng)
+        |> List.cons root |> Bitdep.Int_set.of_list
+      in
+      let table = Bitdep.table g in
+      let max_support, lut_bits = reference_closure g ~root ~cone in
+      (match Bitdep.closure table ~root ~cone with
+      | None -> QCheck.Test.fail_report "unbounded closure gave up"
+      | Some s ->
+          if s.max_support <> max_support || s.lut_bits <> lut_bits then
+            QCheck.Test.fail_reportf
+              "closure (max %d, lut %d) <> reference (max %d, lut %d)"
+              s.max_support s.lut_bits max_support lut_bits);
+      match Bitdep.closure ~bound:k table ~root ~cone with
+      | None -> max_support > k
+      | Some s ->
+          max_support <= k && s.max_support = max_support
+          && s.lut_bits = lut_bits)
+
 let simplify_preserves_semantics =
   QCheck.Test.make ~name:"random graphs: simplify preserves semantics"
     ~count:120
@@ -434,7 +498,8 @@ let qsuite tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
 let () =
   Alcotest.run "fuzz"
     [
-      ("graphs", qsuite [ graph_is_sane; cuts_are_sound ]);
+      ( "graphs",
+        qsuite [ graph_is_sane; cuts_are_sound; closure_matches_reference ] );
       ("opt", qsuite [ simplify_preserves_semantics ]);
       ("milp-cuts", qsuite [ milp_cuts_are_valid ]);
       ( "flows",
