@@ -138,25 +138,25 @@ let count_diags diags =
     (Obs.Counter.get "analyze.warnings");
   List.sort Diag.compare diags
 
-let timer = Obs.Timer.get "analyze"
-
-let check_cdfg g = Obs.Timer.span timer (fun () -> count_diags (Cdfg_lint.check g))
+let check_cdfg g =
+  Obs.span ~cat:"analyze" "analyze" (fun () -> count_diags (Cdfg_lint.check g))
 
 let preflight ?strict_period cfg g =
-  Obs.Timer.span timer (fun () ->
+  Obs.span ~cat:"analyze" "analyze" (fun () ->
       count_diags (Preflight.check ?strict_period cfg g))
 
-let check_model m = Obs.Timer.span timer (fun () -> count_diags (Lp_lint.check m))
+let check_model m =
+  Obs.span ~cat:"analyze" "analyze" (fun () -> count_diags (Lp_lint.check m))
 
 let check_netlist nl =
-  Obs.Timer.span timer (fun () -> count_diags (Net_lint.check nl))
+  Obs.span ~cat:"analyze" "analyze" (fun () -> count_diags (Net_lint.check nl))
 
 let check_certificate ctx g cover sched =
-  Obs.Timer.span timer (fun () ->
+  Obs.span ~cat:"analyze" "analyze" (fun () ->
       count_diags (Cert.check ctx g cover sched))
 
 let check_audit model result =
-  Obs.Timer.span timer (fun () ->
+  Obs.span ~cat:"analyze" "analyze" (fun () ->
       let cut_lint =
         match result.Lp.Milp.cert with
         | Some c when c.Lp.Cert.cuts <> [] ->

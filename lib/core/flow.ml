@@ -253,7 +253,7 @@ let finalize setup ctx g ~cuts_total cover sched solve method_ =
   if Obs.recording () then
     Obs.emit ~cat:"flow" "flow.phase" [ ("phase", Obs.Json.String "verify") ];
   match
-    Obs.Trace.span ~cat:"flow" "flow.verify" (fun () ->
+    Obs.span ~cat:"flow" "flow.verify" (fun () ->
         Sched.Verify.check (verify_ctx setup) g cover sched)
   with
   | Error errs ->
@@ -268,7 +268,7 @@ let finalize setup ctx g ~cuts_total cover sched solve method_ =
                   diags)) )
   | Ok () ->
       let qor =
-        Obs.Trace.span ~cat:"flow" "flow.qor" (fun () ->
+        Obs.span ~cat:"flow" "flow.qor" (fun () ->
             Sched.Qor.evaluate ~device:setup.device ~delays:setup.delays g
               cover sched)
       in
@@ -330,7 +330,7 @@ let map_global_with ~deadline setup ctx ~cuts g =
 
 let baseline setup g =
   match
-    Obs.Trace.span ~cat:"flow" "flow.baseline" (fun () ->
+    Obs.span ~cat:"flow" "flow.baseline" (fun () ->
         Sched.Heuristic.schedule ~device:setup.device ~delays:setup.delays
           ~resources:setup.resources ~ii:setup.ii g)
   with
@@ -479,7 +479,7 @@ let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
                 None)
       in
       let incumbent =
-        Obs.Trace.span ~cat:"flow" "flow.warm-start" @@ fun () ->
+        Obs.span ~cat:"flow" "flow.warm-start" @@ fun () ->
         match incumbent_sched with
         | None -> None
         | Some s ->
@@ -515,7 +515,7 @@ let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
       if Obs.recording () then
         Obs.emit ~cat:"flow" "flow.phase" [ ("phase", Obs.Json.String "solve") ];
       let r =
-        Obs.Trace.span ~cat:"flow" "flow.solve" (fun () ->
+        Obs.span ~cat:"flow" "flow.solve" (fun () ->
             Lp.Milp.solve
               ~time_limit:(setup.time_limit *. budget_scale)
               ~deadline:(phase "solve") ?incumbent
@@ -553,7 +553,7 @@ let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
       let audit_diags =
         if setup.audit then
           Some
-            (Obs.Trace.span ~cat:"flow" "flow.audit" (fun () ->
+            (Obs.span ~cat:"flow" "flow.audit" (fun () ->
                  Analyze.Engine.check_audit (Formulation.model f) r))
         else None
       in
@@ -718,7 +718,7 @@ let run ?deadline setup method_ g =
         | Some b -> Resilience.Deadline.of_budget b
         | None -> Resilience.Deadline.none)
   in
-  Obs.Trace.span ~cat:"flow" "flow.run"
+  Obs.span ~cat:"flow" "flow.run"
     ~args:[ ("method", Obs.Json.String (method_name method_)) ]
   @@ fun () ->
   let log_phase phase =
@@ -751,7 +751,7 @@ let run ?deadline setup method_ g =
   (* Fail-fast gate: static CDFG lints and the pipelining pre-flight run
      before any cut enumeration or solver cost is paid. Warnings and infos
      are logged and recorded in the result's metrics; errors abort. *)
-  match Obs.Trace.span ~cat:"flow" "flow.lint" (fun () -> lint setup g) with
+  match Obs.span ~cat:"flow" "flow.lint" (fun () -> lint setup g) with
   | Error diags ->
       Error
         (Fmt.str "lint gate failed (%s): %s"

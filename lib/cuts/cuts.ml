@@ -8,7 +8,6 @@ let c_infeasible = Obs.Counter.get "cuts.infeasible"
 let c_pruned = Obs.Counter.get "cuts.pruned"
 let c_merges = Obs.Counter.get "cuts.node_merges"
 let c_truncated = Obs.Counter.get "cuts.deadline_truncations"
-let t_enumerate = Obs.Timer.get "cuts.enumerate"
 
 type cut = {
   root : int;
@@ -139,8 +138,7 @@ let merged_leaf_sets ~cap choices =
   List.map (List.sort_uniq Int.compare) !acc |> List.sort_uniq compare_leaves
 
 let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
-  Obs.Timer.span t_enumerate @@ fun () ->
-  Obs.Trace.span ~cat:"cuts" "cuts.enumerate" @@ fun () ->
+  Obs.span ~cat:"cuts" "cuts.enumerate" @@ fun () ->
   if Resilience.Fault.fires "cuts.raise" then
     failwith "injected fault: cuts.raise";
   let forced_timeout = Resilience.Fault.fires "cuts.timeout" in
@@ -243,11 +241,9 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
     queued.(v) <- false;
     Obs.Counter.incr c_merges;
     let fresh =
-      if Obs.Trace.enabled () then
-        Obs.Trace.span ~cat:"cuts" "cuts.node"
-          ~args:[ ("node", Obs.Json.Int v) ]
-          (fun () -> merge v)
-      else merge v
+      Obs.span ~cat:"cuts" "cuts.node"
+        ~args:[ ("node", Obs.Json.Int v) ]
+        (fun () -> merge v)
     in
     if not (same_cutset fresh result.(v)) then begin
       result.(v) <- fresh;

@@ -50,11 +50,6 @@ let c_recoveries = Obs.Counter.get "milp.recoveries"
 let c_stalls = Obs.Counter.get "milp.stalls"
 let c_cuts_applied = Obs.Counter.get "milp.cuts_applied"
 let c_cut_rounds = Obs.Counter.get "milp.cut_rounds"
-let s_gap_closed_root = Obs.Series.get "milp.gap_closed_root"
-let s_incumbents = Obs.Series.get "milp.incumbents"
-let s_gap = Obs.Series.get "milp.exit_gap"
-let s_conv = Obs.Series.get "milp.convergence"
-let t_solve = Obs.Timer.get "milp.solve"
 
 let status_label = function
   | Simplex.Optimal -> "optimal"
@@ -323,7 +318,8 @@ type wctx = {
   mutable w_deaths : int;
   w_cnode : Obs.Counter.t;
       (** per-worker-domain node counter ([milp.nodes.d<wid>]); the
-          resource probe reads its deltas for per-domain throughput *)
+          resource probe turns its deltas into the per-domain node
+          rates of each ["probe.sample"] *)
 }
 
 (* What processing one node asks of the scheduler. Children come in dive
@@ -351,8 +347,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     | Some d -> max 1 (min d 64)
     | None -> domains_from_env ()
   in
-  Obs.Timer.span t_solve @@ fun () ->
-  Obs.Trace.span ~cat:"milp" "milp.solve"
+  Obs.span ~cat:"milp" "milp.solve"
     ~args:[ ("domains", Obs.Json.Int domains) ]
   @@ fun () ->
   Obs.Counter.incr c_solves;
@@ -523,12 +518,12 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   let have_inc () = Float.is_finite (Atomic.get best_obj) in
   let first_inc = ref start.Checkpoint.first_incumbent_s in
   let nodes = Atomic.make start.Checkpoint.nodes_done in
-  (* Convergence timeline: one point (and one event) per incumbent,
-     carrying the relative incumbent/bound gap at that moment.
-     Observational only. *)
+  (* Convergence timeline: one ["milp.incumbent"] event per incumbent,
+     carrying the relative incumbent/bound gap at that moment; the probe
+     reads the latest pair for its samples. Observational only. *)
   let note_incumbent ?(tid = 1) ~obj ~gap ~node ~depth ~seeded () =
     if Float.is_nan !first_inc then first_inc := elapsed ();
-    Obs.Series.add s_conv ~x:(elapsed ()) ~y:gap;
+    Obs.Probe.note_incumbent ~objective:obj ~gap;
     if Obs.recording () then
       Obs.emit ~cat:"milp" ~tid "milp.incumbent"
         [
@@ -550,7 +545,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       Atomic.set best_obj obj;
       if certs_on then inc_log := [ (-1, obj) ];
       Obs.Counter.incr c_incumbents;
-      Obs.Series.add s_incumbents ~x:(elapsed ()) ~y:obj;
       (* No relaxation solved yet, so no dual bound: gap unknown. *)
       note_incumbent ~obj ~gap:Float.nan ~node:0 ~depth:0 ~seeded:true ()
   | None, None -> ());
@@ -718,7 +712,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
         best_x := Some x;
         if certs_on then inc_log := (nid, obj) :: !inc_log;
         Obs.Counter.incr c_incumbents;
-        Obs.Series.add s_incumbents ~x:(elapsed ()) ~y:obj;
         let gap_now =
           if Float.is_finite lo then
             Float.abs (obj -. lo) /. Float.max 1.0 (Float.abs obj)
@@ -916,7 +909,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     let node_id = 1 + Atomic.fetch_and_add nodes 1 in
     (* Counted live (not bulk at solve exit) so the resource probe sees
        node and pivot throughput mid-solve; the per-worker counter
-       feeds the per-domain rate series. *)
+       feeds the per-domain rates of each probe sample. *)
     Obs.Counter.incr c_nodes;
     Obs.Counter.incr w.w_cnode;
     let depth = chain_depth node.bounds in
@@ -1596,9 +1589,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   Obs.Counter.incr ~by:stats.stalls c_stalls;
   Obs.Counter.incr ~by:stats.cuts_applied c_cuts_applied;
   Obs.Counter.incr ~by:stats.cut_rounds c_cut_rounds;
-  if not (Float.is_nan stats.gap_closed_root) then
-    Obs.Series.add s_gap_closed_root ~x:stats.elapsed ~y:stats.gap_closed_root;
-  Obs.Series.add s_gap ~x:stats.elapsed ~y:stats.gap;
   if Obs.recording () then
     Obs.emit ~cat:"milp" "milp.done"
       [

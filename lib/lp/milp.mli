@@ -276,14 +276,15 @@ val solve :
     what keeps resumed certificates audit-clean. A ["milp.cert"] trace
     instant carries the certificate summary when tracing is on.
 
-    When {!Obs.Trace} is enabled the solve emits a ["milp.solve"] span
-    (tagged with the domain count), one ["milp.node"] instant per node
+    The solve runs inside an {!Obs.span} named ["milp.solve"], whose
+    wall total is the ["milp.solve.s"] key of {!Obs.snapshot}. When
+    {!Obs.Trace} is enabled that span is also traced (tagged with the
+    domain count) and the solve emits one ["milp.node"] instant per node
     (depth, branch variable, LP status, warm/cold resolve, dual bound,
     and the ["domain"] that processed it — also used as the event's
     Perfetto lane), a ["milp.fixed_vars"] instant when root fixing
     engages, a ["milp.incumbent"] instant per incumbent (objective +
-    gap — the convergence timeline, also recorded in the
-    ["milp.convergence"] series), and the supervision instants
+    gap — the convergence timeline), and the supervision instants
     ["milp.recovery"], ["milp.stall"] and ["milp.checkpoint"]. Tracing
     is purely observational: it never changes branching, bounds or
     results. *)

@@ -5,8 +5,9 @@
 (* Registries are process-global and may be touched from worker domains
    (simplex counters, trace instants fire inside the parallel B&B pool),
    so lookups and hot mutations go through a lock or an atomic. One lock
-   for all registries is fine: registration happens at module init and
-   the guarded paths are cold. *)
+   for all registries is fine: counter bumps are atomics outside it, and
+   the paths it guards (registration, snapshots, span entry and exit)
+   are short and, apart from spans, cold. *)
 let registry_mutex = Mutex.create ()
 
 let locked m f =
@@ -87,175 +88,49 @@ module Counter = struct
   let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.n by)
   let value c = Atomic.get c.n
   let name c = c.cname
-  let reset_all () = Hashtbl.iter (fun _ c -> Atomic.set c.n 0) registry
-
-  let snapshot () =
-    Hashtbl.fold
-      (fun _ c acc ->
-        let n = Atomic.get c.n in
-        if n <> 0 then (c.cname, n) :: acc else acc)
-      registry []
-    |> List.sort compare
 end
 
-module Timer = struct
-  type t = {
-    tname : string;
-    mutable total : float;
-    mutable spans : int;
-    mutable depth : int;  (** open {!span}s of this timer on the stack *)
-    mutable t0 : float;  (** entry time of the outermost open span *)
-  }
+(* Wall-time total of every {!span} name. [depth] counts the open spans
+   of that name, so only the outermost one adds its interval and a
+   recursive or nested span never counts twice. Fields are guarded by
+   [registry_mutex], so a span may run on any domain. *)
+type total = { mutable secs : float; mutable depth : int; mutable t0 : float }
 
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 16
+let totals : (string, total) Hashtbl.t = Hashtbl.create 32
 
-  let get name =
-    locked registry_mutex (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some t -> t
-        | None ->
-            let t =
-              { tname = name; total = 0.0; spans = 0; depth = 0; t0 = 0.0 }
-            in
-            Hashtbl.add registry name t;
-            t)
+(* The latest [milp.incumbent] as (objective, gap), read by the resource
+   probe; nan before the first incumbent and after {!reset}. *)
+let no_incumbent = (Float.nan, Float.nan)
+let last_incumbent = Atomic.make no_incumbent
 
-  (* Re-entrancy: a span entered while another span of the same timer is
-     open must not add its interval again — only the outermost exit
-     accumulates, so [total] stays wall-per-timer even under recursion. *)
-  let span t f =
-    if t.depth = 0 then t.t0 <- Clock.wall ();
-    t.depth <- t.depth + 1;
-    let record () =
-      t.depth <- t.depth - 1;
-      if t.depth = 0 then t.total <- t.total +. (Clock.wall () -. t.t0);
-      t.spans <- t.spans + 1
-    in
-    match f () with
-    | v ->
-        record ();
-        v
-    | exception e ->
-        record ();
-        raise e
-
-  let elapsed t = t.total
-  let count t = t.spans
-  let name t = t.tname
-
-  let reset_all () =
-    Hashtbl.iter
-      (fun _ t ->
-        t.total <- 0.0;
-        t.spans <- 0)
-      registry
-
-  let snapshot () =
-    Hashtbl.fold
-      (fun _ t acc ->
-        if t.total <> 0.0 then (t.tname, t.total) :: acc else acc)
-      registry []
-    |> List.sort compare
-end
-
-module Series = struct
-  (* Long MILP runs can add a point per B&B node; an unbounded list is a
-     slow leak. Each series is capped: once [cap] stored points are
-     reached, every other stored point is discarded (oldest-first
-     thinning) and the recording stride doubles, so the series keeps a
-     deterministic, uniformly-spaced subsample of the full stream.
-     Determinism matters for the instrumentation-neutrality invariant:
-     the same add-stream always yields the same stored points. *)
-
-  let default_cap = 4096
-
-  type t = {
-    sname : string;
-    cap : int;
-    mutable pts : (float * float) list; (* reversed *)
-    mutable n : int;  (** stored points, [List.length pts] *)
-    mutable stride : int;  (** record every [stride]-th {!add} *)
-    mutable seen : int;  (** total {!add} calls since reset *)
-  }
-
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 8
-
-  let get name =
-    locked registry_mutex (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some s -> s
-        | None ->
-            let s =
-              { sname = name;
-                cap = Option.value ~default:default_cap
-                        (env_int "PIPESYN_SERIES_CAP" ~min:2);
-                pts = []; n = 0; stride = 1; seen = 0 }
-            in
-            Hashtbl.add registry name s;
-            s)
-
-  (* Incumbent/convergence points arrive from whichever domain found the
-     improvement, so the whole stride/thin update runs under the lock. *)
-  let add s ~x ~y =
-    locked registry_mutex @@ fun () ->
-    let i = s.seen in
-    s.seen <- s.seen + 1;
-    if i mod s.stride = 0 then begin
-      s.pts <- (x, y) :: s.pts;
-      s.n <- s.n + 1;
-      if s.n >= s.cap then begin
-        (* Thin to every other stored point, keeping the oldest so the
-           series still starts at its first recorded sample. *)
-        let kept =
-          List.filteri (fun i _ -> i mod 2 = 0) (List.rev s.pts) |> List.rev
-        in
-        s.pts <- kept;
-        s.n <- List.length kept;
-        s.stride <- s.stride * 2
-      end
-    end
-
-  let points s = List.rev s.pts
-
-  (* Most recent point, if any. Lock-guarded: the resource probe reads
-     series the solver domains are appending to. *)
-  let last s =
-    locked registry_mutex (fun () ->
-        match s.pts with p :: _ -> Some p | [] -> None)
-
-  let name s = s.sname
-  let seen s = s.seen
-  let capacity s = s.cap
-
-  let reset_all () =
-    Hashtbl.iter
-      (fun _ s ->
-        s.pts <- [];
-        s.n <- 0;
-        s.stride <- 1;
-        s.seen <- 0)
-      registry
-
-  let snapshot () =
-    Hashtbl.fold
-      (fun _ s acc ->
-        if s.pts <> [] then (s.sname, List.rev s.pts) :: acc else acc)
-      registry []
-    |> List.sort compare
-end
-
+(* Every read and reset of the registries holds the lock: a probe domain
+   folds the counters while solver domains insert new names, and even
+   two unlocked [Hashtbl] traversals race on the table's traversal
+   flag. *)
 let reset () =
-  Counter.reset_all ();
-  Timer.reset_all ();
-  Series.reset_all ()
+  locked registry_mutex (fun () ->
+      Hashtbl.iter (fun _ c -> Atomic.set c.Counter.n 0) Counter.registry;
+      Hashtbl.iter (fun _ t -> t.secs <- 0.0) totals);
+  Atomic.set last_incumbent no_incumbent
 
-let counters () = Counter.snapshot ()
-let timers () = Timer.snapshot ()
-let series () = Series.snapshot ()
+let counters () =
+  locked registry_mutex (fun () ->
+      Hashtbl.fold
+        (fun _ c acc ->
+          let n = Atomic.get c.Counter.n in
+          if n <> 0 then (c.Counter.cname, n) :: acc else acc)
+        Counter.registry [])
+  |> List.sort compare
 
 let snapshot () =
-  List.map (fun (n, v) -> (n, float_of_int v)) (counters ())
-  @ List.map (fun (n, v) -> (n ^ ".s", v)) (timers ())
+  let spans =
+    locked registry_mutex (fun () ->
+        Hashtbl.fold
+          (fun name t acc ->
+            if t.secs <> 0.0 then (name ^ ".s", t.secs) :: acc else acc)
+          totals [])
+  in
+  List.map (fun (n, v) -> (n, float_of_int v)) (counters ()) @ spans
   |> List.sort compare
 
 module Json = struct
@@ -621,19 +496,6 @@ module Trace = struct
           open_stack := rest;
           if o.recorded then
             push (End { name = o.o_name; cat = o.o_cat; ts = now (); tid = 1 })
-
-  let span ?cat ?args name f =
-    if not !on then f ()
-    else begin
-      begin_span ?cat ?args name;
-      match f () with
-      | v ->
-          end_span ();
-          v
-      | exception e ->
-          end_span ();
-          raise e
-    end
 
   let add_instant ~cat ~tid ~args name =
     if !on then
@@ -1183,10 +1045,43 @@ let emit ?(level = Log.Info) ?(cat = "app") ?(tid = 1) name args =
   Trace.add_instant ~cat ~tid ~args name;
   Log.add ~level name args
 
+(* One timing path: a span always adds to its name's wall-time total
+   (the [<name>.s] key of {!snapshot}) and, while tracing, also records
+   the B/E pair. *)
+let span ?cat ?args name f =
+  let t =
+    locked registry_mutex (fun () ->
+        let t =
+          match Hashtbl.find_opt totals name with
+          | Some t -> t
+          | None ->
+              let t = { secs = 0.0; depth = 0; t0 = 0.0 } in
+              Hashtbl.add totals name t;
+              t
+        in
+        if t.depth = 0 then t.t0 <- Clock.wall ();
+        t.depth <- t.depth + 1;
+        t)
+  in
+  Trace.begin_span ?cat ?args name;
+  let close () =
+    Trace.end_span ();
+    locked registry_mutex (fun () ->
+        t.depth <- t.depth - 1;
+        if t.depth = 0 then t.secs <- t.secs +. (Clock.wall () -. t.t0))
+  in
+  match f () with
+  | v ->
+      close ();
+      v
+  | exception e ->
+      close ();
+      raise e
+
 (* Background resource sampler: a dedicated domain that wakes every
    [PIPESYN_PROBE_MS] milliseconds and snapshots GC statistics, peak
-   RSS, the live solver counters and the incumbent/gap into bounded
-   {!Series} and ["probe.sample"] events — the live signal that
+   RSS, the live solver counters, per-domain node rates and the latest
+   incumbent/gap into one ["probe.sample"] event — the live signal that
    feedback-guided re-solving and the [--progress] line are built from.
    Off by default. Strictly read-only with respect to the solver: it
    reads atomics and registry snapshots and writes only into the
@@ -1227,23 +1122,20 @@ module Probe = struct
   let probe_mutex = Mutex.create ()
 
   (* Per-worker-domain node counters are published by the solver under
-     this prefix; the probe turns their deltas into rate series. *)
+     this prefix; the probe turns their deltas into per-domain rates. *)
   let domain_counter_prefix = "milp.nodes.d"
+
+  let note_incumbent ~objective ~gap = Atomic.set last_incumbent (objective, gap)
 
   let loop period_s =
     let t0 = Clock.wall () in
     let c_nodes = Counter.get "milp.bnb_nodes" in
     let c_pivots = Counter.get "milp.lp_pivots" in
-    let s_heap = Series.get "probe.heap_words" in
-    let s_minor = Series.get "probe.minor_words" in
-    let s_major = Series.get "probe.major_words" in
-    let s_rss = Series.get "probe.rss_kb" in
-    let s_nrate = Series.get "probe.nodes_per_s" in
-    let s_prate = Series.get "probe.pivots_per_s" in
     let prev_t = ref t0 in
     let prev_nodes = ref (Counter.value c_nodes) in
     let prev_pivots = ref (Counter.value c_pivots) in
     let prev_dom : (string, int) Hashtbl.t = Hashtbl.create 8 in
+    let pl = String.length domain_counter_prefix in
     (* Sleep in short slices so [stop] returns promptly even under a
        long sampling period. *)
     let rec nap remaining =
@@ -1256,52 +1148,31 @@ module Probe = struct
       nap period_s;
       if not (Atomic.get stop_flag) then begin
         let now_ = Clock.wall () in
-        let t = now_ -. t0 in
         let dt = Float.max 1e-9 (now_ -. !prev_t) in
         let g = Gc.quick_stat () in
         let nodes = Counter.value c_nodes in
         let pivots = Counter.value c_pivots in
-        let nrate = float_of_int (nodes - !prev_nodes) /. dt in
-        let prate = float_of_int (pivots - !prev_pivots) /. dt in
         let rss = peak_rss_kb () in
-        Series.add s_heap ~x:t ~y:(float_of_int g.Gc.heap_words);
-        Series.add s_minor ~x:t ~y:g.Gc.minor_words;
-        Series.add s_major ~x:t ~y:g.Gc.major_words;
-        (match rss with
-        | Some kb -> Series.add s_rss ~x:t ~y:(float_of_int kb)
-        | None -> ());
-        Series.add s_nrate ~x:t ~y:nrate;
-        Series.add s_prate ~x:t ~y:prate;
-        let pl = String.length domain_counter_prefix in
-        List.iter
-          (fun (cname, v) ->
-            if
-              String.length cname > pl
-              && String.sub cname 0 pl = domain_counter_prefix
-            then begin
-              let prev =
-                match Hashtbl.find_opt prev_dom cname with
-                | Some p -> p
-                | None -> 0
-              in
-              Hashtbl.replace prev_dom cname v;
-              let wid = String.sub cname pl (String.length cname - pl) in
-              Series.add
-                (Series.get ("probe.nodes_per_s.d" ^ wid))
-                ~x:t
-                ~y:(float_of_int (v - prev) /. dt)
-            end)
-          (Counter.snapshot ());
-        let gap =
-          match Series.last (Series.get "milp.convergence") with
-          | Some (_, y) -> y
-          | None -> Float.nan
+        (* Node rate of each worker domain ["d<wid>"] since the last
+           sample. *)
+        let domain_rates =
+          List.filter_map
+            (fun (cname, v) ->
+              if
+                String.length cname > pl
+                && String.sub cname 0 pl = domain_counter_prefix
+              then begin
+                let prev =
+                  Option.value ~default:0 (Hashtbl.find_opt prev_dom cname)
+                in
+                Hashtbl.replace prev_dom cname v;
+                let wid = String.sub cname pl (String.length cname - pl) in
+                Some ("d" ^ wid, Json.Float (float_of_int (v - prev) /. dt))
+              end
+              else None)
+            (counters ())
         in
-        let inc =
-          match Series.last (Series.get "milp.incumbents") with
-          | Some (_, y) -> y
-          | None -> Float.nan
-        in
+        let inc, gap = Atomic.get last_incumbent in
         let args =
           [
             ("heap_words", Json.Int g.Gc.heap_words);
@@ -1312,8 +1183,10 @@ module Probe = struct
             ("compactions", Json.Int g.Gc.compactions);
             ("nodes", Json.Int nodes);
             ("pivots", Json.Int pivots);
-            ("nodes_per_s", Json.Float nrate);
-            ("pivots_per_s", Json.Float prate);
+            ("nodes_per_s", Json.Float (float_of_int (nodes - !prev_nodes) /. dt));
+            ( "pivots_per_s",
+              Json.Float (float_of_int (pivots - !prev_pivots) /. dt) );
+            ("domain_nodes_per_s", Json.Obj domain_rates);
             ("gap", Json.Float gap);
             ("incumbent", Json.Float inc);
           ]
@@ -1329,8 +1202,7 @@ module Probe = struct
   let start ?period_ms () =
     let p =
       match period_ms with
-      | Some v when v >= 1 -> Some v
-      | Some _ -> None
+      | Some v -> Some (max 1 v)
       | None -> env_int "PIPESYN_PROBE_MS" ~min:1
     in
     match p with

@@ -4,9 +4,9 @@
     ({!Cuts.enumerate}), the branch-and-bound MILP ({!Lp.Milp.solve}), the
     frontend simplifier ({!Opt.simplify}) and downstream technology mapping
     ({!Techmap.map_schedule}) — reports what it did through this module:
-    monotonic {!Counter}s, accumulating phase {!Timer}s and timestamped
-    {!Series}. All state lives in one process-global registry so a driver
-    can {!reset}, run a flow, and {!snapshot} what happened without
+    monotonic {!Counter}s, phases timed by {!span}, and point events sent
+    through {!emit}. All state lives in one process-global registry so a
+    driver can {!reset}, run a flow, and {!snapshot} what happened without
     threading a context object through every call site.
 
     Instrumentation is {e additive}: it never influences a schedule, cover
@@ -24,9 +24,12 @@
     bench harness's [BENCH_results.json]. The schema is documented in
     README.md ("Observability").
 
-    Point events have one emission call, {!emit}; the trace, the NDJSON
-    {!Log} and (through the log's sink) the CLI's stderr lines and
-    [--progress] line are views over that one stream. *)
+    There is one call per kind of record. A phase is timed by {!span}:
+    its per-name wall total lands in {!snapshot}, and while tracing is on
+    it is also a trace span. A point event is sent by {!emit}: the trace,
+    the NDJSON {!Log} and (through the log's sink) the CLI's stderr lines
+    and [--progress] line are views over that one stream, and a
+    trajectory (incumbents, probe samples) lives only there. *)
 
 (** {1 Clocks} *)
 
@@ -73,107 +76,22 @@ module Counter : sig
   val name : t -> string
 end
 
-(** {1 Phase timers} *)
-
-(** Accumulating phase timers.
-
-    A timer sums the {!Clock.wall} spans of every {!Timer.span} call, so
-    one timer per phase ("cuts.enumerate", "milp.solve") accumulates
-    across repeated invocations — per-benchmark totals fall out of a
-    {!reset}/{!snapshot} bracket. *)
-module Timer : sig
-  type t
-
-  val get : string -> t
-  (** [get name] returns the timer registered under [name], creating it on
-      first use (same registry discipline as {!Counter.get}). *)
-
-  val span : t -> (unit -> 'a) -> 'a
-  (** [span t f] runs [f ()], adds its wall-clock duration to [t], and
-      returns (or re-raises) [f]'s outcome.
-
-      Nesting-safe: a span entered while another span of the {e same}
-      timer is open does not add its interval again — only the
-      outermost exit accumulates, so recursive or mutually-nested
-      instrumentation cannot double-count wall time. {!count} still
-      increments once per completed span. *)
-
-  val elapsed : t -> float
-  (** Accumulated seconds since the last {!reset}. *)
-
-  val count : t -> int
-  (** Number of completed {!span}s since the last {!reset}. *)
-
-  val name : t -> string
-end
-
-(** {1 Timestamped series} *)
-
-(** Append-only [(timestamp, value)] series — e.g. the objective of every
-    incumbent the MILP finds, stamped with solver-relative seconds.
-
-    Memory is bounded: each series stores at most [cap] points (default
-    {!Series.default_cap}, overridable via the [PIPESYN_SERIES_CAP]
-    environment variable, read when the series is created; values below
-    2 or unparsable fall back to the default). When the cap is reached
-    the stored points are thinned to every other one (keeping the
-    oldest) and the recording stride doubles, so a series of any length
-    degrades to a deterministic, uniformly-spaced subsample — the same
-    add-stream always yields the same stored points. {!Series.add} is
-    serialized by an internal lock so incumbent points may arrive from
-    any worker domain (their interleaving, like any concurrent
-    add-stream, is scheduler-dependent). *)
-module Series : sig
-  type t
-
-  val default_cap : int
-  (** Stored-point cap when [PIPESYN_SERIES_CAP] is unset (4096). *)
-
-  val get : string -> t
-  (** [get name] returns the series registered under [name], creating it
-      empty on first use. *)
-
-  val add : t -> x:float -> y:float -> unit
-  (** Records one [(x, y)] point (subject to the stride: after the first
-      overflow only every 2nd call is stored, then every 4th, …). *)
-
-  val points : t -> (float * float) list
-  (** Stored points in insertion order since the last {!reset}. *)
-
-  val last : t -> (float * float) option
-  (** Most recently stored point, or [None] for an empty series.
-      Lock-guarded, so the resource probe can read a series solver
-      domains are appending to. *)
-
-  val seen : t -> int
-  (** Total {!add} calls since the last {!reset}, including calls whose
-      point was not stored. *)
-
-  val capacity : t -> int
-  (** The cap this series was created with. *)
-
-  val name : t -> string
-end
-
 (** {1 Registry} *)
 
 val reset : unit -> unit
-(** Zeroes every counter, timer and series (the registry keeps the names).
-    Drivers call this between benchmarks so snapshots are per-run. *)
+(** Zeroes every counter and {!span} total (the registry keeps the
+    names) and forgets the probe's last incumbent. Drivers call this
+    between benchmarks so snapshots are per-run. Trace and log buffers
+    are left alone. *)
 
 val counters : unit -> (string * int) list
 (** All counters with non-zero values, sorted by name. *)
 
-val timers : unit -> (string * float) list
-(** All timers with non-zero elapsed time, sorted by name. *)
-
-val series : unit -> (string * (float * float) list) list
-(** All non-empty series, sorted by name. *)
-
 val snapshot : unit -> (string * float) list
-(** Counters and timers merged into one sorted [(name, value)] list —
-    counters as floats, timer names suffixed with [".s"]. The flat form
-    embedded under ["obs"] in the JSON output. *)
+(** Counters and {!span} totals merged into one sorted [(name, value)]
+    list — counters as floats, each span name suffixed with [".s"] and
+    carrying its wall seconds. Names with a zero value are left out. The
+    flat form embedded under ["obs"] in the JSON output. *)
 
 (** {1 JSON} *)
 
@@ -235,16 +153,16 @@ end
     from any domain (buffer pushes are serialized by an internal lock)
     and takes a [tid] that becomes the Chrome/Perfetto thread lane, so
     the parallel B&B pool renders one row per worker domain. Span
-    open/close ({!Trace.begin_span} / {!Trace.end_span} / {!Trace.span}) keeps a
-    single global stack and must only be used from the coordinating
-    domain. *)
+    open/close ({!Trace.begin_span} / {!Trace.end_span}, and so the
+    trace half of {!span}) keeps a single global stack and must only be
+    used from the coordinating domain. *)
 module Trace : sig
   val default_cap : int
   (** Event cap when [PIPESYN_TRACE_CAP] is unset (1_000_000). *)
 
   val enabled : unit -> bool
-  (** Whether events are currently being recorded. Call sites use this
-      to skip building argument lists on the hot path. *)
+  (** Whether events are currently being recorded. Event sites guard
+      on {!Obs.recording} instead, which also covers the log. *)
 
   val enable : ?cap:int -> unit -> unit
   (** Clears the buffer, sets the timestamp epoch to now, and starts
@@ -264,17 +182,13 @@ module Trace : sig
   (** [begin_span ~cat ~args name] opens a span; its parent is the
       innermost span still open (Chrome's B/E nesting). [cat] defaults
       to ["app"]; categories in this repo are ["flow"], ["cascade"],
-      ["cuts"], ["milp"], ["simplex"], ["techmap"] (DESIGN.md maps them
-      to paper phases). No-op when disabled. *)
+      ["cuts"], ["milp"], ["simplex"], ["techmap"], ["analyze"], ["opt"]
+      (DESIGN.md maps them to paper phases). No-op when disabled. Code
+      times a phase with {!Obs.span}, which calls this. *)
 
   val end_span : unit -> unit
   (** Closes the innermost open span. No-op when disabled or when no
       span is open. *)
-
-  val span : ?cat:string -> ?args:(string * Json.t) list -> string ->
-    (unit -> 'a) -> 'a
-  (** [span name f] brackets [f ()] in {!begin_span}/{!end_span},
-      exception-safely; when disabled it is exactly [f ()]. *)
 
   val num_events : unit -> int
   (** Events currently buffered. *)
@@ -467,6 +381,22 @@ val emit :
     (default 1, the coordinator lane) is the trace thread lane; B&B
     worker slot [w] passes [w + 1]. Safe from any domain. *)
 
+val span :
+  ?cat:string -> ?args:(string * Json.t) list -> string -> (unit -> 'a) -> 'a
+(** [span name f] runs [f ()], adds its wall-clock duration to [name]'s
+    total (reported as [<name>.s] by {!snapshot}, zeroed by {!reset}),
+    and returns (or re-raises) [f]'s outcome. While tracing is on it
+    also records a B/E pair ({!Trace.begin_span} with [cat] and [args],
+    then {!Trace.end_span}); the totals accrue whether or not tracing
+    is on.
+
+    Nesting-safe per name: a span entered while another span of the
+    {e same} name is open does not add its interval again — only the
+    outermost exit accumulates, so recursion cannot double-count wall
+    time. The total is safe to update from any domain, but the trace
+    half follows {!Trace}'s rule: open spans only on the coordinating
+    domain. *)
+
 (** {1 Resource probe} *)
 
 (** Background resource sampler on its own domain. Every period it
@@ -474,8 +404,11 @@ val emit :
     compactions), the peak RSS, the live solver counters
     ([milp.bnb_nodes], [milp.lp_pivots]) and the current
     incumbent/gap, and derives global and per-worker-domain node rates
-    — appending everything to bounded [probe.*] {!Series} and one
-    ["probe.sample"] {!emit} ([Info], lane 999).
+    — all carried by one ["probe.sample"] {!emit} ([Info], lane 999)
+    whose args are [heap_words], [rss_kb], [minor_words],
+    [major_words], [compactions], [nodes], [pivots], [nodes_per_s],
+    [pivots_per_s], [domain_nodes_per_s] (an object keyed ["d<wid>"]),
+    [gap] and [incumbent].
 
     Off by default: {!Probe.start} without an explicit period reads
     [PIPESYN_PROBE_MS] and does nothing when it is unset. The probe is
@@ -487,9 +420,10 @@ module Probe : sig
   val start : ?period_ms:int -> unit -> bool
   (** Starts the sampler domain with the given period (milliseconds,
       clamped to at least 1), or with [PIPESYN_PROBE_MS] when
-      [period_ms] is omitted. Returns whether a probe is now running
-      ([false] when no period is configured). Idempotent while
-      running. *)
+      [period_ms] is omitted (that variable must parse to at least 1,
+      else the probe stays off). Returns whether a probe is now running
+      ([false] only when [period_ms] is omitted and no period is
+      configured). Idempotent while running. *)
 
   val stop : unit -> unit
   (** Signals the sampler and joins its domain (returns within one
@@ -499,6 +433,11 @@ module Probe : sig
 
   val samples : unit -> int
   (** Samples taken since the last {!start}. *)
+
+  val note_incumbent : objective:float -> gap:float -> unit
+  (** Records the latest incumbent for the next sample's [incumbent]
+      and [gap] args. Called by the solver wherever it emits
+      ["milp.incumbent"]; {!reset} clears it back to nan. *)
 
   val peak_rss_kb : unit -> int option
   (** Peak resident set size (VmHWM) in kB from [/proc/self/status];

@@ -229,10 +229,9 @@ let c_removed = Obs.Counter.get "opt.dead_code_removed"
 let c_folded = Obs.Counter.get "opt.constants_folded"
 let c_merged = Obs.Counter.get "opt.cse_merged"
 let c_rounds = Obs.Counter.get "opt.rounds"
-let t_simplify = Obs.Timer.get "opt.simplify"
 
 let simplify ?(max_rounds = 8) g =
-  Obs.Timer.span t_simplify @@ fun () ->
+  Obs.span ~cat:"opt" "opt.simplify" @@ fun () ->
   let rec go g acc round =
     if round >= max_rounds then (g, { acc with rounds = round })
     else begin

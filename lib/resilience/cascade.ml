@@ -124,11 +124,9 @@ let run ~deadline steps =
                     ("attempt", Obs.Json.String s.slabel);
                     ("retry", Obs.Json.Int try_n);
                   ];
-              if Obs.Trace.enabled () then
-                Obs.Trace.span ~cat:"cascade" "cascade.attempt"
-                  ~args:[ ("attempt", Obs.Json.String s.slabel) ]
-                  (fun () -> s.run sub)
-              else s.run sub
+              Obs.span ~cat:"cascade" "cascade.attempt"
+                ~args:[ ("attempt", Obs.Json.String s.slabel) ]
+                (fun () -> s.run sub)
             in
             match attempt () with
             | Ok value ->

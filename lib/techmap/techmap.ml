@@ -3,7 +3,6 @@ let c_covers = Obs.Counter.get "techmap.covers"
 let c_lut_area = Obs.Counter.get "techmap.lut_area"
 let c_absorbed = Obs.Counter.get "techmap.absorbed_nodes"
 let c_truncated = Obs.Counter.get "techmap.deadline_truncations"
-let t_map = Obs.Timer.get "techmap.map"
 
 let required_roots g (sched : Sched.Schedule.t) =
   let n = Ir.Cdfg.num_nodes g in
@@ -37,8 +36,7 @@ let stage_local (sched : Sched.Schedule.t) req (c : Cuts.cut) =
 
 let map_schedule ?(deadline = Resilience.Deadline.none) ?truncated ~device
     ~delays ~cuts g sched =
-  Obs.Timer.span t_map @@ fun () ->
-  Obs.Trace.span ~cat:"techmap" "techmap.map" @@ fun () ->
+  Obs.span ~cat:"techmap" "techmap.map" @@ fun () ->
   ignore device;
   ignore delays;
   let n = Ir.Cdfg.num_nodes g in
@@ -63,7 +61,7 @@ let map_schedule ?(deadline = Resilience.Deadline.none) ?truncated ~device
     if req.(u) || sched.Sched.Schedule.cycle.(u) <> cycle then 0.0
     else flow.(u) /. float_of_int (fanout g u)
   in
-  Obs.Trace.span ~cat:"techmap" "techmap.label" (fun () ->
+  Obs.span ~cat:"techmap" "techmap.label" (fun () ->
   List.iter
     (fun v ->
       if (not !degraded) && Resilience.Deadline.expired deadline then
@@ -131,7 +129,7 @@ let map_schedule ?(deadline = Resilience.Deadline.none) ?truncated ~device
         end;
         drain ()
   in
-  Obs.Trace.span ~cat:"techmap" "techmap.extract" drain;
+  Obs.span ~cat:"techmap" "techmap.extract" drain;
   let selections =
     Array.to_list chosen
     |> List.mapi (fun v c -> (v, c))
@@ -154,25 +152,20 @@ let map_schedule ?(deadline = Resilience.Deadline.none) ?truncated ~device
   List.iter
     (fun s ->
       let sel = List.rev (Hashtbl.find by_stage s) in
-      let account () =
-        List.iter
-          (fun (_, (c : Cuts.cut)) ->
-            Obs.Counter.incr ~by:c.Cuts.area c_lut_area;
-            Obs.Counter.incr
-              ~by:(Bitdep.Int_set.cardinal c.Cuts.cone - 1)
-              c_absorbed;
-            if c.Cuts.area > 0 then
-              Obs.Counter.incr ~by:c.Cuts.area
-                (Obs.Counter.get (Printf.sprintf "techmap.stage%d.luts" s)))
-          sel
-      in
-      if Obs.Trace.enabled () then
-        Obs.Trace.span ~cat:"techmap" "techmap.stage"
-          ~args:
-            [ ("stage", Obs.Json.Int s);
-              ("cuts", Obs.Json.Int (List.length sel)) ]
-          account
-      else account ())
+      let c_stage = Obs.Counter.get (Printf.sprintf "techmap.stage%d.luts" s) in
+      Obs.span ~cat:"techmap" "techmap.stage"
+        ~args:
+          [ ("stage", Obs.Json.Int s);
+            ("cuts", Obs.Json.Int (List.length sel)) ]
+        (fun () ->
+          List.iter
+            (fun (_, (c : Cuts.cut)) ->
+              Obs.Counter.incr ~by:c.Cuts.area c_lut_area;
+              Obs.Counter.incr
+                ~by:(Bitdep.Int_set.cardinal c.Cuts.cone - 1)
+                c_absorbed;
+              Obs.Counter.incr ~by:c.Cuts.area c_stage)
+            sel))
     stages;
   Sched.Cover.make g selections
 

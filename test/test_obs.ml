@@ -1,4 +1,4 @@
-(* Tests for the instrumentation layer: counter/timer semantics, JSON
+(* Tests for the instrumentation layer: counter/span semantics, JSON
    round-trips, and — the critical invariant — that instrumentation is
    purely additive: a fully instrumented flow yields the same QoR as a
    re-run with all counters reset. *)
@@ -19,105 +19,118 @@ let test_counter_accumulate_reset () =
   Alcotest.(check bool) "zero counters dropped from snapshot" false
     (List.mem_assoc "test.counter" (Obs.counters ()))
 
-(* Busy-wait so elapsed wall time (the clock Timer uses since
-   resilience-v2) tracks the burn duration closely in a single thread. *)
+(* Stress: the probe domain folds the counter registry while solver
+   domains insert new names. In each round a second domain creates
+   5,000 fresh counters while this one lists them in a loop; no listing
+   may show a name twice, and afterwards every name is listed exactly
+   once. An unlocked fold can list a name twice while the table
+   resizes. *)
+let test_counter_registry_concurrent () =
+  Obs.reset ();
+  let n = 5_000 in
+  for round = 0 to 9 do
+    let prefix = Printf.sprintf "test.stress.%d." round in
+    let listed () =
+      List.filter_map
+        (fun (k, _) ->
+          if String.starts_with ~prefix k then Some k else None)
+        (Obs.counters ())
+    in
+    let d =
+      Domain.spawn (fun () ->
+          for i = 0 to n - 1 do
+            Obs.Counter.incr (Obs.Counter.get (prefix ^ string_of_int i))
+          done)
+    in
+    let rec poll () =
+      let names = listed () in
+      let k = List.length names in
+      Alcotest.(check int) "no name listed twice" k
+        (List.length (List.sort_uniq compare names));
+      if k < n then poll ()
+    in
+    poll ();
+    Domain.join d;
+    let names = listed () in
+    Alcotest.(check int) "every name listed" n (List.length names);
+    Alcotest.(check int) "every name listed once" n
+      (List.length (List.sort_uniq compare names))
+  done;
+  Obs.reset ()
+
+(* Busy-wait so elapsed wall time (the clock spans use) tracks the burn
+   duration closely in a single thread. *)
 let burn secs =
   let t0 = Sys.time () in
   while Sys.time () -. t0 < secs do
     ignore (Sys.opaque_identity 1)
   done
 
-(* Regression: a span entered while another span of the same timer is
-   open used to add the inner interval twice (outer span already covers
-   it). With 20ms outer + 20ms inner the buggy total is ~60ms, the
-   correct total ~40ms. *)
+(* [name]'s span total as {!Obs.snapshot} reports it; 0 when absent. *)
+let total name =
+  Option.value ~default:0.0 (List.assoc_opt (name ^ ".s") (Obs.snapshot ()))
+
+(* A span entered while another span of the same name is open must not
+   add the inner interval again (the outer span already covers it).
+   With 20ms outer + 20ms inner a double count is ~60ms, the correct
+   total ~40ms. A raise inside nested spans still unwinds the depth. *)
 let test_timer_nested_no_double_count () =
   Obs.reset ();
-  let t = Obs.Timer.get "test.nested" in
-  Obs.Timer.span t (fun () ->
+  Obs.span "test.nested" (fun () ->
       burn 0.02;
-      Obs.Timer.span t (fun () -> burn 0.02));
-  Alcotest.(check int) "both spans counted" 2 (Obs.Timer.count t);
-  let e = Obs.Timer.elapsed t in
+      Obs.span "test.nested" (fun () -> burn 0.02));
+  let e = total "test.nested" in
   Alcotest.(check bool)
     (Printf.sprintf "outermost-exit accumulation only (%.4fs)" e)
     true
     (e >= 0.035 && e < 0.055);
-  (* exception in the inner span still unwinds the depth *)
   (try
-     Obs.Timer.span t (fun () ->
-         Obs.Timer.span t (fun () -> failwith "boom"))
+     Obs.span "test.nested" (fun () ->
+         Obs.span "test.nested" (fun () -> failwith "boom"))
    with Failure _ -> ());
-  Obs.Timer.span t (fun () -> burn 0.01);
-  Alcotest.(check bool) "depth recovered after raise" true
-    (Obs.Timer.elapsed t < 0.08)
+  let before = total "test.nested" in
+  Obs.span "test.nested" (fun () -> burn 0.01);
+  let added = total "test.nested" -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "depth recovered after raise (+%.4fs)" added)
+    true
+    (added >= 0.008 && added < 0.03)
 
+(* Totals accrue with tracing off, a raise still records its interval,
+   and {!Obs.reset} zeroes them. *)
 let test_timer_spans () =
+  Obs.Trace.disable ();
+  Obs.Trace.clear ();
   Obs.reset ();
-  let t = Obs.Timer.get "test.timer" in
-  let v = Obs.Timer.span t (fun () -> List.init 1000 Fun.id |> List.length) in
+  let v = Obs.span "test.timer" (fun () -> burn 0.002; 1000) in
   Alcotest.(check int) "span returns the result" 1000 v;
-  Alcotest.(check int) "one span" 1 (Obs.Timer.count t);
-  Alcotest.(check bool) "non-negative elapsed" true (Obs.Timer.elapsed t >= 0.0);
-  (* exceptions still record the span *)
-  (try Obs.Timer.span t (fun () -> failwith "boom") with Failure _ -> ());
-  Alcotest.(check int) "span recorded on raise" 2 (Obs.Timer.count t);
+  let e = total "test.timer" in
+  Alcotest.(check bool) "total accrues with tracing off" true (e > 0.0);
+  Alcotest.(check int) "no trace events while tracing is off" 0
+    (Obs.Trace.num_events ());
+  (try Obs.span "test.timer" (fun () -> burn 0.002; failwith "boom")
+   with Failure _ -> ());
+  Alcotest.(check bool) "span recorded on raise" true (total "test.timer" > e);
   Obs.reset ();
-  Alcotest.(check int) "reset zeroes spans" 0 (Obs.Timer.count t)
+  Alcotest.(check bool) "reset zeroes the total" false
+    (List.mem_assoc "test.timer.s" (Obs.snapshot ()))
 
-let test_series () =
+(* While tracing, a span also records its B/E pair; {!Obs.reset} leaves
+   the trace buffer alone. *)
+let test_span_traced () =
   Obs.reset ();
-  let s = Obs.Series.get "test.series" in
-  Obs.Series.add s ~x:0.5 ~y:10.0;
-  Obs.Series.add s ~x:1.5 ~y:7.0;
-  Alcotest.(check (list (pair (float 1e-9) (float 1e-9))))
-    "insertion order"
-    [ (0.5, 10.0); (1.5, 7.0) ]
-    (Obs.Series.points s);
+  Obs.Trace.enable ();
+  Obs.span ~cat:"t" "test.traced" (fun () -> burn 0.002);
+  Alcotest.(check int) "one B/E pair" 2 (Obs.Trace.num_events ());
+  Alcotest.(check bool) "total accrues while tracing" true
+    (total "test.traced" > 0.0);
   Obs.reset ();
-  Alcotest.(check int) "reset clears" 0 (List.length (Obs.Series.points s))
-
-(* Satellite: Series memory is bounded. With PIPESYN_SERIES_CAP=8 a
-   100-point stream keeps at most 8 uniformly strided points, always
-   including the first, and the thinning is deterministic. *)
-let test_series_cap_downsampling () =
-  Obs.reset ();
-  Unix.putenv "PIPESYN_SERIES_CAP" "8";
-  let s = Obs.Series.get "test.capped" in
-  let s2 = Obs.Series.get "test.capped2" in
-  Unix.putenv "PIPESYN_SERIES_CAP" "";
-  for i = 0 to 99 do
-    Obs.Series.add s ~x:(float_of_int i) ~y:(float_of_int (2 * i));
-    Obs.Series.add s2 ~x:(float_of_int i) ~y:(float_of_int (2 * i))
-  done;
-  Alcotest.(check int) "capacity from env" 8 (Obs.Series.capacity s);
-  Alcotest.(check int) "all adds seen" 100 (Obs.Series.seen s);
-  let pts = Obs.Series.points s in
-  Alcotest.(check bool) "bounded by cap" true (List.length pts <= 8);
-  Alcotest.(check bool) "kept more than one point" true (List.length pts >= 2);
-  (match pts with
-  | (x0, y0) :: _ ->
-      Alcotest.(check (float 1e-9)) "first point kept" 0.0 x0;
-      Alcotest.(check (float 1e-9)) "y preserved" 0.0 y0
-  | [] -> Alcotest.fail "series empty");
-  (* stored points are uniformly strided *)
-  let xs = List.map fst pts in
-  let rec diffs = function
-    | a :: (b :: _ as r) -> (b -. a) :: diffs r
-    | _ -> []
-  in
-  (match diffs xs with
-  | [] -> Alcotest.fail "too few points for stride check"
-  | d :: ds ->
-      List.iter (fun d' -> Alcotest.(check (float 1e-9)) "uniform stride" d d') ds);
-  (* identical streams thin identically *)
-  Alcotest.(check bool) "deterministic thinning" true
-    (Obs.Series.points s = Obs.Series.points s2);
-  (* a fresh series with no override uses the default cap *)
-  let s3 = Obs.Series.get "test.default_cap" in
-  Alcotest.(check int) "default cap" Obs.Series.default_cap
-    (Obs.Series.capacity s3);
-  Obs.reset ()
+  Alcotest.(check int) "reset keeps the trace buffer" 2
+    (Obs.Trace.num_events ());
+  Alcotest.(check bool) "reset zeroes the total" true
+    (total "test.traced" = 0.0);
+  Obs.Trace.disable ();
+  Obs.Trace.clear ()
 
 let test_json_roundtrip_values () =
   let j =
@@ -295,10 +308,12 @@ let test_flow_metrics_end_to_end () =
     (Obs.Counter.value (Obs.Counter.get "milp.bnb_nodes") > 0);
   Alcotest.(check bool) "cuts enumerated counted" true
     (Obs.Counter.value (Obs.Counter.get "cuts.enumerated") > 0);
-  Alcotest.(check bool) "milp timer ran" true
-    (Obs.Timer.elapsed (Obs.Timer.get "milp.solve") > 0.0);
-  Alcotest.(check bool) "incumbent series non-empty" true
-    (Obs.Series.points (Obs.Series.get "milp.incumbents") <> []);
+  List.iter
+    (fun phase ->
+      Alcotest.(check bool) (phase ^ " timed") true (total phase > 0.0))
+    [ "milp.solve"; "cuts.enumerate"; "techmap.map"; "analyze" ];
+  Alcotest.(check bool) "incumbents counted" true
+    (Obs.Counter.value (Obs.Counter.get "milp.incumbents") > 0);
   (* reset + re-run: identical QoR and schedule *)
   Obs.reset ();
   let r2 = run () in
@@ -320,9 +335,10 @@ let () =
           Alcotest.test_case "timer spans" `Quick test_timer_spans;
           Alcotest.test_case "timer nested spans don't double-count" `Quick
             test_timer_nested_no_double_count;
-          Alcotest.test_case "series" `Quick test_series;
-          Alcotest.test_case "series cap + downsampling" `Quick
-            test_series_cap_downsampling;
+          Alcotest.test_case "span traced only while tracing" `Quick
+            test_span_traced;
+          Alcotest.test_case "counter registry under concurrent inserts"
+            `Quick test_counter_registry_concurrent;
         ] );
       ( "json",
         [

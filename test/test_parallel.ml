@@ -172,12 +172,11 @@ let golden_sink =
     ck_meta = Obs.Json.Null;
   }
 
-let fingerprint (r : Lp.Milp.result) =
+(* [gaps] are the [gap] args of the solve's ["milp.incumbent"] events,
+   in emission order. *)
+let fingerprint ~gaps (r : Lp.Milp.result) =
   let s = r.Lp.Milp.stats in
-  let gaps =
-    Obs.Series.points (Obs.Series.get "milp.convergence")
-    |> List.map (fun (_, g) -> Printf.sprintf "%h" g)
-  in
+  let gaps = List.map (Printf.sprintf "%h") gaps in
   Printf.sprintf "%s obj=%h nodes=%d pivots=%d warm=%d recoveries=%d gaps=[%s]"
     (status_str r.Lp.Milp.status) r.Lp.Milp.objective s.Lp.Milp.nodes
     s.Lp.Milp.lp_iterations s.Lp.Milp.warm_hits s.Lp.Milp.recoveries
@@ -192,12 +191,27 @@ let golden_solve ?cuts ?fault ?node_limit ?resume build =
       | Ok () -> ()
       | Error e -> Alcotest.failf "arm %s: %s" f e)
     fault;
-  Fun.protect ~finally:Resilience.Fault.clear @@ fun () ->
+  let gaps = ref [] in
+  Obs.Log.enable ();
+  Obs.Log.set_sink
+    (Some
+       (fun e ->
+         if e.Obs.Log.l_name = "milp.incumbent" then
+           match List.assoc_opt "gap" e.Obs.Log.l_args with
+           | Some (Obs.Json.Float g) -> gaps := g :: !gaps
+           | _ -> Alcotest.fail "milp.incumbent without a float gap"));
+  Fun.protect
+    ~finally:(fun () ->
+      Resilience.Fault.clear ();
+      Obs.Log.set_sink None;
+      Obs.Log.disable ();
+      Obs.Log.clear ())
+  @@ fun () ->
   let r =
     Lp.Milp.solve ~time_limit:60.0 ?node_limit ~domains:1 ?cuts
       ~checkpoint:golden_sink ?resume (build ())
   in
-  fingerprint r
+  fingerprint ~gaps:(List.rev !gaps) r
 
 let golden_faults =
   [

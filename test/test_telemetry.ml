@@ -259,9 +259,18 @@ let test_probe_off_without_period () =
     Alcotest.(check bool) "not running" false (Obs.Probe.running ())
   end
 
-let test_probe_samples_and_series () =
-  Obs.reset ();
-  Alcotest.(check bool) "probe started" true (Obs.Probe.start ~period_ms:2 ());
+(* Runs the probe at [period_ms] over ~0.1 s of busy work and returns
+   the args of every ["probe.sample"] its log sink saw. *)
+let probe_samples ~period_ms =
+  reset_log ();
+  Obs.Log.enable ();
+  let samples = ref [] in
+  Obs.Log.set_sink
+    (Some
+       (fun e ->
+         if e.Obs.Log.l_name = "probe.sample" then
+           samples := e.Obs.Log.l_args :: !samples));
+  Alcotest.(check bool) "probe started" true (Obs.Probe.start ~period_ms ());
   Alcotest.(check bool) "running" true (Obs.Probe.running ());
   (* burn a little work so the sampler gets scheduled a few times *)
   let t0 = Unix.gettimeofday () in
@@ -272,10 +281,30 @@ let test_probe_samples_and_series () =
     done
   done;
   Obs.Probe.stop ();
+  reset_log ();
   Alcotest.(check bool) "stopped" false (Obs.Probe.running ());
   Alcotest.(check bool) "took samples" true (Obs.Probe.samples () > 0);
-  Alcotest.(check bool) "heap series populated" true
-    (Obs.Series.points (Obs.Series.get "probe.heap_words") <> []);
+  List.rev !samples
+
+let test_probe_samples_and_events () =
+  Obs.reset ();
+  Obs.Probe.note_incumbent ~objective:12.5 ~gap:0.25;
+  let samples = probe_samples ~period_ms:2 in
+  Alcotest.(check bool) "samples reached the log sink" true (samples <> []);
+  List.iter
+    (fun args ->
+      List.iter
+        (fun k ->
+          Alcotest.(check bool) ("sample carries " ^ k) true
+            (List.mem_assoc k args))
+        [ "heap_words"; "rss_kb"; "minor_words"; "major_words";
+          "compactions"; "nodes"; "pivots"; "nodes_per_s"; "pivots_per_s";
+          "domain_nodes_per_s" ];
+      Alcotest.(check bool) "incumbent from the last note" true
+        (List.assoc_opt "incumbent" args = Some (Obs.Json.Float 12.5));
+      Alcotest.(check bool) "gap from the last note" true
+        (List.assoc_opt "gap" args = Some (Obs.Json.Float 0.25)))
+    samples;
   (match Obs.Probe.peak_rss_kb () with
   | Some kb -> Alcotest.(check bool) "peak RSS positive" true (kb > 0)
   | None -> ());
@@ -285,6 +314,22 @@ let test_probe_samples_and_series () =
     (match Obs.Json.member "probe_samples" j with
     | Some (Obs.Json.Int n) -> n > 0
     | _ -> false);
+  Obs.reset ()
+
+(* A zero period is clamped to 1 ms, as documented, not refused. After
+   {!Obs.reset} the samples carry no incumbent. *)
+let test_probe_zero_period_clamped () =
+  Obs.Probe.note_incumbent ~objective:3.0 ~gap:0.5;
+  Obs.reset ();
+  let samples = probe_samples ~period_ms:0 in
+  Alcotest.(check bool) "samples reached the log sink" true (samples <> []);
+  List.iter
+    (fun args ->
+      Alcotest.(check bool) "reset cleared the incumbent" true
+        (match List.assoc_opt "incumbent" args with
+        | Some (Obs.Json.Float f) -> Float.is_nan f
+        | _ -> false))
+    samples;
   Obs.reset ()
 
 (* ------------------------------------------------------------------ *)
@@ -468,8 +513,10 @@ let () =
         [
           Alcotest.test_case "off without period" `Quick
             test_probe_off_without_period;
-          Alcotest.test_case "samples and series" `Quick
-            test_probe_samples_and_series;
+          Alcotest.test_case "samples and events" `Quick
+            test_probe_samples_and_events;
+          Alcotest.test_case "zero period is clamped" `Quick
+            test_probe_zero_period_clamped;
         ] );
       ( "flow",
         [

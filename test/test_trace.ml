@@ -23,7 +23,7 @@ let test_disabled_is_inert () =
   Obs.Trace.begin_span "x";
   Obs.emit "tick" [];
   Obs.Trace.end_span ();
-  let v = Obs.Trace.span "s" (fun () -> 42) in
+  let v = Obs.span "s" (fun () -> 42) in
   Alcotest.(check int) "span returns the thunk's value" 42 v;
   Alcotest.(check int) "no events recorded" 0 (Obs.Trace.num_events ());
   Alcotest.(check bool) "reports disabled" false (Obs.Trace.enabled ())
@@ -31,10 +31,10 @@ let test_disabled_is_inert () =
 let test_nesting_and_roundtrip () =
   reset_trace ();
   Obs.Trace.enable ();
-  Obs.Trace.span ~cat:"t" "outer" (fun () ->
+  Obs.span ~cat:"t" "outer" (fun () ->
       Obs.emit ~cat:"t" "tick" [ ("k", Obs.Json.Int 1) ];
-      Obs.Trace.span ~cat:"t" "inner" (fun () -> ()));
-  Obs.Trace.span ~cat:"t" "second" (fun () -> ());
+      Obs.span ~cat:"t" "inner" (fun () -> ()));
+  Obs.span ~cat:"t" "second" (fun () -> ());
   Alcotest.(check int) "3 B + 3 E + 1 i" 7 (Obs.Trace.num_events ());
   let r = analyze_current () in
   Alcotest.(check (list string)) "well-formed" [] r.Obs.Trace.Analysis.r_errors;
@@ -52,7 +52,7 @@ let test_nesting_and_roundtrip () =
 let test_exception_closes_span () =
   reset_trace ();
   Obs.Trace.enable ();
-  (try Obs.Trace.span "boom" (fun () -> failwith "x") with Failure _ -> ());
+  (try Obs.span "boom" (fun () -> failwith "x") with Failure _ -> ());
   let r = analyze_current () in
   Alcotest.(check (list string)) "well-formed after raise" []
     r.Obs.Trace.Analysis.r_errors;
@@ -88,7 +88,7 @@ let test_cap_drops_deterministically () =
     (Obs.Trace.num_events ());
   Alcotest.(check int) "drops counted" 15 (Obs.Trace.dropped ());
   (* a span opened after the cap is dropped wholesale *)
-  Obs.Trace.span "late" (fun () -> Obs.emit "late-tick" []);
+  Obs.span "late" (fun () -> Obs.emit "late-tick" []);
   Alcotest.(check int) "late span dropped" 17 (Obs.Trace.num_events ());
   let r = analyze_current () in
   Alcotest.(check (list string)) "truncated trace is well-formed" []
@@ -99,7 +99,7 @@ let test_cap_drops_deterministically () =
 let test_native_export_shape () =
   reset_trace ();
   Obs.Trace.enable ();
-  Obs.Trace.span "s" (fun () -> Obs.emit "i" []);
+  Obs.span "s" (fun () -> Obs.emit "i" []);
   let s = Obs.Json.to_string (Obs.Trace.export_native ()) in
   (match Obs.Json.of_string s with
   | Error e -> Alcotest.failf "native export did not re-parse: %s" e
@@ -118,7 +118,7 @@ let test_native_export_shape () =
 let test_summary_shape () =
   reset_trace ();
   Obs.Trace.enable ();
-  Obs.Trace.span "s" (fun () ->
+  Obs.span "s" (fun () ->
       Obs.emit "milp.incumbent"
         [ ("objective", Obs.Json.Float 12.0); ("gap", Obs.Json.Float 0.25) ]);
   let j = Obs.Trace.summary () in
