@@ -15,30 +15,6 @@ let schema = "pipesyn-checkpoint-v1"
 
 let hex f = Printf.sprintf "%h" f
 
-type edit = {
-  e_j : int;
-  e_side : Cert.side;
-  e_v : float;
-  e_prev : float;
-}
-
-type open_node = {
-  o_nid : int;
-  o_parent : int;
-  o_bound : float;
-  o_bvar : int;
-  o_bfrac : float;
-  o_dir_up : bool;
-  o_edits : edit list;
-}
-
-type pc = {
-  dn_sum : float array;
-  dn_n : int array;
-  up_sum : float array;
-  up_n : int array;
-}
-
 type t = {
   fingerprint : string;
   domains : int;
@@ -52,8 +28,8 @@ type t = {
   incumbent : (float array * float) option;
   first_incumbent_s : float;
   elapsed_s : float;
-  frontier : open_node list;
-  pc : pc array;
+  frontier : Node.t list;
+  pc : Node.pc array;
   certs_on : bool;
   cert_nodes : Cert.node list;
   fixes : (int * Cert.side) list;
@@ -147,25 +123,31 @@ let cert_node_to_json (n : Cert.node) =
       ("fathom", fathom_to_json n.Cert.fathom);
     ]
 
-let edit_to_json e =
+(* A node's chain travels as its root → node edit list. *)
+let node_to_json (n : Node.t) =
+  let rec edits acc = function
+    | Node.Root -> acc
+    | Node.Tighten t ->
+        edits
+          (J.Obj
+             [
+               ("j", J.Int t.j);
+               ("side", side_to_json t.side);
+               ("v", jf t.v);
+               ("prev", jf t.prev);
+             ]
+          :: acc)
+          t.parent
+  in
   J.Obj
     [
-      ("j", J.Int e.e_j);
-      ("side", side_to_json e.e_side);
-      ("v", jf e.e_v);
-      ("prev", jf e.e_prev);
-    ]
-
-let open_node_to_json o =
-  J.Obj
-    [
-      ("nid", J.Int o.o_nid);
-      ("parent", J.Int o.o_parent);
-      ("bound", jf o.o_bound);
-      ("bvar", J.Int o.o_bvar);
-      ("bfrac", jf o.o_bfrac);
-      ("dir_up", J.Bool o.o_dir_up);
-      ("edits", J.List (List.map edit_to_json o.o_edits));
+      ("nid", J.Int n.nid);
+      ("parent", J.Int n.parent);
+      ("bound", jf n.bound);
+      ("bvar", J.Int n.bvar);
+      ("bfrac", jf n.bfrac);
+      ("dir_up", J.Bool n.dir_up);
+      ("edits", J.List (edits [] n.bounds));
     ]
 
 let tighten_to_json (t : Cert.tighten) =
@@ -208,7 +190,7 @@ let cut_to_json (c : Cert.cut) =
   in
   J.Obj [ ("terms", terms); ("rhs", jf c.Cert.cut_rhs); ("deriv", deriv) ]
 
-let pc_to_json p =
+let pc_to_json (p : Node.pc) =
   J.Obj
     [
       ("dn_sum", jfarr p.dn_sum);
@@ -235,7 +217,7 @@ let payload_to_json ck =
         | Some (x, obj) -> J.Obj [ ("x", jfarr x); ("obj", jf obj) ] );
       ("first_incumbent_s", jf ck.first_incumbent_s);
       ("elapsed_s", jf ck.elapsed_s);
-      ("frontier", J.List (List.map open_node_to_json ck.frontier));
+      ("frontier", J.List (List.map node_to_json ck.frontier));
       ("pc", J.List (Array.to_list (Array.map pc_to_json ck.pc)));
       ("certs_on", J.Bool ck.certs_on);
       ("cert_nodes", J.List (List.map cert_node_to_json ck.cert_nodes));
@@ -328,28 +310,32 @@ let cert_node_of_json j : Cert.node =
     fathom = fathom_of_json (mem "fathom" j);
   }
 
-let edit_of_json j =
+(* Each node's chain is rebuilt on its own; chains of different nodes
+   then share only [Root], which the bound walk between nodes handles. *)
+let node_of_json j : Node.t =
+  let bounds =
+    List.fold_left
+      (fun parent e ->
+        Node.Tighten
+          { j = int_ (mem "j" e); side = side_of_json (mem "side" e);
+            v = flt_ (mem "v" e); prev = flt_ (mem "prev" e);
+            depth = Node.depth parent + 1; parent })
+      Node.Root
+      (list_ (mem "edits" j))
+  in
   {
-    e_j = int_ (mem "j" j);
-    e_side = side_of_json (mem "side" j);
-    e_v = flt_ (mem "v" j);
-    e_prev = flt_ (mem "prev" j);
-  }
-
-let open_node_of_json j =
-  {
-    o_nid = int_ (mem "nid" j);
-    o_parent = int_ (mem "parent" j);
-    o_bound = flt_ (mem "bound" j);
-    o_bvar = int_ (mem "bvar" j);
-    o_bfrac = flt_ (mem "bfrac" j);
-    o_dir_up = bool_ (mem "dir_up" j);
-    o_edits = List.map edit_of_json (list_ (mem "edits" j));
+    Node.nid = int_ (mem "nid" j);
+    parent = int_ (mem "parent" j);
+    bounds;
+    bound = flt_ (mem "bound" j);
+    bvar = int_ (mem "bvar" j);
+    bfrac = flt_ (mem "bfrac" j);
+    dir_up = bool_ (mem "dir_up" j);
   }
 
 let pc_of_json j =
   {
-    dn_sum = farr (mem "dn_sum" j);
+    Node.dn_sum = farr (mem "dn_sum" j);
     dn_n = iarr (mem "dn_n" j);
     up_sum = farr (mem "up_sum" j);
     up_n = iarr (mem "up_n" j);
@@ -403,7 +389,7 @@ let payload_of_json j =
       | inc -> Some (farr (mem "x" inc), flt_ (mem "obj" inc)));
     first_incumbent_s = flt_ (mem "first_incumbent_s" j);
     elapsed_s = flt_ (mem "elapsed_s" j);
-    frontier = List.map open_node_of_json (list_ (mem "frontier" j));
+    frontier = List.map node_of_json (list_ (mem "frontier" j));
     pc = Array.of_list (List.map pc_of_json (list_ (mem "pc" j)));
     certs_on = bool_ (mem "certs_on" j);
     cert_nodes = List.map cert_node_of_json (list_ (mem "cert_nodes" j));

@@ -19,39 +19,6 @@
 val schema : string
 (** ["pipesyn-checkpoint-v1"]. *)
 
-(** One bound tightening on the path root → node, in application
-    order. [e_prev] is the bound value it replaced (the parent's), which
-    is what lets the solver's copy-on-branch chains rebuild with exact
-    undo information. *)
-type edit = {
-  e_j : int;
-  e_side : Cert.side;
-  e_v : float;
-  e_prev : float;
-}
-
-(** An open (unprocessed) frontier node. [o_nid] is the node's original
-    certificate id — preserved across resume so the closed parents'
-    branch records still point at real children. *)
-type open_node = {
-  o_nid : int;
-  o_parent : int;
-  o_bound : float;
-  o_bvar : int;
-  o_bfrac : float;
-  o_dir_up : bool;
-  o_edits : edit list;  (** root → node order *)
-}
-
-(** One worker's pseudocost table (observed objective degradation per
-    unit fractional distance, down/up). *)
-type pc = {
-  dn_sum : float array;
-  dn_n : int array;
-  up_sum : float array;
-  up_n : int array;
-}
-
 type t = {
   fingerprint : string;  (** {!fingerprint} of the model solved *)
   domains : int;  (** worker-domain count of the checkpointed solve *)
@@ -67,8 +34,8 @@ type t = {
   incumbent : (float array * float) option;  (** best (x, objective) *)
   first_incumbent_s : float;
   elapsed_s : float;  (** solve seconds consumed before the snapshot *)
-  frontier : open_node list;
-  pc : pc array;  (** per worker slot, index = slot id *)
+  frontier : Node.t list;
+  pc : Node.pc array;  (** per worker slot, index = slot id *)
   certs_on : bool;  (** whether the solve was emitting certificates *)
   cert_nodes : Cert.node list;  (** closed nodes' certificate entries *)
   fixes : (int * Cert.side) list;

@@ -133,7 +133,8 @@ let test_cpu_vs_wall_metric () =
    orthogonal to) root cut preparation. *)
 
 (* Run a solve that stops mid-tree and leaves a checkpoint file behind. *)
-let checkpointed_solve ?(certificates = false) ?(node_limit = 8) ~path () =
+let checkpointed_solve ?(certificates = false) ?(node_limit = 8) ?(domains = 1)
+    ?(model = fun () -> knapsack ()) ~path () =
   let sink =
     {
       Lp.Milp.ck_path = path;
@@ -143,17 +144,17 @@ let checkpointed_solve ?(certificates = false) ?(node_limit = 8) ~path () =
     }
   in
   Lp.Milp.solve ~time_limit:60.0 ~node_limit ~certificates ~cuts:false
-    ~checkpoint:sink (knapsack ())
+    ~domains ~checkpoint:sink (model ())
 
 let read_ck path =
   match Lp.Checkpoint.read ~path with
   | Ok ck -> ck
   | Error e -> Alcotest.failf "read %s: %s" path e
 
-let test_checkpoint_roundtrip () =
+let check_roundtrip domains =
   let p1 = tmp "pipesyn_ck_rt.json" in
   let p2 = tmp "pipesyn_ck_rt2.json" in
-  let r = checkpointed_solve ~certificates:true ~path:p1 () in
+  let r = checkpointed_solve ~certificates:true ~domains ~path:p1 () in
   Alcotest.(check bool) "snapshots were written" true
     (r.Lp.Milp.stats.Lp.Milp.checkpoints > 0);
   let ck = read_ck p1 in
@@ -183,6 +184,10 @@ let test_checkpoint_roundtrip () =
     (ck.Lp.Checkpoint.certs_on && ck.Lp.Checkpoint.cert_nodes <> []);
   Sys.remove p1;
   Sys.remove p2
+
+(* A one-domain frontier, and a four-domain one that holds stolen
+   subtrees. *)
+let test_checkpoint_roundtrip () = List.iter check_roundtrip [ 1; 4 ]
 
 let test_checkpoint_rejects_torn () =
   let p = tmp "pipesyn_ck_torn.json" in
@@ -218,37 +223,50 @@ let test_checkpoint_fingerprint_mismatch () =
 
 (* --- checkpoint/resume equivalence ------------------------------------ *)
 
+(* The interrupted solve runs at the same domain count as the resume,
+   so at 2 and 4 domains its final checkpoint folds several workers'
+   closed-node logs: each entry must appear once, and the unsolved-
+   pruned count must be the interrupted result's. *)
 let test_resume_equivalence () =
+  let model () = knapsack ~n:16 () in
   let clean =
-    Lp.Milp.solve ~time_limit:60.0 ~certificates:true ~cuts:false (knapsack ())
+    Lp.Milp.solve ~time_limit:60.0 ~certificates:true ~cuts:false (model ())
   in
   Alcotest.(check string) "clean solve is exhaustive" "optimal"
     (status_str clean.Lp.Milp.status);
   let p = tmp "pipesyn_ck_resume.json" in
   List.iter
     (fun domains ->
+      let name = Printf.sprintf "resume @ %d domains" domains in
       (* interrupt mid-solve, then rehydrate and run to completion *)
-      let cut = checkpointed_solve ~certificates:true ~node_limit:6 ~path:p () in
+      let cut =
+        checkpointed_solve ~certificates:true ~node_limit:40 ~domains ~model
+          ~path:p ()
+      in
       Alcotest.(check bool) "interrupted before optimality" true
         (cut.Lp.Milp.status <> Lp.Milp.Optimal);
       let ck = read_ck p in
+      let ids =
+        List.map (fun (n : Lp.Cert.node) -> n.Lp.Cert.id) ck.Lp.Checkpoint.cert_nodes
+      in
+      Alcotest.(check int) (name ^ ": checkpoint node ids are unique")
+        (List.length ids) (List.length (List.sort_uniq compare ids));
+      Alcotest.(check int) (name ^ ": checkpoint lp_limited")
+        cut.Lp.Milp.stats.Lp.Milp.lp_limited ck.Lp.Checkpoint.lp_limited;
       let resumed =
         Lp.Milp.solve ~time_limit:60.0 ~certificates:true ~cuts:false ~domains
-          ~resume:ck (knapsack ())
+          ~resume:ck (model ())
       in
-      check_same_result
-        (Printf.sprintf "resume @ %d domains" domains)
-        clean resumed;
+      check_same_result name clean resumed;
       Alcotest.(check bool) "cumulative node count" true
         (resumed.Lp.Milp.stats.Lp.Milp.nodes > ck.Lp.Checkpoint.nodes_done);
       (* the resumed certificate (checkpoint prefix + new nodes) must
          audit clean in exact rational arithmetic *)
-      let diags = Analyze.Engine.check_audit (knapsack ()) resumed in
+      let diags = Analyze.Engine.check_audit (model ()) resumed in
       (match Analyze.Diag.errors diags with
       | [] -> ()
       | errs ->
-          Alcotest.failf "resume @ %d domains: %d audit errors: %s" domains
-            (List.length errs)
+          Alcotest.failf "%s: %d audit errors: %s" name (List.length errs)
             (String.concat "; "
                (List.map (fun d -> Fmt.str "%a" Analyze.Diag.pp d) errs))))
     [ 1; 2; 4 ];
@@ -296,13 +314,9 @@ let test_resume_root_only () =
   let ck = read_ck p in
   Sys.remove p;
   let raw = Lp.Model.to_raw (knapsack ()) in
-  let root =
-    { Lp.Checkpoint.o_nid = 0; o_parent = -1; o_bound = neg_infinity;
-      o_bvar = -1; o_bfrac = 0.0; o_dir_up = false; o_edits = [] }
-  in
   let ck =
     { ck with
-      Lp.Checkpoint.frontier = [ root ]; next_nid = 1; nodes_done = 0;
+      Lp.Checkpoint.frontier = [ Lp.Node.root ]; next_nid = 1; nodes_done = 0;
       lp_limited = 0; fixed_vars = 0; root_bound = neg_infinity;
       root_lb = Array.copy raw.Lp.Model.lb;
       root_ub = Array.copy raw.Lp.Model.ub; incumbent = None;
