@@ -5,11 +5,13 @@
     budget after which the best feasible solution found is returned — the
     same protocol the paper used with CPLEX's 60-minute cap (Sec. 4.3).
 
-    {!solve} puts four layers together: {!Root} (presolve, cutting
+    {!solve} puts four layers together: [Root] (presolve, cutting
     planes, reduced-cost fixing), {!Node} (bound chains, branching, one
-    node's LP), {!Pool} (work stealing, leases, the shared incumbent)
-    and {!Supervisor} (worker domains, checkpoints, recovery, the
-    watchdog). For runs that terminate by exhausting the tree, status,
+    node's LP), [Pool] (work stealing, leases, the shared incumbent)
+    and [Supervisor] (worker domains, checkpoints, recovery, the
+    watchdog). [Root], [Pool] and [Supervisor] are private to this
+    library; their contracts are in [root.mli], [pool.mli] and
+    [supervisor.mli]. For runs that terminate by exhausting the tree, status,
     objective and incumbent are independent of the domain count, of
     scheduling, and of recovery and resume (DESIGN.md §3g, §3i). *)
 
@@ -84,7 +86,7 @@ type checkpoint_sink = Supervisor.sink = {
   ck_meta : Obs.Json.t;
 }
 (** Where and how often {!solve} snapshots its live frontier (see
-    {!Supervisor.sink}). *)
+    [Supervisor.sink] in [supervisor.mli]). *)
 
 exception Worker_killed
 (** Raised at node-processing entry by the [milp.worker_kill] and
@@ -118,10 +120,10 @@ val solve :
     still validated). [branch_priority] (one entry per variable, higher
     first) restricts pseudocost branching to the highest priority class
     with any fractionality ({!Node}). [presolve] and [cuts] (both default
-    [true]) switch off root bound tightening and root cuts ({!Root}).
+    [true]) switch off root bound tightening and root cuts ([Root]).
 
     [domains] (default: [PIPESYN_DOMAINS], else 1; clamped to
-    \[1, 64\]) sets how many OCaml 5 domains explore the tree ({!Pool}).
+    \[1, 64\]) sets how many OCaml 5 domains explore the tree ([Pool]).
     One domain explores in a fixed order, so node and pivot counts are
     reproducible. Runs that exhaust the tree return the same status and
     objective at every domain count; budget-truncated runs keep
@@ -135,7 +137,7 @@ val solve :
     returned with {!Feasible} ({!Unknown} if none was found).
 
     [checkpoint], [stall_window] (seconds; default off) and crash
-    recovery are the {!Supervisor}'s. [resume] continues a {!Checkpoint}
+    recovery are the [Supervisor]'s. [resume] continues a {!Checkpoint}
     whose fingerprint must match the model ([Invalid_argument]
     otherwise), at any [domains] count; a fresh solve starts from the
     same kind of state with only the root open. [stats.elapsed] and the
@@ -143,7 +145,7 @@ val solve :
     ({!Resilience.Fault}): [milp.raise] raises [Failure] at entry;
     [milp.timeout] returns {!Unknown}, modelling a budget that expired
     before any incumbent existed; the rest are in {!Node},
-    {!Supervisor} and {!Checkpoint}.
+    [Supervisor] and {!Checkpoint}.
 
     [certificates] (default [false]) makes the solve proof-carrying: the
     result's [cert] holds every closed node's LP claim, branch and

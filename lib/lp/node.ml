@@ -199,7 +199,6 @@ type worker = {
   mutable lp : Simplex.state option;
   mutable pc : pc;
   mutable pivots : int;
-  mutable limited : int;
   mutable warm : int;
   ctl : control;
   cnode : Obs.Counter.t;
@@ -213,7 +212,7 @@ let worker ~wid ~lb ~ub ~pcs ~deadline =
     else pc_create n
   in
   let cell = Resilience.Deadline.new_cell () in
-  { wid; lb; ub; cur = Root; lp = None; pc; pivots = 0; limited = 0; warm = 0;
+  { wid; lb; ub; cur = Root; lp = None; pc; pivots = 0; warm = 0;
     ctl =
       { cell; dl = Resilience.Deadline.with_cancel deadline cell;
         nudged = Atomic.make false };
@@ -256,6 +255,7 @@ let reset w =
 
 type outcome =
   | Leaf
+  | Limited
   | Children of t * t
   | Cancelled
   | Stop_budget
@@ -339,13 +339,13 @@ let solve env w node =
         else Stop_budget
     | Simplex.Iteration_limit ->
         (* Pruning an unsolved subproblem is unsound for optimality
-           claims, so count it: any such node demotes Optimal. *)
-        w.limited <- w.limited + 1;
+           claims, so the pool counts it: any such node demotes
+           Optimal. *)
         if Obs.recording ~level:Obs.Log.Warn () then
           Obs.emit ~level:Obs.Log.Warn ~cat:"milp" ~tid:(w.wid + 1)
             "milp.lp_limit"
             [ ("node", Obs.Json.Int node_id); ("depth", Obs.Json.Int depth) ];
-        Leaf
+        Limited
     | Simplex.Optimal ->
         if node.bvar >= 0 then
           pc_record w.pc ~j:node.bvar ~dir_up:node.dir_up

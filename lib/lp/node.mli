@@ -71,7 +71,6 @@ type worker = private {
   mutable lp : Simplex.state option;  (** warm-start state *)
   mutable pc : pc;
   mutable pivots : int;
-  mutable limited : int;  (** node LPs pruned at their iteration cap *)
   mutable warm : int;  (** node LPs answered by the warm path *)
   ctl : control;
   cnode : Obs.Counter.t;  (** [milp.nodes.d<wid>], for the probe *)
@@ -107,9 +106,11 @@ val reset : worker -> unit
 
 (** What processing one node asks of the pool. [Children (near, far)]:
     [near] (round-to-nearest) is explored next, [far] is the publishable
-    sibling. [Cancelled] and [Stop_budget] leave the node open. *)
+    sibling. [Limited] is a leaf pruned at its LP iteration cap.
+    [Cancelled] and [Stop_budget] leave the node open. *)
 type outcome =
   | Leaf
+  | Limited
   | Children of t * t
   | Cancelled
   | Stop_budget

@@ -5,6 +5,7 @@ type slot = {
   mutable local : Node.t list;  (* private stack, top first *)
   mutable lease : Node.t option;
   mutable certs : Cert.node list;  (* newest first *)
+  mutable limited : int;  (* retired [Limited] nodes *)
   mutable beat : float;
 }
 
@@ -35,7 +36,8 @@ let create ~domains ~certs_on ~elapsed (start : Checkpoint.t) =
   let thieves = domains > 1 in
   let slots =
     Array.init domains (fun _ ->
-        { worker = None; local = []; lease = None; certs = []; beat = 0.0 })
+        { worker = None; local = []; lease = None; certs = []; limited = 0;
+          beat = 0.0 })
   in
   let q =
     match start.frontier with
@@ -203,7 +205,8 @@ let complete t (w : Node.worker) node outcome cert =
   locked t @@ fun () ->
   Option.iter (fun c -> s.certs <- c :: s.certs) cert;
   (match outcome with
-  | Node.Leaf ->
+  | Node.Leaf | Node.Limited ->
+      if outcome = Node.Limited then s.limited <- s.limited + 1;
       s.lease <- None;
       finish_pending t
   | Node.Children (near, far) ->
@@ -277,7 +280,8 @@ let view t =
     incumbents;
     first_incumbent_s;
     pivots = sum (fun w -> w.pivots);
-    limited = t.closed_limited + sum (fun w -> w.limited);
+    limited =
+      Array.fold_left (fun a (s : slot) -> a + s.limited) t.closed_limited t.slots;
     warm = sum (fun w -> w.warm);
     certs =
       t.closed_certs @ List.concat_map (fun (s : slot) -> List.rev s.certs) slots;

@@ -62,10 +62,12 @@ val take : t -> Node.worker -> budget:(unit -> bool) -> (Node.t * bool) option
 
 val complete :
   t -> Node.worker -> Node.t -> Node.outcome -> Cert.node option -> unit
-(** Retire the worker's lease with the node's outcome and log its
-    certificate entry, in one critical section. [Children] are pushed;
-    [Cancelled] requeues the node at the steal end; [Stop_budget] is the
-    budget stop of {!take}; [Stop_unbounded] stops the pool. *)
+(** Retire the worker's lease with the node's outcome, log its
+    certificate entry and count a [Limited] leaf, in one critical
+    section, so a {!view} never counts a node that is still open.
+    [Children] are pushed; [Cancelled] requeues the node at the steal
+    end; [Stop_budget] is the budget stop of {!take}; [Stop_unbounded]
+    stops the pool. *)
 
 val evict : ?failed:exn -> t -> Node.worker -> unit
 (** After a worker death: requeue its lease, then its stack top-down, at

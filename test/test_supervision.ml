@@ -223,52 +223,75 @@ let test_checkpoint_fingerprint_mismatch () =
 
 (* --- checkpoint/resume equivalence ------------------------------------ *)
 
-(* The interrupted solve runs at the same domain count as the resume,
-   so at 2 and 4 domains its final checkpoint folds several workers'
+let audit_clean name model (r : Lp.Milp.result) =
+  match Analyze.Diag.errors (Analyze.Engine.check_audit model r) with
+  | [] -> ()
+  | errs ->
+      Alcotest.failf "%s: %d audit errors: %s" name (List.length errs)
+        (String.concat "; "
+           (List.map (fun d -> Fmt.str "%a" Analyze.Diag.pp d) errs))
+
+(* Interrupt [model] mid-solve at [interrupt] domains, then rehydrate
+   the checkpoint at [resume] domains and run to completion. At 2 or 4
+   interrupting domains the final checkpoint folds several workers'
    closed-node logs: each entry must appear once, and the unsolved-
    pruned count must be the interrupted result's. *)
-let test_resume_equivalence () =
-  let model () = knapsack ~n:16 () in
-  let clean =
-    Lp.Milp.solve ~time_limit:60.0 ~certificates:true ~cuts:false (model ())
+let check_resume ~model ~node_limit ~clean ~interrupt ~resume p =
+  let name = Printf.sprintf "resume %d -> %d domains" interrupt resume in
+  let cut =
+    checkpointed_solve ~certificates:true ~node_limit ~domains:interrupt ~model
+      ~path:p ()
   in
-  Alcotest.(check string) "clean solve is exhaustive" "optimal"
-    (status_str clean.Lp.Milp.status);
+  Alcotest.(check bool) (name ^ ": interrupted before optimality") true
+    (cut.Lp.Milp.status <> Lp.Milp.Optimal);
+  let ck = read_ck p in
+  let ids =
+    List.map (fun (n : Lp.Cert.node) -> n.Lp.Cert.id) ck.Lp.Checkpoint.cert_nodes
+  in
+  Alcotest.(check int) (name ^ ": checkpoint node ids are unique")
+    (List.length ids) (List.length (List.sort_uniq compare ids));
+  Alcotest.(check int) (name ^ ": checkpoint lp_limited")
+    cut.Lp.Milp.stats.Lp.Milp.lp_limited ck.Lp.Checkpoint.lp_limited;
+  let resumed =
+    Lp.Milp.solve ~time_limit:60.0 ~certificates:true ~cuts:false
+      ~domains:resume ~resume:ck (model ())
+  in
+  check_same_result name clean resumed;
+  Alcotest.(check bool) (name ^ ": cumulative node count") true
+    (resumed.Lp.Milp.stats.Lp.Milp.nodes > ck.Lp.Checkpoint.nodes_done);
+  (* the resumed certificate (checkpoint prefix + new nodes) must audit
+     clean in exact rational arithmetic *)
+  audit_clean name (model ()) resumed
+
+let test_resume_equivalence () =
+  let exhaustive model =
+    let clean =
+      Lp.Milp.solve ~time_limit:60.0 ~certificates:true ~cuts:false (model ())
+    in
+    Alcotest.(check string) "clean solve is exhaustive" "optimal"
+      (status_str clean.Lp.Milp.status);
+    clean
+  in
   let p = tmp "pipesyn_ck_resume.json" in
+  (* A one-domain checkpoint resumed at 1, 2 and 4 domains: the wider
+     resumes load one pseudocost table into several workers and spread
+     a one-domain frontier over the shared deque. *)
+  let model () = knapsack () in
+  let clean = exhaustive model in
   List.iter
-    (fun domains ->
-      let name = Printf.sprintf "resume @ %d domains" domains in
-      (* interrupt mid-solve, then rehydrate and run to completion *)
-      let cut =
-        checkpointed_solve ~certificates:true ~node_limit:40 ~domains ~model
-          ~path:p ()
-      in
-      Alcotest.(check bool) "interrupted before optimality" true
-        (cut.Lp.Milp.status <> Lp.Milp.Optimal);
-      let ck = read_ck p in
-      let ids =
-        List.map (fun (n : Lp.Cert.node) -> n.Lp.Cert.id) ck.Lp.Checkpoint.cert_nodes
-      in
-      Alcotest.(check int) (name ^ ": checkpoint node ids are unique")
-        (List.length ids) (List.length (List.sort_uniq compare ids));
-      Alcotest.(check int) (name ^ ": checkpoint lp_limited")
-        cut.Lp.Milp.stats.Lp.Milp.lp_limited ck.Lp.Checkpoint.lp_limited;
-      let resumed =
-        Lp.Milp.solve ~time_limit:60.0 ~certificates:true ~cuts:false ~domains
-          ~resume:ck (model ())
-      in
-      check_same_result name clean resumed;
-      Alcotest.(check bool) "cumulative node count" true
-        (resumed.Lp.Milp.stats.Lp.Milp.nodes > ck.Lp.Checkpoint.nodes_done);
-      (* the resumed certificate (checkpoint prefix + new nodes) must
-         audit clean in exact rational arithmetic *)
-      let diags = Analyze.Engine.check_audit (model ()) resumed in
-      (match Analyze.Diag.errors diags with
-      | [] -> ()
-      | errs ->
-          Alcotest.failf "%s: %d audit errors: %s" name (List.length errs)
-            (String.concat "; "
-               (List.map (fun d -> Fmt.str "%a" Analyze.Diag.pp d) errs))))
+    (fun resume ->
+      check_resume ~model ~node_limit:6 ~clean ~interrupt:1 ~resume p)
+    [ 1; 2; 4 ];
+  (* Checkpoints taken at 2 and 4 domains, whose frontiers hold stolen
+     subtrees, resumed at every domain count. *)
+  let model () = knapsack ~n:16 () in
+  let clean = exhaustive model in
+  List.iter
+    (fun interrupt ->
+      List.iter
+        (fun resume ->
+          check_resume ~model ~node_limit:40 ~clean ~interrupt ~resume p)
+        [ 1; 2; 4 ])
     [ 1; 2; 4 ];
   Sys.remove p
 
@@ -286,14 +309,6 @@ let test_resume_completed_checkpoint () =
   Alcotest.(check int) "no new nodes" full.Lp.Milp.stats.Lp.Milp.nodes
     resumed.Lp.Milp.stats.Lp.Milp.nodes;
   Sys.remove p
-
-let audit_clean name model (r : Lp.Milp.result) =
-  match Analyze.Diag.errors (Analyze.Engine.check_audit model r) with
-  | [] -> ()
-  | errs ->
-      Alcotest.failf "%s: %d audit errors: %s" name (List.length errs)
-        (String.concat "; "
-           (List.map (fun d -> Fmt.str "%a" Analyze.Diag.pp d) errs))
 
 (* A checkpoint whose frontier is the unprocessed root — what a budget
    stop inside the root LP leaves behind. Built from a mid-tree snapshot
