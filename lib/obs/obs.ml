@@ -30,17 +30,6 @@ let env_int var ~min =
       | Some v when v >= min -> Some v
       | _ -> None)
 
-(* Lowest {!Log.level} value any sink takes: 0 while tracing (the trace
-   keeps every level), the log's minimum while logging, [max_int] with
-   both off. Each sink publishes its own floor; [floor] caches the
-   minimum so an emission site's guard is one load and one compare. *)
-let sink_floors = [| max_int; max_int |] (* trace, log *)
-let floor = ref max_int
-
-let set_floor sink v =
-  sink_floors.(sink) <- v;
-  floor := min sink_floors.(0) sink_floors.(1)
-
 (* Event cap at a trace/log [enable]: the explicit [cap] clamped to at
    least 16, else [var] from the environment, else [default]. *)
 let buffer_cap cap var ~default =
@@ -380,191 +369,241 @@ module Json = struct
     | _ -> None
 end
 
+(* ---- the event store ---------------------------------------------------- *)
+
+(* Every event is recorded once: {!emit}'s instants and the trace's span
+   begins and ends go into one growable array, under one lock, with one
+   absolute {!Clock.wall} reading taken inside that lock, so the store's
+   order is its timestamps' order. {!Trace} and {!Log} are views over
+   it; each event carries the bit of every view that took it. [tid] is
+   the Chrome/Perfetto thread lane: the coordinator records on lane 1,
+   B&B worker slot w (slot 0 = the coordinating domain) on lane w + 1,
+   so per-domain utilization shows as separate rows. *)
+type ph = B | E | I
+
+type event = {
+  ts : float;  (* absolute wall seconds *)
+  ph : ph;
+  level : int;  (* {!Log.level_value} *)
+  cat : string;
+  tid : int;
+  name : string;
+  args : (string * Json.t) list;
+  views : int;  (* bits of the views that took it *)
+}
+
+(* A view holds the events with its [bit] from store index [first] on:
+   [kept] of them, and [dropped] more refused at [cap], since its last
+   enable or clear. While [on] it takes the events at level [floor] or
+   above, and it exports timestamps relative to [epoch]. *)
+type view = {
+  bit : int;
+  mutable on : bool;
+  mutable epoch : float;
+  mutable cap : int;
+  mutable first : int;
+  mutable kept : int;
+  mutable dropped : int;
+  mutable floor : int;
+}
+
+(* Guards the store and every view field. [floor] and each view's [on]
+   are also read unlocked on the hot path: a stale read can only move
+   the first or last event of an enable window. *)
+let store_mutex = Mutex.create ()
+let store : event array ref = ref [||]
+let len = ref 0
+
+(* Lowest level a view that is on takes, [max_int] with every view off,
+   so an emission site's guard is one load and one compare. *)
+let floor = ref max_int
+
+let push e =
+  if !len = Array.length !store then begin
+    let a = Array.make (max 256 (2 * !len)) e in
+    Array.blit !store 0 a 0 !len;
+    store := a
+  end;
+  !store.(!len) <- e;
+  incr len
+
+(* Everything below that reads or writes a view or the store runs with
+   [store_mutex] held, except [num_events] and [dropped], which take it. *)
+module View = struct
+  let make ~bit ~floor ~cap =
+    { bit; on = false; epoch = 0.0; cap; first = 0; kept = 0; dropped = 0;
+      floor }
+
+  (* The trace takes every level; the log takes Info and up by default. *)
+  let trace = make ~bit:1 ~floor:0 ~cap:1_000_000
+  let log = make ~bit:2 ~floor:1 ~cap:200_000
+  let all = [ trace; log ]
+
+  let takes v level = v.on && level >= v.floor
+
+  (* [v.bit] when [v] keeps an event at [level], else 0; a refusal at
+     the cap counts as a drop. *)
+  let admit v level =
+    if not (takes v level) then 0
+    else if v.kept >= v.cap then (v.dropped <- v.dropped + 1; 0)
+    else (v.kept <- v.kept + 1; v.bit)
+
+  (* The events [v] holds, oldest first. *)
+  let held v =
+    let acc = ref [] in
+    for i = !len - 1 downto v.first do
+      if !store.(i).views land v.bit <> 0 then acc := !store.(i) :: !acc
+    done;
+    !acc
+
+  (* Keeps only the events some view holds, moving each view's [first]
+     with its event; when no view holds any, the array is freed. *)
+  let reclaim () =
+    let old = !store and n = !len in
+    let firsts = List.map (fun v -> v.first) all in
+    store := [||];
+    len := 0;
+    let holder v f i = i >= f && old.(i).views land v.bit <> 0 in
+    for i = 0 to n - 1 do
+      List.iter2 (fun v f -> if f = i then v.first <- !len) all firsts;
+      if List.exists2 (fun v f -> holder v f i) all firsts then push old.(i)
+    done;
+    List.iter2 (fun v f -> if f = n then v.first <- !len) all firsts
+
+  let clear v =
+    v.first <- !len;
+    v.kept <- 0;
+    v.dropped <- 0;
+    reclaim ()
+
+  let set_on v on =
+    v.on <- on;
+    floor :=
+      List.fold_left (fun m v -> if v.on then min m v.floor else m) max_int all
+
+  let enable v ~cap =
+    v.cap <- cap;
+    clear v;
+    v.epoch <- Clock.wall ();
+    set_on v true
+
+  let disable v = set_on v false
+  let num_events v = locked store_mutex (fun () -> v.kept)
+  let dropped v = locked store_mutex (fun () -> v.dropped)
+end
+
 module Trace = struct
-  (* Structured tracing: hierarchical spans (B/E pairs) and instant
-     events over one process-wide buffer. Disabled by default — every
-     entry point checks one bool, so instrumented code pays a branch and
-     nothing else. Timestamps are monotonized wall seconds ({!Clock.wall})
-     relative to the [enable] call, matching the clock deadlines use, so
-     multi-domain timelines line up with real time.
-
-     The buffer is bounded (default {!default_cap} events, env
-     [PIPESYN_TRACE_CAP]). On overflow new begins/instants are dropped
-     deterministically and counted in {!dropped}; an [end_span] whose
-     begin was recorded is always written (the buffer may exceed the cap
-     by at most the open-span depth), so exported traces stay
-     well-formed: every recorded B has a matching E. *)
-
-  (* [tid] is the Chrome/Perfetto thread lane. The coordinator records on
-     lane 1; B&B worker slot w (0-based, slot 0 = the coordinating
-     domain) records on lane w + 1, so per-domain utilization is visible
-     as separate rows. *)
-  type event =
-    | Begin of {
-        name : string;
-        cat : string;
-        ts : float;
-        tid : int;
-        args : (string * Json.t) list;
-      }
-    | End of { name : string; cat : string; ts : float; tid : int }
-    | Instant of {
-        name : string;
-        cat : string;
-        ts : float;
-        tid : int;
-        args : (string * Json.t) list;
-      }
-
-  let default_cap = 1_000_000
-
-  let on = ref false
-  let epoch = ref 0.0
-  let cap = ref default_cap
-  let dropped_n = ref 0
-  let spans_n = ref 0
-  let instants_n = ref 0
+  (* Hierarchical spans (B/E pairs) and instant events: the view of the
+     store that takes every level. The E of a recorded B is always kept
+     (the view may exceed its cap by at most the open-span depth), so
+     exported traces stay well-formed. *)
+  let view = View.trace
+  let default_cap = view.cap
   let max_depth_seen = ref 0
 
-  (* Growable event buffer; grows geometrically, never shrinks until
-     [clear]. A list would invert order and cost a rev on export. *)
-  let buf : event array ref = ref [||]
-  let len = ref 0
-
   (* Open spans, innermost first. [recorded] = false when the matching
-     Begin was dropped at the cap, so its End must be dropped too. *)
+     Begin was dropped at the cap, so its End must be dropped too. The
+     stack is coordinator-only (workers never open spans). *)
   type open_span = { o_name : string; o_cat : string; recorded : bool }
 
   let open_stack : open_span list ref = ref []
 
-  (* Serializes buffer/counter mutation: worker domains emit instants
-     concurrently with coordinator spans. The span stack itself is
-     coordinator-only (workers never open spans), but every push must be
-     exclusive. *)
-  let trace_mutex = Mutex.create ()
+  let enabled () = view.on
+  let num_events () = View.num_events view
+  let dropped () = View.dropped view
 
-  let push e =
-    if !len >= Array.length !buf then begin
-      let ncap = max 256 (2 * Array.length !buf) in
-      let a = Array.make ncap e in
-      Array.blit !buf 0 a 0 !len;
-      buf := a
-    end;
-    !buf.(!len) <- e;
-    incr len
-
-  let enabled () = !on
-  let now () = Clock.wall () -. !epoch
-  let num_events () = !len
-  let dropped () = !dropped_n
+  let forget_spans () =
+    open_stack := [];
+    max_depth_seen := 0
 
   let clear () =
-    buf := [||];
-    len := 0;
-    dropped_n := 0;
-    spans_n := 0;
-    instants_n := 0;
-    max_depth_seen := 0;
-    open_stack := []
+    locked store_mutex (fun () ->
+        View.clear view;
+        forget_spans ())
 
-  let enable ?cap:c () =
-    cap := buffer_cap c "PIPESYN_TRACE_CAP" ~default:default_cap;
-    clear ();
-    epoch := Clock.wall ();
-    on := true;
-    set_floor 0 0
+  let enable ?cap () =
+    let cap = buffer_cap cap "PIPESYN_TRACE_CAP" ~default:default_cap in
+    locked store_mutex (fun () ->
+        View.enable view ~cap;
+        forget_spans ())
+
+  let span_event ph ts ~cat ~args name =
+    { ts; ph; level = 0; cat; tid = 1; name; args; views = view.bit }
+
+  let span_end ts o = span_event E ts ~cat:o.o_cat ~args:[] o.o_name
 
   let begin_span ?(cat = "app") ?(args = []) name =
-    if !on then
-      locked trace_mutex @@ fun () ->
+    if view.on then
+      locked store_mutex @@ fun () ->
       let depth = 1 + List.length !open_stack in
       if depth > !max_depth_seen then max_depth_seen := depth;
-      let recorded = !len < !cap in
-      if recorded then begin
-        push (Begin { name; cat; ts = now (); tid = 1; args });
-        incr spans_n
-      end
-      else incr dropped_n;
+      let recorded = View.admit view 0 <> 0 in
+      if recorded then push (span_event B (Clock.wall ()) ~cat ~args name);
       open_stack := { o_name = name; o_cat = cat; recorded } :: !open_stack
 
+  (* Writes the E of a recorded span, past the cap if need be. *)
+  let close ts o =
+    if o.recorded then begin
+      view.kept <- view.kept + 1;
+      push (span_end ts o)
+    end
+
   let end_span () =
-    if !on then
-      locked trace_mutex @@ fun () ->
+    if view.on then
+      locked store_mutex @@ fun () ->
       match !open_stack with
       | [] -> () (* enable () raced a begin; ignore the stray end *)
       | o :: rest ->
           open_stack := rest;
-          if o.recorded then
-            push (End { name = o.o_name; cat = o.o_cat; ts = now (); tid = 1 })
+          close (Clock.wall ()) o
 
-  let add_instant ~cat ~tid ~args name =
-    if !on then
-      locked trace_mutex @@ fun () ->
-      if !len < !cap then begin
-        push (Instant { name; cat; ts = now (); tid; args });
-        incr instants_n
-      end
-      else incr dropped_n
-
+  (* Closes any still-open recorded spans so the view stays well-formed
+     even if tracing is switched off mid-flow. *)
   let disable () =
-    (* Close any still-open recorded spans so the buffer stays
-       well-formed even if tracing is switched off mid-flow. *)
-    locked trace_mutex @@ fun () ->
-    let ts = now () in
-    List.iter
-      (fun o ->
-        if o.recorded then
-          push (End { name = o.o_name; cat = o.o_cat; ts; tid = 1 }))
-      !open_stack;
+    locked store_mutex @@ fun () ->
+    List.iter (close (Clock.wall ())) !open_stack;
     open_stack := [];
-    on := false;
-    set_floor 0 max_int
+    View.disable view
 
   (* ---- export ---------------------------------------------------------- *)
 
-  (* Events still open at export time get synthesized closing E events
-     (at the current timestamp) appended to the exported stream, without
-     mutating the live buffer. *)
-  let closing_ends () =
-    let ts = now () in
-    List.filter_map
-      (fun o ->
-        if o.recorded then
-          Some (End { name = o.o_name; cat = o.o_cat; ts; tid = 1 })
-        else None)
-      !open_stack
-
-  let all_events () =
-    List.init !len (fun i -> !buf.(i)) @ closing_ends ()
-
-  let us t = t *. 1e6
+  (* The epoch and the view's events, with a closing E (at the current
+     time) appended for each recorded span still open, leaving the store
+     as it is. *)
+  let exported () =
+    locked store_mutex @@ fun () ->
+    let ts = Clock.wall () in
+    ( view.epoch,
+      View.held view
+      @ List.filter_map
+          (fun o -> if o.recorded then Some (span_end ts o) else None)
+          !open_stack )
 
   (* One exported event: the Chrome field set (ts in microseconds, pid,
      thread-scoped instants) or the native one (ts_s in seconds). *)
-  let json_of_event ~chrome e =
-    let name, cat, ph, ts, tid, args =
-      match e with
-      | Begin b -> (b.name, b.cat, "B", b.ts, b.tid, b.args)
-      | End e -> (e.name, e.cat, "E", e.ts, e.tid, [])
-      | Instant i -> (i.name, i.cat, "i", i.ts, i.tid, i.args)
-    in
+  let json_of_event ~chrome epoch e =
+    let ts = e.ts -. epoch in
+    let ph = match e.ph with B -> "B" | E -> "E" | I -> "i" in
     let str v = Json.String v in
     Json.Obj
       ((if chrome then
-          [ ("name", str name); ("cat", str cat); ("ph", str ph);
-            ("ts", Json.Float (us ts)); ("pid", Json.Int 1);
-            ("tid", Json.Int tid) ]
-          @ if ph = "i" then [ ("s", str "t") ] else []
+          [ ("name", str e.name); ("cat", str e.cat); ("ph", str ph);
+            ("ts", Json.Float (ts *. 1e6)); ("pid", Json.Int 1);
+            ("tid", Json.Int e.tid) ]
+          @ if e.ph = I then [ ("s", str "t") ] else []
         else
-          [ ("ph", str ph); ("name", str name); ("cat", str cat);
-            ("ts_s", Json.Float ts); ("tid", Json.Int tid) ])
-      @ if args = [] then [] else [ ("args", Json.Obj args) ])
+          [ ("ph", str ph); ("name", str e.name); ("cat", str e.cat);
+            ("ts_s", Json.Float ts); ("tid", Json.Int e.tid) ])
+      @ if e.args = [] then [] else [ ("args", Json.Obj e.args) ])
+
+  let export ~chrome =
+    let epoch, events = exported () in
+    Json.List (List.map (json_of_event ~chrome epoch) events)
 
   let export_chrome () =
     Json.Obj
       [
-        ("traceEvents",
-          Json.List (List.map (json_of_event ~chrome:true) (all_events ())));
+        ("traceEvents", export ~chrome:true);
         ("displayTimeUnit", Json.String "ms");
       ]
 
@@ -573,9 +612,8 @@ module Trace = struct
       [
         ("schema", Json.String "pipesyn-trace-v1");
         ("clock", Json.String "wall-s");
-        ("dropped", Json.Int !dropped_n);
-        ("events",
-          Json.List (List.map (json_of_event ~chrome:false) (all_events ())));
+        ("dropped", Json.Int (dropped ()));
+        ("events", export ~chrome:false);
       ]
 
   let write_chrome ~path =
@@ -584,35 +622,38 @@ module Trace = struct
       ~finally:(fun () -> close_out oc)
       (fun () -> Json.to_channel oc (export_chrome ()))
 
-  (* Summary folded into Metrics files (schema v4): cheap scan of the
-     buffer for the headline numbers plus the incumbent-gap trajectory
-     extracted from [milp.incumbent] instants. *)
+  (* Summary folded into Metrics files (schema v4): the view's headline
+     counts plus the incumbent-gap trajectory extracted from
+     [milp.incumbent] instants. *)
   let summary () =
-    let first_incumbent = ref Float.nan in
-    let gaps = ref [] in
-    for i = 0 to !len - 1 do
-      match !buf.(i) with
-      | Instant { name = "milp.incumbent"; ts; args; _ } ->
-          if Float.is_nan !first_incumbent then first_incumbent := ts;
-          let gap =
-            match List.assoc_opt "gap" args with
-            | Some (Json.Float g) -> g
-            | Some (Json.Int g) -> float_of_int g
-            | _ -> Float.nan
-          in
-          gaps := Json.List [ Json.Float ts; Json.Float gap ] :: !gaps
-      | _ -> ()
-    done;
+    let epoch, events, dropped =
+      locked store_mutex (fun () -> (view.epoch, View.held view, view.dropped))
+    in
+    let count ph = List.length (List.filter (fun e -> e.ph = ph) events) in
+    let incumbents =
+      List.filter (fun e -> e.ph = I && e.name = "milp.incumbent") events
+    in
+    let point e =
+      let gap =
+        match List.assoc_opt "gap" e.args with
+        | Some (Json.Float g) -> g
+        | Some (Json.Int g) -> float_of_int g
+        | _ -> Float.nan
+      in
+      Json.List [ Json.Float (e.ts -. epoch); Json.Float gap ]
+    in
     Json.Obj
       [
-        ("enabled", Json.Bool !on);
-        ("events", Json.Int !len);
-        ("spans", Json.Int !spans_n);
-        ("instants", Json.Int !instants_n);
+        ("enabled", Json.Bool view.on);
+        ("events", Json.Int (List.length events));
+        ("spans", Json.Int (count B));
+        ("instants", Json.Int (count I));
         ("max_depth", Json.Int !max_depth_seen);
-        ("dropped", Json.Int !dropped_n);
-        ("first_incumbent_s", Json.Float !first_incumbent);
-        ("gap_trajectory", Json.List (List.rev !gaps));
+        ("dropped", Json.Int dropped);
+        ( "first_incumbent_s",
+          Json.Float
+            (match incumbents with e :: _ -> e.ts -. epoch | [] -> Float.nan) );
+        ("gap_trajectory", Json.List (List.map point incumbents));
       ]
 
   (* ---- offline analysis ------------------------------------------------ *)
@@ -873,20 +914,19 @@ module Trace = struct
   end
 end
 
-(* Leveled structured event log: the narrative companion to {!Trace}.
+(* Leveled structured event log: the narrative companion to {!Trace},
+   and the view of the store that takes instants at or above its level.
    Trace answers "where did the time go" with nested spans; Log answers
-   "what happened" with a flat ordered stream of the events {!emit}
-   routes to it — flow phase transitions, cascade retries/degradations,
-   incumbents, cut rounds, checkpoints, recoveries, stalls, probe
-   samples — serialized as NDJSON (one JSON object per line, greppable
-   and tail-able, framed by a header and a footer line). Same discipline
-   as Trace: process-global, mutex-guarded, bounded with
-   drop-new-at-the-cap plus a drop count, off by default, and strictly
-   observational — no solver decision may ever read it. *)
+   "what happened" with a flat ordered stream — flow phase transitions,
+   cascade retries/degradations, incumbents, cut rounds, checkpoints,
+   recoveries, stalls, probe samples — serialized as NDJSON (one JSON
+   object per line, greppable and tail-able, framed by a header and a
+   footer line). *)
 module Log = struct
   type level = Debug | Info | Warn | Error
 
   let level_value = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
+  let levels = [| Debug; Info; Warn; Error |]
 
   let level_name = function
     | Debug -> "debug"
@@ -910,118 +950,55 @@ module Log = struct
   }
 
   let schema = "pipesyn-log-v1"
-  let default_cap = 200_000
-
-  (* Everything below is guarded by [log_mutex]; [on] is read unlocked
-     on the hot path (a stale read can only delay the first or last
-     event of an enable window, never corrupt the buffer). *)
-  let log_mutex = Mutex.create ()
-  let on = ref false
-  let epoch = ref 0.0
-  let cap = ref default_cap
-  let min_level = ref Info
-  let buf : event option array ref = ref [||]
-  let len = ref 0
-  let dropped_n = ref 0
+  let view = View.log
+  let default_cap = view.cap
   let sink : (event -> unit) option ref = ref None
 
-  let push_locked e =
-    if !len >= Array.length !buf then begin
-      let ncap = min !cap (max 1024 (2 * Array.length !buf)) in
-      let nbuf = Array.make ncap None in
-      Array.blit !buf 0 nbuf 0 !len;
-      buf := nbuf
-    end;
-    !buf.(!len) <- Some e;
-    incr len
+  let enable ?cap ?(level = Info) () =
+    let cap = buffer_cap cap "PIPESYN_LOG_CAP" ~default:default_cap in
+    locked store_mutex (fun () ->
+        view.floor <- level_value level;
+        View.enable view ~cap)
 
-  let enable ?cap:c ?(level = Info) () =
-    locked log_mutex (fun () ->
-        on := true;
-        epoch := Clock.wall ();
-        cap := buffer_cap c "PIPESYN_LOG_CAP" ~default:default_cap;
-        min_level := level;
-        buf := [||];
-        len := 0;
-        dropped_n := 0;
-        set_floor 1 (level_value level))
-
-  let disable () =
-    locked log_mutex (fun () ->
-        on := false;
-        set_floor 1 max_int)
-  let enabled () = !on
-
-  let clear () =
-    locked log_mutex (fun () ->
-        buf := [||];
-        len := 0;
-        dropped_n := 0)
-
-  let set_sink f = locked log_mutex (fun () -> sink := f)
-
-  let add ~level name args =
-    if !on && level_value level >= level_value !min_level then begin
-      let cb =
-        locked log_mutex (fun () ->
-            if not !on then None
-            else begin
-              let e =
-                { l_ts = Clock.wall () -. !epoch; l_level = level;
-                  l_name = name; l_args = args }
-              in
-              if !len < !cap then push_locked e else incr dropped_n;
-              match !sink with Some f -> Some (f, e) | None -> None
-            end)
-      in
-      (* The sink (the --progress renderer) runs outside the lock so a
-         slow terminal never blocks solver domains, and its exceptions
-         never reach the solver. *)
-      match cb with Some (f, e) -> ( try f e with _ -> ()) | None -> ()
-    end
-
-  let num_events () = locked log_mutex (fun () -> !len)
-  let dropped () = locked log_mutex (fun () -> !dropped_n)
+  let disable () = locked store_mutex (fun () -> View.disable view)
+  let enabled () = view.on
+  let clear () = locked store_mutex (fun () -> View.clear view)
+  let set_sink f = locked store_mutex (fun () -> sink := f)
+  let num_events () = View.num_events view
+  let dropped () = View.dropped view
 
   let json_of_event e =
     Json.Obj
-      (("t", Json.Float e.l_ts)
-      :: ("level", Json.String (level_name e.l_level))
-      :: ("ev", Json.String e.l_name)
-      ::
-      (match e.l_args with [] -> [] | args -> [ ("args", Json.Obj args) ]))
+      (("t", Json.Float (e.ts -. view.epoch))
+      :: ("level", Json.String (level_name levels.(e.level)))
+      :: ("ev", Json.String e.name)
+      :: (match e.args with [] -> [] | args -> [ ("args", Json.Obj args) ]))
 
   (* NDJSON form: a header object naming the schema and clock, one
      object per event, and a [log.end] footer carrying the event and
      drop counts — so a consumer can both stream the file line by line
      and check completeness at the end. *)
   let to_lines () =
-    locked log_mutex (fun () ->
+    locked store_mutex (fun () ->
         let header =
           Json.Obj
             [
               ("schema", Json.String schema);
               ("clock", Json.String "wall-s");
-              ("cap", Json.Int !cap);
-              ("min_level", Json.String (level_name !min_level));
+              ("cap", Json.Int view.cap);
+              ("min_level", Json.String (level_name levels.(view.floor)));
             ]
         in
         let footer =
           Json.Obj
             [
               ("ev", Json.String "log.end");
-              ("t", Json.Float (Clock.wall () -. !epoch));
-              ("events", Json.Int !len);
-              ("dropped", Json.Int !dropped_n);
+              ("t", Json.Float (Clock.wall () -. view.epoch));
+              ("events", Json.Int view.kept);
+              ("dropped", Json.Int view.dropped);
             ]
         in
-        let lines = ref [ footer ] in
-        for i = !len - 1 downto 0 do
-          match !buf.(i) with
-          | Some e -> lines := json_of_event e :: !lines
-          | None -> ()
-        done;
-        header :: !lines)
+        header :: List.map json_of_event (View.held view) @ [ footer ])
 
   let write ~path =
     let lines = to_lines () in
@@ -1036,14 +1013,35 @@ module Log = struct
           lines)
 end
 
-(* One emission path: each event becomes a trace instant while tracing
-   (every level) and a log event when the log takes its level; the log's
-   sink sees exactly the events the log accepts. *)
+(* One emission path: one lock, one clock read and at most one stored
+   event, which the trace takes at every level and the log at or above
+   its own; the log's sink sees exactly the events the log takes, drops
+   at its cap included. *)
 let recording ?(level = Log.Info) () = Log.level_value level >= !floor
 
 let emit ?(level = Log.Info) ?(cat = "app") ?(tid = 1) name args =
-  Trace.add_instant ~cat ~tid ~args name;
-  Log.add ~level name args
+  let lv = Log.level_value level in
+  if lv >= !floor then
+    let sink =
+      locked store_mutex (fun () ->
+          let ts = Clock.wall () in
+          let views =
+            List.fold_left (fun m v -> m lor View.admit v lv) 0 View.all
+          in
+          if views <> 0 then
+            push { ts; ph = I; level = lv; cat; tid; name; args; views };
+          match !Log.sink with
+          | Some f when View.takes Log.view lv ->
+              Some
+                ( f,
+                  { Log.l_ts = ts -. Log.view.epoch; l_level = level;
+                    l_name = name; l_args = args } )
+          | _ -> None)
+    in
+    (* The sink (the --progress renderer) runs outside the lock so a
+       slow terminal never blocks solver domains, and its exceptions
+       never reach the solver. *)
+    match sink with Some (f, e) -> ( try f e with _ -> ()) | None -> ()
 
 (* One timing path: a span always adds to its name's wall-time total
    (the [<name>.s] key of {!snapshot}) and, while tracing, also records

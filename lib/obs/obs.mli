@@ -26,10 +26,11 @@
 
     There is one call per kind of record. A phase is timed by {!span}:
     its per-name wall total lands in {!snapshot}, and while tracing is on
-    it is also a trace span. A point event is sent by {!emit}: the trace,
-    the NDJSON {!Log} and (through the log's sink) the CLI's stderr lines
-    and [--progress] line are views over that one stream, and a
-    trajectory (incumbents, probe samples) lives only there. *)
+    it is also a trace span. A point event is sent by {!emit} and stored
+    once: the trace, the NDJSON {!Log} and (through the log's sink) the
+    CLI's stderr lines and [--progress] line are views of that one
+    stream, and a trajectory (incumbents, probe samples) lives only
+    there. *)
 
 (** {1 Clocks} *)
 
@@ -81,7 +82,7 @@ end
 val reset : unit -> unit
 (** Zeroes every counter and {!span} total (the registry keeps the
     names) and forgets the probe's last incumbent. Drivers call this
-    between benchmarks so snapshots are per-run. Trace and log buffers
+    between benchmarks so snapshots are per-run. Trace and log events
     are left alone. *)
 
 val counters : unit -> (string * int) list
@@ -125,34 +126,37 @@ module Json : sig
   (** [member key (Obj _)] looks up [key]; [None] on other constructors. *)
 end
 
-(** {1 Structured tracing} *)
+(** {1 Structured tracing and the event log} *)
 
-(** Hierarchical spans and typed instant events over one process-global
-    bounded buffer, exported as Chrome [trace_event] JSON (loadable in
-    Perfetto / [chrome://tracing]) or a compact native form.
+(** Every {!emit}, and every trace span begin and end, is recorded once
+    in one process-global event store: one lock, one {!Clock.wall}
+    reading and one stored event per record, so the views agree on
+    order. {!Trace} and {!Log} are two views of that store. The trace
+    takes every event; the log takes the {!emit} events at or above its
+    level. Each view has its own epoch (its timestamps count from its
+    [enable]), cap, drop count and lifecycle: one view's [enable],
+    [clear] or [disable] leaves the other's events alone.
 
-    Tracing is {b off by default} and zero-cost when disabled: every
-    entry point checks a single flag and returns. Like the rest of the
-    registry it is {e additive} — recording events never influences a
-    schedule, cover or solver decision (pinned by [test/test_trace.ml],
-    which checks QoR is byte-identical with tracing on/off across the
-    fault-injection matrix). Timestamps are {!Clock.wall} seconds
-    relative to the {!Trace.enable} call.
+    Both views keep one discipline. They are {b off by default}: with
+    every view off an emission site pays one load and one compare. They
+    are bounded: once a view holds its cap of events ([PIPESYN_TRACE_CAP]
+    or [PIPESYN_LOG_CAP], read at [enable], at least 16) it drops new
+    events deterministically and counts them. They are strictly
+    observational: recording never influences a schedule, cover or
+    solver decision (pinned by [test/test_trace.ml] and the
+    telemetry-neutrality tests, which check results are byte-identical
+    with every view on and off across the fault-injection matrix).
+    Events may be emitted from any domain, and the views' lifecycle is
+    independent of {!reset}. *)
 
-    The buffer is bounded (default {!Trace.default_cap} events; env
-    [PIPESYN_TRACE_CAP], read at {!Trace.enable}). On overflow, new
-    begins and instants are dropped deterministically and counted in
-    {!Trace.dropped}; the end of a span whose begin {e was} recorded is
-    always written (the buffer may exceed the cap by at most the
-    open-span depth), so exported traces stay well-formed.
+(** Hierarchical spans and typed instant events, exported as Chrome
+    [trace_event] JSON (loadable in Perfetto / [chrome://tracing]) or a
+    compact native form. The end of a span whose begin {e was} recorded
+    is always kept (the view may exceed its cap by at most the open-span
+    depth), so exported traces stay well-formed.
 
-    Lifecycle is independent of {!reset}: resetting counters between
-    benchmarks does not clear an in-flight trace.
-
-    {b Domain-safety:} instants come from {!emit}, which may be called
-    from any domain (buffer pushes are serialized by an internal lock)
-    and takes a [tid] that becomes the Chrome/Perfetto thread lane, so
-    the parallel B&B pool renders one row per worker domain. Span
+    An {!emit}'s [tid] becomes the Chrome/Perfetto thread lane, so the
+    parallel B&B pool renders one row per worker domain. Span
     open/close ({!Trace.begin_span} / {!Trace.end_span}, and so the
     trace half of {!span}) keeps a single global stack and must only be
     used from the coordinating domain. *)
@@ -165,18 +169,18 @@ module Trace : sig
       on {!Obs.recording} instead, which also covers the log. *)
 
   val enable : ?cap:int -> unit -> unit
-  (** Clears the buffer, sets the timestamp epoch to now, and starts
+  (** Clears the view, sets its timestamp epoch to now, and starts
       recording. [cap] overrides the environment/default event cap
       (clamped to at least 16). *)
 
   val disable : unit -> unit
   (** Stops recording. Recorded spans still open are closed at the
-      current timestamp so the buffer stays well-formed. The buffer is
+      current timestamp so the view stays well-formed; its events are
       kept for export. *)
 
   val clear : unit -> unit
-  (** Drops all buffered events and open-span state (keeps the
-      enabled/disabled state). *)
+  (** Drops the view's events, drop count and open-span state (keeps
+      the enabled/disabled state). *)
 
   val begin_span : ?cat:string -> ?args:(string * Json.t) list -> string -> unit
   (** [begin_span ~cat ~args name] opens a span; its parent is the
@@ -191,17 +195,17 @@ module Trace : sig
       span is open. *)
 
   val num_events : unit -> int
-  (** Events currently buffered. *)
+  (** Events the view holds. *)
 
   val dropped : unit -> int
   (** Events dropped at the cap since the last {!enable}/{!clear}. *)
 
   val export_chrome : unit -> Json.t
-  (** The buffer as a Chrome [trace_event] document:
+  (** The view as a Chrome [trace_event] document:
       [{"traceEvents": [{name, cat, ph, ts, pid, tid, args?}, …],
       "displayTimeUnit": "ms"}] with [ts] in microseconds. Spans still
       open get synthesized closing events at the current timestamp
-      (without mutating the buffer). *)
+      (without touching the store). *)
 
   val export_native : unit -> Json.t
   (** Compact native form: [{"schema": "pipesyn-trace-v1", "clock":
@@ -212,7 +216,7 @@ module Trace : sig
       [pipesyn run --trace FILE]. *)
 
   val summary : unit -> Json.t
-  (** Headline numbers folded into Metrics files (schema v5): span /
+  (** Headline numbers folded into Metrics files (schema v4): span /
       instant / drop counts, max nesting depth, first-incumbent time and
       the incumbent-gap trajectory extracted from ["milp.incumbent"]
       events. *)
@@ -284,8 +288,6 @@ module Trace : sig
   end
 end
 
-(** {1 Structured event log} *)
-
 (** Leveled structured event stream — the narrative companion to
     {!Trace}. Where Trace records nested spans for timing analysis, Log
     keeps the flat ordered stream of the {!emit} events at or above its
@@ -296,14 +298,7 @@ end
     footer carrying the event and drop counts. Behind [pipesyn run --log
     FILE] and the [PIPESYN_LOG] environment variable; the [--progress]
     TTY status line and the CLI's stderr lines render from the same
-    stream via {!Log.set_sink}.
-
-    Same discipline as {!Trace}: off by default and one flag-check when
-    disabled; process-global and mutex-guarded, so events may be
-    emitted from any domain; bounded ([PIPESYN_LOG_CAP], default
-    {!Log.default_cap}) with new events dropped and counted once the
-    cap is reached; strictly observational — no solver decision may
-    read it (pinned by the telemetry-neutrality tests). *)
+    stream via {!Log.set_sink}. *)
 module Log : sig
   type level = Debug | Info | Warn | Error
 
@@ -331,26 +326,26 @@ module Log : sig
   (** Whether events are currently being recorded. *)
 
   val enable : ?cap:int -> ?level:level -> unit -> unit
-  (** Clears the buffer, sets the timestamp epoch to now, and starts
+  (** Clears the view, sets its timestamp epoch to now, and starts
       recording events at or above [level] (default [Info]). [cap]
       overrides the environment/default cap (clamped to at least
       16). *)
 
   val disable : unit -> unit
-  (** Stops recording; the buffer is kept for {!write}. *)
+  (** Stops recording; the view's events are kept for {!write}. *)
 
   val clear : unit -> unit
-  (** Drops buffered events and the drop count (keeps the
+  (** Drops the view's events and drop count (keeps the
       enabled/disabled state). *)
 
   val set_sink : (event -> unit) option -> unit
   (** Installs (or removes) a live observer called once with each event
       the log accepts (passes the level filter; events dropped at the
-      cap included), outside the buffer lock — the CLI's stderr and
+      cap included), outside the store's lock — the CLI's stderr and
       [--progress] view. Sink exceptions are swallowed. *)
 
   val num_events : unit -> int
-  (** Events currently buffered. *)
+  (** Events the view holds. *)
 
   val dropped : unit -> int
   (** Events dropped at the cap since the last {!enable}/{!clear}. *)
@@ -375,9 +370,12 @@ val recording : ?level:Log.level -> unit -> bool
 val emit :
   ?level:Log.level -> ?cat:string -> ?tid:int -> string ->
   (string * Json.t) list -> unit
-(** [emit name args] records one event: a trace instant (category [cat],
-    default ["app"]) while tracing is on, at any level, and a log event
-    when the log is on at or below [level] (default [Info]). [tid]
+(** [emit name args] stores one event, taken as a trace instant
+    (category [cat], default ["app"]) while tracing is on, at any level,
+    and as a log event when the log is on at or below [level] (default
+    [Info]). With both views on it takes one lock, reads {!Clock.wall}
+    once and stores the event once; with every view off it takes no lock
+    and reads no clock. [tid]
     (default 1, the coordinator lane) is the trace thread lane; B&B
     worker slot [w] passes [w + 1]. Safe from any domain. *)
 

@@ -209,6 +209,103 @@ let test_all_sinks_off () =
   Alcotest.(check int) "sink never called" 0 !calls;
   reset_sinks ()
 
+(* Two spawned domains and this one emit at once. The log and the trace
+   are two views of one store, so they agree on the order of what both
+   kept, and each view accounts for every event it accepted: kept, or
+   dropped at its cap. *)
+let test_concurrent_emitters () =
+  let per_domain = 2_001 in
+  let emit_all d =
+    for i = 1 to per_domain do
+      Obs.emit ~tid:(d + 1) "conc"
+        [ ("d", Obs.Json.Int d); ("i", Obs.Json.Int i) ]
+    done
+  in
+  let run ?cap () =
+    reset_sinks ();
+    Obs.Trace.enable ?cap ();
+    Obs.Log.enable ?cap ();
+    let spawned =
+      List.init 2 (fun d -> Domain.spawn (fun () -> emit_all (d + 1)))
+    in
+    emit_all 0;
+    List.iter Domain.join spawned;
+    let tag =
+      match cap with None -> "uncapped" | Some c -> Printf.sprintf "cap %d" c
+    in
+    Alcotest.check events ("log order is trace order, " ^ tag)
+      (trace_instants ()) (log_events ());
+    Alcotest.(check int) ("trace kept + dropped, " ^ tag) (3 * per_domain)
+      (Obs.Trace.num_events () + Obs.Trace.dropped ());
+    Alcotest.(check int) ("log kept + dropped, " ^ tag) (3 * per_domain)
+      (Obs.Log.num_events () + Obs.Log.dropped ());
+    (match Obs.Trace.Analysis.analyze (Obs.Trace.export_chrome ()) with
+    | Ok r ->
+        Alcotest.(check (list string)) ("trace well-formed, " ^ tag) []
+          r.Obs.Trace.Analysis.r_errors
+    | Error e -> Alcotest.failf "analyze rejected the trace: %s" e);
+    reset_sinks ()
+  in
+  run ();
+  run ~cap:16 ()
+
+(* The log's state as it reads back, minus the footer's write time. *)
+let log_state () =
+  let footer l = Obs.Json.member "ev" l = Some (Obs.Json.String "log.end") in
+  let line l =
+    match l with
+    | Obs.Json.Obj kvs when footer l ->
+        Obs.Json.to_string (Obs.Json.Obj (List.remove_assoc "t" kvs))
+    | l -> Obs.Json.to_string l
+  in
+  ( (Obs.Log.num_events (), Obs.Log.dropped ()),
+    List.map line (Obs.Log.to_lines ()) )
+
+let trace_state () =
+  ( (Obs.Trace.num_events (), Obs.Trace.dropped ()),
+    [ Obs.Json.to_string (Obs.Trace.export_native ()) ] )
+
+(* One view's enable, clear and disable leave the other view's events,
+   counts and export as they were; and the trace refusing events at its
+   cap counts no drops against the log. *)
+let test_view_lifecycles_independent () =
+  let state = Alcotest.(pair (pair int int) (list string)) in
+  let case (other, state_of) (op, apply) =
+    reset_sinks ();
+    Obs.Trace.enable ~cap:16 ();
+    Obs.Log.enable ~cap:16 ();
+    (* 4 spans of 5 instants: both views hold events and both drop some *)
+    for s = 1 to 4 do
+      Obs.span "s" (fun () ->
+          for i = 1 to 5 do
+            Obs.emit "e" [ ("s", Obs.Json.Int s); ("i", Obs.Json.Int i) ]
+          done)
+    done;
+    let before = state_of () in
+    apply ();
+    Alcotest.check state (Printf.sprintf "%s leaves the %s alone" op other)
+      before (state_of ())
+  in
+  List.iter
+    (case ("log", log_state))
+    [ ("Trace.enable", fun () -> Obs.Trace.enable ());
+      ("Trace.clear", Obs.Trace.clear); ("Trace.disable", Obs.Trace.disable) ];
+  List.iter
+    (case ("trace", trace_state))
+    [ ("Log.enable", fun () -> Obs.Log.enable ());
+      ("Log.clear", Obs.Log.clear); ("Log.disable", Obs.Log.disable) ];
+  reset_sinks ();
+  Obs.Trace.enable ~cap:16 ();
+  Obs.Log.enable ();
+  for i = 1 to 40 do
+    Obs.emit "e" [ ("i", Obs.Json.Int i) ]
+  done;
+  Alcotest.(check int) "trace dropped past its cap" 24 (Obs.Trace.dropped ());
+  Alcotest.(check int) "log kept all 40" 40 (Obs.Log.num_events ());
+  Alcotest.(check int) "no drops counted against the log" 0
+    (Obs.Log.dropped ());
+  reset_sinks ()
+
 (* ------------------------------------------------------------------ *)
 (* shortest round-trip float printing                                  *)
 (* ------------------------------------------------------------------ *)
@@ -503,6 +600,10 @@ let () =
           Alcotest.test_case "sink once per accepted event" `Quick
             test_sink_once_per_accepted_event;
           Alcotest.test_case "all sinks off" `Quick test_all_sinks_off;
+          Alcotest.test_case "concurrent emitters" `Quick
+            test_concurrent_emitters;
+          Alcotest.test_case "view lifecycles independent" `Quick
+            test_view_lifecycles_independent;
         ] );
       ( "json",
         [
