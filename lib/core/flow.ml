@@ -40,6 +40,81 @@ let default_setup ~device =
     presolve = None;
   }
 
+let methods =
+  [
+    ("hls", Hls_tool);
+    ("sdc", Sdc_tool);
+    ("base", Milp_base);
+    ("map", Milp_map);
+    ("mapfirst", Map_heuristic);
+  ]
+
+module Request = struct
+  type t = {
+    benchmark : string;
+    method_ : method_;
+    optimize : bool;
+    time_limit : float;
+    ii : int;
+    k : int;
+    alpha : float;
+    beta : float;
+    audit : bool;
+    stall_window : float option;
+  }
+
+  let to_json r =
+    let open Obs.Json in
+    let key = fst (List.find (fun (_, m) -> m = r.method_) methods) in
+    Obj
+      [
+        ("benchmark", String r.benchmark);
+        ("method", String key);
+        ("time_limit", Float r.time_limit);
+        ("ii", Int r.ii);
+        ("k", Int r.k);
+        ("alpha", Float r.alpha);
+        ("beta", Float r.beta);
+        ("optimize", Bool r.optimize);
+        ("audit", Bool r.audit);
+        ( "stall_window",
+          match r.stall_window with Some s -> Float s | None -> Null );
+      ]
+
+  exception Missing of string
+
+  let of_json j =
+    let open Obs.Json in
+    (* An absent or mistyped field takes its [default]; without one, the
+       request cannot be rebuilt. *)
+    let field ?default name conv =
+      match (Option.bind (member name j) conv, default) with
+      | Some v, _ | None, Some v -> v
+      | None, None -> raise_notrace (Missing name)
+    in
+    let str = function String s -> Some s | _ -> None in
+    let int = function Int i -> Some i | _ -> None in
+    let bool = function Bool b -> Some b | _ -> None in
+    let key v = Option.bind (str v) (fun key -> List.assoc_opt key methods) in
+    match
+      {
+        benchmark = field "benchmark" str;
+        method_ = field "method" key;
+        optimize = field "optimize" bool ~default:false;
+        time_limit = field "time_limit" number;
+        ii = field "ii" int;
+        k = field "k" int;
+        alpha = field "alpha" number;
+        beta = field "beta" number;
+        audit = field "audit" bool ~default:false;
+        stall_window =
+          field "stall_window" (fun v -> Some (number v)) ~default:None;
+      }
+    with
+    | r -> Ok r
+    | exception Missing name -> Error ("missing or malformed " ^ name)
+end
+
 type solve_info = {
   runtime : float;
   milp_status : Lp.Milp.status option;

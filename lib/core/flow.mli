@@ -91,6 +91,40 @@ val default_setup : device:Fpga.Device.t -> setup
     [domains = None], [audit = false], no checkpointing or resume, stall
     watchdog off, cuts and presolve deferred to their defaults (on). *)
 
+val methods : (string * method_) list
+(** Every method under its command-line key: [hls], [sdc], [base],
+    [map], [mapfirst]. *)
+
+(** What one flow run was asked to do, in the scalars that rebuild its
+    setup. [pipesyn run --checkpoint] stores it as the checkpoint's
+    metadata and [pipesyn resume] reads it back; the checkpoint's model
+    fingerprint guards against a wrong rebuild. Cuts and presolve need
+    no field: a resumed solve replays them from the checkpoint. *)
+module Request : sig
+  type t = {
+    benchmark : string;
+    method_ : method_;
+    optimize : bool;  (** frontend simplifier first ([-O]) *)
+    time_limit : float;
+    ii : int;  (** resolved, never 0 *)
+    k : int;
+    alpha : float;
+    beta : float;
+    audit : bool;
+    stall_window : float option;
+  }
+
+  val to_json : t -> Obs.Json.t
+  (** One object member per field ([method] holds the {!methods} key,
+      [stall_window] is [null] when off). *)
+
+  val of_json : Obs.Json.t -> (t, string) Stdlib.result
+  (** Inverse of {!to_json}. Absent [optimize]/[audit] decode as
+      [false] and absent [stall_window] as [None], as in metadata
+      written before [stall_window] was recorded; the other fields are
+      required. *)
+end
+
 type solve_info = {
   runtime : float;  (** seconds spent in the MILP (0 for the heuristic) *)
   milp_status : Lp.Milp.status option;

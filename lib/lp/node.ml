@@ -288,7 +288,7 @@ let solve env w node =
   if Resilience.Fault.fires "milp.worker_kill" then raise Worker_killed;
   if Resilience.Fault.fires "milp.stall" then
     while not (Resilience.Deadline.expired w.ctl.dl) do
-      Domain.cpu_relax ()
+      Unix.sleepf 0.001
     done;
   let node_id = 1 + Atomic.fetch_and_add env.nodes 1 in
   (* Counted live (not bulk at solve exit) so the resource probe sees

@@ -142,5 +142,5 @@ val process : env -> worker -> t -> outcome * Cert.node option
     Returns its certificate entry for when it is retired ([None] while
     it stays open or without certificates). Fault sites, after the
     dominance check: [milp.worker_kill] raises {!Worker_killed} before
-    the node is counted; [milp.stall] spins until the worker's deadline
+    the node is counted; [milp.stall] sleeps until the worker's deadline
     expires or is cancelled. *)

@@ -367,6 +367,11 @@ module Json = struct
   let member key = function
     | Obj kvs -> List.assoc_opt key kvs
     | _ -> None
+
+  let number = function
+    | Float f -> Some f
+    | Int i -> Some (float_of_int i)
+    | _ -> None
 end
 
 (* ---- the event store ---------------------------------------------------- *)
@@ -717,10 +722,7 @@ module Trace = struct
 
     let max_errors = 50
 
-    let num = function
-      | Some (Json.Float f) -> f
-      | Some (Json.Int i) -> float_of_int i
-      | _ -> Float.nan
+    let num j = Option.value (Option.bind j Json.number) ~default:Float.nan
 
     let inum default = function
       | Some (Json.Int i) -> i
@@ -1362,12 +1364,7 @@ module Metrics = struct
     let* lut = int "lut" in
     let* ff = int "ff" in
     let* slack = flt "slack" in
-    let solve_s =
-      match Json.member "solve_s" j with
-      | Some (Json.Float f) -> Some f
-      | Some (Json.Int i) -> Some (float_of_int i)
-      | _ -> None
-    in
+    let solve_s = Option.bind (Json.member "solve_s" j) Json.number in
     let bnb_nodes =
       match Json.member "bnb_nodes" j with Some (Json.Int i) -> Some i | _ -> None
     in
@@ -1388,10 +1385,7 @@ module Metrics = struct
     let* status = str "status" in
     (* Absent in schema v1–v3 files; default to nan for compatibility. *)
     let flt_opt k =
-      match Json.member k j with
-      | Some (Json.Float f) -> f
-      | Some (Json.Int i) -> float_of_int i
-      | _ -> Float.nan
+      Option.value (Option.bind (Json.member k j) Json.number) ~default:Float.nan
     in
     let first_incumbent_s = flt_opt "first_incumbent_s" in
     let final_gap = flt_opt "final_gap" in
@@ -1416,12 +1410,7 @@ module Metrics = struct
     let milp_cuts =
       match Json.member "milp_cuts" j with Some (Json.Int i) -> i | _ -> 0
     in
-    let gap_closed_root =
-      match Json.member "gap_closed_root" j with
-      | Some (Json.Float f) -> f
-      | Some (Json.Int i) -> float_of_int i
-      | _ -> Float.nan
-    in
+    let gap_closed_root = flt_opt "gap_closed_root" in
     (* Absent in schema v1–v6 files. *)
     let int_opt k =
       match Json.member k j with Some (Json.Int i) -> i | _ -> 0
@@ -1431,10 +1420,7 @@ module Metrics = struct
     let stalls = int_opt "stalls" in
     (* Absent in schema v1–v8 files. *)
     let gc_flt k =
-      match Json.member k j with
-      | Some (Json.Float f) -> f
-      | Some (Json.Int i) -> float_of_int i
-      | _ -> 0.0
+      Option.value (Option.bind (Json.member k j) Json.number) ~default:0.0
     in
     let gc_minor_words = gc_flt "gc_minor_words" in
     let gc_major_words = gc_flt "gc_major_words" in

@@ -124,6 +124,9 @@ module Json : sig
 
   val member : string -> t -> t option
   (** [member key (Obj _)] looks up [key]; [None] on other constructors. *)
+
+  val number : t -> float option
+  (** [Float] or [Int] as a float; [None] on other constructors. *)
 end
 
 (** {1 Structured tracing and the event log} *)

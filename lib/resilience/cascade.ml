@@ -28,10 +28,8 @@ let attempt_of_json j =
     | _ -> Error (Printf.sprintf "missing string field %S" k)
   in
   let flt k =
-    match Obs.Json.member k j with
-    | Some (Obs.Json.Float f) -> Ok f
-    | Some (Obs.Json.Int i) -> Ok (float_of_int i)
-    | _ -> Error (Printf.sprintf "missing number field %S" k)
+    Option.to_result ~none:(Printf.sprintf "missing number field %S" k)
+      (Option.bind (Obs.Json.member k j) Obs.Json.number)
   in
   let ( let* ) = Result.bind in
   let* label = str "label" in

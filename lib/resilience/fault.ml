@@ -25,8 +25,8 @@ let points =
       "a checkpoint write is torn mid-file (truncated payload); resume \
        must detect and reject it" );
     ( "milp.stall",
-      "a B&B worker wedges at node-processing entry (busy-waits until \
-       its deadline expires or the watchdog cancels it)" );
+      "a B&B worker wedges at node-processing entry (blocks until its \
+       deadline expires or the watchdog cancels it)" );
   ]
 
 let mem name = List.mem_assoc name points

@@ -139,6 +139,88 @@ let test_resource_constrained_bb () =
       | Error e -> Alcotest.failf "%s: %s" (Mams.Flow.method_name m) e)
     (Mams.Flow.run_all setup g)
 
+(* --- the request codec: what a checkpoint stores to rebuild a run ----- *)
+
+let request =
+  Alcotest.testable
+    (fun ppf r ->
+      Fmt.string ppf (Obs.Json.to_string (Mams.Flow.Request.to_json r)))
+    ( = )
+
+let decoded = Alcotest.(result request string)
+
+let test_request_round_trip () =
+  let r =
+    {
+      Mams.Flow.Request.benchmark = "XORR";
+      method_ = Milp_base;
+      optimize = true;
+      time_limit = 12.5;
+      ii = 3;
+      k = 6;
+      alpha = 0.25;
+      beta = 0.75;
+      audit = true;
+      stall_window = Some 0.125;
+    }
+  in
+  Alcotest.check decoded "of_json (to_json r)" (Ok r)
+    (Mams.Flow.Request.of_json (Mams.Flow.Request.to_json r));
+  (* a checkpoint holds the metadata as text *)
+  (match
+     Obs.Json.of_string (Obs.Json.to_string (Mams.Flow.Request.to_json r))
+   with
+  | Ok j -> Alcotest.check decoded "through the text form" (Ok r) (Mams.Flow.Request.of_json j)
+  | Error e -> Alcotest.fail e);
+  List.iter
+    (fun (key, method_) ->
+      Alcotest.check decoded ("method " ^ key) (Ok { r with method_ })
+        (Mams.Flow.Request.of_json
+           (Mams.Flow.Request.to_json { r with method_ })))
+    Mams.Flow.methods;
+  Alcotest.check decoded "stall window off" (Ok { r with stall_window = None })
+    (Mams.Flow.Request.of_json
+       (Mams.Flow.Request.to_json { r with stall_window = None }))
+
+(* The nine-field metadata `pipesyn run --checkpoint' wrote before the
+   codec existed must keep resuming, with the setup resume built from
+   it: absent stall_window means the watchdog stays off. *)
+let test_request_nine_field_meta () =
+  let legacy =
+    {|{"benchmark": "CLZ", "method": "map", "time_limit": 2.0, "ii": 1, "k": 4, "alpha": 0.5, "beta": 0.5, "optimize": false, "audit": true}|}
+  in
+  let j =
+    match Obs.Json.of_string legacy with Ok j -> j | Error e -> Alcotest.fail e
+  in
+  Alcotest.check decoded "nine-field meta"
+    (Ok
+       {
+         Mams.Flow.Request.benchmark = "CLZ";
+         method_ = Milp_map;
+         optimize = false;
+         time_limit = 2.0;
+         ii = 1;
+         k = 4;
+         alpha = 0.5;
+         beta = 0.5;
+         audit = true;
+         stall_window = None;
+       })
+    (Mams.Flow.Request.of_json j);
+  let without key j =
+    match j with
+    | Obs.Json.Obj fields -> Obs.Json.Obj (List.remove_assoc key fields)
+    | _ -> assert false
+  in
+  (match Mams.Flow.Request.of_json (without "ii" j) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "decoded a request with no ii");
+  match Mams.Flow.Request.of_json (without "optimize" (without "audit" j)) with
+  | Ok r ->
+      Alcotest.(check bool) "absent optimize is off" false r.optimize;
+      Alcotest.(check bool) "absent audit is off" false r.audit
+  | Error e -> Alcotest.fail e
+
 let () =
   Alcotest.run "flow"
     [
@@ -155,5 +237,11 @@ let () =
           Alcotest.test_case "map dominates" `Slow test_milp_map_dominates;
           Alcotest.test_case "xor tree collapses" `Quick test_xor_tree_single_stage;
           Alcotest.test_case "bb resources" `Slow test_resource_constrained_bb;
+        ] );
+      ( "request codec",
+        [
+          Alcotest.test_case "round trip" `Quick test_request_round_trip;
+          Alcotest.test_case "nine-field meta" `Quick
+            test_request_nine_field_meta;
         ] );
     ]

@@ -124,6 +124,22 @@ let test_cpu_vs_wall_metric () =
       true
       (s.Lp.Milp.cpu_s > s.Lp.Milp.elapsed)
 
+(* The host-independent half of the metric check: a solve wedged by
+   [milp.stall] sleeps until its budget expires, so it burns far less
+   CPU than wall time on any host, loaded or idle, with any core count.
+   A [cpu_s] that copied [elapsed] fails here. *)
+let test_cpu_below_wall_when_wedged () =
+  let r =
+    with_fault "milp.stall@1" (fun () ->
+        Lp.Milp.solve ~time_limit:0.5 ~cuts:false ~domains:1 (knapsack ()))
+  in
+  let s = r.Lp.Milp.stats in
+  Alcotest.(check bool)
+    (Printf.sprintf "cpu %.3fs well below wall %.3fs while wedged"
+       s.Lp.Milp.cpu_s s.Lp.Milp.elapsed)
+    true
+    (s.Lp.Milp.elapsed >= 0.4 && s.Lp.Milp.cpu_s < 0.5 *. s.Lp.Milp.elapsed)
+
 (* --- checkpoint format ------------------------------------------------ *)
 
 (* Root cover cuts close the knapsack at (or one dive past) the root,
@@ -583,6 +599,8 @@ let () =
           Alcotest.test_case "1 domain" `Slow test_wall_budget_1_domain;
           Alcotest.test_case "4 domains" `Slow test_wall_budget_4_domains;
           Alcotest.test_case "cpu vs wall metric" `Slow test_cpu_vs_wall_metric;
+          Alcotest.test_case "cpu below wall while wedged" `Quick
+            test_cpu_below_wall_when_wedged;
         ] );
       ( "checkpoint",
         [
