@@ -299,8 +299,10 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   in
   let worker wid lb ub = Node.worker ~wid ~lb ~ub ~pcs:start.pc ~deadline:dl in
   let w0 = worker 0 (Array.copy start.root_lb) (Array.copy start.root_ub) in
-  if cuts && (not resumed) && not (budget ()) then
+  if cuts && (not resumed) && not (budget ()) then begin
     Root.separate root w0 ~max_lp_iters ~int_tol ~budget;
+    Pool.pass_root pool
+  end;
   let report =
     Supervisor.run ~pool ~env ~root ~sink:checkpoint ~fingerprint ~domains
       ~elapsed ~budget

@@ -18,6 +18,7 @@ type t = {
   qcap : int;
   mutable q : Node.t list;  (* newest first; thieves take the last *)
   mutable qlen : int;
+  mutable root_pass : bool;  (* the root may still pass a spent budget *)
   slots : slot array;
   pending : int Atomic.t;
   stop : stop option Atomic.t;
@@ -49,7 +50,8 @@ let create ~domains ~certs_on ~elapsed (start : Checkpoint.t) =
         []
   in
   { m = Mutex.create (); cv = Condition.create (); thieves;
-    qcap = max 64 (8 * domains); q; qlen = List.length q; slots;
+    qcap = max 64 (8 * domains); q; qlen = List.length q; root_pass = false;
+    slots;
     pending = Atomic.make (List.length start.frontier);
     stop = Atomic.make None; closed_limited = start.lp_limited;
     closed_certs = start.cert_nodes; certs_on; elapsed;
@@ -168,6 +170,8 @@ let steal t =
       t.qlen <- t.qlen - 1;
       Some last
 
+let pass_root t = locked t (fun () -> t.root_pass <- true)
+
 let take t (w : Node.worker) ~budget =
   let s = t.slots.(w.wid) in
   locked t @@ fun () ->
@@ -188,13 +192,15 @@ let take t (w : Node.worker) ~budget =
                 wait ()
               end)
   in
+  let is_root (n : Node.t) = Node.depth n.bounds = 0 in
   match wait () with
-  | Some (n, _) when budget () ->
+  | Some (n, _) when budget () && not (t.root_pass && is_root n) ->
       stop_budget t s n;
       None
   | r ->
       Option.iter
         (fun (n, _) ->
+          if is_root n then t.root_pass <- false;
           s.lease <- Some n;
           s.beat <- Obs.Clock.wall ())
         r;

@@ -53,12 +53,19 @@ val open_bound : ?except:int -> t -> float -> float
 val root_open : t -> bool
 (** Whether the root node is still open. *)
 
+val pass_root : t -> unit
+(** Let the root node through {!take} once even when the budget is
+    spent. Called after the root cut loop, which has already worked the
+    root LP, so processing the root is usually a warm repair, and a
+    solve whose budget ends in the cut loop still processes its root. *)
+
 val take : t -> Node.worker -> budget:(unit -> bool) -> (Node.t * bool) option
 (** The worker's next node, leased to it: its own stack first, else a
     steal ([true] when taken from another worker). [None] when the pool
     is stopped or exhausted, or when [budget ()] holds once a node is in
-    hand; that node then stays open on the worker's stack and the pool
-    stops. Blocks while others still hold work. *)
+    hand (except for a root let through by {!pass_root}); that node then
+    stays open on the worker's stack and the pool stops. Blocks while
+    others still hold work. *)
 
 val complete :
   t -> Node.worker -> Node.t -> Node.outcome -> Cert.node option -> unit

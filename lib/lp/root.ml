@@ -67,13 +67,16 @@ let max_rounds = 8
 let max_cuts_per_round = 20
 
 (* The worker keeps its warm state, so the root node's own LP is a no-op
-   repair over the extended rows. *)
+   repair over the extended rows. Every optimal LP of the loop bounds the
+   root (cuts are valid inequalities), so [bound] follows them until the
+   root node's own LP is solved. *)
 let separate t (w : Node.worker) ~max_lp_iters ~int_tol ~budget =
   let r0 = Node.lp w ~max_iters:max_lp_iters t.system in
   match w.lp with
   | Some st when r0.Simplex.status = Simplex.Optimal ->
       t.bound_pre_cuts <- r0.Simplex.objective;
       t.bound_post_cuts <- r0.Simplex.objective;
+      t.bound <- r0.Simplex.objective;
       let pool = Cutgen.create () in
       let x = ref r0.Simplex.x in
       let stop = ref false in
@@ -99,6 +102,7 @@ let separate t (w : Node.worker) ~max_lp_iters ~int_tol ~budget =
             | Simplex.Optimal ->
                 let prev = t.bound_post_cuts in
                 t.bound_post_cuts <- r.Simplex.objective;
+                t.bound <- r.Simplex.objective;
                 x := r.Simplex.x;
                 if Obs.recording () then
                   Obs.emit ~cat:"milp" "milp.cut_round"
@@ -137,6 +141,7 @@ let separate t (w : Node.worker) ~max_lp_iters ~int_tol ~budget =
         t.cuts <- [];
         t.system <- t.raw;
         t.rounds <- 0;
+        t.bound <- b0;
         t.bound_pre_cuts <- Float.nan;
         t.bound_post_cuts <- Float.nan;
         Node.reset w
@@ -171,10 +176,16 @@ let fix_by_reduced_cost t (w : Node.worker) st ~gap =
     Obs.emit ~level:Obs.Log.Debug ~cat:"milp" "milp.fixed_vars"
       [ ("count", Obs.Json.Int (t.fixed - before)) ]
 
+(* Only a solved LP bounds the root: a capped LP's objective is that of
+   wherever the pivots stopped, which may lie above the relaxation. A
+   root LP that stops short keeps the bound of the cut loop's last
+   optimal LP. *)
 let at_root t ~incumbent (w : Node.worker) (r : Simplex.result) =
-  t.bound <- r.Simplex.objective;
-  if r.Simplex.status = Simplex.Infeasible then t.infeasible <- true;
-  if r.Simplex.status = Simplex.Unbounded then t.unbounded <- true;
+  (match r.Simplex.status with
+  | Simplex.Optimal -> t.bound <- r.Simplex.objective
+  | Simplex.Infeasible -> t.infeasible <- true
+  | Simplex.Unbounded -> t.unbounded <- true
+  | Simplex.Iteration_limit | Simplex.Time_limit -> ());
   (match (r.Simplex.status, w.lp) with
   | Simplex.Optimal, Some st ->
       (* The pre-fixing duals ground the audit of every fixing event. *)

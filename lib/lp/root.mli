@@ -38,7 +38,10 @@ type t = private {
   mutable rounds : int;  (** separation rounds run this solve *)
   mutable bound_pre_cuts : float;  (** [nan] without a cut pass *)
   mutable bound_post_cuts : float;
-  mutable bound : float;  (** root LP objective, no model constant *)
+  mutable bound : float;
+      (** objective of the last root LP solved to optimality (the root
+          node's own, else the cut loop's last), no model constant;
+          [neg_infinity] until one is *)
   mutable infeasible : bool;  (** the root LP was infeasible *)
   mutable unbounded : bool;  (** the root LP was unbounded *)
   mutable duals : float array option;  (** pre-fixing root duals *)
@@ -63,11 +66,13 @@ val separate :
   budget:(unit -> bool) ->
   unit
 (** Solve the root LP on the worker and run the cut rounds, leaving the
-    worker's warm state over the extended rows. *)
+    worker's warm state over the extended rows. Each optimal LP sets
+    [bound]. *)
 
 val at_root : t -> incumbent:(unit -> float) -> Node.worker -> Simplex.result -> unit
-(** Record the root LP's bound, verdict and duals, fix by reduced cost
-    when an incumbent exists, and take the post-fixing box. *)
+(** Record the root LP's bound (only when it is optimal), verdict and
+    duals, fix by reduced cost when an incumbent exists, and take the
+    post-fixing box. *)
 
 val gap_closed : t -> incumbent:float -> float
 (** Fraction of the root gap the cut rounds closed,

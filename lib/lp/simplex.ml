@@ -25,31 +25,30 @@ type vstat = Basic of int (* row *) | At_lower | At_upper
    [lo], not at 0).
 
    The tableau is condensed: every basic column is a unit vector (1 in
-   its own row, 0 elsewhere), so only the [ns = cols - m] nonbasic
-   columns are stored. [slot] and [var_of] tie each nonbasic column to
-   its storage slot; a pivot hands the entering column's slot to the
-   leaving one. A row array may be longer than [ns] (a cold rebuild or
-   {!add_rows} reuses the previous tableau's rows); slots from [ns] on
-   are never read. *)
+   its own row, 0 elsewhere), so only the [n] nonbasic columns are
+   stored ([cols - m], as there is one slack per row). [slot] and
+   [var_of] tie each nonbasic column to its storage slot; a pivot hands
+   the entering column's slot to the leaving one. A row array may be
+   longer than [n] (a cold rebuild reuses the previous tableau's rows);
+   slots from [n] on are never read. *)
 type tab = {
   m : int;  (** rows *)
-  n : int;  (** structural columns *)
-  cols : int;  (** structural + slack + artificial columns *)
-  ns : int;  (** stored (nonbasic) columns, [cols - m] *)
+  n : int;  (** structural columns, and stored (nonbasic) columns *)
+  cols : int;  (** structural + slack columns, [n + m] *)
   a : float array array;
-      (** m x ns condensed tableau, kept row-reduced: row [i] holds
+      (** m x n condensed tableau, kept row-reduced: row [i] holds
           nonbasic column [c] at [slot.(c)] *)
   slot : int array;
       (** length [cols]: storage slot of a nonbasic column, -1 for a
           basic one *)
-  var_of : int array;  (** length [ns]: the column held in each slot *)
+  var_of : int array;  (** length [n]: the column held in each slot *)
   b : float array;
       (** B⁻¹·(shifted rhs): transformed alongside [a] by every pivot so
           basic values can be recomputed exactly after bound changes *)
   beta : float array;  (** current value of the basic variable of each row *)
   lo : float array;  (** working lower bound (shifted), always finite *)
   hi : float array;  (** working upper bound (shifted), may be +inf *)
-  cost : float array;  (** current phase objective coefficients *)
+  cost : float array;  (** installed objective coefficients *)
   z : float array;  (** reduced costs, per column (0 on basic columns) *)
   stat : vstat array;
   basis : int array;  (** column basic in each row *)
@@ -57,11 +56,9 @@ type tab = {
       (** per-row build-time normalization: -1 where a [>=] row was negated
           into [<=] form, +1 otherwise. Needed to translate slack-column
           reduced costs back into multipliers on the *original* rows for
-          certificate extraction ({!duals}, Farkas rays): the artificial-row
-          flip applied below cancels out of that algebra, but [sign] does
-          not. *)
+          certificate extraction ({!duals}, Farkas rays). *)
   nz : int array;
-      (** scratch of length at least [ns]: the slots of the nonzeros of the
+      (** scratch of length at least [n]: the slots of the nonzeros of the
           current pivot row ({!row_reduce}), or of the nonbasic columns
           with a nonzero value ({!recompute_beta}) *)
   nzv : float array;
@@ -86,7 +83,7 @@ let recompute_z t =
     let cb = t.cost.(bi) in
     if cb <> 0.0 then begin
       let row = t.a.(i) in
-      for s = 0 to t.ns - 1 do
+      for s = 0 to t.n - 1 do
         let aij = row.(s) in
         if aij <> 0.0 then begin
           let j = t.var_of.(s) in
@@ -197,7 +194,7 @@ let do_bound_flip t j ~dir ~tstar =
    and the reduced-cost update run over that list only (pivot rows are
    about 9-15% nonzero on the registry's MILPs). A zero pivot-row entry
    leaves its target unchanged up to the sign of a zero. The slots in
-   [nz] are distinct and below [ns], which is what makes the unchecked
+   [nz] are distinct and below [n], which is what makes the unchecked
    accesses safe.
 
    Column j turns basic and drops out of storage; the leaving column l
@@ -215,7 +212,7 @@ let row_reduce t j r =
   let inv = 1.0 /. piv in
   let nz = t.nz and nzv = t.nzv in
   let k = ref 0 in
-  for c = 0 to t.ns - 1 do
+  for c = 0 to t.n - 1 do
     let v = Array.unsafe_get prow c in
     if v <> 0.0 && c <> s then begin
       let v = v /. piv in
@@ -298,20 +295,28 @@ let do_pivot t j r ~dir ~tstar =
   t.stat.(leaving) <- (if delta_r > 0.0 then At_lower else At_upper);
   row_reduce t j r
 
+(* Pivots after which both simplex phases switch to Bland's rule, which
+   cannot cycle; [-1] when [bland] asks for it from the first pivot. *)
+let bland_after t ~bland = if bland then -1 else max 200 (10 * (t.m + t.cols))
+
 (* Run pivots until optimal/unbounded/iteration cap/deadline. Returns
-   iterations. The deadline is polled every 64 pivots — fine-grained
-   enough that one pathological node LP cannot overshoot the MILP budget
-   by more than a sliver, cheap enough to be invisible in profiles. *)
-let optimize t ~max_iters ~iters_used ~deadline =
+   iterations. The cap and the deadline are checked only when a column
+   would enter, so an already optimal basis is [Optimal] at any budget.
+   The deadline is polled every 64 pivots — fine-grained enough that one
+   pathological node LP cannot overshoot the MILP budget by more than a
+   sliver, cheap enough to be invisible in profiles. *)
+let optimize ?(bland = false) t ~max_iters ~iters_used ~deadline =
   let iters = ref iters_used in
-  let bland_after = max 200 (10 * (t.m + t.cols)) in
+  let bland_after = bland_after t ~bland in
   let status = ref Optimal in
   if Resilience.Fault.fires "simplex.cycle" then status := Iteration_limit
   else
   (try
      let continue_ = ref true in
      while !continue_ do
-       if !iters >= max_iters then begin
+       let j = entering t ~bland:(!iters - iters_used > bland_after) in
+       if j < 0 then continue_ := false
+       else if !iters >= max_iters then begin
          status := Iteration_limit;
          continue_ := false
        end
@@ -323,20 +328,15 @@ let optimize t ~max_iters ~iters_used ~deadline =
          continue_ := false
        end
        else begin
-         let bland = !iters - iters_used > bland_after in
-         let j = entering t ~bland in
-         if j < 0 then continue_ := false
-         else begin
-           incr iters;
-           let dir = match t.stat.(j) with
-             | At_lower -> 1.0
-             | At_upper -> -1.0
-             | Basic _ -> assert false
-           in
-           let tstar, r = ratio_test t j ~dir in
-           if r < 0 then do_bound_flip t j ~dir ~tstar
-           else do_pivot t j r ~dir ~tstar
-         end
+         incr iters;
+         let dir = match t.stat.(j) with
+           | At_lower -> 1.0
+           | At_upper -> -1.0
+           | Basic _ -> assert false
+         in
+         let tstar, r = ratio_test t j ~dir in
+         if r < 0 then do_bound_flip t j ~dir ~tstar
+         else do_pivot t j r ~dir ~tstar
        end
      done
    with Unbounded_exc -> status := Unbounded);
@@ -362,29 +362,49 @@ let do_dual_pivot t j r ~target ~below =
   t.stat.(leaving) <- (if below then At_lower else At_upper);
   row_reduce t j r
 
-(* Dual simplex: starting from a dual-feasible basis (reduced costs of an
-   optimal parent LP are untouched by bound changes), repair primal
-   feasibility after node bounds were installed. Terminates with [Optimal]
-   (primal feasible again — usually a handful of pivots for a single
-   branched binary), [Infeasible] (a violated row with no sign-compatible
-   entering column proves the box empty), or a budget status. *)
-let dual_repair t ~max_iters ~iters_used ~deadline =
+(* Dual simplex: starting from a dual-feasible basis (the slack basis of
+   {!from_slack_basis}, or an optimal parent LP's, whose reduced costs
+   are untouched by bound changes), repair primal feasibility. Terminates
+   with [Optimal] (primal feasible — usually a handful of pivots for a
+   single branched binary), [Infeasible] (a violated row with no sign-compatible
+   entering column proves the box empty), or a budget status.
+
+   The leaving row is the most violated one and ratio ties go to the
+   larger pivot, until [bland_after] pivots; from then on Bland's rule
+   holds (the violated row whose basic column has the smallest index, and
+   the smallest column index among ratio ties), so a degenerate repair
+   cannot cycle. *)
+let dual_repair ?(bland = false) t ~max_iters ~iters_used ~deadline =
   let iters = ref iters_used in
+  let bland_after = bland_after t ~bland in
   let status = ref Optimal in
   let infeas_row = ref None in
   let continue_ = ref true in
   while !continue_ do
-    (* most-violated row *)
+    let bland = !iters - iters_used > bland_after in
     let r = ref (-1) and viol = ref feas_eps and below = ref false in
-    for i = 0 to t.m - 1 do
-      let bv = t.basis.(i) in
-      let under = t.lo.(bv) -. t.beta.(i) in
-      if under > !viol then begin r := i; viol := under; below := true end;
-      if Float.is_finite t.hi.(bv) then begin
-        let over = t.beta.(i) -. t.hi.(bv) in
-        if over > !viol then begin r := i; viol := over; below := false end
-      end
-    done;
+    if not bland then
+      (* most-violated row *)
+      for i = 0 to t.m - 1 do
+        let bv = t.basis.(i) in
+        let under = t.lo.(bv) -. t.beta.(i) in
+        if under > !viol then begin r := i; viol := under; below := true end;
+        if Float.is_finite t.hi.(bv) then begin
+          let over = t.beta.(i) -. t.hi.(bv) in
+          if over > !viol then begin r := i; viol := over; below := false end
+        end
+      done
+    else
+      (* the violated row whose basic column has the smallest index *)
+      for i = 0 to t.m - 1 do
+        let bv = t.basis.(i) in
+        if !r < 0 || bv < t.basis.(!r) then
+          if t.lo.(bv) -. t.beta.(i) > feas_eps then begin r := i; below := true end
+          else if t.beta.(i) -. t.hi.(bv) > feas_eps then begin
+            r := i;
+            below := false
+          end
+      done;
     if !r < 0 then continue_ := false
     else if !iters >= max_iters then begin
       status := Iteration_limit;
@@ -400,7 +420,8 @@ let dual_repair t ~max_iters ~iters_used ~deadline =
       let r = !r and below = !below in
       let arow = t.a.(r) in
       (* entering column: dual ratio test, |z_j / a_rj| minimal keeps z
-         dual feasible; tie-break on pivot magnitude for stability *)
+         dual feasible; ties go to the larger pivot for stability, or
+         under Bland to the first (smallest) column *)
       let q = ref (-1) and best = ref infinity and best_a = ref 0.0 in
       for j = 0 to t.cols - 1 do
         if t.hi.(j) -. t.lo.(j) > 0.0 then
@@ -417,7 +438,8 @@ let dual_repair t ~max_iters ~iters_used ~deadline =
                 let ratio = Float.abs (t.z.(j) /. arj) in
                 if
                   ratio < !best -. 1e-12
-                  || (ratio < !best +. 1e-12 && Float.abs arj > Float.abs !best_a)
+                  || (not bland) && ratio < !best +. 1e-12
+                     && Float.abs arj > Float.abs !best_a
                 then begin
                   q := j;
                   best := ratio;
@@ -461,100 +483,63 @@ let crossed_bounds n lbv ubv =
 let infeasible_result n =
   { status = Infeasible; x = Array.make n 0.0; objective = 0.0; iterations = 0 }
 
-(* Build the shifted tableau for [raw] under bounds [lbv]/[ubv], one
-   condensed row at a time. [reuse] is a tableau about to be dropped: its
-   row and scratch arrays are refilled wherever they are long enough, so
-   a cold rebuild inside a tree search allocates no new rows. *)
+(* Build the shifted tableau for [raw] under bounds [lbv]/[ubv] on the
+   slack basis, one condensed row at a time: every structural column is
+   nonbasic at its lower bound (slot j) and every row's slack is basic,
+   at whatever value the shifted rhs gives it. [reuse] is a tableau about
+   to be dropped: its row and scratch arrays are refilled wherever they
+   are long enough, so a cold rebuild inside a tree search allocates no
+   new rows. *)
 let build ?reuse (raw : Model.raw) lbv ubv =
   let n = raw.n in
   let m = Array.length raw.rows in
-  (* Normalize rows: >= becomes <= (negated); compute shifted rhs. *)
-  let sign = Array.make m 1.0 in
-  let is_eq = Array.make m false in
-  Array.iteri
-    (fun i s ->
-      match (s : Model.sense) with
-      | Model.Ge -> sign.(i) <- -1.0
-      | Model.Eq -> is_eq.(i) <- true
-      | Model.Le -> ())
-    raw.senses;
-  let bshift = Array.make m 0.0 in
-  for i = 0 to m - 1 do
-    let acc = ref (sign.(i) *. raw.rhs.(i)) in
-    Array.iter
-      (fun (j, c) -> acc := !acc -. (sign.(i) *. c *. lbv.(j)))
-      raw.rows.(i);
-    bshift.(i) <- !acc
-  done;
-  (* Column layout: structural | slack per row | artificials as needed. *)
-  let need_artificial = Array.make m false in
-  for i = 0 to m - 1 do
-    if is_eq.(i) then need_artificial.(i) <- Float.abs bshift.(i) > feas_eps
-    else need_artificial.(i) <- bshift.(i) < -.feas_eps
-  done;
-  let n_art = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 need_artificial in
-  let cols = n + m + n_art in
-  (* Nonbasic at the start: the structural columns (slot j) and the
-     slacks of the rows that need an artificial (slots n, n+1, ... in row
-     order). Every other slack and every artificial starts basic. *)
-  let ns = n + n_art in
+  let cols = n + m in
   let slot = Array.make cols (-1) in
-  let var_of = Array.make ns 0 in
-  for j = 0 to n - 1 do
-    slot.(j) <- j;
-    var_of.(j) <- j
-  done;
+  let var_of = Array.init n Fun.id in
+  Array.blit var_of 0 slot 0 n;
   let lo = Array.make cols 0.0 in
   let hi = Array.make cols infinity in
   for j = 0 to n - 1 do
     hi.(j) <- ubv.(j) -. lbv.(j)
   done;
+  (* Normalize rows: >= becomes <= (negated); compute shifted rhs. *)
+  let sign = Array.make m 1.0 in
+  let b = Array.make m 0.0 in
   let old_rows = match reuse with Some o -> o.a | None -> [||] in
-  let a = Array.make m [||] in
-  let basis = Array.make m 0 in
-  let beta = Array.make m 0.0 in
-  let art = ref 0 in
-  for i = 0 to m - 1 do
-    let row =
-      if i < Array.length old_rows && Array.length old_rows.(i) >= ns then begin
-        let row = old_rows.(i) in
-        Array.fill row 0 ns 0.0;
-        row
-      end
-      else Array.make ns 0.0
-    in
-    Array.iter (fun (j, c) -> row.(j) <- row.(j) +. (sign.(i) *. c)) raw.rows.(i);
-    hi.(n + i) <- (if is_eq.(i) then 0.0 else infinity);
-    if need_artificial.(i) then begin
-      let s = n + !art in
-      slot.(n + i) <- s;
-      var_of.(s) <- n + i;
-      row.(s) <- 1.0;
-      (* Scale the row so the artificial enters with +1 and value >= 0. *)
-      if bshift.(i) < 0.0 then begin
-        for c = 0 to ns - 1 do
-          row.(c) <- -.row.(c)
-        done;
-        bshift.(i) <- -.bshift.(i)
-      end;
-      basis.(i) <- n + m + !art;
-      incr art
-    end
-    else basis.(i) <- n + i;
-    beta.(i) <- bshift.(i);
-    a.(i) <- row
-  done;
+  let a =
+    Array.init m (fun i ->
+        (match (raw.senses.(i) : Model.sense) with
+        | Model.Ge -> sign.(i) <- -1.0
+        | Model.Eq -> hi.(n + i) <- 0.0
+        | Model.Le -> ());
+        let acc = ref (sign.(i) *. raw.rhs.(i)) in
+        Array.iter
+          (fun (j, c) -> acc := !acc -. (sign.(i) *. c *. lbv.(j)))
+          raw.rows.(i);
+        b.(i) <- !acc;
+        let row =
+          if i < Array.length old_rows && Array.length old_rows.(i) >= n then begin
+            let row = old_rows.(i) in
+            Array.fill row 0 n 0.0;
+            row
+          end
+          else Array.make n 0.0
+        in
+        Array.iter (fun (j, c) -> row.(j) <- row.(j) +. (sign.(i) *. c)) raw.rows.(i);
+        row)
+  in
+  let basis = Array.init m (fun i -> n + i) in
   let stat = Array.make cols At_lower in
   Array.iteri (fun i j -> stat.(j) <- Basic i) basis;
   let nz, nzv =
     match reuse with
-    | Some o when Array.length o.nz >= ns -> (o.nz, o.nzv)
-    | _ -> (Array.make ns 0, Array.make ns 0.0)
+    | Some o when Array.length o.nz >= n -> (o.nz, o.nzv)
+    | _ -> (Array.make n 0, Array.make n 0.0)
   in
   {
-    m; n; cols; ns; a; slot; var_of;
-    b = Array.copy bshift;
-    beta; lo; hi;
+    m; n; cols; a; slot; var_of; b;
+    beta = Array.copy b;
+    lo; hi;
     cost = Array.make cols 0.0;
     z = Array.make cols 0.0;
     stat; basis; sign; nz; nzv;
@@ -568,11 +553,9 @@ let build ?reuse (raw : Model.raw) lbv ubv =
    the audit re-checks exactly: a vector [u] with [u_i >= 0] on [<=] rows,
    [u_i <= 0] on [>=] rows and free on [=] rows yields the safe bound
    [-u·b + Σ_j min over the box of (c + Aᵀu)_j·x_j]. The slack column of
-   row [i] carries exactly [flip_i·(B⁻¹)_{·,i}], so its reduced cost is
-   [-flip_i·y'_i]; unwinding the build-time flip and [>=] normalizations,
-   the flips cancel and [u_i = sign_i·z.(n+i)]. Valid under whichever cost
-   row is currently installed — phase 2 gives optimality duals, phase 1 at
-   a positive-infeasibility optimum gives a Farkas ray. *)
+   row [i] carries exactly [(B⁻¹)_{·,i}], so its reduced cost is [-y_i];
+   unwinding the [>=] normalization gives [u_i = sign_i·z.(n+i)], the
+   optimality duals once the clean-up has run on the full cost row. *)
 let row_multipliers t = Array.init t.m (fun i -> t.sign.(i) *. t.z.(t.n + i))
 
 (* [s·sign_i·T_r(slack_i)] for every row i: row [r] of the reduced
@@ -598,49 +581,54 @@ let slack_multipliers t r s =
 let farkas_of_row t (r, below) =
   slack_multipliers t r (if below then 1.0 else -1.0)
 
-(* Phase 1 (artificials to zero) then phase 2 on the real objective.
-   Returns a Farkas ray alongside a phase-1 [Infeasible]. *)
-let phases t (raw : Model.raw) ~max_iters ~deadline =
-  let n = t.n and m = t.m and cols = t.cols in
-  let phase1 =
-    if cols = n + m then Ok 0
-    else begin
-      for c = 0 to cols - 1 do
-        t.cost.(c) <- (if c >= n + m then 1.0 else 0.0)
-      done;
-      recompute_z t;
-      let status, iters = optimize t ~max_iters ~iters_used:0 ~deadline in
-      match status with
-      | Iteration_limit -> Error (Iteration_limit, iters, None)
-      | Time_limit -> Error (Time_limit, iters, None)
-      | Unbounded -> Error (Infeasible, iters, None) (* cannot happen *)
-      | Optimal | Infeasible ->
-          let infeas = ref 0.0 in
-          for c = n + m to cols - 1 do
-            infeas := !infeas +. value t c
-          done;
-          if !infeas > 1e-6 then
-            (* The phase-1 dual proves min Σ artificials > 0: extract it
-               while the phase-1 cost row is still installed. *)
-            Error (Infeasible, iters, Some (row_multipliers t))
-          else begin
-            (* Lock artificials at zero for phase 2. *)
-            for c = n + m to cols - 1 do
-              t.hi.(c) <- 0.0
-            done;
-            Ok iters
-          end
+(* Every from-scratch LP starts on the slack basis with each structural
+   column at the bound its cost prefers: at its lower bound, or at its
+   upper bound when its cost is negative. That basis is dual feasible, so
+   the dual simplex repairs primal feasibility and the primal simplex
+   cleans up. A negative-cost column with no upper bound has no bound to
+   prefer; its cost is zeroed for the dual phase and restored for the
+   clean-up. Returns a Farkas ray alongside [Infeasible]. *)
+let from_slack_basis ~bland t (raw : Model.raw) ~max_iters ~deadline =
+  let relaxed = ref false in
+  for j = 0 to t.n - 1 do
+    let c = raw.obj.(j) in
+    if c >= 0.0 then t.cost.(j) <- c
+    else if Float.is_finite t.hi.(j) then begin
+      t.cost.(j) <- c;
+      t.stat.(j) <- At_upper
     end
+    else relaxed := true
+  done;
+  recompute_z t;
+  recompute_beta t;
+  let status, iters, bad_row =
+    dual_repair ~bland t ~max_iters ~iters_used:0 ~deadline
   in
-  match phase1 with
-  | Error (s, i, ray) -> (s, i, ray)
-  | Ok iters1 ->
-      for c = 0 to cols - 1 do
-        t.cost.(c) <- (if c < n then raw.obj.(c) else 0.0)
-      done;
-      recompute_z t;
-      let status, iters = optimize t ~max_iters ~iters_used:iters1 ~deadline in
+  match status with
+  | Optimal ->
+      if !relaxed then begin
+        Array.blit raw.obj 0 t.cost 0 t.n;
+        recompute_z t
+      end;
+      let status, iters =
+        optimize ~bland t ~max_iters ~iters_used:iters ~deadline
+      in
       (status, iters, None)
+  | _ -> (status, iters, Option.map (farkas_of_row t) bad_row)
+
+(* Build the slack basis for [raw] under [lbv]/[ubv] and solve from it.
+   A run that hits the pivot cap may be cycling, so it is run once more
+   from a fresh slack basis under Bland's rule from the first pivot
+   ([bland] starts there); the reported iterations count both runs. *)
+let rec cold_start ?reuse ?(bland = false) raw lbv ubv ~max_iters ~deadline =
+  let t = build ?reuse raw lbv ubv in
+  let status, iters, ray = from_slack_basis ~bland t raw ~max_iters ~deadline in
+  if status = Iteration_limit && not bland then
+    let t, status, more, ray =
+      cold_start ~reuse:t ~bland:true raw lbv ubv ~max_iters ~deadline
+    in
+    (t, status, iters + more, ray)
+  else (t, status, iters, ray)
 
 let finish t (raw : Model.raw) base_lb status iters =
   let x = Array.init t.n (fun j -> base_lb.(j) +. value t j) in
@@ -659,8 +647,7 @@ let solve ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none) ?lb ?ub
   let ubv = match ub with Some a -> a | None -> raw.ub in
   if crossed_bounds raw.n lbv ubv >= 0 then infeasible_result raw.n
   else begin
-    let t = build raw lbv ubv in
-    let status, iters, _ray = phases t raw ~max_iters ~deadline in
+    let t, status, iters, _ray = cold_start raw lbv ubv ~max_iters ~deadline in
     finish t raw lbv status iters
   end
 
@@ -697,8 +684,7 @@ let solve_state ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
       { raw; base_lb = lbv; t = None; warm_ok = false; last_warm = false;
         resolves = 0; infeas = Some (Cert.Empty_box crossed) } )
   else begin
-    let t = build raw lbv ubv in
-    let status, iters, ray = phases t raw ~max_iters ~deadline in
+    let t, status, iters, ray = cold_start raw lbv ubv ~max_iters ~deadline in
     ( finish t raw lbv status iters,
       { raw; base_lb = lbv; t = Some t; warm_ok = status = Optimal;
         last_warm = false; resolves = 0;
@@ -738,15 +724,16 @@ let resolve ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
     (* [reason] only feeds the [simplex.refactor] event: why this
        resolve fell back to a full refactorization instead of the warm
        dual-repair path. *)
-    let cold ~reason () =
+    let cold ?bland ~reason () =
       if Obs.recording ~level:Obs.Log.Debug () then
         Obs.emit ~level:Obs.Log.Debug ~cat:"simplex" "simplex.refactor"
           [ ("reason", Obs.Json.String reason) ];
       st.last_warm <- false;
       Obs.Counter.incr c_resolve_cold;
       let lbv = Array.copy lb and ubv = Array.copy ub in
-      let t = build ?reuse:st.t raw lbv ubv in
-      let status, iters, ray = phases t raw ~max_iters ~deadline in
+      let t, status, iters, ray =
+        cold_start ?reuse:st.t ?bland raw lbv ubv ~max_iters ~deadline
+      in
       st.t <- Some t;
       st.base_lb <- lbv;
       st.warm_ok <- status = Optimal;
@@ -757,8 +744,7 @@ let resolve ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
       finish t raw lbv status iters
     in
     let warm t =
-      (* Install the node bounds in shifted space. Slack, artificial and
-         cost data are untouched; reduced costs are bound-independent, so
+      (* Install the node bounds in shifted space. Slack and cost data are untouched; reduced costs are bound-independent, so
          the parent's optimal basis stays dual feasible and a short dual
          repair restores primal feasibility. *)
       for j = 0 to raw.n - 1 do
@@ -790,8 +776,9 @@ let resolve ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
         in
         match repair with
         | Iteration_limit ->
-            (* possible degenerate cycling in the repair: rebuild cold *)
-            cold ~reason:"repair_limit" ()
+            (* possible degenerate cycling in the repair: rebuild cold
+               under Bland's rule *)
+            cold ~bland:true ~reason:"repair_limit" ()
         | Infeasible ->
             st.last_warm <- true;
             st.warm_ok <- true;
@@ -836,8 +823,7 @@ let last_infeasibility st = st.infeas
 (* Aggregation multipliers reproducing the tableau row of a basic
    structural column: row [r] of the reduced tableau satisfies
    [T_r = Σ_i λ_i · (original row i)] on the structural columns with
-   [λ_i = sign_i · T_r(slack_i)] — the build-time artificial flip shows
-   up in both the slack entry and B⁻¹ and cancels, exactly as in
+   [λ_i = sign_i · T_r(slack_i)], the same unwinding as in
    {!row_multipliers}. Consumed by {!Cutgen} as the *suggestion* for a
    Chvátal–Gomory derivation; everything downstream is recomputed
    exactly from the returned vector. *)
@@ -853,16 +839,13 @@ let tableau_multipliers st j =
 
 (* Append [<=] rows (cuts) to the solved system without losing the warm
    basis. The extended tableau keeps every old column at its index —
-   structural then one slack per old row — drops the artificial columns
-   (all nonbasic and locked at zero after phase 2), and gives each new
-   row its own slack, entered basic after reducing the row against the
-   current basis. That leaves exactly [n] nonbasic columns. Reduced
-   costs are untouched (the new basic slacks cost 0), so a dual-feasible
-   basis stays dual feasible and the next {!resolve} warm-repairs the
-   (intentionally) violated new rows with a few dual pivots. A basic
-   artificial — possible only on a degenerate phase-1 exit — forfeits
-   the tableau instead; the next {!resolve} then rebuilds cold over the
-   extended system. *)
+   structural then one slack per old row — and gives each new row its
+   own slack, entered basic after reducing the row against the current
+   basis. That leaves exactly [n] nonbasic columns, in their old slots.
+   Reduced costs are untouched (the new basic slacks cost 0), so a
+   dual-feasible basis stays dual feasible and the next {!resolve}
+   warm-repairs the (intentionally) violated new rows with a few dual
+   pivots. *)
 let add_rows st (new_rows : ((int * float) array * float) array) =
   let k = Array.length new_rows in
   if k > 0 then begin
@@ -877,89 +860,57 @@ let add_rows st (new_rows : ((int * float) array * float) array) =
     match st.t with
     | None -> ()
     | Some t ->
-        if Array.exists (fun b -> b >= t.n + t.m) t.basis then begin
-          st.t <- None;
-          st.warm_ok <- false
-        end
-        else begin
-          let n = t.n and m = t.m in
-          let m' = m + k in
-          let cols' = n + m' in
-          (* the old slots minus the artificial ones, in slot order; each
-             old row keeps its array, its live slots moved down in place *)
-          let live = Array.make n 0 in
-          let d = ref 0 in
-          for s = 0 to t.ns - 1 do
-            if t.var_of.(s) < n + m then begin
-              live.(!d) <- s;
-              incr d
-            end
-          done;
-          if t.ns > n then
+        let n = t.n and m = t.m in
+        let m' = m + k in
+        let cols' = n + m' in
+        let extend len dflt src =
+          let dst = Array.make len dflt in
+          Array.blit src 0 dst 0 (Array.length src);
+          dst
+        in
+        let grow dflt src = extend cols' dflt src in
+        let a' = extend m' [||] t.a and b' = extend m' 0.0 t.b in
+        let basis' = extend m' 0 t.basis and sign' = extend m' 1.0 t.sign in
+        let slot' = grow (-1) t.slot and stat' = grow At_lower t.stat in
+        let lo' = grow 0.0 t.lo and hi' = grow infinity t.hi in
+        let cost' = grow 0.0 t.cost and z' = grow 0.0 t.z in
+        (* one new row at a time, over the old columns; its own slack is
+           basic and the other new slacks are zero in it *)
+        let row = Array.make (n + m) 0.0 in
+        Array.iteri
+          (fun p (terms, rhs) ->
+            let r = m + p in
+            Array.fill row 0 (n + m) 0.0;
+            Array.iter (fun (j, c) -> row.(j) <- row.(j) +. c) terms;
+            let bshift = ref rhs in
             Array.iter
-              (fun row -> Array.iteri (fun d s -> row.(d) <- row.(s)) live)
-              t.a;
-          let var_of' = Array.map (fun s -> t.var_of.(s)) live in
-          let slot' = Array.make cols' (-1) in
-          Array.iteri (fun s c -> slot'.(c) <- s) var_of';
-          let a' = Array.make m' [||] in
-          Array.blit t.a 0 a' 0 m;
-          let b' = Array.make m' 0.0 in
-          Array.blit t.b 0 b' 0 m;
-          let grow dflt src =
-            let dst = Array.make cols' dflt in
-            Array.blit src 0 dst 0 (n + m);
-            dst
-          in
-          let lo' = grow 0.0 t.lo and hi' = grow infinity t.hi in
-          let cost' = grow 0.0 t.cost and z' = grow 0.0 t.z in
-          let stat' = Array.make cols' At_lower in
-          Array.blit t.stat 0 stat' 0 (n + m);
-          let basis' = Array.make m' 0 in
-          Array.blit t.basis 0 basis' 0 m;
-          let sign' = Array.make m' 1.0 in
-          Array.blit t.sign 0 sign' 0 m;
-          (* one new row at a time, over the old columns; its own slack is
-             basic and the other new slacks are zero in it *)
-          let row = Array.make (n + m) 0.0 in
-          Array.iteri
-            (fun p (terms, rhs) ->
-              let r = m + p in
-              Array.fill row 0 (n + m) 0.0;
-              Array.iter (fun (j, c) -> row.(j) <- row.(j) +. c) terms;
-              let bshift = ref rhs in
-              Array.iter
-                (fun (j, c) -> bshift := !bshift -. (c *. st.base_lb.(j)))
-                terms;
-              (* reduce against the inherited basis so the tableau stays
-                 row-reduced *)
-              for i = 0 to m - 1 do
-                let bi = basis'.(i) in
-                let f = row.(bi) in
-                if f <> 0.0 then begin
-                  let src = a'.(i) in
-                  for s = 0 to n - 1 do
-                    let c = var_of'.(s) in
-                    row.(c) <- row.(c) -. (f *. src.(s))
-                  done;
-                  row.(bi) <- 0.0;
-                  bshift := !bshift -. (f *. b'.(i))
-                end
-              done;
-              let stored = Array.make n 0.0 in
-              Array.iteri (fun s c -> stored.(s) <- row.(c)) var_of';
-              a'.(r) <- stored;
-              b'.(r) <- !bshift;
-              basis'.(r) <- n + r;
-              stat'.(n + r) <- Basic r)
-            new_rows;
-          let t' =
-            { m = m'; n; cols = cols'; ns = n; a = a'; slot = slot'
-            ; var_of = var_of'; b = b'; beta = Array.make m' 0.0; lo = lo'
-            ; hi = hi'; cost = cost'; z = z'; stat = stat'; basis = basis'
-            ; sign = sign'; nz = t.nz; nzv = t.nzv }
-          in
-          recompute_beta t';
-          st.t <- Some t'
-        end
+              (fun (j, c) -> bshift := !bshift -. (c *. st.base_lb.(j)))
+              terms;
+            (* reduce against the inherited basis so the tableau stays
+               row-reduced *)
+            for i = 0 to m - 1 do
+              let bi = basis'.(i) in
+              let f = row.(bi) in
+              if f <> 0.0 then begin
+                let src = a'.(i) in
+                for s = 0 to n - 1 do
+                  let c = t.var_of.(s) in
+                  row.(c) <- row.(c) -. (f *. src.(s))
+                done;
+                row.(bi) <- 0.0;
+                bshift := !bshift -. (f *. b'.(i))
+              end
+            done;
+            a'.(r) <- Array.map (fun c -> row.(c)) t.var_of;
+            b'.(r) <- !bshift;
+            basis'.(r) <- n + r;
+            stat'.(n + r) <- Basic r)
+          new_rows;
+        let t' =
+          { t with m = m'; cols = cols'; a = a'; slot = slot'; b = b'
+          ; beta = Array.make m' 0.0; lo = lo'; hi = hi'; cost = cost'
+          ; z = z'; stat = stat'; basis = basis'; sign = sign' }
+        in
+        recompute_beta t';
+        st.t <- Some t'
   end

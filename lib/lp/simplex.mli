@@ -1,23 +1,28 @@
-(** Bounded-variable two-phase primal simplex on a condensed tableau
-    (only the nonbasic columns are stored; every basic column is a unit
-    vector), with a reusable solver state for warm-started
-    branch-and-bound.
+(** Bounded-variable simplex on a condensed tableau (only the nonbasic
+    columns are stored; every basic column is a unit vector), with a
+    reusable solver state for warm-started branch-and-bound.
 
     Solves [min c·x  s.t.  A x {<=,=,>=} b,  l <= x <= u] with finite lower
     bounds and possibly infinite upper bounds. Upper bounds are handled
     implicitly (nonbasic-at-upper-bound states and bound flips), which is
     what keeps the MILP's thousands of binaries out of the row space.
 
-    Phase 1 introduces artificial variables only for rows whose slack
-    cannot serve as an initial basic variable. Dantzig pricing with an
-    automatic switch to Bland's rule guards against cycling.
+    Every LP starts from the slack basis (one slack per row, no other
+    columns) with each structural column at the bound its cost prefers,
+    which is dual feasible; the dual simplex repairs primal feasibility
+    and the primal simplex cleans up. A negative-cost column without an
+    upper bound takes part in the dual phase at cost 0. Both phases
+    switch to Bland's rule after [max 200 (10·(rows + columns))] pivots,
+    so neither can cycle; a from-scratch LP that still hits its pivot cap
+    is run once more from the slack basis under Bland's rule from its
+    first pivot.
 
     {2 Warm restarts}
 
     {!solve_state} additionally returns the solver's final tableau, basis
     and bound status as a {!state}; {!resolve} then accepts tightened
-    variable bounds and restarts from that basis instead of running
-    Phase 1 from scratch. Because reduced costs do not depend on variable
+    variable bounds and restarts from that basis instead of from the
+    slack basis. Because reduced costs do not depend on variable
     bounds, the optimal basis of a parent node LP stays {e dual} feasible
     after a branch, so a child LP is a short dual-simplex repair (a bound
     change on a nonbasic variable is at most a flip; a change on a basic
@@ -54,9 +59,13 @@ val solve :
     Default [max_iters] is [50_000]. [deadline] (default
     {!Resilience.Deadline.none}) is polled every 64 pivots, so a deadline
     caps even a single pathological LP rather than only being consulted
-    between solves. The [simplex.cycle] fault point
-    ({!Resilience.Fault}) makes every optimize call give up with
-    {!Iteration_limit} immediately. *)
+    between solves. The pivot cap and the deadline are checked only when
+    a pivot is due, so a basis that is already optimal is reported
+    {!Optimal} at any budget. An LP that hits [max_iters] is run once
+    more from the slack basis under Bland's rule, so it may take up to
+    [2 · max_iters] pivots before reporting {!Iteration_limit}. The
+    [simplex.cycle] fault point ({!Resilience.Fault}) makes every primal
+    clean-up give up with {!Iteration_limit} immediately. *)
 
 (** {1 Reusable solver state} *)
 
@@ -87,7 +96,8 @@ val resolve :
     feasible (dual-simplex repair, then primal clean-up). Falls back to a
     cold rebuild — transparently, same result contract as {!solve} —
     whenever the inherited basis is unusable: the previous solve did not
-    end {!Optimal}, the repair hit the pivot cap, or every
+    end {!Optimal}, the repair hit the pivot cap (that rebuild runs under
+    Bland's rule from its first pivot), or every
     [refactor_every = 256] calls to bound numerical drift. Equivalent to
     [solve ~lb ~ub raw] up to degenerate alternate optima: same status,
     same objective within [1e-6] (property-tested in [test/test_lp.ml]).
@@ -101,7 +111,7 @@ val last_resolve_warm : state -> bool
     warm-detected infeasibility) rather than a cold rebuild. *)
 
 val reduced_cost : state -> int -> float
-(** Reduced cost of structural column [j] under the phase-2 objective.
+(** Reduced cost of structural column [j] under the model's objective.
     Meaningful after an {!Optimal} solve; used for reduced-cost bound
     fixing in {!Milp}. *)
 
@@ -145,6 +155,6 @@ val add_rows : state -> ((int * float) array * float) array -> unit
 
 val last_infeasibility : state -> Cert.farkas option
 (** Evidence for the most recent [Infeasible] outcome of {!solve_state} /
-    {!resolve}: a Farkas ray (phase-1 dual or the violated row of B⁻¹
-    from a dual-repair failure) or the crossed-bounds variable. Reset on
+    {!resolve}: a Farkas ray (the violated row of B⁻¹ on which the dual
+    simplex found no entering column) or the crossed-bounds variable. Reset on
     every {!resolve}; [None] after non-infeasible outcomes. *)

@@ -148,6 +148,97 @@ let test_highly_degenerate () =
   Lp.Model.set_objective m (List.map (fun x -> (-1.0, x)) xs);
   check_lp_obj "degenerate polytope" (-1.0) (solve_model m)
 
+(* Two LPs on which the dual simplex cycles from the slack basis when it
+   leaves on the most violated row and breaks ratio ties on pivot size:
+   every cost is 0 where it matters, so every dual pivot is degenerate.
+   The first is feasible (all costs 0), the second infeasible. Both must
+   terminate: by the switch to Bland's rule within the default pivot
+   cap, and under a cap too small for that switch by the second run from
+   the slack basis under Bland's rule. *)
+let cycling_dual_lps =
+  let open Lp.Model in
+  let feasible =
+    {
+      n = 6;
+      lb = Array.make 6 0.0;
+      ub = Array.make 6 infinity;
+      integer = Array.make 6 false;
+      obj = Array.make 6 0.0;
+      rows =
+        [|
+          [| (0, 8.); (1, -0.25); (2, 8.); (3, 1.); (4, 20.); (5, 3.) |];
+          [| (0, -12.); (1, -1.); (2, -9.); (4, -1.); (5, 0.25) |];
+          [| (0, -8.); (1, 1.); (2, -0.25); (3, 9.); (4, 6.); (5, -9.) |];
+          [| (0, 0.5); (1, 3.); (2, 0.25); (3, -12.); (4, 20.); (5, 6.) |];
+          [| (0, 0.5); (1, 8.); (2, -12.); (3, 0.5); (4, 3.); (5, -0.25) |];
+          [| (0, -0.25); (1, -12.); (2, 0.5); (3, 0.25); (4, 0.5); (5, -12.) |];
+          [| (0, -3.); (1, -12.); (2, -9.); (3, 6.); (4, -12.); (5, 0.5) |];
+        |];
+      senses = [| Eq; Ge; Ge; Eq; Ge; Le; Ge |];
+      rhs = [| 3.; 0.; -9.; 0.; -8.; 8.; 0. |];
+    }
+  in
+  let infeasible =
+    {
+      n = 7;
+      lb = Array.make 7 0.0;
+      ub = [| 1.; infinity; infinity; 1.; infinity; infinity; infinity |];
+      integer = Array.make 7 false;
+      obj = [| 0.; 0.; 0.; 1.; 0.; 0.; 0. |];
+      rows =
+        [|
+          [| (0, -12.); (1, 0.25); (2, -0.5); (5, 0.5); (6, -0.25) |];
+          [| (1, -3.); (2, 20.); (3, -9.); (5, -3.); (6, 9.) |];
+          [| (0, -0.5); (1, -8.); (2, -8.); (3, 1.); (4, 0.25); (5, -8.);
+             (6, -12.) |];
+          [| (0, -9.); (1, 20.); (2, 0.25); (3, -12.); (5, -0.5); (6, 3.) |];
+          [| (0, 0.5); (1, -0.5); (2, 3.); (3, 0.25); (5, -0.25); (6, -0.5) |];
+          [| (0, -1.); (1, 1.); (2, -8.); (3, -8.); (4, 1.); (5, -0.25);
+             (6, -0.5) |];
+          [| (0, -3.); (1, 6.); (2, -12.); (4, -9.); (5, -9.) |];
+          [| (0, 9.); (3, 6.); (4, -0.5); (5, -3.); (6, -9.) |];
+        |];
+      senses = [| Le; Le; Ge; Ge; Eq; Le; Eq; Eq |];
+      rhs = [| 0.; 0.; 0.; 0.; 0.; 3.; -3.; 0. |];
+    }
+  in
+  (feasible, infeasible)
+
+let test_dual_cycling () =
+  let feasible, infeasible = cycling_dual_lps in
+  List.iter
+    (fun (cap, max_iters) ->
+      let r = Lp.Simplex.solve ?max_iters feasible in
+      check_lp_obj (cap ^ ": feasible LP") 0.0 r;
+      if max_iters = None then
+        Alcotest.(check bool) "the switch ends the first run" true
+          (r.Lp.Simplex.iterations < 50_000);
+      let x = r.Lp.Simplex.x in
+      Array.iteri
+        (fun j v ->
+          if v < -1e-9 then Alcotest.failf "%s: x%d = %g < 0" cap j v)
+        x;
+      Array.iteri
+        (fun i row ->
+          let a = Array.fold_left (fun acc (j, c) -> acc +. (c *. x.(j))) 0.0 row in
+          let b = feasible.Lp.Model.rhs.(i) in
+          let ok =
+            match feasible.Lp.Model.senses.(i) with
+            | Lp.Model.Le -> a <= b +. 1e-6
+            | Lp.Model.Ge -> a >= b -. 1e-6
+            | Lp.Model.Eq -> feq a b
+          in
+          if not ok then Alcotest.failf "%s: row %d = %g violates %g" cap i a b)
+        feasible.Lp.Model.rows;
+      let r, st = Lp.Simplex.solve_state ?max_iters infeasible in
+      Alcotest.(check bool) (cap ^ ": infeasible LP") true
+        (r.Lp.Simplex.status = Lp.Simplex.Infeasible);
+      Alcotest.(check bool) (cap ^ ": with a ray") true
+        (match Lp.Simplex.last_infeasibility st with
+        | Some (Lp.Cert.Ray _) -> true
+        | _ -> false))
+    [ ("default cap", None); ("cap 50", Some 50) ]
+
 let test_milp_time_limit_returns_feasible () =
   (* a painful MILP with a tiny budget still returns its warm start *)
   let m = Lp.Model.create () in
@@ -429,7 +520,12 @@ let test_resolve_deadline () =
     (status_name r.Lp.Simplex.status);
   (* a later resolve without the deadline completes normally *)
   let r = Lp.Simplex.resolve ~lb ~ub st in
-  check_lp_obj "recovers after expiry" (-3.0) r
+  check_lp_obj "recovers after expiry" (-3.0) r;
+  (* the basis is optimal for these bounds: no pivot is due, so the
+     expired deadline does not turn it into a budget stop *)
+  let r = Lp.Simplex.resolve ~deadline ~lb ~ub st in
+  check_lp_obj "optimal basis at an expired deadline" (-3.0) r;
+  Alcotest.(check int) "no pivots" 0 r.Lp.Simplex.iterations
 
 let test_resolve_fault () =
   let raw, st = resolve_fixture () in
@@ -570,25 +666,25 @@ let batch_fingerprint specs =
 let golden_solve_path =
   [
     ("SDC CLZ",
-      "lps=1 pivots=459 cycles=47a4c9baf612b309003a516b1d2fd7a2");
+      "lps=1 pivots=67 cycles=47a4c9baf612b309003a516b1d2fd7a2");
     ("SDC XORR",
-      "lps=1 pivots=383 cycles=2254f6a48ab935c85be21d0508d7e65b");
+      "lps=1 pivots=58 cycles=2254f6a48ab935c85be21d0508d7e65b");
     ("SDC GFMUL",
-      "lps=1 pivots=190 cycles=27df930b20d42e409ef700e33423a7a7");
+      "lps=1 pivots=48 cycles=27df930b20d42e409ef700e33423a7a7");
     ("SDC CORDIC",
-      "lps=1 pivots=214 cycles=0507ef0f4c469c9e739d5ef29c8ead32");
+      "lps=1 pivots=46 cycles=0507ef0f4c469c9e739d5ef29c8ead32");
     ("SDC MT",
-      "lps=1 pivots=75 cycles=6b594cf849454811a81888f9bf9e6fde");
+      "lps=1 pivots=12 cycles=6b594cf849454811a81888f9bf9e6fde");
     ("SDC AES",
-      "lps=1 pivots=88 cycles=46394945c392f17d4310f89271315542");
+      "lps=1 pivots=55 cycles=46394945c392f17d4310f89271315542");
     ("SDC RS",
-      "lps=1 pivots=46 cycles=1100950733f23d20f6b0ffce8815f025");
+      "lps=1 pivots=27 cycles=1100950733f23d20f6b0ffce8815f025");
     ("SDC DR",
-      "lps=1 pivots=109 cycles=c1a64da18390b7e9f38b891b4a4e4417");
+      "lps=1 pivots=25 cycles=c1a64da18390b7e9f38b891b4a4e4417");
     ("SDC GSM",
-      "lps=1 pivots=313 cycles=813b97c16253441cbb0f58af166be171");
+      "lps=1 pivots=39 cycles=813b97c16253441cbb0f58af166be171");
     ("random_lp_gen batch",
-      "lps=256 iters=335 digest=f134d3899d30880aad50459ba522dc28");
+      "lps=256 iters=175 digest=31ac3755133f5fa674f345ef1ef2ebf9");
   ]
 
 let test_golden_solve_path () =
@@ -899,8 +995,8 @@ let test_condensed_unit_columns () =
     [ "GSM"; "RS" ]
 
 (* min -2x - y  s.t.  x + y + z = 3,  x + 2y >= 2,  0 <= x, y, z <= 4,
-   plus [cuts]. Both model rows need an artificial in phase 1, so the
-   first add_rows drops artificial slots from the stored rows. *)
+   plus [cuts]. Both model rows are violated at the slack basis, so the
+   solve that add_rows extends starts with dual pivots on them. *)
 let artificial_lp ~cuts =
   let m = Lp.Model.create () in
   let x = Lp.Model.add_var m ~ub:4.0 "x" in
@@ -1158,6 +1254,109 @@ let test_milp_cuts_ab_parity () =
     Alcotest.failf "cuts changed the objective: %g vs %g"
       on.Lp.Milp.objective off.Lp.Milp.objective
 
+(* --- the root node under a cap or a spent budget ---------------------- *)
+
+(* The XORR n=8 MILP-map model: mapped cut delays over the k = 6 cuts,
+   unlimited resources, latency at most 6. *)
+let xorr_map () =
+  let g = Benchmarks.Xorr.build ~elements:8 ~width:8 ~mix_depth:3 () in
+  let device = Fpga.Device.make ~t_clk:10.0 () in
+  let delays = Fpga.Delays.default in
+  let cfg : Mams.Formulation.config =
+    {
+      device;
+      delays;
+      resources = Fpga.Resource.unlimited;
+      ii = 1;
+      max_latency = 6;
+      alpha = 0.5;
+      beta = 0.5;
+      cut_delay = Mams.Formulation.mapped_delay ~device ~delays;
+    }
+  in
+  Mams.Formulation.model (Mams.Formulation.build cfg g (Cuts.enumerate ~k:6 g))
+
+(* A root LP stopped by its pivot cap has no bound to report: the point
+   where the pivots stopped may lie above the relaxation. *)
+let test_capped_root_bound () =
+  let model = xorr_map () in
+  let relax = Lp.Simplex.solve (Lp.Model.to_raw model) in
+  check_lp_obj "relaxation" relax.Lp.Simplex.objective relax;
+  let relax = relax.Lp.Simplex.objective +. Lp.Model.objective_constant model in
+  let r =
+    Lp.Milp.solve ~cuts:false ~presolve:false ~node_limit:1 ~max_lp_iters:150
+      model
+  in
+  let s = r.Lp.Milp.stats in
+  Alcotest.(check int) "the root LP hit its cap" 1 s.Lp.Milp.lp_limited;
+  if s.Lp.Milp.root_bound > relax +. 1e-6 then
+    Alcotest.failf "capped root reports bound %g above the relaxation %g"
+      s.Lp.Milp.root_bound relax;
+  Alcotest.(check bool) "no root bound" false
+    (Float.is_finite s.Lp.Milp.root_bound)
+
+(* The budget runs out right after the first cut round: the root, whose
+   LP the cut loop already solved, is still processed once. *)
+let test_budget_in_cut_loop () =
+  let model = xorr_map () in
+  let cell = Resilience.Deadline.new_cell () in
+  let deadline = Resilience.Deadline.with_cancel Resilience.Deadline.none cell in
+  Obs.Log.enable ();
+  Obs.Log.set_sink
+    (Some
+       (fun e ->
+         if e.Obs.Log.l_name = "milp.cut_round" then
+           Resilience.Deadline.cancel cell));
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Obs.Log.set_sink None;
+        Obs.Log.disable ();
+        Obs.Log.clear ())
+      (fun () -> Lp.Milp.solve ~deadline model)
+  in
+  let s = r.Lp.Milp.stats in
+  Alcotest.(check int) "one cut round" 1 s.Lp.Milp.cut_rounds;
+  Alcotest.(check bool) "the root was processed" true (s.Lp.Milp.nodes >= 1);
+  Alcotest.(check bool) "the root reports its bound" true
+    (Float.is_finite s.Lp.Milp.root_bound);
+  (* Same stop, but the root node's own LP is cut short too: the third
+     clean-up (after the root LP's and the round's) gives up under the
+     injected cap. The root still reports the bound of the round's
+     optimal LP. *)
+  let cell = Resilience.Deadline.new_cell () in
+  let deadline = Resilience.Deadline.with_cancel Resilience.Deadline.none cell in
+  let round_bound = ref Float.nan in
+  (match Resilience.Fault.arm "simplex.cycle@3" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "arm: %s" e);
+  Obs.Log.enable ();
+  Obs.Log.set_sink
+    (Some
+       (fun e ->
+         if e.Obs.Log.l_name = "milp.cut_round" then begin
+           (match List.assoc_opt "bound" e.Obs.Log.l_args with
+           | Some (Obs.Json.Float b) -> round_bound := b
+           | _ -> ());
+           Resilience.Deadline.cancel cell
+         end));
+  let r =
+    Fun.protect
+      ~finally:(fun () ->
+        Resilience.Fault.clear ();
+        Obs.Log.set_sink None;
+        Obs.Log.disable ();
+        Obs.Log.clear ())
+      (fun () -> Lp.Milp.solve ~deadline model)
+  in
+  let s = r.Lp.Milp.stats in
+  Alcotest.(check int) "one cut round, capped root" 1 s.Lp.Milp.cut_rounds;
+  Alcotest.(check int) "the root LP hit its cap" 1 s.Lp.Milp.lp_limited;
+  let want = !round_bound +. Lp.Model.objective_constant model in
+  if not (feq want s.Lp.Milp.root_bound) then
+    Alcotest.failf "root bound %g, expected the cut round's %g"
+      s.Lp.Milp.root_bound want
+
 let qsuite name tests = (name, List.map (fun t -> QCheck_alcotest.to_alcotest t) tests)
 
 let () =
@@ -1178,6 +1377,7 @@ let () =
           Alcotest.test_case "bound overrides" `Quick test_bound_overrides;
           Alcotest.test_case "fixed variables" `Quick test_fixed_variables;
           Alcotest.test_case "highly degenerate" `Quick test_highly_degenerate;
+          Alcotest.test_case "cycling dual repair" `Quick test_dual_cycling;
         ] );
       ( "milp",
         [
@@ -1189,6 +1389,10 @@ let () =
           Alcotest.test_case "objective constant" `Quick test_objective_constant;
           Alcotest.test_case "time limit keeps incumbent" `Quick
             test_milp_time_limit_returns_feasible;
+          Alcotest.test_case "capped root reports no bound" `Quick
+            test_capped_root_bound;
+          Alcotest.test_case "budget spent in the cut loop" `Quick
+            test_budget_in_cut_loop;
         ] );
       ( "resolve",
         [

@@ -256,61 +256,61 @@ let rs_map =
 let golden_gfmul =
   [
     ( "clean",
-      "optimal obj=0x1.4p+3 nodes=18 pivots=530 warm=16 recoveries=0 gaps=[0x1.8e38e38e38bep-2 0x1.111111111116dp-3]" );
+      "optimal obj=0x1.4p+3 nodes=28 pivots=1489 warm=26 recoveries=0 gaps=[0x1.1111111111126p-4]" );
     ( "milp.worker_kill@1",
-      "optimal obj=0x1.4p+3 nodes=18 pivots=530 warm=16 recoveries=1 gaps=[0x1.8e38e38e38bep-2 0x1.111111111116dp-3]" );
+      "optimal obj=0x1.4p+3 nodes=11 pivots=672 warm=10 recoveries=1 gaps=[0x1.11111111116p-4]" );
     ( "milp.worker_kill@2",
-      "optimal obj=0x1.4p+3 nodes=39 pivots=1198 warm=33 recoveries=1 gaps=[0x1.8e38e38e38bep-2 0x1.1111111111113p-3]" );
+      "optimal obj=0x1.4p+3 nodes=16 pivots=1206 warm=14 recoveries=1 gaps=[0x1.1111111111126p-4]" );
     ( "milp.worker_kill@5",
-      "optimal obj=0x1.4p+3 nodes=21 pivots=784 warm=17 recoveries=1 gaps=[0x1.8e38e38e38bdep-2 0x1.1111111111133p-3]" );
+      "optimal obj=0x1.4p+3 nodes=8 pivots=1880 warm=6 recoveries=1 gaps=[0x1.1111111111126p-4]" );
     ( "milp.checkpoint_torn@1",
-      "optimal obj=0x1.4p+3 nodes=18 pivots=530 warm=16 recoveries=0 gaps=[0x1.8e38e38e38bep-2 0x1.111111111116dp-3]" );
+      "optimal obj=0x1.4p+3 nodes=28 pivots=1489 warm=26 recoveries=0 gaps=[0x1.1111111111126p-4]" );
     ( "simplex.cycle@3",
-      "optimal obj=0x1.4p+3 nodes=18 pivots=530 warm=16 recoveries=0 gaps=[0x1.8e38e38e38bep-2 0x1.111111111116dp-3]" );
+      "optimal obj=0x1.4p+3 nodes=43 pivots=5011 warm=39 recoveries=0 gaps=[0x1.1111111111ff3p-4]" );
     ( "stop@8",
-      "unknown obj=infinity nodes=8 pivots=331 warm=7 recoveries=0 gaps=[]" );
+      "feasible obj=0x1.4p+3 nodes=8 pivots=394 warm=8 recoveries=0 gaps=[0x1.1111111111126p-4]" );
     ( "resume@8",
-      "optimal obj=0x1.4p+3 nodes=17 pivots=268 warm=8 recoveries=0 gaps=[0x1.8e38e38e38bep-2 0x1.1111111111173p-3]" );
+      "optimal obj=0x1.4p+3 nodes=16 pivots=1061 warm=6 recoveries=0 gaps=[nan]" );
   ]
 
 let golden_rs =
   [
     ( "clean",
-      "optimal obj=0x1.2fffffffffffdp+4 nodes=82 pivots=2451 warm=75 recoveries=0 gaps=[0x1.a0d0415cabb1fp-4]" );
+      "optimal obj=0x1.3000000000001p+4 nodes=21 pivots=504 warm=17 recoveries=0 gaps=[0x1.d5b5ce960f042p-4]" );
     ( "milp.worker_kill@1",
-      "optimal obj=0x1.3p+4 nodes=64 pivots=2128 warm=59 recoveries=1 gaps=[0x1.a0d0415cabb36p-4]" );
+      "optimal obj=0x1.3000000000001p+4 nodes=21 pivots=504 warm=17 recoveries=1 gaps=[0x1.d5b5ce960f042p-4]" );
     ( "milp.worker_kill@2",
-      "optimal obj=0x1.3p+4 nodes=46 pivots=1156 warm=42 recoveries=1 gaps=[0x1.a0d0415cabb43p-4]" );
+      "optimal obj=0x1.3000000000002p+4 nodes=29 pivots=735 warm=21 recoveries=1 gaps=[0x1.d5b5ce960f04ep-4]" );
     ( "milp.worker_kill@5",
-      "optimal obj=0x1.2fffffffffffdp+4 nodes=90 pivots=2663 warm=83 recoveries=1 gaps=[0x1.a0d0415cabb1fp-4]" );
+      "optimal obj=0x1.3p+4 nodes=24 pivots=914 warm=18 recoveries=1 gaps=[0x1.d5b5ce960f036p-4]" );
     ( "milp.checkpoint_torn@1",
-      "optimal obj=0x1.2fffffffffffdp+4 nodes=82 pivots=2451 warm=75 recoveries=0 gaps=[0x1.a0d0415cabb1fp-4]" );
+      "optimal obj=0x1.3000000000001p+4 nodes=21 pivots=504 warm=17 recoveries=0 gaps=[0x1.d5b5ce960f042p-4]" );
     ( "simplex.cycle@3",
-      "optimal obj=0x1.3p+4 nodes=54 pivots=1046 warm=47 recoveries=0 gaps=[0x1.d5b5ce960f01bp-4]" );
+      "optimal obj=0x1.3000000000002p+4 nodes=21 pivots=496 warm=17 recoveries=0 gaps=[0x1.19589297dfeebp-3 0x1.d5b5ce960f04ep-4]" );
     ( "stop@8",
-      "feasible obj=0x1.2fffffffffffdp+4 nodes=8 pivots=433 warm=8 recoveries=0 gaps=[0x1.a0d0415cabb1fp-4]" );
+      "unknown obj=infinity nodes=8 pivots=158 warm=7 recoveries=0 gaps=[]" );
     ( "resume@8",
-      "optimal obj=0x1.2fffffffffffdp+4 nodes=46 pivots=1392 warm=34 recoveries=0 gaps=[nan]" );
+      "optimal obj=0x1.3p+4 nodes=22 pivots=377 warm=10 recoveries=0 gaps=[0x1.d5b5ce960f036p-4]" );
   ]
 
 let golden_knapsack =
   [
     ( "clean",
-      "optimal obj=-0x1.ap+4 nodes=15 pivots=28 warm=12 recoveries=0 gaps=[0x1.47ae147ae147bp-4 0x1.3b13b13b13b14p-5]" );
+      "optimal obj=-0x1.ap+4 nodes=25 pivots=34 warm=19 recoveries=0 gaps=[0x1.47ae147ae147bp-4 0x0p+0]" );
     ( "milp.worker_kill@1",
-      "optimal obj=-0x1.ap+4 nodes=15 pivots=28 warm=12 recoveries=1 gaps=[0x1.47ae147ae147bp-4 0x1.3b13b13b13b14p-5]" );
+      "optimal obj=-0x1.ap+4 nodes=25 pivots=34 warm=19 recoveries=1 gaps=[0x1.47ae147ae147bp-4 0x0p+0]" );
     ( "milp.worker_kill@2",
-      "optimal obj=-0x1.ap+4 nodes=15 pivots=34 warm=11 recoveries=1 gaps=[0x1.47ae147ae147bp-4 0x1.3b13b13b13b14p-5]" );
+      "optimal obj=-0x1.ap+4 nodes=25 pivots=35 warm=18 recoveries=1 gaps=[0x1.47ae147ae147bp-4 0x0p+0]" );
     ( "milp.worker_kill@5",
-      "optimal obj=-0x1.ap+4 nodes=15 pivots=31 warm=11 recoveries=1 gaps=[0x1.47ae147ae147bp-4 0x1.3b13b13b13b14p-5]" );
+      "optimal obj=-0x1.ap+4 nodes=25 pivots=34 warm=18 recoveries=1 gaps=[0x1.47ae147ae147bp-4 0x0p+0]" );
     ( "milp.checkpoint_torn@1",
-      "optimal obj=-0x1.ap+4 nodes=15 pivots=28 warm=12 recoveries=0 gaps=[0x1.47ae147ae147bp-4 0x1.3b13b13b13b14p-5]" );
+      "optimal obj=-0x1.ap+4 nodes=25 pivots=34 warm=19 recoveries=0 gaps=[0x1.47ae147ae147bp-4 0x0p+0]" );
     ( "simplex.cycle@3",
-      "feasible obj=-0x1.ap+4 nodes=13 pivots=26 warm=9 recoveries=0 gaps=[0x1.d1745d1745d17p-3 0x1p-3 0x1.3b13b13b13b14p-5]" );
+      "feasible obj=-0x1.ap+4 nodes=25 pivots=34 warm=18 recoveries=0 gaps=[0x1.d1745d1745d17p-3 0x1p-3 0x1.eb851eb851eb8p-5 0x0p+0]" );
     ( "stop@8",
-      "feasible obj=-0x1.9p+4 nodes=8 pivots=18 warm=6 recoveries=0 gaps=[0x1.47ae147ae147bp-4]" );
+      "feasible obj=-0x1.9p+4 nodes=8 pivots=12 warm=6 recoveries=0 gaps=[0x1.47ae147ae147bp-4]" );
     ( "resume@8",
-      "optimal obj=-0x1.ap+4 nodes=15 pivots=13 warm=5 recoveries=0 gaps=[nan 0x1.3b13b13b13b14p-5]" );
+      "optimal obj=-0x1.ap+4 nodes=25 pivots=22 warm=12 recoveries=0 gaps=[nan 0x0p+0]" );
   ]
 
 let test_golden_gfmul () = check_golden "GFMUL" gfmul_map golden_gfmul
