@@ -20,6 +20,7 @@ type t = {
   domains : int;
   next_nid : int;
   nodes_done : int;
+  pivots_done : int;
   lp_limited : int;
   fixed_vars : int;
   root_bound : float;
@@ -206,6 +207,7 @@ let payload_to_json ck =
       ("domains", J.Int ck.domains);
       ("next_nid", J.Int ck.next_nid);
       ("nodes_done", J.Int ck.nodes_done);
+      ("pivots_done", J.Int ck.pivots_done);
       ("lp_limited", J.Int ck.lp_limited);
       ("fixed_vars", J.Int ck.fixed_vars);
       ("root_bound", jf ck.root_bound);
@@ -378,6 +380,8 @@ let payload_of_json j =
     domains = int_ (mem "domains" j);
     next_nid = int_ (mem "next_nid" j);
     nodes_done = int_ (mem "nodes_done" j);
+    pivots_done =
+      (match J.member "pivots_done" j with Some v -> int_ v | None -> 0);
     lp_limited = int_ (mem "lp_limited" j);
     fixed_vars = int_ (mem "fixed_vars" j);
     root_bound = flt_ (mem "root_bound" j);

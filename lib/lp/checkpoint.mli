@@ -24,6 +24,9 @@ type t = {
   domains : int;  (** worker-domain count of the checkpointed solve *)
   next_nid : int;  (** next certificate node id to allocate *)
   nodes_done : int;  (** nodes processed before the snapshot *)
+  pivots_done : int;
+      (** simplex pivots before the snapshot, earlier legs included;
+          read as 0 from a file written without it *)
   lp_limited : int;
       (** unsolved-pruned node count so far — carried so a resumed solve
           cannot claim Optimal past nodes the original run gave up on *)

@@ -41,6 +41,7 @@ exception Worker_killed = Node.Worker_killed
    driver. Purely observational — branching decisions never read it. *)
 let c_solves = Obs.Counter.get "milp.solves"
 let c_nodes = Obs.Counter.get "milp.bnb_nodes"
+let c_pivots = Obs.Counter.get "milp.lp_pivots"
 let c_warm_hits = Obs.Counter.get "milp.warm_hits"
 let c_fixed_vars = Obs.Counter.get "milp.fixed_vars"
 let c_checkpoints = Obs.Counter.get "milp.checkpoints"
@@ -81,6 +82,7 @@ let fresh_start ~domains (presolve, lb, ub) seed =
     domains;
     next_nid = 1;
     nodes_done = 0;
+    pivots_done = 0;
     lp_limited = 0;
     fixed_vars = 0;
     root_bound = neg_infinity;
@@ -157,9 +159,10 @@ let finish ~model ~raw ~domains ~gap_tol ~int_tol ~elapsed ~cpu0
     }
   in
   (* Nodes and pivots are counted live where they happen; only a resumed
-     run's closed prefix still needs adding for the counter to equal
-     [stats.nodes]. [lp_iterations] is this run's alone. *)
+     run's closed prefix still needs adding for the counters to equal
+     [stats.nodes] and [stats.lp_iterations]. *)
   Obs.Counter.incr ~by:start.nodes_done c_nodes;
+  Obs.Counter.incr ~by:start.pivots_done c_pivots;
   Obs.Counter.incr ~by:stats.warm_hits c_warm_hits;
   Obs.Counter.incr ~by:stats.fixed_vars c_fixed_vars;
   Obs.Counter.incr ~by:stats.checkpoints c_checkpoints;

@@ -24,7 +24,9 @@ type status = Cert.status =
 
 type stats = {
   nodes : int;  (** branch-and-bound nodes evaluated *)
-  lp_iterations : int;  (** simplex pivots across all nodes *)
+  lp_iterations : int;
+      (** simplex pivots across all nodes; cumulative across resume, as
+          [nodes] and [elapsed] are *)
   elapsed : float;
       (** wall-clock seconds; cumulative across resume (checkpointed
           seconds plus this run's) *)

@@ -23,6 +23,7 @@ type t = {
   pending : int Atomic.t;
   stop : stop option Atomic.t;
   closed_limited : int;
+  closed_pivots : int;
   closed_certs : Cert.node list;
   certs_on : bool;
   elapsed : unit -> float;
@@ -54,6 +55,7 @@ let create ~domains ~certs_on ~elapsed (start : Checkpoint.t) =
     slots;
     pending = Atomic.make (List.length start.frontier);
     stop = Atomic.make None; closed_limited = start.lp_limited;
+    closed_pivots = start.pivots_done;
     closed_certs = start.cert_nodes; certs_on; elapsed;
     inc_m = Mutex.create (); best_obj = Atomic.make infinity; best_x = None;
     inc_log = []; first_inc = start.first_incumbent_s }
@@ -285,7 +287,7 @@ let view t =
     incumbent;
     incumbents;
     first_incumbent_s;
-    pivots = sum (fun w -> w.pivots);
+    pivots = t.closed_pivots + sum (fun w -> w.pivots);
     limited =
       Array.fold_left (fun a (s : slot) -> a + s.limited) t.closed_limited t.slots;
     warm = sum (fun w -> w.warm);

@@ -96,7 +96,7 @@ type view = {
   incumbent : (float array * float) option;
   incumbents : (int * float) list;  (** accepted (node id, objective), oldest first *)
   first_incumbent_s : float;
-  pivots : int;  (** this run's pivots *)
+  pivots : int;
   limited : int;
   warm : int;
   certs : Cert.node list;

@@ -30,7 +30,11 @@ type vstat = Basic of int (* row *) | At_lower | At_upper
    [var_of] tie each nonbasic column to its storage slot; a pivot hands
    the entering column's slot to the leaving one. A row array may be
    longer than [n] (a cold rebuild reuses the previous tableau's rows);
-   slots from [n] on are never read. *)
+   slots from [n] on are never read.
+
+   Each pivot touches only nonzeros: the entering column's are gathered
+   once ({!gather_col}), the pivot row's once ({!row_reduce}), into the
+   domain's {!scratch}, and every step of the pivot reads those lists. *)
 type tab = {
   m : int;  (** rows *)
   n : int;  (** structural columns, and stored (nonbasic) columns *)
@@ -57,14 +61,6 @@ type tab = {
           into [<=] form, +1 otherwise. Needed to translate slack-column
           reduced costs back into multipliers on the *original* rows for
           certificate extraction ({!duals}, Farkas rays). *)
-  nz : int array;
-      (** scratch of length at least [n]: the slots of the nonzeros of the
-          current pivot row ({!row_reduce}), or of the nonbasic columns
-          with a nonzero value ({!recompute_beta}) *)
-  nzv : float array;
-      (** scratch beside [nz]: the pivot row's values after division, or
-          the nonbasic values. Allocated with the tableau, so no pivot
-          allocates. *)
 }
 
 let value t j =
@@ -72,6 +68,41 @@ let value t j =
   | Basic r -> t.beta.(r)
   | At_lower -> t.lo.(j)
   | At_upper -> t.hi.(j)
+
+(* Index lists that one pivot (or one {!recompute_beta}) fills and then
+   reads. Nothing in them outlives the operation, so every tableau a
+   domain works on shares that domain's arrays, which grow to the
+   largest tableau seen and are then never allocated again. *)
+type scratch = {
+  mutable nz : int array;
+      (** length at least [n]: the slots of the nonzeros of the pivot
+          row ({!row_reduce}), the dual ratio test's candidate columns in
+          increasing index ({!dual_repair}), or the slots of the nonbasic
+          columns with a nonzero value ({!recompute_beta}) *)
+  mutable nzv : float array;
+      (** beside [nz]: the pivot row's values after division, the
+          candidates' pivot-row entries, or the nonbasic values *)
+  mutable ci : int array;
+      (** length at least [m]: the rows where the entering column is
+          nonzero, in increasing order ({!gather_col}) *)
+  mutable cv : float array;  (** beside [ci]: the column's entries there *)
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { nz = [||]; nzv = [||]; ci = [||]; cv = [||] })
+
+(* The calling domain's scratch, grown to fit [t]. *)
+let scratch t =
+  let sc = Domain.DLS.get scratch_key in
+  if Array.length sc.nz < t.n then begin
+    sc.nz <- Array.make t.n 0;
+    sc.nzv <- Array.make t.n 0.0
+  end;
+  if Array.length sc.ci < t.m then begin
+    sc.ci <- Array.make t.m 0;
+    sc.cv <- Array.make t.m 0.0
+  end;
+  sc
 
 (* Recompute reduced costs z_j = c_j - c_B . a_j from scratch, row by
    row: each z_j still subtracts its terms in increasing row order. A
@@ -98,6 +129,7 @@ let recompute_z t =
    maintained [b] column — removes incremental drift across warm restarts.
    Row by row over the nonbasic columns with x_j <> 0, in increasing j. *)
 let recompute_beta t =
+  let sc = scratch t in
   let k = ref 0 in
   for j = 0 to t.cols - 1 do
     match t.stat.(j) with
@@ -105,8 +137,8 @@ let recompute_beta t =
     | At_lower | At_upper ->
         let x = value t j in
         if x <> 0.0 then begin
-          t.nz.(!k) <- t.slot.(j);
-          t.nzv.(!k) <- x;
+          sc.nz.(!k) <- t.slot.(j);
+          sc.nzv.(!k) <- x;
           incr k
         end
   done;
@@ -114,8 +146,8 @@ let recompute_beta t =
     let row = t.a.(i) in
     let acc = ref t.b.(i) in
     for p = 0 to !k - 1 do
-      let aij = row.(t.nz.(p)) in
-      if aij <> 0.0 then acc := !acc -. (aij *. t.nzv.(p))
+      let aij = row.(sc.nz.(p)) in
+      if aij <> 0.0 then acc := !acc -. (aij *. sc.nzv.(p))
     done;
     t.beta.(i) <- !acc
   done
@@ -145,15 +177,36 @@ let entering t ~bland =
 
 exception Unbounded_exc
 
-(* Ratio test: entering j moves by dir * t. Returns (t*, leaving row or -1
-   for a bound flip). *)
-let ratio_test t j ~dir =
+(* Gather the nonzeros of the entering column [j] into [sc.ci]/[sc.cv]
+   in increasing row order; returns their count. The ratio test, the basic
+   value update and {!row_reduce} then visit only those rows: a row
+   where the column is zero is left unchanged by each of them, up to
+   the sign of a zero. The values are read before any row changes,
+   which is what the row loop of {!row_reduce} read too: reducing a row
+   writes that row only. *)
+let gather_col t sc j =
   let s = t.slot.(j) in
+  let ci = sc.ci and cv = sc.cv in
+  let k = ref 0 in
+  for i = 0 to t.m - 1 do
+    let v = Array.unsafe_get (Array.unsafe_get t.a i) s in
+    if v <> 0.0 then begin
+      Array.unsafe_set ci !k i;
+      Array.unsafe_set cv !k v;
+      incr k
+    end
+  done;
+  !k
+
+(* Ratio test over the [k] gathered rows: entering j moves by dir * t.
+   Returns (t*, leaving row or -1 for a bound flip). *)
+let ratio_test t sc j ~dir k =
   let range = t.hi.(j) -. t.lo.(j) in
   let tmax = ref (if Float.is_finite range then range else infinity) in
   let row = ref (-1) in
-  for i = 0 to t.m - 1 do
-    let delta = dir *. t.a.(i).(s) in
+  for p = 0 to k - 1 do
+    let i = sc.ci.(p) in
+    let delta = dir *. sc.cv.(p) in
     if delta > pivot_eps then begin
       let ti = (t.beta.(i) -. t.lo.(t.basis.(i))) /. delta in
       let ti = if ti < 0.0 then 0.0 else ti in
@@ -176,10 +229,10 @@ let ratio_test t j ~dir =
   done;
   if Float.is_finite !tmax then (!tmax, !row) else raise Unbounded_exc
 
-let do_bound_flip t j ~dir ~tstar =
-  let s = t.slot.(j) in
-  for i = 0 to t.m - 1 do
-    t.beta.(i) <- t.beta.(i) -. (dir *. t.a.(i).(s) *. tstar)
+let do_bound_flip t sc j ~dir ~tstar k =
+  for p = 0 to k - 1 do
+    let i = sc.ci.(p) in
+    t.beta.(i) <- t.beta.(i) -. (dir *. sc.cv.(p) *. tstar)
   done;
   t.stat.(j) <- (match t.stat.(j) with
     | At_lower -> At_upper
@@ -189,13 +242,17 @@ let do_bound_flip t j ~dir ~tstar =
 (* Row reduction making column j a unit vector at row r; transforms [b]
    and the reduced costs alongside. Shared by primal and dual pivots.
 
-   Sparse in the pivot row: its nonzero slots and their divided values
-   are gathered into [t.nz]/[t.nzv] once, and every [row_i -= f·prow]
-   and the reduced-cost update run over that list only (pivot rows are
-   about 9-15% nonzero on the registry's MILPs). A zero pivot-row entry
-   leaves its target unchanged up to the sign of a zero. The slots in
-   [nz] are distinct and below [n], which is what makes the unchecked
-   accesses safe.
+   Sparse in both the pivot row and the entering column. The pivot row's
+   nonzero slots and their divided values are gathered into
+   [sc.nz]/[sc.nzv] once, and every [row_i -= f·prow] and the reduced-cost
+   update run over that list only (pivot rows are about 9-15% nonzero
+   on the registry's MILPs). The rows updated are the [k] rows other
+   than [r] that {!gather_col} found nonzero in column j, with [f] read
+   from [sc.cv] (entering columns are about 13% nonzero on GSM's
+   MILP-map). A zero entry of either leaves its target unchanged up to
+   the sign of a zero. The slots in [nz] are distinct and below [n], and
+   the rows in [ci] distinct and below [m], which is what makes the
+   unchecked accesses safe.
 
    Column j turns basic and drops out of storage; the leaving column l
    was the unit vector of row r and takes over j's slot. Its new entries
@@ -204,13 +261,13 @@ let do_bound_flip t j ~dir ~tstar =
    row with [f = 0] already holds a zero in that slot. So every nonzero
    entry gets the same float operations in the same order as on a
    tableau that stores all columns. *)
-let row_reduce t j r =
+let row_reduce t sc j r kc =
   let s = t.slot.(j) in
   let l = t.basis.(r) in
   let prow = t.a.(r) in
   let piv = prow.(s) in
   let inv = 1.0 /. piv in
-  let nz = t.nz and nzv = t.nzv in
+  let nz = sc.nz and nzv = sc.nzv in
   let k = ref 0 in
   for c = 0 to t.n - 1 do
     let v = Array.unsafe_get prow c in
@@ -227,38 +284,37 @@ let row_reduce t j r =
   let b = t.b in
   b.(r) <- b.(r) /. piv;
   let br = b.(r) in
-  for i = 0 to t.m - 1 do
+  for pc = 0 to kc - 1 do
+    let i = Array.unsafe_get sc.ci pc in
     if i <> r then begin
       let row_i = Array.unsafe_get t.a i in
-      let f = Array.unsafe_get row_i s in
-      if f <> 0.0 then begin
-        (* row_i -= f·prow over the gathered slots, unrolled four ways;
-           written out here rather than called, so [f] stays unboxed *)
-        let p = ref 0 in
-        while !p + 3 < k do
-          let q = !p in
-          let c0 = Array.unsafe_get nz q
-          and c1 = Array.unsafe_get nz (q + 1)
-          and c2 = Array.unsafe_get nz (q + 2)
-          and c3 = Array.unsafe_get nz (q + 3) in
-          Array.unsafe_set row_i c0
-            (Array.unsafe_get row_i c0 -. (f *. Array.unsafe_get nzv q));
-          Array.unsafe_set row_i c1
-            (Array.unsafe_get row_i c1 -. (f *. Array.unsafe_get nzv (q + 1)));
-          Array.unsafe_set row_i c2
-            (Array.unsafe_get row_i c2 -. (f *. Array.unsafe_get nzv (q + 2)));
-          Array.unsafe_set row_i c3
-            (Array.unsafe_get row_i c3 -. (f *. Array.unsafe_get nzv (q + 3)));
-          p := q + 4
-        done;
-        for q = !p to k - 1 do
-          let c = Array.unsafe_get nz q in
-          Array.unsafe_set row_i c
-            (Array.unsafe_get row_i c -. (f *. Array.unsafe_get nzv q))
-        done;
-        Array.unsafe_set row_i s (0.0 -. (f *. inv));
-        b.(i) <- b.(i) -. (f *. br)
-      end
+      let f = Array.unsafe_get sc.cv pc in
+      (* row_i -= f·prow over the gathered slots, unrolled four ways;
+         written out here rather than called, so [f] stays unboxed *)
+      let p = ref 0 in
+      while !p + 3 < k do
+        let q = !p in
+        let c0 = Array.unsafe_get nz q
+        and c1 = Array.unsafe_get nz (q + 1)
+        and c2 = Array.unsafe_get nz (q + 2)
+        and c3 = Array.unsafe_get nz (q + 3) in
+        Array.unsafe_set row_i c0
+          (Array.unsafe_get row_i c0 -. (f *. Array.unsafe_get nzv q));
+        Array.unsafe_set row_i c1
+          (Array.unsafe_get row_i c1 -. (f *. Array.unsafe_get nzv (q + 1)));
+        Array.unsafe_set row_i c2
+          (Array.unsafe_get row_i c2 -. (f *. Array.unsafe_get nzv (q + 2)));
+        Array.unsafe_set row_i c3
+          (Array.unsafe_get row_i c3 -. (f *. Array.unsafe_get nzv (q + 3)));
+        p := q + 4
+      done;
+      for q = !p to k - 1 do
+        let c = Array.unsafe_get nz q in
+        Array.unsafe_set row_i c
+          (Array.unsafe_get row_i c -. (f *. Array.unsafe_get nzv q))
+      done;
+      Array.unsafe_set row_i s (0.0 -. (f *. inv));
+      b.(i) <- b.(i) -. (f *. br)
     end
   done;
   let z = t.z in
@@ -277,7 +333,7 @@ let row_reduce t j r =
   t.basis.(r) <- j;
   t.stat.(j) <- Basic r
 
-let do_pivot t j r ~dir ~tstar =
+let do_pivot t sc j r ~dir ~tstar k =
   let x_old = match t.stat.(j) with
     | At_lower -> t.lo.(j)
     | At_upper -> t.hi.(j)
@@ -285,15 +341,16 @@ let do_pivot t j r ~dir ~tstar =
   in
   let s = t.slot.(j) in
   let x_new = x_old +. (dir *. tstar) in
-  for i = 0 to t.m - 1 do
-    if i <> r then t.beta.(i) <- t.beta.(i) -. (dir *. t.a.(i).(s) *. tstar)
+  for p = 0 to k - 1 do
+    let i = sc.ci.(p) in
+    if i <> r then t.beta.(i) <- t.beta.(i) -. (dir *. sc.cv.(p) *. tstar)
   done;
   t.beta.(r) <- x_new;
   (* Leaving variable parks at the bound it hit. *)
   let leaving = t.basis.(r) in
   let delta_r = dir *. t.a.(r).(s) in
   t.stat.(leaving) <- (if delta_r > 0.0 then At_lower else At_upper);
-  row_reduce t j r
+  row_reduce t sc j r k
 
 (* Pivots after which both simplex phases switch to Bland's rule, which
    cannot cycle; [-1] when [bland] asks for it from the first pivot. *)
@@ -306,6 +363,7 @@ let bland_after t ~bland = if bland then -1 else max 200 (10 * (t.m + t.cols))
    pathological node LP cannot overshoot the MILP budget by more than a
    sliver, cheap enough to be invisible in profiles. *)
 let optimize ?(bland = false) t ~max_iters ~iters_used ~deadline =
+  let sc = scratch t in
   let iters = ref iters_used in
   let bland_after = bland_after t ~bland in
   let status = ref Optimal in
@@ -334,9 +392,10 @@ let optimize ?(bland = false) t ~max_iters ~iters_used ~deadline =
            | At_upper -> -1.0
            | Basic _ -> assert false
          in
-         let tstar, r = ratio_test t j ~dir in
-         if r < 0 then do_bound_flip t j ~dir ~tstar
-         else do_pivot t j r ~dir ~tstar
+         let k = gather_col t sc j in
+         let tstar, r = ratio_test t sc j ~dir k in
+         if r < 0 then do_bound_flip t sc j ~dir ~tstar k
+         else do_pivot t sc j r ~dir ~tstar k
        end
      done
    with Unbounded_exc -> status := Unbounded);
@@ -346,21 +405,22 @@ let optimize ?(bland = false) t ~max_iters ~iters_used ~deadline =
    column j moves until that variable lands exactly on [target] (its
    violated bound). Dual feasibility of z is preserved by the caller's
    ratio test. *)
-let do_dual_pivot t j r ~target ~below =
+let do_dual_pivot t sc j r ~target ~below =
   let x_old = match t.stat.(j) with
     | At_lower -> t.lo.(j)
     | At_upper -> t.hi.(j)
     | Basic _ -> assert false
   in
-  let s = t.slot.(j) in
-  let dx = (t.beta.(r) -. target) /. t.a.(r).(s) in
-  for i = 0 to t.m - 1 do
-    if i <> r then t.beta.(i) <- t.beta.(i) -. (t.a.(i).(s) *. dx)
+  let k = gather_col t sc j in
+  let dx = (t.beta.(r) -. target) /. t.a.(r).(t.slot.(j)) in
+  for p = 0 to k - 1 do
+    let i = sc.ci.(p) in
+    if i <> r then t.beta.(i) <- t.beta.(i) -. (sc.cv.(p) *. dx)
   done;
   t.beta.(r) <- x_old +. dx;
   let leaving = t.basis.(r) in
   t.stat.(leaving) <- (if below then At_lower else At_upper);
-  row_reduce t j r
+  row_reduce t sc j r k
 
 (* Dual simplex: starting from a dual-feasible basis (the slack basis of
    {!from_slack_basis}, or an optimal parent LP's, whose reduced costs
@@ -375,6 +435,7 @@ let do_dual_pivot t j r ~target ~below =
    the smallest column index among ratio ties), so a degenerate repair
    cannot cycle. *)
 let dual_repair ?(bland = false) t ~max_iters ~iters_used ~deadline =
+  let sc = scratch t in
   let iters = ref iters_used in
   let bland_after = bland_after t ~bland in
   let status = ref Optimal in
@@ -421,31 +482,50 @@ let dual_repair ?(bland = false) t ~max_iters ~iters_used ~deadline =
       let arow = t.a.(r) in
       (* entering column: dual ratio test, |z_j / a_rj| minimal keeps z
          dual feasible; ties go to the larger pivot for stability, or
-         under Bland to the first (smallest) column *)
+         under Bland to the first (smallest) column. Only a nonzero slot
+         of row r can hold a candidate. The tie rule depends on the
+         order of the scan and slots leave column order after the first
+         pivot, so the sign-compatible candidates are insertion-sorted by
+         column into [nz]/[nzv] and scanned from there. *)
+      let nz = sc.nz and nzv = sc.nzv in
+      let kc = ref 0 in
+      for s = 0 to t.n - 1 do
+        let arj = Array.unsafe_get arow s in
+        if Float.abs arj > pivot_eps then begin
+          let j = t.var_of.(s) in
+          let ok =
+            t.hi.(j) -. t.lo.(j) > 0.0
+            &&
+            match t.stat.(j) with
+            | At_lower -> if below then arj < 0.0 else arj > 0.0
+            | _ -> if below then arj > 0.0 else arj < 0.0
+          in
+          if ok then begin
+            let p = ref !kc in
+            while !p > 0 && nz.(!p - 1) > j do
+              nz.(!p) <- nz.(!p - 1);
+              nzv.(!p) <- nzv.(!p - 1);
+              decr p
+            done;
+            nz.(!p) <- j;
+            nzv.(!p) <- arj;
+            incr kc
+          end
+        end
+      done;
       let q = ref (-1) and best = ref infinity and best_a = ref 0.0 in
-      for j = 0 to t.cols - 1 do
-        if t.hi.(j) -. t.lo.(j) > 0.0 then
-          match t.stat.(j) with
-          | Basic _ -> ()
-          | (At_lower | At_upper) as sj ->
-              let arj = arow.(t.slot.(j)) in
-              let ok =
-                match sj with
-                | At_lower -> if below then arj < -.pivot_eps else arj > pivot_eps
-                | _ -> if below then arj > pivot_eps else arj < -.pivot_eps
-              in
-              if ok then begin
-                let ratio = Float.abs (t.z.(j) /. arj) in
-                if
-                  ratio < !best -. 1e-12
-                  || (not bland) && ratio < !best +. 1e-12
-                     && Float.abs arj > Float.abs !best_a
-                then begin
-                  q := j;
-                  best := ratio;
-                  best_a := arj
-                end
-              end
+      for p = 0 to !kc - 1 do
+        let j = nz.(p) and arj = nzv.(p) in
+        let ratio = Float.abs (t.z.(j) /. arj) in
+        if
+          ratio < !best -. 1e-12
+          || (not bland) && ratio < !best +. 1e-12
+             && Float.abs arj > Float.abs !best_a
+        then begin
+          q := j;
+          best := ratio;
+          best_a := arj
+        end
       done;
       if !q < 0 then begin
         status := Infeasible;
@@ -457,7 +537,7 @@ let dual_repair ?(bland = false) t ~max_iters ~iters_used ~deadline =
         let target =
           if below then t.lo.(t.basis.(r)) else t.hi.(t.basis.(r))
         in
-        do_dual_pivot t !q r ~target ~below
+        do_dual_pivot t sc !q r ~target ~below
       end
     end
   done;
@@ -487,9 +567,8 @@ let infeasible_result n =
    slack basis, one condensed row at a time: every structural column is
    nonbasic at its lower bound (slot j) and every row's slack is basic,
    at whatever value the shifted rhs gives it. [reuse] is a tableau about
-   to be dropped: its row and scratch arrays are refilled wherever they
-   are long enough, so a cold rebuild inside a tree search allocates no
-   new rows. *)
+   to be dropped: its row arrays are refilled wherever they are long
+   enough, so a cold rebuild inside a tree search allocates no new rows. *)
 let build ?reuse (raw : Model.raw) lbv ubv =
   let n = raw.n in
   let m = Array.length raw.rows in
@@ -531,18 +610,13 @@ let build ?reuse (raw : Model.raw) lbv ubv =
   let basis = Array.init m (fun i -> n + i) in
   let stat = Array.make cols At_lower in
   Array.iteri (fun i j -> stat.(j) <- Basic i) basis;
-  let nz, nzv =
-    match reuse with
-    | Some o when Array.length o.nz >= n -> (o.nz, o.nzv)
-    | _ -> (Array.make n 0, Array.make n 0.0)
-  in
   {
     m; n; cols; a; slot; var_of; b;
     beta = Array.copy b;
     lo; hi;
     cost = Array.make cols 0.0;
     z = Array.make cols 0.0;
-    stat; basis; sign; nz; nzv;
+    stat; basis; sign;
   }
 
 (* ------------------------------------------------------------------ *)

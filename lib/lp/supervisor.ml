@@ -39,6 +39,7 @@ let snapshot t =
     (* Read after the view, so every id in its frontier is below it. *)
     next_nid = Atomic.get t.env.next_nid;
     nodes_done = Atomic.get t.env.nodes;
+    pivots_done = v.pivots;
     lp_limited = v.limited;
     fixed_vars = r.fixed;
     root_bound = r.bound;

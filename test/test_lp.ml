@@ -918,6 +918,177 @@ let test_kernel_add_rows_warm () =
   let ext' = Lp.Model.to_raw (sparse_lp ~cuts:cuts') in
   check_resolve_certified "second add_rows" ext' st ~lb ~ub
 
+(* An entering column with a single nonzero, in the pivot row. x0 has
+   no upper bound, so its cost waits for the primal clean-up, where it
+   enters against row 0 alone; x3 appears only in the [>=] row, which the
+   dual repair enters it on once x2 is capped below 1. *)
+let test_kernel_singleton_column () =
+  let m = Lp.Model.create () in
+  let x0 = Lp.Model.add_var m "x0" in
+  let x1 = Lp.Model.add_var m ~ub:4.0 "x1" in
+  let x2 = Lp.Model.add_var m ~ub:4.0 "x2" in
+  let x3 = Lp.Model.add_var m ~ub:2.0 "x3" in
+  Lp.Model.add_le m [ (1.0, x0); (1.0, x1) ] 3.0;
+  Lp.Model.add_le m [ (1.0, x1); (1.0, x2) ] 2.0;
+  Lp.Model.add_ge m [ (1.0, x2); (1.0, x3) ] 1.0;
+  Lp.Model.set_objective m [ (-1.0, x0); (-1.0, x1); (-2.0, x2); (1.0, x3) ];
+  let raw = Lp.Model.to_raw m in
+  check_lp_obj "singleton column solve" (-7.0) (Lp.Simplex.solve raw);
+  let r, st = Lp.Simplex.solve_state raw in
+  check_lp_obj "singleton column root" (-7.0) r;
+  let lb = Array.copy raw.Lp.Model.lb and ub = Array.copy raw.Lp.Model.ub in
+  ub.(2) <- 0.5;
+  check_resolve_certified "x2 <= 0.5" raw st ~lb ~ub;
+  ub.(0) <- 1.0;
+  check_resolve_certified "x0 <= 1" raw st ~lb ~ub;
+  lb.(1) <- 1.8;
+  lb.(2) <- 0.5;
+  check_resolve_certified ~expect:"infeasible" "x1 + x2 > 2" raw st ~lb ~ub;
+  Alcotest.(check bool) "warm path taken" true
+    (Lp.Simplex.last_resolve_warm st)
+
+(* An entering column nonzero in every row: x0 sits in all six rows.
+   With an upper bound it starts there and the dual repair enters it on
+   the most violated row; without one the primal clean-up enters it. *)
+let dense_column ~x0_ub =
+  let m = Lp.Model.create () in
+  let x0 = Lp.Model.add_var m ~ub:x0_ub "x0" in
+  let ys = Array.init 6 (fun i -> Lp.Model.add_var m ~ub:3.0 (Printf.sprintf "y%d" i)) in
+  Array.iteri
+    (fun i y -> Lp.Model.add_le m [ (1.0, x0); (1.0, y) ] (float_of_int (i + 1)))
+    ys;
+  Lp.Model.set_objective m
+    ((-4.0, x0) :: Array.to_list (Array.map (fun y -> (-1.0, y)) ys));
+  Lp.Model.to_raw m
+
+let test_kernel_dense_column () =
+  List.iter
+    (fun x0_ub ->
+      let name = Printf.sprintf "x0 <= %g" x0_ub in
+      let raw = dense_column ~x0_ub in
+      check_lp_obj (name ^ ": solve") (-16.0) (Lp.Simplex.solve raw);
+      let r, st = Lp.Simplex.solve_state raw in
+      check_lp_obj (name ^ ": root") (-16.0) r;
+      let lb = Array.copy raw.Lp.Model.lb and ub = Array.copy raw.Lp.Model.ub in
+      ub.(0) <- 0.5;
+      check_resolve_certified (name ^ ", x0 <= 0.5") raw st ~lb ~ub;
+      ub.(0) <- x0_ub;
+      lb.(1) <- 0.5;
+      check_resolve_certified (name ^ ", y0 >= 0.5") raw st ~lb ~ub;
+      lb.(0) <- 0.8;
+      check_resolve_certified ~expect:"infeasible" (name ^ ", x0 + y0 > 1") raw
+        st ~lb ~ub)
+    [ 10.0; infinity ]
+
+(* [add_rows] from two rows to nine, then warm resolves whose entering
+   columns reach into the new rows. It runs on a fresh domain, whose
+   pivot scratch starts empty: the root solve sizes it for two rows, so
+   the resolves have to grow it. *)
+let grown_lp ~cuts =
+  let m = Lp.Model.create () in
+  let xs =
+    Array.init 6 (fun i -> Lp.Model.add_var m ~ub:2.0 (Printf.sprintf "x%d" i))
+  in
+  Lp.Model.add_le m (Array.to_list (Array.map (fun x -> (1.0, x)) xs)) 8.0;
+  Lp.Model.add_le m [ (1.0, xs.(0)); (1.0, xs.(2)); (1.0, xs.(4)) ] 3.0;
+  List.iter
+    (fun (terms, rhs) ->
+      Lp.Model.add_le m
+        (Array.to_list (Array.map (fun (j, c) -> (c, xs.(j))) terms))
+        rhs)
+    cuts;
+  Lp.Model.set_objective m
+    (Array.to_list (Array.mapi (fun i x -> (-.float_of_int (i + 1), x)) xs));
+  m
+
+let test_kernel_add_rows_grow () =
+  Domain.join @@ Domain.spawn @@ fun () ->
+  let raw = Lp.Model.to_raw (grown_lp ~cuts:[]) in
+  let r, st = Lp.Simplex.solve_state raw in
+  Alcotest.(check string) "root optimal" "optimal"
+    (status_name r.Lp.Simplex.status);
+  let cuts =
+    [
+      ([| (4, 1.0); (5, 1.0) |], 3.0);
+      ([| (3, 1.0); (5, 1.0) |], 3.0);
+      ([| (2, 1.0); (3, 1.0); (4, 1.0) |], 4.0);
+      ([| (1, 1.0); (3, 1.0); (5, 1.0) |], 4.0);
+      ([| (3, 1.0); (4, 1.0); (5, 1.0) |], 4.5);
+      ([| (0, 1.0); (1, 1.0); (2, 1.0); (3, 1.0) |], 4.0);
+      ([| (1, 2.0); (2, 1.0); (5, 1.0) |], 5.0);
+    ]
+  in
+  Lp.Simplex.add_rows st (Array.of_list cuts);
+  let ext = Lp.Model.to_raw (grown_lp ~cuts) in
+  let lb = Array.copy ext.Lp.Model.lb and ub = Array.copy ext.Lp.Model.ub in
+  check_resolve_certified "after add_rows" ext st ~lb ~ub;
+  Alcotest.(check bool) "cuts repaired warm" true
+    (Lp.Simplex.last_resolve_warm st);
+  ub.(5) <- 1.0;
+  check_resolve_certified "x5 <= 1" ext st ~lb ~ub;
+  lb.(0) <- 1.0;
+  check_resolve_certified "x0 >= 1" ext st ~lb ~ub;
+  lb.(1) <- 2.0;
+  lb.(2) <- 1.5;
+  check_resolve_certified ~expect:"infeasible" "x0 + x1 + x2 > 4" ext st ~lb
+    ~ub
+
+(* A degenerate dual repair with exact ratio ties. Every cost is 0 or 1
+   and every coefficient 1 or 2, so the dual ratio test keeps seeing
+   equal |z_j / a_rj| and equal |a_rj|, which go to the column scanned
+   first. After the first pivot a slack holds a structural column's slot,
+   so scanning by slot would pick other columns: the iteration counts and
+   the bits of [x] below were recorded from the column-order scan, and
+   a slot-order scan changes the first of them. *)
+let tied_lp () =
+  let m = Lp.Model.create () in
+  let x =
+    Array.mapi
+      (fun i ub -> Lp.Model.add_var m ~ub (Printf.sprintf "x%d" i))
+      [| infinity; 1.0; infinity; 1.0; 2.0; 2.0 |]
+  in
+  let row terms rhs =
+    Lp.Model.add_ge m (List.map (fun (c, i) -> (c, x.(i))) terms) rhs
+  in
+  row [ (1.0, 5); (2.0, 4); (1.0, 3); (2.0, 2); (1.0, 1) ] 2.0;
+  row [ (2.0, 3); (1.0, 2); (2.0, 0) ] 1.0;
+  row [ (1.0, 4); (2.0, 3); (2.0, 2); (2.0, 0) ] 2.0;
+  row [ (2.0, 2); (1.0, 1); (2.0, 0) ] 3.0;
+  row [ (2.0, 4); (1.0, 0) ] 3.0;
+  Lp.Model.set_objective m [ (1.0, x.(1)); (1.0, x.(4)); (1.0, x.(5)) ];
+  Lp.Model.to_raw m
+
+let test_kernel_ratio_ties () =
+  let raw = tied_lp () in
+  let pin name (iters, xs) (r : Lp.Simplex.result) =
+    Alcotest.(check (pair int (list string)))
+      name (iters, xs)
+      ( r.Lp.Simplex.iterations,
+        Array.to_list (Array.map (Printf.sprintf "%h") r.Lp.Simplex.x) )
+  in
+  pin "solve"
+    (4, [ "0x1.8p+1"; "0x0p+0"; "0x1p-1"; "0x1p+0"; "0x0p+0"; "0x0p+0" ])
+    (Lp.Simplex.solve raw);
+  List.iter
+    (fun (name, j, lo, hi, want) ->
+      let _, st = Lp.Simplex.solve_state raw in
+      let lb = Array.copy raw.Lp.Model.lb and ub = Array.copy raw.Lp.Model.ub in
+      lb.(j) <- lo;
+      ub.(j) <- hi;
+      pin name want (Lp.Simplex.resolve ~lb ~ub st);
+      Alcotest.(check bool) (name ^ ": warm") true
+        (Lp.Simplex.last_resolve_warm st))
+    [
+      ( "x0 >= 4", 0, 4.0, infinity,
+        (1, [ "0x1p+2"; "0x0p+0"; "0x1p-1"; "0x1p+0"; "0x0p+0"; "0x0p+0" ]) );
+      ( "x0 <= 2", 0, 0.0, 2.0,
+        (1, [ "0x1p+1"; "0x0p+0"; "0x0p+0"; "0x1p+0"; "0x1p-1"; "0x0p+0" ]) );
+      ( "x2 <= 0", 2, 0.0, 0.0,
+        (1, [ "0x1p+1"; "0x0p+0"; "0x0p+0"; "0x1p+0"; "0x1p-1"; "0x0p+0" ]) );
+      ( "x4 >= 1", 4, 1.0, 2.0,
+        (2, [ "0x1.8p+0"; "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x1p+0"; "0x0p+0" ]) );
+    ]
+
 (* --- condensed tableau: the implicit unit columns ----------------------- *)
 
 (* The root LP of [name]'s MILP-map model: mapped cut delays over the
@@ -1410,6 +1581,14 @@ let () =
             test_kernel_singleton_row;
           Alcotest.test_case "add_rows then warm resolves" `Quick
             test_kernel_add_rows_warm;
+          Alcotest.test_case "singleton entering column" `Quick
+            test_kernel_singleton_column;
+          Alcotest.test_case "dense entering column" `Quick
+            test_kernel_dense_column;
+          Alcotest.test_case "add_rows past the scratch length" `Quick
+            test_kernel_add_rows_grow;
+          Alcotest.test_case "degenerate ratio ties" `Quick
+            test_kernel_ratio_ties;
         ] );
       ( "condensed",
         [

@@ -198,6 +198,8 @@ let check_roundtrip domains =
   Alcotest.(check bool) "open frontier" true (ck.Lp.Checkpoint.frontier <> []);
   Alcotest.(check bool) "nodes done recorded" true
     (ck.Lp.Checkpoint.nodes_done > 0);
+  Alcotest.(check bool) "pivots done recorded" true
+    (ck.Lp.Checkpoint.pivots_done > 0);
   (* the cut solve only has an incumbent if a dive completed before the
      node limit; when it does, the snapshot must carry it *)
   if r.Lp.Milp.status = Lp.Milp.Feasible then
@@ -213,6 +215,34 @@ let check_roundtrip domains =
 (* A one-domain frontier, and a four-domain one that holds stolen
    subtrees. *)
 let test_checkpoint_roundtrip () = List.iter check_roundtrip [ 1; 4 ]
+
+(* A file written before checkpoints carried [pivots_done] still loads,
+   with no pivots done. *)
+let test_checkpoint_without_pivots () =
+  let p = tmp "pipesyn_ck_old.json" in
+  ignore (checkpointed_solve ~path:p ());
+  let ck = read_ck p in
+  Sys.remove p;
+  let module J = Obs.Json in
+  let payload =
+    match J.member "payload" (Lp.Checkpoint.to_json ck) with
+    | Some (J.Obj fields) -> J.Obj (List.remove_assoc "pivots_done" fields)
+    | _ -> Alcotest.fail "checkpoint document has no payload object"
+  in
+  let doc =
+    J.Obj
+      [
+        ("schema", J.String Lp.Checkpoint.schema);
+        ( "checksum",
+          J.String (Digest.to_hex (Digest.string (J.to_string payload))) );
+        ("payload", payload);
+      ]
+  in
+  match Lp.Checkpoint.of_json doc with
+  | Error e -> Alcotest.failf "of_json without pivots_done: %s" e
+  | Ok old ->
+      Alcotest.(check bool) "decodes as the snapshot with 0 pivots" true
+        (compare { ck with Lp.Checkpoint.pivots_done = 0 } old = 0)
 
 let test_checkpoint_rejects_torn () =
   let p = tmp "pipesyn_ck_torn.json" in
@@ -357,6 +387,7 @@ let test_resume_root_only () =
   let ck =
     { ck with
       Lp.Checkpoint.frontier = [ Lp.Node.root ]; next_nid = 1; nodes_done = 0;
+      pivots_done = 0;
       lp_limited = 0; fixed_vars = 0; root_bound = neg_infinity;
       root_lb = Array.copy raw.Lp.Model.lb;
       root_ub = Array.copy raw.Lp.Model.ub; incumbent = None;
@@ -388,6 +419,27 @@ let test_resume_root_only () =
       end;
       audit_clean name (knapsack ()) resumed)
     [ 1; 2; 4 ]
+
+(* A resumed solve counts the pivots of every leg, as it counts the
+   nodes: its [lp_iterations] cannot fall below the interrupted leg's,
+   and the [milp.lp_pivots] counter moves by what it reports. *)
+let test_resume_cumulative_pivots () =
+  let p = tmp "pipesyn_ck_pivots.json" in
+  let cut = checkpointed_solve ~node_limit:40 ~path:p () in
+  let ck = read_ck p in
+  Sys.remove p;
+  let c = Obs.Counter.get "milp.lp_pivots" in
+  let before = Obs.Counter.value c in
+  let resumed =
+    Lp.Milp.solve ~time_limit:60.0 ~cuts:false ~resume:ck (knapsack ())
+  in
+  let leg = cut.Lp.Milp.stats.Lp.Milp.lp_iterations
+  and total = resumed.Lp.Milp.stats.Lp.Milp.lp_iterations in
+  Alcotest.(check bool)
+    (Printf.sprintf "resumed pivots %d >= interrupted leg's %d" total leg)
+    true (total >= leg);
+  Alcotest.(check int) "counter moves by the reported pivots" total
+    (Obs.Counter.value c - before)
 
 (* [pipesyn resume] hands the solver both the warm start and the
    checkpoint. The checkpoint's incumbent wins and is the only one
@@ -617,6 +669,8 @@ let () =
             test_checkpoint_roundtrip;
           Alcotest.test_case "rejects torn files" `Quick
             test_checkpoint_rejects_torn;
+          Alcotest.test_case "file without pivots_done" `Quick
+            test_checkpoint_without_pivots;
           Alcotest.test_case "fingerprint mismatch" `Quick
             test_checkpoint_fingerprint_mismatch;
         ] );
@@ -630,6 +684,8 @@ let () =
             test_resume_root_only;
           Alcotest.test_case "one incumbent install" `Quick
             test_resume_installs_one_incumbent;
+          Alcotest.test_case "cumulative pivots" `Quick
+            test_resume_cumulative_pivots;
         ] );
       ( "crash-recovery",
         [
