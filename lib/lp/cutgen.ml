@@ -9,35 +9,201 @@
    multipliers; the aggregated row, its floors and the rounded rhs are
    all recomputed exactly from the cited multipliers and the original
    rows, so float drift in the tableau can cost us a cut but can never
-   produce an invalid one. There is deliberately no division anywhere on
-   the exact side — {!Qd} has none — which is why the CG step is the
-   integer-rounding form (floor coefficients, floor rhs) rather than a
-   scaled Gomory mixed-integer cut. *)
+   produce an invalid one. The CG aggregation runs on {!Qd.Acc}, an
+   exact register that allocates nothing per term; the audit re-derives
+   it on the plain {!Qd} fold. There is deliberately no division
+   anywhere on the exact side — {!Qd} has none — which is why the CG
+   step is the integer-rounding form (floor coefficients, floor rhs)
+   rather than a scaled Gomory mixed-integer cut. *)
 
 let viol_eps = 1e-6
 let lam_drop = 1e-11  (* multipliers below this are noise: zero them *)
 let lam_max = 1e7  (* dynamism guard: reject wildly scaled aggregations *)
 
 (* ------------------------------------------------------------------ *)
-(* Exact helpers                                                       *)
-(* ------------------------------------------------------------------ *)
-
-(* Integral float [f] with [f <= q < f+1], found by correcting the float
-   floor with exact comparisons; [None] if the candidate refuses to
-   converge (pathological magnitudes). *)
-let qfloor q =
-  let ok f = Qd.leq (Qd.of_float f) q && Qd.lt q (Qd.of_float (f +. 1.0)) in
-  let rec adj f k =
-    if k > 4 then None
-    else if ok f then Some f
-    else adj (if Qd.lt q (Qd.of_float f) then f -. 1.0 else f +. 1.0) (k + 1)
-  in
-  let f0 = Float.floor (Qd.to_float q) in
-  if Float.is_finite f0 then adj f0 0 else None
-
-(* ------------------------------------------------------------------ *)
 (* Chvátal–Gomory separation                                           *)
 (* ------------------------------------------------------------------ *)
+
+(* The cited rows of one candidate, transposed: column [j]'s entries
+   [(lambda_i, a_ij)] sit at [el]/[ec] positions [fill.(j) - cnt.(j)] to
+   [fill.(j) - 1]. [cnt.(j)] and [fill.(j)] mean something only while
+   [mark.(j) = stamp], so a candidate never has to clean up after
+   itself. One domain's candidates share one scratch, as {!Simplex}'s
+   pivots do. *)
+type scratch = {
+  mutable stamp : int;
+  mutable mark : int array;
+  mutable cnt : int array;
+  mutable fill : int array;
+  mutable cols : int array;  (** the candidate's columns, first-seen order *)
+  mutable el : float array;
+  mutable ec : float array;
+  abar : Qd.Acc.t;  (** the aggregated column in hand *)
+  rhs : Qd.Acc.t;  (** t + delta, the shifted rhs *)
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { stamp = 0; mark = [||]; cnt = [||]; fill = [||]; cols = [||];
+        el = [||]; ec = [||]; abar = Qd.Acc.create (); rhs = Qd.Acc.create () })
+
+let scratch n =
+  let sc = Domain.DLS.get scratch_key in
+  if Array.length sc.mark < n then begin
+    sc.mark <- Array.make n 0;
+    sc.cnt <- Array.make n 0;
+    sc.fill <- Array.make n 0;
+    sc.cols <- Array.make n 0
+  end;
+  sc.stamp <- sc.stamp + 1;
+  sc
+
+let grow_entries sc len =
+  if Array.length sc.el < len then begin
+    let cap = Stdlib.max len (2 * Array.length sc.el) in
+    sc.el <- Array.make cap 0.0;
+    sc.ec <- Array.make cap 0.0
+  end
+
+(* Transpose the support's rows into [sc] and fold [sum lambda_i rhs_i]
+   into [sc.rhs]; returns the number of columns. A non-finite
+   coefficient or rhs raises [Invalid_argument], as the exact
+   aggregation always has. *)
+let transpose (raw : Model.raw) sc support =
+  let nc = ref 0 and len = ref 0 in
+  Qd.Acc.clear sc.rhs;
+  List.iter
+    (fun (i, l) ->
+      Qd.Acc.add_prod sc.rhs l raw.rhs.(i);
+      let row = raw.rows.(i) in
+      for p = 0 to Array.length row - 1 do
+        let j, c = row.(p) in
+        if not (Float.is_finite c) then invalid_arg "Cutgen: non-finite coefficient";
+        if sc.mark.(j) <> sc.stamp then begin
+          sc.mark.(j) <- sc.stamp;
+          sc.cnt.(j) <- 0;
+          sc.cols.(!nc) <- j;
+          incr nc
+        end;
+        sc.cnt.(j) <- sc.cnt.(j) + 1
+      done;
+      len := !len + Array.length row)
+    support;
+  grow_entries sc !len;
+  let pos = ref 0 in
+  for p = 0 to !nc - 1 do
+    let j = sc.cols.(p) in
+    sc.fill.(j) <- !pos;
+    pos := !pos + sc.cnt.(j)
+  done;
+  List.iter
+    (fun (i, l) ->
+      let row = raw.rows.(i) in
+      for p = 0 to Array.length row - 1 do
+        let j, c = row.(p) in
+        let q = sc.fill.(j) in
+        sc.el.(q) <- l;
+        sc.ec.(q) <- c;
+        sc.fill.(j) <- q + 1
+      done)
+    support;
+  !nc
+
+(* [t += (c - abar_j)·bound]: the rhs correction of rounding column [j]
+   to [c] against [bound]. *)
+let charge t abar c bound =
+  Qd.Acc.add_prod t c bound;
+  Qd.Acc.add_scaled t abar (-.bound)
+
+(* The rounding of one aggregation, all of it exact: each column's
+   [abar_j] in [sc.abar] in turn, the shifted rhs in [sc.rhs].
+
+   Bound-shifted rounding (the generalization CERT109 re-derives): each
+   integer column rounds to floor(abar_j) (charged to its finite lower
+   bound) or ceil(abar_j) (charged to its finite upper bound), whichever
+   keeps more violation at the LP point; continuous columns are dropped
+   against the bound that makes the dropped term a relaxation. The exact
+   rhs correction is delta = sum_j (c_j - abar_j)·bound_j, so the
+   rounded rhs is floor(t + delta) — fractional bound charges are what
+   lets the cut bite even when t itself is integral (binaries parked at
+   their upper bounds). *)
+let cg_round (raw : Model.raw) ~lb ~ub ~x support =
+  let sc = scratch raw.n in
+  let nc = transpose raw sc support in
+  let a = sc.abar and t = sc.rhs in
+  let terms = ref [] in
+  let valid = ref true in
+  let p = ref 0 in
+  while !valid && !p < nc do
+    let j = sc.cols.(!p) in
+    incr p;
+    Qd.Acc.clear a;
+    for q = sc.fill.(j) - sc.cnt.(j) to sc.fill.(j) - 1 do
+      Qd.Acc.add_prod a sc.el.(q) sc.ec.(q)
+    done;
+    if not (Qd.Acc.is_zero a) then
+      if raw.integer.(j) then (
+        match Qd.Acc.floor a with
+        | None -> valid := false
+        | Some f ->
+            if Qd.Acc.is_integer a then
+              (* already integral: keep exactly, no charge *)
+              (if f <> 0.0 then terms := (j, f) :: !terms)
+            else begin
+              let af = Qd.Acc.to_float a in
+              let can_dn = Float.is_finite lb.(j) in
+              let can_up = Float.is_finite ub.(j) in
+              (* score = c_j·x_j - (c_j - abar_j)·bound_j, the column's
+                 contribution to (violation at x) *)
+              let s_dn =
+                if can_dn then (f *. x.(j)) -. ((f -. af) *. lb.(j))
+                else Float.neg_infinity
+              and s_up =
+                if can_up then
+                  ((f +. 1.0) *. x.(j)) -. ((f +. 1.0 -. af) *. ub.(j))
+                else Float.neg_infinity
+              in
+              if (not can_dn) && not can_up then valid := false
+              else begin
+                let c, bound =
+                  if s_up > s_dn then (f +. 1.0, ub.(j)) else (f, lb.(j))
+                in
+                charge t a c bound;
+                if c <> 0.0 then terms := (j, c) :: !terms
+              end
+            end)
+      else begin
+        (* continuous: drop the column (c_j = 0); the dropped term
+           -abar_j·x_j maxes at lb when abar_j > 0, at ub when
+           abar_j < 0 — that bound must be finite *)
+        let bound = if Qd.Acc.sign a > 0 then lb.(j) else ub.(j) in
+        if Float.is_finite bound then charge t a 0.0 bound else valid := false
+      end
+  done;
+  if not !valid then None
+  else
+    match Qd.Acc.floor t with
+    | None -> None
+    | Some d ->
+        if Qd.Acc.is_integer t then
+          None (* integral shifted rhs: no rounding gain *)
+        else
+          let terms = Array.of_list !terms in
+          if Array.length terms = 0 then None
+          else begin
+            Array.sort (fun (j1, _) (j2, _) -> Int.compare j1 j2) terms;
+            let viol =
+              Array.fold_left (fun acc (j, c) -> acc +. (c *. x.(j))) (-.d) terms
+            in
+            if viol > viol_eps then
+              Some
+                {
+                  Cert.cut_terms = terms;
+                  cut_rhs = d;
+                  cut_deriv = Cert.Cg (Array.of_list support);
+                }
+            else None
+          end
 
 (* One CG candidate from a multiplier suggestion [lam] (length = rows of
    [raw], which may already include earlier cuts). Returns [None] when
@@ -45,7 +211,6 @@ let qfloor q =
    violated. *)
 let cg_of_multipliers (raw : Model.raw) ~lb ~ub ~x lam =
   let m = Array.length raw.rows in
-  let n = raw.n in
   (* Move into the sign cone the audit enforces: >= 0 on [<=] rows,
      <= 0 on [>=] rows, free on [=] rows; drop noise. A wrong-sign
      multiplier is frac-shifted by an integer (Gomory's trick: adding
@@ -79,113 +244,7 @@ let cg_of_multipliers (raw : Model.raw) ~lb ~ub ~x lam =
     done;
     match !support with
     | [] -> None
-    | support ->
-        (* Exact aggregation over the cited rows. *)
-        let abar = Array.make n Qd.zero in
-        let t = ref Qd.zero in
-        List.iter
-          (fun (i, l) ->
-            let ql = Qd.of_float l in
-            Array.iter
-              (fun (j, c) ->
-                abar.(j) <- Qd.add abar.(j) (Qd.mul ql (Qd.of_float c)))
-              raw.rows.(i);
-            t := Qd.add !t (Qd.mul ql (Qd.of_float raw.rhs.(i))))
-          support;
-        (* Bound-shifted rounding (the generalization CERT109
-           re-derives): each integer column rounds to floor(abar_j)
-           (charged to its finite lower bound) or ceil(abar_j) (charged
-           to its finite upper bound), whichever keeps more violation at
-           the LP point; continuous columns are dropped against the
-           bound that makes the dropped term a relaxation. The exact
-           rhs correction is delta = sum_j (c_j - abar_j)·bound_j, so
-           the rounded rhs is floor(t + delta) — fractional bound
-           charges are what lets the cut bite even when t itself is
-           integral (binaries parked at their upper bounds). *)
-        let terms = ref [] in
-        let delta = ref Qd.zero in
-        let valid = ref true in
-        (try
-           for j = n - 1 downto 0 do
-             let a = abar.(j) in
-             if not (Qd.is_zero a) then begin
-               let charge cq bound =
-                 delta := Qd.add !delta (Qd.mul (Qd.sub cq a) (Qd.of_float bound))
-               in
-               if raw.integer.(j) then (
-                 match qfloor a with
-                 | None ->
-                     valid := false;
-                     raise Exit
-                 | Some f ->
-                     if Qd.equal (Qd.of_float f) a then
-                       (* already integral: keep exactly, no charge *)
-                       (if f <> 0.0 then terms := (j, f) :: !terms)
-                     else begin
-                       let af = Qd.to_float a in
-                       let can_dn = Float.is_finite lb.(j) in
-                       let can_up = Float.is_finite ub.(j) in
-                       (* score = c_j·x_j - (c_j - abar_j)·bound_j, the
-                          column's contribution to (violation at x) *)
-                       let s_dn =
-                         if can_dn then (f *. x.(j)) -. ((f -. af) *. lb.(j))
-                         else Float.neg_infinity
-                       and s_up =
-                         if can_up then
-                           ((f +. 1.0) *. x.(j)) -. ((f +. 1.0 -. af) *. ub.(j))
-                         else Float.neg_infinity
-                       in
-                       if (not can_dn) && not can_up then begin
-                         valid := false;
-                         raise Exit
-                       end;
-                       let c, bound =
-                         if s_up > s_dn then (f +. 1.0, ub.(j))
-                         else (f, lb.(j))
-                       in
-                       charge (Qd.of_float c) bound;
-                       if c <> 0.0 then terms := (j, c) :: !terms
-                     end)
-               else begin
-                 (* continuous: drop the column (c_j = 0); the dropped
-                    term -abar_j·x_j maxes at lb when abar_j > 0, at ub
-                    when abar_j < 0 — that bound must be finite *)
-                 let bound = if Qd.sign a > 0 then lb.(j) else ub.(j) in
-                 if not (Float.is_finite bound) then begin
-                   valid := false;
-                   raise Exit
-                 end;
-                 charge Qd.zero bound
-               end
-             end
-           done
-         with Exit -> ());
-        if not !valid then None
-        else
-          let t' = Qd.add !t !delta in
-          match qfloor t' with
-          | None -> None
-          | Some d ->
-              if Qd.equal (Qd.of_float d) t' then
-                None (* integral shifted rhs: no rounding gain *)
-              else
-                let terms = Array.of_list !terms in
-                if Array.length terms = 0 then None
-                else begin
-                  let viol =
-                    Array.fold_left
-                      (fun acc (j, c) -> acc +. (c *. x.(j)))
-                      (-.d) terms
-                  in
-                  if viol > viol_eps then
-                    Some
-                      {
-                        Cert.cut_terms = terms;
-                        cut_rhs = d;
-                        cut_deriv = Cert.Cg (Array.of_list support);
-                      }
-                  else None
-                end
+    | support -> cg_round raw ~lb ~ub ~x support
   end
 
 (* CG round: one candidate per fractional basic integer variable, using

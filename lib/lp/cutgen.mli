@@ -24,6 +24,22 @@ val cg_cuts :
     strictly stronger. Only candidates violated at [x] by more than the
     separation tolerance are returned. *)
 
+val cg_of_multipliers :
+  Model.raw ->
+  lb:float array ->
+  ub:float array ->
+  x:float array ->
+  float array ->
+  Cert.cut option
+(** [cg_of_multipliers raw ~lb ~ub ~x lam] is the one candidate
+    {!cg_cuts} derives from multiplier vector [lam] (one entry per row
+    of [raw]): [lam] is moved into the audit's sign cone (a wrong-sign
+    multiplier is shifted by an integer) and entries below [1e-11]
+    dropped; any entry above [1e7] rejects the candidate. The exact
+    aggregation is rounded column by column against the box, and the
+    cut is returned when its rhs is a fractional value rounded down and
+    it is violated at [x]. *)
+
 val cover_cuts :
   Model.raw ->
   n_rows:int ->

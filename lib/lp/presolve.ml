@@ -93,11 +93,31 @@ let le_views (raw : Model.raw) i =
   | Model.Ge -> [ -1.0 ]
   | Model.Eq -> [ 1.0; -1.0 ]
 
+(* The float screen [tighten] applies to a candidate bound [v] for
+   column [j] before any exact work: it must move the bound by more than
+   the tolerance ([improves]) without crossing the other bound
+   ([inside]). [candidate] is the bound row [i]'s rest activity [ma]
+   implies, rounded inward on an integer column; it is monotone in [ma]
+   (non-increasing when [hi], non-decreasing otherwise). *)
+let[@inline] improves ~lb ~ub ~hi j v =
+  if hi then v < ub.(j) -. (eps *. (1.0 +. Float.abs ub.(j)))
+  else v > lb.(j) +. (eps *. (1.0 +. Float.abs lb.(j)))
+
+let[@inline] inside ~lb ~ub ~hi j v =
+  if hi then v >= lb.(j) -. eps else v <= ub.(j) +. eps
+
+let[@inline] candidate ~integer ~hi ~d ~cj ma =
+  let v = (d -. ma) /. cj in
+  if integer then if hi then Float.floor v else Float.ceil v else v
+
 let tighten ?(max_passes = 10) (raw : Model.raw) =
   let n = raw.n in
   let lb = Array.copy raw.lb and ub = Array.copy raw.ub in
-  let events = ref [] in
-  let emit e = events := e :: !events in
+  let events = ref [] and nev = ref 0 in
+  let emit e =
+    events := e :: !events;
+    incr nev
+  in
   let changed = ref false in
   (* Integrality rounding of fractional model bounds (t_row = -1). *)
   for j = 0 to n - 1 do
@@ -118,19 +138,14 @@ let tighten ?(max_passes = 10) (raw : Model.raw) =
         end
     end
   done;
-  (* Try to install [v0] as the new [hi]/[lo] bound of [j], implied by
-     row [i] in the [<=]-form view [row_v] (terms already scaled) with
-     coefficient [cj]. Verifies the exact condition before emitting;
+  (* Try to install the candidate [v0] as the new [hi]/[lo] bound of
+     [j], implied by row [i] in the [<=]-form view [row_v] (terms
+     already scaled) with coefficient [cj]. Verifies the exact condition before emitting;
      nudges the candidate toward validity a few times when float
      rounding put it a hair on the wrong side. *)
   let try_bound ~i ~j ~cj ~d ~row_v ~hi v0 =
     let integer = raw.integer.(j) in
-    let improves v =
-      if hi then v < ub.(j) -. (eps *. (1.0 +. Float.abs ub.(j)))
-      else v > lb.(j) +. (eps *. (1.0 +. Float.abs lb.(j)))
-    in
-    let inside v = if hi then v >= lb.(j) -. eps else v <= ub.(j) +. eps in
-    let v0 = if integer then (if hi then Float.floor v0 else Float.ceil v0) else v0 in
+    let improves = improves ~lb ~ub ~hi j and inside = inside ~lb ~ub ~hi j in
     if improves v0 && inside v0 then
       match min_activity_rest ~lb ~ub ~skip:j row_v with
       | None -> ()
@@ -157,34 +172,105 @@ let tighten ?(max_passes = 10) (raw : Model.raw) =
           in
           attempt 0
   in
+  (* Per row view, once: the minimum-activity terms [p = c·bound] in row
+     order, their float sum [s] over the finite ones and the count
+     [ninf] of the others. A term's rest activity [ma_f] (the row-order
+     float sum without it) then lies within [s - p ± rad]. In general
+     [rad = abs·(2·len + 4)·2^-52], [abs] the sum of [|p|]: each of the
+     two float sums is within [len·u·abs] of its exact value and the
+     subtraction adds [2u·abs], u = 2^-53, with room to spare for the
+     rounding of the interval's ends. When every [p] is a multiple of
+     2^-20 and [abs <= 2^32], every partial sum is exact, so [rad = 0]:
+     integral rows over integral boxes are the common case, and there a
+     candidate sitting exactly on an integer must not be blurred. A term
+     whose candidate bound cannot pass [improves && inside] anywhere in
+     the interval needs no [ma_f]: the candidate is monotone in [ma], so
+     the two ends decide. The summary is redone after an event moves a
+     bound. A row that lists a column twice sums its coefficients per
+     column and skips nothing. *)
+  let mark = Array.make n (-1) in
+  let prod = ref [||] in
+  let view ~i ~row ~dup dir =
+    let len = Array.length row in
+    let prod = !prod in
+    let d = dir *. raw.rhs.(i) in
+    (* view-space row: terms scaled by [dir] *)
+    let row_v =
+      lazy (if dir = 1.0 then row else Array.map (fun (k, c) -> (k, -.c)) row)
+    in
+    let seen = ref (-1) and s = ref 0.0 and rad = ref 0.0 and ninf = ref 0 in
+    for t = 0 to len - 1 do
+      let j, c = row.(t) in
+      let cj =
+        (* view-space coefficient of [j] *)
+        if dup then
+          Array.fold_left
+            (fun acc (k, c) -> if k = j then acc +. c else acc)
+            0.0 (Lazy.force row_v)
+        else 0.0 +. (dir *. c)
+      in
+      if cj <> 0.0 then begin
+        let scan =
+          dup
+          || begin
+               if !seen <> !nev then begin
+                 seen := !nev;
+                 s := 0.0;
+                 ninf := 0;
+                 let abs = ref 0.0 and grid = ref true in
+                 for u = 0 to len - 1 do
+                   let k, c = row.(u) in
+                   let c = dir *. c in
+                   let p = if c = 0.0 then 0.0 else c *. if c > 0.0 then lb.(k) else ub.(k) in
+                   prod.(u) <- p;
+                   if Float.is_finite p then begin
+                     s := !s +. p;
+                     abs := !abs +. Float.abs p;
+                     if not (Float.is_integer (p *. 0x1p20)) then grid := false
+                   end
+                   else incr ninf
+                 done;
+                 rad :=
+                   if !grid && !abs <= 0x1p32 then 0.0
+                   else !abs *. float_of_int ((2 * len) + 4) *. epsilon_float
+               end;
+               (* [ma_f] is finite only when every other term is *)
+               let p = prod.(t) in
+               let own = Float.is_finite p in
+               !ninf = (if own then 0 else 1)
+               &&
+               let mid = if own then !s -. p else !s in
+               let ma_lo = mid -. !rad and ma_hi = mid +. !rad in
+               (not (Float.is_finite ma_lo && Float.is_finite ma_hi))
+               ||
+               let hi = cj > 0.0 and integer = raw.integer.(j) in
+               improves ~lb ~ub ~hi j (candidate ~integer ~hi ~d ~cj ma_hi)
+               && inside ~lb ~ub ~hi j (candidate ~integer ~hi ~d ~cj ma_lo)
+             end
+        in
+        if scan then begin
+          let row_v = Lazy.force row_v in
+          let ma_f = min_activity_rest_f ~lb ~ub ~skip:j row_v in
+          if Float.is_finite ma_f then
+            let hi = cj > 0.0 in
+            try_bound ~i ~j ~cj ~d ~row_v ~hi
+              (candidate ~integer:raw.integer.(j) ~hi ~d ~cj ma_f)
+        end
+      end
+    done
+  in
   let pass () =
     changed := false;
     Array.iteri
       (fun i row ->
-        List.iter
-          (fun dir ->
-            let d = dir *. raw.rhs.(i) in
-            (* view-space row: terms scaled by [dir] *)
-            let row_v =
-              if dir = 1.0 then row
-              else Array.map (fun (k, c) -> (k, -.c)) row
-            in
-            Array.iter
-              (fun (j, _) ->
-                let cj =
-                  (* view-space coefficient of [j] *)
-                  Array.fold_left
-                    (fun acc (k, c) -> if k = j then acc +. c else acc)
-                    0.0 row_v
-                in
-                if cj <> 0.0 then begin
-                  let ma_f = min_activity_rest_f ~lb ~ub ~skip:j row_v in
-                  if Float.is_finite ma_f then
-                    try_bound ~i ~j ~cj ~d ~row_v ~hi:(cj > 0.0)
-                      ((d -. ma_f) /. cj)
-                end)
-              row)
-          (le_views raw i))
+        let len = Array.length row in
+        if Array.length !prod < len then prod := Array.make len 0.0;
+        let dup = ref false in
+        Array.iter
+          (fun (k, _) -> if mark.(k) = i then dup := true else mark.(k) <- i)
+          row;
+        Array.iter (fun (k, _) -> mark.(k) <- -1) row;
+        List.iter (view ~i ~row ~dup:!dup) (le_views raw i))
       raw.rows;
     !changed
   in

@@ -30,7 +30,9 @@ type vstat = Basic of int (* row *) | At_lower | At_upper
    [var_of] tie each nonbasic column to its storage slot; a pivot hands
    the entering column's slot to the leaving one. A row array may be
    longer than [n] (a cold rebuild reuses the previous tableau's rows);
-   slots from [n] on are never read.
+   slots from [n] on are never read. Likewise the per-row arrays may be
+   longer than [m] and the per-column ones than [cols] ({!add_rows}
+   grows them by capacity); entries past those are never read.
 
    Each pivot touches only nonzeros: the entering column's are gathered
    once ({!gather_col}), the pivot row's once ({!row_reduce}), into the
@@ -911,6 +913,25 @@ let tableau_multipliers st j =
         | Basic r -> Some (slack_multipliers t r 1.0)
         | At_lower | At_upper -> None)
 
+(* Room for [m'] rows: the per-row arrays ([a], [b], [beta], [basis],
+   [sign]) and the per-column ones past the [n] structural columns grow
+   together, by half again at least, so a run of cut rounds reallocates
+   them once or twice instead of on every call. Entries past [m] and
+   [cols] are never read. *)
+let reserve_rows t m' =
+  let cap = Array.length t.b in
+  if m' <= cap then t
+  else begin
+    let cap = Int.max m' (cap + (cap / 2) + 8) in
+    let grow len dflt src n = let dst = Array.make len dflt in Array.blit src 0 dst 0 n; dst in
+    let rows dflt src = grow cap dflt src t.m in
+    let cols dflt src = grow (t.n + cap) dflt src t.cols in
+    { t with a = rows [||] t.a; b = rows 0.0 t.b; beta = rows 0.0 t.beta
+    ; basis = rows 0 t.basis; sign = rows 1.0 t.sign
+    ; slot = cols (-1) t.slot; stat = cols At_lower t.stat; lo = cols 0.0 t.lo
+    ; hi = cols infinity t.hi; cost = cols 0.0 t.cost; z = cols 0.0 t.z }
+  end
+
 (* Append [<=] rows (cuts) to the solved system without losing the warm
    basis. The extended tableau keeps every old column at its index —
    structural then one slack per old row — and gives each new row its
@@ -919,7 +940,7 @@ let tableau_multipliers st j =
    Reduced costs are untouched (the new basic slacks cost 0), so a
    dual-feasible basis stays dual feasible and the next {!resolve}
    warm-repairs the (intentionally) violated new rows with a few dual
-   pivots. *)
+   pivots. The tableau grows in place ({!reserve_rows}). *)
 let add_rows st (new_rows : ((int * float) array * float) array) =
   let k = Array.length new_rows in
   if k > 0 then begin
@@ -936,18 +957,7 @@ let add_rows st (new_rows : ((int * float) array * float) array) =
     | Some t ->
         let n = t.n and m = t.m in
         let m' = m + k in
-        let cols' = n + m' in
-        let extend len dflt src =
-          let dst = Array.make len dflt in
-          Array.blit src 0 dst 0 (Array.length src);
-          dst
-        in
-        let grow dflt src = extend cols' dflt src in
-        let a' = extend m' [||] t.a and b' = extend m' 0.0 t.b in
-        let basis' = extend m' 0 t.basis and sign' = extend m' 1.0 t.sign in
-        let slot' = grow (-1) t.slot and stat' = grow At_lower t.stat in
-        let lo' = grow 0.0 t.lo and hi' = grow infinity t.hi in
-        let cost' = grow 0.0 t.cost and z' = grow 0.0 t.z in
+        let t = reserve_rows t m' in
         (* one new row at a time, over the old columns; its own slack is
            basic and the other new slacks are zero in it *)
         let row = Array.make (n + m) 0.0 in
@@ -963,28 +973,31 @@ let add_rows st (new_rows : ((int * float) array * float) array) =
             (* reduce against the inherited basis so the tableau stays
                row-reduced *)
             for i = 0 to m - 1 do
-              let bi = basis'.(i) in
+              let bi = t.basis.(i) in
               let f = row.(bi) in
               if f <> 0.0 then begin
-                let src = a'.(i) in
+                let src = t.a.(i) in
                 for s = 0 to n - 1 do
                   let c = t.var_of.(s) in
                   row.(c) <- row.(c) -. (f *. src.(s))
                 done;
                 row.(bi) <- 0.0;
-                bshift := !bshift -. (f *. b'.(i))
+                bshift := !bshift -. (f *. t.b.(i))
               end
             done;
-            a'.(r) <- Array.map (fun c -> row.(c)) t.var_of;
-            b'.(r) <- !bshift;
-            basis'.(r) <- n + r;
-            stat'.(n + r) <- Basic r)
+            t.a.(r) <- Array.map (fun c -> row.(c)) t.var_of;
+            t.b.(r) <- !bshift;
+            t.basis.(r) <- n + r;
+            t.sign.(r) <- 1.0;
+            let c = n + r in
+            t.slot.(c) <- -1;
+            t.stat.(c) <- Basic r;
+            t.lo.(c) <- 0.0;
+            t.hi.(c) <- infinity;
+            t.cost.(c) <- 0.0;
+            t.z.(c) <- 0.0)
           new_rows;
-        let t' =
-          { t with m = m'; cols = cols'; a = a'; slot = slot'; b = b'
-          ; beta = Array.make m' 0.0; lo = lo'; hi = hi'; cost = cost'
-          ; z = z'; stat = stat'; basis = basis'; sign = sign' }
-        in
+        let t' = { t with m = m'; cols = n + m' } in
         recompute_beta t';
         st.t <- Some t'
   end

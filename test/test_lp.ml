@@ -1530,6 +1530,751 @@ let test_budget_in_cut_loop () =
 
 let qsuite name tests = (name, List.map (fun t -> QCheck_alcotest.to_alcotest t) tests)
 
+(* ------------------------------------------------------------------ *)
+(* Exact cuts: Qd.Acc, Cutgen and Presolve against their references    *)
+(* ------------------------------------------------------------------ *)
+
+(* The Chvátal–Gomory derivation as it stood on the plain {!Lp.Qd} fold
+   (a fresh bignum per add and mul, the floor found from [Qd.to_float]),
+   kept verbatim as the reference [Lp.Cutgen.cg_of_multipliers] must
+   reproduce bit for bit. The one edit: the floor is a parameter, so a
+   test can watch every floor the reference takes or swap in an exact
+   one. *)
+module Ref_cg = struct
+  open Lp
+
+  let viol_eps = 1e-6
+  let lam_drop = 1e-11
+  let lam_max = 1e7
+
+  (* Integral float [f] with [f <= q < f+1], found by correcting the float
+     floor with exact comparisons; [None] if the candidate refuses to
+     converge (pathological magnitudes). *)
+  let qfloor q =
+    let ok f = Qd.leq (Qd.of_float f) q && Qd.lt q (Qd.of_float (f +. 1.0)) in
+    let rec adj f k =
+      if k > 4 then None
+      else if ok f then Some f
+      else adj (if Qd.lt q (Qd.of_float f) then f -. 1.0 else f +. 1.0) (k + 1)
+    in
+    let f0 = Float.floor (Qd.to_float q) in
+    if Float.is_finite f0 then adj f0 0 else None
+
+  (* ------------------------------------------------------------------ *)
+  (* Chvátal–Gomory separation                                           *)
+  (* ------------------------------------------------------------------ *)
+
+  (* One CG candidate from a multiplier suggestion [lam] (length = rows of
+     [raw], which may already include earlier cuts). Returns [None] when
+     the clamped aggregation cannot be rounded validly or yields nothing
+     violated. *)
+  let cg_of_multipliers ?(qfloor = qfloor) (raw : Model.raw) ~lb ~ub ~x lam =
+    let m = Array.length raw.rows in
+    let n = raw.n in
+    (* Move into the sign cone the audit enforces: >= 0 on [<=] rows,
+       <= 0 on [>=] rows, free on [=] rows; drop noise. A wrong-sign
+       multiplier is frac-shifted by an integer (Gomory's trick: adding
+       an integer multiple of a row keeps the aggregation's fractional
+       structure when the row data is integral, and the final violation
+       check filters the cases where it is not) rather than clamped,
+       which would break the tableau-row identity outright. *)
+    let ok_scale = ref true in
+    let lam =
+      Array.mapi
+        (fun i l ->
+          let l =
+            match raw.senses.(i) with
+            | Model.Le -> if l < 0.0 then l -. Float.floor l else l
+            | Model.Ge -> if l > 0.0 then l -. Float.ceil l else l
+            | Model.Eq -> l
+          in
+          if Float.abs l < lam_drop then 0.0
+          else begin
+            if Float.abs l > lam_max || not (Float.is_finite l) then
+              ok_scale := false;
+            l
+          end)
+        lam
+    in
+    if not !ok_scale then None
+    else begin
+      let support = ref [] in
+      for i = m - 1 downto 0 do
+        if lam.(i) <> 0.0 then support := (i, lam.(i)) :: !support
+      done;
+      match !support with
+      | [] -> None
+      | support ->
+          (* Exact aggregation over the cited rows. *)
+          let abar = Array.make n Qd.zero in
+          let t = ref Qd.zero in
+          List.iter
+            (fun (i, l) ->
+              let ql = Qd.of_float l in
+              Array.iter
+                (fun (j, c) ->
+                  abar.(j) <- Qd.add abar.(j) (Qd.mul ql (Qd.of_float c)))
+                raw.rows.(i);
+              t := Qd.add !t (Qd.mul ql (Qd.of_float raw.rhs.(i))))
+            support;
+          (* Bound-shifted rounding (the generalization CERT109
+             re-derives): each integer column rounds to floor(abar_j)
+             (charged to its finite lower bound) or ceil(abar_j) (charged
+             to its finite upper bound), whichever keeps more violation at
+             the LP point; continuous columns are dropped against the
+             bound that makes the dropped term a relaxation. The exact
+             rhs correction is delta = sum_j (c_j - abar_j)·bound_j, so
+             the rounded rhs is floor(t + delta) — fractional bound
+             charges are what lets the cut bite even when t itself is
+             integral (binaries parked at their upper bounds). *)
+          let terms = ref [] in
+          let delta = ref Qd.zero in
+          let valid = ref true in
+          (try
+             for j = n - 1 downto 0 do
+               let a = abar.(j) in
+               if not (Qd.is_zero a) then begin
+                 let charge cq bound =
+                   delta := Qd.add !delta (Qd.mul (Qd.sub cq a) (Qd.of_float bound))
+                 in
+                 if raw.integer.(j) then (
+                   match qfloor a with
+                   | None ->
+                       valid := false;
+                       raise Exit
+                   | Some f ->
+                       if Qd.equal (Qd.of_float f) a then
+                         (* already integral: keep exactly, no charge *)
+                         (if f <> 0.0 then terms := (j, f) :: !terms)
+                       else begin
+                         let af = Qd.to_float a in
+                         let can_dn = Float.is_finite lb.(j) in
+                         let can_up = Float.is_finite ub.(j) in
+                         (* score = c_j·x_j - (c_j - abar_j)·bound_j, the
+                            column's contribution to (violation at x) *)
+                         let s_dn =
+                           if can_dn then (f *. x.(j)) -. ((f -. af) *. lb.(j))
+                           else Float.neg_infinity
+                         and s_up =
+                           if can_up then
+                             ((f +. 1.0) *. x.(j)) -. ((f +. 1.0 -. af) *. ub.(j))
+                           else Float.neg_infinity
+                         in
+                         if (not can_dn) && not can_up then begin
+                           valid := false;
+                           raise Exit
+                         end;
+                         let c, bound =
+                           if s_up > s_dn then (f +. 1.0, ub.(j))
+                           else (f, lb.(j))
+                         in
+                         charge (Qd.of_float c) bound;
+                         if c <> 0.0 then terms := (j, c) :: !terms
+                       end)
+                 else begin
+                   (* continuous: drop the column (c_j = 0); the dropped
+                      term -abar_j·x_j maxes at lb when abar_j > 0, at ub
+                      when abar_j < 0 — that bound must be finite *)
+                   let bound = if Qd.sign a > 0 then lb.(j) else ub.(j) in
+                   if not (Float.is_finite bound) then begin
+                     valid := false;
+                     raise Exit
+                   end;
+                   charge Qd.zero bound
+                 end
+               end
+             done
+           with Exit -> ());
+          if not !valid then None
+          else
+            let t' = Qd.add !t !delta in
+            match qfloor t' with
+            | None -> None
+            | Some d ->
+                if Qd.equal (Qd.of_float d) t' then
+                  None (* integral shifted rhs: no rounding gain *)
+                else
+                  let terms = Array.of_list !terms in
+                  if Array.length terms = 0 then None
+                  else begin
+                    let viol =
+                      Array.fold_left
+                        (fun acc (j, c) -> acc +. (c *. x.(j)))
+                        (-.d) terms
+                    in
+                    if viol > viol_eps then
+                      Some
+                        {
+                          Cert.cut_terms = terms;
+                          cut_rhs = d;
+                          cut_deriv = Cert.Cg (Array.of_list support);
+                        }
+                    else None
+                  end
+    end
+end
+
+let two53 = 9007199254740992.0
+
+(* A double drawn to stress exact arithmetic: any 53-bit mantissa at a
+   small, large, tiny or subnormal exponent, small integers and halves
+   (exact ties), zero, and the neighbourhood of ±2^53. *)
+let gen_double rs =
+  let sign v = if Random.State.bool rs then -.v else v in
+  let mant () = 1.0 +. Random.State.float rs 1.0 in
+  match Random.State.int rs 10 with
+  | 0 -> 0.0
+  | 1 -> sign (float_of_int (Random.State.int rs 20))
+  | 2 -> sign (float_of_int (Random.State.int rs 40) /. 2.0)
+  | 3 -> sign (Float.ldexp (mant ()) (Random.State.int rs 2000 - 1000))
+  | 4 -> sign (Float.ldexp (Random.State.float rs 1.0) (-1022 - Random.State.int rs 40))
+  | 5 -> sign (two53 +. float_of_int (Random.State.int rs 9 - 4))
+  | 6 -> sign (Float.ldexp (mant ()) (Random.State.int rs 60 - 5))
+  | _ -> sign (Float.ldexp (mant ()) (Random.State.int rs 40 - 20))
+
+let qd_floor_ok q f =
+  let open Lp.Qd in
+  leq (of_float f) q && lt q (add (of_float f) (of_int 1))
+
+(* [v] is [q] rounded to the nearest double, ties to even. *)
+let correctly_rounded q v =
+  let open Lp.Qd in
+  if Float.is_finite v then begin
+    let dist u = let d = sub q (of_float u) in if sign d < 0 then neg d else d in
+    let d0 = dist v in
+    let beats u =
+      (not (Float.is_finite u))
+      ||
+      let du = dist u in
+      lt d0 du || (equal d0 du && Int64.logand (Int64.bits_of_float v) 1L = 0L)
+    in
+    beats (Float.pred v) && beats (Float.succ v)
+    && (Float.abs v < Float.max_float
+       || lt (if sign q < 0 then neg q else q)
+            (add (of_float Float.max_float) (of_float (Float.ldexp 1.0 970))))
+  end
+  else
+    (* overflow: |q| reaches max_float plus half its last place *)
+    let lim = add (of_float Float.max_float) (of_float (Float.ldexp 1.0 970)) in
+    if v > 0.0 then geq q lim else leq q (neg lim)
+
+let check_acc_reads what acc q =
+  let module A = Lp.Qd.Acc in
+  let open Lp.Qd in
+  if not (equal (A.to_qd acc) q) then
+    Alcotest.failf "%s: value %a, expected %a" what pp (A.to_qd acc) pp q;
+  Alcotest.(check int) (what ^ ": sign") (sign q) (A.sign acc);
+  Alcotest.(check bool) (what ^ ": zero") (is_zero q) (A.is_zero acc);
+  Alcotest.(check bool) (what ^ ": integral") (is_integer q) (A.is_integer acc);
+  (match A.floor acc with
+  | Some f ->
+      if not (qd_floor_ok q f && f >= -.two53 && f < two53) then
+        Alcotest.failf "%s: floor %h wrong for %a" what f pp q
+  | None ->
+      if lt q (of_float two53) && geq q (of_float (-.two53)) then
+        Alcotest.failf "%s: no floor for %a" what pp q);
+  let v = A.to_float acc in
+  if not (correctly_rounded q v) then
+    Alcotest.failf "%s: to_float %h not the rounding of %a" what v pp q
+
+(* Random sums of double products (and of a second register scaled by a
+   double) against the same fold on {!Lp.Qd}. *)
+let test_acc_vs_qd () =
+  let module A = Lp.Qd.Acc in
+  let rs = Random.State.make [| 2024 |] in
+  let acc = A.create () and src = A.create () in
+  for case = 1 to 3000 do
+    A.clear acc;
+    A.clear src;
+    let q = ref Lp.Qd.zero and qs = ref Lp.Qd.zero in
+    for _ = 1 to Random.State.int rs 4 do
+      let a = gen_double rs and b = gen_double rs in
+      A.add_prod src a b;
+      qs := Lp.Qd.add !qs (Lp.Qd.mul (Lp.Qd.of_float a) (Lp.Qd.of_float b))
+    done;
+    (* up to 600 writes, past the deferred-carry limit *)
+    let writes = if case mod 50 = 0 then 600 else 1 + Random.State.int rs 12 in
+    for _ = 1 to writes do
+      if Random.State.int rs 5 = 0 then begin
+        let f = gen_double rs in
+        A.add_scaled acc src f;
+        q := Lp.Qd.add !q (Lp.Qd.mul !qs (Lp.Qd.of_float f))
+      end
+      else begin
+        let a = gen_double rs and b = gen_double rs in
+        A.add_prod acc a b;
+        q := Lp.Qd.add !q (Lp.Qd.mul (Lp.Qd.of_float a) (Lp.Qd.of_float b))
+      end;
+      (* cancellation: sometimes subtract what is there back out *)
+      if Random.State.int rs 40 = 0 then begin
+        A.add_scaled acc src 1.0;
+        A.add_scaled acc src (-1.0)
+      end
+    done;
+    check_acc_reads (Printf.sprintf "case %d" case) acc !q
+  done;
+  (* fixed edge values: floors at the ends of the range, exact ties,
+     subnormal products, overflow *)
+  let edges =
+    [
+      [ (two53, 1.0) ];
+      [ (two53, 1.0); (-0.5, 1.0) ];
+      [ (two53, -1.0) ];
+      [ (two53, -1.0); (-0.5, 1.0) ];
+      [ (two53, -1.0); (0.5, 1.0) ];
+      [ (two53, 1.0); (1.0, 1.0) ];
+      [ (two53, 1.0); (3.0, 1.0) ];
+      [ (two53, -1.0); (-1.0, 1.0) ];
+      [ (two53, 1.0); (1.0, 1.0); (Float.ldexp 1.0 (-1074), 0.5) ];
+      [ (Float.ldexp 1.0 (-1074), Float.ldexp 1.0 (-1074)) ];
+      [ (Float.ldexp 1.0 (-1074), 1.0); (Float.ldexp 1.0 (-1073), -0.25) ];
+      [ (Float.max_float, Float.max_float); (-.Float.max_float, Float.max_float) ];
+      [ (Float.max_float, 1.0); (Float.ldexp 1.0 970, 1.0) ];
+      [ (-0.0, 3.0) ];
+    ]
+  in
+  (* 600 equal products of all-ones mantissas at every limb alignment:
+     without the periodic carry propagation a limb would overflow *)
+  let carries =
+    List.init 26 (fun s ->
+        let v = Float.ldexp (Float.pred 2.0) s in
+        List.init 600 (fun _ -> (v, Float.pred 2.0)))
+  in
+  List.iter
+    (fun terms ->
+      A.clear acc;
+      let q =
+        List.fold_left
+          (fun q (a, b) ->
+            A.add_prod acc a b;
+            Lp.Qd.add q (Lp.Qd.mul (Lp.Qd.of_float a) (Lp.Qd.of_float b)))
+          Lp.Qd.zero terms
+      in
+      check_acc_reads "edge" acc q)
+    (edges @ carries);
+  (* non-finite inputs are rejected, as Qd.of_float rejects them *)
+  Alcotest.check_raises "infinity" (Invalid_argument "Qd.Acc: non-finite")
+    (fun () -> A.add_prod acc 1.0 infinity);
+  Alcotest.check_raises "nan" (Invalid_argument "Qd.Acc: non-finite")
+    (fun () -> A.add_scaled acc src Float.nan)
+
+(* A random CG input: rows of every sense with integral and fractional
+   coefficients, 0/1, general, and infinite bounds, right-hand sides
+   near ±2^53 now and then, and multipliers from 1e-11 to 1e7 of either
+   sign. *)
+let gen_cg_input rs =
+  let n = 1 + Random.State.int rs 7 and m = 1 + Random.State.int rs 5 in
+  let coef () =
+    match Random.State.int rs 6 with
+    | 0 -> Random.State.float rs 20.0 -. 10.0
+    | 1 -> float_of_int (Random.State.int rs 7 - 3) /. 3.0
+    | _ -> float_of_int (Random.State.int rs 11 - 5)
+  in
+  let rows =
+    Array.init m (fun _ ->
+        let k = 1 + Random.State.int rs n in
+        let cols = List.init k (fun _ -> Random.State.int rs n) in
+        let cols = List.sort_uniq compare cols in
+        Array.of_list (List.map (fun j -> (j, coef ())) cols))
+  in
+  let senses =
+    Array.init m (fun _ ->
+        match Random.State.int rs 3 with
+        | 0 -> Lp.Model.Le
+        | 1 -> Lp.Model.Ge
+        | _ -> Lp.Model.Eq)
+  in
+  let rhs =
+    Array.init m (fun _ ->
+        match Random.State.int rs 8 with
+        | 0 ->
+            (if Random.State.bool rs then 1.0 else -1.0)
+            *. (two53 -. float_of_int (Random.State.int rs 8))
+        | 1 -> Random.State.float rs 30.0 -. 15.0
+        | _ -> float_of_int (Random.State.int rs 21 - 10))
+  in
+  let integer = Array.init n (fun _ -> Random.State.int rs 4 > 0) in
+  let lb = Array.make n 0.0 and ub = Array.make n 1.0 in
+  for j = 0 to n - 1 do
+    match Random.State.int rs 5 with
+    | 0 | 1 -> ()
+    | 2 ->
+        lb.(j) <- float_of_int (Random.State.int rs 10 - 5);
+        ub.(j) <- lb.(j) +. float_of_int (Random.State.int rs 10)
+    | 3 ->
+        lb.(j) <- (if Random.State.bool rs then neg_infinity else 0.0);
+        ub.(j) <- infinity
+    | _ ->
+        lb.(j) <- neg_infinity;
+        ub.(j) <- float_of_int (Random.State.int rs 10)
+  done;
+  let x =
+    Array.init n (fun j ->
+        let lo = if Float.is_finite lb.(j) then lb.(j) else -5.0 in
+        let hi = if Float.is_finite ub.(j) then ub.(j) else lo +. 10.0 in
+        lo +. Random.State.float rs (hi -. lo))
+  in
+  let lam =
+    Array.init m (fun _ ->
+        let s = if Random.State.bool rs then 1.0 else -1.0 in
+        match Random.State.int rs 6 with
+        | 0 -> 0.0
+        | 1 -> s *. (10.0 ** (Random.State.float rs 18.0 -. 11.0))
+        | 2 -> s *. float_of_int (Random.State.int rs 4) /. 2.0
+        | _ -> s *. Random.State.float rs 1.0)
+  in
+  let raw =
+    { Lp.Model.n; lb = Array.copy lb; ub = Array.copy ub; integer;
+      obj = Array.make n 0.0; rows; senses; rhs }
+  in
+  (raw, lb, ub, x, lam)
+
+let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+let same_cut (a : Lp.Cert.cut) (b : Lp.Cert.cut) =
+  let same_terms t u =
+    Array.length t = Array.length u
+    && Array.for_all2 (fun (j, v) (k, w) -> j = k && same_float v w) t u
+  in
+  same_terms a.cut_terms b.cut_terms
+  && same_float a.cut_rhs b.cut_rhs
+  &&
+  match (a.cut_deriv, b.cut_deriv) with
+  | Lp.Cert.Cg l, Lp.Cert.Cg l' -> same_terms l l'
+  | _ -> false
+
+let pp_cut = function
+  | None -> "None"
+  | Some (c : Lp.Cert.cut) ->
+      String.concat " "
+        (Array.to_list
+           (Array.map (fun (j, v) -> Printf.sprintf "%d:%h" j v) c.cut_terms))
+      ^ Printf.sprintf " <= %h" c.cut_rhs
+
+(* [Some ⌊q⌋] when [-2^53 <= ⌊q⌋ < 2^53], else [None]: the floor the
+   derivation means, found with exact comparisons only. *)
+let exact_floor q =
+  let open Lp.Qd in
+  if lt q (of_float (-.two53)) || geq q (of_float two53) then None
+  else begin
+    let f = ref (int_of_float (Float.floor (to_float q))) in
+    let lim = 1 lsl 53 in
+    f := Int.max (-lim) (Int.min (lim - 1) !f);
+    while lt q (of_int !f) do decr f done;
+    while leq (of_int (!f + 1)) q do incr f done;
+    Some (float_of_int !f)
+  end
+
+(* Every candidate against the reference. Where each floor the reference
+   took is the exact one, the two agree bit for bit. The reference's
+   floor starts from [Qd.to_float], which truncates, so at |q| >= 2^50 it
+   can miss an in-range floor, and [f +. 1.0] rounds past 2^53, so it can
+   return a floor below -2^53; on those candidates the derivation must
+   equal the reference run with the exact floor. *)
+let test_cg_vs_reference () =
+  let rs = Random.State.make [| 77 |] in
+  let cuts = ref 0 and nones = ref 0 and off_floors = ref 0 in
+  for case = 1 to 20000 do
+    let raw, lb, ub, x, lam = gen_cg_input rs in
+    let got = Lp.Cutgen.cg_of_multipliers raw ~lb ~ub ~x lam in
+    let off = ref false in
+    let watched q =
+      let f = Ref_cg.qfloor q in
+      if f <> exact_floor q then begin
+        off := true;
+        if Lp.Qd.lt (Lp.Qd.of_float (-.Float.ldexp 1.0 50)) q
+           && Lp.Qd.lt q (Lp.Qd.of_float (Float.ldexp 1.0 50))
+        then
+          Alcotest.failf "case %d: reference floor of %a is off" case Lp.Qd.pp q
+      end;
+      f
+    in
+    let want = Ref_cg.cg_of_multipliers ~qfloor:watched raw ~lb ~ub ~x lam in
+    let want =
+      if !off then begin
+        incr off_floors;
+        Ref_cg.cg_of_multipliers ~qfloor:exact_floor raw ~lb ~ub ~x lam
+      end
+      else want
+    in
+    (match (got, want) with
+    | None, None -> incr nones
+    | Some g, Some w when same_cut g w -> incr cuts
+    | _ ->
+        Alcotest.failf "case %d: got %s, reference %s" case (pp_cut got)
+          (pp_cut want))
+  done;
+  (* the inputs must exercise both outcomes, and the off floors must
+     stay the rare, large-magnitude exception *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cuts, %d rejections, %d off floors" !cuts !nones
+       !off_floors)
+    true
+    (!cuts > 1000 && !nones > 1000 && !off_floors < 200)
+
+(* [Presolve.tighten] as it stood, re-folding the row for every term's
+   coefficient and rest activity, kept verbatim as the reference the
+   one-summary-per-row-view scan must reproduce event for event. *)
+module Ref_presolve = struct
+  open Lp
+
+  let eps = 1e-9
+
+  (* ------------------------------------------------------------------ *)
+  (* Exact activity helpers                                              *)
+  (* ------------------------------------------------------------------ *)
+
+  let qone = Qd.of_int 1
+
+  (* Minimum activity of [row] over the box, excluding column [skip].
+     [None] means -infinity (an unbounded column contributes). Exact. *)
+  let min_activity_rest ~lb ~ub ~skip row =
+    let acc = ref (Some Qd.zero) in
+    Array.iter
+      (fun (k, c) ->
+        if k <> skip && c <> 0.0 then
+          match !acc with
+          | None -> ()
+          | Some s ->
+              let b = if c > 0.0 then lb.(k) else ub.(k) in
+              if Float.is_finite b then
+                acc := Some (Qd.add s (Qd.mul (Qd.of_float c) (Qd.of_float b)))
+              else acc := None)
+      row;
+    !acc
+
+  (* Float twin of the above, for cheap candidate scanning. *)
+  let min_activity_rest_f ~lb ~ub ~skip row =
+    let acc = ref 0.0 in
+    Array.iter
+      (fun (k, c) ->
+        if k <> skip && c <> 0.0 then
+          acc := !acc +. (c *. if c > 0.0 then lb.(k) else ub.(k)))
+      row;
+    !acc
+
+  (* The audit's CERT111 validity condition for one row-implied event, in
+     exact arithmetic (see Analyze.Audit): with the row in [<=] form
+     [c·x <= d], minimum rest-activity [ma], and coefficient [cj] on the
+     tightened variable:
+     - upper bound [u] on an integer column: [cj·(u+1) + ma > d] and [u]
+       integral — any integer point above [u] violates the row;
+     - upper bound [u] on a continuous column: [cj·u + ma >= d];
+     - lower bounds mirror with [cj < 0] and [u-1]/[u]. *)
+  let event_valid_exact ~integer ~cj ~ma ~d ~hi v =
+    let qv = Qd.of_float v
+    and qc = Qd.of_float cj
+    and qd = Qd.of_float d in
+    if integer && not (Qd.is_integer qv) then false
+    else
+      let shifted =
+        if not integer then qv
+        else if hi then Qd.add qv qone
+        else Qd.sub qv qone
+      in
+      let lhs = Qd.add (Qd.mul qc shifted) ma in
+      if integer then Qd.lt qd lhs else Qd.geq lhs qd
+
+  (* ------------------------------------------------------------------ *)
+  (* Certificate-logged bound tightening                                 *)
+  (* ------------------------------------------------------------------ *)
+
+  (* One [<=]-form view of row [i]: [Some (c, d)] with the terms scaled by
+     [dir] = +1 or -1. [Le] rows expose the +1 view, [Ge] rows the -1
+     view, [Eq] rows both. *)
+  let le_views (raw : Model.raw) i =
+    match raw.senses.(i) with
+    | Model.Le -> [ 1.0 ]
+    | Model.Ge -> [ -1.0 ]
+    | Model.Eq -> [ 1.0; -1.0 ]
+
+  let tighten ?(max_passes = 10) (raw : Model.raw) =
+    let n = raw.n in
+    let lb = Array.copy raw.lb and ub = Array.copy raw.ub in
+    let events = ref [] in
+    let emit e = events := e :: !events in
+    let changed = ref false in
+    (* Integrality rounding of fractional model bounds (t_row = -1). *)
+    for j = 0 to n - 1 do
+      if raw.integer.(j) then begin
+        (if Float.is_finite ub.(j) then
+           let f = Float.floor ub.(j) in
+           if f < ub.(j) && f >= lb.(j) -. eps then begin
+             emit { Cert.t_var = j; t_hi = true; t_new = f; t_row = -1 };
+             ub.(j) <- f;
+             changed := true
+           end);
+        if Float.is_finite lb.(j) then
+          let c = Float.ceil lb.(j) in
+          if c > lb.(j) && c <= ub.(j) +. eps then begin
+            emit { Cert.t_var = j; t_hi = false; t_new = c; t_row = -1 };
+            lb.(j) <- c;
+            changed := true
+          end
+      end
+    done;
+    (* Try to install [v0] as the new [hi]/[lo] bound of [j], implied by
+       row [i] in the [<=]-form view [row_v] (terms already scaled) with
+       coefficient [cj]. Verifies the exact condition before emitting;
+       nudges the candidate toward validity a few times when float
+       rounding put it a hair on the wrong side. *)
+    let try_bound ~i ~j ~cj ~d ~row_v ~hi v0 =
+      let integer = raw.integer.(j) in
+      let improves v =
+        if hi then v < ub.(j) -. (eps *. (1.0 +. Float.abs ub.(j)))
+        else v > lb.(j) +. (eps *. (1.0 +. Float.abs lb.(j)))
+      in
+      let inside v = if hi then v >= lb.(j) -. eps else v <= ub.(j) +. eps in
+      let v0 = if integer then (if hi then Float.floor v0 else Float.ceil v0) else v0 in
+      if improves v0 && inside v0 then
+        match min_activity_rest ~lb ~ub ~skip:j row_v with
+        | None -> ()
+        | Some ma ->
+            let step v k =
+              (* relax the candidate toward validity: a larger ub / smaller
+                 lb stays implied whenever the tighter value was *)
+              if integer then if hi then v +. float_of_int k else v -. float_of_int k
+              else
+                let h = Float.abs v *. 1e-12 +. 1e-12 in
+                if hi then v +. (float_of_int k *. h) else v -. (float_of_int k *. h)
+            in
+            let rec attempt k =
+              if k > 3 then ()
+              else
+                let v = step v0 k in
+                if not (improves v) then ()
+                else if event_valid_exact ~integer ~cj ~ma ~d ~hi v then begin
+                  emit { Cert.t_var = j; t_hi = hi; t_new = v; t_row = i };
+                  if hi then ub.(j) <- v else lb.(j) <- v;
+                  changed := true
+                end
+                else attempt (k + 1)
+            in
+            attempt 0
+    in
+    let pass () =
+      changed := false;
+      Array.iteri
+        (fun i row ->
+          List.iter
+            (fun dir ->
+              let d = dir *. raw.rhs.(i) in
+              (* view-space row: terms scaled by [dir] *)
+              let row_v =
+                if dir = 1.0 then row
+                else Array.map (fun (k, c) -> (k, -.c)) row
+              in
+              Array.iter
+                (fun (j, _) ->
+                  let cj =
+                    (* view-space coefficient of [j] *)
+                    Array.fold_left
+                      (fun acc (k, c) -> if k = j then acc +. c else acc)
+                      0.0 row_v
+                  in
+                  if cj <> 0.0 then begin
+                    let ma_f = min_activity_rest_f ~lb ~ub ~skip:j row_v in
+                    if Float.is_finite ma_f then
+                      try_bound ~i ~j ~cj ~d ~row_v ~hi:(cj > 0.0)
+                        ((d -. ma_f) /. cj)
+                  end)
+                row)
+            (le_views raw i))
+        raw.rows;
+      !changed
+    in
+    let p = ref 0 in
+    while !p < max_passes && pass () do
+      incr p
+    done;
+    (lb, ub, List.rev !events)
+end
+
+(* Random models for [tighten]: mixed senses, integral, fractional and
+   widely scaled coefficients, a column listed twice now and then, and
+   0/1, general, one-sided and free columns. *)
+let gen_presolve_model rs =
+  let n = 1 + Random.State.int rs 8 and m = 1 + Random.State.int rs 6 in
+  let rows =
+    Array.init m (fun _ ->
+        let scale = 10.0 ** float_of_int (Random.State.int rs 13 - 6) in
+        let k = 1 + Random.State.int rs (n + 1) in
+        Array.init k (fun _ ->
+            let c =
+              match Random.State.int rs 4 with
+              | 0 -> Random.State.float rs 8.0 -. 4.0
+              | 1 -> 0.0
+              | _ -> float_of_int (Random.State.int rs 9 - 4)
+            in
+            (Random.State.int rs n, c *. scale)))
+  in
+  let senses =
+    Array.init m (fun _ ->
+        match Random.State.int rs 3 with
+        | 0 -> Lp.Model.Le
+        | 1 -> Lp.Model.Ge
+        | _ -> Lp.Model.Eq)
+  in
+  let rhs =
+    Array.map
+      (fun row ->
+        let s = Array.fold_left (fun s (_, c) -> s +. Float.abs c) 0.0 row in
+        ((Random.State.float rs 2.0 -. 0.5) *. s)
+        +. float_of_int (Random.State.int rs 5 - 2))
+      rows
+  in
+  let integer = Array.init n (fun _ -> Random.State.bool rs) in
+  let lb = Array.make n 0.0 and ub = Array.make n 1.0 in
+  for j = 0 to n - 1 do
+    match Random.State.int rs 6 with
+    | 0 | 1 -> ()
+    | 2 ->
+        lb.(j) <- Random.State.float rs 10.0 -. 5.0;
+        ub.(j) <- lb.(j) +. Random.State.float rs 20.0
+    | 3 -> ub.(j) <- infinity
+    | 4 -> lb.(j) <- neg_infinity
+    | _ ->
+        lb.(j) <- neg_infinity;
+        ub.(j) <- infinity
+  done;
+  { Lp.Model.n; lb; ub; integer; obj = Array.make n 0.0; rows; senses; rhs }
+
+(* x0 + x1 - x2 <= 10 with x1 >= 1e16 and x2 <= 1e16: the row-order sum
+   of all three activities rounds x0's 1 away (1 + 1e16 = 1e16), so the
+   whole-row sum minus x0's term reads -1 where x0's rest activity is 0.
+   Only the interval's slack keeps x0's tightening to 10. *)
+let cancelling_row =
+  {
+    Lp.Model.n = 3;
+    lb = [| 1.0; 1e16; 0.0 |];
+    ub = [| 10.5; infinity; 1e16 |];
+    integer = [| false; false; false |];
+    obj = [| 0.0; 0.0; 0.0 |];
+    rows = [| [| (0, 1.0); (1, 1.0); (2, -1.0) |] |];
+    senses = [| Lp.Model.Le |];
+    rhs = [| 10.0 |];
+  }
+
+let test_presolve_vs_reference () =
+  let rs = Random.State.make [| 4242 |] in
+  let events = ref 0 in
+  for case = 0 to 5000 do
+    let raw = if case = 0 then cancelling_row else gen_presolve_model rs in
+    let lb, ub, ev = Lp.Presolve.tighten raw in
+    let lb', ub', ev' = Ref_presolve.tighten raw in
+    let same a b = Array.for_all2 same_float a b in
+    let same_event (e : Lp.Cert.tighten) (f : Lp.Cert.tighten) =
+      e.t_var = f.t_var && e.t_hi = f.t_hi && e.t_row = f.t_row
+      && same_float e.t_new f.t_new
+    in
+    if not (same lb lb' && same ub ub' && List.length ev = List.length ev'
+            && List.for_all2 same_event ev ev')
+    then Alcotest.failf "case %d: %d events, reference %d" case
+        (List.length ev) (List.length ev');
+    events := !events + List.length ev
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d events" !events) true (!events > 2000)
+
 let () =
   Alcotest.run "lp"
     [
@@ -1607,6 +2352,13 @@ let () =
           Alcotest.test_case "cut pool" `Quick test_cut_pool;
           Alcotest.test_case "add_rows warm" `Quick test_add_rows_warm;
           Alcotest.test_case "cuts A/B parity" `Quick test_milp_cuts_ab_parity;
+        ] );
+      ( "exact cuts",
+        [
+          Alcotest.test_case "accumulator vs Qd folds" `Quick test_acc_vs_qd;
+          Alcotest.test_case "cg vs reference" `Quick test_cg_vs_reference;
+          Alcotest.test_case "presolve vs reference" `Quick
+            test_presolve_vs_reference;
         ] );
       qsuite "lp-random" [ lp_never_beaten_by_grid ];
       qsuite "milp-random" [ milp_matches_brute_force ];
