@@ -245,8 +245,10 @@ let telemetry_finish ~log ~trace ~progress =
     trace
 
 (* Read and parse a JSON file, exiting with [code] when it cannot be
-   read or parsed. *)
-let read_json ~code path =
+   read or parsed. With [ndjson], a file that is not one JSON document
+   (a --log file) reads as the list of its non-blank lines. *)
+let read_json ?(ndjson = false) ~code path =
+  let fail fmt = Fmt.kstr (fun s -> Fmt.epr "%s: %s@." path s; exit code) fmt in
   match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e ->
       Fmt.epr "%s@." e;
@@ -254,9 +256,17 @@ let read_json ~code path =
   | contents -> (
       match Obs.Json.of_string contents with
       | Ok j -> j
-      | Error e ->
-          Fmt.epr "%s: JSON parse error: %s@." path e;
-          exit code)
+      | Error e when not ndjson -> fail "JSON parse error: %s" e
+      | Error _ ->
+          let line i l =
+            if String.trim l = "" then []
+            else
+              match Obs.Json.of_string l with
+              | Ok j -> [ j ]
+              | Error e -> fail "line %d: JSON parse error: %s" (i + 1) e
+          in
+          let lines = String.split_on_char '\n' contents in
+          Obs.Json.List (List.concat (List.mapi line lines)))
 
 let entry_of name =
   match Benchmarks.Registry.find name with
@@ -376,9 +386,10 @@ let opts_term =
       "Write the leveled structured event stream (flow phases, cascade \
        retries/degradations, incumbents, cut rounds, checkpoints, \
        recoveries, stalls, resource-probe samples) to $(docv) as NDJSON \
-       (schema pipesyn-log-v1). Purely observational: results are \
-       identical with and without logging. Also enabled by \
-       $(b,PIPESYN_LOG); buffer capacity via $(b,PIPESYN_LOG_CAP)."
+       (schema pipesyn-log-v1); read it back with `pipesyn explain'. \
+       Purely observational: results are identical with and without \
+       logging. Also enabled by $(b,PIPESYN_LOG); buffer capacity via \
+       $(b,PIPESYN_LOG_CAP)."
     in
     Arg.(value & opt (some string) None & info [ "log" ] ~doc ~docv:"FILE")
   in
@@ -388,7 +399,7 @@ let opts_term =
        attempts, per-node B&B events, incumbent updates, simplex \
        refactorizations, per-stage covering) and write it to $(docv) as \
        Chrome trace_event JSON — load it in Perfetto or \
-       chrome://tracing, or analyze it with `pipesyn trace-report'. \
+       chrome://tracing, or read it with `pipesyn explain'. \
        Purely observational: results are identical with and without \
        tracing. Buffer capacity via $(b,PIPESYN_TRACE_CAP)."
     in
@@ -972,21 +983,28 @@ let faults_cmd =
     Term.(const run $ const ())
 
 (* ------------------------------------------------------------------ *)
-(* trace-report                                                        *)
+(* explain                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let trace_report_cmd =
+let explain_cmd =
   let file_arg =
-    let doc = "Chrome trace_event file written by `pipesyn run --trace'." in
+    let doc =
+      "A trace written by `pipesyn run --trace' or an NDJSON log written \
+       by `--log'."
+    in
     Arg.(required & pos 0 (some string) None & info [] ~doc ~docv:"FILE")
   in
-  let top_arg =
-    let doc = "How many slowest spans to list." in
-    Arg.(value & opt int 10 & info [ "top" ] ~doc ~docv:"N")
-  in
-  let fmt_s v = Fmt.str "%.4f" v in
   let fmt_gap g =
     if Float.is_nan g then "-" else Fmt.str "%.2f%%" (100.0 *. g)
+  in
+  (* A count with thousands separators: 11778 -> "11,778". *)
+  let grouped n =
+    let s = string_of_int n in
+    let len = String.length s in
+    let digit i =
+      (if i > 0 && (len - i) mod 3 = 0 then "," else "") ^ String.make 1 s.[i]
+    in
+    String.concat "" (List.init len digit)
   in
   (* [title], then the [rows] under (title, alignment) columns; nothing
      at all when there are no rows. *)
@@ -994,134 +1012,108 @@ let trace_report_cmd =
     if rows <> [] then
       Fmt.pr "%s:@.%s@." title (Report.table ~columns:(columns cols) rows)
   in
-  let run file top =
-    let doc = read_json ~code:exit_error file in
-    match Obs.Trace.Analysis.analyze ~top doc with
+  let plural n word = Fmt.str "%d %s%s" n word (if n = 1 then "" else "s") in
+  let last k l = List.filteri (fun i _ -> i >= List.length l - k) l in
+  let run file =
+    let doc = read_json ~ndjson:true ~code:exit_error file in
+    match Obs.Trace.Analysis.analyze doc with
     | Error e ->
         Fmt.epr "%s: %s@." file e;
         exit exit_error
     | Ok r ->
         let open Obs.Trace.Analysis in
-        Fmt.pr "%s: %d events (%d spans, %d instants)@.@." file r.r_events
-          r.r_spans r.r_instants;
+        let is_log = match doc with Obs.Json.List _ -> true | _ -> false in
+        Fmt.pr "%s: %s, %d events (%d spans, %d instants), %s@.@." file
+          (if is_log then "log" else "trace")
+          r.r_events r.r_spans r.r_instants (plural r.r_flows "finished flow");
         print_table "Phase breakdown (by total time)"
           [ ("Span", Left); ("Cat", Left); ("Count", Right);
             ("Total s", Right); ("Max s", Right) ]
-          (List.filteri (fun i _ -> i < 20) r.r_phases
+          (List.filteri (fun i _ -> i < 12) r.r_phases
           |> List.map (fun s ->
-                 [
-                   s.sp_name; s.sp_cat; string_of_int s.sp_count;
-                   fmt_s s.sp_total; fmt_s s.sp_max;
-                 ]));
-        (match r.r_tree with
-        | None -> ()
-        | Some t ->
-            Fmt.pr "B&B tree: %d nodes, max depth %d, %d warm / %d cold@."
-              t.tr_nodes t.tr_max_depth t.tr_warm (t.tr_nodes - t.tr_warm);
-            (match t.tr_domains with
-            | [] -> ()
-            | ds ->
-                let total =
-                  max 1 (List.fold_left (fun a (_, n) -> a + n) 0 ds)
-                in
-                Fmt.pr "  per-domain utilization: %s@."
-                  (String.concat ", "
-                     (List.map
-                        (fun (d, n) ->
-                          Fmt.str "domain %d: %d nodes (%.0f%%)" d n
-                            (100.0 *. float_of_int n /. float_of_int total))
-                        ds)));
-            Fmt.pr "  node LP statuses: %s@.@."
+                 [ s.sp_name; s.sp_cat; string_of_int s.sp_count;
+                   Fmt.str "%.4f" s.sp_total; Fmt.str "%.4f" s.sp_max ]));
+        Option.iter
+          (fun t ->
+            let share n = 100.0 *. float_of_int n /. float_of_int t.tr_nodes in
+            Fmt.pr "B&B tree: %s nodes, max depth %d, %s warm / %s cold@."
+              (grouped t.tr_nodes) t.tr_max_depth (grouped t.tr_warm)
+              (grouped (t.tr_nodes - t.tr_warm));
+            Fmt.pr "  per-domain utilization: %s@."
               (String.concat ", "
                  (List.map
-                    (fun (s, n) -> Fmt.str "%s %d" s n)
-                    t.tr_statuses)));
+                    (fun (d, n) ->
+                      Fmt.str "domain %d: %s nodes (%.0f%%)" d (grouped n) (share n))
+                    t.tr_domains));
+            Fmt.pr "  node LP statuses: %s@.@."
+              (String.concat ", "
+                 (List.map (fun (s, n) -> Fmt.str "%s %d" s n) t.tr_statuses)))
+          r.r_tree;
         (* Traces written before schema v8 carry no milp.cut_round
            instants; the line is simply omitted. *)
-        (match r.r_cuts with
-        | None -> ()
-        | Some c ->
-            let closed =
-              if
-                Float.is_nan c.cu_bound0 || Float.is_nan c.cu_bound
-                || Float.abs c.cu_bound0 < 1e-12
-              then ""
-              else
-                Fmt.str " (root bound %.6g -> %.6g)" c.cu_bound0 c.cu_bound
-            in
-            Fmt.pr "Root cuts: %d round%s, %d cut%s applied%s@.@."
-              c.cu_rounds
-              (if c.cu_rounds = 1 then "" else "s")
-              c.cu_cuts
-              (if c.cu_cuts = 1 then "" else "s")
-              closed);
-        print_table "Incumbent/gap timeline"
+        Option.iter
+          (fun c ->
+            Fmt.pr "Root cuts: %s, %s applied%s@.@." (plural c.cu_rounds "round")
+              (plural c.cu_cuts "cut")
+              (if Float.is_nan c.cu_bound0 || Float.is_nan c.cu_bound
+                  || Float.abs c.cu_bound0 < 1e-12
+               then ""
+               else
+                 Fmt.str " (root bound %.6g -> %.6g in the last solve)" c.cu_bound0
+                   c.cu_bound))
+          r.r_cuts;
+        let n = List.length r.r_timeline in
+        print_table
+          (if n > 10 then Fmt.str "Incumbent/gap timeline (last 10 of %d)" n
+           else "Incumbent/gap timeline")
           [ ("t (s)", Right); ("Objective", Right); ("Gap", Right) ]
           (List.map
-             (fun p -> [ fmt_s p.gp_ts; Fmt.str "%.6g" p.gp_obj; fmt_gap p.gp_gap ])
-             r.r_timeline);
-        print_table
-          (Fmt.str "Top %d slowest spans" (List.length r.r_slowest))
-          [ ("Span", Left); ("Cat", Left); ("Start s", Right); ("Dur s", Right) ]
-          (List.map
-             (fun s -> [ s.sl_name; s.sl_cat; fmt_s s.sl_start; fmt_s s.sl_dur ])
-             r.r_slowest);
-        (* Resource-probe samples (PIPESYN_PROBE_MS) ride in the
-           trace as "probe.sample" instants; summarize when present. *)
-        (let samples =
-           match Obs.Json.member "traceEvents" doc with
-           | Some (Obs.Json.List evs) ->
-               List.filter_map
-                 (fun ev ->
-                   match
-                     (Obs.Json.member "name" ev, Obs.Json.member "args" ev)
-                   with
-                   | Some (Obs.Json.String "probe.sample"), Some args ->
-                       Some args
-                   | _ -> None)
-                 evs
-           | _ -> []
-         in
-         match samples with
-         | [] -> ()
-         | _ ->
-             let num k args =
-               Option.value ~default:Float.nan
-                 (Option.bind (Obs.Json.member k args) Obs.Json.number)
-             in
-             let peak k =
-               List.fold_left
-                 (fun acc a ->
-                   let v = num k a in
-                   if Float.is_nan v then acc else Float.max acc v)
-                 Float.neg_infinity samples
-             in
-             let heap_w = peak "heap_words" and rss_kb = peak "rss_kb" in
-             Fmt.pr "Resources: %d probe sample%s%s%s@.@."
-               (List.length samples)
-               (if List.length samples = 1 then "" else "s")
-               (if Float.is_finite heap_w && heap_w > 0.0 then
-                  Fmt.str ", peak heap %.1f MiB"
-                    (heap_w *. 8.0 /. 1048576.0)
-                else "")
-               (if Float.is_finite rss_kb && rss_kb > 0.0 then
-                  Fmt.str ", peak RSS %.1f MiB" (rss_kb /. 1024.0)
-                else ""));
+             (fun p ->
+               [ Fmt.str "%.4f" p.gp_ts; Fmt.str "%.6g" p.gp_obj; fmt_gap p.gp_gap ])
+             (last 10 r.r_timeline));
+        let st = r.r_stop in
+        if st.st_status <> None || st.st_solve <> None then
+          Fmt.pr "Stop: %s%s%s@."
+            (Option.value st.st_status ~default:"solve ended")
+            (match st.st_solve with
+            | None -> ""
+            | Some s ->
+                Fmt.str " after %s nodes, %s pivots, %.2f s, gap %s"
+                  (grouped s.sv_nodes) (grouped s.sv_pivots) s.sv_elapsed
+                  (fmt_gap s.sv_gap))
+            (if not (Float.is_nan st.st_last_incumbent) then
+               Fmt.str "; incumbent last improved at %.2f s" st.st_last_incumbent
+             else if st.st_solve <> None then "; no incumbent"
+             else "");
+        if st.st_degraded <> [] then
+          Fmt.pr "  degraded: %s@."
+            (String.concat ", "
+               (List.map (fun (a, why) -> Fmt.str "%s (%s)" a why) st.st_degraded));
+        if r.r_samples > 0 then
+          Fmt.pr "Resources: %s%s%s@." (plural r.r_samples "probe sample")
+            (if r.r_peak_heap_words > 0.0 then
+               Fmt.str ", peak heap %.1f MiB" (r.r_peak_heap_words *. 8.0 /. 1048576.0)
+             else "")
+            (if r.r_peak_rss_kb > 0.0 then
+               Fmt.str ", peak RSS %.1f MiB" (r.r_peak_rss_kb /. 1024.0)
+             else "");
         List.iter (fun e -> Fmt.pr "well-formedness: %s@." e) r.r_errors;
         Fmt.pr "spans: %d, well-formedness errors: %d@." r.r_spans
           (List.length r.r_errors);
-        (* A trace with no spans (or a malformed one) fails the
-           report — CI leans on this as its validity gate. *)
-        if r.r_errors <> [] || r.r_spans = 0 then exit exit_error
+        (* A malformed file, or a trace with no spans, fails the report —
+           CI leans on this as its validity gate. A log has no spans. *)
+        if r.r_errors <> [] || (r.r_spans = 0 && not is_log) then exit exit_error
   in
   Cmd.v
-    (Cmd.info "trace-report"
+    (Cmd.info "explain"
        ~doc:
-         "Analyze a trace written by `pipesyn run --trace': phase \
-          breakdown, branch-and-bound tree shape, incumbent/gap \
-          timeline, slowest spans, and well-formedness checks (exit 1 \
-          on any violation or an empty trace).")
-    Term.(const run $ file_arg $ top_arg)
+         "Explain a run from its trace (`pipesyn run --trace') or its NDJSON \
+          log (`--log'): phase breakdown (trace only), branch-and-bound tree \
+          shape, root cuts, incumbent/gap timeline, why and when the last \
+          flow stopped, probe resource peaks, and well-formedness checks. \
+          Times are seconds since the recording started. Exits 1 on any \
+          well-formedness violation or on a trace with no spans.")
+    Term.(const run $ file_arg)
 
 (* ------------------------------------------------------------------ *)
 (* bench-diff                                                          *)
@@ -1214,7 +1206,7 @@ let () =
         (Cmd.group info
            [
              list_cmd; run_cmd; resume_cmd; cuts_cmd; dot_cmd; rtl_cmd;
-             lint_cmd; audit_cmd; diags_cmd; faults_cmd; trace_report_cmd;
+             lint_cmd; audit_cmd; diags_cmd; faults_cmd; explain_cmd;
              bench_diff_cmd;
            ])
     with e ->

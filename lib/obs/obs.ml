@@ -376,6 +376,8 @@ end
 
 (* ---- the event store ---------------------------------------------------- *)
 
+let log_schema = "pipesyn-log-v1"
+
 (* Every event is recorded once: {!emit}'s instants and the trace's span
    begins and ends go into one growable array, under one lock, with one
    absolute {!Clock.wall} reading taken inside that lock, so the store's
@@ -504,7 +506,6 @@ module Trace = struct
      exported traces stay well-formed. *)
   let view = View.trace
   let default_cap = view.cap
-  let max_depth_seen = ref 0
 
   (* Open spans, innermost first. [recorded] = false when the matching
      Begin was dropped at the cap, so its End must be dropped too. The
@@ -517,20 +518,16 @@ module Trace = struct
   let num_events () = View.num_events view
   let dropped () = View.dropped view
 
-  let forget_spans () =
-    open_stack := [];
-    max_depth_seen := 0
-
   let clear () =
     locked store_mutex (fun () ->
         View.clear view;
-        forget_spans ())
+        open_stack := [])
 
   let enable ?cap () =
     let cap = buffer_cap cap "PIPESYN_TRACE_CAP" ~default:default_cap in
     locked store_mutex (fun () ->
         View.enable view ~cap;
-        forget_spans ())
+        open_stack := [])
 
   let span_event ph ts ~cat ~args name =
     { ts; ph; level = 0; cat; tid = 1; name; args; views = view.bit }
@@ -540,8 +537,6 @@ module Trace = struct
   let begin_span ?(cat = "app") ?(args = []) name =
     if view.on then
       locked store_mutex @@ fun () ->
-      let depth = 1 + List.length !open_stack in
-      if depth > !max_depth_seen then max_depth_seen := depth;
       let recorded = View.admit view 0 <> 0 in
       if recorded then push (span_event B (Clock.wall ()) ~cat ~args name);
       open_stack := { o_name = name; o_cat = cat; recorded } :: !open_stack
@@ -627,293 +622,276 @@ module Trace = struct
       ~finally:(fun () -> close_out oc)
       (fun () -> Json.to_channel oc (export_chrome ()))
 
-  (* Summary folded into Metrics files (schema v4): the view's headline
-     counts plus the incumbent-gap trajectory extracted from
-     [milp.incumbent] instants. *)
-  let summary () =
-    let epoch, events, dropped =
-      locked store_mutex (fun () -> (view.epoch, View.held view, view.dropped))
-    in
-    let count ph = List.length (List.filter (fun e -> e.ph = ph) events) in
-    let incumbents =
-      List.filter (fun e -> e.ph = I && e.name = "milp.incumbent") events
-    in
-    let point e =
-      let gap =
-        match List.assoc_opt "gap" e.args with
-        | Some (Json.Float g) -> g
-        | Some (Json.Int g) -> float_of_int g
-        | _ -> Float.nan
-      in
-      Json.List [ Json.Float (e.ts -. epoch); Json.Float gap ]
-    in
-    Json.Obj
-      [
-        ("enabled", Json.Bool view.on);
-        ("events", Json.Int (List.length events));
-        ("spans", Json.Int (count B));
-        ("instants", Json.Int (count I));
-        ("max_depth", Json.Int !max_depth_seen);
-        ("dropped", Json.Int dropped);
-        ( "first_incumbent_s",
-          Json.Float
-            (match incumbents with e :: _ -> e.ts -. epoch | [] -> Float.nan) );
-        ("gap_trajectory", Json.List (List.map point incumbents));
-      ]
-
   (* ---- offline analysis ------------------------------------------------ *)
 
   module Analysis = struct
-    (* Operates on a parsed Chrome trace_event document so the CLI
-       trace-report and the test suite share one checker: a stack
-       machine over the event stream validates well-formedness (every E
-       matches the innermost open B, timestamps are monotone, nothing
-       is left open) while aggregating per-span-name stats, the B&B
-       tree shape from [milp.node] instants, and the incumbent/gap
-       timeline from [milp.incumbent] instants. *)
+    (* The one reader of recorded events. Either export becomes one list
+       of events: a Chrome trace's own, or a log's event lines as
+       instants once its header, footer and event count are checked.
+       One pass over that list then checks well-formedness with a stack
+       machine (every E closes the innermost open B, timestamps never go
+       backwards, nothing is left open) while it folds the per-span-name
+       stats, the B&B tree from [milp.node], the incumbent timeline, the
+       root cut rounds, the probe peaks and the stop record of the last
+       flow run. *)
 
     type span_stat = {
-      sp_name : string;
-      sp_cat : string;
-      sp_count : int;
-      sp_total : float;  (** summed durations, seconds *)
-      sp_max : float;  (** longest single span, seconds *)
-    }
-
-    type slow_span = {
-      sl_name : string;
-      sl_cat : string;
-      sl_start : float;  (** seconds from trace start *)
-      sl_dur : float;  (** seconds *)
+      sp_name : string; sp_cat : string; sp_count : int;
+      sp_total : float; sp_max : float;
     }
 
     type tree_stats = {
-      tr_nodes : int;
-      tr_max_depth : int;
-      tr_warm : int;  (** nodes whose LP resolve reused the parent basis *)
-      tr_statuses : (string * int) list;  (** node LP status histogram *)
-      tr_domains : (int * int) list;
-          (** nodes processed per domain id, sorted; [(0, n)] only for
-              single-domain traces (coordinator processes everything) *)
+      tr_nodes : int; tr_max_depth : int; tr_warm : int;
+      tr_statuses : (string * int) list; tr_domains : (int * int) list;
     }
 
     type gap_point = { gp_ts : float; gp_obj : float; gp_gap : float }
+    type cut_stats =
+      { cu_rounds : int; cu_cuts : int; cu_bound0 : float; cu_bound : float }
+    type solve = { sv_nodes : int; sv_pivots : int; sv_gap : float; sv_elapsed : float }
 
-    type cut_stats = {
-      cu_rounds : int;  (** root separation rounds recorded *)
-      cu_cuts : int;  (** cuts applied across all rounds *)
-      cu_bound0 : float;  (** root LP bound before any cuts; nan if absent *)
-      cu_bound : float;  (** bound after the last recorded round *)
+    type stop = {
+      st_status : string option; st_solve : solve option;
+      st_last_incumbent : float; st_degraded : (string * string) list;
     }
 
     type report = {
-      r_events : int;
-      r_spans : int;
-      r_instants : int;
-      r_errors : string list;
-      r_phases : span_stat list;  (** sorted by total time, descending *)
-      r_slowest : slow_span list;  (** top slowest spans, descending *)
-      r_tree : tree_stats option;
-      r_timeline : gap_point list;
-      r_cuts : cut_stats option;
-          (** from ["milp.cut_round"] instants; [None] for traces
-              recorded before cuts existed (pre-v8) or cuts-off runs *)
+      r_events : int; r_spans : int; r_instants : int; r_depth : int;
+      r_errors : string list; r_phases : span_stat list;
+      r_tree : tree_stats option; r_timeline : gap_point list;
+      r_cuts : cut_stats option; r_samples : int;
+      r_peak_heap_words : float; r_peak_rss_kb : float; r_flows : int;
+      r_stop : stop;
+    }
+
+    (* One event as the pass reads it, [ts] in seconds. *)
+    type ev = {
+      e_name : string option; e_cat : string option; e_ph : string option;
+      e_ts : float; e_args : Json.t option;
     }
 
     let max_errors = 50
-
     let num j = Option.value (Option.bind j Json.number) ~default:Float.nan
+    let inum j = Option.fold ~none:0 ~some:int_of_float (Option.bind j Json.number)
+    let str k j = match Json.member k j with Some (Json.String s) -> Some s | _ -> None
 
-    let inum default = function
-      | Some (Json.Int i) -> i
-      | Some (Json.Float f) -> int_of_float f
-      | _ -> default
+    (* The args every probe sample carries and a reader relies on. *)
+    let probe_keys = [ "heap_words"; "nodes_per_s"; "gap"; "incumbent" ]
 
-    let analyze ?(top = 10) j =
-      match Json.member "traceEvents" j with
-      | None -> Error "not a Chrome trace: no \"traceEvents\" key"
-      | Some (Json.List events) ->
-          let errors = ref [] in
-          let n_errors = ref 0 in
-          let error fmt =
-            Printf.ksprintf
-              (fun msg ->
-                incr n_errors;
-                if !n_errors <= max_errors then errors := msg :: !errors)
-              fmt
-          in
-          let stack = ref [] in
-          let last_ts = ref neg_infinity in
-          let n_spans = ref 0 in
-          let n_instants = ref 0 in
-          let stats : (string, span_stat) Hashtbl.t = Hashtbl.create 32 in
-          let slow = ref [] in
-          let tr_nodes = ref 0 in
-          let tr_max_depth = ref 0 in
-          let tr_warm = ref 0 in
-          let statuses : (string, int) Hashtbl.t = Hashtbl.create 8 in
-          let domains : (int, int) Hashtbl.t = Hashtbl.create 8 in
-          let timeline = ref [] in
-          let cu_rounds = ref 0 in
-          let cu_cuts = ref 0 in
-          let cu_bound0 = ref Float.nan in
-          let cu_bound = ref Float.nan in
-          List.iteri
-            (fun i ev ->
-              let str k =
-                match Json.member k ev with
-                | Some (Json.String s) -> Some s
-                | _ -> None
-              in
-              let name = Option.value ~default:"?" (str "name") in
-              let cat = Option.value ~default:"?" (str "cat") in
-              let ts = num (Json.member "ts" ev) /. 1e6 in
-              if Float.is_nan ts then error "event %d (%s): missing ts" i name
-              else begin
-                if ts < !last_ts -. 1e-9 then
-                  error "event %d (%s): timestamp goes backwards (%.9f < %.9f)"
-                    i name ts !last_ts;
-                last_ts := Float.max !last_ts ts
-              end;
-              match str "ph" with
-              | Some "B" ->
-                  incr n_spans;
-                  stack := (name, cat, ts) :: !stack
-              | Some "E" -> (
-                  match !stack with
-                  | [] -> error "event %d: E (%s) with no open span" i name
-                  | (bname, bcat, bts) :: rest ->
-                      stack := rest;
-                      if str "name" <> None && name <> bname then
-                        error
-                          "event %d: E for %S closes open span %S \
-                           (parents must close after children)"
-                          i name bname;
-                      let dur = ts -. bts in
-                      let cur =
-                        match Hashtbl.find_opt stats bname with
-                        | Some s -> s
-                        | None ->
-                            {
-                              sp_name = bname;
-                              sp_cat = bcat;
-                              sp_count = 0;
-                              sp_total = 0.0;
-                              sp_max = 0.0;
-                            }
-                      in
-                      Hashtbl.replace stats bname
-                        {
-                          cur with
-                          sp_count = cur.sp_count + 1;
-                          sp_total = cur.sp_total +. dur;
-                          sp_max = Float.max cur.sp_max dur;
-                        };
-                      slow :=
-                        {
-                          sl_name = bname;
-                          sl_cat = bcat;
-                          sl_start = bts;
-                          sl_dur = dur;
-                        }
-                        :: !slow)
-              | Some ("i" | "I") -> (
-                  incr n_instants;
-                  let args = Json.member "args" ev in
-                  let arg k = Option.bind args (Json.member k) in
-                  match name with
-                  | "milp.node" ->
-                      incr tr_nodes;
-                      let d = inum 0 (arg "depth") in
-                      if d > !tr_max_depth then tr_max_depth := d;
-                      (match arg "warm" with
-                      | Some (Json.Bool true) -> incr tr_warm
-                      | _ -> ());
-                      let st =
-                        match arg "status" with
-                        | Some (Json.String s) -> s
-                        | _ -> "?"
-                      in
-                      Hashtbl.replace statuses st
-                        (1 + Option.value ~default:0
-                               (Hashtbl.find_opt statuses st));
-                      (* Absent in pre-parallel traces: count as domain 0. *)
-                      let dom = inum 0 (arg "domain") in
-                      Hashtbl.replace domains dom
-                        (1 + Option.value ~default:0
-                               (Hashtbl.find_opt domains dom))
-                  | "milp.incumbent" ->
-                      timeline :=
-                        {
-                          gp_ts = ts;
-                          gp_obj = num (arg "objective");
-                          gp_gap = num (arg "gap");
-                        }
-                        :: !timeline
-                  | "milp.cut_round" ->
-                      incr cu_rounds;
-                      cu_cuts := !cu_cuts + inum 0 (arg "added");
-                      if Float.is_nan !cu_bound0 then
-                        cu_bound0 := num (arg "bound0");
-                      cu_bound := num (arg "bound")
-                  | _ -> ())
-              | Some _ -> () (* M, X, … metadata: tolerated, uncounted *)
-              | None -> error "event %d (%s): missing ph" i name)
-            events;
-          List.iter
-            (fun (bname, _, _) -> error "span %S never closed" bname)
-            !stack;
-          if !n_errors > max_errors then
-            errors :=
-              Printf.sprintf "... and %d more errors" (!n_errors - max_errors)
-              :: !errors;
-          let phases =
-            Hashtbl.fold (fun _ s acc -> s :: acc) stats []
-            |> List.sort (fun a b -> compare b.sp_total a.sp_total)
-          in
-          let slowest =
-            List.sort (fun a b -> compare b.sl_dur a.sl_dur) !slow
-            |> List.filteri (fun i _ -> i < top)
-          in
-          let tree =
-            if !tr_nodes = 0 then None
-            else
+    let no_stop =
+      { st_status = None; st_solve = None; st_last_incumbent = Float.nan;
+        st_degraded = [] }
+
+    let of_chrome ev =
+      { e_name = str "name" ev; e_cat = str "cat" ev; e_ph = str "ph" ev;
+        e_ts = num (Json.member "ts" ev) /. 1e6; e_args = Json.member "args" ev }
+
+    (* A log's event lines as instants, and its framing errors. *)
+    let of_log lines =
+      let header, rest =
+        match lines with
+        | h :: rest when Json.member "ev" h = None -> (Some h, rest)
+        | _ -> (None, lines)
+      in
+      let body, footer =
+        match List.rev rest with
+        | f :: rb when str "ev" f = Some "log.end" -> (List.rev rb, Some f)
+        | _ -> (rest, None)
+      in
+      let n = List.length body in
+      let errors =
+        (match Option.bind header (str "schema") with
+        | Some s when s = log_schema -> []
+        | s -> [ Printf.sprintf "log header schema is %s, not %s"
+                   (Option.value s ~default:"missing") log_schema ])
+        @
+        match Option.map (fun f -> inum (Json.member "events" f)) footer with
+        | Some c when c = n -> []
+        | Some c ->
+            [ Printf.sprintf "log.end footer counts %d events, the log has %d" c n ]
+        | None -> [ "log has no log.end footer" ]
+      in
+      let instant l =
+        { e_name = str "ev" l; e_cat = None; e_ph = Some "i";
+          e_ts = num (Json.member "t" l); e_args = Json.member "args" l }
+      in
+      (List.map instant body, errors)
+
+    let fold events framing =
+      let errors = ref (List.rev framing) in
+      let n_errors = ref (List.length framing) in
+      let error fmt =
+        Printf.ksprintf
+          (fun msg ->
+            incr n_errors;
+            if !n_errors <= max_errors then errors := msg :: !errors)
+          fmt
+      in
+      let bump tbl k =
+        Hashtbl.replace tbl k (1 + Option.value ~default:0 (Hashtbl.find_opt tbl k))
+      in
+      let sorted tbl =
+        List.sort compare (Hashtbl.fold (fun k v a -> (k, v) :: a) tbl [])
+      in
+      let peak p v = if Float.is_nan p || v > p then v else p in
+      let stack = ref [] and depth = ref 0 and last_ts = ref neg_infinity in
+      let n_spans = ref 0 and n_instants = ref 0 and flows = ref 0 in
+      let stats : (string, span_stat) Hashtbl.t = Hashtbl.create 32 in
+      let tr_nodes = ref 0 and tr_max_depth = ref 0 and tr_warm = ref 0 in
+      let statuses = Hashtbl.create 8 and domains = Hashtbl.create 8 in
+      let timeline = ref [] and cuts = ref None and stop = ref no_stop in
+      (* A solve recorded after the flow finished starts a new record. *)
+      let update f =
+        stop := f (if !stop.st_status = None then !stop else no_stop)
+      in
+      let samples = ref 0 and heap = ref Float.nan and rss = ref Float.nan in
+      let instant i name arg ts =
+        let sarg k = match arg k with Some (Json.String s) -> Some s | _ -> None in
+        match name with
+        | "milp.node" ->
+            incr tr_nodes;
+            tr_max_depth := max !tr_max_depth (inum (arg "depth"));
+            if arg "warm" = Some (Json.Bool true) then incr tr_warm;
+            bump statuses (Option.value (sarg "status") ~default:"?");
+            (* Absent in pre-parallel traces: count as domain 0. *)
+            bump domains (inum (arg "domain"))
+        | "milp.incumbent" ->
+            timeline :=
+              { gp_ts = ts; gp_obj = num (arg "objective"); gp_gap = num (arg "gap") }
+              :: !timeline;
+            update (fun s -> { s with st_last_incumbent = ts })
+        | "milp.cut_round" ->
+            let rounds, added =
+              Option.fold !cuts ~none:(0, 0) ~some:(fun c -> (c.cu_rounds, c.cu_cuts))
+            in
+            cuts :=
               Some
-                {
-                  tr_nodes = !tr_nodes;
-                  tr_max_depth = !tr_max_depth;
-                  tr_warm = !tr_warm;
-                  tr_statuses =
-                    Hashtbl.fold (fun k v acc -> (k, v) :: acc) statuses []
-                    |> List.sort compare;
-                  tr_domains =
-                    Hashtbl.fold (fun k v acc -> (k, v) :: acc) domains []
-                    |> List.sort compare;
-                }
-          in
-          Ok
-            {
-              r_events = List.length events;
-              r_spans = !n_spans;
-              r_instants = !n_instants;
-              r_errors = List.rev !errors;
-              r_phases = phases;
-              r_slowest = slowest;
-              r_tree = tree;
-              r_timeline = List.rev !timeline;
-              r_cuts =
-                (if !cu_rounds = 0 then None
-                 else
-                   Some
-                     {
-                       cu_rounds = !cu_rounds;
-                       cu_cuts = !cu_cuts;
-                       cu_bound0 = !cu_bound0;
-                       cu_bound = !cu_bound;
-                     });
-            }
-      | Some _ -> Error "\"traceEvents\" is not a list"
+                { cu_rounds = rounds + 1; cu_cuts = added + inum (arg "added");
+                  cu_bound0 = num (arg "bound0"); cu_bound = num (arg "bound") }
+        | "milp.done" ->
+            let solve =
+              { sv_nodes = inum (arg "nodes"); sv_pivots = inum (arg "pivots");
+                sv_gap = num (arg "gap"); sv_elapsed = num (arg "elapsed_s") }
+            in
+            update (fun s -> { s with st_solve = Some solve })
+        | "flow.phase" when sarg "phase" = Some "run" -> stop := no_stop
+        | "flow.phase" when sarg "phase" = Some "done" ->
+            incr flows;
+            stop := { !stop with st_status = sarg "status" }
+        | "cascade.degraded" ->
+            let rung k = Option.value (sarg k) ~default:"?" in
+            update (fun s ->
+                { s with
+                  st_degraded = (rung "attempt", rung "reason") :: s.st_degraded })
+        | "probe.sample" ->
+            incr samples;
+            List.iter
+              (fun k ->
+                if arg k = None then error "event %d: probe.sample has no %s" i k)
+              probe_keys;
+            heap := peak !heap (num (arg "heap_words"));
+            rss := peak !rss (num (arg "rss_kb"))
+        | _ -> ()
+      in
+      List.iteri
+        (fun i e ->
+          let name = Option.value e.e_name ~default:"?" in
+          if Float.is_nan e.e_ts then error "event %d (%s): missing ts" i name
+          else begin
+            if e.e_ts < !last_ts -. 1e-9 then
+              error "event %d (%s): timestamp goes backwards (%.9f < %.9f)" i
+                name e.e_ts !last_ts;
+            last_ts := Float.max !last_ts e.e_ts
+          end;
+          match e.e_ph with
+          | Some "B" ->
+              incr n_spans;
+              stack := (name, Option.value e.e_cat ~default:"?", e.e_ts) :: !stack;
+              depth := max !depth (List.length !stack)
+          | Some "E" -> (
+              match !stack with
+              | [] -> error "event %d: E (%s) with no open span" i name
+              | (bname, bcat, bts) :: rest ->
+                  stack := rest;
+                  if e.e_name <> None && name <> bname then
+                    error
+                      "event %d: E for %S closes open span %S (parents must \
+                       close after children)"
+                      i name bname;
+                  let dur = e.e_ts -. bts in
+                  let s =
+                    Option.value (Hashtbl.find_opt stats bname)
+                      ~default:
+                        { sp_name = bname; sp_cat = bcat; sp_count = 0;
+                          sp_total = 0.0; sp_max = 0.0 }
+                  in
+                  Hashtbl.replace stats bname
+                    { s with sp_count = s.sp_count + 1;
+                             sp_total = s.sp_total +. dur;
+                             sp_max = Float.max s.sp_max dur })
+          | Some ("i" | "I") ->
+              incr n_instants;
+              instant i name (fun k -> Option.bind e.e_args (Json.member k)) e.e_ts
+          | Some _ -> () (* M, X, … metadata: tolerated, uncounted *)
+          | None -> error "event %d (%s): missing ph" i name)
+        events;
+      List.iter (fun (bname, _, _) -> error "span %S never closed" bname) !stack;
+      if !n_errors > max_errors then
+        errors :=
+          Printf.sprintf "... and %d more errors" (!n_errors - max_errors) :: !errors;
+      {
+        r_events = List.length events;
+        r_spans = !n_spans;
+        r_instants = !n_instants;
+        r_depth = !depth;
+        r_errors = List.rev !errors;
+        r_phases =
+          Hashtbl.fold (fun _ s acc -> s :: acc) stats []
+          |> List.sort (fun a b -> compare b.sp_total a.sp_total);
+        r_tree =
+          (if !tr_nodes = 0 then None
+           else
+             Some
+               { tr_nodes = !tr_nodes; tr_max_depth = !tr_max_depth;
+                 tr_warm = !tr_warm; tr_statuses = sorted statuses;
+                 tr_domains = sorted domains });
+        r_timeline = List.rev !timeline;
+        r_cuts = !cuts;
+        r_samples = !samples;
+        r_peak_heap_words = !heap;
+        r_peak_rss_kb = !rss;
+        r_flows = !flows;
+        r_stop = { !stop with st_degraded = List.rev !stop.st_degraded };
+      }
+
+    let analyze j =
+      match (Json.member "traceEvents" j, j) with
+      | Some (Json.List evs), _ -> Ok (fold (List.map of_chrome evs) [])
+      | Some _, _ -> Error "\"traceEvents\" is not a list"
+      | None, Json.List lines ->
+          let events, framing = of_log lines in
+          Ok (fold events framing)
+      | None, _ ->
+          Error "neither a Chrome trace (no \"traceEvents\" key) nor log lines"
   end
+
+  (* The [trace] object of Metrics files (schema v4): the view's flags
+     and a projection of its analysis. *)
+  let summary () =
+    let r = Result.get_ok (Analysis.analyze (export_chrome ())) in
+    let point p = Json.List [ Json.Float p.Analysis.gp_ts; Json.Float p.gp_gap ] in
+    Json.Obj
+      [
+        ("enabled", Json.Bool view.on);
+        ("events", Json.Int r.r_events);
+        ("spans", Json.Int r.r_spans);
+        ("instants", Json.Int r.r_instants);
+        ("max_depth", Json.Int r.r_depth);
+        ("dropped", Json.Int (dropped ()));
+        ( "first_incumbent_s",
+          Json.Float (match r.r_timeline with p :: _ -> p.gp_ts | [] -> Float.nan) );
+        ("gap_trajectory", Json.List (List.map point r.r_timeline));
+      ]
 end
 
 (* Leveled structured event log: the narrative companion to {!Trace},
@@ -951,7 +929,7 @@ module Log = struct
     l_args : (string * Json.t) list;
   }
 
-  let schema = "pipesyn-log-v1"
+  let schema = log_schema
   let view = View.log
   let default_cap = view.cap
   let sink : (event -> unit) option ref = ref None

@@ -19,7 +19,8 @@
 
     {!Json} is a deliberately tiny hand-rolled JSON tree (emitter and a
     minimal parser for round-trip checks); {!Trace} records hierarchical
-    spans with Chrome [trace_event] export (Perfetto); {!Metrics} is the
+    spans with Chrome [trace_event] export (Perfetto), and
+    {!Trace.Analysis} reads either export back; {!Metrics} is the
     stable per-benchmark record serialized by [pipesyn --json] and the
     bench harness's [BENCH_results.json]. The schema is documented in
     README.md ("Observability").
@@ -219,14 +220,14 @@ module Trace : sig
       [pipesyn run --trace FILE]. *)
 
   val summary : unit -> Json.t
-  (** Headline numbers folded into Metrics files (schema v4): span /
-      instant / drop counts, max nesting depth, first-incumbent time and
-      the incumbent-gap trajectory extracted from ["milp.incumbent"]
-      events. *)
+  (** The [trace] object of Metrics files (schema v4): the view's
+      [enabled] flag and drop count, and from {!Analysis.analyze} of
+      {!export_chrome} the event, span and instant counts, the deepest
+      recorded span nesting, the first-incumbent time and the
+      incumbent-gap trajectory. *)
 
-  (** Offline analysis of a parsed Chrome trace document — the engine
-      behind [pipesyn trace-report] and the well-formedness checks in
-      the test suite. *)
+  (** The one reader of recorded events — behind [pipesyn explain], the
+      {!summary} and the well-formedness checks in the test suite. *)
   module Analysis : sig
     type span_stat = {
       sp_name : string;
@@ -236,26 +237,17 @@ module Trace : sig
       sp_max : float;  (** longest single span, seconds *)
     }
 
-    type slow_span = {
-      sl_name : string;
-      sl_cat : string;
-      sl_start : float;  (** seconds from trace start *)
-      sl_dur : float;  (** seconds *)
-    }
-
     type tree_stats = {
       tr_nodes : int;  (** B&B nodes (["milp.node"] instants) *)
       tr_max_depth : int;
       tr_warm : int;  (** nodes whose LP resolve reused the parent basis *)
       tr_statuses : (string * int) list;  (** node LP status histogram *)
       tr_domains : (int * int) list;
-          (** nodes processed per domain id (from the ["domain"] arg of
-              ["milp.node"] instants; pre-parallel traces collapse to
-              [[(0, tr_nodes)]]), sorted by domain id *)
+          (** nodes per ["domain"] arg (0 when absent), sorted by id *)
     }
 
     type gap_point = {
-      gp_ts : float;
+      gp_ts : float;  (** seconds since the recording started *)
       gp_obj : float;
       gp_gap : float;  (** relative incumbent/bound gap; nan if unknown *)
     }
@@ -263,31 +255,56 @@ module Trace : sig
     type cut_stats = {
       cu_rounds : int;  (** root separation rounds (["milp.cut_round"]) *)
       cu_cuts : int;  (** cuts applied across all rounds *)
-      cu_bound0 : float;  (** root LP bound before any cuts; nan if absent *)
-      cu_bound : float;  (** bound after the last recorded round *)
+      cu_bound0 : float;  (** the last solve's root LP bound before cuts *)
+      cu_bound : float;  (** the bound after the last recorded round *)
     }
+
+    type solve = { sv_nodes : int; sv_pivots : int; sv_gap : float; sv_elapsed : float }
+    (** A ["milp.done"] event's [nodes], [pivots], [gap], [elapsed_s]. *)
+
+    type stop = {
+      st_status : string option;
+          (** [status] of the ["flow.phase"] [done] event *)
+      st_solve : solve option;  (** the last ["milp.done"] *)
+      st_last_incumbent : float;
+          (** time of the last ["milp.incumbent"]; nan without one *)
+      st_degraded : (string * string) list;
+          (** (attempt, reason) of each ["cascade.degraded"] rung *)
+    }
+    (** Why and when the last flow run stopped, from its events (those
+        after the last ["flow.phase"] [run]); the MILP solves recorded
+        after that flow finished, if any, replace it. *)
 
     type report = {
       r_events : int;
       r_spans : int;
       r_instants : int;
+      r_depth : int;  (** deepest span nesting *)
       r_errors : string list;
-          (** well-formedness violations: an [E] with no open span or
-              closing the wrong span, timestamps going backwards, spans
-              never closed. Empty for every trace this repo emits. *)
+          (** well-formedness violations (none in any file this repo
+              writes): an [E] with no open span or closing the wrong one,
+              a span never closed, a timestamp going backwards, a
+              ["probe.sample"] without [heap_words], [nodes_per_s], [gap]
+              or [incumbent]; a log's header schema other than
+              [pipesyn-log-v1], or no [log.end] footer counting its events. *)
       r_phases : span_stat list;  (** sorted by total time, descending *)
-      r_slowest : slow_span list;  (** top-[top] spans by duration *)
       r_tree : tree_stats option;  (** [None] if no ["milp.node"] events *)
-      r_timeline : gap_point list;  (** incumbent updates in trace order *)
+      r_timeline : gap_point list;  (** incumbent updates in order *)
       r_cuts : cut_stats option;
-          (** [None] when the trace has no ["milp.cut_round"] instants —
-              pre-v8 traces, heuristic flows, or cuts-off runs *)
+          (** [None] without ["milp.cut_round"] instants — pre-v8
+              traces, heuristic flows, or cuts-off runs *)
+      r_samples : int;  (** ["probe.sample"] events *)
+      r_peak_heap_words : float;  (** nan without a sample *)
+      r_peak_rss_kb : float;  (** nan without a sample that has it *)
+      r_flows : int;  (** finished flow runs (["flow.phase"] [done]) *)
+      r_stop : stop;
     }
 
-    val analyze : ?top:int -> Json.t -> (report, string) result
-    (** Validates and aggregates a Chrome trace document ([top], default
-        10, bounds [r_slowest]). [Error] only when the document is not a
-        trace at all; per-event violations land in [r_errors]. *)
+    val analyze : Json.t -> (report, string) result
+    (** Validates and aggregates a Chrome trace document ({!export_chrome})
+        or a log as the list of its NDJSON lines ({!Log.to_lines}), whose
+        event lines are read as instants. [Error] only when the value is
+        neither; per-event violations land in [r_errors]. *)
   end
 end
 

@@ -7,16 +7,23 @@ let reset_trace () =
   Obs.Trace.disable ();
   Obs.Trace.clear ()
 
-(* Export the live buffer, print it, re-parse it, analyze it. Any trace
-   the repo emits must survive this loop with zero errors. *)
-let analyze_current ?top () =
-  let s = Obs.Json.to_string (Obs.Trace.export_chrome ()) in
-  match Obs.Json.of_string s with
-  | Error e -> Alcotest.failf "exported trace did not re-parse: %s" e
+(* Print [j], re-parse it and analyze it, as `pipesyn explain' reads a
+   written file. *)
+let analyze_json j =
+  match Obs.Json.of_string (Obs.Json.to_string j) with
+  | Error e -> Alcotest.failf "export did not re-parse: %s" e
   | Ok j -> (
-      match Obs.Trace.Analysis.analyze ?top j with
-      | Error e -> Alcotest.failf "analyze rejected exported trace: %s" e
+      match Obs.Trace.Analysis.analyze j with
+      | Error e -> Alcotest.failf "analyze rejected the export: %s" e
       | Ok r -> r)
+
+(* Export the live buffer and analyze it. Any trace the repo emits must
+   survive this loop with zero errors. *)
+let analyze_current () = analyze_json (Obs.Trace.export_chrome ())
+
+(* The log's NDJSON lines, each printed and re-parsed, analyzed. *)
+let analyze_log () =
+  analyze_json (Obs.Json.List (Obs.Log.to_lines ()))
 
 let test_disabled_is_inert () =
   reset_trace ();
@@ -186,6 +193,135 @@ let test_flow_trace_end_to_end () =
     (Float.is_finite m.Obs.Metrics.first_incumbent_s);
   reset_trace ()
 
+(* Both views of one MILP-map run tell the same story: the same
+   incumbent (objective, gap) sequence and the same stop record. The
+   views' epochs differ by the time between their enables, so the last
+   improvement's time agrees only to that offset. *)
+let test_trace_and_log_agree () =
+  let g = Benchmarks.Rs.kernel ~width:2 () in
+  Obs.reset ();
+  reset_trace ();
+  Obs.Log.clear ();
+  Obs.Trace.enable ();
+  Obs.Log.enable ();
+  let m = Mams.Flow.metrics ~name:"RS" (run_flow (flow_setup ()) g) in
+  Obs.Trace.disable ();
+  Obs.Log.disable ();
+  let open Obs.Trace.Analysis in
+  let t = analyze_current () and l = analyze_log () in
+  Obs.Log.clear ();
+  reset_trace ();
+  Alcotest.(check (list string)) "trace well-formed" [] t.r_errors;
+  Alcotest.(check (list string)) "log well-formed" [] l.r_errors;
+  let incumbents r = List.map (fun p -> (p.gp_obj, p.gp_gap)) r.r_timeline in
+  let points = Alcotest.(list (pair (float 0.0) (float 0.0))) in
+  Alcotest.check points "same incumbents" (incumbents t) (incumbents l);
+  Alcotest.(check bool) "some incumbent" true (t.r_timeline <> []);
+  let solve r =
+    Option.map
+      (fun s -> ((s.sv_nodes, s.sv_pivots), (s.sv_gap, s.sv_elapsed)))
+      r.r_stop.st_solve
+  in
+  let solves =
+    Alcotest.(option (pair (pair int int) (pair (float 0.0) (float 0.0))))
+  in
+  Alcotest.check solves "same milp.done" (solve t) (solve l);
+  Alcotest.(check (option int)) "nodes are the metrics' nodes"
+    m.Obs.Metrics.bnb_nodes
+    (Option.map (fun s -> s.sv_nodes) t.r_stop.st_solve);
+  Alcotest.(check (option string)) "same status" t.r_stop.st_status
+    l.r_stop.st_status;
+  Alcotest.(check (option string)) "status is the metrics' status"
+    (Some m.Obs.Metrics.status) t.r_stop.st_status;
+  Alcotest.(check (list (pair string string))) "same degradation rungs"
+    t.r_stop.st_degraded l.r_stop.st_degraded;
+  Alcotest.(check (float 1e-3)) "same last improvement"
+    t.r_stop.st_last_incumbent l.r_stop.st_last_incumbent
+
+(* The Metrics [trace] object is the report's projection: the keys of
+   schema v4, the report's counts, its timeline to 1e-9 s. *)
+let test_summary_is_projection () =
+  let g = Benchmarks.Rs.kernel ~width:2 () in
+  Obs.reset ();
+  reset_trace ();
+  Obs.Trace.enable ();
+  ignore (run_flow (flow_setup ()) g);
+  let j = Obs.Trace.summary () and r = analyze_current () in
+  reset_trace ();
+  let open Obs.Trace.Analysis in
+  Alcotest.(check (list string)) "keys"
+    [ "enabled"; "events"; "spans"; "instants"; "max_depth"; "dropped";
+      "first_incumbent_s"; "gap_trajectory" ]
+    (match j with Obs.Json.Obj kvs -> List.map fst kvs | _ -> []);
+  let int k = match Obs.Json.member k j with Some (Obs.Json.Int n) -> n | _ -> -1 in
+  Alcotest.(check int) "events" r.r_events (int "events");
+  Alcotest.(check int) "spans" r.r_spans (int "spans");
+  Alcotest.(check int) "instants" r.r_instants (int "instants");
+  Alcotest.(check int) "max_depth" r.r_depth (int "max_depth");
+  Alcotest.(check int) "dropped" 0 (int "dropped");
+  Alcotest.(check bool) "flow.run > cascade > flow.solve > milp.solve" true
+    (r.r_depth >= 4);
+  let num = function
+    | Some v -> Option.value (Obs.Json.number v) ~default:Float.nan
+    | None -> Float.nan
+  in
+  let ts = Alcotest.float 1e-9 in
+  Alcotest.check ts "first_incumbent_s" (List.hd r.r_timeline).gp_ts
+    (num (Obs.Json.member "first_incumbent_s" j));
+  Alcotest.(check (list (pair ts (float 0.0)))) "gap_trajectory"
+    (List.map (fun p -> (p.gp_ts, p.gp_gap)) r.r_timeline)
+    (match Obs.Json.member "gap_trajectory" j with
+    | Some (Obs.Json.List ps) ->
+        List.map
+          (function
+            | Obs.Json.List [ t; g ] -> (num (Some t), num (Some g))
+            | _ -> (Float.nan, Float.nan))
+          ps
+    | _ -> [])
+
+(* A log's framing is checked: the header's schema, the log.end footer
+   and its event count; its timestamps and probe samples go through the
+   same checks as a trace's. *)
+let test_log_framing () =
+  Obs.Log.clear ();
+  Obs.Log.enable ();
+  Obs.emit "a" [];
+  Obs.emit "b" [ ("k", Obs.Json.Int 1) ];
+  Obs.Log.disable ();
+  let lines = Obs.Log.to_lines () in
+  Obs.Log.clear ();
+  let header = List.hd lines and footer = List.nth lines 3 in
+  let a = List.nth lines 1 and b = List.nth lines 2 in
+  let errors ls =
+    match Obs.Trace.Analysis.analyze (Obs.Json.List ls) with
+    | Ok r -> r.Obs.Trace.Analysis.r_errors
+    | Error e -> Alcotest.failf "analyze rejected a log: %s" e
+  in
+  let flagged what ls =
+    Alcotest.(check int) (what ^ " is one error") 1 (List.length (errors ls))
+  in
+  Alcotest.(check (list string)) "intact log" [] (errors lines);
+  let r = analyze_log () in
+  Alcotest.(check (list string)) "empty log" [] r.Obs.Trace.Analysis.r_errors;
+  Alcotest.(check int) "no events after clear" 0 r.Obs.Trace.Analysis.r_events;
+  flagged "a wrong schema"
+    (Obs.Json.Obj [ ("schema", Obs.Json.String "pipesyn-log-v0") ] :: List.tl lines);
+  flagged "no header" (List.tl lines);
+  flagged "a missing footer" [ header; a; b ];
+  flagged "a footer count that disagrees" [ header; a; footer ];
+  let line t name args =
+    Obs.Json.Obj
+      [ ("t", Obs.Json.Float t); ("level", Obs.Json.String "info");
+        ("ev", Obs.Json.String name); ("args", Obs.Json.Obj args) ]
+  in
+  flagged "a timestamp going backwards" [ header; a; line (-1.0) "b" []; footer ];
+  flagged "a probe sample without nodes_per_s"
+    [ header; a;
+      line 1e3 "probe.sample"
+        [ ("heap_words", Obs.Json.Int 1); ("gap", Obs.Json.Null);
+          ("incumbent", Obs.Json.Null) ];
+      footer ]
+
 (* --- neutrality: tracing must never change flow results ------------- *)
 
 (* Everything result-shaped, minus wall-clock timings. *)
@@ -257,7 +393,13 @@ let () =
         [
           Alcotest.test_case "instrumented flow trace" `Quick
             test_flow_trace_end_to_end;
+          Alcotest.test_case "trace and log agree" `Quick
+            test_trace_and_log_agree;
+          Alcotest.test_case "summary is the report's projection" `Quick
+            test_summary_is_projection;
         ] );
+      ( "log",
+        [ Alcotest.test_case "framing checks" `Quick test_log_framing ] );
       ( "neutrality",
         [
           Alcotest.test_case "no fault" `Quick test_neutrality_no_fault;
