@@ -170,7 +170,7 @@ let static_gate cfg g =
   if Diag.has_errors diags then Error diags else Ok diags
 
 let diags_to_json diags =
-  Obs.Json.List (List.map Diag.to_json (List.sort Diag.compare diags))
+  List.map Diag.to_json (List.sort Diag.compare diags)
 
 let file ~entries =
   Obs.Json.Obj
@@ -186,7 +186,7 @@ let file ~entries =
                    ("errors", Obs.Json.Int (List.length (Diag.errors diags)));
                    ( "warnings",
                      Obs.Json.Int (List.length (Diag.warnings diags)) );
-                   ("diagnostics", diags_to_json diags);
+                   ("diagnostics", Obs.Json.List (diags_to_json diags));
                  ])
              entries) );
     ]

@@ -43,8 +43,9 @@ val static_gate :
     [Error diags] carries everything including at least one error. Also
     bumps the [analyze.*] observability counters. *)
 
-val diags_to_json : Diag.t list -> Obs.Json.t
-(** A JSON array of {!Diag.to_json} objects, sorted by {!Diag.compare}. *)
+val diags_to_json : Diag.t list -> Obs.Json.t list
+(** {!Diag.to_json} of each diagnostic, sorted by {!Diag.compare}: the
+    [diagnostics] array of a lint-report entry and of {!Obs.Metrics}. *)
 
 val file : entries:(string * Diag.t list) list -> Obs.Json.t
 (** The lint-report file shape:

@@ -33,9 +33,3 @@ val pass_name : string
 val check : ?strict_period:bool -> config -> Ir.Cdfg.t -> Diag.t list
 (** All pre-flight findings; [strict_period] defaults to [false]. *)
 
-val recurrence_witness :
-  device:Fpga.Device.t -> delays:Fpga.Delays.t -> ii:int -> Ir.Cdfg.t ->
-  int list option
-(** A dependence cycle (node ids, dataflow order) whose chained delay
-    cannot close at [ii]; [None] when the relaxation converges (the II is
-    recurrence-feasible). *)

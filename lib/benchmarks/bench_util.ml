@@ -59,5 +59,3 @@ let popcount_ref ~width v =
       let high = Int64.logand (Int64.shift_right_logical acc shift) m in
       mask ~width (Int64.add low high))
     v steps
-
-let eq_zero_ref v = if Int64.equal v 0L then 1L else 0L

@@ -28,4 +28,3 @@ val popcount :
 (** {1 Reference-model helpers} *)
 
 val popcount_ref : width:int -> int64 -> int64
-val eq_zero_ref : int64 -> int64

@@ -10,9 +10,6 @@ val build : ?width:int -> ?stages:int -> unit -> Ir.Cdfg.t
 (** Defaults: [width = 12], [stages = 3]. Inputs ["s"] (sample) and ["c"]
     (coefficient selector); output the saturated accumulation. *)
 
-val coeff_table : width:int -> int64 array
-(** The 16-entry coefficient ROM modelled by the black box. *)
-
 val black_box_handler : width:int -> kind:string -> int64 array -> int64
 
 val reference : width:int -> stages:int -> s:int64 -> c:int64 -> int64

@@ -46,9 +46,3 @@ val xtime : Ir.Builder.t -> width:int -> Ir.Builder.value -> Ir.Builder.value
 (** Multiply by x in GF(2^width): shift, MSB probe, conditional reduce. *)
 
 val xtime_ref : width:int -> int64 -> int64
-
-val gfmul_const :
-  Ir.Builder.t -> width:int -> Ir.Builder.value -> int64 -> Ir.Builder.value
-(** Multiply by a compile-time constant (xor of xtime powers). *)
-
-val gfmul_const_ref : width:int -> int64 -> int64 -> int64

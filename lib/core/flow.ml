@@ -144,9 +144,6 @@ let method_name = function
   | Milp_map -> "MILP-map"
   | Map_heuristic -> "Map-first"
 
-let diags_json diags =
-  List.map Analyze.Diag.to_json (List.sort Analyze.Diag.compare diags)
-
 (* Degradation trail entries double as diagnostics: RES001 for contained
    exceptions, RES002 for every other failed/degraded attempt, RES004 for
    a bounded same-rung retry of a transient failure, RES005 for solve
@@ -184,7 +181,7 @@ let trail_diags trail =
           a.Resilience.Cascade.reason)
     trail
 
-let metrics_of setup method_ ~cuts_total ~gate_diags (qor : Sched.Qor.t)
+let metrics_of setup method_ ~cuts_total (qor : Sched.Qor.t)
     (solve : solve_info) =
   {
     Obs.Metrics.name = "";
@@ -255,13 +252,12 @@ let metrics_of setup method_ ~cuts_total ~gate_diags (qor : Sched.Qor.t)
       (match solve.milp_stats with
       | Some s -> s.Lp.Milp.stalls
       | None -> 0);
-    (* Filled in by [run]'s Gc.quick_stat bracket around the whole
-       cascade; metrics are assembled mid-run, before the delta is
-       known. *)
+    (* Filled in by [run] once the cascade is over: the GC delta by its
+       Gc.quick_stat bracket, the diagnostics and degradation (which need
+       the winning attempt's trail) by [finish]. *)
     gc_minor_words = 0.0;
     gc_major_words = 0.0;
-    diagnostics =
-      diags_json (gate_diags @ Option.value ~default:[] solve.audit_diags);
+    diagnostics = [];
     degradation = [];
   }
 
@@ -293,7 +289,7 @@ let error_metrics ?(diags = []) ~name method_ =
     stalls = 0;
     gc_minor_words = 0.0;
     gc_major_words = 0.0;
-    diagnostics = diags_json diags;
+    diagnostics = Analyze.Engine.diags_to_json diags;
     degradation = [];
   }
 
@@ -308,10 +304,7 @@ let verify_ctx (s : setup) : Sched.Verify.context =
 (* Soft degradations — truncated cut enumeration, degraded mapping, numeric
    trouble inside an otherwise accepted solve — are collected here and
    merged into the trail of whichever attempt eventually wins. *)
-type ctx = {
-  gate_diags : Analyze.Diag.t list;
-  notes : Resilience.Cascade.attempt list ref;
-}
+type ctx = { notes : Resilience.Cascade.attempt list ref }
 
 let note ctx ~label ~reason ~detail =
   ctx.notes :=
@@ -320,7 +313,7 @@ let note ctx ~label ~reason ~detail =
 
 (* Final QoR is always measured under the mapped delay model — the analogue
    of post-place-and-route reporting. *)
-let finalize setup ctx g ~cuts_total cover sched solve method_ =
+let finalize setup g ~cuts_total cover sched solve method_ =
   let sched =
     Sched.Timing.recompute_starts ~device:setup.device ~delays:setup.delays g
       cover sched
@@ -347,10 +340,7 @@ let finalize setup ctx g ~cuts_total cover sched solve method_ =
             Sched.Qor.evaluate ~device:setup.device ~delays:setup.delays g
               cover sched)
       in
-      let metrics =
-        metrics_of setup method_ ~cuts_total ~gate_diags:ctx.gate_diags qor
-          solve
-      in
+      let metrics = metrics_of setup method_ ~cuts_total qor solve in
       Ok { method_; schedule = sched; cover; qor; solve; metrics; trail = [] }
 
 let enum_cuts ?(coarse = false) ~deadline setup ctx g =
@@ -404,22 +394,28 @@ let map_global_with ~deadline setup ctx ~cuts g =
   cover
 
 let baseline setup g =
-  match
-    Obs.span ~cat:"flow" "flow.baseline" (fun () ->
-        Sched.Heuristic.schedule ~device:setup.device ~delays:setup.delays
-          ~resources:setup.resources ~ii:setup.ii g)
-  with
-  | Error e ->
-      Error
-        ( "schedule",
-          Fmt.str "heuristic baseline failed: %a" Sched.Heuristic.pp_error e )
-  | Ok sched -> Ok sched
+  Result.map_error
+    (fun e ->
+      ( "schedule",
+        Fmt.str "heuristic baseline failed: %a" Sched.Heuristic.pp_error e ))
+    (Obs.span ~cat:"flow" "flow.baseline" (fun () ->
+         Sched.Heuristic.schedule ~device:setup.device ~delays:setup.delays
+           ~resources:setup.resources ~ii:setup.ii g))
 
-(* HLS-Tool: heuristic schedule + downstream mapping. With [trivial] the
-   attempt avoids cut enumeration, the LP and the MILP entirely — it is the
-   terminal fallback of every cascade and survives every fault point. *)
-let run_hls ?(trivial = false) ~deadline ~as_ setup ctx g =
-  match baseline setup g with
+(* SDC modulo scheduling (the LegUp/Vivado-HLS style baseline, refs [22]
+   and [3] of the paper). *)
+let sdc setup g =
+  Result.map_error
+    (fun e ->
+      ("schedule", Fmt.str "SDC scheduling failed: %a" Sched.Heuristic.pp_error e))
+    (Sched.Sdc.schedule ~device:setup.device ~delays:setup.delays
+       ~resources:setup.resources ~ii:setup.ii g)
+
+(* Schedule first, then map under that schedule: cut enumeration, cover,
+   final QoR. With [trivial] the attempt skips cut enumeration, and so
+   (having no LP or MILP either) survives every fault point. *)
+let schedule_then_map schedule ?(trivial = false) ~deadline ~as_ setup ctx g =
+  match schedule setup g with
   | Error _ as e -> e
   | Ok sched ->
       let cuts =
@@ -427,28 +423,15 @@ let run_hls ?(trivial = false) ~deadline ~as_ setup ctx g =
         else enum_cuts ~deadline setup ctx g
       in
       let cover = map_with ~deadline setup ctx ~cuts g sched in
-      finalize setup ctx g ~cuts_total:(Cuts.total_cuts cuts) cover sched
+      finalize setup g ~cuts_total:(Cuts.total_cuts cuts) cover sched
         heuristic_info as_
 
-(* SDC modulo scheduling (the LegUp/Vivado-HLS style baseline, refs [22]
-   and [3] of the paper), with the same downstream mapping as the HLS
-   flow. *)
-let run_sdc ?(trivial = false) ~deadline ~as_ setup ctx g =
-  match
-    Sched.Sdc.schedule ~device:setup.device ~delays:setup.delays
-      ~resources:setup.resources ~ii:setup.ii g
-  with
-  | Error e ->
-      Error
-        ("schedule", Fmt.str "SDC scheduling failed: %a" Sched.Heuristic.pp_error e)
-  | Ok sched ->
-      let cuts =
-        if trivial then Cuts.trivial_only ~k:setup.device.Fpga.Device.k g
-        else enum_cuts ~deadline setup ctx g
-      in
-      let cover = map_with ~deadline setup ctx ~cuts g sched in
-      finalize setup ctx g ~cuts_total:(Cuts.total_cuts cuts) cover sched
-        heuristic_info as_
+(* HLS-Tool: heuristic schedule + downstream mapping. Its [trivial] run is
+   the terminal fallback of every cascade. *)
+let run_hls = schedule_then_map baseline
+
+(* SDC with the same downstream mapping as the HLS flow. *)
+let run_sdc = schedule_then_map sdc
 
 (* Map-first (the paper's future-work heuristic): area-flow cover of the
    whole graph, then cover-aware ASAP modulo scheduling. *)
@@ -466,7 +449,7 @@ let run_map_first ?(coarse = false) ?(trivial = false) ~deadline ~as_ setup
   | Error e ->
       Error ("schedule", Fmt.str "map-first failed: %a" Sched.Heuristic.pp_error e)
   | Ok sched ->
-      finalize setup ctx g ~cuts_total:(Cuts.total_cuts cuts) cover sched
+      finalize setup g ~cuts_total:(Cuts.total_cuts cuts) cover sched
         heuristic_info as_
 
 let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
@@ -674,7 +657,7 @@ let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
                    r.Lp.Milp.stats.Lp.Milp.lp_limited);
           let sched, cover = Formulation.extract f r in
           if mapping_aware then
-            finalize setup ctx g ~cuts_total:(Cuts.total_cuts cuts) cover
+            finalize setup g ~cuts_total:(Cuts.total_cuts cuts) cover
               sched solve as_
           else
             (* MILP-base: exact schedule, then the same downstream mapping
@@ -684,7 +667,7 @@ let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
               map_with ~deadline:(phase "map") setup ctx ~cuts:cuts_full g
                 sched
             in
-            finalize setup ctx g ~cuts_total:(Cuts.total_cuts cuts_full) cover
+            finalize setup g ~cuts_total:(Cuts.total_cuts cuts_full) cover
               sched solve as_)
 
 let preflight_config (s : setup) =
@@ -775,7 +758,7 @@ let finish ~gate_diags trail r =
     {
       r.metrics with
       Obs.Metrics.diagnostics =
-        diags_json
+        Analyze.Engine.diags_to_json
           (gate_diags
           @ Option.value ~default:[] r.solve.audit_diags
           @ trail_diags trail);
@@ -845,7 +828,7 @@ let run ?deadline setup method_ g =
                 Obs.emit ~level:Obs.Log.Warn ~cat:"flow" "flow.lint" fields
             | _ -> ())
           (Analyze.Diag.warnings gate_diags);
-      let ctx = { gate_diags; notes = ref [] } in
+      let ctx = { notes = ref [] } in
       match Resilience.Cascade.run ~deadline (steps_of setup ctx method_ g) with
       | Ok { value; trail } ->
           let r =

@@ -58,9 +58,6 @@ val validate : t -> (unit, string) result
     width discipline per opcode, the [dist = 0] subgraph acyclic, outputs
     non-empty and valid, input names unique. *)
 
-val total_bits : t -> int
-(** Sum of widths over all nodes. *)
-
 val stats : t -> string
 (** One-line summary: node/edge/black-box counts. *)
 

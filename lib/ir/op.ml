@@ -126,8 +126,6 @@ let eval op ~width ~black_box operands =
   in
   mask ~width v
 
-let is_wire op = Fpga.Op_class.equal (classify op) Fpga.Op_class.Wire
-
 let equal a b =
   match (a, b) with
   | Input x, Input y -> String.equal x y

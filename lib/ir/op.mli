@@ -49,9 +49,6 @@ val eval :
     take no operands ([Input] evaluation is handled by the simulator).
     @raise Invalid_argument on arity mismatch. *)
 
-val is_wire : t -> bool
-(** Zero delay, zero area (shifts by constant, slices, concats, consts,
-    inputs). *)
 
 val equal : t -> t -> bool
 val pp : t Fmt.t

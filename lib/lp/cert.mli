@@ -105,9 +105,6 @@ type t = {
 
 val status_label : status -> string
 
-val count_claims : t -> int * int * int
-(** [(optimal, infeasible, unsolved)] claim counts over the node log. *)
-
 val summary_json : t -> (string * Obs.Json.t) list
 (** Compact summary for the metrics/trace stream. The full certificate
     is deliberately not serialized: floats would lose exactness in

@@ -20,14 +20,11 @@ val add_var :
 val bool_var : t -> string -> var
 (** Integer variable in [0, 1]. *)
 
-val add_constraint :
-  t -> ?name:string -> (float * var) list -> sense -> float -> unit
-(** [add_constraint m terms sense rhs] adds [Σ coef·x sense rhs]. Duplicate
-    variables in [terms] are summed. *)
-
 val add_le : t -> ?name:string -> (float * var) list -> float -> unit
 val add_ge : t -> ?name:string -> (float * var) list -> float -> unit
 val add_eq : t -> ?name:string -> (float * var) list -> float -> unit
+(** [add_le m terms rhs] adds [Σ coef·x <= rhs]; [add_ge] and [add_eq]
+    likewise. Duplicate variables in [terms] are summed. *)
 
 val set_objective : t -> ?constant:float -> (float * var) list -> unit
 (** Minimization objective; replaces any previous objective. *)

@@ -1,22 +1,13 @@
 (* Root presolve (DESIGN.md §3j): bound tightening from constraint
-   activity, and a standalone reduce/postsolve pass.
+   activity.
 
-   Two layers with different contracts:
-
-   - {!tighten} is index-preserving: it only shrinks the variable box,
-     so the caller's model keeps its row/column numbering. This is what
-     {!Milp} runs at the root — certificates cite original indices, and
-     every emitted {!Cert.tighten} event is verified here in exact
-     arithmetic ({!Qd}) under exactly the condition the audit
-     ([Analyze.Audit], CERT111) re-checks. An event that fails its own
-     exact check is silently dropped: presolve may only ever under-claim.
-
-   - {!reduce} additionally eliminates singleton rows, redundant rows,
-     unused and fixed columns, and strengthens coefficients on binary
-     variables (Savelsbergh's rule), producing a smaller [Model.raw]
-     plus an invertible {!postsolve} map back to original variable and
-     row space. It is not certificate-logged, so it is used standalone
-     (benchmarks, tests), never inside a certified MILP solve.
+   {!tighten} is index-preserving: it only shrinks the variable box, so
+   the caller's model keeps its row/column numbering. This is what
+   {!Milp} runs at the root — certificates cite original indices, and
+   every emitted {!Cert.tighten} event is verified here in exact
+   arithmetic ({!Qd}) under exactly the condition the audit
+   ([Analyze.Audit], CERT111) re-checks. An event that fails its own
+   exact check is silently dropped: presolve may only ever under-claim.
 
    Clique-style fixing over the 0/1 cut-selection variables falls out of
    activity propagation through the [=] rows: once one member of a
@@ -279,236 +270,3 @@ let tighten ?(max_passes = 10) (raw : Model.raw) =
     incr p
   done;
   (lb, ub, List.rev !events)
-
-(* ------------------------------------------------------------------ *)
-(* Standalone reduce / postsolve                                       *)
-(* ------------------------------------------------------------------ *)
-
-type postsolve = {
-  orig_n : int;
-  orig_m : int;
-  col_map : int array;  (* reduced column -> original column *)
-  row_map : int array;  (* reduced row -> original row *)
-  fixed : (int * float) list;  (* eliminated original columns *)
-  ps_rows_dropped : int;
-  ps_cols_fixed : int;
-  ps_coeffs_strengthened : int;
-  ps_bounds_tightened : int;
-}
-
-let stats p =
-  [
-    ("rows_dropped", p.ps_rows_dropped);
-    ("cols_fixed", p.ps_cols_fixed);
-    ("coeffs_strengthened", p.ps_coeffs_strengthened);
-    ("bounds_tightened", p.ps_bounds_tightened);
-  ]
-
-let max_activity_f ~lb ~ub row =
-  let acc = ref 0.0 in
-  (try
-     Array.iter
-       (fun (k, c) ->
-         if c <> 0.0 then begin
-           let b = if c > 0.0 then ub.(k) else lb.(k) in
-           if not (Float.is_finite b) then begin
-             acc := infinity;
-             raise Exit
-           end;
-           acc := !acc +. (c *. b)
-         end)
-       row
-   with Exit -> ());
-  !acc
-
-let min_activity_f ~lb ~ub row =
-  let acc = ref 0.0 in
-  (try
-     Array.iter
-       (fun (k, c) ->
-         if c <> 0.0 then begin
-           let b = if c > 0.0 then lb.(k) else ub.(k) in
-           if not (Float.is_finite b) then begin
-             acc := neg_infinity;
-             raise Exit
-           end;
-           acc := !acc +. (c *. b)
-         end)
-       row
-   with Exit -> ());
-  !acc
-
-let reduce ?(max_passes = 10) (raw : Model.raw) =
-  let n = raw.n and m = Array.length raw.rows in
-  let lb, ub, tevents = tighten ~max_passes raw in
-  let n_tight = List.length tevents in
-  (* Working copies; rows mutate (strengthening, substitution). *)
-  let rows = Array.map Array.copy raw.rows in
-  let rhs = Array.copy raw.rhs in
-  let row_alive = Array.make m true in
-  let col_alive = Array.make n true in
-  let fixed = ref [] in
-  let dropped = ref 0 and strengthened = ref 0 and colfixed = ref 0 in
-  let fix_col j v =
-    if col_alive.(j) then begin
-      col_alive.(j) <- false;
-      fixed := (j, v) :: !fixed;
-      incr colfixed;
-      (* substitute into every live row *)
-      Array.iteri
-        (fun i row ->
-          if row_alive.(i) then
-            let hit = Array.exists (fun (k, _) -> k = j) row in
-            if hit then begin
-              Array.iter (fun (k, c) -> if k = j then rhs.(i) <- rhs.(i) -. (c *. v)) row;
-              rows.(i) <- Array.of_list
-                  (List.filter (fun (k, _) -> k <> j)
-                     (Array.to_list row))
-            end)
-        rows
-    end
-  in
-  let uses = Array.make n 0 in
-  let recount () =
-    Array.fill uses 0 n 0;
-    Array.iteri
-      (fun i row ->
-        if row_alive.(i) then
-          Array.iter (fun (k, c) -> if c <> 0.0 then uses.(k) <- uses.(k) + 1) row)
-      rows
-  in
-  let changed = ref true in
-  let p = ref 0 in
-  while !changed && !p < max_passes do
-    changed := false;
-    incr p;
-    (* Singleton rows become bounds. *)
-    Array.iteri
-      (fun i row ->
-        if row_alive.(i) && Array.length row = 1 then begin
-          let j, a = row.(0) in
-          if a <> 0.0 && col_alive.(j) then begin
-            let v = rhs.(i) /. a in
-            (match (raw.senses.(i), a > 0.0) with
-            | Model.Eq, _ ->
-                lb.(j) <- Float.max lb.(j) v;
-                ub.(j) <- Float.min ub.(j) v
-            | Model.Le, true | Model.Ge, false -> ub.(j) <- Float.min ub.(j) v
-            | Model.Le, false | Model.Ge, true -> lb.(j) <- Float.max lb.(j) v);
-            row_alive.(i) <- false;
-            incr dropped;
-            changed := true
-          end
-        end)
-      rows;
-    (* Redundant rows: the box already implies them. *)
-    Array.iteri
-      (fun i row ->
-        if row_alive.(i) then
-          let redundant =
-            match raw.senses.(i) with
-            | Model.Le -> max_activity_f ~lb ~ub row <= rhs.(i) +. eps
-            | Model.Ge -> min_activity_f ~lb ~ub row >= rhs.(i) -. eps
-            | Model.Eq -> false
-          in
-          if redundant then begin
-            row_alive.(i) <- false;
-            incr dropped;
-            changed := true
-          end)
-      rows;
-    (* Savelsbergh coefficient strengthening on [<=] rows: a binary [j]
-       with [a_j > 0] whose row stays satisfiable even at [x_j = 1]
-       ([maxact - a_j <= b]) but binds tighter than needed
-       ([maxact - b < a_j]) can have [a_j] shrunk to [maxact - b] with
-       rhs [maxact - a_j] — same integer solutions, tighter LP. *)
-    Array.iteri
-      (fun i row ->
-        if row_alive.(i) && raw.senses.(i) = Model.Le then
-          Array.iteri
-            (fun t (j, a) ->
-              if
-                a > eps && col_alive.(j) && raw.integer.(j)
-                && lb.(j) = 0.0 && ub.(j) = 1.0
-              then
-                let maxact = max_activity_f ~lb ~ub row in
-                if Float.is_finite maxact then begin
-                  let b = rhs.(i) in
-                  if maxact -. a <= b +. eps && maxact -. b < a -. eps
-                     && maxact -. b > eps
-                  then begin
-                    row.(t) <- (j, maxact -. b);
-                    rhs.(i) <- maxact -. a;
-                    incr strengthened;
-                    changed := true
-                  end
-                end)
-            row)
-      rows;
-    (* Columns in no live row: pushed to their cheapest bound. *)
-    recount ();
-    for j = 0 to n - 1 do
-      if col_alive.(j) && uses.(j) = 0 then
-        if raw.obj.(j) >= 0.0 then begin
-          fix_col j lb.(j);
-          changed := true
-        end
-        else if Float.is_finite ub.(j) then begin
-          fix_col j ub.(j);
-          changed := true
-        end
-    done;
-    (* Fixed columns: substitute out. *)
-    for j = 0 to n - 1 do
-      if col_alive.(j) && Float.is_finite ub.(j) && ub.(j) -. lb.(j) <= 0.0
-      then begin
-        fix_col j lb.(j);
-        changed := true
-      end
-    done
-  done;
-  (* Rebuild compact arrays. *)
-  let col_map = Array.of_list (List.filter (fun j -> col_alive.(j)) (List.init n Fun.id)) in
-  let col_new = Array.make n (-1) in
-  Array.iteri (fun r j -> col_new.(j) <- r) col_map;
-  let row_map = Array.of_list (List.filter (fun i -> row_alive.(i)) (List.init m Fun.id)) in
-  let n' = Array.length col_map in
-  let raw' =
-    {
-      Model.n = n';
-      lb = Array.map (fun j -> lb.(j)) col_map;
-      ub = Array.map (fun j -> ub.(j)) col_map;
-      integer = Array.map (fun j -> raw.integer.(j)) col_map;
-      obj = Array.map (fun j -> raw.obj.(j)) col_map;
-      rows =
-        Array.map
-          (fun i ->
-            Array.map (fun (k, c) -> (col_new.(k), c)) rows.(i))
-          row_map;
-      senses = Array.map (fun i -> raw.senses.(i)) row_map;
-      rhs = Array.map (fun i -> rhs.(i)) row_map;
-    }
-  in
-  ( raw',
-    {
-      orig_n = n;
-      orig_m = m;
-      col_map;
-      row_map;
-      fixed = !fixed;
-      ps_rows_dropped = !dropped;
-      ps_cols_fixed = !colfixed;
-      ps_coeffs_strengthened = !strengthened;
-      ps_bounds_tightened = n_tight;
-    } )
-
-let restore p x =
-  let out = Array.make p.orig_n 0.0 in
-  List.iter (fun (j, v) -> out.(j) <- v) p.fixed;
-  Array.iteri (fun r j -> out.(j) <- x.(r)) p.col_map;
-  out
-
-let restore_duals p y =
-  let out = Array.make p.orig_m 0.0 in
-  Array.iteri (fun r i -> out.(i) <- y.(r)) p.row_map;
-  out

@@ -1,5 +1,4 @@
-(** Root presolve: activity-based bound tightening and a standalone
-    reduce/postsolve pass (DESIGN.md §3j).
+(** Root presolve: activity-based bound tightening (DESIGN.md §3j).
 
     {!tighten} is the certificate-logged, index-preserving layer used by
     {!Milp} at the root: it only shrinks the variable box, and every
@@ -7,14 +6,7 @@
     same condition the audit re-checks (CERT111). Clique-style fixing
     over 0/1 variables falls out of activity propagation through [=]
     rows (one member of a one-hot row pinned to 1 forces the siblings'
-    upper bounds to 0 in the same fixpoint).
-
-    {!reduce} additionally eliminates singleton rows, redundant rows,
-    unused/fixed columns and strengthens binary coefficients
-    (Savelsbergh), returning a smaller model plus an invertible
-    {!postsolve} map. It is not certificate-logged and therefore never
-    runs inside a certified MILP solve — it serves standalone LP/MILP
-    callers, benchmarks and tests. *)
+    upper bounds to 0 in the same fixpoint). *)
 
 val tighten :
   ?max_passes:int ->
@@ -28,24 +20,3 @@ val tighten :
     would cross the box (prove infeasibility) are also skipped — the
     root LP discovers infeasibility with a proper Farkas certificate
     instead. *)
-
-type postsolve
-(** Invertible map from a reduced model back to original variable and
-    row space. *)
-
-val reduce : ?max_passes:int -> Model.raw -> Model.raw * postsolve
-(** [reduce raw] returns the reduced model and its postsolve map.
-    Solutions of the reduced model extend to solutions of [raw] with the
-    same objective value (eliminated columns sit at recorded values). *)
-
-val restore : postsolve -> float array -> float array
-(** Map a reduced-space solution vector back to original space. *)
-
-val restore_duals : postsolve -> float array -> float array
-(** Map reduced-space row duals back to original rows; dropped rows get
-    multiplier [0] (they were implied, so this preserves the dual
-    bound). *)
-
-val stats : postsolve -> (string * int) list
-(** Reduction counters: [rows_dropped], [cols_fixed],
-    [coeffs_strengthened], [bounds_tightened]. *)

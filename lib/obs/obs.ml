@@ -914,14 +914,6 @@ module Log = struct
     | Warn -> "warn"
     | Error -> "error"
 
-  let level_of_string s =
-    match String.lowercase_ascii (String.trim s) with
-    | "debug" -> Some Debug
-    | "info" -> Some Info
-    | "warn" | "warning" -> Some Warn
-    | "error" -> Some Error
-    | _ -> None
-
   type event = {
     l_ts : float;  (** seconds since {!enable}, wall clock *)
     l_level : level;

@@ -165,9 +165,6 @@ end
     trace half of {!span}) keeps a single global stack and must only be
     used from the coordinating domain. *)
 module Trace : sig
-  val default_cap : int
-  (** Event cap when [PIPESYN_TRACE_CAP] is unset (1_000_000). *)
-
   val enabled : unit -> bool
   (** Whether events are currently being recorded. Event sites guard
       on {!Obs.recording} instead, which also covers the log. *)
@@ -332,15 +329,8 @@ module Log : sig
   val schema : string
   (** ["pipesyn-log-v1"], the header line's schema tag. *)
 
-  val default_cap : int
-  (** Event cap when [PIPESYN_LOG_CAP] is unset (200_000). *)
-
   val level_name : level -> string
   (** ["debug"], ["info"], ["warn"], ["error"]. *)
-
-  val level_of_string : string -> level option
-  (** Inverse of {!level_name} (case-insensitive; accepts
-      ["warning"]). *)
 
   val enabled : unit -> bool
   (** Whether events are currently being recorded. *)

@@ -19,17 +19,6 @@ let clip t ~budget =
   in
   { t with expiry }
 
-let min_ a b =
-  let expiry =
-    match (a.expiry, b.expiry) with
-    | None, x | x, None -> x
-    | Some x, Some y -> Some (Float.min x y)
-  in
-  let cancel =
-    match (a.cancel, b.cancel) with None, c | c, _ -> c
-  in
-  { expiry; cancel }
-
 let new_cell () = Atomic.make false
 let with_cancel t cell = { t with cancel = Some cell }
 let cancel cell = Atomic.set cell true

@@ -42,10 +42,6 @@ val clip : t -> budget:float -> t
     standard way to give a phase a local budget that still respects the
     global deadline. The cell (if any) is inherited from [d]. *)
 
-val min_ : t -> t -> t
-(** Earlier of the two ({!none} is the identity). When both carry a
-    cell, the first argument's cell wins (deadlines combined here come
-    from one owner in practice). *)
 
 val new_cell : unit -> cell
 (** A fresh, un-cancelled cell. *)

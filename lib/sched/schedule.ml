@@ -25,6 +25,3 @@ let pp_detailed g ppf s =
         s.start.(v))
     s.cycle;
   Fmt.pf ppf "@]"
-
-let pp_brief ppf s =
-  Fmt.pf ppf "II=%d, latency=%d, %d ops" s.ii (latency s) (Array.length s.cycle)

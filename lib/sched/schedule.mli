@@ -21,4 +21,3 @@ val shift_to_zero : t -> t
 (** Renumber cycles so the earliest is 0. *)
 
 val pp_detailed : Ir.Cdfg.t -> t Fmt.t
-val pp_brief : t Fmt.t

@@ -290,7 +290,3 @@ let map_global ?deadline ?truncated ~device ~delays ~cuts g =
       ~start:(Array.make (Ir.Cdfg.num_nodes g) 0.0)
   in
   map_schedule ?deadline ?truncated ~device ~delays ~cuts g zero
-
-let stage_depth ~device ~delays g cover sched =
-  let sched' = Sched.Timing.recompute_starts ~device ~delays g cover sched in
-  Sched.Timing.achieved_cp ~device ~delays g cover sched'

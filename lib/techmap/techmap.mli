@@ -76,7 +76,3 @@ val map_global :
     the mapping half of the map-first heuristic ({!Sched.Mapsched}).
     [deadline]/[truncated] behave as in {!map_schedule}. *)
 
-val stage_depth :
-  device:Fpga.Device.t -> delays:Fpga.Delays.t -> Ir.Cdfg.t ->
-  Sched.Cover.t -> Sched.Schedule.t -> float
-(** Longest mapped combinational path in any stage (diagnostic). *)

@@ -331,6 +331,67 @@ let test_milp_timeout_trail_shape () =
       Alcotest.(check string) "requested method kept" "MILP-map"
         r.Mams.Flow.metrics.Obs.Metrics.method_
 
+(* A degraded MILP-map run lists each diagnostic exactly once, sorted by
+   [Diag.compare]: the lint gate's findings (DR has a dead node), the
+   exact audit's, and one RES00x entry per trail attempt. *)
+let test_degraded_diagnostics () =
+  Resilience.Fault.clear ();
+  (match Resilience.Fault.arm "milp.raise@1" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "arm: %s" e);
+  let e = Benchmarks.Registry.find "DR" in
+  let g = e.build () in
+  let device = Fpga.Device.make ~t_clk:e.t_clk () in
+  let setup =
+    { (Mams.Flow.default_setup ~device) with
+      resources = e.resources; time_limit = 2.0; domains = Some 1;
+      audit = true }
+  in
+  let r = Mams.Flow.run setup Mams.Flow.Milp_map g in
+  Resilience.Fault.clear ();
+  let gate =
+    match Mams.Flow.lint setup g with
+    | Ok d -> d
+    | Error _ -> Alcotest.fail "lint gate failed"
+  in
+  match r with
+  | Error msg -> Alcotest.failf "no result: %s" msg
+  | Ok r ->
+      let audit =
+        match r.Mams.Flow.solve.Mams.Flow.audit_diags with
+        | Some d -> d
+        | None -> Alcotest.fail "audit did not run"
+      in
+      let trail = r.Mams.Flow.trail in
+      Alcotest.(check bool) "gate findings present" true (gate <> []);
+      Alcotest.(check bool) "degraded" true (trail <> []);
+      let diags =
+        List.map
+          (fun j ->
+            match Analyze.Diag.of_json j with
+            | Ok d -> d
+            | Error e -> Alcotest.failf "bad diagnostic: %s" e)
+          r.Mams.Flow.metrics.Obs.Metrics.diagnostics
+      in
+      let show l =
+        List.map (fun d -> Obs.Json.to_string (Analyze.Diag.to_json d)) l
+      in
+      let sorted l = List.sort Analyze.Diag.compare l in
+      Alcotest.(check (list string)) "sorted by Diag.compare"
+        (show (sorted diags)) (show diags);
+      let res, rest =
+        List.partition
+          (fun d -> String.starts_with ~prefix:"RES" d.Analyze.Diag.code)
+          diags
+      in
+      Alcotest.(check (list string)) "gate and audit findings, each once"
+        (show (sorted (gate @ audit))) (show rest);
+      Alcotest.(check (list string)) "one RES entry per trail attempt"
+        (List.sort compare
+           (List.map (fun a -> a.Resilience.Cascade.detail) trail))
+        (List.sort compare
+           (List.map (fun d -> String.concat "|" d.Analyze.Diag.witness) res))
+
 let test_no_fault_clean_and_stable () =
   Resilience.Fault.clear ();
   let device = Fpga.Device.figure1 in
@@ -428,6 +489,8 @@ let () =
           Alcotest.test_case "fault matrix x registry" `Slow test_fault_matrix;
           Alcotest.test_case "milp.timeout trail shape" `Quick
             test_milp_timeout_trail_shape;
+          Alcotest.test_case "degraded run diagnostics" `Quick
+            test_degraded_diagnostics;
           Alcotest.test_case "no fault: clean and stable" `Quick
             test_no_fault_clean_and_stable;
           Alcotest.test_case "map_exact timeout reason" `Quick
