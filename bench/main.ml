@@ -183,9 +183,9 @@ let print_table2 rows =
 (* Convergence: time-to-first-incumbent and final optimality gap       *)
 (* ------------------------------------------------------------------ *)
 
-(* The per-result convergence columns land in BENCH_results.json via
-   Metrics (schema v5, first_incumbent_s / final_gap / nodes_per_s);
-   this table makes them visible in the text report too. *)
+(* The per-result convergence columns land in BENCH_results.json
+   (first_incumbent_s / final_gap / nodes_per_s, ...); this table reads
+   them from the solver stats to show them in the text report too. *)
 let print_convergence rows =
   section "Convergence: first incumbent and final gap (MILP flows)";
   Fmt.pr "first-inc = seconds into the solve when the first incumbent@.";
@@ -224,24 +224,35 @@ let print_convergence rows =
             | _, Error _ ->
                 None
             | (Mams.Flow.Milp_base | Mams.Flow.Milp_map), Ok r ->
-                let m' = Mams.Flow.metrics ~name:entry.name r in
+                let info = r.Mams.Flow.solve in
+                let status =
+                  Option.fold ~none:"heuristic"
+                    ~some:(Fmt.str "%a" Lp.Milp.pp_status)
+                    info.Mams.Flow.milp_status
+                in
+                let cols =
+                  (* A fallback rung that ran no MILP has no solver stats. *)
+                  match info.Mams.Flow.milp_stats with
+                  | None -> [ "-"; "-"; "-"; "0"; "-"; "-"; "1" ]
+                  | Some s ->
+                      let nodes = s.Lp.Milp.nodes
+                      and secs = info.Mams.Flow.runtime in
+                      [
+                        (if Float.is_nan s.Lp.Milp.first_incumbent_s then "-"
+                         else Report.f2 s.Lp.Milp.first_incumbent_s);
+                        fmt_gap s.Lp.Milp.gap;
+                        fmt_gap s.Lp.Milp.gap_closed_root;
+                        string_of_int s.Lp.Milp.cuts_applied;
+                        string_of_int nodes;
+                        (if nodes > 0 && secs > 1e-9 then
+                           Printf.sprintf "%.0f" (float_of_int nodes /. secs)
+                         else "-");
+                        string_of_int s.Lp.Milp.domains;
+                      ]
+                in
                 Some
-                  [
-                    entry.name;
-                    m'.Obs.Metrics.method_;
-                    (if Float.is_nan m'.Obs.Metrics.first_incumbent_s then "-"
-                     else Report.f2 m'.Obs.Metrics.first_incumbent_s);
-                    fmt_gap m'.Obs.Metrics.final_gap;
-                    fmt_gap m'.Obs.Metrics.gap_closed_root;
-                    string_of_int m'.Obs.Metrics.milp_cuts;
-                    (match m'.Obs.Metrics.bnb_nodes with
-                    | Some n -> string_of_int n
-                    | None -> "-");
-                    (if Float.is_nan m'.Obs.Metrics.nodes_per_s then "-"
-                     else Printf.sprintf "%.0f" m'.Obs.Metrics.nodes_per_s);
-                    string_of_int m'.Obs.Metrics.domains;
-                    m'.Obs.Metrics.status;
-                  ])
+                  ((entry.name :: Mams.Flow.method_name m :: cols)
+                  @ [ status ]))
           results)
       rows
   in

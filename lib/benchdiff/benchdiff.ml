@@ -47,15 +47,44 @@ let status_rank = function
   | "infeasible" | "unbounded" | "unknown" -> 3
   | _ -> 4
 
+(* A result row as read from a metrics file: the three strings every row
+   must carry, and the row itself for the numbers compared. *)
+type row = { name : string; method_ : string; status : string; j : Obs.Json.t }
+
+let str k j =
+  match Obs.Json.member k j with
+  | Some (Obs.Json.String s) -> Ok s
+  | _ -> Error (Printf.sprintf "missing string field %S" k)
+
+let row_of_json j =
+  let ( let* ) = Result.bind in
+  let* name = str "name" j in
+  let* method_ = str "method" j in
+  let* status = str "status" j in
+  Ok { name; method_; status; j }
+
+(* Nullable fields: JSON null (the method never entered the MILP) and
+   an absent key both read as None. *)
+let int_field k r =
+  match Obs.Json.member k r.j with Some (Obs.Json.Int i) -> Some i | _ -> None
+
+let num_field k r = Option.bind (Obs.Json.member k r.j) Obs.Json.number
+
 let parse_file label j =
   match Obs.Json.member "schema_version" j with
-  | Some (Obs.Json.Int v) -> (
+  | Some (Obs.Json.Int v) when v <> Obs.Metrics.schema_version ->
+      Error
+        (Printf.sprintf
+           "schema version mismatch: %s is v%d, this binary writes v%d — \
+            regenerate the baseline with the current binary"
+           label v Obs.Metrics.schema_version)
+  | Some (Obs.Json.Int _) -> (
       match Obs.Json.member "results" j with
       | Some (Obs.Json.List rows) ->
           let rec go acc = function
-            | [] -> Ok (v, List.rev acc)
+            | [] -> Ok (List.rev acc)
             | r :: rest -> (
-                match Obs.Metrics.of_json r with
+                match row_of_json r with
                 | Ok m -> go (m :: acc) rest
                 | Error e ->
                     Error (Printf.sprintf "%s: bad result row: %s" label e))
@@ -64,146 +93,135 @@ let parse_file label j =
       | _ -> Error (label ^ ": missing \"results\" list"))
   | _ -> Error (label ^ ": missing \"schema_version\"")
 
-let key (m : Obs.Metrics.t) = (m.Obs.Metrics.name, m.Obs.Metrics.method_)
+let key r = (r.name, r.method_)
 
 let rel_delta ~old_ ~new_ =
   (new_ -. old_) /. Float.max 1e-9 (Float.abs old_)
 
 let diff ?(thresholds = default_thresholds) old_ new_ =
   let ( let* ) = Result.bind in
-  let* v_old, rows_old = parse_file "OLD" old_ in
-  let* v_new, rows_new = parse_file "NEW" new_ in
-  if v_old <> v_new then
-    Error
-      (Printf.sprintf
-         "schema version mismatch: OLD is v%d, NEW is v%d — regenerate the \
-          baseline with the current binary"
-         v_old v_new)
-  else begin
-    let tbl = Hashtbl.create 16 in
-    List.iter (fun m -> Hashtbl.replace tbl (key m) m) rows_new;
-    let deltas = ref [] in
-    let missing = ref [] in
-    let rows = ref 0 in
-    let flag d = deltas := d :: !deltas in
-    let compare_row (o : Obs.Metrics.t) (n : Obs.Metrics.t) =
-      incr rows;
-      let bench, meth = key o in
-      let mk d_metric d_old d_new d_verdict d_note =
-        {
-          d_bench = bench;
-          d_method = meth;
-          d_metric;
-          d_old;
-          d_new;
-          d_rel = rel_delta ~old_:d_old ~new_:d_new;
-          d_verdict;
-          d_note;
-        }
-      in
-      (* Status rank: any worsening is a regression regardless of
-         thresholds — "optimal -> feasible" is exactly the GFMUL
-         history this tool exists to catch. *)
-      let ro = status_rank o.Obs.Metrics.status
-      and rn = status_rank n.Obs.Metrics.status in
-      if rn > ro then
-        flag
-          (mk "status" (float_of_int ro) (float_of_int rn) Regression
-             (Printf.sprintf "status worsened: %s -> %s" o.Obs.Metrics.status
-                n.Obs.Metrics.status))
-      else if rn < ro then
-        flag
-          (mk "status" (float_of_int ro) (float_of_int rn) Improvement
-             (Printf.sprintf "status improved: %s -> %s" o.Obs.Metrics.status
-                n.Obs.Metrics.status));
-      (* Wall time: relative threshold plus an absolute floor so
-         sub-floor solves (pure noise at CI machine granularity) never
-         flag either way. *)
-      (match (o.Obs.Metrics.solve_s, n.Obs.Metrics.solve_s) with
-      | Some so, Some sn when Float.max so sn >= thresholds.time_floor_s ->
-          let r = rel_delta ~old_:so ~new_:sn in
-          if r > thresholds.time_rel then
-            flag
-              (mk "solve_s" so sn Regression
-                 (Printf.sprintf "solve time %+.0f%% (%.2fs -> %.2fs)"
-                    (100.0 *. r) so sn))
-          else if r < -.thresholds.time_rel then
-            flag
-              (mk "solve_s" so sn Improvement
-                 (Printf.sprintf "solve time %+.0f%% (%.2fs -> %.2fs)"
-                    (100.0 *. r) so sn))
-      | _ -> ());
-      (* Deterministic counters, but only between two exhaustive
-         (optimal) solves: a budget-hit run explores whatever fits in
-         the wall budget, so its counts are machine speed, not the
-         algorithm. *)
-      let both_optimal =
-        o.Obs.Metrics.status = "optimal" && n.Obs.Metrics.status = "optimal"
-      in
-      let count metric old_v new_v =
-        match (old_v, new_v) with
-        | Some co, Some cn when both_optimal && (co > 0 || cn > 0) ->
-            let fo = float_of_int co and fn = float_of_int cn in
-            let r = rel_delta ~old_:fo ~new_:fn in
-            if r > thresholds.count_rel then
-              flag
-                (mk metric fo fn Regression
-                   (Printf.sprintf "%s %+.1f%% (%d -> %d)" metric (100.0 *. r)
-                      co cn))
-            else if r < -.thresholds.count_rel then
-              flag
-                (mk metric fo fn Improvement
-                   (Printf.sprintf "%s %+.1f%% (%d -> %d)" metric (100.0 *. r)
-                      co cn))
-        | _ -> ()
-      in
-      count "bnb_nodes" o.Obs.Metrics.bnb_nodes n.Obs.Metrics.bnb_nodes;
-      count "lp_pivots" o.Obs.Metrics.lp_pivots n.Obs.Metrics.lp_pivots;
-      (* Root-gap closure: absolute decrease beyond the threshold means
-         the cut machinery got weaker. NaN (not applicable) on either
-         side skips the comparison. *)
-      let go = o.Obs.Metrics.gap_closed_root
-      and gn = n.Obs.Metrics.gap_closed_root in
-      if Float.is_finite go && Float.is_finite gn then
-        if go -. gn > thresholds.gap_abs then
-          flag
-            (mk "gap_closed_root" go gn Regression
-               (Printf.sprintf "root gap closure fell %.0f%% -> %.0f%%"
-                  (100.0 *. go) (100.0 *. gn)))
-        else if gn -. go > thresholds.gap_abs then
-          flag
-            (mk "gap_closed_root" go gn Improvement
-               (Printf.sprintf "root gap closure rose %.0f%% -> %.0f%%"
-                  (100.0 *. go) (100.0 *. gn)))
-    in
-    List.iter
-      (fun o ->
-        match Hashtbl.find_opt tbl (key o) with
-        | Some n ->
-            Hashtbl.remove tbl (key o);
-            compare_row o n
-        | None -> missing := key o :: !missing)
-      rows_old;
-    let added = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
-    let deltas = List.rev !deltas in
-    let n_reg =
-      List.length (List.filter (fun d -> d.d_verdict = Regression) deltas)
-      + List.length !missing
-    in
-    let n_imp =
-      List.length (List.filter (fun d -> d.d_verdict = Improvement) deltas)
-    in
-    Ok
+  let* rows_old = parse_file "OLD" old_ in
+  let* rows_new = parse_file "NEW" new_ in
+  let tbl = Hashtbl.create 16 in
+  List.iter (fun m -> Hashtbl.replace tbl (key m) m) rows_new;
+  let deltas = ref [] in
+  let missing = ref [] in
+  let rows = ref 0 in
+  let flag d = deltas := d :: !deltas in
+  let compare_row o n =
+    incr rows;
+    let bench, meth = key o in
+    let mk d_metric d_old d_new d_verdict d_note =
       {
-        r_schema = v_old;
-        r_rows = !rows;
-        r_deltas = deltas;
-        r_missing = List.sort compare !missing;
-        r_added = List.sort compare added;
-        r_regressions = n_reg;
-        r_improvements = n_imp;
+        d_bench = bench;
+        d_method = meth;
+        d_metric;
+        d_old;
+        d_new;
+        d_rel = rel_delta ~old_:d_old ~new_:d_new;
+        d_verdict;
+        d_note;
       }
-  end
+    in
+    (* Status rank: any worsening is a regression regardless of
+       thresholds — "optimal -> feasible" is exactly the GFMUL
+       history this tool exists to catch. *)
+    let ro = status_rank o.status and rn = status_rank n.status in
+    if rn > ro then
+      flag
+        (mk "status" (float_of_int ro) (float_of_int rn) Regression
+           (Printf.sprintf "status worsened: %s -> %s" o.status n.status))
+    else if rn < ro then
+      flag
+        (mk "status" (float_of_int ro) (float_of_int rn) Improvement
+           (Printf.sprintf "status improved: %s -> %s" o.status n.status));
+    (* Wall time: relative threshold plus an absolute floor so
+       sub-floor solves (pure noise at CI machine granularity) never
+       flag either way. *)
+    (match (num_field "solve_s" o, num_field "solve_s" n) with
+    | Some so, Some sn when Float.max so sn >= thresholds.time_floor_s ->
+        let r = rel_delta ~old_:so ~new_:sn in
+        if r > thresholds.time_rel then
+          flag
+            (mk "solve_s" so sn Regression
+               (Printf.sprintf "solve time %+.0f%% (%.2fs -> %.2fs)"
+                  (100.0 *. r) so sn))
+        else if r < -.thresholds.time_rel then
+          flag
+            (mk "solve_s" so sn Improvement
+               (Printf.sprintf "solve time %+.0f%% (%.2fs -> %.2fs)"
+                  (100.0 *. r) so sn))
+    | _ -> ());
+    (* Deterministic counters, but only between two exhaustive
+       (optimal) solves: a budget-hit run explores whatever fits in
+       the wall budget, so its counts are machine speed, not the
+       algorithm. *)
+    let both_optimal = o.status = "optimal" && n.status = "optimal" in
+    let count metric =
+      match (int_field metric o, int_field metric n) with
+      | Some co, Some cn when both_optimal && (co > 0 || cn > 0) ->
+          let fo = float_of_int co and fn = float_of_int cn in
+          let r = rel_delta ~old_:fo ~new_:fn in
+          if r > thresholds.count_rel then
+            flag
+              (mk metric fo fn Regression
+                 (Printf.sprintf "%s %+.1f%% (%d -> %d)" metric (100.0 *. r)
+                    co cn))
+          else if r < -.thresholds.count_rel then
+            flag
+              (mk metric fo fn Improvement
+                 (Printf.sprintf "%s %+.1f%% (%d -> %d)" metric (100.0 *. r)
+                    co cn))
+      | _ -> ()
+    in
+    count "bnb_nodes";
+    count "lp_pivots";
+    (* Root-gap closure: absolute decrease beyond the threshold means
+       the cut machinery got weaker. NaN (not applicable) on either
+       side skips the comparison. *)
+    let gap r =
+      Option.value ~default:Float.nan (num_field "gap_closed_root" r)
+    in
+    let go = gap o and gn = gap n in
+    if Float.is_finite go && Float.is_finite gn then
+      if go -. gn > thresholds.gap_abs then
+        flag
+          (mk "gap_closed_root" go gn Regression
+             (Printf.sprintf "root gap closure fell %.0f%% -> %.0f%%"
+                (100.0 *. go) (100.0 *. gn)))
+      else if gn -. go > thresholds.gap_abs then
+        flag
+          (mk "gap_closed_root" go gn Improvement
+             (Printf.sprintf "root gap closure rose %.0f%% -> %.0f%%"
+                (100.0 *. go) (100.0 *. gn)))
+  in
+  List.iter
+    (fun o ->
+      match Hashtbl.find_opt tbl (key o) with
+      | Some n ->
+          Hashtbl.remove tbl (key o);
+          compare_row o n
+      | None -> missing := key o :: !missing)
+    rows_old;
+  let added = Hashtbl.fold (fun k _ acc -> k :: acc) tbl [] in
+  let deltas = List.rev !deltas in
+  let n_reg =
+    List.length (List.filter (fun d -> d.d_verdict = Regression) deltas)
+    + List.length !missing
+  in
+  let n_imp =
+    List.length (List.filter (fun d -> d.d_verdict = Improvement) deltas)
+  in
+  Ok
+    {
+      r_schema = Obs.Metrics.schema_version;
+      r_rows = !rows;
+      r_deltas = deltas;
+      r_missing = List.sort compare !missing;
+      r_added = List.sort compare added;
+      r_regressions = n_reg;
+      r_improvements = n_imp;
+    }
 
 let regressed r = r.r_regressions > 0
 

@@ -60,9 +60,11 @@ type report = {
 val diff :
   ?thresholds:thresholds -> Obs.Json.t -> Obs.Json.t -> (report, string) result
 (** [diff old_ new_] compares two parsed metrics files. [Error] on a
-    malformed file or a schema-version mismatch between the two
-    (regenerate the baseline rather than guessing at field semantics);
-    per-row findings land in the report. *)
+    malformed file, a row without a string [name], [method] or
+    [status], or a file whose schema version is not
+    {!Obs.Metrics.schema_version} (regenerate the baseline rather than
+    guessing at field semantics); per-row findings land in the
+    report. *)
 
 val regressed : report -> bool
 (** Whether the report carries at least one regression (flagged delta

@@ -133,7 +133,7 @@ type result = {
   cover : Sched.Cover.t;
   qor : Sched.Qor.t;
   solve : solve_info;
-  metrics : Obs.Metrics.t;
+  metrics : Obs.Json.t;
   trail : Resilience.Cascade.attempt list;
 }
 
@@ -181,121 +181,79 @@ let trail_diags trail =
           a.Resilience.Cascade.reason)
     trail
 
-let metrics_of setup method_ ~cuts_total (qor : Sched.Qor.t)
-    (solve : solve_info) =
-  {
-    Obs.Metrics.name = "";
-    method_ = method_name method_;
-    lut = qor.Sched.Qor.luts;
-    ff = qor.Sched.Qor.ffs;
-    slack = setup.device.Fpga.Device.t_clk -. qor.Sched.Qor.cp;
-    (* Methods that never entered the MILP report null (not 0): a real
-       solve always explores at least the root node, so 0.0/0 would be
-       indistinguishable from an instant exact solve. *)
-    solve_s =
-      (match solve.milp_stats with
-      | Some _ -> Some solve.runtime
-      | None -> None);
-    bnb_nodes =
-      (match solve.milp_stats with
-      | Some s -> Some s.Lp.Milp.nodes
-      | None -> None);
-    lp_pivots =
-      (match solve.milp_stats with
-      | Some s -> Some s.Lp.Milp.lp_iterations
-      | None -> None);
-    cuts_total;
-    first_incumbent_s =
-      (match solve.milp_stats with
-      | Some s -> s.Lp.Milp.first_incumbent_s
-      | None -> Float.nan);
-    final_gap =
-      (match solve.milp_stats with
-      | Some s -> s.Lp.Milp.gap
-      | None -> Float.nan);
-    status =
-      (match solve.milp_status with
-      | Some s -> Fmt.str "%a" Lp.Milp.pp_status s
-      | None -> "heuristic");
-    objective = Option.value ~default:Float.nan solve.milp_objective;
-    domains =
-      (match solve.milp_stats with
-      | Some s -> s.Lp.Milp.domains
-      | None -> 1);
-    nodes_per_s =
-      (match solve.milp_stats with
-      | Some s when s.Lp.Milp.nodes > 0 && solve.runtime > 1e-9 ->
-          float_of_int s.Lp.Milp.nodes /. solve.runtime
-      | _ -> Float.nan);
-    cert_nodes = solve.cert_nodes;
-    audit_errors =
-      (match solve.audit_diags with
-      | None -> None
-      | Some d -> Some (List.length (Analyze.Diag.errors d)));
-    milp_cuts =
-      (match solve.milp_stats with
-      | Some s -> s.Lp.Milp.cuts_applied
-      | None -> 0);
-    gap_closed_root =
-      (match solve.milp_stats with
-      | Some s -> s.Lp.Milp.gap_closed_root
-      | None -> Float.nan);
-    checkpoints =
-      (match solve.milp_stats with
-      | Some s -> s.Lp.Milp.checkpoints
-      | None -> 0);
-    recoveries =
-      (match solve.milp_stats with
-      | Some s -> s.Lp.Milp.recoveries
-      | None -> 0);
-    stalls =
-      (match solve.milp_stats with
-      | Some s -> s.Lp.Milp.stalls
-      | None -> 0);
-    (* Filled in by [run] once the cascade is over: the GC delta by its
-       Gc.quick_stat bracket, the diagnostics and degradation (which need
-       the winning attempt's trail) by [finish]. *)
-    gc_minor_words = 0.0;
-    gc_major_words = 0.0;
-    diagnostics = [];
-    degradation = [];
-  }
-
-let metrics ~name r = { r.metrics with Obs.Metrics.name }
-
-let error_metrics ?(diags = []) ~name method_ =
-  {
-    Obs.Metrics.name;
-    method_ = method_name method_;
-    lut = 0;
-    ff = 0;
-    slack = Float.nan;
-    solve_s = None;
-    bnb_nodes = None;
-    lp_pivots = None;
-    cuts_total = 0;
-    first_incumbent_s = Float.nan;
-    final_gap = Float.nan;
-    status = "error";
-    objective = Float.nan;
-    domains = 1;
-    nodes_per_s = Float.nan;
-    cert_nodes = 0;
-    audit_errors = None;
-    milp_cuts = 0;
-    gap_closed_root = Float.nan;
-    checkpoints = 0;
-    recoveries = 0;
-    stalls = 0;
-    gc_minor_words = 0.0;
-    gc_major_words = 0.0;
-    diagnostics = Analyze.Engine.diags_to_json diags;
-    degradation = [];
-  }
-
 let heuristic_info = { runtime = 0.0; milp_status = None; milp_stats = None;
                        milp_objective = None; model_size = None;
                        cert_nodes = 0; audit_diags = None }
+
+let status_of solve =
+  match solve.milp_status with
+  | Some s -> Fmt.str "%a" Lp.Milp.pp_status s
+  | None -> "heuristic"
+
+(* The schema-v9 result row (README.md "Observability"); every row of a
+   metrics file is written here. Methods that never entered the MILP
+   report null, not 0, for solve_s/bnb_nodes/lp_pivots: a real solve
+   always explores at least the root node, so 0.0/0 would read as an
+   instant exact solve. *)
+let row ~name method_ ~status ~lut ~ff ~slack ~cuts_total ~gc:(minor, major)
+    ~diagnostics ~degradation solve =
+  let stat f ~none =
+    match solve.milp_stats with Some s -> f s | None -> none
+  in
+  let nodes_per_s (s : Lp.Milp.stats) =
+    if s.Lp.Milp.nodes > 0 && solve.runtime > 1e-9 then
+      float_of_int s.Lp.Milp.nodes /. solve.runtime
+    else Float.nan
+  in
+  Obs.Json.(
+    Obj
+      [
+        ("name", String name);
+        ("method", String (method_name method_));
+        ("lut", Int lut);
+        ("ff", Int ff);
+        ("slack", Float slack);
+        ("solve_s", stat (fun _ -> Float solve.runtime) ~none:Null);
+        ("bnb_nodes", stat (fun s -> Int s.Lp.Milp.nodes) ~none:Null);
+        ( "lp_pivots",
+          stat (fun s -> Int s.Lp.Milp.lp_iterations) ~none:Null );
+        ("cuts_total", Int cuts_total);
+        ( "first_incumbent_s",
+          Float (stat (fun s -> s.Lp.Milp.first_incumbent_s) ~none:Float.nan) );
+        ("final_gap", Float (stat (fun s -> s.Lp.Milp.gap) ~none:Float.nan));
+        ("status", String status);
+        ( "objective",
+          Float (Option.value ~default:Float.nan solve.milp_objective) );
+        ("domains", Int (stat (fun s -> s.Lp.Milp.domains) ~none:1));
+        ("nodes_per_s", Float (stat nodes_per_s ~none:Float.nan));
+        ("cert_nodes", Int solve.cert_nodes);
+        ( "audit_errors",
+          match solve.audit_diags with
+          | Some d -> Int (List.length (Analyze.Diag.errors d))
+          | None -> Null );
+        ("milp_cuts", Int (stat (fun s -> s.Lp.Milp.cuts_applied) ~none:0));
+        ( "gap_closed_root",
+          Float (stat (fun s -> s.Lp.Milp.gap_closed_root) ~none:Float.nan) );
+        ("checkpoints", Int (stat (fun s -> s.Lp.Milp.checkpoints) ~none:0));
+        ("recoveries", Int (stat (fun s -> s.Lp.Milp.recoveries) ~none:0));
+        ("stalls", Int (stat (fun s -> s.Lp.Milp.stalls) ~none:0));
+        ("gc_minor_words", Float minor);
+        ("gc_major_words", Float major);
+        ("diagnostics", List diagnostics);
+        ("degradation", List degradation);
+      ])
+
+(* [run] leaves the name empty: the caller knows the benchmark. *)
+let metrics ~name r =
+  match r.metrics with
+  | Obs.Json.Obj (("name", _) :: fields) ->
+      Obs.Json.Obj (("name", Obs.Json.String name) :: fields)
+  | j -> j
+
+let error_metrics ~name method_ =
+  row ~name method_ ~status:"error" ~lut:0 ~ff:0 ~slack:Float.nan
+    ~cuts_total:0 ~gc:(0.0, 0.0) ~diagnostics:[] ~degradation:[]
+    heuristic_info
 
 let verify_ctx (s : setup) : Sched.Verify.context =
   let device = s.device and delays = s.delays and resources = s.resources in
@@ -340,8 +298,12 @@ let finalize setup g ~cuts_total cover sched solve method_ =
             Sched.Qor.evaluate ~device:setup.device ~delays:setup.delays g
               cover sched)
       in
-      let metrics = metrics_of setup method_ ~cuts_total qor solve in
-      Ok { method_; schedule = sched; cover; qor; solve; metrics; trail = [] }
+      (* [finish] writes the row and the trail once the cascade is over;
+         the cut count travels with the result until then. *)
+      Ok
+        ( cuts_total,
+          { method_; schedule = sched; cover; qor; solve;
+            metrics = Obs.Json.Null; trail = [] } )
 
 let enum_cuts ?(coarse = false) ~deadline setup ctx g =
   let params =
@@ -687,7 +649,7 @@ let lint setup g = Analyze.Engine.static_gate (preflight_config setup) g
    enumeration nor any LP/MILP and therefore survives every registered
    fault point. *)
 let steps_of setup ctx method_ g :
-    result Resilience.Cascade.step list =
+    (int * result) Resilience.Cascade.step list =
   let open Resilience.Cascade in
   let scale k = backoff ~base:1.0 ~factor:0.5 k in
   (* Full-strength MILP rungs are worth one in-place retry on a transient
@@ -751,19 +713,27 @@ let steps_of setup ctx method_ g :
         hls_fallback "milp-map.hls-fallback";
       ]
 
-(* Merge the cascade's failed attempts with the soft notes, stamp the
-   Metrics v3 degradation array and the RES* diagnostics. *)
-let finish ~gate_diags trail r =
+(* The winning attempt's result with its trail (the cascade's failed
+   attempts, then the soft notes) and its row: the GC delta since [gc0],
+   the diagnostics (gate, audit, one RES00x per trail attempt) and the
+   degradation array. *)
+let finish setup ~gc0 ~gate_diags trail (cuts_total, r) =
+  let gc1 = Gc.quick_stat () in
   let metrics =
-    {
-      r.metrics with
-      Obs.Metrics.diagnostics =
-        Analyze.Engine.diags_to_json
-          (gate_diags
-          @ Option.value ~default:[] r.solve.audit_diags
-          @ trail_diags trail);
-      degradation = List.map Resilience.Cascade.attempt_to_json trail;
-    }
+    row ~name:"" r.method_ ~status:(status_of r.solve)
+      ~lut:r.qor.Sched.Qor.luts ~ff:r.qor.Sched.Qor.ffs
+      ~slack:(setup.device.Fpga.Device.t_clk -. r.qor.Sched.Qor.cp)
+      ~cuts_total
+      ~gc:
+        ( gc1.Gc.minor_words -. gc0.Gc.minor_words,
+          gc1.Gc.major_words -. gc0.Gc.major_words )
+      ~diagnostics:
+        (Analyze.Engine.diags_to_json
+           (gate_diags
+           @ Option.value ~default:[] r.solve.audit_diags
+           @ trail_diags trail))
+      ~degradation:(List.map Resilience.Cascade.attempt_to_json trail)
+      r.solve
   in
   { r with metrics; trail }
 
@@ -788,23 +758,10 @@ let run ?deadline setup method_ g =
         ]
   in
   log_phase "run";
-  (* GC bracket around the whole cascade: the delta is stamped into the
-     result's metrics once the run is over (coordinator-domain words;
-     worker-domain allocation is not attributed per result). *)
+  (* GC bracket around the whole cascade: [finish] stamps the delta into
+     the row (coordinator-domain words; worker-domain allocation is not
+     attributed per result). *)
   let gc0 = Gc.quick_stat () in
-  let stamp_gc r =
-    let gc1 = Gc.quick_stat () in
-    {
-      r with
-      metrics =
-        {
-          r.metrics with
-          Obs.Metrics.gc_minor_words =
-            gc1.Gc.minor_words -. gc0.Gc.minor_words;
-          gc_major_words = gc1.Gc.major_words -. gc0.Gc.major_words;
-        };
-    }
-  in
   log_phase "lint";
   (* Fail-fast gate: static CDFG lints and the pipelining pre-flight run
      before any cut enumeration or solver cost is paid. Warnings and infos
@@ -832,14 +789,14 @@ let run ?deadline setup method_ g =
       match Resilience.Cascade.run ~deadline (steps_of setup ctx method_ g) with
       | Ok { value; trail } ->
           let r =
-            stamp_gc (finish ~gate_diags (trail @ List.rev !(ctx.notes)) value)
+            finish setup ~gc0 ~gate_diags (trail @ List.rev !(ctx.notes)) value
           in
           if Obs.recording () then
             Obs.emit ~cat:"flow" "flow.phase"
               [
                 ("phase", Obs.Json.String "done");
                 ("method", Obs.Json.String (method_name method_));
-                ("status", Obs.Json.String r.metrics.Obs.Metrics.status);
+                ("status", Obs.Json.String (status_of r.solve));
               ];
           Ok r
       | Error trail ->

@@ -34,7 +34,7 @@
     {!Sched.Verify.check}; the failed attempts and soft degradations
     (truncated enumeration, degraded mapping, uncertified optimality,
     supervised in-flight recoveries) form the result's [trail], serialized
-    as the Metrics [degradation] array and mirrored as RES001/RES002
+    as the metrics row's [degradation] array and mirrored as RES001/RES002
     (contained/degraded), RES004 (in-place retry) and RES005 (in-flight
     recovery) diagnostics. A cascade that exhausts every attempt returns
     [Error] with an ["RES003"]-prefixed message. *)
@@ -147,9 +147,10 @@ type result = {
   cover : Sched.Cover.t;
   qor : Sched.Qor.t;
   solve : solve_info;
-  metrics : Obs.Metrics.t;
-      (** structured metrics for JSON emission; [name] is [""] until a
-          caller brands it with {!metrics} *)
+  metrics : Obs.Json.t;
+      (** the run's schema-v9 row of a metrics file (README.md
+          "Observability"); its [name] is [""] until a caller brands it
+          with {!metrics} *)
   trail : Resilience.Cascade.attempt list;
       (** degradation trail: failed attempts first (in execution order),
           then soft degradations; [[]] means the full-strength attempt
@@ -189,15 +190,14 @@ val run_all :
 
 val method_name : method_ -> string
 
-val metrics : name:string -> result -> Obs.Metrics.t
-(** The result's metrics record stamped with the benchmark [name] — the
-    unit serialized by [pipesyn --json] and [BENCH_results.json]. *)
+val metrics : name:string -> result -> Obs.Json.t
+(** The result's row stamped with the benchmark [name] — the unit
+    {!Obs.Metrics.write_file} serializes for [pipesyn --json] and
+    [BENCH_results.json]. *)
 
-val error_metrics :
-  ?diags:Analyze.Diag.t list -> name:string -> method_ -> Obs.Metrics.t
-(** A placeholder record (zero QoR, NaN slack, status ["error"]) so failed
-    runs still appear in the perf trajectory. [diags] (default empty)
-    populates the record's [diagnostics] array — e.g. the gate findings
-    that caused the failure. *)
+val error_metrics : name:string -> method_ -> Obs.Json.t
+(** The row of a failed run (zero QoR, NaN slack, status ["error"], the
+    same keys as {!metrics}) so it still appears in the perf
+    trajectory. *)
 
 val pp_result : result Fmt.t

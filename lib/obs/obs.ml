@@ -1205,232 +1205,7 @@ module Probe = struct
 end
 
 module Metrics = struct
-  type t = {
-    name : string;
-    method_ : string;
-    lut : int;
-    ff : int;
-    slack : float;
-    solve_s : float option;
-        (** MILP wall seconds; [None] (JSON null) for methods that never
-            entered the MILP (heuristic flows, hard errors) — pre-v9
-            files encoded that as 0.0, which {!of_json} normalizes back
-            to [None] *)
-    bnb_nodes : int option;
-        (** branch-and-bound nodes explored; [None] when the method
-            never entered the MILP (a real solve always explores at
-            least the root, so the legacy 0 encoding is unambiguous) *)
-    lp_pivots : int option;
-        (** simplex pivots across the solve's LPs; [None] when the
-            method never entered the MILP or for pre-v9 files *)
-    cuts_total : int;
-    first_incumbent_s : float;
-        (** seconds into the MILP solve when the first incumbent
-            appeared; nan for heuristic flows or when none was found *)
-    final_gap : float;
-        (** relative incumbent/bound gap at solver exit; nan when not
-            applicable *)
-    status : string;
-    objective : float;
-        (** MILP objective of the reported solution; nan for heuristic
-            flows *)
-    domains : int;  (** B&B worker-domain count the solve ran with *)
-    nodes_per_s : float;
-        (** B&B node throughput, [bnb_nodes / solve_s]; nan when no
-            nodes were explored or the solve took no measurable time *)
-    cert_nodes : int;
-        (** nodes recorded in the solve's proof-carrying certificate;
-            0 when the solve carried none *)
-    audit_errors : int option;
-        (** error findings from the exact-rational certificate audit;
-            [None] (serialized as JSON null) when the audit did not run —
-            pre-v8 files encoded that as the sentinel -1, which
-            {!of_json} still maps back to [None] *)
-    milp_cuts : int;
-        (** cutting planes active in the MILP solve (root separation or
-            re-installed on resume); 0 for heuristic flows or cuts-off
-            runs *)
-    gap_closed_root : float;
-        (** fraction of the root gap closed by the cut rounds; nan when
-            not applicable (heuristic flow, cuts off, no incumbent,
-            resumed solve) *)
-    checkpoints : int;
-        (** frontier snapshots written during the solve; 0 when
-            checkpointing was off *)
-    recoveries : int;
-        (** leased subtrees re-enqueued after a worker death or a
-            watchdog cancel-and-requeue; 0 for undisturbed solves *)
-    stalls : int;
-        (** stall-watchdog escalations (nudges + cancels) recorded
-            during the solve *)
-    gc_minor_words : float;
-        (** GC minor-heap words allocated across this result's flow run
-            (quick_stat delta); 0.0 for pre-v9 files *)
-    gc_major_words : float;
-        (** GC major-heap words allocated across this result's flow run
-            (quick_stat delta); 0.0 for pre-v9 files *)
-    diagnostics : Json.t list;
-    degradation : Json.t list;
-  }
-
   let schema_version = 9
-
-  let to_json m =
-    Json.Obj
-      [
-        ("name", Json.String m.name);
-        ("method", Json.String m.method_);
-        ("lut", Json.Int m.lut);
-        ("ff", Json.Int m.ff);
-        ("slack", Json.Float m.slack);
-        ( "solve_s",
-          match m.solve_s with Some s -> Json.Float s | None -> Json.Null );
-        ( "bnb_nodes",
-          match m.bnb_nodes with Some n -> Json.Int n | None -> Json.Null );
-        ( "lp_pivots",
-          match m.lp_pivots with Some n -> Json.Int n | None -> Json.Null );
-        ("cuts_total", Json.Int m.cuts_total);
-        ("first_incumbent_s", Json.Float m.first_incumbent_s);
-        ("final_gap", Json.Float m.final_gap);
-        ("status", Json.String m.status);
-        ("objective", Json.Float m.objective);
-        ("domains", Json.Int m.domains);
-        ("nodes_per_s", Json.Float m.nodes_per_s);
-        ("cert_nodes", Json.Int m.cert_nodes);
-        ( "audit_errors",
-          match m.audit_errors with Some e -> Json.Int e | None -> Json.Null );
-        ("milp_cuts", Json.Int m.milp_cuts);
-        ("gap_closed_root", Json.Float m.gap_closed_root);
-        ("checkpoints", Json.Int m.checkpoints);
-        ("recoveries", Json.Int m.recoveries);
-        ("stalls", Json.Int m.stalls);
-        ("gc_minor_words", Json.Float m.gc_minor_words);
-        ("gc_major_words", Json.Float m.gc_major_words);
-        ("diagnostics", Json.List m.diagnostics);
-        ("degradation", Json.List m.degradation);
-      ]
-
-  let of_json j =
-    let str k =
-      match Json.member k j with
-      | Some (Json.String s) -> Ok s
-      | _ -> Error (Printf.sprintf "missing string field %S" k)
-    in
-    let int k =
-      match Json.member k j with
-      | Some (Json.Int i) -> Ok i
-      | _ -> Error (Printf.sprintf "missing int field %S" k)
-    in
-    let flt k =
-      match Json.member k j with
-      | Some (Json.Float f) -> Ok f
-      | Some (Json.Int i) -> Ok (float_of_int i)
-      | Some Json.Null -> Ok Float.nan
-      | _ -> Error (Printf.sprintf "missing number field %S" k)
-    in
-    let ( let* ) = Result.bind in
-    let* name = str "name" in
-    let* method_ = str "method" in
-    let* lut = int "lut" in
-    let* ff = int "ff" in
-    let* slack = flt "slack" in
-    let solve_s = Option.bind (Json.member "solve_s" j) Json.number in
-    let bnb_nodes =
-      match Json.member "bnb_nodes" j with Some (Json.Int i) -> Some i | _ -> None
-    in
-    (* Pre-v9 files wrote 0.0 / 0 for methods that never entered the
-       MILP, indistinguishable from a real instant solve — except that a
-       real solve always explores at least the root node. Normalize the
-       legacy pair back to None on read, like audit_errors' -1. *)
-    let solve_s, bnb_nodes =
-      match (solve_s, bnb_nodes) with
-      | Some s, Some 0 when s = 0.0 -> (None, None)
-      | p -> p
-    in
-    (* Absent in schema v1–v8 files. *)
-    let lp_pivots =
-      match Json.member "lp_pivots" j with Some (Json.Int i) -> Some i | _ -> None
-    in
-    let* cuts_total = int "cuts_total" in
-    let* status = str "status" in
-    (* Absent in schema v1–v3 files; default to nan for compatibility. *)
-    let flt_opt k =
-      Option.value (Option.bind (Json.member k j) Json.number) ~default:Float.nan
-    in
-    let first_incumbent_s = flt_opt "first_incumbent_s" in
-    let final_gap = flt_opt "final_gap" in
-    (* Absent in schema v1–v4 files. *)
-    let objective = flt_opt "objective" in
-    let nodes_per_s = flt_opt "nodes_per_s" in
-    let domains =
-      match Json.member "domains" j with Some (Json.Int i) -> i | _ -> 1
-    in
-    (* Absent in schema v1–v5 files. *)
-    let cert_nodes =
-      match Json.member "cert_nodes" j with Some (Json.Int i) -> i | _ -> 0
-    in
-    let audit_errors =
-      (* v8 writes null for "did not run"; v6/v7 wrote the sentinel -1;
-         older files omit the field entirely — all map to None *)
-      match Json.member "audit_errors" j with
-      | Some (Json.Int i) when i >= 0 -> Some i
-      | _ -> None
-    in
-    (* Absent in schema v1–v7 files. *)
-    let milp_cuts =
-      match Json.member "milp_cuts" j with Some (Json.Int i) -> i | _ -> 0
-    in
-    let gap_closed_root = flt_opt "gap_closed_root" in
-    (* Absent in schema v1–v6 files. *)
-    let int_opt k =
-      match Json.member k j with Some (Json.Int i) -> i | _ -> 0
-    in
-    let checkpoints = int_opt "checkpoints" in
-    let recoveries = int_opt "recoveries" in
-    let stalls = int_opt "stalls" in
-    (* Absent in schema v1–v8 files. *)
-    let gc_flt k =
-      Option.value (Option.bind (Json.member k j) Json.number) ~default:0.0
-    in
-    let gc_minor_words = gc_flt "gc_minor_words" in
-    let gc_major_words = gc_flt "gc_major_words" in
-    (* Absent in schema v1 files; default to empty for compatibility. *)
-    let diagnostics =
-      match Json.member "diagnostics" j with Some (Json.List l) -> l | _ -> []
-    in
-    (* Absent in schema v1/v2 files; default to empty for compatibility. *)
-    let degradation =
-      match Json.member "degradation" j with Some (Json.List l) -> l | _ -> []
-    in
-    Ok
-      {
-        name;
-        method_;
-        lut;
-        ff;
-        slack;
-        solve_s;
-        bnb_nodes;
-        lp_pivots;
-        cuts_total;
-        first_incumbent_s;
-        final_gap;
-        status;
-        objective;
-        domains;
-        nodes_per_s;
-        cert_nodes;
-        audit_errors;
-        milp_cuts;
-        gap_closed_root;
-        checkpoints;
-        recoveries;
-        stalls;
-        gc_minor_words;
-        gc_major_words;
-        diagnostics;
-        degradation;
-      }
 
   (* File-level resource totals, captured at write time: process-lifetime
      GC figures, the current and top heap, and (Linux) the peak-RSS
@@ -1460,7 +1235,7 @@ module Metrics = struct
           Json.Obj (List.map (fun (n, v) -> (n, Json.Float v)) (snapshot ())) );
         ("resources", resources ());
         ("trace", Trace.summary ());
-        ("results", Json.List (List.map to_json results));
+        ("results", Json.List results);
       ]
 
   let write_file ~path ~results =

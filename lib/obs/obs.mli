@@ -20,10 +20,10 @@
     {!Json} is a deliberately tiny hand-rolled JSON tree (emitter and a
     minimal parser for round-trip checks); {!Trace} records hierarchical
     spans with Chrome [trace_event] export (Perfetto), and
-    {!Trace.Analysis} reads either export back; {!Metrics} is the
-    stable per-benchmark record serialized by [pipesyn --json] and the
-    bench harness's [BENCH_results.json]. The schema is documented in
-    README.md ("Observability").
+    {!Trace.Analysis} reads either export back; {!Metrics} wraps the
+    per-run result rows into the file written by [pipesyn --json] and
+    the bench harness's [BENCH_results.json]. The schema is documented
+    in README.md ("Observability").
 
     There is one call per kind of record. A phase is timed by {!span}:
     its per-name wall total lands in {!snapshot}, and while tracing is on
@@ -454,134 +454,15 @@ end
 
 (** {1 Structured metrics} *)
 
-(** The stable per-(benchmark, method) record behind [pipesyn --json] and
-    [BENCH_results.json] — the repository's perf-trajectory unit. *)
+(** The metrics file behind [pipesyn --json] and [BENCH_results.json] —
+    the repository's perf-trajectory unit. Its [results] rows are
+    written by [Mams.Flow.metrics]; README.md ("Observability") lists
+    their keys and the schema's version history. *)
 module Metrics : sig
-  type t = {
-    name : string;  (** benchmark name, e.g. ["GFMUL"] *)
-    method_ : string;  (** flow name as printed by {!Mams.Flow.method_name} *)
-    lut : int;  (** LUTs used (QoR model) *)
-    ff : int;  (** flip-flop bits used (QoR model) *)
-    slack : float;  (** [t_clk - achieved CP], ns (negative = violated) *)
-    solve_s : float option;
-        (** MILP wall seconds; [None] (JSON [null]) for methods that
-            never entered the MILP — heuristic flows and hard errors
-            (schema v9; pre-v9 files wrote 0.0 there, which {!of_json}
-            normalizes back to [None]) *)
-    bnb_nodes : int option;
-        (** branch-and-bound nodes explored; [None] when the method
-            never entered the MILP. A real solve always explores at
-            least the root node, so the legacy 0 encoding reads back
-            unambiguously as [None] (schema v9) *)
-    lp_pivots : int option;
-        (** simplex pivots across all of the solve's LPs
-            ([Milp.stats.lp_iterations], this-run-only on resume);
-            [None] when the method never entered the MILP or for pre-v9
-            files (schema v9) *)
-    cuts_total : int;  (** cuts enumerated for the run's cut sets *)
-    first_incumbent_s : float;
-        (** seconds into the MILP solve when the first incumbent
-            (including a seeded warm-start incumbent) appeared; nan for
-            heuristic flows or when the solver found none (schema v4;
-            absent fields read back as nan from older files) *)
-    final_gap : float;
-        (** relative incumbent/bound gap at solver exit ([Milp.stats.gap]);
-            nan for heuristic flows (schema v4) *)
-    status : string;
-        (** MILP exit status, ["heuristic"] for solver-free flows, or
-            ["error"] for failed runs *)
-    objective : float;
-        (** MILP objective value of the reported solution
-            ([alpha·LUT + beta·FF] for the paper formulations); nan for
-            heuristic flows (schema v5). The cross-domain-count
-            determinism check in CI compares this field. *)
-    domains : int;
-        (** B&B worker-domain count the solve ran with (1 = a one-worker
-            pool; schema v5, absent fields read back as 1 from older
-            files) *)
-    nodes_per_s : float;
-        (** B&B node throughput [bnb_nodes / solve_s]; nan for heuristic
-            flows or unmeasurably fast solves (schema v5) *)
-    cert_nodes : int;
-        (** node count of the solve's proof-carrying certificate
-            ({!Lp.Cert.t}); 0 when the solve carried none — heuristic
-            flows or certificates off (schema v6) *)
-    audit_errors : int option;
-        (** error findings from the exact-rational certificate audit
-            ([Analyze.Audit]); [None] when the audit did not run —
-            serialized as JSON [null] since schema v8 (v6/v7 wrote the
-            sentinel -1, which reads back as [None]; the CI audit gate
-            requires [Some 0] here) *)
-    milp_cuts : int;
-        (** cutting planes active in the MILP solve
-            ([Milp.stats.cuts_applied]): root-separated this run or
-            re-installed from a resumed checkpoint; 0 for heuristic
-            flows or cuts-off runs (schema v8) *)
-    gap_closed_root : float;
-        (** fraction of the root gap closed by the root cut rounds
-            ([Milp.stats.gap_closed_root]); nan when not applicable —
-            heuristic flow, cuts off, no incumbent, or resumed solve
-            (schema v8) *)
-    checkpoints : int;
-        (** frontier snapshots written during the solve
-            ([Milp.stats.checkpoints]); 0 when checkpointing was off
-            (schema v7) *)
-    recoveries : int;
-        (** leased B&B subtrees re-enqueued after a worker death or a
-            watchdog cancel-and-requeue ([Milp.stats.recoveries]); 0 for
-            undisturbed solves (schema v7) *)
-    stalls : int;
-        (** stall-watchdog escalations — refactorization nudges plus
-            cancel-and-requeues ([Milp.stats.stalls]) — during the solve
-            (schema v7) *)
-    gc_minor_words : float;
-        (** GC minor-heap words allocated across this result's flow run
-            ([Gc.quick_stat] delta bracketing the run); 0.0 for pre-v9
-            files (schema v9) *)
-    gc_major_words : float;
-        (** GC major-heap words allocated across this result's flow run;
-            0.0 for pre-v9 files (schema v9) *)
-    diagnostics : Json.t list;
-        (** static-analysis findings from the run's lint gate, one
-            {!Analyze.Diag.to_json} object each (schema v2; absent fields
-            read back as [[]] from v1 files) *)
-    degradation : Json.t list;
-        (** the run's degradation trail, one
-            {!Resilience.Cascade.attempt_to_json} object per failed or
-            degraded attempt, empty for a clean full-strength run
-            (schema v3; absent fields read back as [[]] from v1/v2
-            files) *)
-  }
-
   val schema_version : int
-  (** Bumped whenever a field is added/renamed; emitted at the top level of
-      every metrics file. Version history: 1 = the original flat record;
-      2 = adds the [diagnostics] array; 3 = adds the [degradation]
-      array; 4 = adds per-result [first_incumbent_s]/[final_gap] and the
-      file-level ["trace"] summary object; 5 = adds per-result
-      [objective]/[domains]/[nodes_per_s] for the parallel B&B
-      determinism and throughput checks; 6 = adds per-result
-      [cert_nodes]/[audit_errors] for the proof-carrying certificate
-      audit; 7 = adds per-result [checkpoints]/[recoveries]/[stalls] for
-      solve supervision, and switches every timestamp from CPU seconds
-      to the monotonic wall clock; 8 = adds per-result
-      [milp_cuts]/[gap_closed_root] for the root cutting planes, and
-      replaces the [audit_errors] -1 sentinel with JSON [null]; 9 =
-      [solve_s]/[bnb_nodes] become nullable (null = never entered the
-      MILP, replacing the ambiguous 0.0/0 encoding), adds per-result
-      [lp_pivots]/[gc_minor_words]/[gc_major_words] and the file-level
-      ["resources"] object (process GC totals, top heap, peak RSS,
-      probe sample count). *)
-
-  val to_json : t -> Json.t
-  (** One flat object: [{"name": …, "method": …, "lut": …, "ff": …,
-      "slack": …, "solve_s": …, "bnb_nodes": …, "cuts_total": …,
-      "first_incumbent_s": …, "final_gap": …, "status": …,
-      "objective": …, "domains": …, "nodes_per_s": …,
-      "diagnostics": […], "degradation": […]}]. *)
-
-  val of_json : Json.t -> (t, string) result
-  (** Inverse of {!to_json} (round-trip checks). *)
+  (** Bumped whenever a result key is added or renamed, or a value's
+      encoding changes; emitted at the top level of every metrics
+      file. *)
 
   val resources : unit -> Json.t
   (** The file-level ["resources"] object, captured at call time:
@@ -591,13 +472,13 @@ module Metrics : sig
       RSS ([peak_rss_kb], [null] off-Linux) and [probe_samples]
       ({!Probe.samples}). *)
 
-  val file : results:t list -> Json.t
+  val file : results:Json.t list -> Json.t
   (** The emitted file shape: [{"schema_version": …, "obs": {flat
       snapshot}, "resources": {…}, "trace": {summary},
       "results": […]}] — [obs] carries the {!snapshot}, [resources]
       the {!resources} object and [trace] the {!Trace.summary} at
       emission time. *)
 
-  val write_file : path:string -> results:t list -> unit
+  val write_file : path:string -> results:Json.t list -> unit
   (** Writes {!file} to [path] (truncating). *)
 end

@@ -2,45 +2,31 @@
    files are clean, injected regressions flag (and only regressions
    exit-worthy), improvements are counted but green, noise sources
    (budget-hit counters, sub-floor times, nulls) are skipped, and a
-   schema-version mismatch is a hard error rather than a guess. *)
+   file at another schema version or a row without its strings is a
+   hard error rather than a guess. *)
 
+(* A row carries only what bench-diff reads; [None] is JSON null. *)
 let row ?(name = "GFMUL") ?(method_ = "MILP-map") ?(status = "optimal")
     ?(solve_s = Some 5.0) ?(bnb_nodes = Some 100) ?(lp_pivots = Some 2000)
     ?(gap_closed_root = 0.5) () =
-  {
-    Obs.Metrics.name;
-    method_;
-    lut = 24;
-    ff = 0;
-    slack = 1.4;
-    solve_s;
-    bnb_nodes;
-    lp_pivots;
-    cuts_total = 195;
-    first_incumbent_s = 0.8;
-    final_gap = 0.0;
-    status;
-    objective = 12.5;
-    domains = 1;
-    nodes_per_s = 10.9;
-    cert_nodes = 100;
-    audit_errors = Some 0;
-    milp_cuts = 7;
-    gap_closed_root;
-    checkpoints = 0;
-    recoveries = 0;
-    stalls = 0;
-    gc_minor_words = 0.0;
-    gc_major_words = 0.0;
-    diagnostics = [];
-    degradation = [];
-  }
+  let opt f = function Some v -> f v | None -> Obs.Json.Null in
+  Obs.Json.(
+    Obj
+      [
+        ("name", String name);
+        ("method", String method_);
+        ("solve_s", opt (fun s -> Float s) solve_s);
+        ("bnb_nodes", opt (fun n -> Int n) bnb_nodes);
+        ("lp_pivots", opt (fun n -> Int n) lp_pivots);
+        ("status", String status);
+        ("gap_closed_root", Float gap_closed_root);
+      ])
 
 let file ?(schema = Obs.Metrics.schema_version) rows =
   Obs.Json.Obj
     [
       ("schema_version", Obs.Json.Int schema);
-      ("results", Obs.Json.List (List.map Obs.Metrics.to_json rows));
+      ("results", Obs.Json.List rows);
     ]
 
 let diff_ok ?thresholds old_ new_ =
@@ -161,6 +147,43 @@ let test_schema_mismatch_is_error () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "schema mismatch must be a hard error"
 
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+(* Two files at the same stale version are still refused: what their
+   fields mean is only known at the current version. *)
+let test_stale_schema_is_error () =
+  let stale = file ~schema:(Obs.Metrics.schema_version - 1) [ row () ] in
+  match Benchdiff.diff stale stale with
+  | Error e ->
+      Alcotest.(check bool) "asks for a new baseline" true
+        (contains ~sub:"regenerate the baseline" e)
+  | Ok _ -> Alcotest.fail "a stale schema must be a hard error"
+
+(* A row must carry its key and status as strings. *)
+let test_bad_row_is_error () =
+  let base = match row () with Obs.Json.Obj kvs -> kvs | _ -> [] in
+  let without k = Obs.Json.Obj (List.remove_assoc k base) in
+  let with_ k v = Obs.Json.Obj ((k, v) :: List.remove_assoc k base) in
+  List.iter
+    (fun (what, bad) ->
+      match Benchdiff.diff (file [ row () ]) (file [ row (); bad ]) with
+      | Error e ->
+          Alcotest.(check bool) what true
+            (contains ~sub:"NEW: bad result row" e)
+      | Ok _ -> Alcotest.failf "%s: accepted" what)
+    [
+      ("no name", without "name");
+      ("no method", without "method");
+      ("no status", without "status");
+      ("numeric name", with_ "name" (Obs.Json.Int 3));
+      ("null status", with_ "status" Obs.Json.Null);
+    ]
+
 let test_thresholds_are_respected () =
   let old_ = file [ row ~lp_pivots:(Some 1000) () ] in
   let new_ = file [ row ~lp_pivots:(Some 1150) () ] in
@@ -228,6 +251,9 @@ let () =
         [
           Alcotest.test_case "schema mismatch is error" `Quick
             test_schema_mismatch_is_error;
+          Alcotest.test_case "stale schema is error" `Quick
+            test_stale_schema_is_error;
+          Alcotest.test_case "bad row is error" `Quick test_bad_row_is_error;
           Alcotest.test_case "report JSON round-trips" `Quick
             test_report_json_round_trips;
         ] );

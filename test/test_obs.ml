@@ -175,94 +175,77 @@ let test_json_rejects_garbage () =
   Alcotest.(check bool) "trailing garbage" true (bad "{} x");
   Alcotest.(check bool) "bare word" true (bad "flase")
 
-let sample_metrics =
-  {
-    Obs.Metrics.name = "GFMUL";
-    method_ = "MILP-map";
-    lut = 24;
-    ff = 0;
-    slack = 1.4;
-    solve_s = Some 5.04;
-    bnb_nodes = Some 55;
-    lp_pivots = Some 1234;
-    cuts_total = 195;
-    first_incumbent_s = 0.8;
-    final_gap = 0.02;
-    status = "feasible";
-    objective = 12.5;
-    domains = 4;
-    nodes_per_s = 10.9;
-    cert_nodes = 55;
-    audit_errors = Some 0;
-    milp_cuts = 7;
-    gap_closed_root = 0.25;
-    checkpoints = 2;
-    recoveries = 1;
-    stalls = 0;
-    gc_minor_words = 123456.0;
-    gc_major_words = 7890.0;
-    diagnostics = [];
-    degradation = [];
-  }
+let keys = function
+  | Obs.Json.Obj kvs -> List.map fst kvs
+  | _ -> Alcotest.fail "row is not an object"
 
-let test_metrics_roundtrip () =
-  let s = Obs.Json.to_string (Obs.Metrics.to_json sample_metrics) in
-  match Obs.Json.of_string s with
-  | Error e -> Alcotest.failf "parse failed: %s" e
-  | Ok j -> (
-      match Obs.Metrics.of_json j with
-      | Error e -> Alcotest.failf "of_json failed: %s" e
-      | Ok m ->
-          Alcotest.(check bool) "round-trips" true (m = sample_metrics))
-
-(* A v3-era record (no convergence fields) must still parse; the new
-   fields default to nan rather than failing the load, and the legacy
-   "solve_s": 0.0 / "bnb_nodes": 0 heuristic encoding normalizes to
-   None (a real solve always explores at least the root node). *)
-let test_metrics_v3_compat () =
-  let s =
-    {|{"name":"X","method":"HLS Tool","lut":1,"ff":2,"slack":0.5,
-       "solve_s":0.0,"bnb_nodes":0,"cuts_total":3,"status":"heuristic"}|}
+(* The committed baseline is a file the current schema wrote; every row
+   the flow writes now must carry its keys in its order. *)
+let baseline_keys () =
+  let path =
+    List.find Sys.file_exists
+      [ "../bench/baseline.json"; "bench/baseline.json" ]
   in
+  let s = In_channel.with_open_text path In_channel.input_all in
   match Obs.Json.of_string s with
-  | Error e -> Alcotest.failf "parse failed: %s" e
+  | Error e -> Alcotest.failf "%s: %s" path e
   | Ok j -> (
-      match Obs.Metrics.of_json j with
-      | Error e -> Alcotest.failf "of_json failed: %s" e
-      | Ok m ->
-          Alcotest.(check (option (float 0.0)))
-            "legacy 0.0 solve_s normalizes to None" None
-            m.Obs.Metrics.solve_s;
-          Alcotest.(check (option int))
-            "legacy 0 bnb_nodes normalizes to None" None
-            m.Obs.Metrics.bnb_nodes;
-          Alcotest.(check (option int)) "lp_pivots defaults to None" None
-            m.Obs.Metrics.lp_pivots;
-          Alcotest.(check (float 0.0)) "gc_minor_words defaults to 0" 0.0
-            m.Obs.Metrics.gc_minor_words;
-          Alcotest.(check bool) "first_incumbent_s defaults to nan" true
-            (Float.is_nan m.Obs.Metrics.first_incumbent_s);
-          Alcotest.(check bool) "final_gap defaults to nan" true
-            (Float.is_nan m.Obs.Metrics.final_gap);
-          Alcotest.(check int) "cert_nodes defaults to 0" 0
-            m.Obs.Metrics.cert_nodes;
-          Alcotest.(check (option int)) "audit_errors defaults to None"
-            None m.Obs.Metrics.audit_errors;
-          Alcotest.(check int) "milp_cuts defaults to 0" 0
-            m.Obs.Metrics.milp_cuts;
-          Alcotest.(check bool) "gap_closed_root defaults to nan" true
-            (Float.is_nan m.Obs.Metrics.gap_closed_root);
-          Alcotest.(check int) "checkpoints defaults to 0" 0
-            m.Obs.Metrics.checkpoints;
-          Alcotest.(check int) "recoveries defaults to 0" 0
-            m.Obs.Metrics.recoveries;
-          Alcotest.(check int) "stalls defaults to 0" 0
-            m.Obs.Metrics.stalls)
+      Alcotest.(check bool) "baseline is the current schema" true
+        (Obs.Json.member "schema_version" j
+        = Some (Obs.Json.Int Obs.Metrics.schema_version));
+      match Obs.Json.member "results" j with
+      | Some (Obs.Json.List (r :: rows)) ->
+          List.iter
+            (fun r' ->
+              Alcotest.(check (list string)) "baseline rows agree" (keys r)
+                (keys r'))
+            rows;
+          keys r
+      | _ -> Alcotest.failf "%s: no results" path)
+
+let test_row_keys () =
+  let expected = baseline_keys () in
+  let e = Benchmarks.Registry.find "GFMUL" in
+  let g = e.build () in
+  let setup =
+    { (Mams.Flow.default_setup ~device:(Fpga.Device.make ~t_clk:e.t_clk ()))
+      with resources = e.resources; time_limit = 10.0; domains = Some 1 }
+  in
+  let row ?(audit = false) m =
+    match Mams.Flow.run { setup with audit } m g with
+    | Ok r -> Mams.Flow.metrics ~name:"GFMUL" r
+    | Error e -> Alcotest.failf "flow failed: %s" e
+  in
+  let field k j =
+    match Obs.Json.member k j with
+    | Some v -> Obs.Json.to_string v
+    | None -> Alcotest.failf "no %S" k
+  in
+  let check what j =
+    Alcotest.(check (list string)) (what ^ " keys") expected (keys j)
+  in
+  let heuristic = row Mams.Flow.Hls_tool in
+  check "heuristic" heuristic;
+  List.iter
+    (fun k ->
+      Alcotest.(check string) ("heuristic " ^ k) "null" (field k heuristic))
+    [ "solve_s"; "bnb_nodes"; "lp_pivots"; "objective" ];
+  let map = row Mams.Flow.Milp_map in
+  check "MILP-map" map;
+  Alcotest.(check string) "MILP-map status" "\"optimal\"" (field "status" map);
+  Alcotest.(check string) "no audit" "null" (field "audit_errors" map);
+  let audited = row ~audit:true Mams.Flow.Milp_map in
+  check "audited MILP-map" audited;
+  Alcotest.(check string) "audit_errors" "0" (field "audit_errors" audited);
+  let error = Mams.Flow.error_metrics ~name:"GFMUL" Mams.Flow.Milp_map in
+  check "error" error;
+  Alcotest.(check string) "error status" "\"error\"" (field "status" error)
 
 let test_metrics_file_shape () =
   Obs.reset ();
   Obs.Counter.incr ~by:7 (Obs.Counter.get "test.file_counter");
-  let s = Obs.Json.to_string (Obs.Metrics.file ~results:[ sample_metrics ]) in
+  let row = Mams.Flow.error_metrics ~name:"GFMUL" Mams.Flow.Milp_map in
+  let s = Obs.Json.to_string (Obs.Metrics.file ~results:[ row ]) in
   match Obs.Json.of_string s with
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok j ->
@@ -299,19 +282,28 @@ let test_flow_metrics_end_to_end () =
   Obs.reset ();
   let r1 = run () in
   let m = Mams.Flow.metrics ~name:"RS-kernel" r1 in
-  Alcotest.(check string) "name stamped" "RS-kernel" m.Obs.Metrics.name;
-  Alcotest.(check string) "method" "MILP-map" m.Obs.Metrics.method_;
-  Alcotest.(check bool) "bnb_nodes > 0" true
-    (match m.Obs.Metrics.bnb_nodes with Some n -> n > 0 | None -> false);
-  Alcotest.(check bool) "cuts_total > 0" true (m.Obs.Metrics.cuts_total > 0);
-  Alcotest.(check bool) "solve_s >= 0" true
-    (match m.Obs.Metrics.solve_s with Some s -> s >= 0.0 | None -> false);
-  Alcotest.(check bool) "lp_pivots > 0" true
-    (match m.Obs.Metrics.lp_pivots with Some p -> p > 0 | None -> false);
-  Alcotest.(check int) "lut mirrors qor" r1.Mams.Flow.qor.Sched.Qor.luts
-    m.Obs.Metrics.lut;
-  Alcotest.(check int) "ff mirrors qor" r1.Mams.Flow.qor.Sched.Qor.ffs
-    m.Obs.Metrics.ff;
+  let field k =
+    match Obs.Json.member k m with
+    | Some v -> v
+    | None -> Alcotest.failf "no %S" k
+  in
+  let positive k =
+    match field k with
+    | Obs.Json.Int n -> n > 0
+    | Obs.Json.Float f -> f >= 0.0
+    | _ -> false
+  in
+  Alcotest.(check bool) "name stamped" true
+    (field "name" = Obs.Json.String "RS-kernel");
+  Alcotest.(check bool) "method" true
+    (field "method" = Obs.Json.String "MILP-map");
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " populated") true (positive k))
+    [ "bnb_nodes"; "cuts_total"; "solve_s"; "lp_pivots" ];
+  Alcotest.(check bool) "lut mirrors qor" true
+    (field "lut" = Obs.Json.Int r1.Mams.Flow.qor.Sched.Qor.luts);
+  Alcotest.(check bool) "ff mirrors qor" true
+    (field "ff" = Obs.Json.Int r1.Mams.Flow.qor.Sched.Qor.ffs);
   (* global counters were fed by the run *)
   Alcotest.(check bool) "milp nodes counted" true
     (Obs.Counter.value (Obs.Counter.get "milp.bnb_nodes") > 0);
@@ -358,8 +350,7 @@ let () =
         ] );
       ( "metrics",
         [
-          Alcotest.test_case "record round-trip" `Quick test_metrics_roundtrip;
-          Alcotest.test_case "v3 record compat" `Quick test_metrics_v3_compat;
+          Alcotest.test_case "row keys match baseline" `Quick test_row_keys;
           Alcotest.test_case "file shape" `Quick test_metrics_file_shape;
           Alcotest.test_case "flow end-to-end" `Quick
             test_flow_metrics_end_to_end;

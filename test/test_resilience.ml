@@ -251,6 +251,12 @@ let trail_guaranteed = function
   | "milp.steal_drop" | "milp.checkpoint_torn" | "milp.stall" -> false
   | _ -> true
 
+(* An array of the result's metrics row. *)
+let row_list k (r : Mams.Flow.result) =
+  match Obs.Json.member k r.Mams.Flow.metrics with
+  | Some (Obs.Json.List l) -> l
+  | _ -> Alcotest.failf "row has no %S array" k
+
 let run_with_fault ~fault (e : Benchmarks.Registry.entry) =
   Resilience.Fault.clear ();
   (match Resilience.Fault.arm fault with
@@ -262,7 +268,9 @@ let run_with_fault ~fault (e : Benchmarks.Registry.entry) =
     {
       (Mams.Flow.default_setup ~device) with
       resources = e.resources;
-      time_limit = 1.0;
+      (* A stalled solve waits out its whole budget before the flow
+         degrades, so that row alone gets a short one. *)
+      time_limit = (if fault = "milp.stall" then 0.2 else 1.0);
     }
   in
   let r = Mams.Flow.run setup Mams.Flow.Milp_map g in
@@ -278,7 +286,7 @@ let run_with_fault ~fault (e : Benchmarks.Registry.entry) =
         Alcotest.(check bool)
           (Printf.sprintf "%s + %s: degradation serialized" e.name fault)
           true
-          (r.Mams.Flow.metrics.Obs.Metrics.degradation <> [])
+          (row_list "degradation" r <> [])
       end;
       (* The flow verified already; re-check independently. *)
       let ctx =
@@ -328,8 +336,9 @@ let test_milp_timeout_trail_shape () =
           Alcotest.(check string) "reason" "unknown"
             a.Resilience.Cascade.reason)
         r.Mams.Flow.trail;
-      Alcotest.(check string) "requested method kept" "MILP-map"
-        r.Mams.Flow.metrics.Obs.Metrics.method_
+      Alcotest.(check bool) "requested method kept" true
+        (Obs.Json.member "method" r.Mams.Flow.metrics
+        = Some (Obs.Json.String "MILP-map"))
 
 (* A degraded MILP-map run lists each diagnostic exactly once, sorted by
    [Diag.compare]: the lint gate's findings (DR has a dead node), the
@@ -371,7 +380,7 @@ let test_degraded_diagnostics () =
             match Analyze.Diag.of_json j with
             | Ok d -> d
             | Error e -> Alcotest.failf "bad diagnostic: %s" e)
-          r.Mams.Flow.metrics.Obs.Metrics.diagnostics
+          (row_list "diagnostics" r)
       in
       let show l =
         List.map (fun d -> Obs.Json.to_string (Analyze.Diag.to_json d)) l
@@ -410,7 +419,7 @@ let test_no_fault_clean_and_stable () =
   let a = go () and b = go () in
   Alcotest.(check bool) "empty trail" true (a.Mams.Flow.trail = []);
   Alcotest.(check bool) "empty degradation array" true
-    (a.Mams.Flow.metrics.Obs.Metrics.degradation = []);
+    (row_list "degradation" a = []);
   (* QoR parity with the pre-resilience flow (fig1 optimum) and across
      repeated runs. *)
   Alcotest.(check int) "single stage" 0 (Sched.Schedule.latency a.schedule);

@@ -455,9 +455,9 @@ let run_flow setup g =
    compared separately with a tolerance), while the single-domain one
    pins the whole result. *)
 let fingerprint ~domains (r : Mams.Flow.result) =
+  let info = r.Mams.Flow.solve in
   let stable =
-    ( r.Mams.Flow.solve.Mams.Flow.milp_status,
-      r.Mams.Flow.metrics.Obs.Metrics.status,
+    ( info.Mams.Flow.milp_status,
       List.map
         (fun (a : Resilience.Cascade.attempt) ->
           (a.Resilience.Cascade.label, a.Resilience.Cascade.reason))
@@ -470,11 +470,9 @@ let fingerprint ~domains (r : Mams.Flow.result) =
         ( r.Mams.Flow.qor,
           Array.to_list r.Mams.Flow.schedule.Sched.Schedule.cycle,
           Sched.Cover.roots r.Mams.Flow.cover,
-          ( r.Mams.Flow.metrics.Obs.Metrics.lut,
-            r.Mams.Flow.metrics.Obs.Metrics.ff,
-            r.Mams.Flow.metrics.Obs.Metrics.bnb_nodes ) )
+          Option.map (fun s -> s.Lp.Milp.nodes) info.Mams.Flow.milp_stats )
   in
-  (stable, full, r.Mams.Flow.metrics.Obs.Metrics.objective)
+  (stable, full, Option.value ~default:Float.nan info.Mams.Flow.milp_objective)
 
 let same_objective a b =
   (Float.is_nan a && Float.is_nan b)

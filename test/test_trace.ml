@@ -176,21 +176,24 @@ let test_flow_trace_end_to_end () =
       Alcotest.(check bool) (n ^ " span present") true (List.mem n names))
     [ "flow.run"; "flow.solve"; "milp.solve"; "cuts.enumerate"; "techmap.map" ];
   (* one milp.node instant per explored B&B node *)
-  let m = Mams.Flow.metrics ~name:"RS" r in
+  let stats =
+    match r.Mams.Flow.solve.Mams.Flow.milp_stats with
+    | Some s -> s
+    | None -> Alcotest.fail "no MILP stats"
+  in
   (match rep.Obs.Trace.Analysis.r_tree with
   | None -> Alcotest.fail "no B&B tree stats in trace"
   | Some t ->
-      Alcotest.(check int) "tree nodes match bnb_nodes"
-        (Option.value ~default:0 m.Obs.Metrics.bnb_nodes)
+      Alcotest.(check int) "tree nodes match bnb_nodes" stats.Lp.Milp.nodes
         t.Obs.Trace.Analysis.tr_nodes;
       Alcotest.(check bool) "statuses histogram non-empty" true
         (t.Obs.Trace.Analysis.tr_statuses <> []));
   (* the warm-start seed guarantees at least one incumbent event *)
   Alcotest.(check bool) "convergence timeline non-empty" true
     (rep.Obs.Trace.Analysis.r_timeline <> []);
-  (* the metrics convergence fields are populated for a MILP flow *)
+  (* the convergence fields are populated for a MILP flow *)
   Alcotest.(check bool) "first_incumbent_s finite" true
-    (Float.is_finite m.Obs.Metrics.first_incumbent_s);
+    (Float.is_finite stats.Lp.Milp.first_incumbent_s);
   reset_trace ()
 
 (* Both views of one MILP-map run tell the same story: the same
@@ -204,7 +207,7 @@ let test_trace_and_log_agree () =
   Obs.Log.clear ();
   Obs.Trace.enable ();
   Obs.Log.enable ();
-  let m = Mams.Flow.metrics ~name:"RS" (run_flow (flow_setup ()) g) in
+  let r = run_flow (flow_setup ()) g in
   Obs.Trace.disable ();
   Obs.Log.disable ();
   let open Obs.Trace.Analysis in
@@ -226,13 +229,19 @@ let test_trace_and_log_agree () =
     Alcotest.(option (pair (pair int int) (pair (float 0.0) (float 0.0))))
   in
   Alcotest.check solves "same milp.done" (solve t) (solve l);
-  Alcotest.(check (option int)) "nodes are the metrics' nodes"
-    m.Obs.Metrics.bnb_nodes
+  Alcotest.(check (option int)) "nodes are the solve's nodes"
+    (Option.map
+       (fun s -> s.Lp.Milp.nodes)
+       r.Mams.Flow.solve.Mams.Flow.milp_stats)
     (Option.map (fun s -> s.sv_nodes) t.r_stop.st_solve);
   Alcotest.(check (option string)) "same status" t.r_stop.st_status
     l.r_stop.st_status;
-  Alcotest.(check (option string)) "status is the metrics' status"
-    (Some m.Obs.Metrics.status) t.r_stop.st_status;
+  Alcotest.(check (option string)) "status is the solve's status"
+    (Some
+       (Option.fold ~none:"heuristic"
+          ~some:(Fmt.str "%a" Lp.Milp.pp_status)
+          r.Mams.Flow.solve.Mams.Flow.milp_status))
+    t.r_stop.st_status;
   Alcotest.(check (list (pair string string))) "same degradation rungs"
     t.r_stop.st_degraded l.r_stop.st_degraded;
   Alcotest.(check (float 1e-3)) "same last improvement"
@@ -324,7 +333,8 @@ let test_log_framing () =
 
 (* --- neutrality: tracing must never change flow results ------------- *)
 
-(* Everything result-shaped, minus wall-clock timings. *)
+(* Everything result-shaped, minus wall-clock timings. The row's lut,
+   ff and status are the qor's and the MILP status's. *)
 let fingerprint (r : Mams.Flow.result) =
   ( r.Mams.Flow.qor,
     Array.to_list r.Mams.Flow.schedule.Sched.Schedule.cycle,
@@ -333,10 +343,7 @@ let fingerprint (r : Mams.Flow.result) =
     List.map
       (fun (a : Resilience.Cascade.attempt) ->
         (a.Resilience.Cascade.label, a.Resilience.Cascade.reason))
-      r.Mams.Flow.trail,
-    ( r.Mams.Flow.metrics.Obs.Metrics.lut,
-      r.Mams.Flow.metrics.Obs.Metrics.ff,
-      r.Mams.Flow.metrics.Obs.Metrics.status ) )
+      r.Mams.Flow.trail )
 
 let run_neutrality_case ~fault () =
   let g = Benchmarks.Rs.kernel ~width:2 () in
