@@ -43,10 +43,9 @@
     Integral leaves are covered by the CERT103 + CERT107 pair (their LP
     optimum {e is} the integer point, which the incumbent log must
     reflect), so they need no separate subtree bound. Per-code reporting
-    is capped at {!max_reports} findings plus one summary line. *)
+    is capped at 25 findings plus one summary line. *)
 
 val pass_name : string
-val max_reports : int
 
 val check : Lp.Model.raw -> Lp.Cert.t -> Diag.t list
 (** Re-verify [cert] against the model it claims to solve. Pure; cost is

@@ -47,10 +47,8 @@ val diags_to_json : Diag.t list -> Obs.Json.t list
 (** {!Diag.to_json} of each diagnostic, sorted by {!Diag.compare}: the
     [diagnostics] array of a lint-report entry and of {!Obs.Metrics}. *)
 
-val file : entries:(string * Diag.t list) list -> Obs.Json.t
-(** The lint-report file shape:
+val write_file : path:string -> entries:(string * Diag.t list) list -> unit
+(** Writes the lint-report file:
     [{"schema_version": …, "benchmarks": [{"name": …, "errors": n,
     "warnings": n, "diagnostics": […]}]}] — [schema_version] tracks
     {!Obs.Metrics.schema_version}. *)
-
-val write_file : path:string -> entries:(string * Diag.t list) list -> unit

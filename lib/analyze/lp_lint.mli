@@ -16,12 +16,10 @@
       empty term list, non-finite coefficient or rhs, out-of-range or
       duplicated column ({!check_cuts}).
 
-    To bound report size, at most {!max_reports} findings are emitted per
+    To bound report size, at most 25 findings are emitted per
     code; an overflow finding summarizes the remainder. *)
 
 val pass_name : string
-
-val max_reports : int
 
 val check : Lp.Model.t -> Diag.t list
 

@@ -230,17 +230,21 @@ type table = {
   span : int;
   steps : step array;  (** [dep] of every flat bit *)
   (* Scratch of the closure running now; a closure's stamp [gen] marks the
-     cone's nodes and the memo entries it wrote. *)
+     cone's nodes and the flat bits it has closed. The support of closed
+     bit [f] is [pool.(off.(f) .. off.(f) + len.(f) - 1)]: distinct keys,
+     unordered, in one pool that each closure refills from 0. *)
   mutable gen : int;
   in_cone : int array;
   memo_gen : int array;
-  memo_bits : int array array;  (** support keys, distinct, unordered *)
+  off : int array;
+  len : int array;
   memo_wire : bool array;
-  (* Union scratch: [seen.(key) = ustamp] while [key] is in the union being
-     built in [buf]. *)
+  mutable pool : int array;
+  mutable top : int;
+  (* Union scratch: [seen.(key) = ustamp] while [key] is in the union
+     being built at the top of [pool]. *)
   mutable ustamp : int;
   seen : int array;
-  mutable buf : int array;
 }
 
 let table g =
@@ -278,27 +282,31 @@ let table g =
     gen = 0;
     in_cone = Array.make n 0;
     memo_gen = Array.make !total 0;
-    memo_bits = Array.make !total [||];
+    off = Array.make !total 0;
+    len = Array.make !total 0;
     memo_wire = Array.make !total true;
+    pool = Array.make 256 0;
+    top = 0;
     ustamp = 0;
     seen = Array.make (!total * !span) 0;
-    buf = Array.make 64 0;
   }
 
 exception Too_wide
 
-(* Adds [key] to the union in [buf.(0 .. n-1)]; returns the new size. *)
+(* Adds [key] to the union of [n] keys being built at [pool.(top ..)];
+   returns the new size. *)
 let add t ~bound n key =
   if t.seen.(key) = t.ustamp then n
   else begin
     if n >= bound then raise Too_wide;
     t.seen.(key) <- t.ustamp;
-    if n = Array.length t.buf then begin
-      let b = Array.make (2 * n) 0 in
-      Array.blit t.buf 0 b 0 n;
-      t.buf <- b
+    let at = t.top + n in
+    if at = Array.length t.pool then begin
+      let p = Array.make (2 * at) 0 in
+      Array.blit t.pool 0 p 0 at;
+      t.pool <- p
     end;
-    t.buf.(n) <- key;
+    t.pool.(at) <- key;
     n + 1
   end
 
@@ -309,8 +317,9 @@ let add t ~bound n key =
    raised. *)
 let close ~bound t ~root ~cone =
   t.gen <- t.gen + 1;
+  t.top <- 0;
   let gen = t.gen in
-  Int_set.iter (fun v -> t.in_cone.(v) <- gen) cone;
+  List.iter (fun v -> t.in_cone.(v) <- gen) cone;
   if t.in_cone.(root) <> gen then
     invalid_arg "Bitdep.closure: root not in cone";
   let rec go flat =
@@ -318,34 +327,42 @@ let close ~bound t ~root ~cone =
       (* Seed with an empty result to cut accidental cycles; the dist-0
          subgraph is acyclic so this is never observed on valid input. *)
       t.memo_gen.(flat) <- gen;
-      t.memo_bits.(flat) <- [||];
+      t.len.(flat) <- 0;
       t.memo_wire.(flat) <- true;
       let s = t.steps.(flat) in
-      let expands i = s.srcs.(i) >= 0 && t.in_cone.(s.srcs.(i)) = gen in
-      let wire = ref s.passthrough in
-      for i = 0 to Array.length s.keys - 1 do
-        if expands i then begin
+      let reads = Array.length s.keys in
+      let wire = ref s.passthrough and expanded = ref 0 in
+      for i = 0 to reads - 1 do
+        let src = s.srcs.(i) in
+        if src >= 0 && t.in_cone.(src) = gen then begin
           let sub = s.keys.(i) / t.span in
           go sub;
+          incr expanded;
           if not t.memo_wire.(sub) then wire := false
         end
       done;
-      if Array.length s.keys = 1 && expands 0 then
+      if reads = 1 && !expanded = 1 then begin
         (* a single expanded read: its support, shared *)
-        t.memo_bits.(flat) <- t.memo_bits.(s.keys.(0) / t.span)
+        let sub = s.keys.(0) / t.span in
+        t.off.(flat) <- t.off.(sub);
+        t.len.(flat) <- t.len.(sub)
+      end
       else begin
         t.ustamp <- t.ustamp + 1;
         let n = ref 0 in
-        for i = 0 to Array.length s.keys - 1 do
-          if expands i then begin
-            let sub = t.memo_bits.(s.keys.(i) / t.span) in
-            for j = 0 to Array.length sub - 1 do
-              n := add t ~bound !n sub.(j)
+        for i = 0 to reads - 1 do
+          let src = s.srcs.(i) in
+          if src >= 0 && t.in_cone.(src) = gen then begin
+            let sub = s.keys.(i) / t.span in
+            for j = t.off.(sub) to t.off.(sub) + t.len.(sub) - 1 do
+              n := add t ~bound !n t.pool.(j)
             done
           end
           else n := add t ~bound !n s.keys.(i)
         done;
-        t.memo_bits.(flat) <- Array.sub t.buf 0 !n
+        t.off.(flat) <- t.top;
+        t.len.(flat) <- !n;
+        t.top <- t.top + !n
       end;
       t.memo_wire.(flat) <- !wire
     end
@@ -363,7 +380,7 @@ let closure ?(bound = max_int) t ~root ~cone =
       let max_support = ref 0 and lut_bits = ref 0 in
       let first = t.base.(root) in
       for flat = first to first + Ir.Cdfg.width t.graph root - 1 do
-        let n = Array.length t.memo_bits.(flat) in
+        let n = t.len.(flat) in
         max_support := max !max_support n;
         if n >= 2 || (n = 1 && not t.memo_wire.(flat)) then
           incr lut_bits
@@ -376,21 +393,21 @@ let support g ~root ~cone ~bit =
   if bit < 0 || bit >= Ir.Cdfg.width g root then
     invalid_arg "Bitdep.support: bit outside the root's width";
   let t = table g in
-  close ~bound:max_int t ~root ~cone;
+  close ~bound:max_int t ~root ~cone:(Int_set.elements cone);
   let flat = t.base.(root) + bit in
   let bitpos key =
     let f = key / t.span in
     let node = t.owner.(f) in
     Bitpos.{ node; bit = f - t.base.(node); dist = key mod t.span }
   in
-  {
-    bits =
-      Array.fold_left
-        (fun acc key -> Bitpos.Set.add (bitpos key) acc)
-        Bitpos.Set.empty t.memo_bits.(flat);
-    pure_wire = t.memo_wire.(flat);
-  }
+  let bits = ref Bitpos.Set.empty in
+  for j = t.off.(flat) to t.off.(flat) + t.len.(flat) - 1 do
+    bits := Bitpos.Set.add (bitpos t.pool.(j)) !bits
+  done;
+  { bits = !bits; pure_wire = t.memo_wire.(flat) }
 
-let unbounded g ~root ~cone = Option.get (closure (table g) ~root ~cone)
+let unbounded g ~root ~cone =
+  Option.get (closure (table g) ~root ~cone:(Int_set.elements cone))
+
 let max_support_width g ~root ~cone = (unbounded g ~root ~cone).max_support
 let lut_bits g ~root ~cone = (unbounded g ~root ~cone).lut_bits

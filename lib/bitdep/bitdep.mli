@@ -14,7 +14,10 @@
     set of {e boundary bits} a K-LUT implementing that cone's bit would
     need — the feasibility measure for word-level cuts. It is the one
     closure: [support], [max_support_width] and [lut_bits] are views of
-    it. *)
+    it. A closure writes every support it builds into one pooled [int
+    array] of its {!table} (an offset and a length per bit, the pool
+    refilled from the start by each closure), so it allocates nothing
+    per bit. *)
 
 module Bitpos : sig
   type t = {
@@ -65,10 +68,11 @@ type cone_support = {
 }
 
 val closure :
-  ?bound:int -> table -> root:int -> cone:Int_set.t -> cone_support option
+  ?bound:int -> table -> root:int -> cone:int list -> cone_support option
 (** Transitive closure of [dep] from every output bit of [root], expanding
-    through nodes in [cone] and stopping at nodes outside it; registered
-    ([dist > 0]) reads always stop, even if the producer is in the cone.
+    through the nodes listed in [cone] (in any order) and stopping at
+    nodes outside it; registered ([dist > 0]) reads always stop, even if
+    the producer is in the cone.
     Each (node, bit) is closed once per call.
 
     [None] iff some output bit's support exceeds [bound] (default
@@ -86,7 +90,8 @@ type bit_support = {
 
 (** {2 Views}
 
-    Each runs {!closure} once, unbounded, on a fresh {!table}. *)
+    Each runs {!closure} once, unbounded, on a fresh {!table}, over
+    [Int_set.elements cone]. *)
 
 val support :
   Ir.Cdfg.t -> root:int -> cone:Int_set.t -> bit:int -> bit_support

@@ -258,8 +258,6 @@ let extract t (r : Lp.Milp.result) =
   in
   (sched, Sched.Cover.make t.g !selections)
 
-let size t = Fmt.str "%a" Lp.Model.pp_stats t.model
-
 let objective_breakdown t (r : Lp.Milp.result) ~lut_bits ~reg_bits =
   let n = Ir.Cdfg.num_nodes t.g in
   for v = 0 to n - 1 do

@@ -20,7 +20,6 @@ type t
 val build : Formulation.config -> Ir.Cdfg.t -> Cuts.t -> t
 val model : t -> Lp.Model.t
 val extract : t -> Lp.Milp.result -> Sched.Schedule.t * Sched.Cover.t
-val size : t -> string
 
 val objective_breakdown :
   t -> Lp.Milp.result -> lut_bits:int ref -> reg_bits:int ref -> unit

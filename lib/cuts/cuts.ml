@@ -7,6 +7,7 @@ let c_enumerated = Obs.Counter.get "cuts.enumerated"
 let c_infeasible = Obs.Counter.get "cuts.infeasible"
 let c_pruned = Obs.Counter.get "cuts.pruned"
 let c_merges = Obs.Counter.get "cuts.node_merges"
+let c_closures = Obs.Counter.get "cuts.closures"
 let c_truncated = Obs.Counter.get "cuts.deadline_truncations"
 
 type cut = {
@@ -43,47 +44,18 @@ let absorbable g id =
 
 let ceil_div a b = (a + b - 1) / b
 
-(* LUT cost of a cone whose closure is [s]. *)
-let area ~k g ~root ~cone (s : Bitdep.cone_support) =
-  if Int_set.cardinal cone = 1 then
-    match Ir.Cdfg.op g root with
-    | Ir.Op.Input _ | Ir.Op.Const _ | Ir.Op.Shl _ | Ir.Op.Shr _
-    | Ir.Op.Slice _ | Ir.Op.Concat | Ir.Op.Black_box _ ->
-        0
-    | Ir.Op.Not | Ir.Op.Bitwise _ | Ir.Op.Mux -> s.lut_bits
-    | Ir.Op.Add | Ir.Op.Sub -> Ir.Cdfg.width g root
-    | Ir.Op.Cmp _ ->
-        let w_in = Ir.Cdfg.width g (Ir.Cdfg.preds g root).(0).Ir.Cdfg.src in
-        max 1 (ceil_div ((2 * w_in) - 1) (k - 1))
-  else s.lut_bits
-
-(* Canonical cone of a leaf set: nodes reachable backward from [root] along
-   dist-0 edges, stopping at leaves. Returns None when a non-absorbable
-   node would fall inside the cone. Unreachable leaves are dropped. *)
-let cone_of g ~root ~leaf_set =
-  let rec walk id (cone, reached) =
-    if Int_set.mem id cone then Some (cone, reached)
-    else if Int_set.mem id leaf_set then Some (cone, Int_set.add id reached)
-    else if not (absorbable g id) then None
-    else
-      let cone = Int_set.add id cone in
-      Array.fold_left
-        (fun acc (e : Ir.Cdfg.edge) ->
-          match acc with
-          | None -> None
-          | Some (cone, reached) ->
-              if e.dist > 0 then
-                (* registered operand: must be a leaf *)
-                if Int_set.mem e.src leaf_set then
-                  Some (cone, Int_set.add e.src reached)
-                else None
-              else walk e.src (cone, reached))
-        (Some (cone, reached))
-        (Ir.Cdfg.preds g id)
-  in
-  match walk root (Int_set.empty, Int_set.empty) with
-  | None -> None
-  | Some (cone, reached) -> Some (cone, Int_set.elements reached)
+(* LUT cost of [v]'s trivial cut, whose closure is [s]. A cone of two or
+   more nodes costs its [s.lut_bits]. *)
+let trivial_area ~k g v (s : Bitdep.cone_support) =
+  match Ir.Cdfg.op g v with
+  | Ir.Op.Input _ | Ir.Op.Const _ | Ir.Op.Shl _ | Ir.Op.Shr _ | Ir.Op.Slice _
+  | Ir.Op.Concat | Ir.Op.Black_box _ ->
+      0
+  | Ir.Op.Not | Ir.Op.Bitwise _ | Ir.Op.Mux -> s.lut_bits
+  | Ir.Op.Add | Ir.Op.Sub -> Ir.Cdfg.width g v
+  | Ir.Op.Cmp _ ->
+      let w_in = Ir.Cdfg.width g (Ir.Cdfg.preds g v).(0).Ir.Cdfg.src in
+      max 1 (ceil_div ((2 * w_in) - 1) (k - 1))
 
 (* The always-legal trivial cut: the node alone, operands as leaves. *)
 let trivial_cut ~k deps g v =
@@ -92,14 +64,13 @@ let trivial_cut ~k deps g v =
     |> List.map (fun (e : Ir.Cdfg.edge) -> e.src)
     |> List.sort_uniq Int.compare
   in
-  let cone = Int_set.singleton v in
-  let s = Option.get (Bitdep.closure deps ~root:v ~cone) in
+  let s = Option.get (Bitdep.closure deps ~root:v ~cone:[ v ]) in
   {
     root = v;
     leaves;
-    cone;
+    cone = Int_set.singleton v;
     support = s.max_support;
-    area = area ~k g ~root:v ~cone s;
+    area = trivial_area ~k g v s;
   }
 
 let trivial_only ?(k = 4) g =
@@ -108,34 +79,126 @@ let trivial_only ?(k = 4) g =
 
 let compare_leaves = List.compare Int.compare
 
+(* A feasible non-trivial cone found by a merge, before ranking: its
+   reached leaves (sorted), their count, its members and its closure. Only
+   the kept ones become [cut]s. *)
+type found = {
+  reached : int list;
+  width : int;
+  members : int list;
+  s : Bitdep.cone_support;
+}
+
+(* Ranked by (area, support, leaf count, leaves). *)
 let rank a b =
-  let c = Int.compare a.area b.area in
+  let c = Int.compare a.s.lut_bits b.s.lut_bits in
   if c <> 0 then c
   else
-    let c = Int.compare a.support b.support in
+    let c = Int.compare a.s.max_support b.s.max_support in
     if c <> 0 then c
     else
-      let c = Int.compare (List.length a.leaves) (List.length b.leaves) in
-      if c <> 0 then c else compare_leaves a.leaves b.leaves
+      let c = Int.compare a.width b.width in
+      if c <> 0 then c else compare_leaves a.reached b.reached
 
-(* Cartesian product of per-operand choice lists, capped. Each choice is a
-   leaf set (as a sorted int list). *)
-let merged_leaf_sets ~cap choices =
-  let acc = ref [] and count = ref 0 in
-  let rec go partial = function
-    | [] ->
-        if !count < cap then begin
-          acc := partial :: !acc;
-          incr count
-        end
-    | opts :: rest ->
-        List.iter
-          (fun leaves ->
-            if !count < cap then go (List.rev_append leaves partial) rest)
-          opts
+(* [a] with room for at least [n] ints, its contents kept. *)
+let ensure a n =
+  if n <= Array.length a then a
+  else begin
+    let b = Array.make (max n (2 * Array.length a)) 0 in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
+(* Scratch of the merge candidates, reused by every merge of one
+   [enumerate] call. [part] holds the partial unions of the cartesian
+   product, one segment per depth; [cand.(0 .. top - 1)] the distinct
+   candidates, each its length followed by its sorted leaves, found
+   through the open-addressing table [slots.(0 .. mask)] (start offsets,
+   -1 empty). *)
+type product = {
+  mutable part : int array;
+  mutable cand : int array;
+  mutable top : int;
+  mutable slots : int array;
+  mutable mask : int;
+}
+
+(* Adds the union in [part.(s .. s + len - 1)] to the candidates unless it
+   is one already; returns whether it was new. *)
+let add_candidate x s len =
+  let b = x.part and mask = x.mask in
+  let h = ref len in
+  for i = s to s + len - 1 do
+    h := (!h * 0x2f0b3a49) + b.(i)
+  done;
+  let same at =
+    let c = x.cand in
+    let rec go i = i >= len || (c.(at + 1 + i) = b.(s + i) && go (i + 1)) in
+    c.(at) = len && go 0
   in
-  go [] choices;
-  List.map (List.sort_uniq Int.compare) !acc |> List.sort_uniq compare_leaves
+  let i = ref (!h land mask) in
+  while x.slots.(!i) >= 0 && not (same x.slots.(!i)) do
+    i := (!i + 1) land mask
+  done;
+  x.slots.(!i) < 0
+  && begin
+    x.cand <- ensure x.cand (x.top + len + 1);
+    x.slots.(!i) <- x.top;
+    x.cand.(x.top) <- len;
+    Array.blit b s x.cand (x.top + 1) len;
+    x.top <- x.top + len + 1;
+    true
+  end
+
+(* The capped cartesian product of [choices] (one list of sorted leaf lists
+   per operand), in operand-major order: the first [cap] combinations,
+   each the union of its choices, deduplicated into [x.cand]. Returns the
+   number of distinct candidates. *)
+let merged_leaf_sets x ~cap choices =
+  let combos =
+    Array.fold_left (fun acc c -> min cap (acc * List.length c)) 1 choices
+  in
+  let nslots = ref 64 in
+  while !nslots < 2 * combos do nslots := 2 * !nslots done;
+  x.slots <- ensure x.slots !nslots;
+  Array.fill x.slots 0 !nslots (-1);
+  x.mask <- !nslots - 1;
+  x.top <- 0;
+  let count = ref 0 and distinct = ref 0 in
+  (* the union of the first [d] choices is [part.(s .. s + len - 1)] *)
+  let rec go d s len =
+    if d = Array.length choices then begin
+      incr count;
+      if add_candidate x s len then incr distinct
+    end
+    else
+      List.iter
+        (fun leaves ->
+          if !count < cap then begin
+            let dst = s + len in
+            x.part <- ensure x.part (dst + len + List.length leaves);
+            let b = x.part in
+            let rec merge i j = function
+              | [] ->
+                  Array.blit b i b j (dst - i);
+                  j + dst - i
+              | l :: rest as leaves ->
+                  if i < dst && b.(i) < l then begin
+                    b.(j) <- b.(i);
+                    merge (i + 1) (j + 1) leaves
+                  end
+                  else begin
+                    b.(j) <- l;
+                    let i = if i < dst && b.(i) = l then i + 1 else i in
+                    merge i (j + 1) rest
+                  end
+            in
+            go (d + 1) dst (merge s dst leaves - dst)
+          end)
+        choices.(d)
+  in
+  go 0 0 0;
+  !distinct
 
 let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
   Obs.span ~cat:"cuts" "cuts.enumerate" @@ fun () ->
@@ -144,6 +207,7 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
   let forced_timeout = Resilience.Fault.fires "cuts.timeout" in
   let p = match params with Some p -> p | None -> default_params ~k in
   let n = Ir.Cdfg.num_nodes g in
+  let absorb = Array.init n (absorbable g) in
   (* One dep table for every closure of this call; each node's trivial cut
      is computed once and reused by every merge. *)
   let deps = Bitdep.table g in
@@ -155,59 +219,125 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
   for v = 0 to n - 1 do
     result.(v) <- [ trivial.(v) ];
     blocks.(v) <-
-      (if absorbable g v then
+      (if absorb.(v) then
          List.sort_uniq compare_leaves [ [ v ]; trivial.(v).leaves ]
        else [ [ v ] ])
   done;
-  let mk_cut v leaves =
-    if List.mem v leaves then None
-      (* the root reached itself through a recurrence: not a cone *)
-    else
-    match cone_of g ~root:v ~leaf_set:(Int_set.of_list leaves) with
-    | None -> None
-    | Some (cone, leaves) ->
-        if Int_set.cardinal cone = 1 then None (* that's the trivial cut *)
-        else
-          match Bitdep.closure ~bound:p.k deps ~root:v ~cone with
-          | None ->
-              Obs.Counter.incr c_infeasible;
-              None
-          | Some s ->
-              Obs.Counter.incr c_enumerated;
-              Some
-                {
-                  root = v;
-                  leaves;
-                  cone;
-                  support = s.max_support;
-                  area = area ~k:p.k g ~root:v ~cone s;
-                }
+  (* Scratch reused by every merge of this call; no cache outlives it. *)
+  let x =
+    {
+      part = Array.make 64 0;
+      cand = Array.make 256 0;
+      top = 0;
+      slots = Array.make 64 0;
+      mask = 0;
+    }
   in
+  (* Stamped marks of the cone walk: a candidate's leaves, the cone's
+     members, and the leaves the walk reached. *)
+  let stamp = ref 0 in
+  let leaf_mark = Array.make n 0 and cone_mark = Array.make n 0
+  and reach_mark = Array.make n 0 in
+  let members = Array.make n 0 and size = ref 0 in
+  (* Canonical cone of the marked leaf set: nodes reachable backward from
+     [id] along dist-0 edges, stopping at leaves; the leaves it stops at
+     are marked reached. Raises [Exit] when a non-absorbable node would
+     fall inside the cone or a registered operand is not a leaf. *)
+  let rec walk st id =
+    if cone_mark.(id) = st then ()
+    else if leaf_mark.(id) = st then reach_mark.(id) <- st
+    else if not absorb.(id) then raise Exit
+    else begin
+      cone_mark.(id) <- st;
+      members.(!size) <- id;
+      incr size;
+      let preds = Ir.Cdfg.preds g id in
+      for i = 0 to Array.length preds - 1 do
+        let e = preds.(i) in
+        if e.Ir.Cdfg.dist = 0 then walk st e.src
+        else if leaf_mark.(e.src) = st then reach_mark.(e.src) <- st
+        else raise Exit
+      done
+    end
+  in
+  (* The closures of one merge by reached-leaf list: unreached leaves do
+     not change the cone, so candidates reaching the same leaves share
+     it. [None] is an infeasible cone. *)
+  let memo : (int list, found option) Hashtbl.t = Hashtbl.create 64 in
   let merge v =
-    if not (absorbable g v) then [ trivial.(v) ]
+    if not absorb.(v) then [ trivial.(v) ]
     else
       let preds = Ir.Cdfg.preds g v in
       if Array.length preds = 0 then [ trivial.(v) ]
       else
         let choices =
-          Array.to_list preds
-          |> List.map (fun (e : Ir.Cdfg.edge) ->
-                 if e.dist > 0 then [ [ e.src ] ] else blocks.(e.src))
+          Array.map
+            (fun (e : Ir.Cdfg.edge) ->
+              if e.dist > 0 then [ [ e.src ] ] else blocks.(e.src))
+            preds
         in
-        let candidates = merged_leaf_sets ~cap:p.max_candidates choices in
-        Obs.Counter.incr ~by:(List.length candidates) c_candidates;
-        let cuts =
-          List.filter_map
-            (fun leaves ->
-              if List.length leaves > p.max_leaf_words then None
-              else mk_cut v leaves)
-            candidates
+        let candidates = merged_leaf_sets x ~cap:p.max_candidates choices in
+        Hashtbl.clear memo;
+        let enumerated = ref 0 and infeasible = ref 0 and found = ref [] in
+        let c = x.cand and at = ref 0 in
+        while !at < x.top do
+          let len = c.(!at) and first = !at + 1 in
+          at := first + len;
+          incr stamp;
+          let st = !stamp in
+          for i = first to first + len - 1 do
+            leaf_mark.(c.(i)) <- st
+          done;
+          size := 0;
+          (* the root reaching itself through a recurrence is no cone; a
+             one-node cone is the trivial cut *)
+          if
+            len <= p.max_leaf_words
+            && leaf_mark.(v) <> st
+            && match walk st v with () -> !size > 1 | exception Exit -> false
+          then begin
+            let reached = ref [] in
+            for i = first + len - 1 downto first do
+              if reach_mark.(c.(i)) = st then reached := c.(i) :: !reached
+            done;
+            let reached = !reached in
+            let r =
+              match Hashtbl.find_opt memo reached with
+              | Some r -> r
+              | None ->
+                  let cone = ref [] in
+                  for i = !size - 1 downto 0 do
+                    cone := members.(i) :: !cone
+                  done;
+                  let r =
+                    Bitdep.closure ~bound:p.k deps ~root:v ~cone:!cone
+                    |> Option.map (fun s ->
+                           let width = List.length reached in
+                           { reached; width; members = !cone; s })
+                  in
+                  Hashtbl.add memo reached r;
+                  Option.iter (fun f -> found := f :: !found) r;
+                  r
+            in
+            if Option.is_some r then incr enumerated else incr infeasible
+          end
+        done;
+        let ranked = List.sort rank !found in
+        let kept =
+          List.filteri (fun i _ -> i < p.max_cuts) ranked
+          |> List.map (fun f ->
+                 {
+                   root = v;
+                   leaves = f.reached;
+                   cone = Int_set.of_list f.members;
+                   support = f.s.max_support;
+                   area = f.s.lut_bits;
+                 })
         in
-        let cuts =
-          List.sort_uniq (fun a b -> compare_leaves a.leaves b.leaves) cuts
-        in
-        let ranked = List.sort rank cuts in
-        let kept = List.filteri (fun i _ -> i < p.max_cuts) ranked in
+        Obs.Counter.incr ~by:candidates c_candidates;
+        Obs.Counter.incr ~by:!enumerated c_enumerated;
+        Obs.Counter.incr ~by:!infeasible c_infeasible;
+        Obs.Counter.incr ~by:(Hashtbl.length memo) c_closures;
         Obs.Counter.incr ~by:(List.length ranked - List.length kept) c_pruned;
         trivial.(v) :: kept
   in
@@ -252,7 +382,7 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
          successor absorbs v itself with the boundary at v's operands.
          Non-absorbable nodes (inputs, black boxes) offer only {v}. *)
       blocks.(v) <-
-        (if absorbable g v then
+        (if absorb.(v) then
            ([ v ] :: List.map (fun c -> c.leaves) fresh)
            |> List.sort_uniq compare_leaves
          else [ [ v ] ]);

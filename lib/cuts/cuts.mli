@@ -7,9 +7,10 @@
 
     Deviations from bit-level enumeration, per DESIGN.md:
     - feasibility is per output bit: the cone is K-feasible iff every output
-      bit's boundary-bit support has at most K bits. Each candidate cone
-      gets one {!Bitdep.closure} bounded by K, which yields its support and
-      its area together, over one {!Bitdep.table} per {!enumerate} call;
+      bit's boundary-bit support has at most K bits. Each distinct
+      canonical cone of a merge gets one {!Bitdep.closure} bounded by K,
+      which yields its support and its area together, over one
+      {!Bitdep.table} per {!enumerate} call;
     - cones never cross loop-carried ([dist > 0]) edges — LUTs are
       combinational, so registered operands are always boundaries;
     - black-box, input and constant nodes are never cone members;

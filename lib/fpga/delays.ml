@@ -37,9 +37,3 @@ let latency_cycles t ~device ~cls ~width =
   let d = additive t ~cls ~width in
   let period = Device.usable_period device in
   int_of_float (floor (d /. period))
-
-let pp ppf t =
-  Fmt.pf ppf "@[<v>logic=%.2fns arith=%.2f+%.3f/bit%a@]" t.logic t.arith_base
-    t.arith_per_bit
-    Fmt.(list ~sep:nop (fun ppf (r, d) -> Fmt.pf ppf " %s=%.2fns" r d))
-    t.black_box

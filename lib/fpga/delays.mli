@@ -39,4 +39,3 @@ val latency_cycles : t -> device:Device.t -> cls:Op_class.t -> width:int -> int
     [floor (additive / usable_period)] — 0 for ops that fit in a fraction of
     a cycle, following Eq. (10)'s [d_v / T_CP] term. *)
 
-val pp : t Fmt.t

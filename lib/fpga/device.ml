@@ -20,7 +20,3 @@ let usable_period d = d.t_clk -. d.clock_uncertainty
 let levels_per_cycle d =
   let n = int_of_float (floor (usable_period d /. d.lut_delay)) in
   max 1 n
-
-let pp ppf d =
-  Fmt.pf ppf "@[<h>%d-LUT device, lut=%.2fns, Tclk=%.2fns, unc=%.2fns@]" d.k
-    d.lut_delay d.t_clk d.clock_uncertainty

@@ -36,4 +36,3 @@ val usable_period : t -> float
 val levels_per_cycle : t -> int
 (** Maximum number of LUT levels that fit in one clock cycle. At least 1. *)
 
-val pp : t Fmt.t

@@ -13,9 +13,3 @@ let is_black_box = function
 let is_mappable = function
   | Logic | Wire | Arith -> true
   | Black_box _ -> false
-
-let pp ppf = function
-  | Logic -> Fmt.string ppf "logic"
-  | Wire -> Fmt.string ppf "wire"
-  | Arith -> Fmt.string ppf "arith"
-  | Black_box r -> Fmt.pf ppf "black-box(%s)" r

@@ -21,4 +21,3 @@ val is_mappable : t -> bool
     [Wire]); [Arith] nodes may be roots or, when narrow enough to pass the
     per-bit feasibility test, cone members. *)
 
-val pp : t Fmt.t

@@ -14,9 +14,3 @@ let of_list l =
 
 let limit budget r = List.assoc_opt r budget
 let classes budget = List.sort String.compare (List.map fst budget)
-
-let pp ppf budget =
-  match budget with
-  | [] -> Fmt.string ppf "unlimited"
-  | _ ->
-      Fmt.(list ~sep:sp (fun ppf (r, n) -> Fmt.pf ppf "%s:%d" r n)) ppf budget

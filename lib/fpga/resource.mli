@@ -16,4 +16,3 @@ val limit : budget -> string -> int option
 val classes : budget -> string list
 (** Classes with an explicit (finite) limit, sorted. *)
 
-val pp : budget Fmt.t

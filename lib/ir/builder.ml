@@ -37,8 +37,6 @@ let add_node b ?name ~op ~width preds =
   b.n_nodes <- id + 1;
   Node id
 
-let node b ?name ~op ~width preds = add_node b ?name ~op ~width preds
-
 let infer b ?name op preds =
   let operand_widths = List.map (width_of b) preds in
   let width = Op.result_width op ~operand_widths in

@@ -54,9 +54,6 @@ val black_box :
   t -> ?name:string -> kind:string -> resource:string -> width:int ->
   value list -> value
 
-val node : t -> ?name:string -> op:Op.t -> width:int -> value list -> value
-(** Generic node constructor; the typed wrappers above are preferred. *)
-
 (** {1 Reductions} *)
 
 val reduce : t -> ?name:string -> (t -> value -> value -> value) -> value list -> value

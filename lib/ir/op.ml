@@ -126,22 +126,6 @@ let eval op ~width ~black_box operands =
   in
   mask ~width v
 
-let equal a b =
-  match (a, b) with
-  | Input x, Input y -> String.equal x y
-  | Const x, Const y -> Int64.equal x y
-  | Not, Not | Concat, Concat | Add, Add | Sub, Sub | Mux, Mux -> true
-  | Bitwise x, Bitwise y -> x = y
-  | Shl x, Shl y | Shr x, Shr y -> x = y
-  | Slice a, Slice b -> a.lo = b.lo && a.hi = b.hi
-  | Cmp x, Cmp y -> x = y
-  | Black_box x, Black_box y ->
-      String.equal x.kind y.kind && String.equal x.resource y.resource
-  | ( ( Input _ | Const _ | Not | Bitwise _ | Shl _ | Shr _ | Slice _ | Concat
-      | Add | Sub | Cmp _ | Mux | Black_box _ ),
-      _ ) ->
-      false
-
 let to_string = function
   | Input name -> Printf.sprintf "input(%s)" name
   | Const c -> Printf.sprintf "const(%Ld)" c
@@ -164,4 +148,3 @@ let to_string = function
   | Mux -> "mux"
   | Black_box { kind; resource } -> Printf.sprintf "bb.%s@%s" kind resource
 
-let pp = Fmt.of_to_string to_string

@@ -50,6 +50,4 @@ val eval :
     @raise Invalid_argument on arity mismatch. *)
 
 
-val equal : t -> t -> bool
-val pp : t Fmt.t
 val to_string : t -> string

@@ -76,7 +76,6 @@ module Counter = struct
 
   let incr ?(by = 1) c = ignore (Atomic.fetch_and_add c.n by)
   let value c = Atomic.get c.n
-  let name c = c.cname
 end
 
 (* Wall-time total of every {!span} name. [depth] counts the open spans

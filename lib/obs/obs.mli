@@ -75,7 +75,6 @@ module Counter : sig
   val value : t -> int
   (** Current count since the last {!reset}. *)
 
-  val name : t -> string
 end
 
 (** {1 Registry} *)

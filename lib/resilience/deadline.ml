@@ -59,12 +59,3 @@ let split t weights =
               expiry = Some (Float.min e (t0 +. (rem *. (!acc /. total))));
             } ))
         weights
-
-let pp ppf t =
-  match t.expiry with
-  | None ->
-      Format.pp_print_string ppf
-        (if cancelled t then "cancelled" else "none")
-  | Some e ->
-      if cancelled t then Format.pp_print_string ppf "cancelled"
-      else Format.fprintf ppf "%.1fs left" (e -. now ())

@@ -86,7 +86,3 @@ val split : t -> (string * float) list -> (string * t) list
     [d]. Because checkpoints are cumulative, a phase finishing early
     donates its slack to every later phase. With [d = none] every phase
     gets {!none}. Non-positive weights are treated as [0.]. *)
-
-val pp : Format.formatter -> t -> unit
-(** ["none"], ["cancelled"], or the remaining seconds, e.g.
-    ["3.2s left"]. *)

@@ -257,14 +257,16 @@ let cut_counters =
     [ "cuts.candidates"; "cuts.enumerated"; "cuts.infeasible"; "cuts.pruned";
       "cuts.node_merges" ]
 
-let golden_digests () =
+(* The cut-set and counter digests of one sweep over [golden_graphs] at
+   K = 4 and 6, with the parameters [params ~k] at each K. *)
+let golden_digests ?(params = fun ~k -> Cuts.default_params ~k) () =
   let cuts_buf = Buffer.create 65536 and counts_buf = Buffer.create 1024 in
   List.iter
     (fun k ->
       List.iter
         (fun (label, g) ->
           let before = List.map Obs.Counter.value cut_counters in
-          let cuts = Cuts.enumerate ~k g in
+          let cuts = Cuts.enumerate ~params:(params ~k) ~k g in
           let after = List.map Obs.Counter.value cut_counters in
           Printf.bprintf counts_buf "%s k=%d:%s\n" label k
             (String.concat ","
@@ -289,6 +291,61 @@ let test_golden () =
     cuts;
   Alcotest.(check string) "counter digest" "a937ea1cf56ba636911426264c2b4ef6"
     counts
+
+(* The same sweep under the non-default parameters the program uses:
+   Flow's coarse retry, a candidate cap small enough to truncate the
+   cartesian product (so the combination order decides which candidates
+   are seen), and [bench/main.ml]'s [max_cuts] sweep ends. Each pair of
+   digests was recorded with the list/[Int_set] enumerator. *)
+let params_cases =
+  [
+    ( "coarse retry",
+      (fun ~k ->
+        { (Cuts.default_params ~k) with max_cuts = 5; max_candidates = 128 }),
+      ( "70041e00184686c59ec9bb1f9c25158f",
+        "83cacc3eebaede18ac1eab0adf185528" ) );
+    ( "max_candidates 8",
+      (fun ~k -> { (Cuts.default_params ~k) with max_candidates = 8 }),
+      ( "d91d5c913a53476fde29ec571f7027f6",
+        "f01b489248fa36bd7c792d504d935704" ) );
+    ( "max_cuts 2",
+      (fun ~k -> { (Cuts.default_params ~k) with max_cuts = 2 }),
+      ( "d25ac97070628156f6fbc9739b57e607",
+        "b11f936a7b0340b13f80d3d2d8ccae08" ) );
+    ( "max_cuts 20",
+      (fun ~k -> { (Cuts.default_params ~k) with max_cuts = 20 }),
+      ( "657924203513d6e910e6a830616c3295",
+        "09c024c8b3c5119b150c41064741e9e4" ) );
+  ]
+
+let test_golden_params () =
+  List.iter
+    (fun (label, params, (want_cuts, want_counts)) ->
+      let cuts, counts = golden_digests ~params () in
+      Alcotest.(check string) (label ^ ": cut-set digest") want_cuts cuts;
+      Alcotest.(check string) (label ^ ": counter digest") want_counts counts)
+    params_cases
+
+(* [cuts.closures] counts the closures actually run: one per distinct
+   canonical cone of a merge, so fewer than the candidates that reach a
+   closure verdict ([cuts.enumerated] + [cuts.infeasible]), which it
+   equalled when every candidate ran its own closure. Pinned over the
+   golden graphs at K = 4 and 6. *)
+let test_closures_counter () =
+  let value name = Obs.Counter.value (Obs.Counter.get name) in
+  List.iter
+    (fun (k, want) ->
+      let c0 = value "cuts.closures"
+      and v0 = value "cuts.enumerated" + value "cuts.infeasible" in
+      List.iter (fun (_, g) -> ignore (Cuts.enumerate ~k g)) (golden_graphs ());
+      let closures = value "cuts.closures" - c0
+      and verdicts = value "cuts.enumerated" + value "cuts.infeasible" - v0 in
+      Alcotest.(check int) (Printf.sprintf "closures at K = %d" k) want closures;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d closures < %d verdicts at K = %d" closures verdicts
+           k)
+        true (closures < verdicts))
+    [ (4, 10350); (6, 11607) ]
 
 let qsuite tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
 
@@ -317,5 +374,11 @@ let () =
         ] );
       ("invariants", qsuite [ cut_invariants ]);
       ( "golden",
-        [ Alcotest.test_case "cut sets and counters" `Quick test_golden ] );
+        [
+          Alcotest.test_case "cut sets and counters" `Quick test_golden;
+          Alcotest.test_case "under non-default parameters" `Quick
+            test_golden_params;
+          Alcotest.test_case "one closure per distinct cone" `Quick
+            test_closures_counter;
+        ] );
     ]

@@ -236,6 +236,53 @@ let cuts_are_sound =
                cs)
         cuts)
 
+(* The cut sets as text: root, leaves, cone, support and area of every
+   cut, in order. *)
+let cut_text cuts =
+  let b = Buffer.create 4096 in
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Array.iter
+    (Array.iter (fun (c : Cuts.cut) ->
+         Printf.bprintf b "%d|%s|%s|%d|%d\n" c.Cuts.root (ints c.Cuts.leaves)
+           (ints (Bitdep.Int_set.elements c.Cuts.cone))
+           c.Cuts.support c.Cuts.area))
+    cuts;
+  Buffer.contents b
+
+let oracle_counters =
+  List.map Obs.Counter.get
+    [ "cuts.candidates"; "cuts.enumerated"; "cuts.infeasible"; "cuts.pruned";
+      "cuts.node_merges" ]
+
+(* Random graph, K in 2-6, random [max_cuts] and [max_candidates] (small
+   enough to cap the cartesian product): [Cuts.enumerate] returns the
+   list/[Int_set] oracle's cut sets and moves the five enumeration
+   counters by the oracle's counts. *)
+let enumerate_matches_oracle =
+  QCheck.Test.make ~name:"random graphs: enumerate = list/Int_set oracle"
+    ~count:150
+    QCheck.(quad graph_seed (make Gen.(int_range 2 6))
+              (make Gen.(int_range 1 12)) (make Gen.(int_range 1 32)))
+    (fun (seed, k, max_cuts, max_candidates) ->
+      let g = build_random seed in
+      let params = { (Cuts.default_params ~k) with max_cuts; max_candidates } in
+      let before = List.map Obs.Counter.value oracle_counters in
+      let cuts = Cuts.enumerate ~params ~k g in
+      let moved =
+        List.map2 (fun a c -> Obs.Counter.value c - a) before oracle_counters
+      in
+      let want, (o : Cuts_oracle.counts) = Cuts_oracle.enumerate ~params g in
+      let want_moved =
+        [ o.candidates; o.enumerated; o.infeasible; o.pruned; o.node_merges ]
+      in
+      if cut_text cuts <> cut_text want then
+        QCheck.Test.fail_report "cut sets differ from the oracle's";
+      if moved <> want_moved then
+        QCheck.Test.fail_reportf "counters moved by %s, oracle %s"
+          (String.concat "," (List.map string_of_int moved))
+          (String.concat "," (List.map string_of_int want_moved));
+      true)
+
 (* The reference for [Bitdep.closure]: the transitive closure of
    [Bitdep.dep] as plain [Bitpos.Set] unions, memoised per (node, bit). *)
 let reference_closure g ~root ~cone =
@@ -287,14 +334,15 @@ let closure_matches_reference =
       in
       let table = Bitdep.table g in
       let max_support, lut_bits = reference_closure g ~root ~cone in
-      (match Bitdep.closure table ~root ~cone with
+      let members = Bitdep.Int_set.elements cone in
+      (match Bitdep.closure table ~root ~cone:members with
       | None -> QCheck.Test.fail_report "unbounded closure gave up"
       | Some s ->
           if s.max_support <> max_support || s.lut_bits <> lut_bits then
             QCheck.Test.fail_reportf
               "closure (max %d, lut %d) <> reference (max %d, lut %d)"
               s.max_support s.lut_bits max_support lut_bits);
-      match Bitdep.closure ~bound:k table ~root ~cone with
+      match Bitdep.closure ~bound:k table ~root ~cone:members with
       | None -> max_support > k
       | Some s ->
           max_support <= k && s.max_support = max_support
@@ -499,7 +547,9 @@ let () =
   Alcotest.run "fuzz"
     [
       ( "graphs",
-        qsuite [ graph_is_sane; cuts_are_sound; closure_matches_reference ] );
+        qsuite
+          [ graph_is_sane; cuts_are_sound; enumerate_matches_oracle;
+            closure_matches_reference ] );
       ("opt", qsuite [ simplify_preserves_semantics ]);
       ("milp-cuts", qsuite [ milp_cuts_are_valid ]);
       ( "flows",
