@@ -220,6 +220,10 @@ type step = {
       (** the read's node when the read is combinational (it expands when
           that node is in the cone), -1 for a registered read (never
           expands) *)
+  flats : int array;  (** the read's flat bit *)
+  pos : int array;
+      (** the read's operand position: the index in the reader's [preds]
+          of the first edge from its node at its distance *)
   passthrough : bool;
 }
 
@@ -242,9 +246,11 @@ type table = {
   mutable pool : int array;
   mutable top : int;
   (* Union scratch: [seen.(key) = ustamp] while [key] is in the union
-     being built at the top of [pool]. *)
+     being built. *)
   mutable ustamp : int;
   seen : int array;
+  (* The supports {!compose} is building. *)
+  mutable out : int array;
 }
 
 let table g =
@@ -265,11 +271,23 @@ let table g =
     let node = owner.(flat) in
     let d = dep g ~node ~bit:(flat - base.(node)) in
     let reads = Array.of_list d.reads in
-    let key (r : Bitpos.t) = ((base.(r.node) + r.bit) * !span) + r.dist in
-    let src (r : Bitpos.t) = if r.dist = 0 then r.node else -1 in
+    let preds = Ir.Cdfg.preds g node in
+    let flat_of (r : Bitpos.t) = base.(r.node) + r.bit in
+    let pos (r : Bitpos.t) =
+      let rec go i =
+        let e = preds.(i) in
+        if e.Ir.Cdfg.src = r.node && e.dist = r.dist then i else go (i + 1)
+      in
+      go 0
+    in
     {
-      keys = Array.map key reads;
-      srcs = Array.map src reads;
+      keys = Array.map (fun r -> (flat_of r * !span) + r.Bitpos.dist) reads;
+      srcs =
+        Array.map
+          (fun (r : Bitpos.t) -> if r.dist = 0 then r.node else -1)
+          reads;
+      flats = Array.map flat_of reads;
+      pos = Array.map pos reads;
       passthrough = d.passthrough;
     }
   in
@@ -289,28 +307,12 @@ let table g =
     top = 0;
     ustamp = 0;
     seen = Array.make (!total * !span) 0;
+    out = Array.make 256 0;
   }
 
 exception Too_wide
 
-(* Adds [key] to the union of [n] keys being built at [pool.(top ..)];
-   returns the new size. *)
-let add t ~bound n key =
-  if t.seen.(key) = t.ustamp then n
-  else begin
-    if n >= bound then raise Too_wide;
-    t.seen.(key) <- t.ustamp;
-    let at = t.top + n in
-    if at = Array.length t.pool then begin
-      let p = Array.make (2 * at) 0 in
-      Array.blit t.pool 0 p 0 at;
-      t.pool <- p
-    end;
-    t.pool.(at) <- key;
-    n + 1
-  end
-
-(* The one closure: the support of every output bit of [root] within
+(* The reference closure: the support of every output bit of [root] within
    [cone], memoised per (node, bit) for this call. Every support reached
    below a root bit is a subset of that root bit's support, so once any
    set grows past [bound] the cone is infeasible and [Too_wide] is
@@ -335,7 +337,7 @@ let close ~bound t ~root ~cone =
       for i = 0 to reads - 1 do
         let src = s.srcs.(i) in
         if src >= 0 && t.in_cone.(src) = gen then begin
-          let sub = s.keys.(i) / t.span in
+          let sub = s.flats.(i) in
           go sub;
           incr expanded;
           if not t.memo_wire.(sub) then wire := false
@@ -343,22 +345,36 @@ let close ~bound t ~root ~cone =
       done;
       if reads = 1 && !expanded = 1 then begin
         (* a single expanded read: its support, shared *)
-        let sub = s.keys.(0) / t.span in
+        let sub = s.flats.(0) in
         t.off.(flat) <- t.off.(sub);
         t.len.(flat) <- t.len.(sub)
       end
       else begin
+        (* the union, built at the top of the pool: each read adds its
+           expanded support, or itself when it is a boundary read *)
         t.ustamp <- t.ustamp + 1;
-        let n = ref 0 in
+        let u = t.ustamp and n = ref 0 in
         for i = 0 to reads - 1 do
-          let src = s.srcs.(i) in
-          if src >= 0 && t.in_cone.(src) = gen then begin
-            let sub = s.keys.(i) / t.span in
-            for j = t.off.(sub) to t.off.(sub) + t.len.(sub) - 1 do
-              n := add t ~bound !n t.pool.(j)
-            done
-          end
-          else n := add t ~bound !n s.keys.(i)
+          let src = s.srcs.(i) and sub = s.flats.(i) in
+          let expand = src >= 0 && t.in_cone.(src) = gen in
+          let from = if expand then t.pool else s.keys in
+          let lo = if expand then t.off.(sub) else i in
+          let hi = if expand then lo + t.len.(sub) - 1 else i in
+          for j = lo to hi do
+            let key = from.(j) in
+            if t.seen.(key) <> u then begin
+              if !n >= bound then raise Too_wide;
+              t.seen.(key) <- u;
+              let at = t.top + !n in
+              if at = Array.length t.pool then begin
+                let p = Array.make (2 * at) 0 in
+                Array.blit t.pool 0 p 0 at;
+                t.pool <- p
+              end;
+              t.pool.(at) <- key;
+              incr n
+            end
+          done
         done;
         t.off.(flat) <- t.top;
         t.len.(flat) <- !n;
@@ -386,6 +402,73 @@ let closure ?(bound = max_int) t ~root ~cone =
           incr lut_bits
       done;
       Some { max_support = !max_support; lut_bits = !lut_bits }
+
+type supports = int array
+
+(* Bit [b]'s record in a node's supports starts at [b * (k + 2)]: its
+   size, its wire flag (1 or 0), then its first [min size k] keys. A size
+   above [k] is too wide; it is [k + 1] when the bit reads a too-wide bit
+   of an in-cone operand, else the exact count. Each union is built in
+   [out] and checked against [seen]. *)
+let compose ?(stop = false) t ~k ~root ops =
+  let stride = k + 2 and first = t.base.(root) in
+  let w = Ir.Cdfg.width t.graph root in
+  if Array.length t.out < w * stride then
+    t.out <- Array.make (max (w * stride) (2 * Array.length t.out)) 0;
+  let out = t.out in
+  match
+    for bit = 0 to w - 1 do
+      let s = t.steps.(first + bit) and o = bit * stride in
+      t.ustamp <- t.ustamp + 1;
+      let u = t.ustamp and n = ref 0 and wide = ref false in
+      let wire = ref s.passthrough and i = ref 0 in
+      let reads = Array.length s.keys in
+      while !i < reads do
+        let src = s.srcs.(!i) in
+        let sub = if src >= 0 then ops.(s.pos.(!i)) else [||] in
+        let expand = Array.length sub > 0 in
+        let so =
+          if expand then (s.flats.(!i) - t.base.(src)) * stride else 0
+        in
+        if expand && sub.(so + 1) = 0 then wire := false;
+        if expand && sub.(so) > k then begin
+          (* a too-wide bit below: this bit is too wide as well *)
+          if stop then raise Too_wide;
+          wide := true;
+          i := reads
+        end
+        else begin
+          let from = if expand then sub else s.keys in
+          let lo = if expand then so + 2 else !i in
+          let hi = if expand then so + 1 + sub.(so) else !i in
+          for j = lo to hi do
+            let key = from.(j) in
+            if t.seen.(key) <> u then begin
+              t.seen.(key) <- u;
+              if !n < k then out.(o + 2 + !n) <- key
+              else if stop then raise Too_wide;
+              incr n
+            end
+          done;
+          incr i
+        end
+      done;
+      out.(o) <- (if !wide then k + 1 else !n);
+      out.(o + 1) <- (if !wire then 1 else 0)
+    done
+  with
+  | exception Too_wide -> None
+  | () -> Some (Array.sub out 0 (w * stride))
+
+let measure ~k sup =
+  let stride = k + 2 in
+  let max_support = ref 0 and lut_bits = ref 0 in
+  for o = 0 to (Array.length sup / stride) - 1 do
+    let n = sup.(o * stride) in
+    max_support := max !max_support n;
+    if n >= 2 || (n = 1 && sup.((o * stride) + 1) = 0) then incr lut_bits
+  done;
+  { max_support = !max_support; lut_bits = !lut_bits }
 
 (* The views below each run the closure once on a fresh table. *)
 

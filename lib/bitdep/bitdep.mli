@@ -10,14 +10,15 @@
     through or zeroes them, and adding a constant leaves bits below [tz c]
     untouched.
 
-    {!closure} closes [dep] transitively inside a cone, yielding the exact
-    set of {e boundary bits} a K-LUT implementing that cone's bit would
-    need — the feasibility measure for word-level cuts. It is the one
-    closure: [support], [max_support_width] and [lut_bits] are views of
-    it. A closure writes every support it builds into one pooled [int
-    array] of its {!table} (an offset and a length per bit, the pool
-    refilled from the start by each closure), so it allocates nothing
-    per bit. *)
+    {!compose} builds the support of every output bit of one node within a
+    cone one level up, from the supports of its in-cone operands' sub-cones
+    — the exact set of {e boundary bits} a K-LUT implementing that bit
+    would need, the feasibility measure for word-level cuts. Cut
+    enumeration ([Cuts.enumerate]) composes each candidate cone from the
+    supports of cones it has already built. {!closure} closes [dep]
+    transitively from scratch instead; it and its views [support],
+    [max_support_width] and [lut_bits] are the reference the tests hold
+    {!compose} against. *)
 
 module Bitpos : sig
   type t = {
@@ -51,8 +52,8 @@ val dep : Ir.Cdfg.t -> node:int -> bit:int -> one_step
 
 type table
 (** The one-step [dep] of every (node, bit) of one graph, plus the scratch
-    one {!closure} runs in. Build one per graph and pass it to every
-    closure over that graph; it holds no results across closures. Not
+    {!compose} and {!closure} run in. Build one per graph and pass it to
+    every call over that graph; it holds no results across calls. Not
     safe to share between domains. *)
 
 val table : Ir.Cdfg.t -> table
@@ -67,13 +68,40 @@ type cone_support = {
           non-wiring logic. Constant and pass-through bits are free. *)
 }
 
+type supports = int array
+(** The support of every output bit of one node within one cone, flat:
+    bit [b]'s record starts at [b * (k + 2)] and holds its size, its wire
+    flag (1 when the bit is a plain copy of at most one boundary bit routed
+    only through wiring, else 0) and then its first [min size k] keys,
+    unordered. A size above [k] marks a too-wide bit: it is [k + 1] when
+    the bit reads a too-wide bit of an in-cone operand, else the exact
+    count. The empty array stands for an operand outside the cone. *)
+
+val compose :
+  ?stop:bool -> table -> k:int -> root:int -> supports array -> supports option
+(** [compose t ~k ~root ops]: the supports of [root]'s output bits within
+    the cone of [root] plus, for each operand position [i] (an index into
+    [root]'s [preds]) with a non-empty [ops.(i)], the operand's sub-cone
+    whose supports [ops.(i)] are (built with the same [k]). An operand
+    with [ops.(i) = [||]] is a boundary, and registered ([dist > 0]) reads
+    always are. With no operands this is the node's trivial cone, whose
+    sizes are all exact.
+
+    [None] iff [stop] (default [false]) and some output bit is too wide;
+    it then stops at the first such bit. *)
+
+val measure : k:int -> supports -> cone_support
+(** The [max_support] and [lut_bits] of supports built with [k]. *)
+
 val closure :
   ?bound:int -> table -> root:int -> cone:int list -> cone_support option
-(** Transitive closure of [dep] from every output bit of [root], expanding
-    through the nodes listed in [cone] (in any order) and stopping at
-    nodes outside it; registered ([dist > 0]) reads always stop, even if
-    the producer is in the cone.
-    Each (node, bit) is closed once per call.
+(** The reference closure: the transitive closure of [dep] from every
+    output bit of [root], expanding through the nodes listed in [cone] (in
+    any order) and stopping at nodes outside it; registered ([dist > 0])
+    reads always stop, even if the producer is in the cone. Each (node,
+    bit) is closed once per call, its support written into one pooled
+    [int array] of the {!table}. No enumeration calls it; the tests hold
+    {!compose} and the cut enumerator against it.
 
     [None] iff some output bit's support exceeds [bound] (default
     unbounded). The closure stops at the first set that grows past
@@ -90,8 +118,8 @@ type bit_support = {
 
 (** {2 Views}
 
-    Each runs {!closure} once, unbounded, on a fresh {!table}, over
-    [Int_set.elements cone]. *)
+    Reference views for the tests. Each runs {!closure} once, unbounded,
+    on a fresh {!table}, over [Int_set.elements cone]. *)
 
 val support :
   Ir.Cdfg.t -> root:int -> cone:Int_set.t -> bit:int -> bit_support

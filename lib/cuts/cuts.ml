@@ -44,8 +44,8 @@ let absorbable g id =
 
 let ceil_div a b = (a + b - 1) / b
 
-(* LUT cost of [v]'s trivial cut, whose closure is [s]. A cone of two or
-   more nodes costs its [s.lut_bits]. *)
+(* LUT cost of [v]'s trivial cut, whose cone support is [s]. A cone of
+   two or more nodes costs its [s.lut_bits]. *)
 let trivial_area ~k g v (s : Bitdep.cone_support) =
   match Ir.Cdfg.op g v with
   | Ir.Op.Input _ | Ir.Op.Const _ | Ir.Op.Shl _ | Ir.Op.Shr _ | Ir.Op.Slice _
@@ -57,36 +57,50 @@ let trivial_area ~k g v (s : Bitdep.cone_support) =
       let w_in = Ir.Cdfg.width g (Ir.Cdfg.preds g v).(0).Ir.Cdfg.src in
       max 1 (ceil_div ((2 * w_in) - 1) (k - 1))
 
-(* The always-legal trivial cut: the node alone, operands as leaves. *)
+(* The always-legal trivial cut: the node alone, operands as leaves, its
+   supports composed with no operand in the cone. *)
 let trivial_cut ~k deps g v =
+  let preds = Ir.Cdfg.preds g v in
   let leaves =
-    Array.to_list (Ir.Cdfg.preds g v)
+    Array.to_list preds
     |> List.map (fun (e : Ir.Cdfg.edge) -> e.src)
     |> List.sort_uniq Int.compare
   in
-  let s = Option.get (Bitdep.closure deps ~root:v ~cone:[ v ]) in
-  {
-    root = v;
-    leaves;
-    cone = Int_set.singleton v;
-    support = s.max_support;
-    area = trivial_area ~k g v s;
-  }
+  let sup =
+    Option.get
+      (Bitdep.compose deps ~k ~root:v (Array.make (Array.length preds) [||]))
+  in
+  let s = Bitdep.measure ~k sup in
+  ( {
+      root = v;
+      leaves;
+      cone = Int_set.singleton v;
+      support = s.max_support;
+      area = trivial_area ~k g v s;
+    },
+    sup )
 
 let trivial_only ?(k = 4) g =
   let deps = Bitdep.table g in
-  Array.init (Ir.Cdfg.num_nodes g) (fun v -> [| trivial_cut ~k deps g v |])
+  Array.init (Ir.Cdfg.num_nodes g) (fun v ->
+      [| fst (trivial_cut ~k deps g v) |])
 
 let compare_leaves = List.compare Int.compare
 
+(* A leaf set a successor's merge may choose for the operand [u]: [{u}]
+   itself (no members, no supports: [u] stays a boundary), or the leaves
+   of one of [u]'s cuts with that cut's cone and its supports. *)
+type block = { leaves : int list; members : int array; sup : Bitdep.supports }
+
 (* A feasible non-trivial cone found by a merge, before ranking: its
-   reached leaves (sorted), their count, its members and its closure. Only
-   the kept ones become [cut]s. *)
+   reached leaves (sorted), their count, its members and its supports.
+   Only the kept ones become [cut]s. *)
 type found = {
   reached : int list;
   width : int;
-  members : int list;
+  members : int array;
   s : Bitdep.cone_support;
+  sup : Bitdep.supports;
 }
 
 (* Ranked by (area, support, leaf count, leaves). *)
@@ -111,21 +125,24 @@ let ensure a n =
 
 (* Scratch of the merge candidates, reused by every merge of one
    [enumerate] call. [part] holds the partial unions of the cartesian
-   product, one segment per depth; [cand.(0 .. top - 1)] the distinct
-   candidates, each its length followed by its sorted leaves, found
-   through the open-addressing table [slots.(0 .. mask)] (start offsets,
-   -1 empty). *)
+   product, one segment per depth, and [pick] the choice taken at each
+   depth; [cand.(0 .. top - 1)] the distinct candidates, each its length,
+   its sorted leaves and the picks of the first combination that produced
+   it, found through the open-addressing table [slots.(0 .. mask)] (start
+   offsets, -1 empty). *)
 type product = {
   mutable part : int array;
+  mutable pick : int array;
   mutable cand : int array;
   mutable top : int;
   mutable slots : int array;
   mutable mask : int;
 }
 
-(* Adds the union in [part.(s .. s + len - 1)] to the candidates unless it
-   is one already; returns whether it was new. *)
-let add_candidate x s len =
+(* Adds the union in [part.(s .. s + len - 1)], with the picks of its
+   first [arity] depths, to the candidates unless it is one already;
+   returns whether it was new. *)
+let add_candidate x ~arity s len =
   let b = x.part and mask = x.mask in
   let h = ref len in
   for i = s to s + len - 1 do
@@ -142,41 +159,45 @@ let add_candidate x s len =
   done;
   x.slots.(!i) < 0
   && begin
-    x.cand <- ensure x.cand (x.top + len + 1);
+    x.cand <- ensure x.cand (x.top + len + 1 + arity);
     x.slots.(!i) <- x.top;
     x.cand.(x.top) <- len;
     Array.blit b s x.cand (x.top + 1) len;
-    x.top <- x.top + len + 1;
+    Array.blit x.pick 0 x.cand (x.top + 1 + len) arity;
+    x.top <- x.top + len + 1 + arity;
     true
   end
 
-(* The capped cartesian product of [choices] (one list of sorted leaf lists
-   per operand), in operand-major order: the first [cap] combinations,
-   each the union of its choices, deduplicated into [x.cand]. Returns the
-   number of distinct candidates. *)
+(* The capped cartesian product of [choices] (the blocks of each operand,
+   sorted by leaves), in operand-major order: the first [cap]
+   combinations, each the union of its choices' leaves, deduplicated into
+   [x.cand]. Returns the number of distinct candidates. *)
 let merged_leaf_sets x ~cap choices =
+  let arity = Array.length choices in
   let combos =
-    Array.fold_left (fun acc c -> min cap (acc * List.length c)) 1 choices
+    Array.fold_left (fun acc c -> min cap (acc * Array.length c)) 1 choices
   in
   let nslots = ref 64 in
   while !nslots < 2 * combos do nslots := 2 * !nslots done;
   x.slots <- ensure x.slots !nslots;
   Array.fill x.slots 0 !nslots (-1);
   x.mask <- !nslots - 1;
+  x.pick <- ensure x.pick arity;
   x.top <- 0;
   let count = ref 0 and distinct = ref 0 in
   (* the union of the first [d] choices is [part.(s .. s + len - 1)] *)
   let rec go d s len =
-    if d = Array.length choices then begin
+    if d = arity then begin
       incr count;
-      if add_candidate x s len then incr distinct
+      if add_candidate x ~arity s len then incr distinct
     end
     else
-      List.iter
-        (fun leaves ->
+      Array.iteri
+        (fun j block ->
           if !count < cap then begin
+            x.pick.(d) <- j;
             let dst = s + len in
-            x.part <- ensure x.part (dst + len + List.length leaves);
+            x.part <- ensure x.part (dst + len + List.length block.leaves);
             let b = x.part in
             let rec merge i j = function
               | [] ->
@@ -193,7 +214,7 @@ let merged_leaf_sets x ~cap choices =
                     merge i (j + 1) rest
                   end
             in
-            go (d + 1) dst (merge s dst leaves - dst)
+            go (d + 1) dst (merge s dst block.leaves - dst)
           end)
         choices.(d)
   in
@@ -208,25 +229,34 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
   let p = match params with Some p -> p | None -> default_params ~k in
   let n = Ir.Cdfg.num_nodes g in
   let absorb = Array.init n (absorbable g) in
-  (* One dep table for every closure of this call; each node's trivial cut
-     is computed once and reused by every merge. *)
+  (* One dep table for every composition of this call; each node's trivial
+     cut is computed once and reused by every merge. *)
   let deps = Bitdep.table g in
-  let trivial = Array.init n (trivial_cut ~k:p.k deps g) in
-  (* Building blocks: for each node, the leaf sets successors may choose
-     from — the singleton {v} plus v's own enumerated (non-trivial) cuts. *)
-  let blocks : int list list array = Array.make n [] in
-  let result : cut list array = Array.make n [] in
-  for v = 0 to n - 1 do
-    result.(v) <- [ trivial.(v) ];
-    blocks.(v) <-
-      (if absorb.(v) then
-         List.sort_uniq compare_leaves [ [ v ]; trivial.(v).leaves ]
-       else [ [ v ] ])
-  done;
+  (* Each node's cuts come paired with their blocks. Building blocks: for
+     each node, the leaf sets successors may choose from — the singleton
+     {v} plus v's own enumerated cuts, each with its cone and supports. *)
+  let trivial =
+    Array.init n (fun v ->
+        let c, sup = trivial_cut ~k:p.k deps g v in
+        (c, { leaves = c.leaves; members = [| v |]; sup }))
+  in
+  let leaf =
+    Array.init n (fun v -> { leaves = [ v ]; members = [||]; sup = [||] })
+  in
+  let blocks_of v fresh =
+    if absorb.(v) then
+      leaf.(v) :: List.map snd fresh
+      |> List.sort_uniq (fun a b -> compare_leaves a.leaves b.leaves)
+      |> Array.of_list
+    else [| leaf.(v) |]
+  in
+  let blocks = Array.init n (fun v -> blocks_of v [ trivial.(v) ]) in
+  let result : cut list array = Array.init n (fun v -> [ fst trivial.(v) ]) in
   (* Scratch reused by every merge of this call; no cache outlives it. *)
   let x =
     {
       part = Array.make 64 0;
+      pick = Array.make 8 0;
       cand = Array.make 256 0;
       top = 0;
       slots = Array.make 64 0;
@@ -260,29 +290,54 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
       done
     end
   in
-  (* The closures of one merge by reached-leaf list: unreached leaves do
-     not change the cone, so candidates reaching the same leaves share
-     it. [None] is an infeasible cone. *)
+  (* [u]'s supports within the candidate marked [st], composed from its
+     in-cone operands', memoised per candidate. *)
+  let within_gen = Array.make n 0 and within_sup = Array.make n [||] in
+  let rec within st u =
+    if within_gen.(u) <> st then begin
+      let preds = Ir.Cdfg.preds g u in
+      let ops = Array.make (Array.length preds) [||] in
+      for i = 0 to Array.length preds - 1 do
+        let e = preds.(i) in
+        if e.dist = 0 && leaf_mark.(e.src) <> st then
+          ops.(i) <- within st e.src
+      done;
+      within_sup.(u) <- Option.get (Bitdep.compose deps ~k:p.k ~root:u ops);
+      within_gen.(u) <- st
+    end;
+    within_sup.(u)
+  in
+  (* Whether [members.(i ..)] hold none of the leaves marked [st]. *)
+  let rec disjoint st members i =
+    i = Array.length members
+    || (leaf_mark.(members.(i)) <> st && disjoint st members (i + 1))
+  in
+  (* The distinct cones of one merge by reached-leaf list: unreached
+     leaves do not change the cone, so candidates reaching the same leaves
+     share it. [None] is an infeasible cone. *)
   let memo : (int list, found option) Hashtbl.t = Hashtbl.create 64 in
   let merge v =
     if not absorb.(v) then [ trivial.(v) ]
     else
       let preds = Ir.Cdfg.preds g v in
-      if Array.length preds = 0 then [ trivial.(v) ]
+      let arity = Array.length preds in
+      if arity = 0 then [ trivial.(v) ]
       else
         let choices =
           Array.map
             (fun (e : Ir.Cdfg.edge) ->
-              if e.dist > 0 then [ [ e.src ] ] else blocks.(e.src))
+              if e.dist > 0 then [| leaf.(e.src) |] else blocks.(e.src))
             preds
         in
         let candidates = merged_leaf_sets x ~cap:p.max_candidates choices in
+        let ops = Array.make arity [||] in
         Hashtbl.clear memo;
         let enumerated = ref 0 and infeasible = ref 0 and found = ref [] in
         let c = x.cand and at = ref 0 in
         while !at < x.top do
           let len = c.(!at) and first = !at + 1 in
-          at := first + len;
+          let picks = first + len in
+          at := picks + arity;
           incr stamp;
           let st = !stamp in
           for i = first to first + len - 1 do
@@ -305,15 +360,29 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
               match Hashtbl.find_opt memo reached with
               | Some r -> r
               | None ->
-                  let cone = ref [] in
-                  for i = !size - 1 downto 0 do
-                    cone := members.(i) :: !cone
+                  (* An in-cone operand's chosen block closes exactly its
+                     sub-cone here when the block's cone holds none of the
+                     candidate's leaves; otherwise another operand brought
+                     in a leaf inside it, and the sub-cone is built. *)
+                  for i = 0 to arity - 1 do
+                    let e = preds.(i) in
+                    ops.(i) <-
+                      (if e.dist > 0 || leaf_mark.(e.src) = st then [||]
+                       else
+                         let b = choices.(i).(c.(picks + i)) in
+                         if disjoint st b.members 0 then b.sup
+                         else within st e.src)
                   done;
                   let r =
-                    Bitdep.closure ~bound:p.k deps ~root:v ~cone:!cone
-                    |> Option.map (fun s ->
-                           let width = List.length reached in
-                           { reached; width; members = !cone; s })
+                    Bitdep.compose ~stop:true deps ~k:p.k ~root:v ops
+                    |> Option.map (fun sup ->
+                           {
+                             reached;
+                             width = List.length reached;
+                             members = Array.sub members 0 !size;
+                             s = Bitdep.measure ~k:p.k sup;
+                             sup;
+                           })
                   in
                   Hashtbl.add memo reached r;
                   Option.iter (fun f -> found := f :: !found) r;
@@ -326,13 +395,14 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
         let kept =
           List.filteri (fun i _ -> i < p.max_cuts) ranked
           |> List.map (fun f ->
-                 {
-                   root = v;
-                   leaves = f.reached;
-                   cone = Int_set.of_list f.members;
-                   support = f.s.max_support;
-                   area = f.s.lut_bits;
-                 })
+                 ( {
+                     root = v;
+                     leaves = f.reached;
+                     cone = Int_set.of_list (Array.to_list f.members);
+                     support = f.s.max_support;
+                     area = f.s.lut_bits;
+                   },
+                   { leaves = f.reached; members = f.members; sup = f.sup } ))
         in
         Obs.Counter.incr ~by:candidates c_candidates;
         Obs.Counter.incr ~by:!enumerated c_enumerated;
@@ -353,7 +423,9 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
     (Ir.Cdfg.topo_order g);
   let same_cutset a b =
     List.length a = List.length b
-    && List.for_all2 (fun x y -> List.equal Int.equal x.leaves y.leaves) a b
+    && List.for_all2
+         (fun (x : cut) (y : cut) -> List.equal Int.equal x.leaves y.leaves)
+         a b
   in
   (* Deadline degradation: abandoning the worklist early is safe because
      every node's cut set starts as [trivial] — downstream consumers just
@@ -375,17 +447,14 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
         ~args:[ ("node", Obs.Json.Int v) ]
         (fun () -> merge v)
     in
-    if not (same_cutset fresh result.(v)) then begin
-      result.(v) <- fresh;
+    let cuts = List.map fst fresh in
+    if not (same_cutset cuts result.(v)) then begin
+      result.(v) <- cuts;
       (* Building blocks: the singleton {v} (v stays a boundary) plus every
          cut's leaf set — including the trivial cut's, which is how a
          successor absorbs v itself with the boundary at v's operands.
          Non-absorbable nodes (inputs, black boxes) offer only {v}. *)
-      blocks.(v) <-
-        (if absorb.(v) then
-           ([ v ] :: List.map (fun c -> c.leaves) fresh)
-           |> List.sort_uniq compare_leaves
-         else [ [ v ] ]);
+      blocks.(v) <- blocks_of v fresh;
       List.iter
         (fun (s, dist) ->
           if dist = 0 && not queued.(s) then begin

@@ -8,9 +8,12 @@
     Deviations from bit-level enumeration, per DESIGN.md:
     - feasibility is per output bit: the cone is K-feasible iff every output
       bit's boundary-bit support has at most K bits. Each distinct
-      canonical cone of a merge gets one {!Bitdep.closure} bounded by K,
+      canonical cone of a merge gets one {!Bitdep.compose} bounded by K,
       which yields its support and its area together, over one
-      {!Bitdep.table} per {!enumerate} call;
+      {!Bitdep.table} per {!enumerate} call. It composes the root's
+      supports from those its operands' chosen cuts already hold, and
+      composes an operand's sub-cone afresh only when another operand put
+      a leaf inside that cut's cone;
     - cones never cross loop-carried ([dist > 0]) edges — LUTs are
       combinational, so registered operands are always boundaries;
     - black-box, input and constant nodes are never cone members;

@@ -204,6 +204,51 @@ let test_trivial_only_k () =
         triv)
     Benchmarks.Registry.all
 
+(* A reconvergent graph whose candidates reuse and rebuild operand
+   sub-cones. [v = u | w] with [u = x ^ b], [w = x & c] and [x = ~a], all
+   2 bits wide. Choosing [u]'s cut over [{a, b}] (cone [{u, x}]) and [w]'s
+   trivial cut over [{x, c}] gives the candidate [{a, b, c, x}]: [w] brings
+   in [x] as a leaf, which lies inside [u]'s chosen cone, so [u]'s
+   sub-cone under the candidate is [{u}] alone and its supports are built,
+   not reused. Per bit the cone over [{u, w}] reads [{x, b, c}], 3 bits;
+   reusing [u]'s cone would read [{a, b, x, c}], 4. The cut sets equal the
+   oracle's. *)
+let test_reconvergent_fallback () =
+  let b = Ir.Builder.create () in
+  let a = Ir.Builder.input b ~width:2 "a" in
+  let bb = Ir.Builder.input b ~width:2 "b" in
+  let c = Ir.Builder.input b ~width:2 "c" in
+  let x = Ir.Builder.not_ b a in
+  let u = Ir.Builder.xor_ b x bb in
+  let w = Ir.Builder.and_ b x c in
+  let v = Ir.Builder.or_ b u w in
+  Ir.Builder.output b v;
+  let g = Ir.Builder.finish b in
+  let params = Cuts.default_params ~k:4 in
+  let cuts = Cuts.enumerate ~params ~k:4 g in
+  let want, _ = Cuts_oracle.enumerate ~params g in
+  let text cuts =
+    let ints l = String.concat "," (List.map string_of_int l) in
+    Array.to_list cuts
+    |> List.concat_map (fun cs ->
+           Array.to_list cs
+           |> List.map (fun (c : Cuts.cut) ->
+                  Printf.sprintf "%d|%s|%s|%d|%d" c.root (ints c.leaves)
+                    (ints (Bitdep.Int_set.elements c.cone))
+                    c.support c.area))
+  in
+  Alcotest.(check (list string)) "cut sets = oracle's" (text want) (text cuts);
+  let root = Ir.Cdfg.num_nodes g - 1 in
+  let over_u_w =
+    Array.to_list cuts.(root)
+    |> List.find (fun (c : Cuts.cut) ->
+           Bitdep.Int_set.elements c.cone = [ root - 2; root - 1; root ])
+  in
+  Alcotest.(check (list int)) "cone over {u, w} stops at x, b, c" [ 1; 2; 3 ]
+    over_u_w.leaves;
+  Alcotest.(check int) "cone over {u, w} reads 3 bits per bit" 3
+    over_u_w.support
+
 (* Structural invariants on random-ish benchmark graphs. *)
 let cut_invariants =
   QCheck.Test.make ~name:"cut invariants on benchmark graphs" ~count:9
@@ -365,6 +410,8 @@ let () =
           Alcotest.test_case "pruning cap" `Quick test_pruning_cap;
           Alcotest.test_case "trivial only" `Quick test_trivial_only;
           Alcotest.test_case "trivial only at K = 6" `Quick test_trivial_only_k;
+          Alcotest.test_case "reconvergent operand cones" `Quick
+            test_reconvergent_fallback;
         ] );
       ( "cost model",
         [

@@ -348,6 +348,68 @@ let closure_matches_reference =
           max_support <= k && s.max_support = max_support
           && s.lut_bits = lut_bits)
 
+(* Random graph, random root, random cone as above, K in 2-6: the root's
+   supports composed from its in-cone operands' supports, each composed the
+   same way from theirs, agree with [Bitdep.closure ~bound:k] on
+   feasibility, and when feasible on max support and LUT bits. The
+   unstopped composition of the root agrees too: too wide iff infeasible,
+   the same LUT bits either way. *)
+let composition_matches_closure =
+  QCheck.Test.make ~name:"random cones: composed supports = closure"
+    ~count:300
+    QCheck.(quad graph_seed (make Gen.(int_bound 1_000_000))
+              (make Gen.(int_bound 1_000_000)) (make Gen.(int_range 2 6)))
+    (fun (seed, root_pick, cone_seed, k) ->
+      let g = build_random seed in
+      let root = root_pick mod Ir.Cdfg.num_nodes g in
+      let rng = Random.State.make [| cone_seed |] in
+      let cone =
+        List.init root (fun v -> v)
+        |> List.filter (fun _ -> Random.State.bool rng)
+        |> List.cons root |> Bitdep.Int_set.of_list
+      in
+      let table = Bitdep.table g in
+      let ops v sub =
+        Array.map
+          (fun (e : Ir.Cdfg.edge) ->
+            if e.dist = 0 && Bitdep.Int_set.mem e.src cone then sub e.src
+            else [||])
+          (Ir.Cdfg.preds g v)
+      in
+      let memo = Hashtbl.create 16 in
+      let rec sub v =
+        match Hashtbl.find_opt memo v with
+        | Some s -> s
+        | None ->
+            let s = Option.get (Bitdep.compose table ~k ~root:v (ops v sub)) in
+            Hashtbl.add memo v s;
+            s
+      in
+      let root_ops = ops root sub in
+      let stopped = Bitdep.compose ~stop:true table ~k ~root root_ops in
+      let full =
+        Bitdep.measure ~k
+          (Option.get (Bitdep.compose table ~k ~root root_ops))
+      in
+      let want =
+        Bitdep.closure ~bound:k table ~root ~cone:(Bitdep.Int_set.elements cone)
+      in
+      match (stopped, want) with
+      | None, None -> full.max_support > k
+      | Some sup, Some w ->
+          let s = Bitdep.measure ~k sup in
+          if s <> w || full <> w then
+            QCheck.Test.fail_reportf
+              "composed (max %d, lut %d), unstopped (max %d, lut %d) <> \
+               closure (max %d, lut %d)"
+              s.max_support s.lut_bits full.max_support full.lut_bits
+              w.max_support w.lut_bits
+          else true
+      | Some _, None ->
+          QCheck.Test.fail_report "composed feasible, closure not"
+      | None, Some _ ->
+          QCheck.Test.fail_report "closure feasible, composed not")
+
 let simplify_preserves_semantics =
   QCheck.Test.make ~name:"random graphs: simplify preserves semantics"
     ~count:120
@@ -549,7 +611,7 @@ let () =
       ( "graphs",
         qsuite
           [ graph_is_sane; cuts_are_sound; enumerate_matches_oracle;
-            closure_matches_reference ] );
+            closure_matches_reference; composition_matches_closure ] );
       ("opt", qsuite [ simplify_preserves_semantics ]);
       ("milp-cuts", qsuite [ milp_cuts_are_valid ]);
       ( "flows",

@@ -392,6 +392,18 @@ let test_env_knob () =
 
 (* --- fault matrix under four domains --------------------------------- *)
 
+(* Rows that wait out their whole budget get a short one: a stalled solve
+   always does, and with a torn checkpoint or a techmap timeout so do the
+   four kernels whose solve is still open at 1 s. On 0.2 s each of them
+   ends with the same MILP status and degradation trail. *)
+let budget ~fault (e : Benchmarks.Registry.entry) =
+  match fault with
+  | "milp.stall" -> 0.2
+  | ("techmap.timeout" | "milp.checkpoint_torn")
+    when List.mem e.name [ "CLZ"; "XORR"; "MT"; "AES" ] ->
+      0.2
+  | _ -> 1.0
+
 (* Re-run of test_resilience's end-to-end matrix with PIPESYN_DOMAINS=4:
    every registered fault point, armed always-on, against each benchmark
    kernel's Milp-map cascade — the run must still end in a verified
@@ -409,7 +421,7 @@ let run_with_fault ~fault (e : Benchmarks.Registry.entry) =
     {
       (Mams.Flow.default_setup ~device) with
       resources = e.resources;
-      time_limit = 1.0;
+      time_limit = budget ~fault e;
     }
   in
   let r = Mams.Flow.run setup Mams.Flow.Milp_map g in

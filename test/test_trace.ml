@@ -350,7 +350,7 @@ let run_neutrality_case ~fault () =
   (* A stalled worker busy-waits out its entire solve budget before the
      flow degrades, so that one case gets a small budget (the outcome —
      a deterministic heuristic fallback — is budget-independent). *)
-  let time_limit = if fault = Some "milp.stall" then 2.0 else 30.0 in
+  let time_limit = if fault = Some "milp.stall" then 0.2 else 30.0 in
   let setup = flow_setup ~time_limit () in
   let run_once ~traced =
     Resilience.Fault.clear ();
