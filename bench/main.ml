@@ -2,30 +2,70 @@
    (DESIGN.md experiment index). Per-kernel timings (pivot, cut
    enumeration, techmap) come from perfbench's per-layer metrics.
 
-   Environment knobs (documented in README.md):
+   Settings, read from the environment once, by the definitions below,
+   before any table runs (documented in README.md):
      PIPESYN_TIME_LIMIT   per-MILP budget in seconds (default 20; the
                           paper used 3600)
      PIPESYN_ONLY         comma-separated benchmark filter for Table 1/2
      PIPESYN_JSON         structured-metrics output path
                           (default BENCH_results.json)
+     PIPESYN_DOMAINS      branch-and-bound worker domains (default 1)
      PIPESYN_PROBE_MS     resource-probe cadence in ms (default off)
-     PIPESYN_LOG          NDJSON event-log output path (default off) *)
+     PIPESYN_LOG          NDJSON event-log output path (default off)
+   A value that does not parse, or an unknown benchmark name, exits 1. *)
+
+(* The value of [var] through [parse]; [None] when unset, exit 1 with
+   [parse]'s message when it rejects the value. *)
+let setting var parse =
+  Option.map
+    (fun s ->
+      match parse (String.trim s) with
+      | Ok v -> v
+      | Error msg ->
+          Fmt.epr "%s: %s@." var msg;
+          exit 1)
+    (Sys.getenv_opt var)
+
+let seconds s =
+  match float_of_string_opt s with
+  | Some v when v > 0.0 -> Ok v
+  | _ -> Error (Fmt.str "expected seconds > 0, got %S" s)
+
+let count what s =
+  match int_of_string_opt s with
+  | Some v when v >= 1 -> Ok v
+  | _ -> Error (Fmt.str "expected %s >= 1, got %S" what s)
+
+(* The registry entries a comma-separated name list selects, in registry
+   order; an empty list selects them all. *)
+let names s =
+  let name (e : Benchmarks.Registry.entry) = String.uppercase_ascii e.name in
+  let wanted =
+    String.split_on_char ',' (String.uppercase_ascii s)
+    |> List.map String.trim
+    |> List.filter (( <> ) "")
+  in
+  let known n = List.exists (fun e -> name e = n) Benchmarks.Registry.all in
+  match List.find_opt (fun n -> not (known n)) wanted with
+  | Some n -> Error (Fmt.str "unknown benchmark %s (see `pipesyn list')" n)
+  | None ->
+      Ok
+        (List.filter
+           (fun e -> wanted = [] || List.mem (name e) wanted)
+           Benchmarks.Registry.all)
 
 let time_limit =
-  try float_of_string (Sys.getenv "PIPESYN_TIME_LIMIT") with Not_found -> 20.0
-
-let only =
-  match Sys.getenv_opt "PIPESYN_ONLY" with
-  | None -> None
-  | Some s -> Some (String.split_on_char ',' (String.uppercase_ascii s))
+  Option.value ~default:20.0 (setting "PIPESYN_TIME_LIMIT" seconds)
 
 let selected =
-  List.filter
-    (fun (e : Benchmarks.Registry.entry) ->
-      match only with
-      | None -> true
-      | Some names -> List.mem (String.uppercase_ascii e.name) names)
-    Benchmarks.Registry.all
+  Option.value ~default:Benchmarks.Registry.all (setting "PIPESYN_ONLY" names)
+
+let json =
+  Option.value ~default:"BENCH_results.json" (setting "PIPESYN_JSON" Result.ok)
+
+let domains = setting "PIPESYN_DOMAINS" (count "a domain count")
+let probe_ms = setting "PIPESYN_PROBE_MS" (count "milliseconds")
+let log = setting "PIPESYN_LOG" Result.ok
 
 let setup_for (e : Benchmarks.Registry.entry) =
   let device = Fpga.Device.make ~t_clk:e.t_clk () in
@@ -33,6 +73,7 @@ let setup_for (e : Benchmarks.Registry.entry) =
     (Mams.Flow.default_setup ~device) with
     resources = e.resources;
     time_limit;
+    domains;
   }
 
 let milp_status (r : Mams.Flow.result) =
@@ -271,7 +312,7 @@ let print_figure1 () =
     Fpga.Delays.make ~logic:2.0 ~arith_base:1.6 ~arith_per_bit:0.2 ()
   in
   let setup =
-    { (Mams.Flow.default_setup ~device) with delays; time_limit }
+    { (Mams.Flow.default_setup ~device) with delays; time_limit; domains }
   in
   List.iter
     (fun (label, m) ->
@@ -364,7 +405,7 @@ let print_ablation_liveness () =
         in
         let solve label model extract =
           let t0 = Obs.Clock.wall () in
-          let r = Lp.Milp.solve ~time_limit:budget model in
+          let r = Lp.Milp.solve ~time_limit:budget ?domains model in
           let dt = Obs.Clock.wall () -. t0 in
           let ff =
             match r.Lp.Milp.status with
@@ -643,7 +684,7 @@ let print_scaling () =
         in
         let t0 = Obs.Clock.wall () in
         let r =
-          Lp.Milp.solve ~time_limit:budget ?incumbent
+          Lp.Milp.solve ~time_limit:budget ?domains ?incumbent
             ~branch_priority:(Mams.Formulation.branch_priorities f)
             model
         in
@@ -690,11 +731,8 @@ let table1_metrics rows =
     rows
 
 let write_metrics results =
-  let path =
-    Option.value (Sys.getenv_opt "PIPESYN_JSON") ~default:"BENCH_results.json"
-  in
-  Obs.Metrics.write_file ~path ~results;
-  Fmt.pr "@.wrote %s (%d results, schema v%d)@." path (List.length results)
+  Obs.Metrics.write_file ~path:json ~results;
+  Fmt.pr "@.wrote %s (%d results, schema v%d)@." json (List.length results)
     Obs.Metrics.schema_version
 
 let () =
@@ -702,10 +740,10 @@ let () =
   Fmt.pr "MILP budget per solve: %.0fs (PIPESYN_TIME_LIMIT to change)@."
     time_limit;
   Obs.reset ();
-  (* Live telemetry, both env-gated no-ops when unset: the resource
+  (* Live telemetry, each off unless its setting is given: the resource
      probe (PIPESYN_PROBE_MS) and the NDJSON event log (PIPESYN_LOG). *)
-  if Sys.getenv_opt "PIPESYN_LOG" <> None then Obs.Log.enable ();
-  ignore (Obs.Probe.start ());
+  if log <> None then Obs.Log.enable ();
+  Option.iter (fun period_ms -> Obs.Probe.start ~period_ms) probe_ms;
   let rows = run_table1 () in
   print_table1 rows;
   print_table2 rows;
@@ -719,11 +757,11 @@ let () =
   print_scaling ();
   Obs.Probe.stop ();
   write_metrics (table1_metrics rows @ extension_metrics);
-  (match Sys.getenv_opt "PIPESYN_LOG" with
-  | None -> ()
-  | Some path ->
+  Option.iter
+    (fun path ->
       Obs.Log.write ~path;
       Fmt.pr "wrote %s (%d log events%s)@." path (Obs.Log.num_events ())
         (let d = Obs.Log.dropped () in
-         if d = 0 then "" else Fmt.str ", %d dropped at cap" d));
+         if d = 0 then "" else Fmt.str ", %d dropped at cap" d))
+    log;
   Fmt.pr "@.done.@."

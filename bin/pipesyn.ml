@@ -48,8 +48,7 @@ let faults_arg =
   let doc =
     "Arm fault-injection points: a comma-separated spec of $(i,point), \
      $(i,point@N) (N-th hit only) or $(i,point%P:S) (P percent, seeded \
-     with S). See `pipesyn faults' for the registered points. Also read \
-     from $(b,PIPESYN_FAULTS)."
+     with S). See `pipesyn faults' for the registered points."
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~doc ~docv:"SPEC")
 
@@ -57,8 +56,7 @@ let deadline_arg =
   let doc =
     "Global wall-clock budget in seconds for the whole run (lint, cut \
      enumeration, solve, mapping, verification). On expiry the flow \
-     degrades gracefully and the exit code is 2. Also read from \
-     $(b,PIPESYN_DEADLINE)."
+     degrades gracefully and the exit code is 2."
   in
   Arg.(value & opt (some float) None & info [ "deadline" ] ~doc ~docv:"SECS")
 
@@ -67,8 +65,7 @@ let domains_arg =
     "Branch-and-bound worker domains for the MILP solves (an OCaml 5 \
      work-stealing pool). Exhaustive solves return identical statuses \
      and objectives for every value of $(docv) — see the README's \
-     determinism guarantee. Also read from $(b,PIPESYN_DOMAINS); \
-     default 1."
+     determinism guarantee. Default 1."
   in
   Arg.(value & opt (some int) None & info [ "domains" ] ~doc ~docv:"N")
 
@@ -82,33 +79,27 @@ let stall_window_arg =
   in
   Arg.(value & opt (some float) None & info [ "stall-window" ] ~doc ~docv:"SECS")
 
-(* --NAME forces a default-on solver feature on, --no-NAME turns it off;
-   [None] when neither is given. *)
-let toggle_arg name ~on ~off =
-  Arg.(
-    value
-    & vflag None
-        [
-          (Some true, info [ name ] ~doc:on);
-          (Some false, info [ "no-" ^ name ] ~doc:off);
-        ])
+(* --no-NAME turns a default-on solver feature off: [Some false] when
+   given, [None] (the solver's default, on) otherwise. *)
+let off_flag_arg feature ~doc =
+  let flag = Arg.(value & flag & info [ "no-" ^ feature ] ~doc) in
+  Term.(const (fun off -> if off then Some false else None) $ flag)
 
 let cuts_flag_arg =
-  toggle_arg "cuts"
-    ~on:
-      "Force-enable certified root cutting planes (Chvatal-Gomory and \
-       knapsack covers separated at the MILP root; see the README's \
-       \"Root cuts\" section). On by default; $(b,--no-cuts) disables. \
-       Results (status, objective, incumbent) are identical either way — \
-       cuts only change how much of the gap closes before branching."
-    ~off:"Disable root cutting planes for this run."
+  off_flag_arg "cuts"
+    ~doc:
+      "Disable certified root cutting planes (Chvatal-Gomory and knapsack \
+       covers separated at the MILP root; see the README's \"Root cuts\" \
+       section), which are on by default. Results (status, objective, \
+       incumbent) are identical either way — cuts only change how much of \
+       the gap closes before branching."
 
 let presolve_flag_arg =
-  toggle_arg "presolve"
-    ~on:
-      "Force-enable certified presolve (fixpoint bound tightening on the \
-       root model, replayed exactly by `pipesyn audit'). On by default."
-    ~off:"Disable presolve bound tightening for this run."
+  off_flag_arg "presolve"
+    ~doc:
+      "Disable certified presolve (fixpoint bound tightening on the root \
+       model, replayed exactly by `pipesyn audit'), which is on by \
+       default."
 
 (* Exit codes (README, "Exit codes"): 0 ok, 1 error findings / user error,
    2 degraded result, 3 internal error. *)
@@ -123,11 +114,6 @@ let check_domains = function
   | _ -> ()
 
 let arm_faults spec =
-  (match Resilience.Fault.load_env () with
-  | Ok () -> ()
-  | Error e ->
-      Fmt.epr "PIPESYN_FAULTS: %s@." e;
-      exit exit_error);
   match spec with
   | None -> ()
   | Some s -> (
@@ -135,17 +121,6 @@ let arm_faults spec =
       | Ok () -> ()
       | Error e ->
           Fmt.epr "--faults: %s@." e;
-          exit exit_error)
-
-(* --deadline, else PIPESYN_DEADLINE. *)
-let wall_budget_of deadline =
-  match (deadline, Sys.getenv_opt "PIPESYN_DEADLINE") with
-  | Some _, _ | None, None -> deadline
-  | None, Some s -> (
-      match float_of_string_opt s with
-      | Some _ as b -> b
-      | None ->
-          Fmt.epr "PIPESYN_DEADLINE: not a number: %s@." s;
           exit exit_error)
 
 (* ------------------------------------------------------------------ *)
@@ -213,17 +188,23 @@ let stderr_view ?(progress = false) ?(log_file = false) verbose =
     ();
   Obs.Log.set_sink (Some (stderr_sink ~verbose ~progress))
 
-(* --log FILE (or PIPESYN_LOG, which --log overrides), --trace FILE,
-   --progress, and the resource probe. The probe is started
-   unconditionally: with PIPESYN_PROBE_MS unset, [Obs.Probe.start] is a
-   no-op returning false. Returns the resolved log path for
-   [telemetry_finish]. *)
+(* The resource probe's period: PIPESYN_PROBE_MS milliseconds, the one
+   setting with no flag. Unset leaves the probe off. *)
+let probe_period () =
+  match Sys.getenv_opt "PIPESYN_PROBE_MS" with
+  | None -> None
+  | Some s -> (
+      match int_of_string_opt (String.trim s) with
+      | Some ms when ms >= 1 -> Some ms
+      | _ ->
+          Fmt.epr "PIPESYN_PROBE_MS: expected milliseconds >= 1, got %S@." s;
+          exit exit_error)
+
+(* --log FILE, --trace FILE, --progress, and the resource probe. *)
 let telemetry_start ~verbose ~log ~trace ~progress =
   if trace <> None then Obs.Trace.enable ();
-  let log = if log <> None then log else Sys.getenv_opt "PIPESYN_LOG" in
   stderr_view ~progress ~log_file:(log <> None) verbose;
-  ignore (Obs.Probe.start ());
-  log
+  Option.iter (fun period_ms -> Obs.Probe.start ~period_ms) (probe_period ())
 
 let telemetry_finish ~log ~trace ~progress =
   Obs.Probe.stop ();
@@ -388,8 +369,8 @@ let opts_term =
        recoveries, stalls, resource-probe samples) to $(docv) as NDJSON \
        (schema pipesyn-log-v1); read it back with `pipesyn explain'. \
        Purely observational: results are identical with and without \
-       logging. Also enabled by $(b,PIPESYN_LOG); buffer capacity via \
-       $(b,PIPESYN_LOG_CAP)."
+       logging. The log keeps at most 200000 events and counts the rest \
+       as dropped."
     in
     Arg.(value & opt (some string) None & info [ "log" ] ~doc ~docv:"FILE")
   in
@@ -401,7 +382,8 @@ let opts_term =
        Chrome trace_event JSON — load it in Perfetto or \
        chrome://tracing, or read it with `pipesyn explain'. \
        Purely observational: results are identical with and without \
-       tracing. Buffer capacity via $(b,PIPESYN_TRACE_CAP)."
+       tracing. The trace keeps at most 1000000 events and counts the \
+       rest as dropped."
     in
     Arg.(value & opt (some string) None & info [ "trace" ] ~doc ~docv:"FILE")
   in
@@ -465,12 +447,9 @@ let request_setup ?domains e (r : Mams.Flow.Request.t) =
 let drive o prepare =
   check_domains o.domains;
   Obs.reset ();
-  let log =
-    telemetry_start ~verbose:o.verbose ~log:o.log ~trace:o.trace
-      ~progress:o.progress
-  in
+  telemetry_start ~verbose:o.verbose ~log:o.log ~trace:o.trace
+    ~progress:o.progress;
   arm_faults o.faults;
-  let wall_budget = wall_budget_of o.deadline in
   let p = prepare () in
   let checkpoint =
     match (o.checkpoint, p.requests) with
@@ -499,7 +478,9 @@ let drive o prepare =
     List.map
       (fun (req : Mams.Flow.Request.t) ->
         let m = req.method_ in
-        let setup = { (p.setup req) with Mams.Flow.wall_budget; checkpoint } in
+        let setup =
+          { (p.setup req) with wall_budget = o.deadline; checkpoint }
+        in
         match Mams.Flow.run setup m p.graph with
         | Ok r ->
             Fmt.pr "%a@." Mams.Flow.pp_result r;
@@ -526,7 +507,7 @@ let drive o prepare =
             Mams.Flow.error_metrics ~name m)
       p.requests
   in
-  telemetry_finish ~log ~trace:o.trace ~progress:o.progress;
+  telemetry_finish ~log:o.log ~trace:o.trace ~progress:o.progress;
   Option.iter
     (fun path ->
       Obs.Metrics.write_file ~path ~results:metrics;
@@ -969,7 +950,7 @@ let diags_cmd =
 
 let faults_cmd =
   let run () =
-    Fmt.pr "Registered fault points (arm with --faults or PIPESYN_FAULTS):@.@.";
+    Fmt.pr "Registered fault points (arm with --faults):@.@.";
     List.iter
       (fun (name, doc) -> Fmt.pr "  %-16s %s@." name doc)
       Resilience.Fault.points;

@@ -110,63 +110,6 @@ let to_json d =
       ("witness", Obs.Json.List (List.map (fun w -> Obs.Json.String w) d.witness));
     ]
 
-let loc_of_string s =
-  let prefixed p = String.length s > String.length p && String.sub s 0 (String.length p) = p in
-  let rest p = String.sub s (String.length p) (String.length s - String.length p) in
-  if s = "global" then Some Global
-  else if prefixed "node:" then Option.map (fun v -> Node v) (int_of_string_opt (rest "node:"))
-  else if prefixed "edge:" then
-    match String.split_on_char '>' (rest "edge:") with
-    | [ u; v ] ->
-        let u = String.sub u 0 (String.length u - 1) in  (* drop '-' *)
-        (match (int_of_string_opt u, int_of_string_opt v) with
-        | Some u, Some v -> Some (Edge (u, v))
-        | _ -> None)
-    | _ -> None
-  else if prefixed "row:" then Option.map (fun i -> Row i) (int_of_string_opt (rest "row:"))
-  else if prefixed "col:" then Option.map (fun i -> Column i) (int_of_string_opt (rest "col:"))
-  else if prefixed "wire:" then Some (Wire (rest "wire:"))
-  else None
-
-let of_json j =
-  let str k =
-    match Obs.Json.member k j with
-    | Some (Obs.Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing string field %S" k)
-  in
-  let ( let* ) = Result.bind in
-  let* sev_s = str "severity" in
-  let* severity =
-    match sev_s with
-    | "error" -> Ok Error
-    | "warning" -> Ok Warning
-    | "info" -> Ok Info
-    | s -> Error (Printf.sprintf "bad severity %S" s)
-  in
-  let* code = str "code" in
-  let* pass = str "pass" in
-  let* loc_s = str "loc" in
-  let* loc =
-    match loc_of_string loc_s with
-    | Some l -> Ok l
-    | None -> Error (Printf.sprintf "bad location %S" loc_s)
-  in
-  let* message = str "message" in
-  let* witness =
-    match Obs.Json.member "witness" j with
-    | Some (Obs.Json.List ws) ->
-        List.fold_left
-          (fun acc w ->
-            match (acc, w) with
-            | Ok l, Obs.Json.String s -> Ok (s :: l)
-            | Ok _, _ -> Error "non-string witness entry"
-            | (Error _ as e), _ -> e)
-          (Ok []) ws
-        |> Result.map List.rev
-    | _ -> Error "missing witness list"
-  in
-  Ok { severity; code; pass; loc; message; witness }
-
 let pp ppf d =
   Fmt.pf ppf "%-7s %s %s: %s"
     (severity_name d.severity) d.code (loc_to_string d.loc) d.message;

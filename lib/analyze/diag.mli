@@ -70,9 +70,6 @@ val to_json : t -> Obs.Json.t
 (** [{"severity": …, "code": …, "pass": …, "loc": …, "message": …,
     "witness": […]}]. *)
 
-val of_json : Obs.Json.t -> (t, string) result
-(** Inverse of {!to_json} (round-trip checks in tests). *)
-
 val pp : t Fmt.t
 val pp_report : t list Fmt.t
 (** Sorted by {!compare}, one diagnostic per line, summary last. *)

@@ -651,7 +651,6 @@ let lint setup g = Analyze.Engine.static_gate (preflight_config setup) g
 let steps_of setup ctx method_ g :
     (int * result) Resilience.Cascade.step list =
   let open Resilience.Cascade in
-  let scale k = backoff ~base:1.0 ~factor:0.5 k in
   (* Full-strength MILP rungs are worth one in-place retry on a transient
      exception before the cascade degrades the formulation; every other
      rung degrades immediately (retrying a heuristic replays the same
@@ -693,8 +692,8 @@ let steps_of setup ctx method_ g :
         step "milp-base.full" ~retry:milp_retry (fun dl ->
             run_milp ?resume:setup.resume ~deadline:dl ~as_:method_ setup ctx g
               ~mapping_aware:false);
-        step "milp-base.retry" ~budget:(setup.time_limit *. scale 1) (fun dl ->
-            run_milp ~budget_scale:(scale 1) ~deadline:dl ~as_:method_ setup
+        step "milp-base.retry" ~budget:(setup.time_limit *. backoff 1) (fun dl ->
+            run_milp ~budget_scale:(backoff 1) ~deadline:dl ~as_:method_ setup
               ctx g ~mapping_aware:false);
         step "milp-base.sdc-fallback" (fun dl ->
             run_sdc ~deadline:dl ~as_:method_ setup ctx g);
@@ -705,8 +704,8 @@ let steps_of setup ctx method_ g :
         step "milp-map.full" ~retry:milp_retry (fun dl ->
             run_milp ?resume:setup.resume ~deadline:dl ~as_:method_ setup ctx g
               ~mapping_aware:true);
-        step "milp-map.coarse" ~budget:(setup.time_limit *. scale 1) (fun dl ->
-            run_milp ~coarse:true ~budget_scale:(scale 1) ~deadline:dl
+        step "milp-map.coarse" ~budget:(setup.time_limit *. backoff 1) (fun dl ->
+            run_milp ~coarse:true ~budget_scale:(backoff 1) ~deadline:dl
               ~as_:method_ setup ctx g ~mapping_aware:true);
         step "milp-map.map-first" (fun dl ->
             run_map_first ~deadline:dl ~as_:method_ setup ctx g);
@@ -737,14 +736,11 @@ let finish setup ~gc0 ~gate_diags trail (cuts_total, r) =
   in
   { r with metrics; trail }
 
-let run ?deadline setup method_ g =
+let run setup method_ g =
   let deadline =
-    match deadline with
-    | Some d -> d
-    | None -> (
-        match setup.wall_budget with
-        | Some b -> Resilience.Deadline.of_budget b
-        | None -> Resilience.Deadline.none)
+    match setup.wall_budget with
+    | Some b -> Resilience.Deadline.of_budget b
+    | None -> Resilience.Deadline.none
   in
   Obs.span ~cat:"flow" "flow.run"
     ~args:[ ("method", Obs.Json.String (method_name method_)) ]
@@ -810,10 +806,8 @@ let run ?deadline setup method_ g =
                      (fun a -> Fmt.str "%a" Resilience.Cascade.pp_attempt a)
                      trail))))
 
-let run_all ?deadline setup g =
-  List.map
-    (fun m -> (m, run ?deadline setup m g))
-    [ Hls_tool; Milp_base; Milp_map ]
+let run_all setup g =
+  List.map (fun m -> (m, run setup m g)) [ Hls_tool; Milp_base; Milp_map ]
 
 let pp_result ppf r =
   Fmt.pf ppf "%-9s %a" (method_name r.method_) Sched.Qor.pp r.qor;

@@ -57,8 +57,7 @@ type setup = {
           {!Resilience.Deadline} into every subsystem. *)
   domains : int option;
       (** B&B worker-domain count passed to {!Lp.Milp.solve} ([--domains]
-          on the CLI); [None] defers to the [PIPESYN_DOMAINS] environment
-          variable, else 1. *)
+          on the CLI); [None] = 1. *)
   audit : bool;
       (** make every MILP solve proof-carrying
           ([Lp.Milp.solve ~certificates:true]) and re-verify the
@@ -78,10 +77,10 @@ type setup = {
       (** stall-watchdog window in seconds ([--stall-window]); [None] =
           watchdog off. See {!Lp.Milp.solve}. *)
   cuts : bool option;
-      (** root cutting planes for the MILP rungs ([--cuts]/[--no-cuts]);
-          [None] = on. See {!Lp.Milp.solve}. *)
+      (** root cutting planes for the MILP rungs ([--no-cuts] turns them
+          off); [None] = on. See {!Lp.Milp.solve}. *)
   presolve : bool option;
-      (** certified root bound tightening ([--presolve]/[--no-presolve]);
+      (** certified root bound tightening ([--no-presolve] turns it off);
           [None] = on. See {!Lp.Milp.solve}. *)
 }
 
@@ -165,27 +164,19 @@ val lint :
     configuration. [Ok diags] carries warnings and infos only; [Error
     diags] contains at least one error-severity diagnostic. *)
 
-val run :
-  ?deadline:Resilience.Deadline.t ->
-  setup ->
-  method_ ->
-  Ir.Cdfg.t ->
-  (result, string) Stdlib.result
+val run : setup -> method_ -> Ir.Cdfg.t -> (result, string) Stdlib.result
 (** Runs one flow through its degradation cascade. The {!lint} gate
     executes first — error diagnostics abort the run before cut
     enumeration or scheduling, warnings are logged and recorded in the
-    result's [metrics.diagnostics]. [deadline] (default: derived from
-    [setup.wall_budget], or no deadline) bounds the whole run. The
-    returned (schedule, cover) pair always passes {!Sched.Verify.check} —
-    a verification failure fails that cascade attempt (recorded with
-    reason ["verify"]) and the next fallback runs. [Error] means the lint
-    gate found errors or the cascade was exhausted (["RES003"]). *)
+    result's [metrics.diagnostics]. [setup.wall_budget] bounds the whole
+    run. The returned (schedule, cover) pair always passes
+    {!Sched.Verify.check} — a verification failure fails that cascade
+    attempt (recorded with reason ["verify"]) and the next fallback
+    runs. [Error] means the lint gate found errors or the cascade was
+    exhausted (["RES003"]). *)
 
 val run_all :
-  ?deadline:Resilience.Deadline.t ->
-  setup ->
-  Ir.Cdfg.t ->
-  (method_ * (result, string) Stdlib.result) list
+  setup -> Ir.Cdfg.t -> (method_ * (result, string) Stdlib.result) list
 (** All three flows in Table 1 order. *)
 
 val method_name : method_ -> string

@@ -50,16 +50,8 @@ let c_stalls = Obs.Counter.get "milp.stalls"
 let c_cuts_applied = Obs.Counter.get "milp.cuts_applied"
 let c_cut_rounds = Obs.Counter.get "milp.cut_rounds"
 
-(* PIPESYN_DOMAINS selects how many OCaml 5 domains explore the tree
-   (default 1, a one-worker pool). Read per solve so drivers and tests
-   can toggle it. *)
-let domains_from_env () =
-  match Sys.getenv_opt "PIPESYN_DOMAINS" with
-  | None | Some "" -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some d when d >= 1 -> min d 64
-      | _ -> 1)
+(* A solve is [Optimal] once its relative gap is at most this. *)
+let gap_tol = 1e-6
 
 (* The caller's warm start, validated even when a checkpoint's incumbent
    supersedes it. Near-integral entries are snapped so the stored
@@ -103,7 +95,7 @@ let fresh_start ~domains (presolve, lb, ub) seed =
   }
 
 (* Statistics, status and certificate, all from the pool's one view. *)
-let finish ~model ~raw ~domains ~gap_tol ~int_tol ~elapsed ~cpu0
+let finish ~model ~raw ~domains ~int_tol ~elapsed ~cpu0
     ~(root : Root.t) ~(pool : Pool.t) ~(start : Checkpoint.t) ~certs_on ~nodes
     (report : Supervisor.report) =
   let v = Pool.view pool in
@@ -215,15 +207,11 @@ let finish ~model ~raw ~domains ~gap_tol ~int_tol ~elapsed ~cpu0
       { status; x = Array.make raw.Model.n 0.0; objective = infinity; stats; cert }
 
 let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
-    ?(gap_tol = 1e-6) ?(int_tol = 1e-6)
+    ?(int_tol = 1e-6)
     ?(deadline = Resilience.Deadline.none) ?incumbent ?branch_priority
-    ?domains ?(certificates = false) ?checkpoint ?resume ?stall_window
+    ?(domains = 1) ?(certificates = false) ?checkpoint ?resume ?stall_window
     ?(cuts = true) ?(presolve = true) model =
-  let domains =
-    match domains with
-    | Some d -> max 1 (min d 64)
-    | None -> domains_from_env ()
-  in
+  let domains = max 1 (min domains 64) in
   Obs.span ~cat:"milp" "milp.solve"
     ~args:[ ("domains", Obs.Json.Int domains) ]
   @@ fun () ->
@@ -313,7 +301,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       ~w0
       ~helper:(fun wid -> worker wid (Array.copy w0.lb) (Array.copy w0.ub))
   in
-  finish ~model ~raw ~domains ~gap_tol ~int_tol ~elapsed ~cpu0 ~root ~pool
+  finish ~model ~raw ~domains ~int_tol ~elapsed ~cpu0 ~root ~pool
     ~start ~certs_on ~nodes:(Atomic.get env.nodes) report
 
 let value r v = r.x.(Model.var_index v)

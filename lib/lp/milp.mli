@@ -100,7 +100,6 @@ val solve :
   ?time_limit:float ->
   ?node_limit:int ->
   ?max_lp_iters:int ->
-  ?gap_tol:float ->
   ?int_tol:float ->
   ?deadline:Resilience.Deadline.t ->
   ?incumbent:float array ->
@@ -115,17 +114,17 @@ val solve :
   Model.t ->
   result
 (** Defaults: [time_limit = 60.] s, [node_limit = 200_000],
-    [gap_tol = 1e-6] (relative), [int_tol = 1e-6]. A provided [incumbent]
-    is validated against the model ([Invalid_argument] if it is not
-    feasible) and seeds the pruning bound — unless [resume]'s checkpoint
+    [int_tol = 1e-6]; a solve is {!Optimal} at a relative gap of at most
+    [1e-6]. A provided [incumbent] is validated against the model
+    ([Invalid_argument] if it is not feasible) and seeds the pruning
+    bound — unless [resume]'s checkpoint
     carries an incumbent, which is then the one installed (the seed is
     still validated). [branch_priority] (one entry per variable, higher
     first) restricts pseudocost branching to the highest priority class
     with any fractionality ({!Node}). [presolve] and [cuts] (both default
     [true]) switch off root bound tightening and root cuts ([Root]).
 
-    [domains] (default: [PIPESYN_DOMAINS], else 1; clamped to
-    \[1, 64\]) sets how many OCaml 5 domains explore the tree ([Pool]).
+    [domains] (default 1; clamped to \[1, 64\]) sets how many OCaml 5 domains explore the tree ([Pool]).
     One domain explores in a fixed order, so node and pivot counts are
     reproducible. Runs that exhaust the tree return the same status and
     objective at every domain count; budget-truncated runs keep

@@ -101,7 +101,10 @@ let[@inline] candidate ~integer ~hi ~d ~cj ma =
   let v = (d -. ma) /. cj in
   if integer then if hi then Float.floor v else Float.ceil v else v
 
-let tighten ?(max_passes = 10) (raw : Model.raw) =
+(* The fixpoint stops after this many passes even if bounds still move. *)
+let max_passes = 10
+
+let tighten (raw : Model.raw) =
   let n = raw.n in
   let lb = Array.copy raw.lb and ub = Array.copy raw.ub in
   let events = ref [] and nev = ref 0 in

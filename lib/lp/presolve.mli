@@ -8,12 +8,9 @@
     rows (one member of a one-hot row pinned to 1 forces the siblings'
     upper bounds to 0 in the same fixpoint). *)
 
-val tighten :
-  ?max_passes:int ->
-  Model.raw ->
-  float array * float array * Cert.tighten list
-(** [tighten raw] runs the bound-tightening fixpoint (default at most
-    [10] passes) from [raw]'s box and returns [(lb, ub, events)]: the
+val tighten : Model.raw -> float array * float array * Cert.tighten list
+(** [tighten raw] runs the bound-tightening fixpoint (at most [10]
+    passes) from [raw]'s box and returns [(lb, ub, events)]: the
     tightened box plus the ordered event log the audit replays. Events
     that fail their own exact validity check are dropped, never applied,
     so the returned box is always implied by the model. Tightenings that

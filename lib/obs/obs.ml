@@ -20,23 +20,6 @@ let locked m f =
       Mutex.unlock m;
       raise e
 
-(* The integer in environment variable [var] when it parses (trimmed) to
-   at least [min]; [None] when unset, unparsable or too small. *)
-let env_int var ~min =
-  match Sys.getenv_opt var with
-  | None -> None
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v >= min -> Some v
-      | _ -> None)
-
-(* Event cap at a trace/log [enable]: the explicit [cap] clamped to at
-   least 16, else [var] from the environment, else [default]. *)
-let buffer_cap cap var ~default =
-  match cap with
-  | Some v -> max 16 v
-  | None -> Option.value ~default (env_int var ~min:16)
-
 module Clock = struct
   (* Wall clock for deadlines, trace timestamps and throughput. [Sys.time]
      is per-process CPU seconds, which accumulates across OCaml 5 domains:
@@ -523,7 +506,7 @@ module Trace = struct
         open_stack := [])
 
   let enable ?cap () =
-    let cap = buffer_cap cap "PIPESYN_TRACE_CAP" ~default:default_cap in
+    let cap = Option.fold cap ~none:default_cap ~some:(max 16) in
     locked store_mutex (fun () ->
         View.enable view ~cap;
         open_stack := [])
@@ -926,7 +909,7 @@ module Log = struct
   let sink : (event -> unit) option ref = ref None
 
   let enable ?cap ?(level = Info) () =
-    let cap = buffer_cap cap "PIPESYN_LOG_CAP" ~default:default_cap in
+    let cap = Option.fold cap ~none:default_cap ~some:(max 16) in
     locked store_mutex (fun () ->
         view.floor <- level_value level;
         View.enable view ~cap)
@@ -1048,7 +1031,7 @@ let span ?cat ?args name f =
       raise e
 
 (* Background resource sampler: a dedicated domain that wakes every
-   [PIPESYN_PROBE_MS] milliseconds and snapshots GC statistics, peak
+   [period_ms] milliseconds and snapshots GC statistics, peak
    RSS, the live solver counters, per-domain node rates and the latest
    incumbent/gap into one ["probe.sample"] event — the live signal that
    feedback-guided re-solving and the [--progress] line are built from.
@@ -1168,25 +1151,15 @@ module Probe = struct
       end
     done
 
-  let start ?period_ms () =
-    let p =
-      match period_ms with
-      | Some v -> Some (max 1 v)
-      | None -> env_int "PIPESYN_PROBE_MS" ~min:1
-    in
-    match p with
-    | None -> false
-    | Some ms ->
-        locked probe_mutex (fun () ->
-            if Atomic.get running_flag then true
-            else begin
-              Atomic.set stop_flag false;
-              Atomic.set n_samples 0;
-              let period_s = float_of_int ms /. 1000.0 in
-              dom := Some (Domain.spawn (fun () -> loop period_s));
-              Atomic.set running_flag true;
-              true
-            end)
+  let start ~period_ms =
+    locked probe_mutex (fun () ->
+        if not (Atomic.get running_flag) then begin
+          Atomic.set stop_flag false;
+          Atomic.set n_samples 0;
+          let period_s = float_of_int (max 1 period_ms) /. 1000.0 in
+          dom := Some (Domain.spawn (fun () -> loop period_s));
+          Atomic.set running_flag true
+        end)
 
   let stop () =
     locked probe_mutex (fun () ->

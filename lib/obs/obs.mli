@@ -142,11 +142,11 @@ end
 
     Both views keep one discipline. They are {b off by default}: with
     every view off an emission site pays one load and one compare. They
-    are bounded: once a view holds its cap of events ([PIPESYN_TRACE_CAP]
-    or [PIPESYN_LOG_CAP], read at [enable], at least 16) it drops new
-    events deterministically and counts them. They are strictly
-    observational: recording never influences a schedule, cover or
-    solver decision (pinned by [test/test_trace.ml] and the
+    are bounded: once a view holds its cap of events (1,000,000 for the
+    trace and 200,000 for the log unless [enable ~cap] says otherwise)
+    it drops new events deterministically and counts them. They are
+    strictly observational: recording never influences a schedule,
+    cover or solver decision (pinned by [test/test_trace.ml] and the
     telemetry-neutrality tests, which check results are byte-identical
     with every view on and off across the fault-injection matrix).
     Events may be emitted from any domain, and the views' lifecycle is
@@ -170,7 +170,7 @@ module Trace : sig
 
   val enable : ?cap:int -> unit -> unit
   (** Clears the view, sets its timestamp epoch to now, and starts
-      recording. [cap] overrides the environment/default event cap
+      recording. [cap] overrides the default cap of 1,000,000 events
       (clamped to at least 16). *)
 
   val disable : unit -> unit
@@ -312,7 +312,7 @@ end
     samples) serialized as NDJSON: one JSON object per line, framed by a
     header line naming the schema ([pipesyn-log-v1]) and a [log.end]
     footer carrying the event and drop counts. Behind [pipesyn run --log
-    FILE] and the [PIPESYN_LOG] environment variable; the [--progress]
+    FILE] and the bench harness's [PIPESYN_LOG]; the [--progress]
     TTY status line and the CLI's stderr lines render from the same
     stream via {!Log.set_sink}. *)
 module Log : sig
@@ -337,7 +337,7 @@ module Log : sig
   val enable : ?cap:int -> ?level:level -> unit -> unit
   (** Clears the view, sets its timestamp epoch to now, and starts
       recording events at or above [level] (default [Info]). [cap]
-      overrides the environment/default cap (clamped to at least
+      overrides the default cap of 200,000 events (clamped to at least
       16). *)
 
   val disable : unit -> unit
@@ -417,20 +417,16 @@ val span :
     [pivots_per_s], [domain_nodes_per_s] (an object keyed ["d<wid>"]),
     [gap] and [incumbent].
 
-    Off by default: {!Probe.start} without an explicit period reads
-    [PIPESYN_PROBE_MS] and does nothing when it is unset. The probe is
-    strictly read-only with respect to the solver — it reads atomics
-    and registry snapshots and writes only into the observability
-    layer, so solver results are byte-identical probe-on vs probe-off
-    (pinned by the telemetry-neutrality tests). *)
+    Off until {!Probe.start}; [pipesyn] and the bench harness start it
+    when [PIPESYN_PROBE_MS] is set. The probe is strictly read-only
+    with respect to the solver — it reads atomics and registry
+    snapshots and writes only into the observability layer, so solver
+    results are byte-identical probe-on vs probe-off (pinned by the
+    telemetry-neutrality tests). *)
 module Probe : sig
-  val start : ?period_ms:int -> unit -> bool
+  val start : period_ms:int -> unit
   (** Starts the sampler domain with the given period (milliseconds,
-      clamped to at least 1), or with [PIPESYN_PROBE_MS] when
-      [period_ms] is omitted (that variable must parse to at least 1,
-      else the probe stays off). Returns whether a probe is now running
-      ([false] only when [period_ms] is omitted and no period is
-      configured). Idempotent while running. *)
+      clamped to at least 1). Idempotent while running. *)
 
   val stop : unit -> unit
   (** Signals the sampler and joins its domain (returns within one

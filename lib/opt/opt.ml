@@ -230,7 +230,11 @@ let c_folded = Obs.Counter.get "opt.constants_folded"
 let c_merged = Obs.Counter.get "opt.cse_merged"
 let c_rounds = Obs.Counter.get "opt.rounds"
 
-let simplify ?(max_rounds = 8) g =
+(* The fixpoint stops after this many rounds even if the graph still
+   changes. *)
+let max_rounds = 8
+
+let simplify g =
   Obs.span ~cat:"opt" "opt.simplify" @@ fun () ->
   let rec go g acc round =
     if round >= max_rounds then (g, { acc with rounds = round })

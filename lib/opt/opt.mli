@@ -28,7 +28,7 @@ val fold_constants : Ir.Cdfg.t -> Ir.Cdfg.t * int
 val cse : Ir.Cdfg.t -> Ir.Cdfg.t * int
 (** Returns the deduplicated graph and the number of nodes merged. *)
 
-val simplify : ?max_rounds:int -> Ir.Cdfg.t -> Ir.Cdfg.t * stats
-(** Fixed-point pipeline (default [max_rounds = 8]). *)
+val simplify : Ir.Cdfg.t -> Ir.Cdfg.t * stats
+(** Fixed-point pipeline (at most 8 rounds). *)
 
 val pp_stats : stats Fmt.t

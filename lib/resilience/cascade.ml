@@ -21,29 +21,6 @@ let attempt_to_json a =
       ("retry", Obs.Json.Int a.retry);
     ]
 
-let attempt_of_json j =
-  let str k =
-    match Obs.Json.member k j with
-    | Some (Obs.Json.String s) -> Ok s
-    | _ -> Error (Printf.sprintf "missing string field %S" k)
-  in
-  let flt k =
-    Option.to_result ~none:(Printf.sprintf "missing number field %S" k)
-      (Option.bind (Obs.Json.member k j) Obs.Json.number)
-  in
-  let ( let* ) = Result.bind in
-  let* label = str "label" in
-  let* reason = str "reason" in
-  let* detail = str "detail" in
-  let* elapsed = flt "elapsed_s" in
-  (* Absent in pre-retry (schema <= v6) degradation logs. *)
-  let retry =
-    match Obs.Json.member "retry" j with
-    | Some (Obs.Json.Int i) -> i
-    | _ -> 0
-  in
-  Ok { label; reason; detail; elapsed; retry }
-
 let pp_attempt ppf a =
   Format.fprintf ppf "%s%s: %s%s [%.2fs]" a.label
     (if a.retry = 0 then "" else Printf.sprintf " (retry %d)" a.retry)
@@ -142,5 +119,4 @@ let run ~deadline steps =
   in
   go steps
 
-let backoff ?(base = 1.0) ?(factor = 0.5) k =
-  base *. (factor ** float_of_int (max 0 k))
+let backoff k = 0.5 ** float_of_int (max 0 k)

@@ -19,16 +19,12 @@ type attempt = {
   elapsed : float;  (** seconds spent in the attempt *)
   retry : int;
       (** which try of the rung this was: 0 = the first try, [k > 0] =
-          the [k]-th bounded retry of the same rung (schema v7; absent
-          fields read back as 0 from older degradation logs) *)
+          the [k]-th bounded retry of the same rung (schema v7) *)
 }
 
 val attempt_to_json : attempt -> Obs.Json.t
 (** [{"label": …, "reason": …, "detail": …, "elapsed_s": …,
     "retry": …}] — one entry of the Metrics [degradation] array. *)
-
-val attempt_of_json : Obs.Json.t -> (attempt, string) result
-(** Inverse of {!attempt_to_json} (round-trip checks). *)
 
 val pp_attempt : Format.formatter -> attempt -> unit
 (** ["label: reason (detail) [1.2s]"], with ["(retry k)"] after the
@@ -86,10 +82,10 @@ val run : deadline:Deadline.t -> 'a step list -> ('a outcome, attempt list) resu
     ["resilience.attempts"], ["resilience.contained_exceptions"] and
     ["resilience.retries"] {!Obs} counters record engine activity. *)
 
-val backoff : ?base:float -> ?factor:float -> int -> float
-(** [backoff ~base ~factor k] is the budget scale of retry [k] (0-based):
-    [base *. factor ^ k], with [base = 1.0] and [factor = 0.5] — each
-    retry gets half the previous attempt's budget, so a full cascade
-    costs at most [2x] the first attempt. This is {e budget} backoff:
-    with a deterministic in-process solver there is nothing to wait out,
-    so retries shrink their budgets instead of sleeping. *)
+val backoff : int -> float
+(** [backoff k] is the budget scale of retry [k] (0-based): [0.5 ^ k]
+    (negative [k] counts as 0) — each retry gets half the previous
+    attempt's budget, so a full cascade costs at most [2x] the first
+    attempt. This is {e budget} backoff: with a deterministic in-process
+    solver there is nothing to wait out, so retries shrink their budgets
+    instead of sleeping. *)

@@ -111,11 +111,6 @@ let arm spec =
       List.iter (fun (name, mode) -> Hashtbl.replace armed_tbl name mode) parsed;
       Ok ()
 
-let load_env () =
-  match Sys.getenv_opt "PIPESYN_FAULTS" with
-  | None | Some "" -> Ok ()
-  | Some spec -> arm spec
-
 let fires point =
   match Hashtbl.find_opt armed_tbl point with
   | None -> false

@@ -3,9 +3,9 @@
     Every escape hatch in the flow — MILP timeout, simplex numeric
     trouble, cut-enumeration blowup, mapper overrun — is guarded by a
     {e fault point}: a named site that normally does nothing and, when
-    armed, forces that failure. Arming is explicit (CLI [--faults] or the
-    [PIPESYN_FAULTS] environment variable routed through {!load_env});
-    library code never arms anything on its own, so tests stay hermetic.
+    armed, forces that failure. Arming is explicit ({!arm}, behind the
+    CLI's [--faults]); library code never arms anything on its own, so
+    tests stay hermetic.
 
     Triggering is fully deterministic and reproducible: each point keeps a
     hit counter, and probabilistic specs derive their decision from a
@@ -38,9 +38,6 @@ val arm : string -> (unit, string) result
 (** Parse a spec string and arm its clauses (adding to whatever is
     already armed). [Error] describes the first bad clause; nothing is
     armed on error. *)
-
-val load_env : unit -> (unit, string) result
-(** {!arm} the contents of [PIPESYN_FAULTS] (no-op when unset). *)
 
 val armed : unit -> string list
 (** Names of currently armed points, sorted. *)

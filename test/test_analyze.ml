@@ -1,5 +1,5 @@
 (* Tests for the static-analysis layer: one malformed input per diagnostic
-   code (asserting the exact code and its witness), JSON round-trips, and a
+   code (asserting the exact code and its witness), the JSON encoding, and a
    clean-run check over every registry benchmark. *)
 
 let has_code code diags =
@@ -577,17 +577,15 @@ let test_registry_covers_codes () =
         p.codes)
     Analyze.Engine.passes
 
-let test_diag_json_roundtrip () =
+let test_diag_json_shape () =
   let d =
     Analyze.Diag.errorf ~code:"CDFG001" ~pass:"cdfg-lint"
       ~loc:(Analyze.Diag.Edge (3, 7))
       ~witness:[ "a"; "b"; "a" ] "cycle of %d nodes" 2
   in
-  match Analyze.Diag.of_json (Analyze.Diag.to_json d) with
-  | Error e -> Alcotest.failf "round-trip failed: %s" e
-  | Ok d' ->
-      Alcotest.(check bool) "round-trips" true (Analyze.Diag.compare d d' = 0);
-      Alcotest.(check (list string)) "witness kept" d.witness d'.Analyze.Diag.witness
+  Alcotest.(check string) "one object, every field"
+    {|{"severity": "error", "code": "CDFG001", "pass": "cdfg-lint", "loc": "edge:3->7", "message": "cycle of 2 nodes", "witness": ["a", "b", "a"]}|}
+    (Obs.Json.to_string (Analyze.Diag.to_json d))
 
 let test_report_file_shape () =
   let path = Filename.temp_file "lint" ".json" in
@@ -704,8 +702,7 @@ let () =
             test_flow_gate_integration;
           Alcotest.test_case "registry covers codes" `Quick
             test_registry_covers_codes;
-          Alcotest.test_case "diag JSON round-trip" `Quick
-            test_diag_json_roundtrip;
+          Alcotest.test_case "diag JSON shape" `Quick test_diag_json_shape;
           Alcotest.test_case "report file shape" `Quick test_report_file_shape;
           Alcotest.test_case "registry benchmarks clean" `Quick
             test_registry_benchmarks_clean;

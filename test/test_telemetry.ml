@@ -347,15 +347,6 @@ let test_float_round_trip_exact () =
 (* probe                                                               *)
 (* ------------------------------------------------------------------ *)
 
-let test_probe_off_without_period () =
-  Obs.Probe.stop ();
-  (* no PIPESYN_PROBE_MS in the test environment and no explicit period *)
-  if Sys.getenv_opt "PIPESYN_PROBE_MS" = None then begin
-    Alcotest.(check bool) "start without period is a no-op" false
-      (Obs.Probe.start ());
-    Alcotest.(check bool) "not running" false (Obs.Probe.running ())
-  end
-
 (* Runs the probe at [period_ms] over ~0.1 s of busy work and returns
    the args of every ["probe.sample"] its log sink saw. *)
 let probe_samples ~period_ms =
@@ -367,7 +358,7 @@ let probe_samples ~period_ms =
        (fun e ->
          if e.Obs.Log.l_name = "probe.sample" then
            samples := e.Obs.Log.l_args :: !samples));
-  Alcotest.(check bool) "probe started" true (Obs.Probe.start ~period_ms ());
+  Obs.Probe.start ~period_ms;
   Alcotest.(check bool) "running" true (Obs.Probe.running ());
   (* burn a little work so the sampler gets scheduled a few times *)
   let t0 = Unix.gettimeofday () in
@@ -499,7 +490,7 @@ let run_neutrality_case ?(every_sink = false) ~fault ~domains () =
     reset_log ();
     if telemetry then begin
       Obs.Log.enable ();
-      ignore (Obs.Probe.start ~period_ms:5 ());
+      Obs.Probe.start ~period_ms:5;
       if every_sink then begin
         Obs.Trace.enable ();
         Obs.Log.set_sink (Some ignore)
@@ -610,8 +601,6 @@ let () =
         ] );
       ( "probe",
         [
-          Alcotest.test_case "off without period" `Quick
-            test_probe_off_without_period;
           Alcotest.test_case "samples and events" `Quick
             test_probe_samples_and_events;
           Alcotest.test_case "zero period is clamped" `Quick
