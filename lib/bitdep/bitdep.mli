@@ -10,15 +10,17 @@
     through or zeroes them, and adding a constant leaves bits below [tz c]
     untouched.
 
-    {!compose} builds the support of every output bit of one node within a
-    cone one level up, from the supports of its in-cone operands' sub-cones
-    — the exact set of {e boundary bits} a K-LUT implementing that bit
-    would need, the feasibility measure for word-level cuts. Cut
-    enumeration ([Cuts.enumerate]) composes each candidate cone from the
-    supports of cones it has already built. {!closure} closes [dep]
-    transitively from scratch instead; it and its views [support],
-    [max_support_width] and [lut_bits] are the reference the tests hold
-    {!compose} against. *)
+    A {!table} holds [dep] of every bit of one graph in flat arrays (one
+    set of rules: [dep] lists the reads the table stores). {!compose}
+    builds the support of every output bit of one node within a cone one
+    level up, from the supports of its in-cone operands' sub-cones — the
+    exact set of {e boundary bits} a K-LUT implementing that bit would
+    need, the feasibility measure for word-level cuts. Each composition is
+    a record in the table's one growable int arena, named by its offset,
+    so cut enumeration ([Cuts.enumerate]) allocates no array per cone; it
+    drops the records it does not keep with {!mark}, {!release} and
+    {!keep}. The from-scratch transitive closure of [dep] that the tests
+    hold {!compose} against lives with the tests. *)
 
 module Bitpos : sig
   type t = {
@@ -51,12 +53,16 @@ val dep : Ir.Cdfg.t -> node:int -> bit:int -> one_step
     @raise Invalid_argument if [bit] is outside the node's width. *)
 
 type table
-(** The one-step [dep] of every (node, bit) of one graph, plus the scratch
-    {!compose} and {!closure} run in. Build one per graph and pass it to
-    every call over that graph; it holds no results across calls. Not
-    safe to share between domains. *)
+(** The one-step [dep] of every (node, bit) of one graph, the scratch
+    {!compose} runs in, and the arena holding every composition made over
+    it. Not safe to share between domains. *)
 
-val table : Ir.Cdfg.t -> table
+val with_table : Ir.Cdfg.t -> (table -> 'a) -> 'a
+(** [with_table g f] runs [f] on a table of [g] with an empty arena. The
+    table's arrays are the calling domain's, reused from the last table
+    whose [with_table] returned, so a sweep of calls allocates them once;
+    nothing composed in one call is seen by the next. [f] must not keep
+    the table, or any supports, past its return. *)
 
 type cone_support = {
   max_support : int;
@@ -68,65 +74,41 @@ type cone_support = {
           non-wiring logic. Constant and pass-through bits are free. *)
 }
 
-type supports = int array
-(** The support of every output bit of one node within one cone, flat:
-    bit [b]'s record starts at [b * (k + 2)] and holds its size, its wire
-    flag (1 when the bit is a plain copy of at most one boundary bit routed
-    only through wiring, else 0) and then its first [min size k] keys,
-    unordered. A size above [k] marks a too-wide bit: it is [k + 1] when
-    the bit reads a too-wide bit of an in-cone operand, else the exact
-    count. The empty array stands for an operand outside the cone. *)
+type supports = int
+(** The support of every output bit of one node within one cone, as the
+    offset of its record in the table's arena. Bit [b]'s part starts
+    [b * (k + 2)] ints in and holds its size, its wire flag (1 when the
+    bit is a plain copy of at most one boundary bit routed only through
+    wiring, else 0) and then its first [min size k] keys, unordered. A
+    size above [k] marks a too-wide bit: it is [k + 1] when the bit reads
+    a too-wide bit of an in-cone operand, else the exact count. [-1]
+    stands for an operand outside the cone. *)
 
 val compose :
-  ?stop:bool -> table -> k:int -> root:int -> supports array -> supports option
+  ?stop:bool -> table -> k:int -> root:int -> supports array -> supports
 (** [compose t ~k ~root ops]: the supports of [root]'s output bits within
     the cone of [root] plus, for each operand position [i] (an index into
-    [root]'s [preds]) with a non-empty [ops.(i)], the operand's sub-cone
-    whose supports [ops.(i)] are (built with the same [k]). An operand
-    with [ops.(i) = [||]] is a boundary, and registered ([dist > 0]) reads
-    always are. With no operands this is the node's trivial cone, whose
-    sizes are all exact.
+    [root]'s [preds]) with [ops.(i) >= 0], the operand's sub-cone whose
+    supports [ops.(i)] are (built with the same [k]), written at the top
+    of the arena. An operand with [ops.(i) = -1] is a boundary, and
+    registered ([dist > 0]) reads always are. With no operands this is the
+    node's trivial cone, whose sizes are all exact.
 
-    [None] iff [stop] (default [false]) and some output bit is too wide;
-    it then stops at the first such bit. *)
+    [-1], and nothing written, iff [stop] (default [false]) and some
+    output bit is too wide; it then stops at the first such bit. *)
 
-val measure : k:int -> supports -> cone_support
-(** The [max_support] and [lut_bits] of supports built with [k]. *)
+val measure : table -> k:int -> root:int -> supports -> cone_support
+(** The [max_support] and [lut_bits] of [root]'s supports built with
+    [k]. *)
 
-val closure :
-  ?bound:int -> table -> root:int -> cone:int list -> cone_support option
-(** The reference closure: the transitive closure of [dep] from every
-    output bit of [root], expanding through the nodes listed in [cone] (in
-    any order) and stopping at nodes outside it; registered ([dist > 0])
-    reads always stop, even if the producer is in the cone. Each (node,
-    bit) is closed once per call, its support written into one pooled
-    [int array] of the {!table}. No enumeration calls it; the tests hold
-    {!compose} and the cut enumerator against it.
+val mark : table -> int
+(** The arena's top: the offset the next {!compose} writes at. *)
 
-    [None] iff some output bit's support exceeds [bound] (default
-    unbounded). The closure stops at the first set that grows past
-    [bound]: every support reached below a root bit is contained in that
-    root bit's support, so that root bit must exceed [bound] too.
-    @raise Invalid_argument if [cone] does not contain [root]. *)
+val release : table -> int -> unit
+(** [release t m] drops every record at or above the {!mark} [m]. Their
+    ints stay readable until the next {!compose} or {!keep}. *)
 
-type bit_support = {
-  bits : Bitpos.Set.t;  (** boundary bits feeding this output bit *)
-  pure_wire : bool;
-      (** the bit is a plain copy of a single boundary bit (or a constant)
-          routed only through wiring — it needs no LUT *)
-}
-
-(** {2 Views}
-
-    Reference views for the tests. Each runs {!closure} once, unbounded,
-    on a fresh {!table}, over [Int_set.elements cone]. *)
-
-val support :
-  Ir.Cdfg.t -> root:int -> cone:Int_set.t -> bit:int -> bit_support
-(** Output bit [bit]'s support as a set of bit positions. *)
-
-val max_support_width : Ir.Cdfg.t -> root:int -> cone:Int_set.t -> int
-(** [max_support] of the closure. *)
-
-val lut_bits : Ir.Cdfg.t -> root:int -> cone:Int_set.t -> int
-(** [lut_bits] of the closure. *)
+val keep : table -> k:int -> root:int -> supports -> supports
+(** [keep t ~k ~root sup] copies [root]'s record [sup] to the arena's top
+    and returns its new offset. After a {!release}, keeping the dropped
+    records worth keeping in increasing offset order compacts them. *)

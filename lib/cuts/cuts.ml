@@ -67,10 +67,9 @@ let trivial_cut ~k deps g v =
     |> List.sort_uniq Int.compare
   in
   let sup =
-    Option.get
-      (Bitdep.compose deps ~k ~root:v (Array.make (Array.length preds) [||]))
+    Bitdep.compose deps ~k ~root:v (Array.make (Array.length preds) (-1))
   in
-  let s = Bitdep.measure ~k sup in
+  let s = Bitdep.measure deps ~k ~root:v sup in
   ( {
       root = v;
       leaves;
@@ -81,7 +80,7 @@ let trivial_cut ~k deps g v =
     sup )
 
 let trivial_only ?(k = 4) g =
-  let deps = Bitdep.table g in
+  Bitdep.with_table g @@ fun deps ->
   Array.init (Ir.Cdfg.num_nodes g) (fun v ->
       [| fst (trivial_cut ~k deps g v) |])
 
@@ -92,81 +91,104 @@ let compare_leaves = List.compare Int.compare
    of one of [u]'s cuts with that cut's cone and its supports. *)
 type block = { leaves : int list; members : int array; sup : Bitdep.supports }
 
-(* A feasible non-trivial cone found by a merge, before ranking: its
-   reached leaves (sorted), their count, its members and its supports.
-   Only the kept ones become [cut]s. *)
-type found = {
-  reached : int list;
-  width : int;
-  members : int array;
-  s : Bitdep.cone_support;
-  sup : Bitdep.supports;
-}
-
-(* Ranked by (area, support, leaf count, leaves). *)
-let rank a b =
-  let c = Int.compare a.s.lut_bits b.s.lut_bits in
-  if c <> 0 then c
-  else
-    let c = Int.compare a.s.max_support b.s.max_support in
-    if c <> 0 then c
-    else
-      let c = Int.compare a.width b.width in
-      if c <> 0 then c else compare_leaves a.reached b.reached
+(* [Array.blit] of ints as a loop: it pays no write barrier per int when
+   [b] lives in the major heap. Copies forward, so it may overlap only
+   with [d <= s]. *)
+let blit_ints (a : int array) s (b : int array) d len =
+  for i = 0 to len - 1 do
+    b.(d + i) <- a.(s + i)
+  done
 
 (* [a] with room for at least [n] ints, its contents kept. *)
 let ensure a n =
   if n <= Array.length a then a
   else begin
-    let b = Array.make (max n (2 * Array.length a)) 0 in
-    Array.blit a 0 b 0 (Array.length a);
+    let b = Array.make (Int.max n (2 * Array.length a)) 0 in
+    blit_ints a 0 b 0 (Array.length a);
     b
   end
 
-(* Scratch of the merge candidates, reused by every merge of one
-   [enumerate] call. [part] holds the partial unions of the cartesian
-   product, one segment per depth, and [pick] the choice taken at each
-   depth; [cand.(0 .. top - 1)] the distinct candidates, each its length,
-   its sorted leaves and the picks of the first combination that produced
-   it, found through the open-addressing table [slots.(0 .. mask)] (start
-   offsets, -1 empty). *)
-type product = {
-  mutable part : int array;
-  mutable pick : int array;
-  mutable cand : int array;
+(* A set of int slices, each entry of [pool] its length [len], its [len]
+   ints and then [extra] ints of the caller's, found through the
+   open-addressing table [slots.(0 .. mask)] of entry offsets (-1
+   empty). *)
+type slices = {
+  mutable pool : int array;
   mutable top : int;
   mutable slots : int array;
   mutable mask : int;
 }
 
-(* Adds the union in [part.(s .. s + len - 1)], with the picks of its
-   first [arity] depths, to the candidates unless it is one already;
-   returns whether it was new. *)
-let add_candidate x ~arity s len =
-  let b = x.part and mask = x.mask in
+let slices () =
+  { pool = Array.make 256 0; top = 0; slots = Array.make 64 (-1); mask = 63 }
+
+(* Empties [x], with slots for [n] entries at half load at most. *)
+let clear x n =
+  let nslots = ref 64 in
+  while !nslots < 2 * n do nslots := 2 * !nslots done;
+  x.slots <- ensure x.slots !nslots;
+  Array.fill x.slots 0 !nslots (-1);
+  x.mask <- !nslots - 1;
+  x.top <- 0
+
+let rec same_from (pool : int array) at (src : int array) s len i =
+  i >= len
+  || (pool.(at + 1 + i) = src.(s + i) && same_from pool at src s len (i + 1))
+
+(* Whether the entry at [at] holds [src.(s .. s + len - 1)]. *)
+let same pool at src s len = pool.(at) = len && same_from pool at src s len 0
+
+(* The offset of the entry holding [src.(s .. s + len - 1)], made with
+   room for [extra] ints after it when there is none yet: a new entry's
+   offset is the [top] before the call. *)
+let intern x ~extra (src : int array) s len =
   let h = ref len in
   for i = s to s + len - 1 do
-    h := (!h * 0x2f0b3a49) + b.(i)
+    h := (!h * 0x2f0b3a49) + src.(i)
   done;
-  let same at =
-    let c = x.cand in
-    let rec go i = i >= len || (c.(at + 1 + i) = b.(s + i) && go (i + 1)) in
-    c.(at) = len && go 0
-  in
-  let i = ref (!h land mask) in
-  while x.slots.(!i) >= 0 && not (same x.slots.(!i)) do
-    i := (!i + 1) land mask
+  let i = ref (!h land x.mask) in
+  while x.slots.(!i) >= 0 && not (same x.pool x.slots.(!i) src s len) do
+    i := (!i + 1) land x.mask
   done;
-  x.slots.(!i) < 0
-  && begin
-    x.cand <- ensure x.cand (x.top + len + 1 + arity);
-    x.slots.(!i) <- x.top;
-    x.cand.(x.top) <- len;
-    Array.blit b s x.cand (x.top + 1) len;
-    Array.blit x.pick 0 x.cand (x.top + 1 + len) arity;
-    x.top <- x.top + len + 1 + arity;
-    true
+  if x.slots.(!i) >= 0 then x.slots.(!i)
+  else begin
+    let at = x.top in
+    if at + 1 + len + extra > Array.length x.pool then
+      x.pool <- ensure x.pool (at + 1 + len + extra);
+    x.slots.(!i) <- at;
+    x.pool.(at) <- len;
+    blit_ints src s x.pool (at + 1) len;
+    x.top <- at + 1 + len + extra;
+    at
   end
+
+(* Scratch of the merge candidates, reused by every merge of one
+   [enumerate] call. [part] holds the partial unions of the cartesian
+   product, one segment per depth, and [pick] the choice taken at each
+   depth; [cand] the distinct candidates, each its sorted leaves and then
+   the picks of the first combination that produced it. *)
+type product = {
+  mutable part : int array;
+  mutable pick : int array;
+  cand : slices;
+}
+
+(* Merges the sorted [leaves] into the sorted [b.(i .. dst - 1)], writing
+   the union from [b.(j)] on; returns the union's end. *)
+let rec merge_into (b : int array) ~dst i j = function
+  | [] ->
+      blit_ints b i b j (dst - i);
+      j + dst - i
+  | l :: rest as leaves ->
+      if i < dst && b.(i) < l then begin
+        b.(j) <- b.(i);
+        merge_into b ~dst (i + 1) (j + 1) leaves
+      end
+      else begin
+        b.(j) <- l;
+        let i = if i < dst && b.(i) = l then i + 1 else i in
+        merge_into b ~dst i (j + 1) rest
+      end
 
 (* The capped cartesian product of [choices] (the blocks of each operand,
    sorted by leaves), in operand-major order: the first [cap]
@@ -175,48 +197,32 @@ let add_candidate x ~arity s len =
 let merged_leaf_sets x ~cap choices =
   let arity = Array.length choices in
   let combos =
-    Array.fold_left (fun acc c -> min cap (acc * Array.length c)) 1 choices
+    Array.fold_left (fun acc c -> Int.min cap (acc * Array.length c)) 1 choices
   in
-  let nslots = ref 64 in
-  while !nslots < 2 * combos do nslots := 2 * !nslots done;
-  x.slots <- ensure x.slots !nslots;
-  Array.fill x.slots 0 !nslots (-1);
-  x.mask <- !nslots - 1;
+  clear x.cand combos;
   x.pick <- ensure x.pick arity;
-  x.top <- 0;
   let count = ref 0 and distinct = ref 0 in
   (* the union of the first [d] choices is [part.(s .. s + len - 1)] *)
   let rec go d s len =
     if d = arity then begin
       incr count;
-      if add_candidate x ~arity s len then incr distinct
+      let top = x.cand.top in
+      if intern x.cand ~extra:arity x.part s len = top then begin
+        blit_ints x.pick 0 x.cand.pool (top + 1 + len) arity;
+        incr distinct
+      end
     end
-    else
-      Array.iteri
-        (fun j block ->
-          if !count < cap then begin
-            x.pick.(d) <- j;
-            let dst = s + len in
-            x.part <- ensure x.part (dst + len + List.length block.leaves);
-            let b = x.part in
-            let rec merge i j = function
-              | [] ->
-                  Array.blit b i b j (dst - i);
-                  j + dst - i
-              | l :: rest as leaves ->
-                  if i < dst && b.(i) < l then begin
-                    b.(j) <- b.(i);
-                    merge (i + 1) (j + 1) leaves
-                  end
-                  else begin
-                    b.(j) <- l;
-                    let i = if i < dst && b.(i) = l then i + 1 else i in
-                    merge i (j + 1) rest
-                  end
-            in
-            go (d + 1) dst (merge s dst block.leaves - dst)
-          end)
-        choices.(d)
+    else begin
+      let blocks = choices.(d) and j = ref 0 in
+      while !j < Array.length blocks && !count < cap do
+        x.pick.(d) <- !j;
+        let dst = s + len and leaves = blocks.(!j).leaves in
+        if dst + len + List.length leaves > Array.length x.part then
+          x.part <- ensure x.part (dst + len + List.length leaves);
+        go (d + 1) dst (merge_into x.part ~dst s dst leaves - dst);
+        incr j
+      done
+    end
   in
   go 0 0 0;
   !distinct
@@ -229,9 +235,10 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
   let p = match params with Some p -> p | None -> default_params ~k in
   let n = Ir.Cdfg.num_nodes g in
   let absorb = Array.init n (absorbable g) in
-  (* One dep table for every composition of this call; each node's trivial
-     cut is computed once and reused by every merge. *)
-  let deps = Bitdep.table g in
+  (* One dep table for every composition of this call, its arena holding
+     every supports record; each node's trivial cut is computed once and
+     reused by every merge. *)
+  Bitdep.with_table g @@ fun deps ->
   (* Each node's cuts come paired with their blocks. Building blocks: for
      each node, the leaf sets successors may choose from — the singleton
      {v} plus v's own enumerated cuts, each with its cone and supports. *)
@@ -241,7 +248,7 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
         (c, { leaves = c.leaves; members = [| v |]; sup }))
   in
   let leaf =
-    Array.init n (fun v -> { leaves = [ v ]; members = [||]; sup = [||] })
+    Array.init n (fun v -> { leaves = [ v ]; members = [||]; sup = -1 })
   in
   let blocks_of v fresh =
     if absorb.(v) then
@@ -253,16 +260,7 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
   let blocks = Array.init n (fun v -> blocks_of v [ trivial.(v) ]) in
   let result : cut list array = Array.init n (fun v -> [ fst trivial.(v) ]) in
   (* Scratch reused by every merge of this call; no cache outlives it. *)
-  let x =
-    {
-      part = Array.make 64 0;
-      pick = Array.make 8 0;
-      cand = Array.make 256 0;
-      top = 0;
-      slots = Array.make 64 0;
-      mask = 0;
-    }
-  in
+  let x = { part = Array.make 64 0; pick = Array.make 8 0; cand = slices () } in
   (* Stamped marks of the cone walk: a candidate's leaves, the cone's
      members, and the leaves the walk reached. *)
   let stamp = ref 0 in
@@ -271,38 +269,49 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
   let members = Array.make n 0 and size = ref 0 in
   (* Canonical cone of the marked leaf set: nodes reachable backward from
      [id] along dist-0 edges, stopping at leaves; the leaves it stops at
-     are marked reached. Raises [Exit] when a non-absorbable node would
-     fall inside the cone or a registered operand is not a leaf. *)
+     are marked reached. False when a non-absorbable node would fall
+     inside the cone or a registered operand is not a leaf. *)
   let rec walk st id =
-    if cone_mark.(id) = st then ()
-    else if leaf_mark.(id) = st then reach_mark.(id) <- st
-    else if not absorb.(id) then raise Exit
+    if cone_mark.(id) = st then true
+    else if leaf_mark.(id) = st then begin
+      reach_mark.(id) <- st;
+      true
+    end
+    else if not absorb.(id) then false
     else begin
       cone_mark.(id) <- st;
       members.(!size) <- id;
       incr size;
       let preds = Ir.Cdfg.preds g id in
-      for i = 0 to Array.length preds - 1 do
-        let e = preds.(i) in
-        if e.Ir.Cdfg.dist = 0 then walk st e.src
+      let ok = ref true and i = ref 0 in
+      while !ok && !i < Array.length preds do
+        let e = preds.(!i) in
+        if e.Ir.Cdfg.dist = 0 then ok := walk st e.src
         else if leaf_mark.(e.src) = st then reach_mark.(e.src) <- st
-        else raise Exit
-      done
+        else ok := false;
+        incr i
+      done;
+      !ok
     end
+  in
+  (* [ops.(u)]: the supports of [u]'s operands for the composition of [u]
+     running now. *)
+  let ops =
+    Array.init n (fun v -> Array.make (Array.length (Ir.Cdfg.preds g v)) (-1))
   in
   (* [u]'s supports within the candidate marked [st], composed from its
      in-cone operands', memoised per candidate. *)
-  let within_gen = Array.make n 0 and within_sup = Array.make n [||] in
+  let within_gen = Array.make n 0 and within_sup = Array.make n (-1) in
   let rec within st u =
     if within_gen.(u) <> st then begin
-      let preds = Ir.Cdfg.preds g u in
-      let ops = Array.make (Array.length preds) [||] in
+      let preds = Ir.Cdfg.preds g u and o = ops.(u) in
       for i = 0 to Array.length preds - 1 do
         let e = preds.(i) in
-        if e.dist = 0 && leaf_mark.(e.src) <> st then
-          ops.(i) <- within st e.src
+        o.(i) <-
+          (if e.dist = 0 && leaf_mark.(e.src) <> st then within st e.src
+           else -1)
       done;
-      within_sup.(u) <- Option.get (Bitdep.compose deps ~k:p.k ~root:u ops);
+      within_sup.(u) <- Bitdep.compose deps ~k:p.k ~root:u o;
       within_gen.(u) <- st
     end;
     within_sup.(u)
@@ -312,10 +321,46 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
     i = Array.length members
     || (leaf_mark.(members.(i)) <> st && disjoint st members (i + 1))
   in
-  (* The distinct cones of one merge by reached-leaf list: unreached
-     leaves do not change the cone, so candidates reaching the same leaves
-     share it. [None] is an infeasible cone. *)
-  let memo : (int list, found option) Hashtbl.t = Hashtbl.create 64 in
+  (* The distinct cones of one merge by reached leaves: unreached leaves
+     do not change the cone, so candidates reaching the same leaves share
+     it. Each entry's leaves are followed by its [fields]: its supports
+     (-1 for an infeasible cone), the offset and the size of its members
+     in [mpool], its LUT bits and its max support. *)
+  let memo = slices () and reached = Array.make n 0 in
+  let mpool = ref (Array.make 256 0) and mtop = ref 0 in
+  let fields = 5 and f_sup = 0 and f_moff = 1 and f_msize = 2 and f_lut = 3
+  and f_maxsup = 4 in
+  let field e = e + 1 + memo.pool.(e) in
+  (* Feasible cones ranked by (area, support, leaf count, leaves). *)
+  let rank a b =
+    let m = memo.pool and fa = field a and fb = field b in
+    let c = Int.compare m.(fa + f_lut) m.(fb + f_lut) in
+    if c <> 0 then c
+    else
+      let c = Int.compare m.(fa + f_maxsup) m.(fb + f_maxsup) in
+      if c <> 0 then c
+      else
+        let c = Int.compare m.(a) m.(b) in
+        let i = ref 1 in
+        while c = 0 && !i <= m.(a) && m.(a + !i) = m.(b + !i) do incr i done;
+        if c <> 0 || !i > m.(a) then c else Int.compare m.(a + !i) m.(b + !i)
+  in
+  (* The best [nbest] feasible cones of the merge running now, ranked;
+     [offer] tells whether the cone it is given joined them. *)
+  let best = Array.make (Int.max p.max_cuts 0) 0 and nbest = ref 0 in
+  let offer e =
+    (!nbest < p.max_cuts || (!nbest > 0 && rank e best.(!nbest - 1) < 0))
+    && begin
+      let i = ref (Int.min !nbest (p.max_cuts - 1)) in
+      while !i > 0 && rank e best.(!i - 1) < 0 do
+        best.(!i) <- best.(!i - 1);
+        decr i
+      done;
+      best.(!i) <- e;
+      nbest := Int.min (!nbest + 1) p.max_cuts;
+      true
+    end
+  in
   let merge v =
     if not absorb.(v) then [ trivial.(v) ]
     else
@@ -330,11 +375,14 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
             preds
         in
         let candidates = merged_leaf_sets x ~cap:p.max_candidates choices in
-        let ops = Array.make arity [||] in
-        Hashtbl.clear memo;
-        let enumerated = ref 0 and infeasible = ref 0 and found = ref [] in
-        let c = x.cand and at = ref 0 in
-        while !at < x.top do
+        clear memo candidates;
+        mtop := 0;
+        nbest := 0;
+        let m0 = Bitdep.mark deps and o = ops.(v) in
+        let enumerated = ref 0 and infeasible = ref 0 and found = ref 0
+        and closures = ref 0 in
+        let c = x.cand.pool and at = ref 0 in
+        while !at < x.cand.top do
           let len = c.(!at) and first = !at + 1 in
           let picks = first + len in
           at := picks + arity;
@@ -349,67 +397,94 @@ let enumerate ?params ?(deadline = Resilience.Deadline.none) ?truncated ~k g =
           if
             len <= p.max_leaf_words
             && leaf_mark.(v) <> st
-            && match walk st v with () -> !size > 1 | exception Exit -> false
+            && walk st v && !size > 1
           then begin
-            let reached = ref [] in
-            for i = first + len - 1 downto first do
-              if reach_mark.(c.(i)) = st then reached := c.(i) :: !reached
+            let nr = ref 0 in
+            for i = first to first + len - 1 do
+              if reach_mark.(c.(i)) = st then begin
+                reached.(!nr) <- c.(i);
+                incr nr
+              end
             done;
-            let reached = !reached in
-            let r =
-              match Hashtbl.find_opt memo reached with
-              | Some r -> r
-              | None ->
-                  (* An in-cone operand's chosen block closes exactly its
-                     sub-cone here when the block's cone holds none of the
-                     candidate's leaves; otherwise another operand brought
-                     in a leaf inside it, and the sub-cone is built. *)
-                  for i = 0 to arity - 1 do
-                    let e = preds.(i) in
-                    ops.(i) <-
-                      (if e.dist > 0 || leaf_mark.(e.src) = st then [||]
-                       else
-                         let b = choices.(i).(c.(picks + i)) in
-                         if disjoint st b.members 0 then b.sup
-                         else within st e.src)
-                  done;
-                  let r =
-                    Bitdep.compose ~stop:true deps ~k:p.k ~root:v ops
-                    |> Option.map (fun sup ->
-                           {
-                             reached;
-                             width = List.length reached;
-                             members = Array.sub members 0 !size;
-                             s = Bitdep.measure ~k:p.k sup;
-                             sup;
-                           })
-                  in
-                  Hashtbl.add memo reached r;
-                  Option.iter (fun f -> found := f :: !found) r;
-                  r
-            in
-            if Option.is_some r then incr enumerated else incr infeasible
+            let top = memo.top in
+            let cone = intern memo ~extra:fields reached 0 !nr in
+            if cone = top then begin
+              incr closures;
+              let cm = Bitdep.mark deps in
+              (* An in-cone operand's chosen block closes exactly its
+                 sub-cone here when the block's cone holds none of the
+                 candidate's leaves; otherwise another operand brought in
+                 a leaf inside it, and the sub-cone is built. *)
+              for i = 0 to arity - 1 do
+                let e = preds.(i) in
+                o.(i) <-
+                  (if e.dist > 0 || leaf_mark.(e.src) = st then -1
+                   else
+                     let b = choices.(i).(c.(picks + i)) in
+                     if disjoint st b.members 0 then b.sup
+                     else within st e.src)
+              done;
+              let s = Bitdep.compose ~stop:true deps ~k:p.k ~root:v o in
+              let f = field cone in
+              memo.pool.(f + f_sup) <- s;
+              let best_so_far =
+                s >= 0
+                && begin
+                  let cs = Bitdep.measure deps ~k:p.k ~root:v s in
+                  if !mtop + !size > Array.length !mpool then
+                    mpool := ensure !mpool (!mtop + !size);
+                  blit_ints members 0 !mpool !mtop !size;
+                  memo.pool.(f + f_moff) <- !mtop;
+                  memo.pool.(f + f_msize) <- !size;
+                  memo.pool.(f + f_lut) <- cs.lut_bits;
+                  memo.pool.(f + f_maxsup) <- cs.max_support;
+                  mtop := !mtop + !size;
+                  incr found;
+                  offer cone
+                end
+              in
+              (* The sub-cones built for this candidate are dead now, and
+                 so are the cone's supports unless it ranks among the
+                 best so far. *)
+              Bitdep.release deps cm;
+              if best_so_far then
+                memo.pool.(f + f_sup) <- Bitdep.keep deps ~k:p.k ~root:v s
+            end;
+            if memo.pool.(field cone + f_sup) >= 0 then incr enumerated
+            else incr infeasible
           end
         done;
-        let ranked = List.sort rank !found in
-        let kept =
-          List.filteri (fun i _ -> i < p.max_cuts) ranked
-          |> List.map (fun f ->
-                 ( {
-                     root = v;
-                     leaves = f.reached;
-                     cone = Int_set.of_list (Array.to_list f.members);
-                     support = f.s.max_support;
-                     area = f.s.lut_bits;
-                   },
-                   { leaves = f.reached; members = f.members; sup = f.sup } ))
+        (* Only the kept cones become cuts. Their supports, in the order
+           of their entries, move down to [m0]; the records of cones
+           pushed out of the best by better ones are dropped. *)
+        let kept = Array.sub best 0 !nbest in
+        let by_entry = Array.copy kept in
+        Array.sort Int.compare by_entry;
+        Bitdep.release deps m0;
+        Array.iter
+          (fun e ->
+            let f = field e + f_sup in
+            memo.pool.(f) <- Bitdep.keep deps ~k:p.k ~root:v memo.pool.(f))
+          by_entry;
+        let cut e =
+          let m = memo.pool and f = field e in
+          let leaves = List.init m.(e) (fun i -> m.(e + 1 + i)) in
+          let members = Array.sub !mpool m.(f + f_moff) m.(f + f_msize) in
+          ( {
+              root = v;
+              leaves;
+              cone = Int_set.of_list (Array.to_list members);
+              support = m.(f + f_maxsup);
+              area = m.(f + f_lut);
+            },
+            { leaves; members; sup = m.(f + f_sup) } )
         in
         Obs.Counter.incr ~by:candidates c_candidates;
         Obs.Counter.incr ~by:!enumerated c_enumerated;
         Obs.Counter.incr ~by:!infeasible c_infeasible;
-        Obs.Counter.incr ~by:(Hashtbl.length memo) c_closures;
-        Obs.Counter.incr ~by:(List.length ranked - List.length kept) c_pruned;
-        trivial.(v) :: kept
+        Obs.Counter.incr ~by:!closures c_closures;
+        Obs.Counter.incr ~by:(!found - !nbest) c_pruned;
+        trivial.(v) :: List.map cut (Array.to_list kept)
   in
   (* Algorithm 1: worklist over nodes in topological order; re-enqueue
      successors whenever a node's cut set changes. On our graphs (dist-0

@@ -14,6 +14,12 @@
       supports from those its operands' chosen cuts already hold, and
       composes an operand's sub-cone afresh only when another operand put
       a leaf inside that cut's cone;
+    - a merge keeps its work in flat int scratch that every merge of the
+      call reuses: candidates and distinct cones are interned slices of
+      leaves, a cone's members a slice of a members pool, and its
+      supports an offset into the table's arena. Only the at most
+      [max_cuts] kept cones become {!cut}s; the supports of the rest are
+      dropped from the arena when the merge ends;
     - cones never cross loop-carried ([dist > 0]) edges — LUTs are
       combinational, so registered operands are always boundaries;
     - black-box, input and constant nodes are never cone members;

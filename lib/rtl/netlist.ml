@@ -37,7 +37,6 @@ let of_design ?(module_name = "pipeline") g cover (sched : Sched.Schedule.t) =
   | Ok () -> ()
   | Error e -> invalid_arg ("Netlist.of_design: invalid cover: " ^ e));
   let n = Ir.Cdfg.num_nodes g in
-  let base v = Printf.sprintf "n%d_%s" v (sanitize (Ir.Cdfg.node_name g v)) in
   let width = Ir.Cdfg.width g in
   let is_const v =
     match Ir.Cdfg.op g v with Ir.Op.Const _ -> true | _ -> false
@@ -105,10 +104,22 @@ let of_design ?(module_name = "pipeline") g cover (sched : Sched.Schedule.t) =
       Some { name = fresh "fill"; width = bits_for !fill_max }
   in
   let fill_lit (f : signal) v = Lit { width = f.width; value = Int64.of_int v } in
-  let sig_of v ~delay =
-    if delay <= 0 then { name = base v ^ "_c"; width = width v }
-    else { name = Printf.sprintf "%s_d%d" (base v) delay; width = width v }
+  (* Every signal of [v], each named once: its combinational value, then
+     the output of each of its register stages. *)
+  let signals =
+    Array.init n (fun v ->
+        let base =
+          Printf.sprintf "n%d_%s" v (sanitize (Ir.Cdfg.node_name g v))
+        in
+        Array.init
+          (stages.(v) + 1)
+          (fun d ->
+            let name =
+              if d = 0 then base ^ "_c" else Printf.sprintf "%s_d%d" base d
+            in
+            { name; width = width v }))
   in
+  let sig_of v ~delay = signals.(v).(Int.max 0 delay) in
   let ref_value u ~delay =
     match Ir.Cdfg.op g u with
     | Ir.Op.Const c -> Lit { width = width u; value = c }

@@ -63,17 +63,14 @@ let cone_of g ~root ~leaf_set =
   | None -> None
   | Some (cone, reached) -> Some (cone, Int_set.elements reached)
 
-let closure ?bound deps ~root ~cone =
-  Bitdep.closure ?bound deps ~root ~cone:(Int_set.elements cone)
-
-let trivial_cut ~k deps g v =
+let trivial_cut ~k g v =
   let leaves =
     Array.to_list (Ir.Cdfg.preds g v)
     |> List.map (fun (e : Ir.Cdfg.edge) -> e.src)
     |> List.sort_uniq Int.compare
   in
   let cone = Int_set.singleton v in
-  let s = Option.get (closure deps ~root:v ~cone) in
+  let s = Option.get (Closure_oracle.closure g ~root:v ~cone) in
   {
     root = v;
     leaves;
@@ -116,8 +113,7 @@ let enumerate ~(params : params) g =
   let candidates = ref 0 and enumerated = ref 0 and infeasible = ref 0
   and pruned = ref 0 and node_merges = ref 0 in
   let n = Ir.Cdfg.num_nodes g in
-  let deps = Bitdep.table g in
-  let trivial = Array.init n (trivial_cut ~k:p.k deps g) in
+  let trivial = Array.init n (trivial_cut ~k:p.k g) in
   let blocks : int list list array = Array.make n [] in
   let result : cut list array = Array.make n [] in
   for v = 0 to n - 1 do
@@ -135,7 +131,7 @@ let enumerate ~(params : params) g =
     | Some (cone, leaves) ->
         if Int_set.cardinal cone = 1 then None
         else
-          match closure ~bound:p.k deps ~root:v ~cone with
+          match Closure_oracle.closure ~bound:p.k g ~root:v ~cone with
           | None ->
               incr infeasible;
               None

@@ -153,9 +153,9 @@ let test_support_through_cone () =
   let t = Ir.Builder.xor_ b x y in
   let o = Ir.Builder.and_ b t z in
   let g = finish1 b o in
-  let s = Bitdep.support g ~root:4 ~cone:(mk_cone [ 3; 4 ]) ~bit:1 in
-  Alcotest.(check int) "support width" 3 (Bp.Set.cardinal s.Bitdep.bits);
-  Alcotest.(check bool) "not a wire" false s.Bitdep.pure_wire
+  let s = Closure_oracle.support g ~root:4 ~cone:(mk_cone [ 3; 4 ]) ~bit:1 in
+  Alcotest.(check int) "support width" 3 (Bp.Set.cardinal s.Closure_oracle.bits);
+  Alcotest.(check bool) "not a wire" false s.Closure_oracle.pure_wire
 
 let test_support_stops_at_boundary () =
   let b = Ir.Builder.create () in
@@ -165,8 +165,8 @@ let test_support_stops_at_boundary () =
   let o = Ir.Builder.not_ b t in
   let g = finish1 b o in
   (* cone {not} only: support is the xor node's bit, not the inputs *)
-  let s = Bitdep.support g ~root:3 ~cone:(mk_cone [ 3 ]) ~bit:2 in
-  check_reads "boundary bit" [ bp 2 2 ] (Bp.Set.elements s.Bitdep.bits)
+  let s = Closure_oracle.support g ~root:3 ~cone:(mk_cone [ 3 ]) ~bit:2 in
+  check_reads "boundary bit" [ bp 2 2 ] (Bp.Set.elements s.Closure_oracle.bits)
 
 let test_max_support_and_lut_bits () =
   (* u = t ^ (t >> 1): bit j needs t[j], t[j+1]; top bit passes through. *)
@@ -176,9 +176,9 @@ let test_max_support_and_lut_bits () =
   let u = Ir.Builder.xor_ b t sh in
   let g = finish1 b u in
   let cone = mk_cone [ 1; 2 ] in
-  Alcotest.(check int) "max support" 2 (Bitdep.max_support_width g ~root:2 ~cone);
+  Alcotest.(check int) "max support" 2 (Closure_oracle.max_support_width g ~root:2 ~cone);
   (* bits 0..2 need LUTs; bit 3 = t[3] xor 0 passes through *)
-  Alcotest.(check int) "lut bits" 3 (Bitdep.lut_bits g ~root:2 ~cone)
+  Alcotest.(check int) "lut bits" 3 (Closure_oracle.lut_bits g ~root:2 ~cone)
 
 let test_wire_cone_is_free () =
   let b = Ir.Builder.create () in
@@ -188,7 +188,7 @@ let test_wire_cone_is_free () =
   let g = finish1 b sh in
   let cone = mk_cone [ 1; 2 ] in
   Alcotest.(check int) "pure wiring costs nothing" 0
-    (Bitdep.lut_bits g ~root:2 ~cone)
+    (Closure_oracle.lut_bits g ~root:2 ~cone)
 
 (* Random graphs: support of the trivial cone equals the one-step reads
    (modulo constants), and support is monotone in the cone. *)
@@ -210,13 +210,13 @@ let support_monotone_in_cone =
       let small = mk_cone [ 4 ] in
       let big = mk_cone [ 2; 3; 4 ] in
       let bit = seed mod 6 in
-      let s_small = Bitdep.support g ~root:4 ~cone:small ~bit in
-      let s_big = Bitdep.support g ~root:4 ~cone:big ~bit in
+      let s_small = Closure_oracle.support g ~root:4 ~cone:small ~bit in
+      let s_big = Closure_oracle.support g ~root:4 ~cone:big ~bit in
       (* the big cone's support never mentions interior nodes *)
       Bp.Set.for_all
         (fun r -> r.Bp.node = 0 || r.Bp.node = 1)
-        s_big.Bitdep.bits
-      && Bp.Set.cardinal s_small.Bitdep.bits <= 2)
+        s_big.Closure_oracle.bits
+      && Bp.Set.cardinal s_small.Closure_oracle.bits <= 2)
 
 let qsuite tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
 

@@ -392,6 +392,31 @@ let test_closures_counter () =
         true (closures < verdicts))
     [ (4, 10350); (6, 11607) ]
 
+(* The minor-heap words of one K = 4 sweep of [Cuts.enumerate] over the
+   nine kernels plus XORR n=12, measured after a warm-up sweep has grown
+   the domain's [Bitdep] arrays. Enumeration allocates the cuts it keeps
+   and little per candidate or per cone: the ceiling is the sweep's
+   488 K words with about 25% headroom. The enumerator that gave every
+   cone its own supports array, members array and hashed leaf list
+   allocated 1.49 M. *)
+let test_allocation_ceiling () =
+  let graphs =
+    List.map
+      (fun (e : Benchmarks.Registry.entry) -> e.build ())
+      Benchmarks.Registry.all
+    @ [ Benchmarks.Xorr.build ~elements:12 ~width:8 ~mix_depth:3 () ]
+  in
+  let sweep () =
+    List.iter (fun g -> ignore (Sys.opaque_identity (Cuts.enumerate ~k:4 g))) graphs
+  in
+  sweep ();
+  let w0 = Gc.minor_words () in
+  sweep ();
+  let words = Gc.minor_words () -. w0 and ceiling = 610_000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words <= %.0f" words ceiling)
+    true (words <= ceiling)
+
 let qsuite tests = List.map (fun t -> QCheck_alcotest.to_alcotest t) tests
 
 let () =
@@ -427,5 +452,7 @@ let () =
             test_golden_params;
           Alcotest.test_case "one closure per distinct cone" `Quick
             test_closures_counter;
+          Alcotest.test_case "allocation ceiling" `Quick
+            test_allocation_ceiling;
         ] );
     ]

@@ -283,7 +283,7 @@ let enumerate_matches_oracle =
           (String.concat "," (List.map string_of_int want_moved));
       true)
 
-(* The reference for [Bitdep.closure]: the transitive closure of
+(* The reference for [Closure_oracle.closure]: the transitive closure of
    [Bitdep.dep] as plain [Bitpos.Set] unions, memoised per (node, bit). *)
 let reference_closure g ~root ~cone =
   let memo = Hashtbl.create 64 in
@@ -332,17 +332,15 @@ let closure_matches_reference =
         |> List.filter (fun _ -> Random.State.bool rng)
         |> List.cons root |> Bitdep.Int_set.of_list
       in
-      let table = Bitdep.table g in
       let max_support, lut_bits = reference_closure g ~root ~cone in
-      let members = Bitdep.Int_set.elements cone in
-      (match Bitdep.closure table ~root ~cone:members with
+      (match Closure_oracle.closure g ~root ~cone with
       | None -> QCheck.Test.fail_report "unbounded closure gave up"
       | Some s ->
           if s.max_support <> max_support || s.lut_bits <> lut_bits then
             QCheck.Test.fail_reportf
               "closure (max %d, lut %d) <> reference (max %d, lut %d)"
               s.max_support s.lut_bits max_support lut_bits);
-      match Bitdep.closure ~bound:k table ~root ~cone:members with
+      match Closure_oracle.closure ~bound:k g ~root ~cone with
       | None -> max_support > k
       | Some s ->
           max_support <= k && s.max_support = max_support
@@ -350,7 +348,7 @@ let closure_matches_reference =
 
 (* Random graph, random root, random cone as above, K in 2-6: the root's
    supports composed from its in-cone operands' supports, each composed the
-   same way from theirs, agree with [Bitdep.closure ~bound:k] on
+   same way from theirs, agree with [Closure_oracle.closure ~bound:k] on
    feasibility, and when feasible on max support and LUT bits. The
    unstopped composition of the root agrees too: too wide iff infeasible,
    the same LUT bits either way. *)
@@ -368,12 +366,12 @@ let composition_matches_closure =
         |> List.filter (fun _ -> Random.State.bool rng)
         |> List.cons root |> Bitdep.Int_set.of_list
       in
-      let table = Bitdep.table g in
+      Bitdep.with_table g @@ fun table ->
       let ops v sub =
         Array.map
           (fun (e : Ir.Cdfg.edge) ->
             if e.dist = 0 && Bitdep.Int_set.mem e.src cone then sub e.src
-            else [||])
+            else -1)
           (Ir.Cdfg.preds g v)
       in
       let memo = Hashtbl.create 16 in
@@ -381,23 +379,24 @@ let composition_matches_closure =
         match Hashtbl.find_opt memo v with
         | Some s -> s
         | None ->
-            let s = Option.get (Bitdep.compose table ~k ~root:v (ops v sub)) in
+            let s = Bitdep.compose table ~k ~root:v (ops v sub) in
             Hashtbl.add memo v s;
             s
       in
       let root_ops = ops root sub in
-      let stopped = Bitdep.compose ~stop:true table ~k ~root root_ops in
+      let stopped =
+        match Bitdep.compose ~stop:true table ~k ~root root_ops with
+        | -1 -> None
+        | sup -> Some sup
+      in
       let full =
-        Bitdep.measure ~k
-          (Option.get (Bitdep.compose table ~k ~root root_ops))
+        Bitdep.measure table ~k ~root (Bitdep.compose table ~k ~root root_ops)
       in
-      let want =
-        Bitdep.closure ~bound:k table ~root ~cone:(Bitdep.Int_set.elements cone)
-      in
+      let want = Closure_oracle.closure ~bound:k g ~root ~cone in
       match (stopped, want) with
       | None, None -> full.max_support > k
       | Some sup, Some w ->
-          let s = Bitdep.measure ~k sup in
+          let s = Bitdep.measure table ~k ~root sup in
           if s <> w || full <> w then
             QCheck.Test.fail_reportf
               "composed (max %d, lut %d), unstopped (max %d, lut %d) <> \

@@ -18,7 +18,7 @@ let count_occurrences s sub =
   in
   if m = 0 then 0 else go 0 0
 
-let flow_result e =
+let flow_result ?(m = Mams.Flow.Hls_tool) e =
   let entry = Benchmarks.Registry.find e in
   let g = entry.build () in
   let device = Fpga.Device.make ~t_clk:entry.t_clk () in
@@ -27,7 +27,7 @@ let flow_result e =
       resources = entry.resources;
       time_limit = 5.0 }
   in
-  match Mams.Flow.run setup Mams.Flow.Hls_tool g with
+  match Mams.Flow.run setup m g with
   | Ok r -> (g, r)
   | Error err -> Alcotest.failf "%s flow: %s" e err
 
@@ -55,6 +55,22 @@ let test_black_box_instance () =
   Alcotest.(check int) "four sbox instances" 4
     (count_occurrences rtl.source "sbox #(");
   Alcotest.(check bool) "reads clk" true (contains rtl.source ".clk(clk)")
+
+(* The Verilog text of the nine kernels under HLS-Tool, SDC and Map-first,
+   hashed into one digest: a change to the emitter that should not move
+   its output must leave the digest as it is. *)
+let test_emit_digest () =
+  let buf = Buffer.create (1 lsl 18) in
+  List.iter
+    (fun (e : Benchmarks.Registry.entry) ->
+      List.iter
+        (fun m ->
+          let g, r = flow_result ~m e.name in
+          Buffer.add_string buf (Rtl.emit g r.cover r.schedule).source)
+        [ Mams.Flow.Hls_tool; Mams.Flow.Sdc_tool; Mams.Flow.Map_heuristic ])
+    Benchmarks.Registry.all;
+  Alcotest.(check string) "Verilog digest" "ec9c279ca40102d94e940a495ccf7c4a"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
 let test_single_stage_has_no_always () =
   (* A purely combinational schedule emits no register block. *)
@@ -267,5 +283,6 @@ let () =
             test_single_stage_has_no_always;
           Alcotest.test_case "invalid cover" `Quick test_invalid_cover_rejected;
           Alcotest.test_case "write file" `Quick test_write_file;
+          Alcotest.test_case "Verilog digest" `Quick test_emit_digest;
         ] );
     ]
