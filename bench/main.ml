@@ -4,8 +4,8 @@
 
    Settings, read from the environment once, by the definitions below,
    before any table runs (documented in README.md):
-     PIPESYN_TIME_LIMIT   per-MILP budget in seconds (default 20; the
-                          paper used 3600)
+     PIPESYN_TIME_LIMIT   wall budget of each flow run in seconds
+                          (default 20; the paper used 3600)
      PIPESYN_ONLY         comma-separated benchmark filter for Table 1/2
      PIPESYN_JSON         structured-metrics output path
                           (default BENCH_results.json)
@@ -104,7 +104,7 @@ let run_table1 () =
 let print_table1 rows =
   section "Table 1: resource usage comparison (cf. paper Table 1)";
   Fmt.pr "Targets: kernels 5 ns, applications 10 ns clock period; II = 1;@.";
-  Fmt.pr "alpha = beta = 0.5; MILP budget %.0fs per solve.@.@." time_limit;
+  Fmt.pr "alpha = beta = 0.5; budget %.0fs per flow run.@.@." time_limit;
   let columns =
     Report.
       [
@@ -737,7 +737,7 @@ let write_metrics results =
 
 let () =
   Fmt.pr "pipesyn benchmark harness — reproduction of Zhao et al., DAC 2015@.";
-  Fmt.pr "MILP budget per solve: %.0fs (PIPESYN_TIME_LIMIT to change)@."
+  Fmt.pr "Budget per flow run: %.0fs (PIPESYN_TIME_LIMIT to change)@."
     time_limit;
   Obs.reset ();
   (* Live telemetry, each off unless its setting is given: the resource

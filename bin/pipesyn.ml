@@ -22,7 +22,11 @@ let method_arg =
     & info [ "m"; "method" ] ~doc)
 
 let time_limit_arg =
-  let doc = "MILP time budget in seconds (the paper used 3600)." in
+  let doc =
+    "Wall budget in seconds of each flow run (lint, cut enumeration, \
+     solve, mapping, verification, every fallback); the paper capped each \
+     run at 3600. On expiry the flow degrades gracefully."
+  in
   Arg.(value & opt float 20.0 & info [ "t"; "time-limit" ] ~doc)
 
 let ii_arg =
@@ -51,14 +55,6 @@ let faults_arg =
      with S). See `pipesyn faults' for the registered points."
   in
   Arg.(value & opt (some string) None & info [ "faults" ] ~doc ~docv:"SPEC")
-
-let deadline_arg =
-  let doc =
-    "Global wall-clock budget in seconds for the whole run (lint, cut \
-     enumeration, solve, mapping, verification). On expiry the flow \
-     degrades gracefully and the exit code is 2."
-  in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~doc ~docv:"SECS")
 
 let domains_arg =
   let doc =
@@ -331,7 +327,6 @@ type opts = {
   checkpoint : string option;
   checkpoint_every : float option;
   faults : string option;
-  deadline : float option;
   stall_window : float option;
   verbose : bool;
 }
@@ -339,10 +334,13 @@ type opts = {
 let opts_term =
   let time_limit =
     let doc =
-      "MILP time budget in seconds (the paper used 3600). Default: 20 for \
-       `run'; for `resume', the original run's budget. A resumed solve \
-       gets the whole budget to itself, and its reported solve time is \
-       cumulative: the checkpoint's consumed seconds plus this run's."
+      "Wall budget in seconds of each flow run (lint, cut enumeration, \
+       solve, mapping, verification, every fallback); the paper capped \
+       each run at 3600. On expiry the flow degrades gracefully and the \
+       exit code is 2. Default: 20 for `run'; for `resume', the original \
+       run's budget. A resumed run gets the whole budget to itself, and \
+       its reported solve time is cumulative: the checkpoint's consumed \
+       seconds plus this run's."
     in
     Arg.(value & opt (some float) None & info [ "t"; "time-limit" ] ~doc)
   in
@@ -412,16 +410,16 @@ let opts_term =
          & info [ "checkpoint-every" ] ~doc ~docv:"SECS")
   in
   let make time_limit domains audit json log trace progress checkpoint
-      checkpoint_every faults deadline stall_window verbose =
+      checkpoint_every faults stall_window verbose =
     {
       time_limit; domains; audit; json; log; trace; progress; checkpoint;
-      checkpoint_every; faults; deadline; stall_window; verbose;
+      checkpoint_every; faults; stall_window; verbose;
     }
   in
   Term.(
     const make $ time_limit $ domains_arg $ audit $ json $ log $ trace
-    $ progress $ checkpoint $ checkpoint_every $ faults_arg $ deadline_arg
-    $ stall_window_arg $ verbose_arg)
+    $ progress $ checkpoint $ checkpoint_every $ faults_arg $ stall_window_arg
+    $ verbose_arg)
 
 (* What a command hands [drive]: a benchmark graph, one request per flow
    to run on it (in order), and how a request becomes its flow's setup. *)
@@ -478,9 +476,7 @@ let drive o prepare =
     List.map
       (fun (req : Mams.Flow.Request.t) ->
         let m = req.method_ in
-        let setup =
-          { (p.setup req) with wall_budget = o.deadline; checkpoint }
-        in
+        let setup = { (p.setup req) with checkpoint } in
         match Mams.Flow.run setup m p.graph with
         | Ok r ->
             Fmt.pr "%a@." Mams.Flow.pp_result r;

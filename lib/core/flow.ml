@@ -9,7 +9,6 @@ type setup = {
   beta : float;
   cut_params : Cuts.params option;
   time_limit : float;
-  wall_budget : float option;
   domains : int option;
   audit : bool;
   checkpoint : Lp.Milp.checkpoint_sink option;
@@ -30,7 +29,6 @@ let default_setup ~device =
     beta = 0.5;
     cut_params = None;
     time_limit = 60.0;
-    wall_budget = None;
     domains = None;
     audit = false;
     checkpoint = None;
@@ -414,13 +412,15 @@ let run_map_first ?(coarse = false) ?(trivial = false) ~deadline ~as_ setup
       finalize setup g ~cuts_total:(Cuts.total_cuts cuts) cover sched
         heuristic_info as_
 
-let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
-    setup ctx g ~mapping_aware =
+let run_milp ?(coarse = false) ?resume ~deadline ~as_ setup ctx g
+    ~mapping_aware =
   (* Phase budgeting inside the attempt: cumulative checkpoints, so cheap
-     phases donate their slack to the solver. *)
+     phases donate their slack to the solver. Only MILP-base maps after
+     the solve; MILP-map's solve may run to the attempt's deadline. *)
   let phases =
     Resilience.Deadline.split deadline
-      [ ("cuts", 0.2); ("solve", 0.6); ("map", 0.2) ]
+      (if mapping_aware then [ ("cuts", 0.2); ("solve", 0.8) ]
+       else [ ("cuts", 0.2); ("solve", 0.6); ("map", 0.2) ])
   in
   let phase name = List.assoc name phases in
   match baseline setup g with
@@ -536,8 +536,7 @@ let run_milp ?(coarse = false) ?(budget_scale = 1.0) ?resume ~deadline ~as_
         Obs.emit ~cat:"flow" "flow.phase" [ ("phase", Obs.Json.String "solve") ];
       let r =
         Obs.span ~cat:"flow" "flow.solve" (fun () ->
-            Lp.Milp.solve
-              ~time_limit:(setup.time_limit *. budget_scale)
+            Lp.Milp.solve ~time_limit:setup.time_limit
               ~deadline:(phase "solve") ?incumbent
               ~branch_priority:(Formulation.branch_priorities f)
               ?domains:setup.domains ~certificates:setup.audit
@@ -644,10 +643,11 @@ let lint setup g = Analyze.Engine.static_gate (preflight_config setup) g
 
 (* The per-method degradation cascade. Ordering rationale (DESIGN.md 3d):
    full strength first; then relaxations that keep the method's character
-   (shorter budget, coarser cuts); then a different algorithm of the same
+   (coarser or trivial cuts); then a different algorithm of the same
    family; finally the trivial-cuts heuristic, which touches neither cut
    enumeration nor any LP/MILP and therefore survives every registered
-   fault point. *)
+   fault point. Every rung runs under what is left of the run's one
+   deadline. *)
 let steps_of setup ctx method_ g :
     (int * result) Resilience.Cascade.step list =
   let open Resilience.Cascade in
@@ -658,12 +658,12 @@ let steps_of setup ctx method_ g :
   let no_retry = (0, []) in
   let milp_retry = (1, [ "exception" ]) in
   let hls_fallback label =
-    { slabel = label; budget = None; retries = 0; retry_on = [];
+    { slabel = label; retries = 0; retry_on = [];
       run = (fun dl -> run_hls ~trivial:true ~deadline:dl ~as_:method_ setup ctx g) }
   in
-  let step ?budget ?(retry = no_retry) slabel run =
+  let step ?(retry = no_retry) slabel run =
     let retries, retry_on = retry in
-    { slabel; budget; retries; retry_on; run }
+    { slabel; retries; retry_on; run }
   in
   match method_ with
   | Hls_tool ->
@@ -692,9 +692,6 @@ let steps_of setup ctx method_ g :
         step "milp-base.full" ~retry:milp_retry (fun dl ->
             run_milp ?resume:setup.resume ~deadline:dl ~as_:method_ setup ctx g
               ~mapping_aware:false);
-        step "milp-base.retry" ~budget:(setup.time_limit *. backoff 1) (fun dl ->
-            run_milp ~budget_scale:(backoff 1) ~deadline:dl ~as_:method_ setup
-              ctx g ~mapping_aware:false);
         step "milp-base.sdc-fallback" (fun dl ->
             run_sdc ~deadline:dl ~as_:method_ setup ctx g);
         hls_fallback "milp-base.hls-fallback";
@@ -704,28 +701,36 @@ let steps_of setup ctx method_ g :
         step "milp-map.full" ~retry:milp_retry (fun dl ->
             run_milp ?resume:setup.resume ~deadline:dl ~as_:method_ setup ctx g
               ~mapping_aware:true);
-        step "milp-map.coarse" ~budget:(setup.time_limit *. backoff 1) (fun dl ->
-            run_milp ~coarse:true ~budget_scale:(backoff 1) ~deadline:dl
-              ~as_:method_ setup ctx g ~mapping_aware:true);
+        step "milp-map.coarse" (fun dl ->
+            run_milp ~coarse:true ~deadline:dl ~as_:method_ setup ctx g
+              ~mapping_aware:true);
         step "milp-map.map-first" (fun dl ->
             run_map_first ~deadline:dl ~as_:method_ setup ctx g);
         hls_fallback "milp-map.hls-fallback";
       ]
 
+(* (minor, major) words this domain allocated so far. [Gc.quick_stat]
+   counts both only up to the last minor collection, so a run that
+   allocates less than a minor heap would read 0. [Gc.counters] counts
+   the major words exactly, but on OCaml 5.1 only an eighth of the minor
+   words allocated since the last minor collection; [Gc.minor_words]
+   counts those exactly. *)
+let gc_words () =
+  let _, _, major = Gc.counters () in
+  (Gc.minor_words (), major)
+
 (* The winning attempt's result with its trail (the cascade's failed
-   attempts, then the soft notes) and its row: the GC delta since [gc0],
+   attempts, then the soft notes) and its row: the GC deltas since [gc0],
    the diagnostics (gate, audit, one RES00x per trail attempt) and the
    degradation array. *)
-let finish setup ~gc0 ~gate_diags trail (cuts_total, r) =
-  let gc1 = Gc.quick_stat () in
+let finish setup ~gc0:(minor0, major0) ~gate_diags trail (cuts_total, r) =
+  let minor1, major1 = gc_words () in
   let metrics =
     row ~name:"" r.method_ ~status:(status_of r.solve)
       ~lut:r.qor.Sched.Qor.luts ~ff:r.qor.Sched.Qor.ffs
       ~slack:(setup.device.Fpga.Device.t_clk -. r.qor.Sched.Qor.cp)
       ~cuts_total
-      ~gc:
-        ( gc1.Gc.minor_words -. gc0.Gc.minor_words,
-          gc1.Gc.major_words -. gc0.Gc.major_words )
+      ~gc:(minor1 -. minor0, major1 -. major0)
       ~diagnostics:
         (Analyze.Engine.diags_to_json
            (gate_diags
@@ -737,11 +742,7 @@ let finish setup ~gc0 ~gate_diags trail (cuts_total, r) =
   { r with metrics; trail }
 
 let run setup method_ g =
-  let deadline =
-    match setup.wall_budget with
-    | Some b -> Resilience.Deadline.of_budget b
-    | None -> Resilience.Deadline.none
-  in
+  let deadline = Resilience.Deadline.of_budget setup.time_limit in
   Obs.span ~cat:"flow" "flow.run"
     ~args:[ ("method", Obs.Json.String (method_name method_)) ]
   @@ fun () ->
@@ -757,7 +758,7 @@ let run setup method_ g =
   (* GC bracket around the whole cascade: [finish] stamps the delta into
      the row (coordinator-domain words; worker-domain allocation is not
      attributed per result). *)
-  let gc0 = Gc.quick_stat () in
+  let gc0 = gc_words () in
   log_phase "lint";
   (* Fail-fast gate: static CDFG lints and the pipelining pre-flight run
      before any cut enumeration or solver cost is paid. Warnings and infos

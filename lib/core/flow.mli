@@ -21,10 +21,11 @@
 
     {2 Resilience}
 
-    Every method runs through a {!Resilience.Cascade}: the full-strength
-    configuration first, then progressively relaxed retries (halved MILP
-    budget via {!Resilience.Cascade.backoff}, coarser cut parameters), then
-    algorithmic fallbacks, ending in a trivial-cuts heuristic that touches
+    Every method runs through a {!Resilience.Cascade} under the run's one
+    wall budget ([setup.time_limit]): the full-strength configuration
+    first, then progressively relaxed attempts (coarser or trivial cut
+    parameters), then algorithmic fallbacks, each under what is left of
+    the budget, ending in a trivial-cuts heuristic that touches
     neither cut enumeration nor any LP/MILP and therefore survives every
     registered fault point ({!Resilience.Fault}). Exceptions raised inside
     an attempt are contained and the cascade continues; transient failure
@@ -49,12 +50,12 @@ type setup = {
   alpha : float;
   beta : float;
   cut_params : Cuts.params option;  (** [None]: {!Cuts.default_params} *)
-  time_limit : float;  (** MILP budget, seconds (the paper used 3600) *)
-  wall_budget : float option;
-      (** global wall-clock budget for the whole run (lint, cut
-          enumeration, solve, mapping, verification); [None] = unlimited.
-          Split across phases and threaded as a cooperative
-          {!Resilience.Deadline} into every subsystem. *)
+  time_limit : float;
+      (** wall budget of the whole run in seconds (lint, cut
+          enumeration, solve, mapping, verification, every cascade rung);
+          the paper capped each run at 3600. Split across phases and
+          threaded as a cooperative {!Resilience.Deadline} into every
+          subsystem. *)
   domains : int option;
       (** B&B worker-domain count passed to {!Lp.Milp.solve} ([--domains]
           on the CLI); [None] = 1. *)
@@ -86,9 +87,9 @@ type setup = {
 
 val default_setup : device:Fpga.Device.t -> setup
 (** [ii = 1], [alpha = beta = 0.5] (paper Sec. 4), default delays,
-    unlimited resources, 60 s MILP budget, no wall-clock budget,
-    [domains = None], [audit = false], no checkpointing or resume, stall
-    watchdog off, cuts and presolve deferred to their defaults (on). *)
+    unlimited resources, a 60 s budget, [domains = None], [audit =
+    false], no checkpointing or resume, stall watchdog off, cuts and
+    presolve deferred to their defaults (on). *)
 
 val methods : (string * method_) list
 (** Every method under its command-line key: [hls], [sdc], [base],
@@ -168,9 +169,10 @@ val run : setup -> method_ -> Ir.Cdfg.t -> (result, string) Stdlib.result
 (** Runs one flow through its degradation cascade. The {!lint} gate
     executes first — error diagnostics abort the run before cut
     enumeration or scheduling, warnings are logged and recorded in the
-    result's [metrics.diagnostics]. [setup.wall_budget] bounds the whole
-    run. The returned (schedule, cover) pair always passes
-    {!Sched.Verify.check} — a verification failure fails that cascade
+    result's [metrics.diagnostics]. [setup.time_limit] bounds the whole
+    run: the cascade's rungs share it, and once it has run out only the
+    terminal fallback runs. The returned (schedule, cover) pair always
+    passes {!Sched.Verify.check} — a verification failure fails that cascade
     attempt (recorded with reason ["verify"]) and the next fallback
     runs. [Error] means the lint gate found errors or the cascade was
     exhausted (["RES003"]). *)

@@ -1101,6 +1101,8 @@ module Probe = struct
       if not (Atomic.get stop_flag) then begin
         let now_ = Clock.wall () in
         let dt = Float.max 1e-9 (now_ -. !prev_t) in
+        (* [Gc.minor_words] would count this domain's words only; the
+           other domains' counts are as of their last minor collection. *)
         let g = Gc.quick_stat () in
         let nodes = Counter.value c_nodes in
         let pivots = Counter.value c_pivots in
@@ -1181,8 +1183,12 @@ module Metrics = struct
 
   (* File-level resource totals, captured at write time: process-lifetime
      GC figures, the current and top heap, and (Linux) the peak-RSS
-     high-water mark, plus how many probe samples informed the run. *)
+     high-water mark, plus how many probe samples informed the run.
+     [Gc.quick_stat] counts each domain's minor words up to its last minor
+     collection and [Gc.minor_words] only this domain's, so one minor
+     collection first makes the total exact over every domain. *)
   let resources () =
+    Gc.minor ();
     let g = Gc.quick_stat () in
     Json.Obj
       [

@@ -460,8 +460,9 @@ module Metrics : sig
       file. *)
 
   val resources : unit -> Json.t
-  (** The file-level ["resources"] object, captured at call time:
-      process-lifetime GC totals ([gc_minor_words],
+  (** The file-level ["resources"] object, captured at call time after
+      one minor collection (so [gc_minor_words] counts every domain's
+      allocation exactly): process-lifetime GC totals ([gc_minor_words],
       [gc_promoted_words], [gc_major_words], [gc_compactions]), the
       current and top heap ([heap_words], [top_heap_words]), the peak
       RSS ([peak_rss_kb], [null] off-Linux) and [probe_samples]

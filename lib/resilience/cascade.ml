@@ -30,7 +30,6 @@ let pp_attempt ppf a =
 
 type 'a step = {
   slabel : string;
-  budget : float option;
   retries : int;
   retry_on : string list;
   run : Deadline.t -> ('a, string * string) result;
@@ -46,9 +45,10 @@ let run ~deadline steps =
     | [] -> Error (List.rev !trail)
     | s :: rest ->
         (* [try_n] is how many tries of this rung already failed; a
-           transient failure class retries the same rung (same budget,
-           deterministically) up to [s.retries] times before the cascade
-           falls through to the next rung. *)
+           transient failure class retries the same rung
+           (deterministically, under what is left of the deadline) up to
+           [s.retries] times before the cascade falls through to the next
+           rung. *)
         let rec try_step try_n =
           Obs.Counter.incr c_attempts;
           let t0 = Obs.Clock.wall () in
@@ -82,16 +82,11 @@ let run ~deadline steps =
           in
           (* An expired cascade deadline skips intermediate attempts but
              never the terminal fallback: the last step always runs (with
-             the already-expired sub-deadline, so cooperative subsystems
+             the already-expired deadline, so cooperative subsystems
              degrade immediately) — that is what guarantees a result. *)
           if rest <> [] && Deadline.expired deadline then
             fail "timeout" "cascade deadline expired before the attempt started"
           else
-            let sub =
-              match s.budget with
-              | None -> deadline
-              | Some b -> Deadline.clip deadline ~budget:b
-            in
             let attempt () =
               if Obs.recording () then
                 Obs.emit ~cat:"cascade" "cascade.attempt"
@@ -101,7 +96,7 @@ let run ~deadline steps =
                   ];
               Obs.span ~cat:"cascade" "cascade.attempt"
                 ~args:[ ("attempt", Obs.Json.String s.slabel) ]
-                (fun () -> s.run sub)
+                (fun () -> s.run deadline)
             in
             match attempt () with
             | Ok value ->
@@ -118,5 +113,3 @@ let run ~deadline steps =
         try_step 0
   in
   go steps
-
-let backoff k = 0.5 ** float_of_int (max 0 k)

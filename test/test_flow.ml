@@ -221,6 +221,26 @@ let test_request_nine_field_meta () =
       Alcotest.(check bool) "absent audit is off" false r.audit
   | Error e -> Alcotest.fail e
 
+(* A DR HLS run allocates well under a minor heap. Started on an empty
+   one, it would read 0 minor and 0 major words under counts that stop at
+   the last minor collection ([Gc.quick_stat]'s). *)
+let test_row_gc_words () =
+  let e = Benchmarks.Registry.find "DR" in
+  let setup =
+    { (Mams.Flow.default_setup ~device:(Fpga.Device.make ~t_clk:e.t_clk ()))
+      with resources = e.resources }
+  in
+  let g = e.build () in
+  Gc.minor ();
+  let r = get (Mams.Flow.run setup Mams.Flow.Hls_tool g) in
+  List.iter
+    (fun key ->
+      match Option.bind (Obs.Json.member key r.metrics) Obs.Json.number with
+      | Some w ->
+          Alcotest.(check bool) (Fmt.str "%s %.0f > 0" key w) true (w > 0.0)
+      | None -> Alcotest.failf "row has no %s" key)
+    [ "gc_minor_words"; "gc_major_words" ]
+
 let () =
   Alcotest.run "flow"
     [
@@ -237,6 +257,7 @@ let () =
           Alcotest.test_case "map dominates" `Slow test_milp_map_dominates;
           Alcotest.test_case "xor tree collapses" `Quick test_xor_tree_single_stage;
           Alcotest.test_case "bb resources" `Slow test_resource_constrained_bb;
+          Alcotest.test_case "row counts GC words" `Quick test_row_gc_words;
         ] );
       ( "request codec",
         [

@@ -386,14 +386,20 @@ let budget ~fault (e : Benchmarks.Registry.entry) =
       0.2
   | _ -> 1.0
 
+(* How far past its budget a run may end: the cooperative checks' latency
+   plus the work after the solve (extraction, verification, QoR) and the
+   terminal fallback, which runs even once the budget is spent. *)
+let overrun_margin = 0.25
+
 (* Re-run of test_resilience's end-to-end matrix at four domains: every
    registered fault point, armed always-on, against each benchmark
    kernel's Milp-map cascade — the run must still end in a verified
-   (schedule, cover), and a run that ends on a MILP solve must report
-   four domains in its metrics row. Faults now fire from worker domains
-   too (simplex.cycle in particular), so this exercises the fault-hit
-   lock and cross-domain exception containment. Returns whether the run
-   ended on a MILP solve. *)
+   (schedule, cover) within its budget plus [overrun_margin], and a run
+   that ends on a MILP solve must report four domains in its metrics
+   row. Faults now fire from worker domains too (simplex.cycle in
+   particular), so this exercises the fault-hit lock and cross-domain
+   exception containment. Returns whether the run ended on a MILP
+   solve. *)
 let run_with_fault ~fault (e : Benchmarks.Registry.entry) =
   Resilience.Fault.clear ();
   (match Resilience.Fault.arm fault with
@@ -409,8 +415,13 @@ let run_with_fault ~fault (e : Benchmarks.Registry.entry) =
       domains = Some 4;
     }
   in
+  let t0 = Unix.gettimeofday () in
   let r = Mams.Flow.run setup Mams.Flow.Milp_map g in
+  let elapsed = Unix.gettimeofday () -. t0 in
   Resilience.Fault.clear ();
+  if elapsed > setup.Mams.Flow.time_limit +. overrun_margin then
+    Alcotest.failf "%s + %s: %.3fs on a %.1fs budget" e.name fault elapsed
+      setup.Mams.Flow.time_limit;
   match r with
   | Error msg -> Alcotest.failf "%s + %s: no result: %s" e.name fault msg
   | Ok r ->

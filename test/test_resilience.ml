@@ -144,8 +144,7 @@ let test_fault_points_registered () =
 (* ------------------------------------------------------------------ *)
 
 let step label run : int Resilience.Cascade.step =
-  { Resilience.Cascade.slabel = label; budget = None; retries = 0;
-    retry_on = []; run }
+  { Resilience.Cascade.slabel = label; retries = 0; retry_on = []; run }
 
 let test_cascade_first_ok () =
   match
@@ -214,13 +213,6 @@ let test_cascade_expired_runs_last () =
             a.Resilience.Cascade.reason
       | t -> Alcotest.failf "expected 1 trail entry, got %d" (List.length t))
   | Error _ -> Alcotest.fail "cascade failed"
-
-let test_cascade_backoff () =
-  Alcotest.(check (float 1e-9)) "k=0" 1.0 (Resilience.Cascade.backoff 0);
-  Alcotest.(check (float 1e-9)) "k=1" 0.5 (Resilience.Cascade.backoff 1);
-  Alcotest.(check (float 1e-9)) "k=2" 0.25 (Resilience.Cascade.backoff 2);
-  Alcotest.(check (float 1e-9)) "negative k is the first try" 1.0
-    (Resilience.Cascade.backoff (-1))
 
 (* One entry of the metrics row's [degradation] array. *)
 let test_attempt_json () =
@@ -500,7 +492,6 @@ let () =
           Alcotest.test_case "exhaustion" `Quick test_cascade_exhaustion;
           Alcotest.test_case "expired runs last" `Quick
             test_cascade_expired_runs_last;
-          Alcotest.test_case "backoff" `Quick test_cascade_backoff;
           Alcotest.test_case "attempt json" `Quick test_attempt_json;
         ] );
       ( "end-to-end",

@@ -569,7 +569,6 @@ let test_cascade_retry_then_success () =
   let step =
     {
       Resilience.Cascade.slabel = "flaky";
-      budget = None;
       retries = 2;
       retry_on = [ "exception" ];
       run =
@@ -596,7 +595,6 @@ let test_cascade_retry_class_gated () =
     [
       {
         Resilience.Cascade.slabel = "wrong-class";
-        budget = None;
         retries = 5;
         retry_on = [ "exception" ];
         run =
@@ -606,7 +604,6 @@ let test_cascade_retry_class_gated () =
       };
       {
         Resilience.Cascade.slabel = "fallback";
-        budget = None;
         retries = 0;
         retry_on = [];
         run = (fun _ -> Ok 99);
@@ -628,7 +625,6 @@ let test_cascade_retry_bounded () =
     [
       {
         Resilience.Cascade.slabel = "always-down";
-        budget = None;
         retries = 2;
         retry_on = [ "exception" ];
         run =
@@ -638,7 +634,6 @@ let test_cascade_retry_bounded () =
       };
       {
         Resilience.Cascade.slabel = "fallback";
-        budget = None;
         retries = 0;
         retry_on = [];
         run = (fun _ -> Ok 1);
