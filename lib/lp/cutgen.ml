@@ -142,36 +142,36 @@ let cg_round (raw : Model.raw) ~lb ~ub ~x support =
       Qd.Acc.add_prod a sc.el.(q) sc.ec.(q)
     done;
     if not (Qd.Acc.is_zero a) then
-      if raw.integer.(j) then (
-        match Qd.Acc.floor a with
-        | None -> valid := false
-        | Some f ->
-            if Qd.Acc.is_integer a then
-              (* already integral: keep exactly, no charge *)
-              (if f <> 0.0 then terms := (j, f) :: !terms)
-            else begin
-              let af = Qd.Acc.to_float a in
-              let can_dn = Float.is_finite lb.(j) in
-              let can_up = Float.is_finite ub.(j) in
-              (* score = c_j·x_j - (c_j - abar_j)·bound_j, the column's
-                 contribution to (violation at x) *)
-              let s_dn =
-                if can_dn then (f *. x.(j)) -. ((f -. af) *. lb.(j))
-                else Float.neg_infinity
-              and s_up =
-                if can_up then
-                  ((f +. 1.0) *. x.(j)) -. ((f +. 1.0 -. af) *. ub.(j))
-                else Float.neg_infinity
-              in
-              if (not can_dn) && not can_up then valid := false
-              else begin
-                let c, bound =
-                  if s_up > s_dn then (f +. 1.0, ub.(j)) else (f, lb.(j))
-                in
-                charge t a c bound;
-                if c <> 0.0 then terms := (j, c) :: !terms
-              end
-            end)
+      if raw.integer.(j) then begin
+        let fi = Qd.Acc.floor_int a in
+        if fi = Qd.Acc.no_floor then valid := false
+        else if Qd.Acc.is_integer a then
+          (* already integral: keep exactly, no charge *)
+          (if fi <> 0 then terms := (j, float_of_int fi) :: !terms)
+        else begin
+          let f = float_of_int fi in
+          let af = Qd.Acc.to_float a in
+          let can_dn = Float.is_finite lb.(j) in
+          let can_up = Float.is_finite ub.(j) in
+          (* score = c_j·x_j - (c_j - abar_j)·bound_j, the column's
+             contribution to (violation at x) *)
+          let s_dn =
+            if can_dn then (f *. x.(j)) -. ((f -. af) *. lb.(j))
+            else Float.neg_infinity
+          and s_up =
+            if can_up then
+              ((f +. 1.0) *. x.(j)) -. ((f +. 1.0 -. af) *. ub.(j))
+            else Float.neg_infinity
+          in
+          if (not can_dn) && not can_up then valid := false
+          else begin
+            let up = s_up > s_dn in
+            let c = if up then f +. 1.0 else f in
+            charge t a c (if up then ub.(j) else lb.(j));
+            if c <> 0.0 then terms := (j, c) :: !terms
+          end
+        end
+      end
       else begin
         (* continuous: drop the column (c_j = 0); the dropped term
            -abar_j·x_j maxes at lb when abar_j > 0, at ub when
@@ -182,28 +182,27 @@ let cg_round (raw : Model.raw) ~lb ~ub ~x support =
   done;
   if not !valid then None
   else
-    match Qd.Acc.floor t with
-    | None -> None
-    | Some d ->
-        if Qd.Acc.is_integer t then
-          None (* integral shifted rhs: no rounding gain *)
-        else
-          let terms = Array.of_list !terms in
-          if Array.length terms = 0 then None
-          else begin
-            Array.sort (fun (j1, _) (j2, _) -> Int.compare j1 j2) terms;
-            let viol =
-              Array.fold_left (fun acc (j, c) -> acc +. (c *. x.(j))) (-.d) terms
-            in
-            if viol > viol_eps then
-              Some
-                {
-                  Cert.cut_terms = terms;
-                  cut_rhs = d;
-                  cut_deriv = Cert.Cg (Array.of_list support);
-                }
-            else None
-          end
+    let di = Qd.Acc.floor_int t in
+    if di = Qd.Acc.no_floor || Qd.Acc.is_integer t then
+      None (* out of range, or an integral shifted rhs: no rounding gain *)
+    else
+      let d = float_of_int di in
+      let terms = Array.of_list !terms in
+      if Array.length terms = 0 then None
+      else begin
+        Array.sort (fun (j1, _) (j2, _) -> Int.compare j1 j2) terms;
+        let viol =
+          Array.fold_left (fun acc (j, c) -> acc +. (c *. x.(j))) (-.d) terms
+        in
+        if viol > viol_eps then
+          Some
+            {
+              Cert.cut_terms = terms;
+              cut_rhs = d;
+              cut_deriv = Cert.Cg (Array.of_list support);
+            }
+        else None
+      end
 
 (* One CG candidate from a multiplier suggestion [lam] (length = rows of
    [raw], which may already include earlier cuts). Returns [None] when
@@ -247,20 +246,30 @@ let cg_of_multipliers (raw : Model.raw) ~lb ~ub ~x lam =
     | support -> cg_round raw ~lb ~ub ~x support
   end
 
+(* Candidates derived between two polls of the caller's budget: a wide
+   candidate costs about 0.25 ms (XORR's MILP-map), so a round stops
+   within a few milliseconds of the budget's end. *)
+let poll_every = 8
+
 (* CG round: one candidate per fractional basic integer variable, using
    the tableau row's multipliers as the aggregation suggestion. *)
-let cg_cuts (raw : Model.raw) ~lb ~ub ~x ~int_tol ~multipliers =
-  let out = ref [] in
-  for j = 0 to raw.n - 1 do
-    if raw.integer.(j) then begin
-      let frac = Float.abs (x.(j) -. Float.round x.(j)) in
+let cg_cuts (raw : Model.raw) ~lb ~ub ~x ~int_tol ~multipliers ~budget =
+  let out = ref [] and tried = ref 0 in
+  let j = ref 0 in
+  while !j < raw.n do
+    let c = !j in
+    incr j;
+    if raw.integer.(c) then begin
+      let frac = Float.abs (x.(c) -. Float.round x.(c)) in
       if frac > Float.max int_tol 0.005 then
-        match multipliers j with
+        match multipliers c with
         | None -> ()
-        | Some lam -> (
-            match cg_of_multipliers raw ~lb ~ub ~x lam with
-            | Some c -> out := c :: !out
-            | None -> ())
+        | Some lam ->
+            (match cg_of_multipliers raw ~lb ~ub ~x lam with
+            | Some cut -> out := cut :: !out
+            | None -> ());
+            incr tried;
+            if !tried mod poll_every = 0 && budget () then j := raw.n
     end
   done;
   !out

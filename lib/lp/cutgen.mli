@@ -15,6 +15,7 @@ val cg_cuts :
   x:float array ->
   int_tol:float ->
   multipliers:(int -> float array option) ->
+  budget:(unit -> bool) ->
   Cert.cut list
 (** One Chvátal–Gomory candidate per fractional integer variable of the
     LP point [x], aggregating with [multipliers j] (the variable's
@@ -22,7 +23,9 @@ val cg_cuts :
     audit's sign cone. [raw] may already contain earlier cut rows — CG
     derivations then cite them, which is what makes successive rounds
     strictly stronger. Only candidates violated at [x] by more than the
-    separation tolerance are returned. *)
+    separation tolerance are returned. [budget] is polled after every
+    eighth candidate; once it answers [true] the cuts found so far are
+    returned. *)
 
 val cg_of_multipliers :
   Model.raw ->

@@ -419,10 +419,12 @@ module Acc = struct
     normalize a;
     a.lo > a.hi || a.lo >= off
 
-  let floor a =
+  let no_floor = min_int
+
+  let floor_int a =
     normalize a;
-    if a.lo > a.hi then Some 0.0
-    else if a.hi >= off + 3 || (a.hi = off + 2 && a.l.(a.hi) > 2) then None
+    if a.lo > a.hi then 0
+    else if a.hi >= off + 3 || (a.hi = off + 2 && a.l.(a.hi) > 2) then no_floor
     else begin
       (* magnitude's integer part, below 3·2^52 *)
       let ip = ref 0 in
@@ -430,8 +432,12 @@ module Acc = struct
         ip := (!ip lsl w) + a.l.(k)
       done;
       let f = if a.neg then -(!ip + if a.lo < off then 1 else 0) else !ip in
-      if f >= -(1 lsl 53) && f < 1 lsl 53 then Some (float_of_int f) else None
+      if f >= -(1 lsl 53) && f < 1 lsl 53 then f else no_floor
     end
+
+  let floor a =
+    let f = floor_int a in
+    if f = no_floor then None else Some (float_of_int f)
 
   let bit_length v =
     let rec go v n = if v = 0 then n else go (v lsr 1) (n + 1) in

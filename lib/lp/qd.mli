@@ -87,6 +87,13 @@ module Acc : sig
   (** [Some ⌊q⌋] exactly when [-2^53 <= ⌊q⌋ < 2^53] (so the floor is a
       double and so is the floor plus one), else [None]. *)
 
+  val no_floor : int
+  (** [min_int]: {!floor_int}'s answer where {!floor} says [None]. *)
+
+  val floor_int : t -> int
+  (** {!floor} without the allocation: [⌊q⌋] as an int when [-2^53 <=
+      ⌊q⌋ < 2^53], else {!no_floor}. *)
+
   val to_float : t -> float
   (** The value rounded to the nearest double, ties to even; overflows
       to an infinity. *)

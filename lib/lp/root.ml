@@ -84,45 +84,50 @@ let separate t (w : Node.worker) ~max_lp_iters ~int_tol ~budget =
         let rawe = t.system in
         List.iter (Cutgen.offer pool)
           (Cutgen.cg_cuts rawe ~lb:w.lb ~ub:w.ub ~x:!x ~int_tol
-             ~multipliers:(Simplex.tableau_multipliers st));
-        List.iter (Cutgen.offer pool)
-          (Cutgen.cover_cuts rawe ~n_rows:(Array.length t.raw.Model.rows)
-             ~lb:w.lb ~ub:w.ub ~x:!x);
-        match Cutgen.select pool ~x:!x ~max_cuts:max_cuts_per_round with
-        | [] -> stop := true
-        | chosen -> (
-            Simplex.add_rows st
-              (Array.of_list
-                 (List.map (fun c -> (c.Cert.cut_terms, c.Cert.cut_rhs)) chosen));
-            t.system <- extend_raw rawe chosen;
-            t.cuts <- t.cuts @ chosen;
-            t.rounds <- t.rounds + 1;
-            let r = Node.lp w ~max_iters:max_lp_iters t.system in
-            match r.Simplex.status with
-            | Simplex.Optimal ->
-                let prev = t.bound_post_cuts in
-                t.bound_post_cuts <- r.Simplex.objective;
-                t.bound <- r.Simplex.objective;
-                x := r.Simplex.x;
-                if Obs.recording () then
-                  Obs.emit ~cat:"milp" "milp.cut_round"
-                    [
-                      ("round", Obs.Json.Int t.rounds);
-                      ("added", Obs.Json.Int (List.length chosen));
-                      ("pool", Obs.Json.Int (Cutgen.pending pool));
-                      ("bound0", Obs.Json.Float t.bound_pre_cuts);
-                      ("bound", Obs.Json.Float r.Simplex.objective);
-                    ];
-                (* Diminishing returns: a round that moves the bound by
-                   less than a relative 1e-9 will not close the tree any
-                   faster, and a second batch of stalled cuts measurably
-                   slows every node LP. *)
-                if r.Simplex.objective -. prev <= 1e-9 *. (1.0 +. Float.abs prev)
-                then stop := true
-            | _ ->
-                (* Limit hit mid-resolve: the cuts stay (they are valid
-                   regardless); node processing finishes the LP. *)
-                stop := true)
+             ~multipliers:(Simplex.tableau_multipliers st) ~budget);
+        (* a round the budget cut short is dropped: the root node's LP
+           comes first *)
+        if budget () then stop := true
+        else begin
+          List.iter (Cutgen.offer pool)
+            (Cutgen.cover_cuts rawe ~n_rows:(Array.length t.raw.Model.rows)
+               ~lb:w.lb ~ub:w.ub ~x:!x);
+          match Cutgen.select pool ~x:!x ~max_cuts:max_cuts_per_round with
+          | [] -> stop := true
+          | chosen -> (
+              Simplex.add_rows st
+                (Array.of_list
+                   (List.map (fun c -> (c.Cert.cut_terms, c.Cert.cut_rhs)) chosen));
+              t.system <- extend_raw rawe chosen;
+              t.cuts <- t.cuts @ chosen;
+              t.rounds <- t.rounds + 1;
+              let r = Node.lp w ~max_iters:max_lp_iters t.system in
+              match r.Simplex.status with
+              | Simplex.Optimal ->
+                  let prev = t.bound_post_cuts in
+                  t.bound_post_cuts <- r.Simplex.objective;
+                  t.bound <- r.Simplex.objective;
+                  x := r.Simplex.x;
+                  if Obs.recording () then
+                    Obs.emit ~cat:"milp" "milp.cut_round"
+                      [
+                        ("round", Obs.Json.Int t.rounds);
+                        ("added", Obs.Json.Int (List.length chosen));
+                        ("pool", Obs.Json.Int (Cutgen.pending pool));
+                        ("bound0", Obs.Json.Float t.bound_pre_cuts);
+                        ("bound", Obs.Json.Float r.Simplex.objective);
+                      ];
+                  (* Diminishing returns: a round that moves the bound by
+                     less than a relative 1e-9 will not close the tree any
+                     faster, and a second batch of stalled cuts measurably
+                     slows every node LP. *)
+                  if r.Simplex.objective -. prev <= 1e-9 *. (1.0 +. Float.abs prev)
+                  then stop := true
+              | _ ->
+                  (* Limit hit mid-resolve: the cuts stay (they are valid
+                     regardless); node processing finishes the LP. *)
+                  stop := true)
+        end
       done;
       (* Cuts pay rent only if they moved the root bound: every cut row
          slows every node LP and perturbs the node order, so a pass that

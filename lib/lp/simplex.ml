@@ -15,6 +15,7 @@ let pivot_eps = 1e-8
 let c_resolve_pivots = Obs.Counter.get "simplex.resolve_pivots"
 let c_resolve_warm = Obs.Counter.get "simplex.resolve_warm"
 let c_resolve_cold = Obs.Counter.get "simplex.resolve_cold"
+let c_resolve_cold_pivots = Obs.Counter.get "simplex.resolve_cold_pivots"
 
 type vstat = Basic of int (* row *) | At_lower | At_upper
 
@@ -58,6 +59,10 @@ type tab = {
   z : float array;  (** reduced costs, per column (0 on basic columns) *)
   stat : vstat array;
   basis : int array;  (** column basic in each row *)
+  w : float array;
+      (** dual steepest-edge weight of each row, [‖e_iᵀB⁻¹‖²]: row [i]'s
+          entries at the nonbasic slack slots squared and summed, plus 1
+          when its basic column is a slack ({!row_reduce} keeps it) *)
   sign : float array;
       (** per-row build-time normalization: -1 where a [>=] row was negated
           into [<=] form, +1 otherwise. Needed to translate slack-column
@@ -78,9 +83,10 @@ let value t j =
 type scratch = {
   mutable nz : int array;
       (** length at least [n]: the slots of the nonzeros of the pivot
-          row ({!row_reduce}), the dual ratio test's candidate columns in
-          increasing index ({!dual_repair}), or the slots of the nonbasic
-          columns with a nonzero value ({!recompute_beta}) *)
+          row ({!row_reduce}: structural columns' slots from index 0 up,
+          slacks' from [n - 1] down), the dual ratio test's candidate
+          columns in increasing index ({!dual_repair}), or the slots of
+          the nonbasic columns with a nonzero value ({!recompute_beta}) *)
   mutable nzv : float array;
       (** beside [nz]: the pivot row's values after division, the
           candidates' pivot-row entries, or the nonbasic values *)
@@ -241,8 +247,23 @@ let do_bound_flip t sc j ~dir ~tstar k =
     | At_upper -> At_lower
     | Basic _ -> assert false)
 
-(* Row reduction making column j a unit vector at row r; transforms [b]
-   and the reduced costs alongside. Shared by primal and dual pivots.
+(* Floor of a dual steepest-edge weight: rounding in the incremental
+   update must not drive a weight to zero or below. *)
+let w_floor = 1e-12
+
+(* Row [i]'s weight summed afresh: its entries at the nonbasic slack
+   slots squared, plus 1 when its basic column is a slack. *)
+let fresh_weight t i =
+  let row = t.a.(i) in
+  let acc = ref (if t.basis.(i) >= t.n then 1.0 else 0.0) in
+  for s = 0 to t.n - 1 do
+    if t.var_of.(s) >= t.n then acc := !acc +. (row.(s) *. row.(s))
+  done;
+  !acc
+
+(* Row reduction making column j a unit vector at row r; transforms [b],
+   the reduced costs and the steepest-edge weights alongside. Shared by
+   primal and dual pivots.
 
    Sparse in both the pivot row and the entering column. The pivot row's
    nonzero slots and their divided values are gathered into
@@ -262,28 +283,48 @@ let do_bound_flip t sc j ~dir ~tstar k =
    in row r and [0 - f·(1/piv)] in every row i with [f = a_ij <> 0]. A
    row with [f = 0] already holds a zero in that slot. So every nonzero
    entry gets the same float operations in the same order as on a
-   tableau that stores all columns. *)
+   tableau that stores all columns.
+
+   Row i of B⁻¹ is row i at the nonbasic slack slots (plus its own unit
+   entry when its basic column is a slack), so only slack slots move a
+   weight. The gathered list keeps them apart from the structural slots:
+   [w_r] is summed afresh from the divided pivot row, and each updated
+   row adds [new² - old²] over the slack slots as it rewrites them, less
+   [f²] when the entering column was a slack nonbasic in that slot, plus
+   the square of its new slot-[s] entry when the leaving column is a
+   slack. Rows with [f = 0] keep their weights. *)
 let row_reduce t sc j r kc =
+  let n = t.n in
   let s = t.slot.(j) in
   let l = t.basis.(r) in
   let prow = t.a.(r) in
   let piv = prow.(s) in
   let inv = 1.0 /. piv in
-  let nz = sc.nz and nzv = sc.nzv in
-  let k = ref 0 in
-  for c = 0 to t.n - 1 do
+  let nz = sc.nz and nzv = sc.nzv and var_of = t.var_of in
+  let k = ref 0 and ks = ref n in
+  let wr = ref ((if j >= n then 1.0 else 0.0) +. if l >= n then inv *. inv else 0.0) in
+  for c = 0 to n - 1 do
     let v = Array.unsafe_get prow c in
     if v <> 0.0 && c <> s then begin
       let v = v /. piv in
       Array.unsafe_set prow c v;
-      Array.unsafe_set nz !k c;
-      Array.unsafe_set nzv !k v;
-      incr k
+      if Array.unsafe_get var_of c < n then begin
+        Array.unsafe_set nz !k c;
+        Array.unsafe_set nzv !k v;
+        incr k
+      end
+      else begin
+        decr ks;
+        Array.unsafe_set nz !ks c;
+        Array.unsafe_set nzv !ks v;
+        wr := !wr +. (v *. v)
+      end
     end
   done;
   prow.(s) <- inv;
-  let k = !k in
-  let b = t.b in
+  let k = !k and ks = !ks in
+  let b = t.b and w = t.w in
+  w.(r) <- (if !wr > w_floor then !wr else w_floor);
   b.(r) <- b.(r) /. piv;
   let br = b.(r) in
   for pc = 0 to kc - 1 do
@@ -291,8 +332,9 @@ let row_reduce t sc j r kc =
     if i <> r then begin
       let row_i = Array.unsafe_get t.a i in
       let f = Array.unsafe_get sc.cv pc in
-      (* row_i -= f·prow over the gathered slots, unrolled four ways;
-         written out here rather than called, so [f] stays unboxed *)
+      (* row_i -= f·prow over the gathered structural slots, unrolled
+         four ways; written out here rather than called, so [f] stays
+         unboxed *)
       let p = ref 0 in
       while !p + 3 < k do
         let q = !p in
@@ -315,7 +357,20 @@ let row_reduce t sc j r kc =
         Array.unsafe_set row_i c
           (Array.unsafe_get row_i c -. (f *. Array.unsafe_get nzv q))
       done;
-      Array.unsafe_set row_i s (0.0 -. (f *. inv));
+      (* the slack slots, and the weight change they make *)
+      let dw = ref (if j >= n then 0.0 -. (f *. f) else 0.0) in
+      for q = ks to n - 1 do
+        let c = Array.unsafe_get nz q in
+        let old = Array.unsafe_get row_i c in
+        let v = old -. (f *. Array.unsafe_get nzv q) in
+        Array.unsafe_set row_i c v;
+        dw := !dw +. ((v *. v) -. (old *. old))
+      done;
+      let e = 0.0 -. (f *. inv) in
+      Array.unsafe_set row_i s e;
+      let dw = if l >= n then !dw +. (e *. e) else !dw in
+      let wi = Array.unsafe_get w i +. dw in
+      Array.unsafe_set w i (if wi > w_floor then wi else w_floor);
       b.(i) <- b.(i) -. (f *. br)
     end
   done;
@@ -323,13 +378,17 @@ let row_reduce t sc j r kc =
   let zf = z.(j) in
   if zf <> 0.0 then begin
     for p = 0 to k - 1 do
-      let c = t.var_of.(nz.(p)) in
+      let c = var_of.(nz.(p)) in
+      z.(c) <- z.(c) -. (zf *. nzv.(p))
+    done;
+    for p = ks to n - 1 do
+      let c = var_of.(nz.(p)) in
       z.(c) <- z.(c) -. (zf *. nzv.(p))
     done;
     z.(l) <- z.(l) -. (zf *. inv);
     z.(j) <- 0.0
   end;
-  t.var_of.(s) <- l;
+  var_of.(s) <- l;
   t.slot.(l) <- s;
   t.slot.(j) <- -1;
   t.basis.(r) <- j;
@@ -431,11 +490,14 @@ let do_dual_pivot t sc j r ~target ~below =
    single branched binary), [Infeasible] (a violated row with no sign-compatible
    entering column proves the box empty), or a budget status.
 
-   The leaving row is the most violated one and ratio ties go to the
-   larger pivot, until [bland_after] pivots; from then on Bland's rule
-   holds (the violated row whose basic column has the smallest index, and
-   the smallest column index among ratio ties), so a degenerate repair
-   cannot cycle. *)
+   The leaving row is the steepest one, by exact dual steepest edge
+   (Forrest & Goldfarb 1992): among the rows violated by more than
+   [feas_eps], the one with the largest [viol² / w_i], where [w_i =
+   ‖e_iᵀB⁻¹‖²] is the row's maintained weight; the first such row wins
+   a tie. Ratio ties go to the larger pivot, until [bland_after] pivots;
+   from then on Bland's rule holds (the violated row whose basic column
+   has the smallest index, and the smallest column index among ratio
+   ties), so a degenerate repair cannot cycle. *)
 let dual_repair ?(bland = false) t ~max_iters ~iters_used ~deadline =
   let sc = scratch t in
   let iters = ref iters_used in
@@ -445,18 +507,26 @@ let dual_repair ?(bland = false) t ~max_iters ~iters_used ~deadline =
   let continue_ = ref true in
   while !continue_ do
     let bland = !iters - iters_used > bland_after in
-    let r = ref (-1) and viol = ref feas_eps and below = ref false in
-    if not bland then
-      (* most-violated row *)
+    let r = ref (-1) and below = ref false in
+    if not bland then begin
+      (* steepest row *)
+      let best = ref 0.0 in
       for i = 0 to t.m - 1 do
         let bv = t.basis.(i) in
         let under = t.lo.(bv) -. t.beta.(i) in
-        if under > !viol then begin r := i; viol := under; below := true end;
-        if Float.is_finite t.hi.(bv) then begin
+        if under > feas_eps then begin
+          let score = under *. under /. t.w.(i) in
+          if score > !best then begin r := i; best := score; below := true end
+        end
+        else if Float.is_finite t.hi.(bv) then begin
           let over = t.beta.(i) -. t.hi.(bv) in
-          if over > !viol then begin r := i; viol := over; below := false end
+          if over > feas_eps then begin
+            let score = over *. over /. t.w.(i) in
+            if score > !best then begin r := i; best := score; below := false end
+          end
         end
       done
+    end
     else
       (* the violated row whose basic column has the smallest index *)
       for i = 0 to t.m - 1 do
@@ -619,6 +689,7 @@ let build ?reuse (raw : Model.raw) lbv ubv =
     cost = Array.make cols 0.0;
     z = Array.make cols 0.0;
     stat; basis; sign;
+    w = Array.make m 1.0;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -817,6 +888,7 @@ let resolve ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
       | Infeasible, Some r -> st.infeas <- Some (Cert.Ray r)
       | _ -> ());
       Obs.Counter.incr ~by:iters c_resolve_pivots;
+      Obs.Counter.incr ~by:iters c_resolve_cold_pivots;
       finish t raw lbv status iters
     in
     let warm t =
@@ -913,8 +985,13 @@ let tableau_multipliers st j =
         | Basic r -> Some (slack_multipliers t r 1.0)
         | At_lower | At_upper -> None)
 
+let edge_weights st =
+  match st.t with
+  | None -> [||]
+  | Some t -> Array.init t.m (fun i -> (t.w.(i), fresh_weight t i))
+
 (* Room for [m'] rows: the per-row arrays ([a], [b], [beta], [basis],
-   [sign]) and the per-column ones past the [n] structural columns grow
+   [sign], [w]) and the per-column ones past the [n] structural columns grow
    together, by half again at least, so a run of cut rounds reallocates
    them once or twice instead of on every call. Entries past [m] and
    [cols] are never read. *)
@@ -927,7 +1004,7 @@ let reserve_rows t m' =
     let rows dflt src = grow cap dflt src t.m in
     let cols dflt src = grow (t.n + cap) dflt src t.cols in
     { t with a = rows [||] t.a; b = rows 0.0 t.b; beta = rows 0.0 t.beta
-    ; basis = rows 0 t.basis; sign = rows 1.0 t.sign
+    ; basis = rows 0 t.basis; sign = rows 1.0 t.sign; w = rows 1.0 t.w
     ; slot = cols (-1) t.slot; stat = cols At_lower t.stat; lo = cols 0.0 t.lo
     ; hi = cols infinity t.hi; cost = cols 0.0 t.cost; z = cols 0.0 t.z }
   end
@@ -988,6 +1065,7 @@ let add_rows st (new_rows : ((int * float) array * float) array) =
             t.a.(r) <- Array.map (fun c -> row.(c)) t.var_of;
             t.b.(r) <- !bshift;
             t.basis.(r) <- n + r;
+            t.w.(r) <- fresh_weight t r;
             t.sign.(r) <- 1.0;
             let c = n + r in
             t.slot.(c) <- -1;

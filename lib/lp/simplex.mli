@@ -11,7 +11,11 @@
     columns) with each structural column at the bound its cost prefers,
     which is dual feasible; the dual simplex repairs primal feasibility
     and the primal simplex cleans up. A negative-cost column without an
-    upper bound takes part in the dual phase at cost 0. Both phases
+    upper bound takes part in the dual phase at cost 0. The dual simplex
+    prices by exact dual steepest edge: the leaving row maximizes
+    [viol² / ‖e_iᵀB⁻¹‖²], with every row's weight kept exact through
+    each pivot (reset to 1 on the slack basis, kept across warm
+    restarts, computed exactly for rows {!add_rows} appends). Both phases
     switch to Bland's rule after [max 200 (10·(rows + columns))] pivots,
     so neither can cycle; a from-scratch LP that still hits its pivot cap
     is run once more from the slack basis under Bland's rule from its
@@ -103,8 +107,9 @@ val resolve :
     same objective within [1e-6] (property-tested in [test/test_lp.ml]).
 
     Counters ({!Obs}): [simplex.resolve_pivots] (dual + primal pivots
-    spent here), [simplex.resolve_warm] / [simplex.resolve_cold] (which
-    path ran). *)
+    spent here), [simplex.resolve_cold_pivots] (the part of them spent
+    in cold rebuilds), [simplex.resolve_warm] / [simplex.resolve_cold]
+    (which path ran). *)
 
 val last_resolve_warm : state -> bool
 (** Whether the most recent {!resolve} used the warm path (including
@@ -141,6 +146,14 @@ val tableau_multipliers : state -> int -> float array option
     turns into a Chvátal–Gomory derivation — only a suggestion: cut
     generation recomputes the aggregation exactly from [λ] and the
     original rows. [None] when [j] is nonbasic or the state holds no
+    tableau. *)
+
+val edge_weights : state -> (float * float) array
+(** One pair per row of the state's system: the dual steepest-edge
+    weight the solver maintains for the row, and [‖e_iᵀB⁻¹‖²] summed
+    afresh from the current tableau (the row's entries at the nonbasic
+    slack columns, squared, plus 1 when its basic column is a slack).
+    The two agree up to rounding; empty when the state holds no
     tableau. *)
 
 val add_rows : state -> ((int * float) array * float) array -> unit

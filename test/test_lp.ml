@@ -562,38 +562,128 @@ let test_resolve_refactor_parity () =
    tightenings (the only kind branch-and-bound produces), including
    tightenings that cross the box (lb > ub) or cut off the feasible
    region entirely. *)
+let tightening_chain_gen =
+  QCheck.Gen.(
+    let* spec = random_lp_gen in
+    let n, _, _, _ = spec in
+    let step =
+      let* j = int_bound (n - 1) in
+      let* side = bool in
+      let* v = map (fun i -> 0.5 *. float_of_int i) (int_bound 11) in
+      return (j, side, v)
+    in
+    let* steps = list_size (int_range 1 4) step in
+    return (spec, steps))
+
+(* monotone tightening, as in branch-and-bound *)
+let tighten lb ub (j, side, v) =
+  if side then lb.(j) <- Float.max lb.(j) v else ub.(j) <- Float.min ub.(j) v
+
 let resolve_equals_cold_solve =
-  let gen =
-    QCheck.Gen.(
-      let* spec = random_lp_gen in
-      let n, _, _, _ = spec in
-      let step =
-        let* j = int_bound (n - 1) in
-        let* side = bool in
-        let* v = map (fun i -> 0.5 *. float_of_int i) (int_bound 11) in
-        return (j, side, v)
-      in
-      let* steps = list_size (int_range 1 4) step in
-      return (spec, steps))
-  in
   QCheck.Test.make ~name:"resolve = cold solve under bound tightenings"
-    ~count:120 (QCheck.make gen) (fun (spec, steps) ->
+    ~count:120 (QCheck.make tightening_chain_gen) (fun (spec, steps) ->
       let model, _ = build_random_lp spec in
       let raw = Lp.Model.to_raw model in
       let _, st = Lp.Simplex.solve_state raw in
       let lb = Array.copy raw.Lp.Model.lb
       and ub = Array.copy raw.Lp.Model.ub in
       List.for_all
-        (fun (j, side, v) ->
-          (* monotone tightening, as in branch-and-bound *)
-          if side then lb.(j) <- Float.max lb.(j) v
-          else ub.(j) <- Float.min ub.(j) v;
+        (fun step ->
+          tighten lb ub step;
           let rw = Lp.Simplex.resolve ~lb ~ub st in
           let rc = Lp.Simplex.solve ~lb ~ub raw in
           rw.Lp.Simplex.status = rc.Lp.Simplex.status
           && (rw.Lp.Simplex.status <> Lp.Simplex.Optimal
              || feq rw.Lp.Simplex.objective rc.Lp.Simplex.objective))
         steps)
+
+(* --- dual steepest-edge pricing ---------------------------------------- *)
+
+(* Property: after the solve and after every [add_rows] and [resolve] of
+   a random sequence (the tightening chains above, each step optionally
+   preceded by an appended random row), every row's maintained weight
+   equals [‖e_iᵀB⁻¹‖²] summed afresh from the tableau, within 1e-9
+   relative. *)
+let edge_weights_exact =
+  let gen =
+    QCheck.Gen.(
+      let* ((n, _, _, _), steps) as chain = tightening_chain_gen in
+      let coef = map (fun i -> float_of_int (i - 5)) (int_bound 10) in
+      let row =
+        let* terms = list_repeat n coef in
+        let* rhs = map float_of_int (int_bound 12) in
+        return (List.mapi (fun j c -> (j, c)) terms, rhs)
+      in
+      let* rows = list_repeat (List.length steps) (opt row) in
+      return (chain, rows))
+  in
+  QCheck.Test.make ~name:"maintained weights = ‖e_iᵀB⁻¹‖²" ~count:300
+    (QCheck.make gen) (fun ((spec, steps), rows) ->
+      let model, _ = build_random_lp spec in
+      let raw = Lp.Model.to_raw model in
+      let _, st = Lp.Simplex.solve_state raw in
+      let exact () =
+        Array.for_all
+          (fun (w, w') ->
+            Float.abs (w -. w') <= 1e-9 *. Float.max (Float.abs w) (Float.abs w'))
+          (Lp.Simplex.edge_weights st)
+      in
+      let lb = Array.copy raw.Lp.Model.lb
+      and ub = Array.copy raw.Lp.Model.ub in
+      exact ()
+      && List.for_all2
+           (fun step row ->
+             (match row with
+             | Some (terms, rhs) ->
+                 Lp.Simplex.add_rows st
+                   [| (Array.of_list (List.filter (fun (_, c) -> c <> 0.0) terms), rhs) |]
+             | None -> ());
+             exact ()
+             &&
+             (tighten lb ub step;
+              ignore (Lp.Simplex.resolve ~lb ~ub st);
+              exact ()))
+           steps rows)
+
+(* min x + y - 5.5e  s.t.  0.1x - 0.5e >= 0.1,  y - e >= 1, all >= 0: the
+   optimum x = y = 1, e = 0 leaves x basic in the first row, whose row
+   of B⁻¹ is (-10, 0), weight 100, and y in the second, weight 1. Raising
+   x's lower bound to 4 and y's to 2 violates them by 3 and by 1. The
+   most violated row is x's, and repairing it first (e enters at 0.6)
+   leaves y at 1.6, so a second pivot is due. By steepest edge y's row
+   scores 1² / 1 against x's 3² / 100: y leaves first, e enters at 1,
+   which lifts x to 6 as well, and the repair ends after one pivot. *)
+let test_steepest_row_leaves_first () =
+  let m = Lp.Model.create () in
+  let x = Lp.Model.add_var m "x" in
+  let y = Lp.Model.add_var m "y" in
+  let e = Lp.Model.add_var m "e" in
+  Lp.Model.add_ge m [ (0.1, x); (-0.5, e) ] 0.1;
+  Lp.Model.add_ge m [ (1.0, y); (-1.0, e) ] 1.0;
+  Lp.Model.set_objective m [ (1.0, x); (1.0, y); (-5.5, e) ];
+  let raw = Lp.Model.to_raw m in
+  let r, st = Lp.Simplex.solve_state raw in
+  check_lp_obj "root" 2.0 r;
+  let basis () =
+    List.map
+      (fun j ->
+        match Lp.Simplex.basis_status st j with
+        | `Basic -> "basic"
+        | `At_lower -> "lower"
+        | `At_upper -> "upper")
+      (List.map Lp.Model.var_index [ x; y; e ])
+  in
+  Alcotest.(check (list string)) "root basis" [ "basic"; "basic"; "lower" ]
+    (basis ());
+  let lb = Array.copy raw.Lp.Model.lb in
+  lb.(Lp.Model.var_index x) <- 4.0;
+  lb.(Lp.Model.var_index y) <- 2.0;
+  let r = Lp.Simplex.resolve ~lb ~ub:raw.Lp.Model.ub st in
+  check_lp_obj "repaired" 2.5 r;
+  Alcotest.(check bool) "warm" true (Lp.Simplex.last_resolve_warm st);
+  Alcotest.(check int) "one dual pivot" 1 r.Lp.Simplex.iterations;
+  Alcotest.(check (list string)) "y's row left, x's stayed"
+    [ "basic"; "lower"; "basic" ] (basis ())
 
 (* --- exactness golden on the cold [Simplex.solve] path ---------------- *)
 
@@ -666,25 +756,25 @@ let batch_fingerprint specs =
 let golden_solve_path =
   [
     ("SDC CLZ",
-      "lps=1 pivots=67 cycles=47a4c9baf612b309003a516b1d2fd7a2");
+      "lps=1 pivots=54 cycles=47a4c9baf612b309003a516b1d2fd7a2");
     ("SDC XORR",
-      "lps=1 pivots=58 cycles=2254f6a48ab935c85be21d0508d7e65b");
+      "lps=1 pivots=64 cycles=2254f6a48ab935c85be21d0508d7e65b");
     ("SDC GFMUL",
-      "lps=1 pivots=48 cycles=27df930b20d42e409ef700e33423a7a7");
+      "lps=1 pivots=43 cycles=27df930b20d42e409ef700e33423a7a7");
     ("SDC CORDIC",
-      "lps=1 pivots=46 cycles=0507ef0f4c469c9e739d5ef29c8ead32");
+      "lps=1 pivots=54 cycles=0507ef0f4c469c9e739d5ef29c8ead32");
     ("SDC MT",
       "lps=1 pivots=12 cycles=6b594cf849454811a81888f9bf9e6fde");
     ("SDC AES",
-      "lps=1 pivots=55 cycles=46394945c392f17d4310f89271315542");
+      "lps=1 pivots=39 cycles=46394945c392f17d4310f89271315542");
     ("SDC RS",
       "lps=1 pivots=27 cycles=1100950733f23d20f6b0ffce8815f025");
     ("SDC DR",
-      "lps=1 pivots=25 cycles=c1a64da18390b7e9f38b891b4a4e4417");
+      "lps=1 pivots=31 cycles=c1a64da18390b7e9f38b891b4a4e4417");
     ("SDC GSM",
-      "lps=1 pivots=39 cycles=813b97c16253441cbb0f58af166be171");
+      "lps=1 pivots=41 cycles=813b97c16253441cbb0f58af166be171");
     ("random_lp_gen batch",
-      "lps=256 iters=175 digest=31ac3755133f5fa674f345ef1ef2ebf9");
+      "lps=256 iters=169 digest=49327cc0dcd813063b07eb158accc8ce");
   ]
 
 let test_golden_solve_path () =
@@ -1086,7 +1176,7 @@ let test_kernel_ratio_ties () =
       ( "x2 <= 0", 2, 0.0, 0.0,
         (1, [ "0x1p+1"; "0x0p+0"; "0x0p+0"; "0x1p+0"; "0x1p-1"; "0x0p+0" ]) );
       ( "x4 >= 1", 4, 1.0, 2.0,
-        (2, [ "0x1.8p+0"; "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x1p+0"; "0x0p+0" ]) );
+        (3, [ "0x1.8p+0"; "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x1p+0"; "0x0p+0" ]) );
     ]
 
 (* --- condensed tableau: the implicit unit columns ----------------------- *)
@@ -1315,6 +1405,7 @@ let test_cutgen_cg () =
     Lp.Cutgen.cg_cuts raw ~lb:raw.Lp.Model.lb ~ub:raw.Lp.Model.ub
       ~x:r.Lp.Simplex.x ~int_tol:1e-6
       ~multipliers:(Lp.Simplex.tableau_multipliers st)
+      ~budget:(fun () -> false)
   in
   Alcotest.(check bool) "a CG cut separates" true (cuts <> []);
   List.iter
@@ -2363,4 +2454,8 @@ let () =
       qsuite "lp-random" [ lp_never_beaten_by_grid ];
       qsuite "milp-random" [ milp_matches_brute_force ];
       qsuite "resolve-random" [ resolve_equals_cold_solve ];
+      ( "steepest-edge",
+        Alcotest.test_case "steepest row leaves first" `Quick
+          test_steepest_row_leaves_first
+        :: snd (qsuite "" [ edge_weights_exact ]) );
     ]

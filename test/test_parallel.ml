@@ -258,41 +258,41 @@ let rs_map =
 let golden_gfmul =
   [
     ( "clean",
-      "optimal obj=0x1.4p+3 nodes=28 pivots=1489 warm=26 recoveries=0 gaps=[0x1.1111111111126p-4]" );
+      "optimal obj=0x1.4p+3 nodes=2 pivots=57 warm=2 recoveries=0 gaps=[0x0p+0]" );
     ( "milp.worker_kill@1",
-      "optimal obj=0x1.4p+3 nodes=11 pivots=672 warm=10 recoveries=1 gaps=[0x1.11111111116p-4]" );
+      "optimal obj=0x1.4p+3 nodes=67 pivots=743 warm=61 recoveries=1 gaps=[0x1.8618618618618p-5 0x0p+0]" );
     ( "milp.worker_kill@2",
-      "optimal obj=0x1.4p+3 nodes=16 pivots=1206 warm=14 recoveries=1 gaps=[0x1.1111111111126p-4]" );
+      "optimal obj=0x1.4p+3 nodes=2 pivots=69 warm=1 recoveries=1 gaps=[0x0p+0]" );
     ( "milp.worker_kill@5",
-      "optimal obj=0x1.4p+3 nodes=8 pivots=1880 warm=6 recoveries=1 gaps=[0x1.1111111111126p-4]" );
+      "optimal obj=0x1.4p+3 nodes=2 pivots=57 warm=2 recoveries=0 gaps=[0x0p+0]" );
     ( "milp.checkpoint_torn@1",
-      "optimal obj=0x1.4p+3 nodes=28 pivots=1489 warm=26 recoveries=0 gaps=[0x1.1111111111126p-4]" );
+      "optimal obj=0x1.4p+3 nodes=2 pivots=57 warm=2 recoveries=0 gaps=[0x0p+0]" );
     ( "simplex.cycle@3",
-      "optimal obj=0x1.4p+3 nodes=43 pivots=5011 warm=39 recoveries=0 gaps=[0x1.1111111111ff3p-4]" );
+      "optimal obj=0x1.4p+3 nodes=67 pivots=743 warm=61 recoveries=0 gaps=[0x1.8618618618618p-5 0x0p+0]" );
     ( "stop@8",
-      "feasible obj=0x1.4p+3 nodes=8 pivots=394 warm=8 recoveries=0 gaps=[0x1.1111111111126p-4]" );
+      "optimal obj=0x1.4p+3 nodes=2 pivots=57 warm=2 recoveries=0 gaps=[0x0p+0]" );
     ( "resume@8",
-      "optimal obj=0x1.4p+3 nodes=16 pivots=1455 warm=6 recoveries=0 gaps=[nan]" );
+      "optimal obj=0x1.4p+3 nodes=2 pivots=57 warm=0 recoveries=0 gaps=[nan]" );
   ]
 
 let golden_rs =
   [
     ( "clean",
-      "optimal obj=0x1.3000000000001p+4 nodes=21 pivots=504 warm=17 recoveries=0 gaps=[0x1.d5b5ce960f042p-4]" );
+      "optimal obj=0x1.2ffffffffffffp+4 nodes=61 pivots=1176 warm=52 recoveries=0 gaps=[0x1.d5b5ce960f02ap-4]" );
     ( "milp.worker_kill@1",
-      "optimal obj=0x1.3000000000001p+4 nodes=21 pivots=504 warm=17 recoveries=1 gaps=[0x1.d5b5ce960f042p-4]" );
+      "optimal obj=0x1.2ffffffffffffp+4 nodes=61 pivots=1176 warm=52 recoveries=1 gaps=[0x1.d5b5ce960f02ap-4]" );
     ( "milp.worker_kill@2",
-      "optimal obj=0x1.3000000000002p+4 nodes=29 pivots=735 warm=21 recoveries=1 gaps=[0x1.d5b5ce960f04ep-4]" );
+      "optimal obj=0x1.3p+4 nodes=48 pivots=1078 warm=38 recoveries=1 gaps=[0x1.d5b5ce960f036p-4]" );
     ( "milp.worker_kill@5",
-      "optimal obj=0x1.3p+4 nodes=24 pivots=914 warm=18 recoveries=1 gaps=[0x1.d5b5ce960f036p-4]" );
+      "optimal obj=0x1.3p+4 nodes=76 pivots=1039 warm=64 recoveries=1 gaps=[0x1.d5b5ce960f036p-4]" );
     ( "milp.checkpoint_torn@1",
-      "optimal obj=0x1.3000000000001p+4 nodes=21 pivots=504 warm=17 recoveries=0 gaps=[0x1.d5b5ce960f042p-4]" );
+      "optimal obj=0x1.2ffffffffffffp+4 nodes=61 pivots=1176 warm=52 recoveries=0 gaps=[0x1.d5b5ce960f02ap-4]" );
     ( "simplex.cycle@3",
-      "optimal obj=0x1.3000000000002p+4 nodes=21 pivots=496 warm=17 recoveries=0 gaps=[0x1.19589297dfeebp-3 0x1.d5b5ce960f04ep-4]" );
+      "optimal obj=0x1.3000000000002p+4 nodes=23 pivots=430 warm=18 recoveries=0 gaps=[0x1.19589297dfeebp-3 0x1.d5b5ce960f04ep-4]" );
     ( "stop@8",
-      "unknown obj=infinity nodes=8 pivots=158 warm=7 recoveries=0 gaps=[]" );
+      "feasible obj=0x1.2ffffffffffffp+4 nodes=8 pivots=156 warm=7 recoveries=0 gaps=[0x1.d5b5ce960f02ap-4]" );
     ( "resume@8",
-      "optimal obj=0x1.3p+4 nodes=22 pivots=535 warm=10 recoveries=0 gaps=[0x1.d5b5ce960f036p-4]" );
+      "optimal obj=0x1.2ffffffffffffp+4 nodes=45 pivots=842 warm=29 recoveries=0 gaps=[nan]" );
   ]
 
 let golden_knapsack =
