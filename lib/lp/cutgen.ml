@@ -209,42 +209,37 @@ let cg_round (raw : Model.raw) ~lb ~ub ~x support =
    the clamped aggregation cannot be rounded validly or yields nothing
    violated. *)
 let cg_of_multipliers (raw : Model.raw) ~lb ~ub ~x lam =
-  let m = Array.length raw.rows in
   (* Move into the sign cone the audit enforces: >= 0 on [<=] rows,
      <= 0 on [>=] rows, free on [=] rows; drop noise. A wrong-sign
      multiplier is frac-shifted by an integer (Gomory's trick: adding
      an integer multiple of a row keeps the aggregation's fractional
      structure when the row data is integral, and the final violation
      check filters the cases where it is not) rather than clamped,
-     which would break the tableau-row identity outright. *)
+     which would break the tableau-row identity outright. One pass from
+     the last row down clamps each multiplier and conses the support in
+     row order. *)
   let ok_scale = ref true in
-  let lam =
-    Array.mapi
-      (fun i l ->
-        let l =
-          match raw.senses.(i) with
-          | Model.Le -> if l < 0.0 then l -. Float.floor l else l
-          | Model.Ge -> if l > 0.0 then l -. Float.ceil l else l
-          | Model.Eq -> l
-        in
-        if Float.abs l < lam_drop then 0.0
-        else begin
-          if Float.abs l > lam_max || not (Float.is_finite l) then
-            ok_scale := false;
-          l
-        end)
-      lam
-  in
+  let support = ref [] in
+  let i = ref (Array.length lam - 1) in
+  while !ok_scale && !i >= 0 do
+    let l = lam.(!i) in
+    let l =
+      match raw.senses.(!i) with
+      | Model.Le -> if l < 0.0 then l -. Float.floor l else l
+      | Model.Ge -> if l > 0.0 then l -. Float.ceil l else l
+      | Model.Eq -> l
+    in
+    if not (Float.abs l < lam_drop) then begin
+      if Float.abs l > lam_max || not (Float.is_finite l) then ok_scale := false
+      else support := (!i, l) :: !support
+    end;
+    decr i
+  done;
   if not !ok_scale then None
-  else begin
-    let support = ref [] in
-    for i = m - 1 downto 0 do
-      if lam.(i) <> 0.0 then support := (i, lam.(i)) :: !support
-    done;
+  else
     match !support with
     | [] -> None
     | support -> cg_round raw ~lb ~ub ~x support
-  end
 
 (* Candidates derived between two polls of the caller's budget: a wide
    candidate costs about 0.25 ms (XORR's MILP-map), so a round stops
@@ -371,10 +366,17 @@ let cover_cuts (raw : Model.raw) ~n_rows ~lb ~ub ~x =
 (* Bounded cut pool                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type entry = { cut : Cert.cut; mutable age : int; mutable active : bool }
+type entry = {
+  cut : Cert.cut;
+  key : string;  (** the duplicate hash, also [select]'s tie-break *)
+  mutable age : int;
+  mutable active : bool;
+}
 
 type pool = {
   mutable entries : entry list;
+  mutable size : int;  (** [List.length entries] *)
+  mutable pending : int;  (** the inactive entries *)
   seen : (string, unit) Hashtbl.t;  (* duplicate hashing over terms+rhs *)
   capacity : int;
   max_age : int;
@@ -382,7 +384,8 @@ type pool = {
 }
 
 let create ?(capacity = 512) ?(max_age = 4) () =
-  { entries = []; seen = Hashtbl.create 64; capacity; max_age; n_applied = 0 }
+  { entries = []; size = 0; pending = 0; seen = Hashtbl.create 64; capacity;
+    max_age; n_applied = 0 }
 
 let key (c : Cert.cut) =
   let b = Buffer.create 64 in
@@ -394,9 +397,11 @@ let key (c : Cert.cut) =
 
 let offer p (c : Cert.cut) =
   let k = key c in
-  if (not (Hashtbl.mem p.seen k)) && List.length p.entries < p.capacity then begin
+  if (not (Hashtbl.mem p.seen k)) && p.size < p.capacity then begin
     Hashtbl.add p.seen k ();
-    p.entries <- { cut = c; age = 0; active = false } :: p.entries
+    p.entries <- { cut = c; key = k; age = 0; active = false } :: p.entries;
+    p.size <- p.size + 1;
+    p.pending <- p.pending + 1
   end
 
 let violation (c : Cert.cut) x =
@@ -420,7 +425,7 @@ let select p ~x ~max_cuts =
   let scored =
     List.sort
       (fun (v1, e1) (v2, e2) ->
-        match compare v2 v1 with 0 -> compare (key e1.cut) (key e2.cut) | c -> c)
+        match Float.compare v2 v1 with 0 -> String.compare e1.key e2.key | c -> c)
       scored
   in
   let rec take k = function
@@ -431,7 +436,9 @@ let select p ~x ~max_cuts =
         e.cut :: take (k - 1) tl
   in
   let chosen = take max_cuts scored in
-  p.n_applied <- p.n_applied + List.length chosen;
+  let n_chosen = List.length chosen in
+  p.n_applied <- p.n_applied + n_chosen;
+  p.pending <- p.pending - n_chosen;
   (* Age-out: inactive survivors get older; the stale ones drop (their
      hash stays in [seen], so they cannot be re-offered). *)
   p.entries <-
@@ -440,10 +447,15 @@ let select p ~x ~max_cuts =
         if e.active then true
         else begin
           e.age <- e.age + 1;
-          e.age <= p.max_age
+          let keep = e.age <= p.max_age in
+          if not keep then begin
+            p.size <- p.size - 1;
+            p.pending <- p.pending - 1
+          end;
+          keep
         end)
       p.entries;
   chosen
 
 let applied p = p.n_applied
-let pending p = List.length (List.filter (fun e -> not e.active) p.entries)
+let pending p = p.pending

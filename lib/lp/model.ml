@@ -1,34 +1,52 @@
 type sense = Le | Ge | Eq
 type var = int
 
-type row = { r_name : string option; terms : (int * float) list; sense : sense; rhs : float }
+type row = {
+  r_name : string option;
+  terms : (int * float) array;  (* normalized: ascending, no zero *)
+  sense : sense;
+  rhs : float;
+}
 
+(* Variables and rows live in growable arrays: entries [0, nvars) and
+   [0, nrows) are live, the rest is spare capacity (doubled when full).
+   So every accessor and [fix] is O(1), and [check] is linear in the
+   model's size. *)
 type t = {
   m_name : string;
-  mutable names : string list;  (* reversed *)
-  mutable lbs : float list;
-  mutable ubs : float list;
-  mutable ints : bool list;
+  mutable names : string array;
+  mutable lbs : float array;
+  mutable ubs : float array;
+  mutable ints : bool array;
   mutable nvars : int;
-  mutable rows : row list;  (* reversed *)
+  mutable rows : row array;
   mutable nrows : int;
-  mutable obj : (int * float) list;  (* may hold duplicates; summed at freeze *)
+  mutable obj : (float * int) list;  (* as set: may hold duplicates *)
   mutable obj_const : float;
 }
 
 let create ?(name = "model") () =
   {
     m_name = name;
-    names = [];
-    lbs = [];
-    ubs = [];
-    ints = [];
+    names = [||];
+    lbs = [||];
+    ubs = [||];
+    ints = [||];
     nvars = 0;
-    rows = [];
+    rows = [||];
     nrows = 0;
     obj = [];
     obj_const = 0.0;
   }
+
+(* [a] with room for [n + 1] entries, the first [n] kept. *)
+let grow a n dflt =
+  if n < Array.length a then a
+  else begin
+    let b = Array.make (Int.max 16 (2 * n)) dflt in
+    Array.blit a 0 b 0 n;
+    b
+  end
 
 let add_var m ?(integer = false) ?(lb = 0.0) ?(ub = infinity) name =
   if Float.is_nan lb || Float.is_nan ub then invalid_arg "Model.add_var: NaN";
@@ -36,28 +54,40 @@ let add_var m ?(integer = false) ?(lb = 0.0) ?(ub = infinity) name =
     invalid_arg "Model.add_var: lower bound must be finite";
   if ub < lb then invalid_arg "Model.add_var: ub < lb";
   let id = m.nvars in
-  m.names <- name :: m.names;
-  m.lbs <- lb :: m.lbs;
-  m.ubs <- ub :: m.ubs;
-  m.ints <- integer :: m.ints;
+  m.names <- grow m.names id "";
+  m.lbs <- grow m.lbs id 0.0;
+  m.ubs <- grow m.ubs id 0.0;
+  m.ints <- grow m.ints id false;
+  m.names.(id) <- name;
+  m.lbs.(id) <- lb;
+  m.ubs.(id) <- ub;
+  m.ints.(id) <- integer;
   m.nvars <- id + 1;
   id
 
 let bool_var m name = add_var m ~integer:true ~lb:0.0 ~ub:1.0 name
 
+(* Terms sorted by variable, each variable's coefficients summed from
+   [0.0] in list order (a stable sort keeps that order), exact zeros
+   dropped. *)
 let normalize_terms terms =
-  let tbl = Hashtbl.create (List.length terms) in
-  List.iter
-    (fun (c, v) ->
-      let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl v) in
-      Hashtbl.replace tbl v (prev +. c))
-    terms;
-  Hashtbl.fold (fun v c acc -> if c = 0.0 then acc else (v, c) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  (* [s] sums variable [v]'s coefficients so far *)
+  let rec merge acc v s = function
+    | (c, v') :: rest when v' = v -> merge acc v (s +. c) rest
+    | rest -> (
+        let acc = if s = 0.0 then acc else (v, s) :: acc in
+        match rest with
+        | [] -> List.rev acc
+        | (c, v') :: rest -> merge acc v' (0.0 +. c) rest)
+  in
+  match List.stable_sort (fun (_, a) (_, b) -> Int.compare a b) terms with
+  | [] -> []
+  | (c, v) :: rest -> merge [] v (0.0 +. c) rest
 
 let add_constraint m ?name terms sense rhs =
-  let terms = normalize_terms terms in
-  m.rows <- { r_name = name; terms; sense; rhs } :: m.rows;
+  let terms = Array.of_list (normalize_terms terms) in
+  m.rows <- grow m.rows m.nrows { r_name = None; terms = [||]; sense = Le; rhs = 0.0 };
+  m.rows.(m.nrows) <- { r_name = name; terms; sense; rhs };
   m.nrows <- m.nrows + 1
 
 let add_le m ?name terms rhs = add_constraint m ?name terms Le rhs
@@ -65,16 +95,8 @@ let add_ge m ?name terms rhs = add_constraint m ?name terms Ge rhs
 let add_eq m ?name terms rhs = add_constraint m ?name terms Eq rhs
 
 let set_objective m ?(constant = 0.0) terms =
-  m.obj <- List.map (fun (c, v) -> (v, c)) terms;
+  m.obj <- terms;
   m.obj_const <- constant
-
-let nth_rev l n total = List.nth l (total - 1 - n)
-
-let fix m v x =
-  (* Lists are reversed; rebuild with the narrowed bound. *)
-  let idx = m.nvars - 1 - v in
-  m.lbs <- List.mapi (fun i lb -> if i = idx then x else lb) m.lbs;
-  m.ubs <- List.mapi (fun i ub -> if i = idx then x else ub) m.ubs
 
 let num_vars m = m.nvars
 let num_constraints m = m.nrows
@@ -84,20 +106,25 @@ let var_of_index m i =
   if i < 0 || i >= m.nvars then invalid_arg "Model.var_of_index";
   i
 
-let var_name m v = nth_rev m.names v m.nvars
-let is_integer m v = nth_rev m.ints v m.nvars
-let bounds m v = (nth_rev m.lbs v m.nvars, nth_rev m.ubs v m.nvars)
+let checked m v what = if v < 0 || v >= m.nvars then invalid_arg what
+
+let fix m v x =
+  checked m v "Model.fix";
+  m.lbs.(v) <- x;
+  m.ubs.(v) <- x
+
+let var_name m v = checked m v "Model.var_name"; m.names.(v)
+let is_integer m v = checked m v "Model.is_integer"; m.ints.(v)
+let bounds m v = checked m v "Model.bounds"; (m.lbs.(v), m.ubs.(v))
 let objective_constant m = m.obj_const
 
 let objective_terms m =
-  normalize_terms (List.map (fun (v, c) -> (c, v)) m.obj)
-  |> List.map (fun (v, c) -> (c, v))
+  List.map (fun (v, c) -> (c, v)) (normalize_terms m.obj)
 
 let rows m =
-  List.rev m.rows
-  |> List.map (fun r ->
-         (r.r_name, List.map (fun (v, c) -> (c, v)) r.terms, r.sense, r.rhs))
-  |> Array.of_list
+  Array.init m.nrows (fun i ->
+      let r = m.rows.(i) in
+      (r.r_name, Array.fold_right (fun (v, c) acc -> (c, v) :: acc) r.terms [], r.sense, r.rhs))
 
 type raw = {
   n : int;
@@ -112,21 +139,19 @@ type raw = {
 
 let to_raw m =
   let n = m.nvars in
-  let rev_to_array l = Array.of_list (List.rev l) in
-  let lb = rev_to_array m.lbs in
-  let ub = rev_to_array m.ubs in
-  let integer = rev_to_array m.ints in
   let obj = Array.make n 0.0 in
-  List.iter
-    (fun (v, c) -> obj.(v) <- obj.(v) +. c)
-    m.obj;
-  let rows_l = List.rev m.rows in
-  let rows =
-    Array.of_list (List.map (fun r -> Array.of_list r.terms) rows_l)
-  in
-  let senses = Array.of_list (List.map (fun r -> r.sense) rows_l) in
-  let rhs = Array.of_list (List.map (fun (r : row) -> r.rhs) rows_l) in
-  { n; lb; ub; integer; obj; rows; senses; rhs }
+  List.iter (fun (c, v) -> obj.(v) <- obj.(v) +. c) m.obj;
+  let rows = Array.sub m.rows 0 m.nrows in
+  {
+    n;
+    lb = Array.sub m.lbs 0 n;
+    ub = Array.sub m.ubs 0 n;
+    integer = Array.sub m.ints 0 n;
+    obj;
+    rows = Array.map (fun r -> Array.copy r.terms) rows;
+    senses = Array.map (fun r -> r.sense) rows;
+    rhs = Array.map (fun (r : row) -> r.rhs) rows;
+  }
 
 let check m ~values ?(eps = 1e-6) () =
   let fail fmt = Fmt.kstr (fun s -> Error s) fmt in
@@ -134,33 +159,32 @@ let check m ~values ?(eps = 1e-6) () =
     if v >= m.nvars then Ok ()
     else
       let x = values v in
-      let lb, ub = bounds m v in
+      let lb = m.lbs.(v) and ub = m.ubs.(v) in
       if x < lb -. eps || x > ub +. eps then
-        fail "variable %s = %g outside [%g, %g]" (var_name m v) x lb ub
-      else if is_integer m v && Float.abs (x -. Float.round x) > eps then
-        fail "variable %s = %g not integral" (var_name m v) x
+        fail "variable %s = %g outside [%g, %g]" m.names.(v) x lb ub
+      else if m.ints.(v) && Float.abs (x -. Float.round x) > eps then
+        fail "variable %s = %g not integral" m.names.(v) x
       else check_vars (v + 1)
   in
   let check_row i (r : row) =
-    let lhs = List.fold_left (fun acc (v, c) -> acc +. (c *. values v)) 0.0 r.terms in
-    let name = Option.value r.r_name ~default:(Printf.sprintf "row%d" i) in
+    let lhs = Array.fold_left (fun acc (v, c) -> acc +. (c *. values v)) 0.0 r.terms in
+    let name () = Option.value r.r_name ~default:(Printf.sprintf "row%d" i) in
     match r.sense with
-    | Le when lhs > r.rhs +. eps -> fail "%s: %g > %g" name lhs r.rhs
-    | Ge when lhs < r.rhs -. eps -> fail "%s: %g < %g" name lhs r.rhs
-    | Eq when Float.abs (lhs -. r.rhs) > eps -> fail "%s: %g <> %g" name lhs r.rhs
+    | Le when lhs > r.rhs +. eps -> fail "%s: %g > %g" (name ()) lhs r.rhs
+    | Ge when lhs < r.rhs -. eps -> fail "%s: %g < %g" (name ()) lhs r.rhs
+    | Eq when Float.abs (lhs -. r.rhs) > eps -> fail "%s: %g <> %g" (name ()) lhs r.rhs
     | Le | Ge | Eq -> Ok ()
   in
-  match check_vars 0 with
-  | Error _ as e -> e
-  | Ok () ->
-      let rec go i = function
-        | [] -> Ok ()
-        | r :: rest -> (
-            match check_row i r with Error _ as e -> e | Ok () -> go (i + 1) rest)
-      in
-      go 0 (List.rev m.rows)
+  let rec go i =
+    if i >= m.nrows then Ok ()
+    else match check_row i m.rows.(i) with Error _ as e -> e | Ok () -> go (i + 1)
+  in
+  match check_vars 0 with Error _ as e -> e | Ok () -> go 0
 
 let pp_stats ppf m =
-  let ints = List.fold_left (fun acc b -> if b then acc + 1 else acc) 0 m.ints in
-  Fmt.pf ppf "%s: %d vars (%d integer), %d constraints" m.m_name m.nvars ints
+  let ints = ref 0 in
+  for v = 0 to m.nvars - 1 do
+    if m.ints.(v) then incr ints
+  done;
+  Fmt.pf ppf "%s: %d vars (%d integer), %d constraints" m.m_name m.nvars !ints
     m.nrows

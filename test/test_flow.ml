@@ -241,6 +241,48 @@ let test_row_gc_words () =
       | None -> Alcotest.failf "row has no %s" key)
     [ "gc_minor_words"; "gc_major_words" ]
 
+(* The perfbench `suite' jobs (MILP-base on the nine kernels, MILP-map on
+   five) under perfbench's registry setup, once each through
+   [Mams.Flow.run]: status, objective bits, nodes, pivots, LUT and FF of
+   every solve, digested. A refactor of the solver that must not change
+   the search path leaves the digest alone; a new pivot rule, tie-break
+   or tolerance moves it. *)
+let suite_setup (e : Benchmarks.Registry.entry) =
+  let device = Fpga.Device.make ~t_clk:e.t_clk () in
+  {
+    (Mams.Flow.default_setup ~device) with
+    resources = e.resources;
+    time_limit = 60.0;
+    domains = Some 1;
+    cuts = Some true;
+    presolve = Some true;
+  }
+
+let suite_line m name =
+  let e = Benchmarks.Registry.find name in
+  let r = get (Mams.Flow.run (suite_setup e) m (e.build ())) in
+  let s = r.solve in
+  let stat f = match s.milp_stats with Some st -> string_of_int (f st) | None -> "-" in
+  Printf.sprintf "%s/%s %s obj=%h nodes=%s pivots=%s lut=%d ff=%d"
+    (Mams.Flow.method_name m) name
+    (match s.milp_status with
+    | Some st -> Fmt.str "%a" Lp.Milp.pp_status st
+    | None -> "none")
+    (Option.value s.milp_objective ~default:Float.nan)
+    (stat (fun st -> st.Lp.Milp.nodes))
+    (stat (fun st -> st.Lp.Milp.lp_iterations))
+    r.qor.luts r.qor.ffs
+
+let test_suite_path () =
+  let kernels = [ "CLZ"; "XORR"; "GFMUL"; "CORDIC"; "MT"; "AES"; "RS"; "DR"; "GSM" ] in
+  let lines =
+    List.map (suite_line Mams.Flow.Milp_base) kernels
+    @ List.map (suite_line Mams.Flow.Milp_map) [ "GFMUL"; "CORDIC"; "DR"; "RS"; "GSM" ]
+  in
+  let digest = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
+  if digest <> "adc81136f55c20bcd92283cf1575d8ed" then
+    Alcotest.failf "suite path digest %s moved:\n%s" digest (String.concat "\n" lines)
+
 let () =
   Alcotest.run "flow"
     [
@@ -259,6 +301,8 @@ let () =
           Alcotest.test_case "bb resources" `Slow test_resource_constrained_bb;
           Alcotest.test_case "row counts GC words" `Quick test_row_gc_words;
         ] );
+      ( "exactness",
+        [ Alcotest.test_case "suite path" `Quick test_suite_path ] );
       ( "request codec",
         [
           Alcotest.test_case "round trip" `Quick test_request_round_trip;

@@ -2366,6 +2366,269 @@ let test_presolve_vs_reference () =
   done;
   Alcotest.(check bool) (Printf.sprintf "%d events" !events) true (!events > 2000)
 
+(* The cut pool as it stood before it kept its counts and keys, kept
+   verbatim as the reference [Lp.Cutgen]'s pool must reproduce: the same
+   cuts selected in the same order, the same [pending] and [applied]. *)
+module Ref_pool = struct
+  let viol_eps = 1e-6
+
+  type entry = { cut : Lp.Cert.cut; mutable age : int; mutable active : bool }
+
+  type pool = {
+    mutable entries : entry list;
+    seen : (string, unit) Hashtbl.t;
+    capacity : int;
+    max_age : int;
+    mutable n_applied : int;
+  }
+
+  let create ~capacity ~max_age =
+    { entries = []; seen = Hashtbl.create 64; capacity; max_age; n_applied = 0 }
+
+  let key (c : Lp.Cert.cut) =
+    let b = Buffer.create 64 in
+    Array.iter
+      (fun (j, v) -> Buffer.add_string b (Printf.sprintf "%d:%h;" j v))
+      c.Lp.Cert.cut_terms;
+    Buffer.add_string b (Printf.sprintf "|%h" c.Lp.Cert.cut_rhs);
+    Buffer.contents b
+
+  let offer p (c : Lp.Cert.cut) =
+    let k = key c in
+    if (not (Hashtbl.mem p.seen k)) && List.length p.entries < p.capacity then begin
+      Hashtbl.add p.seen k ();
+      p.entries <- { cut = c; age = 0; active = false } :: p.entries
+    end
+
+  let violation (c : Lp.Cert.cut) x =
+    Array.fold_left
+      (fun acc (j, v) -> acc +. (v *. x.(j)))
+      (-.c.Lp.Cert.cut_rhs) c.Lp.Cert.cut_terms
+
+  let select p ~x ~max_cuts =
+    let scored =
+      List.filter_map
+        (fun e ->
+          if e.active then None
+          else
+            let v = violation e.cut x in
+            if v > viol_eps then Some (v, e) else None)
+        p.entries
+    in
+    let scored =
+      List.sort
+        (fun (v1, e1) (v2, e2) ->
+          match compare v2 v1 with 0 -> compare (key e1.cut) (key e2.cut) | c -> c)
+        scored
+    in
+    let rec take k = function
+      | [] -> []
+      | _ when k = 0 -> []
+      | (_, e) :: tl ->
+          e.active <- true;
+          e.cut :: take (k - 1) tl
+    in
+    let chosen = take max_cuts scored in
+    p.n_applied <- p.n_applied + List.length chosen;
+    p.entries <-
+      List.filter
+        (fun e ->
+          if e.active then true
+          else begin
+            e.age <- e.age + 1;
+            e.age <= p.max_age
+          end)
+        p.entries;
+    chosen
+
+  let pending p = List.length (List.filter (fun e -> not e.active) p.entries)
+end
+
+(* Random offer/select sequences on both pools: small coefficients and
+   right-hand sides, so duplicates and violation ties are common, a
+   capacity the offers overrun, and ages that expire. *)
+let test_pool_vs_reference () =
+  let rs = Random.State.make [| 34 |] in
+  for case = 1 to 300 do
+    let capacity = 1 + Random.State.int rs 12 and max_age = Random.State.int rs 4 in
+    let pool = Lp.Cutgen.create ~capacity ~max_age () in
+    let rp = Ref_pool.create ~capacity ~max_age in
+    let n = 4 in
+    for step = 1 to 40 do
+      if Random.State.int rs 3 > 0 then begin
+        let terms =
+          List.filter_map
+            (fun j ->
+              match Random.State.int rs 3 with
+              | 0 -> None
+              | c -> Some (j, float_of_int c))
+            (List.init n Fun.id)
+        in
+        let cut : Lp.Cert.cut =
+          {
+            Lp.Cert.cut_terms = Array.of_list terms;
+            cut_rhs = float_of_int (Random.State.int rs 3);
+            cut_deriv = Lp.Cert.Cg [| (0, 1.0) |];
+          }
+        in
+        Lp.Cutgen.offer pool cut;
+        Ref_pool.offer rp cut
+      end
+      else begin
+        let x = Array.init n (fun _ -> float_of_int (Random.State.int rs 3) /. 2.0) in
+        let max_cuts = Random.State.int rs 4 in
+        let got = Lp.Cutgen.select pool ~x ~max_cuts in
+        let want = Ref_pool.select rp ~x ~max_cuts in
+        if List.map Ref_pool.key got <> List.map Ref_pool.key want then
+          Alcotest.failf "case %d step %d: select differs" case step
+      end;
+      if Lp.Cutgen.pending pool <> Ref_pool.pending rp then
+        Alcotest.failf "case %d step %d: pending %d, reference %d" case step
+          (Lp.Cutgen.pending pool) (Ref_pool.pending rp);
+      if Lp.Cutgen.applied pool <> rp.Ref_pool.n_applied then
+        Alcotest.failf "case %d step %d: applied differs" case step
+    done
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Lp.Model: row normalization and the variable arrays                 *)
+(* ------------------------------------------------------------------ *)
+
+(* Row normalization as it stood on a per-row [Hashtbl], kept verbatim
+   as the reference [Lp.Model]'s sort-and-merge must reproduce bit for
+   bit: each variable's coefficients summed from [0.0] in list order,
+   exact zeros dropped, sorted by variable. *)
+let ref_normalize_terms terms =
+  let tbl = Hashtbl.create (List.length terms) in
+  List.iter
+    (fun (c, v) ->
+      let prev = Option.value ~default:0.0 (Hashtbl.find_opt tbl v) in
+      Hashtbl.replace tbl v (prev +. c))
+    terms;
+  Hashtbl.fold (fun v c acc -> if c = 0.0 then acc else (v, c) :: acc) tbl []
+  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+
+(* Term lists over a few variables, unsorted, with repeats: coefficients
+   that cancel to exactly 0 (a value and its negation), [-0.0] and
+   [0.0], and decimals whose sum depends on the order of the additions. *)
+let terms_gen =
+  QCheck.Gen.(
+    int_range 1 8 >>= fun nv ->
+    list_size (int_range 0 24)
+      (pair
+         (oneof
+            [
+              map float_of_int (int_range (-3) 3);
+              oneofl [ -0.0; 0.0; 0.1; 0.2; 0.3; -0.1; -0.3; 1e-17; -1e16; 1e16 ];
+              float_range (-10.0) 10.0;
+            ])
+         (int_range 0 (nv - 1)))
+    >>= fun terms ->
+    (* append the negation of some prefix terms, so sums cancel *)
+    int_range 0 (List.length terms) >|= fun k ->
+    (nv, terms @ List.filteri (fun i _ -> i < k) (List.map (fun (c, v) -> (-.c, v)) terms)))
+
+let same_terms got want =
+  List.length got = List.length want
+  && List.for_all2 (fun (c, v) (v', c') -> v = v' && same_float c c') got want
+
+let model_rows_normalize =
+  QCheck.Test.make ~name:"Model.rows = Hashtbl normalization" ~count:1000
+    (QCheck.make
+       ~print:(fun (nv, terms) ->
+         Printf.sprintf "%d vars: %s" nv
+           (String.concat " " (List.map (fun (c, v) -> Printf.sprintf "%h*x%d" c v) terms)))
+       terms_gen)
+    (fun (nv, terms) ->
+      let m = Lp.Model.create () in
+      let xs = Array.init nv (fun i -> Lp.Model.add_var m (Printf.sprintf "x%d" i)) in
+      let terms = List.map (fun (c, v) -> (c, xs.(v))) terms in
+      Lp.Model.add_le m terms 1.0;
+      Lp.Model.add_eq m (List.rev terms) 0.0;
+      Lp.Model.set_objective m terms;
+      let index = List.map (fun (c, v) -> (c, Lp.Model.var_index v)) in
+      let want l = ref_normalize_terms (index l) in
+      let rows = Lp.Model.rows m in
+      let _, r0, _, _ = rows.(0) and _, r1, _, _ = rows.(1) in
+      let raw = Lp.Model.to_raw m in
+      same_terms (index r0) (want terms)
+      && same_terms (index r1) (want (List.rev terms))
+      && same_terms (index (Lp.Model.objective_terms m)) (want terms)
+      && same_terms
+           (List.map (fun (v, c) -> (c, v)) (Array.to_list raw.Lp.Model.rows.(0)))
+           (want terms))
+
+(* A model of several thousand variables: every accessor returns what
+   was added, [fix] narrows one variable only, and [check]'s error names
+   the variable or row at fault. *)
+let test_model_large () =
+  let n = 5000 in
+  let m = Lp.Model.create ~name:"large" () in
+  let lb i = float_of_int ((i mod 7) - 3) in
+  let ub i = if i mod 5 = 0 then infinity else lb i +. float_of_int (1 + (i mod 4)) in
+  let integer i = i mod 3 = 0 in
+  let xs =
+    Array.init n (fun i ->
+        Lp.Model.add_var m ~integer:(integer i) ~lb:(lb i) ~ub:(ub i)
+          (Printf.sprintf "v%d" i))
+  in
+  (* x_i + x_{i+1} <= lb_i + lb_{i+1} + 1, every other row named *)
+  for i = 0 to n - 2 do
+    let name = if i mod 2 = 0 then Some (Printf.sprintf "pair%d" i) else None in
+    Lp.Model.add_le m ?name [ (1.0, xs.(i)); (1.0, xs.(i + 1)) ] (lb i +. lb (i + 1) +. 1.0)
+  done;
+  Lp.Model.set_objective m (List.init n (fun i -> (float_of_int (i mod 11), xs.(n - 1 - i))));
+  Alcotest.(check int) "vars" n (Lp.Model.num_vars m);
+  Alcotest.(check int) "rows" (n - 1) (Lp.Model.num_constraints m);
+  Array.iteri
+    (fun i x ->
+      if Lp.Model.bounds m x <> (lb i, ub i) then Alcotest.failf "bounds of v%d" i;
+      if Lp.Model.is_integer m x <> integer i then Alcotest.failf "is_integer v%d" i;
+      if Lp.Model.var_name m x <> Printf.sprintf "v%d" i then Alcotest.failf "name v%d" i;
+      if Lp.Model.var_of_index m i <> x then Alcotest.failf "index v%d" i)
+    xs;
+  let obj = Lp.Model.objective_terms m in
+  Alcotest.(check int) "objective drops zeros" (n - ((n + 10) / 11)) (List.length obj);
+  ignore
+    (List.fold_left
+       (fun prev (c, v) ->
+         let j = Lp.Model.var_index v in
+         if j <= prev then Alcotest.fail "objective terms out of order";
+         if c <> float_of_int ((n - 1 - j) mod 11) then
+           Alcotest.failf "objective coefficient of v%d" j;
+         j)
+       (-1) obj);
+  Lp.Model.fix m xs.(2500) (-1.0);
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "fixed" (-1.0, -1.0)
+    (Lp.Model.bounds m xs.(2500));
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "neighbour untouched"
+    (lb 2501, ub 2501) (Lp.Model.bounds m xs.(2501));
+  let raw = Lp.Model.to_raw m in
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "to_raw sees the fix" (-1.0, -1.0)
+    (raw.Lp.Model.lb.(2500), raw.Lp.Model.ub.(2500));
+  (* every variable at its lower bound, v2500 at its fixed value, is
+     feasible *)
+  let point = Array.init n (fun i -> if i = 2500 then -1.0 else lb i) in
+  let check p = Lp.Model.check m ~values:(fun v -> p.(Lp.Model.var_index v)) () in
+  (match check point with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "feasible point rejected: %s" e);
+  let expect what moves prefix =
+    let p = Array.copy point in
+    List.iter (fun (i, x) -> p.(i) <- x) moves;
+    match check p with
+    | Ok () -> Alcotest.failf "%s accepted" what
+    | Error e ->
+        let l = String.length prefix in
+        if String.length e < l || String.sub e 0 l <> prefix then
+          Alcotest.failf "%s: %S does not start %S" what e prefix
+  in
+  expect "out of bounds" [ (4321, ub 4321 +. 1.0) ] "variable v4321 = ";
+  expect "off the fix" [ (2500, lb 2500) ] "variable v2500 = ";
+  expect "fractional" [ (3999, lb 3999 +. 0.5) ] "variable v3999 = ";
+  expect "violated row" [ (4001, lb 4001 +. 1.0); (4002, lb 4002 +. 1.0) ] "row4001: ";
+  expect "violated named row" [ (4000, lb 4000 +. 1.0); (4001, lb 4001 +. 1.0) ] "pair4000: "
+
 let () =
   Alcotest.run "lp"
     [
@@ -2441,6 +2704,7 @@ let () =
           Alcotest.test_case "cg separation" `Quick test_cutgen_cg;
           Alcotest.test_case "cover separation" `Quick test_cutgen_cover;
           Alcotest.test_case "cut pool" `Quick test_cut_pool;
+          Alcotest.test_case "cut pool vs reference" `Quick test_pool_vs_reference;
           Alcotest.test_case "add_rows warm" `Quick test_add_rows_warm;
           Alcotest.test_case "cuts A/B parity" `Quick test_milp_cuts_ab_parity;
         ] );
@@ -2454,6 +2718,9 @@ let () =
       qsuite "lp-random" [ lp_never_beaten_by_grid ];
       qsuite "milp-random" [ milp_matches_brute_force ];
       qsuite "resolve-random" [ resolve_equals_cold_solve ];
+      ( "model",
+        Alcotest.test_case "several thousand variables" `Quick test_model_large
+        :: snd (qsuite "" [ model_rows_normalize ]) );
       ( "steepest-edge",
         Alcotest.test_case "steepest row leaves first" `Quick
           test_steepest_row_leaves_first
