@@ -71,18 +71,9 @@ let check ?(strict_period = false) cfg g =
          "requested II %d is below 1" cfg.ii)
   else begin
     (* Black-box resource demand vs budget (ResMII, Eq. 14). *)
-    let counts = Hashtbl.create 8 in
-    Ir.Cdfg.iter
-      (fun nd ->
-        match nd.op with
-        | Ir.Op.Black_box { resource; _ } ->
-            Hashtbl.replace counts resource
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts resource))
-        | _ -> ())
-      g;
     let binding = ref None in
-    Hashtbl.iter
-      (fun r used ->
+    List.iter
+      (fun (r, used) ->
         match Fpga.Resource.limit cfg.resources r with
         | None -> ()
         | Some 0 ->
@@ -97,7 +88,7 @@ let check ?(strict_period = false) cfg g =
             (match !binding with
             | Some (_, _, _, best) when best >= need -> ()
             | _ -> binding := Some (r, used, lim, need)))
-      counts;
+      (Sched.Heuristic.black_box_uses g);
     (match !binding with
     | Some (r, used, lim, need) when cfg.ii < need ->
         add

@@ -46,33 +46,22 @@ type leaf_info = {
 
 let leaf_infos g (cut : Cuts.cut) =
   let tbl : (int, leaf_info) Hashtbl.t = Hashtbl.create 8 in
-  Bitdep.Int_set.iter
-    (fun w ->
-      Array.iter
-        (fun (e : Ir.Cdfg.edge) ->
-          if e.dist > 0 || not (Bitdep.Int_set.mem e.src cut.Cuts.cone) then begin
-            let prev =
-              Option.value
-                (Hashtbl.find_opt tbl e.src)
-                ~default:{ has_comb = false; min_reg_dist = None; max_dist = 0 }
-            in
-            let info =
-              if e.dist = 0 then { prev with has_comb = true }
-              else
-                {
-                  prev with
-                  min_reg_dist =
-                    Some
-                      (match prev.min_reg_dist with
-                      | None -> e.dist
-                      | Some d -> min d e.dist);
-                }
-            in
-            Hashtbl.replace tbl e.src
-              { info with max_dist = max info.max_dist e.dist }
-          end)
-        (Ir.Cdfg.preds g w))
-    cut.Cuts.cone;
+  Cuts.iter_inputs g cut (fun _ e ->
+      let p =
+        Option.value
+          (Hashtbl.find_opt tbl e.src)
+          ~default:{ has_comb = false; min_reg_dist = None; max_dist = 0 }
+      in
+      Hashtbl.replace tbl e.src
+        {
+          has_comb = p.has_comb || e.dist = 0;
+          min_reg_dist =
+            (match p.min_reg_dist with
+            | _ when e.dist = 0 -> p.min_reg_dist
+            | None -> Some e.dist
+            | Some d -> Some (min d e.dist));
+          max_dist = max p.max_dist e.dist;
+        });
   Hashtbl.fold (fun u info acc -> (u, info) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 

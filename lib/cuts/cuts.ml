@@ -32,6 +32,15 @@ let default_params ~k =
 
 let is_trivial c = Int_set.cardinal c.cone = 1
 
+let is_input c (e : Ir.Cdfg.edge) =
+  e.dist > 0 || not (Int_set.mem e.src c.cone)
+
+let iter_inputs g c f =
+  Int_set.iter
+    (fun w ->
+      Array.iter (fun e -> if is_input c e then f w e) (Ir.Cdfg.preds g w))
+    c.cone
+
 (* Cone members must be computable logic: inputs and black boxes always
    stay at the boundary; constants may be absorbed (hardwired). *)
 let absorbable g id =

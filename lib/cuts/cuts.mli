@@ -85,6 +85,17 @@ val trivial_only : ?k:int -> Ir.Cdfg.t -> t
 val is_trivial : cut -> bool
 (** The cone contains only the root. *)
 
+val is_input : cut -> Ir.Cdfg.edge -> bool
+(** An edge into a cone node is a {e cone input} when it is loop-carried
+    or its source lies outside the cone: the value crosses the cone's
+    boundary, through a register or from another root. The one definition
+    every timing, liveness, legality and netlist walk uses. *)
+
+val iter_inputs : Ir.Cdfg.t -> cut -> (int -> Ir.Cdfg.edge -> unit) -> unit
+(** [iter_inputs g cut f] calls [f w e] for every cone input [e] of a cone
+    node [w] ({!is_input}), cone nodes in increasing id order and each
+    node's edges in operand order. *)
+
 val delay :
   device:Fpga.Device.t -> delays:Fpga.Delays.t -> Ir.Cdfg.t -> cut -> float
 (** Combinational delay charged to the cut's root when this cut is

@@ -126,8 +126,9 @@ val solve :
 
     [domains] (default 1; clamped to \[1, 64\]) sets how many OCaml 5 domains explore the tree ([Pool]).
     One domain explores in a fixed order, so node and pivot counts are
-    reproducible. Runs that exhaust the tree return the same status and
-    objective at every domain count; budget-truncated runs keep
+    reproducible. Runs that exhaust the tree return the same status at
+    every domain count and objectives within the incumbent's 1e-9 tie
+    tolerance (not the same bits); budget-truncated runs keep
     deterministic statuses but may return a different feasible
     incumbent.
 

@@ -49,18 +49,9 @@ let of_design ?(module_name = "pipeline") g cover (sched : Sched.Schedule.t) =
       (fun v c ->
         match c with
         | None -> ()
-        | Some (cut : Cuts.cut) ->
-            Bitdep.Int_set.iter
-              (fun w ->
-                Array.iter
-                  (fun (e : Ir.Cdfg.edge) ->
-                    if
-                      (not (is_const e.src))
-                      && (e.dist > 0
-                         || not (Bitdep.Int_set.mem e.src cut.Cuts.cone))
-                    then f ~cons_cycle:sched.cycle.(v) e)
-                  (Ir.Cdfg.preds g w))
-              cut.Cuts.cone)
+        | Some cut ->
+            Cuts.iter_inputs g cut (fun _ e ->
+                if not (is_const e.src) then f ~cons_cycle:sched.cycle.(v) e))
       cover.Sched.Cover.chosen
   in
   let delay_of ~cons_cycle (e : Ir.Cdfg.edge) =
@@ -141,13 +132,12 @@ let of_design ?(module_name = "pipeline") g cover (sched : Sched.Schedule.t) =
             w )
     | _ -> v
   in
-  let rec expr_of cone root_cycle w =
+  let rec expr_of cut root_cycle w =
     let nd = Ir.Cdfg.node g w in
     let operand i =
       let e = nd.preds.(i) in
-      if e.Ir.Cdfg.dist > 0 || not (Bitdep.Int_set.mem e.src cone) then
-        read ~cons_cycle:root_cycle e
-      else expr_of cone root_cycle e.src
+      if Cuts.is_input cut e then read ~cons_cycle:root_cycle e
+      else expr_of cut root_cycle e.src
     in
     match nd.op with
     | Ir.Op.Input _ | Ir.Op.Black_box _ -> ref_value w ~delay:0
@@ -187,7 +177,7 @@ let of_design ?(module_name = "pipeline") g cover (sched : Sched.Schedule.t) =
                 :: !wires
           | _ ->
               wires :=
-                (sig_of v ~delay:0, `Expr (expr_of cut.Cuts.cone sched.cycle.(v) v))
+                (sig_of v ~delay:0, `Expr (expr_of cut sched.cycle.(v) v))
                 :: !wires);
           for d = 1 to stages.(v) do
             regs :=

@@ -92,16 +92,16 @@ let validate g t =
       live;
     match !bad with None -> Ok () | Some e -> Error e
 
-let owners g t =
-  let own = Array.make (Ir.Cdfg.num_nodes g) [] in
+let iter_interior g t f =
+  let owner = Array.make (Ir.Cdfg.num_nodes g) (-1) in
   Array.iteri
     (fun v c ->
       match c with
       | None -> ()
       | Some (c : Cuts.cut) ->
-          Bitdep.Int_set.iter (fun w -> own.(w) <- v :: own.(w)) c.Cuts.cone)
+          Bitdep.Int_set.iter (fun w -> owner.(w) <- v) c.Cuts.cone)
     t.chosen;
-  own
+  Array.iteri (fun v o -> if o >= 0 && not (is_root t v) then f v o) owner
 
 let pp g ppf t =
   Fmt.pf ppf "@[<v>";

@@ -25,8 +25,9 @@ val validate : Ir.Cdfg.t -> t -> (unit, string) result
     node reachable backward from an output is covered by some selected
     cone; black boxes and inputs are never cone-interior. *)
 
-val owners : Ir.Cdfg.t -> t -> int list array
-(** [owners.(v)] = roots whose selected cone contains [v] (for roots this
-    includes [v] itself). Used by timing and liveness analyses. *)
+val iter_interior : Ir.Cdfg.t -> t -> (int -> int -> unit) -> unit
+(** [iter_interior g t f] calls [f v o] for every covered node [v] that is
+    not a root, [o] being the highest-id root whose selected cone contains
+    [v]: the owner whose slot an interior node displays. *)
 
 val pp : Ir.Cdfg.t -> t Fmt.t

@@ -19,7 +19,7 @@ let op_latency ~device ~delays g v =
   let d = op_delay ~delays g v in
   int_of_float (floor (d /. Fpga.Device.usable_period device))
 
-let res_mii ~resources g =
+let black_box_uses g =
   let counts = Hashtbl.create 8 in
   Ir.Cdfg.iter
     (fun nd ->
@@ -29,13 +29,16 @@ let res_mii ~resources g =
             (1 + Option.value ~default:0 (Hashtbl.find_opt counts resource))
       | _ -> ())
     g;
-  Hashtbl.fold
-    (fun r used acc ->
+  List.of_seq (Hashtbl.to_seq counts)
+
+let res_mii ~resources g =
+  List.fold_left
+    (fun acc (r, used) ->
       match Fpga.Resource.limit resources r with
       | None -> acc
       | Some 0 -> max_int (* no units at all: no feasible II *)
       | Some lim -> max acc ((used + lim - 1) / lim))
-    counts 1
+    1 (black_box_uses g)
 
 (* A candidate II is recurrence-feasible iff no dependence cycle carries
    more combinational work than its registers grant it: with edge weights
@@ -80,16 +83,21 @@ let rec_mii ~device ~delays g =
 let min_ii ~delays ~device ~resources g =
   max (res_mii ~resources g) (rec_mii ~device ~delays g)
 
-let schedule ~device ~delays ~resources ~ii g =
-  if ii < 1 then invalid_arg "Heuristic.schedule: ii < 1";
+type view = {
+  order : int list;
+  deps : Ir.Cdfg.edge array array;
+  delay : int -> float;
+  lat : int -> int;
+}
+
+let max_cycle g = 4 * (Ir.Cdfg.num_nodes g + 16)
+
+let modulo ~device ~resources ~ii g { order; deps; delay; lat } =
   let n = Ir.Cdfg.num_nodes g in
   let period = Fpga.Device.usable_period device in
   let cycle = Array.make n 0 in
   let start = Array.make n 0.0 in
-  let order = Ir.Cdfg.topo_order g in
-  let max_cycle = 4 * (n + 16) in
-  let delay = op_delay ~delays g in
-  let lat = op_latency ~device ~delays g in
+  let max_cycle = max_cycle g in
   let round () =
     let slot_use : (string * int, int) Hashtbl.t = Hashtbl.create 16 in
     let slot_count key =
@@ -98,7 +106,7 @@ let schedule ~device ~delays ~resources ~ii g =
     let changed = ref false in
     List.iter
       (fun v ->
-        let preds = Ir.Cdfg.preds g v in
+        let deps = deps.(v) in
         let cyc_lb = ref 0 in
         Array.iter
           (fun (e : Ir.Cdfg.edge) ->
@@ -107,7 +115,7 @@ let schedule ~device ~delays ~resources ~ii g =
               if e.dist = 0 then avail else avail + 1 - (ii * e.dist)
             in
             if lb > !cyc_lb then cyc_lb := lb)
-          preds;
+          deps;
         let arrivals_at c =
           Array.fold_left
             (fun acc (e : Ir.Cdfg.edge) ->
@@ -117,7 +125,7 @@ let schedule ~device ~delays ~resources ~ii g =
                 in
                 Float.max acc (start.(e.src) +. Float.max 0.0 residual)
               else acc)
-            0.0 preds
+            0.0 deps
         in
         let rec place c =
           if c > max_cycle then (c, 0.0)
@@ -156,27 +164,42 @@ let schedule ~device ~delays ~resources ~ii g =
   in
   let rec iterate k = if k > 0 && round () then iterate (k - 1) in
   iterate 100;
-  (* Validate loop-carried constraints and cycle bounds. *)
+  (cycle, start)
+
+let check ~ii g view cycle start =
   let too_tight = ref None in
-  Ir.Cdfg.iter
-    (fun nd ->
+  Array.iteri
+    (fun v deps ->
       Array.iter
         (fun (e : Ir.Cdfg.edge) ->
-          if e.dist > 0 then begin
-            let avail = cycle.(e.src) + lat e.src in
-            if avail + 1 > cycle.(nd.id) + (ii * e.dist) && !too_tight = None
-            then
-              too_tight :=
-                Some
-                  (Printf.sprintf "edge %s->%s (dist %d) at II=%d"
-                     (Ir.Cdfg.node_name g e.src)
-                     (Ir.Cdfg.node_name g nd.id)
-                     e.dist ii)
-          end)
-        nd.preds)
-    g;
-  let overflow = Array.exists (fun c -> c >= max_cycle) cycle in
-  match (!too_tight, overflow) with
-  | Some m, _ -> Error (Recurrence_too_tight m)
-  | None, true -> Error (Resource_infeasible "schedule did not converge")
-  | None, false -> Ok (Schedule.make ~ii ~cycle ~start)
+          if
+            e.dist > 0 && !too_tight = None
+            && cycle.(e.src) + view.lat e.src + 1 > cycle.(v) + (ii * e.dist)
+          then
+            too_tight :=
+              Some
+                (Printf.sprintf "edge %s->%s (dist %d) at II=%d"
+                   (Ir.Cdfg.node_name g e.src)
+                   (Ir.Cdfg.node_name g v)
+                   e.dist ii))
+        deps)
+    view.deps;
+  let max_cycle = max_cycle g in
+  match !too_tight with
+  | Some m -> Error (Recurrence_too_tight m)
+  | None when Array.exists (fun c -> c >= max_cycle) cycle ->
+      Error (Resource_infeasible "schedule did not converge")
+  | None -> Ok (Schedule.make ~ii ~cycle ~start)
+
+let schedule ~device ~delays ~resources ~ii g =
+  if ii < 1 then invalid_arg "Heuristic.schedule: ii < 1";
+  let view =
+    {
+      order = Ir.Cdfg.topo_order g;
+      deps = Array.init (Ir.Cdfg.num_nodes g) (Ir.Cdfg.preds g);
+      delay = op_delay ~delays g;
+      lat = op_latency ~device ~delays g;
+    }
+  in
+  let cycle, start = modulo ~device ~resources ~ii g view in
+  check ~ii g view cycle start

@@ -23,6 +23,11 @@ val op_latency :
   device:Fpga.Device.t -> delays:Fpga.Delays.t -> Ir.Cdfg.t -> int -> int
 (** Whole cycles before the result is available under the additive model. *)
 
+val black_box_uses : Ir.Cdfg.t -> (string * int) list
+(** Black-box operations per resource class, each used class once, in one
+    fixed (hash-table) order — the demand side of {!res_mii} and of the
+    pre-flight analyzer's resource diagnostics. *)
+
 val res_mii : resources:Fpga.Resource.budget -> Ir.Cdfg.t -> int
 (** Resource-constrained lower bound on the II: per black-box resource
     class, [ceil (uses / limit)]. [max_int] when a used class has zero
@@ -46,6 +51,34 @@ val min_ii :
 (** [max (ResMII, RecMII)]: the classic lower bound on the initiation
     interval (Rau's iterative modulo scheduling). *)
 
+(** {1 The list scheduler}
+
+    One ASAP modulo list scheduler over two views of a graph: {!schedule}
+    places every node behind its operands at its characterized delay,
+    {!Mapsched.schedule} the cover's roots behind their cones' inputs at
+    their cuts' delays. *)
+
+type view = {
+  order : int list;  (** the placed nodes, in topological order *)
+  deps : Ir.Cdfg.edge array array;  (** per node id, what it waits on *)
+  delay : int -> float;
+  lat : int -> int;
+}
+
+val modulo :
+  device:Fpga.Device.t -> resources:Fpga.Resource.budget -> ii:int ->
+  Ir.Cdfg.t -> view -> int array * float array
+(** The placement fixed point: rounds of ASAP placement with chaining and
+    greedy modulo reservation of black boxes, until nothing moves or for
+    100 rounds. Cycle and start per node id; unplaced nodes keep 0. *)
+
+val check :
+  ii:int -> Ir.Cdfg.t -> view -> int array -> float array ->
+  (Schedule.t, error) result
+(** [Recurrence_too_tight] for the first loop-carried dependence (node-id
+    order) read before it crosses a register, else [Resource_infeasible]
+    when a cycle ran past the horizon, else the schedule. *)
+
 val schedule :
   device:Fpga.Device.t ->
   delays:Fpga.Delays.t ->
@@ -53,9 +86,9 @@ val schedule :
   ii:int ->
   Ir.Cdfg.t ->
   (Schedule.t, error) result
-(** ASAP modulo schedule with chaining at the given [ii]. On success the
-    schedule satisfies all dependence, cycle-time and resource constraints
-    under the additive delay model (validated in tests via {!Verify} with a
-    trivial cover). *)
+(** {!modulo} and {!check} over the additive view: ASAP modulo schedule
+    with chaining at the given [ii]. On success the schedule satisfies all
+    dependence, cycle-time and resource constraints under the additive
+    delay model (validated in tests via {!Verify} with a trivial cover). *)
 
 val pp_error : error Fmt.t

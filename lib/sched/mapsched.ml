@@ -1,125 +1,27 @@
-(* Edges into a root's cone from outside it, with the entry distances. *)
-let cone_deps g (cut : Cuts.cut) =
-  let deps = ref [] in
-  Bitdep.Int_set.iter
-    (fun w ->
-      Array.iter
-        (fun (e : Ir.Cdfg.edge) ->
-          if e.dist > 0 || not (Bitdep.Int_set.mem e.src cut.Cuts.cone) then
-            deps := (e.src, e.dist) :: !deps)
-        (Ir.Cdfg.preds g w))
-    cut.Cuts.cone;
-  !deps
-
 let schedule ~device ~delays ~resources ~ii g cover =
   if ii < 1 then invalid_arg "Mapsched.schedule: ii < 1";
-  let n = Ir.Cdfg.num_nodes g in
-  let period = Fpga.Device.usable_period device in
-  let cycle = Array.make n 0 in
-  let start = Array.make n 0.0 in
-  let delay v = Timing.node_delay ~device ~delays g cover v in
-  let lat v = Timing.node_latency ~device ~delays g cover v in
-  let max_cycle = 4 * (n + 16) in
-  let roots_in_topo =
-    List.filter (Cover.is_root cover) (Ir.Cdfg.topo_order g)
-  in
+  (* A root waits on its cone's inputs; interior nodes are not placed. *)
   let deps =
-    (* per root, computed once *)
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun v ->
+    Array.init (Ir.Cdfg.num_nodes g) (fun v ->
         match Cover.chosen cover v with
-        | Some cut -> Hashtbl.replace tbl v (cone_deps g cut)
-        | None -> ())
-      roots_in_topo;
-    tbl
+        | None -> [||]
+        | Some cut ->
+            let acc = ref [] in
+            Cuts.iter_inputs g cut (fun _ e -> acc := e :: !acc);
+            Array.of_list !acc)
   in
-  let round () =
-    let slot_use : (string * int, int) Hashtbl.t = Hashtbl.create 16 in
-    let slot_count key = Option.value ~default:0 (Hashtbl.find_opt slot_use key) in
-    let changed = ref false in
-    List.iter
-      (fun v ->
-        let dep_list = Option.value ~default:[] (Hashtbl.find_opt deps v) in
-        let cyc_lb = ref 0 in
-        List.iter
-          (fun (u, dist) ->
-            let avail = cycle.(u) + lat u in
-            let lb = if dist = 0 then avail else avail + 1 - (ii * dist) in
-            if lb > !cyc_lb then cyc_lb := lb)
-          dep_list;
-        let arrivals_at c =
-          List.fold_left
-            (fun acc (u, dist) ->
-              if dist = 0 && cycle.(u) + lat u = c then
-                let residual = delay u -. (float_of_int (lat u) *. period) in
-                Float.max acc (start.(u) +. Float.max 0.0 residual)
-              else acc)
-            0.0 dep_list
-        in
-        let rec place c =
-          if c > max_cycle then (c, 0.0)
-          else
-            let l = arrivals_at c in
-            let fits =
-              if lat v >= 1 then l <= 1e-9
-              else l +. delay v <= period +. 1e-9
-            in
-            if not fits then place (c + 1)
-            else
-              match Ir.Cdfg.op g v with
-              | Ir.Op.Black_box { resource; _ } -> (
-                  match Fpga.Resource.limit resources resource with
-                  | Some lim when slot_count (resource, c mod ii) >= lim ->
-                      place (c + 1)
-                  | Some _ | None -> (c, l))
-              | _ -> (c, l)
-        in
-        let c, l = place !cyc_lb in
-        (match Ir.Cdfg.op g v with
-        | Ir.Op.Black_box { resource; _ } ->
-            let key = (resource, c mod ii) in
-            Hashtbl.replace slot_use key (slot_count key + 1)
-        | _ -> ());
-        if c <> cycle.(v) || Float.abs (l -. start.(v)) > 1e-9 then begin
-          changed := true;
-          cycle.(v) <- c;
-          start.(v) <- l
-        end)
-      roots_in_topo;
-    !changed
+  let view =
+    {
+      Heuristic.order =
+        List.filter (Cover.is_root cover) (Ir.Cdfg.topo_order g);
+      deps;
+      delay = Timing.node_delay ~device ~delays g cover;
+      lat = Timing.node_latency ~device ~delays g cover;
+    }
   in
-  let rec iterate k = if k > 0 && round () then iterate (k - 1) in
-  iterate 100;
-  (* Interior nodes inherit their first owner's slot (display only). *)
-  let owners = Cover.owners g cover in
-  for v = 0 to n - 1 do
-    if not (Cover.is_root cover v) then begin
-      match owners.(v) with
-      | o :: _ ->
-          cycle.(v) <- cycle.(o);
-          start.(v) <- start.(o)
-      | [] -> ()
-    end
-  done;
-  let too_tight = ref None in
-  Hashtbl.iter
-    (fun v dep_list ->
-      List.iter
-        (fun (u, dist) ->
-          if dist > 0 then begin
-            let avail = cycle.(u) + lat u in
-            if avail + 1 > cycle.(v) + (ii * dist) && !too_tight = None then
-              too_tight :=
-                Some
-                  (Printf.sprintf "edge %s->%s (dist %d) at II=%d"
-                     (Ir.Cdfg.node_name g u) (Ir.Cdfg.node_name g v) dist ii)
-          end)
-        dep_list)
-    deps;
-  let overflow = Array.exists (fun c -> c >= max_cycle) cycle in
-  match (!too_tight, overflow) with
-  | Some m, _ -> Error (Heuristic.Recurrence_too_tight m)
-  | None, true ->
-      Error (Heuristic.Resource_infeasible "schedule did not converge")
-  | None, false -> Ok (Schedule.make ~ii ~cycle ~start)
+  let cycle, start = Heuristic.modulo ~device ~resources ~ii g view in
+  (* Interior nodes inherit their owner's slot (display only). *)
+  Cover.iter_interior g cover (fun v o ->
+      cycle.(v) <- cycle.(o);
+      start.(v) <- start.(o));
+  Heuristic.check ~ii g view cycle start

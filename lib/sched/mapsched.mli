@@ -14,7 +14,7 @@ val schedule :
   Ir.Cdfg.t ->
   Cover.t ->
   (Schedule.t, Heuristic.error) result
-(** Roots are placed ASAP in topological order with combinational chaining
-    of cone delays; cone-interior nodes inherit their owner's slot;
-    loop-carried dependences are resolved by fixed-point iteration;
-    black boxes reserve modulo resource slots greedily. *)
+(** {!Heuristic.modulo} over the mapped view: roots are placed ASAP in
+    topological order behind their cones' inputs ({!Cuts.iter_inputs}),
+    with combinational chaining of cut delays; cone-interior nodes then
+    inherit their owner's slot; {!Heuristic.check} gives the verdict. *)

@@ -9,17 +9,10 @@ let last_uses g cover (sched : Schedule.t) =
     (fun v c ->
       match c with
       | None -> ()
-      | Some (cut : Cuts.cut) ->
-          Bitdep.Int_set.iter
-            (fun w ->
-              Array.iter
-                (fun (e : Ir.Cdfg.edge) ->
-                  if e.dist > 0 || not (Bitdep.Int_set.mem e.src cut.Cuts.cone) then begin
-                    let use = sched.cycle.(v) + (sched.ii * e.dist) in
-                    if use > last_use.(e.src) then last_use.(e.src) <- use
-                  end)
-                (Ir.Cdfg.preds g w))
-            cut.Cuts.cone)
+      | Some cut ->
+          Cuts.iter_inputs g cut (fun _ e ->
+              let use = sched.cycle.(v) + (sched.ii * e.dist) in
+              if use > last_use.(e.src) then last_use.(e.src) <- use))
     cover.Cover.chosen;
   last_use
 

@@ -57,25 +57,7 @@ let schedule ~device ~delays ~resources ~ii g =
   let horizon = float_of_int (4 * (n + 16)) in
   let lat = Heuristic.op_latency ~device ~delays g in
   (* ResMII gate: at an infeasible II, ordering constraints cannot help. *)
-  let counts = Hashtbl.create 8 in
-  Ir.Cdfg.iter
-    (fun nd ->
-      match nd.op with
-      | Ir.Op.Black_box { resource; _ } ->
-          Hashtbl.replace counts resource
-            (1 + Option.value ~default:0 (Hashtbl.find_opt counts resource))
-      | _ -> ())
-    g;
-  let res_feasible =
-    Hashtbl.fold
-      (fun r used acc ->
-        acc
-        && match Fpga.Resource.limit resources r with
-           | None -> true
-           | Some lim -> used <= lim * ii)
-      counts true
-  in
-  if not res_feasible then
+  if Heuristic.res_mii ~resources g > ii then
     Error
       (Heuristic.Resource_infeasible
          (Printf.sprintf "black-box demand exceeds capacity at II=%d" ii))

@@ -40,31 +40,18 @@ let recompute_starts ~device ~delays g cover (sched : Schedule.t) =
       match Cover.chosen cover v with
       | None -> ()
       | Some (cut : Cuts.cut) ->
-          (* Arrivals: every edge from outside the cone into the cone. *)
+          (* Arrivals: every input of the cone. *)
           let t = ref 0.0 in
-          Bitdep.Int_set.iter
-            (fun w ->
-              Array.iter
-                (fun (e : Ir.Cdfg.edge) ->
-                  if e.dist > 0 || not (Bitdep.Int_set.mem e.src cut.Cuts.cone) then
-                    t :=
-                      Float.max !t
-                        (arrival ~device ~delays g cover sched starts e
-                           ~use_cycle:sched.Schedule.cycle.(v)))
-                (Ir.Cdfg.preds g w))
-            cut.Cuts.cone;
+          Cuts.iter_inputs g cut (fun _ e ->
+              t :=
+                Float.max !t
+                  (arrival ~device ~delays g cover sched starts e
+                     ~use_cycle:sched.Schedule.cycle.(v)));
           (* multi-cycle roots start at the cycle boundary *)
           starts.(v) <-
             (if node_latency ~device ~delays g cover v >= 1 then 0.0 else !t))
     (Ir.Cdfg.topo_order g);
-  let owners = Cover.owners g cover in
-  for v = 0 to n - 1 do
-    if not (Cover.is_root cover v) then begin
-      match owners.(v) with
-      | owner :: _ -> starts.(v) <- starts.(owner)
-      | [] -> ()
-    end
-  done;
+  Cover.iter_interior g cover (fun v owner -> starts.(v) <- starts.(owner));
   Schedule.make ~ii:sched.Schedule.ii ~cycle:sched.Schedule.cycle ~start:starts
 
 let achieved_cp ~device ~delays g cover (sched : Schedule.t) =

@@ -41,40 +41,31 @@ let check ctx g cover (sched : Schedule.t) =
         match c with
         | None -> ()
         | Some (cut : Cuts.cut) ->
-            let use_cycle d = sched.cycle.(v) + (sched.ii * d) in
-            Bitdep.Int_set.iter
-              (fun w ->
-                Array.iter
-                  (fun (e : Ir.Cdfg.edge) ->
-                    if e.dist > 0 || not (Bitdep.Int_set.mem e.src cut.Cuts.cone) then begin
-                      let u = e.src in
-                      let avail = sched.cycle.(u) + latency u in
-                      let uc = use_cycle e.dist in
-                      if e.dist > 0 then begin
-                        if avail >= uc then
-                          err
-                            "[Eq. 7] registered edge %s->%s: produced cycle %d, \
-                             used cycle %d (same-cycle read through register)"
-                            (name u) (name w) avail uc
-                      end
-                      else if avail > uc then
-                        err "[Eq. 7] %s->%s: produced cycle %d after use cycle %d"
-                          (name u) (name w) avail uc
-                      else if avail = uc then begin
-                        let arr =
-                          if latency u >= 1 then
-                            Float.max 0.0
-                              (delay u
-                              -. (float_of_int (latency u) *. period))
-                          else sched.start.(u) +. delay u
-                        in
-                        if arr > sched.start.(v) +. eps then
-                          err "[Eq. 9] %s->%s: chained arrival %.3f after start %.3f"
-                            (name u) (name w) arr sched.start.(v)
-                      end
-                    end)
-                  (Ir.Cdfg.preds g w))
-              cut.Cuts.cone)
+            Cuts.iter_inputs g cut (fun w e ->
+                let u = e.src in
+                let avail = sched.cycle.(u) + latency u in
+                let uc = sched.cycle.(v) + (sched.ii * e.dist) in
+                if e.dist > 0 then begin
+                  if avail >= uc then
+                    err
+                      "[Eq. 7] registered edge %s->%s: produced cycle %d, \
+                       used cycle %d (same-cycle read through register)"
+                      (name u) (name w) avail uc
+                end
+                else if avail > uc then
+                  err "[Eq. 7] %s->%s: produced cycle %d after use cycle %d"
+                    (name u) (name w) avail uc
+                else if avail = uc then begin
+                  let arr =
+                    if latency u >= 1 then
+                      Float.max 0.0
+                        (delay u -. (float_of_int (latency u) *. period))
+                    else sched.start.(u) +. delay u
+                  in
+                  if arr > sched.start.(v) +. eps then
+                    err "[Eq. 9] %s->%s: chained arrival %.3f after start %.3f"
+                      (name u) (name w) arr sched.start.(v)
+                end))
       cover.Cover.chosen;
     (* Eq. 14: modulo resource limits for black boxes. *)
     let counts = Hashtbl.create 8 in

@@ -182,8 +182,7 @@ let pp_exact_failure ppf f =
     (exact_reason_to_string f.reason)
     Lp.Milp.pp_stats f.stats
 
-let map_exact ?(time_limit = 10.0) ?(deadline = Resilience.Deadline.none)
-    ~device ~delays ~cuts g sched =
+let map_exact ?(time_limit = 10.0) ~device ~delays ~cuts g sched =
   let n = Ir.Cdfg.num_nodes g in
   let req = required_roots g sched in
   let eligible =
@@ -260,7 +259,7 @@ let map_exact ?(time_limit = 10.0) ?(deadline = Resilience.Deadline.none)
     then Some x
     else None
   in
-  let r = Lp.Milp.solve ~time_limit ~deadline ?incumbent model in
+  let r = Lp.Milp.solve ~time_limit ?incumbent model in
   match r.Lp.Milp.status with
   | Lp.Milp.Optimal | Lp.Milp.Feasible ->
       let selections = ref [] in

@@ -36,8 +36,8 @@ val map_schedule :
     given) is set. The cover stays valid; only area optimality degrades. *)
 
 type exact_reason = [ `Timeout | `Infeasible | `Unbounded ]
-(** Why {!map_exact} produced no cover. [`Timeout] covers both the local
-    [time_limit] and a caller [deadline] expiring before any incumbent. *)
+(** Why {!map_exact} produced no cover. [`Timeout] means its
+    [time_limit] expired before any incumbent. *)
 
 type exact_failure = { reason : exact_reason; stats : Lp.Milp.stats }
 
@@ -46,7 +46,6 @@ val pp_exact_failure : exact_failure Fmt.t
 
 val map_exact :
   ?time_limit:float ->
-  ?deadline:Resilience.Deadline.t ->
   device:Fpga.Device.t ->
   delays:Fpga.Delays.t ->
   cuts:Cuts.t ->
@@ -58,8 +57,8 @@ val map_exact :
     [min Σ area·c], warm-started from {!map_schedule}'s area-flow cover.
     Stage-local like {!map_schedule}. On failure the result says {e why}
     the exact cover is unavailable — a timeout (the MILP exhausted
-    [time_limit], default 10 s, or the caller's [deadline] with no
-    incumbent) is actionable (raise the budget), infeasible/unbounded is
+    [time_limit], default 10 s, with no incumbent) is actionable (raise
+    the budget), infeasible/unbounded is
     structural — so callers can report the cause instead of silently
     falling back to the heuristic. Exact-vs-heuristic is DESIGN.md
     ablation A5. *)

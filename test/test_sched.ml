@@ -456,6 +456,303 @@ let test_sdc_recurrence_infeasible () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "II=1 should be infeasible for the deep recurrence"
 
+(* --- golden placements ------------------------------------------------ *)
+
+(* Every scheduler on every kernel at its clock, half and a quarter of it,
+   at II 1, MII and MII+1: the MD5 of the cycles and the start-time bits,
+   or the error text. Placements under tight clocks and the recurrence and
+   convergence error paths are pinned nowhere else. *)
+let golden_actual () =
+  let outcome = function
+    | Ok (s : Sched.Schedule.t) ->
+        let b = Buffer.create 1024 in
+        Array.iter (fun c -> Printf.bprintf b "%d " c) s.cycle;
+        Array.iter (fun l -> Printf.bprintf b "%h " l) s.start;
+        Digest.to_hex (Digest.string (Buffer.contents b))
+    | Error e -> Fmt.str "%a" Sched.Heuristic.pp_error e
+  in
+  List.concat_map
+    (fun (e : Benchmarks.Registry.entry) ->
+      let g = e.build () in
+      let resources = e.resources in
+      let cuts = Cuts.enumerate ~k:4 g in
+      let trivial = trivial_cover g in
+      List.concat_map
+        (fun div ->
+          let device = Fpga.Device.make ~t_clk:(e.t_clk /. float div) () in
+          let mapped = Techmap.map_global ~device ~delays ~cuts g in
+          let mii = Sched.Heuristic.min_ii ~delays ~device ~resources g in
+          List.concat_map
+            (fun ii ->
+              let case name r =
+                let label = Printf.sprintf "%s t/%d II=%d %s" e.name div ii name in
+                (label, outcome r)
+              in
+              [
+                case "hls"
+                  (Sched.Heuristic.schedule ~device ~delays ~resources ~ii g);
+                case "map"
+                  (Sched.Mapsched.schedule ~device ~delays ~resources ~ii g
+                     mapped);
+                case "map-trivial"
+                  (Sched.Mapsched.schedule ~device ~delays ~resources ~ii g
+                     trivial);
+                case "sdc"
+                  (Sched.Sdc.schedule ~device ~delays ~resources ~ii g);
+              ])
+            (List.sort_uniq compare [ 1; mii; mii + 1 ]))
+        [ 1; 2; 4 ])
+    Benchmarks.Registry.all
+
+let golden_expected =
+  [
+    ("CLZ t/1 II=1 hls", "27d4151a135c7db3e21cf046ab1dc7b6");
+    ("CLZ t/1 II=1 map", "3dc61b3ba80ed138270aa460d47ba573");
+    ("CLZ t/1 II=1 map-trivial", "61ec5cd652a466368150d8897b4a8a9d");
+    ("CLZ t/1 II=1 sdc", "21adc8e5eaf0af4154d7c8c3ac3716ef");
+    ("CLZ t/1 II=2 hls", "27d4151a135c7db3e21cf046ab1dc7b6");
+    ("CLZ t/1 II=2 map", "3dc61b3ba80ed138270aa460d47ba573");
+    ("CLZ t/1 II=2 map-trivial", "61ec5cd652a466368150d8897b4a8a9d");
+    ("CLZ t/1 II=2 sdc", "21adc8e5eaf0af4154d7c8c3ac3716ef");
+    ("CLZ t/2 II=1 hls", "e3bb05cbe8095419a86bc6cba859a388");
+    ("CLZ t/2 II=1 map", "d6f6e1acf0bec2c05ede84fdf07ba4ff");
+    ("CLZ t/2 II=1 map-trivial", "b2661b200c96edcd066d30b5499ed8f0");
+    ("CLZ t/2 II=1 sdc", "88aa2e10fcd2d84683aa08917015637d");
+    ("CLZ t/2 II=2 hls", "e3bb05cbe8095419a86bc6cba859a388");
+    ("CLZ t/2 II=2 map", "d6f6e1acf0bec2c05ede84fdf07ba4ff");
+    ("CLZ t/2 II=2 map-trivial", "b2661b200c96edcd066d30b5499ed8f0");
+    ("CLZ t/2 II=2 sdc", "88aa2e10fcd2d84683aa08917015637d");
+    ("CLZ t/4 II=1 hls", "71aad3e48c1148ca2848f4359b3fca21");
+    ("CLZ t/4 II=1 map", "304c0fbe8b3d612f81443271cbd136cf");
+    ("CLZ t/4 II=1 map-trivial", "94c2e673bd5d7ee4c713a82422669cb0");
+    ("CLZ t/4 II=1 sdc", "a373aa94966522466d194be8e293f3a4");
+    ("CLZ t/4 II=2 hls", "71aad3e48c1148ca2848f4359b3fca21");
+    ("CLZ t/4 II=2 map", "304c0fbe8b3d612f81443271cbd136cf");
+    ("CLZ t/4 II=2 map-trivial", "94c2e673bd5d7ee4c713a82422669cb0");
+    ("CLZ t/4 II=2 sdc", "a373aa94966522466d194be8e293f3a4");
+    ("XORR t/1 II=1 hls", "e6db8ff57a42a7c5bb7bbbf5fe8a4ba8");
+    ("XORR t/1 II=1 map", "30372214fa79bc82e9df94995aecea69");
+    ("XORR t/1 II=1 map-trivial", "068b13bee3fb580eea2574d2aebc1ce1");
+    ("XORR t/1 II=1 sdc", "e6db8ff57a42a7c5bb7bbbf5fe8a4ba8");
+    ("XORR t/1 II=2 hls", "e6db8ff57a42a7c5bb7bbbf5fe8a4ba8");
+    ("XORR t/1 II=2 map", "30372214fa79bc82e9df94995aecea69");
+    ("XORR t/1 II=2 map-trivial", "068b13bee3fb580eea2574d2aebc1ce1");
+    ("XORR t/1 II=2 sdc", "e6db8ff57a42a7c5bb7bbbf5fe8a4ba8");
+    ("XORR t/2 II=1 hls", "e6d0dbdf0e0310cd9eab7c1692591ec2");
+    ("XORR t/2 II=1 map", "a2cc646fa87f82c9498bcd499e5e9a87");
+    ("XORR t/2 II=1 map-trivial", "8957aa0ac960bb4ef84acde2783889f9");
+    ("XORR t/2 II=1 sdc", "b5435a68aec9888ebc999cf0616260e6");
+    ("XORR t/2 II=2 hls", "e6d0dbdf0e0310cd9eab7c1692591ec2");
+    ("XORR t/2 II=2 map", "a2cc646fa87f82c9498bcd499e5e9a87");
+    ("XORR t/2 II=2 map-trivial", "8957aa0ac960bb4ef84acde2783889f9");
+    ("XORR t/2 II=2 sdc", "b5435a68aec9888ebc999cf0616260e6");
+    ("XORR t/4 II=1 hls", "e5782aed21192965b4aebda48f955355");
+    ("XORR t/4 II=1 map", "03f52a79bd98200821b3859e0c76d684");
+    ("XORR t/4 II=1 map-trivial", "15a83c4d686b63822f2f1bb8d249f87f");
+    ("XORR t/4 II=1 sdc", "d0e413db3ee477afe8a61dd78869853e");
+    ("XORR t/4 II=2 hls", "e5782aed21192965b4aebda48f955355");
+    ("XORR t/4 II=2 map", "03f52a79bd98200821b3859e0c76d684");
+    ("XORR t/4 II=2 map-trivial", "15a83c4d686b63822f2f1bb8d249f87f");
+    ("XORR t/4 II=2 sdc", "d0e413db3ee477afe8a61dd78869853e");
+    ("GFMUL t/1 II=1 hls", "00c52dc6f43d703d72fcee24d8927052");
+    ("GFMUL t/1 II=1 map", "8dd420b9d1898d4770badfca91c9ad2a");
+    ("GFMUL t/1 II=1 map-trivial", "9991c4adb922b5bd8200fa7bb6cf01db");
+    ("GFMUL t/1 II=1 sdc", "00c52dc6f43d703d72fcee24d8927052");
+    ("GFMUL t/1 II=2 hls", "00c52dc6f43d703d72fcee24d8927052");
+    ("GFMUL t/1 II=2 map", "8dd420b9d1898d4770badfca91c9ad2a");
+    ("GFMUL t/1 II=2 map-trivial", "9991c4adb922b5bd8200fa7bb6cf01db");
+    ("GFMUL t/1 II=2 sdc", "00c52dc6f43d703d72fcee24d8927052");
+    ("GFMUL t/2 II=1 hls", "4cae2ddf098931a9782d5b46f607f687");
+    ("GFMUL t/2 II=1 map", "0f5bb53e8d523a8534ff4a82630f9363");
+    ("GFMUL t/2 II=1 map-trivial", "cc7bbe9609b51d6e325cb90cb9cd0813");
+    ("GFMUL t/2 II=1 sdc", "70c4b2f2e78fbabb2d6024699cbd7b4a");
+    ("GFMUL t/2 II=2 hls", "4cae2ddf098931a9782d5b46f607f687");
+    ("GFMUL t/2 II=2 map", "0f5bb53e8d523a8534ff4a82630f9363");
+    ("GFMUL t/2 II=2 map-trivial", "cc7bbe9609b51d6e325cb90cb9cd0813");
+    ("GFMUL t/2 II=2 sdc", "70c4b2f2e78fbabb2d6024699cbd7b4a");
+    ("GFMUL t/4 II=1 hls", "0bf11829221bf2b953391768205b22c5");
+    ("GFMUL t/4 II=1 map", "caede33a74c7d8e3addd8072937e3990");
+    ("GFMUL t/4 II=1 map-trivial", "0c0263c808f73ca5dc21d05bebbd0564");
+    ("GFMUL t/4 II=1 sdc", "70605c778cd22a78fef14f6f7e6b122e");
+    ("GFMUL t/4 II=2 hls", "0bf11829221bf2b953391768205b22c5");
+    ("GFMUL t/4 II=2 map", "caede33a74c7d8e3addd8072937e3990");
+    ("GFMUL t/4 II=2 map-trivial", "0c0263c808f73ca5dc21d05bebbd0564");
+    ("GFMUL t/4 II=2 sdc", "70605c778cd22a78fef14f6f7e6b122e");
+    ("CORDIC t/1 II=1 hls", "16b5c865778883920960881ace57a83c");
+    ("CORDIC t/1 II=1 map", "349be92292e90111de17f209e85e4b3d");
+    ("CORDIC t/1 II=1 map-trivial", "69781031c71dee8124a01f4ee42868e7");
+    ("CORDIC t/1 II=1 sdc", "9c644c347745e274136b9a994bde6bc6");
+    ("CORDIC t/1 II=2 hls", "16b5c865778883920960881ace57a83c");
+    ("CORDIC t/1 II=2 map", "349be92292e90111de17f209e85e4b3d");
+    ("CORDIC t/1 II=2 map-trivial", "69781031c71dee8124a01f4ee42868e7");
+    ("CORDIC t/1 II=2 sdc", "9c644c347745e274136b9a994bde6bc6");
+    ("CORDIC t/2 II=1 hls", "848997ae09db97914222a317408f4e59");
+    ("CORDIC t/2 II=1 map", "e663fbeb7e61d08362f26df54acc2d07");
+    ("CORDIC t/2 II=1 map-trivial", "8a11136cf9f5adb2512d8ec84a24b4b0");
+    ("CORDIC t/2 II=1 sdc", "131953e0278db99289227927595e0160");
+    ("CORDIC t/2 II=2 hls", "848997ae09db97914222a317408f4e59");
+    ("CORDIC t/2 II=2 map", "e663fbeb7e61d08362f26df54acc2d07");
+    ("CORDIC t/2 II=2 map-trivial", "8a11136cf9f5adb2512d8ec84a24b4b0");
+    ("CORDIC t/2 II=2 sdc", "131953e0278db99289227927595e0160");
+    ("CORDIC t/4 II=1 hls", "902b5630c848fb1a734e31447b6b2d74");
+    ("CORDIC t/4 II=1 map", "b651f3eed5f2cdcf94b851dd44427c41");
+    ("CORDIC t/4 II=1 map-trivial", "04e5815ac58955097fc15a02977c2396");
+    ("CORDIC t/4 II=1 sdc", "7093d235e417d23313a1151c93b39045");
+    ("CORDIC t/4 II=2 hls", "902b5630c848fb1a734e31447b6b2d74");
+    ("CORDIC t/4 II=2 map", "b651f3eed5f2cdcf94b851dd44427c41");
+    ("CORDIC t/4 II=2 map-trivial", "04e5815ac58955097fc15a02977c2396");
+    ("CORDIC t/4 II=2 sdc", "7093d235e417d23313a1151c93b39045");
+    ("MT t/1 II=1 hls", "0d5a657bb8c25d8b99403f9a67a48717");
+    ("MT t/1 II=1 map", "fd30c56c7ed27191c287f22384e021e4");
+    ("MT t/1 II=1 map-trivial", "d6a621ac8e57009df3b62ba071051f20");
+    ("MT t/1 II=1 sdc", "21968fe13eb80d9a5530ca5ca92a4e04");
+    ("MT t/1 II=2 hls", "0d5a657bb8c25d8b99403f9a67a48717");
+    ("MT t/1 II=2 map", "fd30c56c7ed27191c287f22384e021e4");
+    ("MT t/1 II=2 map-trivial", "d6a621ac8e57009df3b62ba071051f20");
+    ("MT t/1 II=2 sdc", "21968fe13eb80d9a5530ca5ca92a4e04");
+    ("MT t/2 II=1 hls", "recurrence too tight: edge snew->n3 (dist 1) at II=1");
+    ("MT t/2 II=1 map", "a7daddf3d409ab7b8cb8ab85e99ead1d");
+    ("MT t/2 II=1 map-trivial", "5011d960dd2349717d9c60216ef8e672");
+    ("MT t/2 II=1 sdc", "recurrence too tight: SDC LP unsolvable at II=1");
+    ("MT t/2 II=2 hls", "cc51ef952e322d56f0c9c0d481a4511d");
+    ("MT t/2 II=2 map", "a7daddf3d409ab7b8cb8ab85e99ead1d");
+    ("MT t/2 II=2 map-trivial", "5011d960dd2349717d9c60216ef8e672");
+    ("MT t/2 II=2 sdc", "2f5aaefee88ff111eacb6ec3806ae61c");
+    ("MT t/2 II=3 hls", "cc51ef952e322d56f0c9c0d481a4511d");
+    ("MT t/2 II=3 map", "a7daddf3d409ab7b8cb8ab85e99ead1d");
+    ("MT t/2 II=3 map-trivial", "5011d960dd2349717d9c60216ef8e672");
+    ("MT t/2 II=3 sdc", "2f5aaefee88ff111eacb6ec3806ae61c");
+    ("MT t/4 II=1 hls", "resource infeasible: schedule did not converge");
+    ("MT t/4 II=1 map", "recurrence too tight: edge snew->n3 (dist 1) at II=1");
+    ("MT t/4 II=1 map-trivial", "recurrence too tight: edge snew->n3 (dist 1) at II=1");
+    ("MT t/4 II=1 sdc", "recurrence too tight: SDC LP unsolvable at II=1");
+    ("MT t/4 II=3 hls", "recurrence too tight: edge snew->n3 (dist 1) at II=3");
+    ("MT t/4 II=3 map", "cccaa7441dc23a80783b48a2b980fbc0");
+    ("MT t/4 II=3 map-trivial", "de839f90cb64a69f8a1890d08dddbb65");
+    ("MT t/4 II=3 sdc", "recurrence too tight: SDC LP unsolvable at II=3");
+    ("MT t/4 II=4 hls", "ac0f6f5c0ebdf1f2247fc95f74309bb1");
+    ("MT t/4 II=4 map", "cccaa7441dc23a80783b48a2b980fbc0");
+    ("MT t/4 II=4 map-trivial", "de839f90cb64a69f8a1890d08dddbb65");
+    ("MT t/4 II=4 sdc", "6ae164b0245e1e8974610dfba077db0b");
+    ("AES t/1 II=1 hls", "d59a556f87c2109e0abfa0b920529dc0");
+    ("AES t/1 II=1 map", "eeac0abf7f30f265fa6b621e28b43622");
+    ("AES t/1 II=1 map-trivial", "31bc2f7990f416fa53f42e3a9725ad58");
+    ("AES t/1 II=1 sdc", "d59a556f87c2109e0abfa0b920529dc0");
+    ("AES t/1 II=2 hls", "d59a556f87c2109e0abfa0b920529dc0");
+    ("AES t/1 II=2 map", "eeac0abf7f30f265fa6b621e28b43622");
+    ("AES t/1 II=2 map-trivial", "31bc2f7990f416fa53f42e3a9725ad58");
+    ("AES t/1 II=2 sdc", "d59a556f87c2109e0abfa0b920529dc0");
+    ("AES t/2 II=1 hls", "5dc3d5f076bc300f15a4744af458f65a");
+    ("AES t/2 II=1 map", "737bd96078feba1367d993033df5807a");
+    ("AES t/2 II=1 map-trivial", "455a3511eeff0b868538f89cf6af99d0");
+    ("AES t/2 II=1 sdc", "13bd09630437b6c9d2b4bfee7b4d6779");
+    ("AES t/2 II=2 hls", "5dc3d5f076bc300f15a4744af458f65a");
+    ("AES t/2 II=2 map", "737bd96078feba1367d993033df5807a");
+    ("AES t/2 II=2 map-trivial", "455a3511eeff0b868538f89cf6af99d0");
+    ("AES t/2 II=2 sdc", "13bd09630437b6c9d2b4bfee7b4d6779");
+    ("AES t/4 II=1 hls", "52fd65da999603c8f96c18ca7ddb8cf3");
+    ("AES t/4 II=1 map", "448f2c6623b2939d6fa6d84a622bd8bb");
+    ("AES t/4 II=1 map-trivial", "b20f12e89bf13fb355426b86ef98a559");
+    ("AES t/4 II=1 sdc", "a77f5364e11b1c261ffb467269708851");
+    ("AES t/4 II=2 hls", "52fd65da999603c8f96c18ca7ddb8cf3");
+    ("AES t/4 II=2 map", "448f2c6623b2939d6fa6d84a622bd8bb");
+    ("AES t/4 II=2 map-trivial", "b20f12e89bf13fb355426b86ef98a559");
+    ("AES t/4 II=2 sdc", "a77f5364e11b1c261ffb467269708851");
+    ("RS t/1 II=1 hls", "55e9e22f58db6cf9b0181037f3db7025");
+    ("RS t/1 II=1 map", "cf7bb3d7e5c6bf838f54a9334d96d05c");
+    ("RS t/1 II=1 map-trivial", "2903939c8085b8e524bbb9b8ab06bc89");
+    ("RS t/1 II=1 sdc", "55e9e22f58db6cf9b0181037f3db7025");
+    ("RS t/1 II=2 hls", "0e5e02c73939bef7dea69c395b3a5057");
+    ("RS t/1 II=2 map", "cf7bb3d7e5c6bf838f54a9334d96d05c");
+    ("RS t/1 II=2 map-trivial", "2903939c8085b8e524bbb9b8ab06bc89");
+    ("RS t/1 II=2 sdc", "72cee6ea90743e7c1c7de5389640062c");
+    ("RS t/2 II=1 hls", "recurrence too tight: edge n32->fb (dist 1) at II=1");
+    ("RS t/2 II=1 map", "cf7bb3d7e5c6bf838f54a9334d96d05c");
+    ("RS t/2 II=1 map-trivial", "4a914bca4bc874c1062c9dc68b362d1e");
+    ("RS t/2 II=1 sdc", "recurrence too tight: SDC LP unsolvable at II=1");
+    ("RS t/2 II=2 hls", "6f3e98319ecdc31b42d3abf74b388e08");
+    ("RS t/2 II=2 map", "cf7bb3d7e5c6bf838f54a9334d96d05c");
+    ("RS t/2 II=2 map-trivial", "7b0f41e68960c539bf36fabfd89f451d");
+    ("RS t/2 II=2 sdc", "eb962e0c7b5072276122821412f7e7c9");
+    ("RS t/2 II=3 hls", "6f3e98319ecdc31b42d3abf74b388e08");
+    ("RS t/2 II=3 map", "cf7bb3d7e5c6bf838f54a9334d96d05c");
+    ("RS t/2 II=3 map-trivial", "7b0f41e68960c539bf36fabfd89f451d");
+    ("RS t/2 II=3 sdc", "eb962e0c7b5072276122821412f7e7c9");
+    ("RS t/4 II=1 hls", "resource infeasible: schedule did not converge");
+    ("RS t/4 II=1 map", "aef8ecfac5e788bf92bbc4e838a37ef8");
+    ("RS t/4 II=1 map-trivial", "resource infeasible: schedule did not converge");
+    ("RS t/4 II=1 sdc", "recurrence too tight: SDC LP unsolvable at II=1");
+    ("RS t/4 II=3 hls", "resource infeasible: schedule did not converge");
+    ("RS t/4 II=3 map", "c5379547dfb9083e57ccf9c34b6d8839");
+    ("RS t/4 II=3 map-trivial", "7f61642835988f59ae311dd159c84c4e");
+    ("RS t/4 II=3 sdc", "recurrence too tight: SDC LP unsolvable at II=3");
+    ("RS t/4 II=4 hls", "recurrence too tight: edge n32->fb (dist 1) at II=4");
+    ("RS t/4 II=4 map", "c5379547dfb9083e57ccf9c34b6d8839");
+    ("RS t/4 II=4 map-trivial", "7f61642835988f59ae311dd159c84c4e");
+    ("RS t/4 II=4 sdc", "recurrence too tight: SDC LP unsolvable at II=4");
+    ("DR t/1 II=1 hls", "3f565b017b2b1b7a0df6305458bdd714");
+    ("DR t/1 II=1 map", "c6616ba7042c6444bdacae988aa60f32");
+    ("DR t/1 II=1 map-trivial", "d0faf940f50a1faf4259d6fee0955017");
+    ("DR t/1 II=1 sdc", "c18f520e4d54128a8f888d6d1898b1f6");
+    ("DR t/1 II=2 hls", "3f565b017b2b1b7a0df6305458bdd714");
+    ("DR t/1 II=2 map", "c6616ba7042c6444bdacae988aa60f32");
+    ("DR t/1 II=2 map-trivial", "d0faf940f50a1faf4259d6fee0955017");
+    ("DR t/1 II=2 sdc", "c18f520e4d54128a8f888d6d1898b1f6");
+    ("DR t/2 II=1 hls", "d77fff084e891eba92af41049e3c1dd4");
+    ("DR t/2 II=1 map", "5137520599cc1321138ae37237c95a9a");
+    ("DR t/2 II=1 map-trivial", "d2083bfa1dd813f8d80dd0e604580e64");
+    ("DR t/2 II=1 sdc", "1058a2ef9ddf15ef1763b6772b1ffeef");
+    ("DR t/2 II=2 hls", "d77fff084e891eba92af41049e3c1dd4");
+    ("DR t/2 II=2 map", "5137520599cc1321138ae37237c95a9a");
+    ("DR t/2 II=2 map-trivial", "d2083bfa1dd813f8d80dd0e604580e64");
+    ("DR t/2 II=2 sdc", "1058a2ef9ddf15ef1763b6772b1ffeef");
+    ("DR t/4 II=1 hls", "cbb099c27296d19d152692efaf45e2c0");
+    ("DR t/4 II=1 map", "41a50cf9f07a02c6a24971a93134413a");
+    ("DR t/4 II=1 map-trivial", "025fc15a1a5e2f0a3eb9064d5da56b30");
+    ("DR t/4 II=1 sdc", "9a93ef23acb85f63df8da2302209efc5");
+    ("DR t/4 II=2 hls", "cbb099c27296d19d152692efaf45e2c0");
+    ("DR t/4 II=2 map", "41a50cf9f07a02c6a24971a93134413a");
+    ("DR t/4 II=2 map-trivial", "025fc15a1a5e2f0a3eb9064d5da56b30");
+    ("DR t/4 II=2 sdc", "9a93ef23acb85f63df8da2302209efc5");
+    ("GSM t/1 II=1 hls", "74cb531dac218edc193a1315bcf4c42f");
+    ("GSM t/1 II=1 map", "db1e6030111920dcbe078c01b9d53cfe");
+    ("GSM t/1 II=1 map-trivial", "df275ae3fe80d0b4189293fa2263c9f9");
+    ("GSM t/1 II=1 sdc", "4df836a51e0ab37e29c556e2c1afc188");
+    ("GSM t/1 II=2 hls", "74cb531dac218edc193a1315bcf4c42f");
+    ("GSM t/1 II=2 map", "db1e6030111920dcbe078c01b9d53cfe");
+    ("GSM t/1 II=2 map-trivial", "df275ae3fe80d0b4189293fa2263c9f9");
+    ("GSM t/1 II=2 sdc", "4df836a51e0ab37e29c556e2c1afc188");
+    ("GSM t/2 II=1 hls", "60d763e3c0953dd4fc728f54544497df");
+    ("GSM t/2 II=1 map", "6328c3f041d790fc78fde5c7a11fee4f");
+    ("GSM t/2 II=1 map-trivial", "7dd2295c4a2539c7568871861bcaae82");
+    ("GSM t/2 II=1 sdc", "a2ff6ff8d9fa51ce50de130ec5d784e7");
+    ("GSM t/2 II=2 hls", "60d763e3c0953dd4fc728f54544497df");
+    ("GSM t/2 II=2 map", "6328c3f041d790fc78fde5c7a11fee4f");
+    ("GSM t/2 II=2 map-trivial", "7dd2295c4a2539c7568871861bcaae82");
+    ("GSM t/2 II=2 sdc", "a2ff6ff8d9fa51ce50de130ec5d784e7");
+    ("GSM t/4 II=1 hls", "90bee47dcb4c0a03cf247ddb041c07b2");
+    ("GSM t/4 II=1 map", "898d186d7e29922362aaa475f00ae777");
+    ("GSM t/4 II=1 map-trivial", "06ea8147e283a9a24cc7d38074ee7890");
+    ("GSM t/4 II=1 sdc", "40e310922d9eff2b1c5bdd6cd5c2d91a");
+    ("GSM t/4 II=2 hls", "90bee47dcb4c0a03cf247ddb041c07b2");
+    ("GSM t/4 II=2 map", "898d186d7e29922362aaa475f00ae777");
+    ("GSM t/4 II=2 map-trivial", "06ea8147e283a9a24cc7d38074ee7890");
+    ("GSM t/4 II=2 sdc", "40e310922d9eff2b1c5bdd6cd5c2d91a");
+  ]
+
+let test_golden_placements () =
+  let actual = golden_actual () in
+  Alcotest.(check (list string)) "cases" (List.map fst golden_expected)
+    (List.map fst actual);
+  let diffs =
+    List.filter_map
+      (fun ((k, want), (_, got)) ->
+        if want = got then None
+        else Some (Printf.sprintf "%s: want %s, got %s" k want got))
+      (List.combine golden_expected actual)
+  in
+  if diffs <> [] then Alcotest.fail (String.concat "\n" diffs)
+
 (* --- cover validation ------------------------------------------------- *)
 
 let test_cover_validate_catches_uncovered_output () =
@@ -533,6 +830,8 @@ let () =
           Alcotest.test_case "recurrence infeasible" `Quick
             test_sdc_recurrence_infeasible;
         ] );
+      ( "golden",
+        [ Alcotest.test_case "placements" `Quick test_golden_placements ] );
       ( "cover",
         [
           Alcotest.test_case "uncovered output" `Quick
