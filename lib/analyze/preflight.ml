@@ -7,61 +7,6 @@ type config = {
   ii : int;
 }
 
-(* Longest-path relaxation with parent pointers (the same recurrence test
-   as Sched.Heuristic.recurrence_feasible); when it fails to converge, the
-   parent chain from a node updated in the last round contains the binding
-   cycle. *)
-let recurrence_witness ~device ~delays ~ii g =
-  let n = Ir.Cdfg.num_nodes g in
-  let period = Fpga.Device.usable_period device in
-  let dist = Array.make n 0.0 in
-  let parent = Array.make n (-1) in
-  let delay v = Sched.Heuristic.op_delay ~delays g v in
-  let last = ref (-1) in
-  for _round = 0 to n do
-    last := -1;
-    Ir.Cdfg.iter
-      (fun nd ->
-        Array.iter
-          (fun (e : Ir.Cdfg.edge) ->
-            let w = (delay e.src /. period) -. float_of_int (ii * e.dist) in
-            if dist.(e.src) +. w > dist.(nd.id) +. 1e-9 then begin
-              dist.(nd.id) <- dist.(e.src) +. w;
-              parent.(nd.id) <- e.src;
-              last := nd.id
-            end)
-          nd.preds)
-      g
-  done;
-  if !last < 0 then None
-  else begin
-    (* Walk n parent steps to land inside a cycle of the parent graph. *)
-    let v = ref !last in
-    for _ = 1 to n do
-      if parent.(!v) >= 0 then v := parent.(!v)
-    done;
-    (* Find the cycle entry, then collect it. *)
-    let seen = Array.make n false in
-    let entry = ref (-1) in
-    let u = ref !v in
-    while !entry < 0 && parent.(!u) >= 0 do
-      if seen.(!u) then entry := !u
-      else begin
-        seen.(!u) <- true;
-        u := parent.(!u)
-      end
-    done;
-    if !entry < 0 then None
-    else begin
-      let start = !entry in
-      let rec collect acc u =
-        let p = parent.(u) in
-        if p = start then u :: acc else collect (u :: acc) p
-      in
-      Some (collect [] start)
-    end
-  end
-
 let check ?(strict_period = false) cfg g =
   let diags = ref [] in
   let add d = diags := d :: !diags in
@@ -108,7 +53,8 @@ let check ?(strict_period = false) cfg g =
         Sched.Heuristic.rec_mii ~device:cfg.device ~delays:cfg.delays g
       in
       let cycle =
-        recurrence_witness ~device:cfg.device ~delays:cfg.delays ~ii:cfg.ii g
+        Sched.Heuristic.recurrence_witness ~device:cfg.device
+          ~delays:cfg.delays ~ii:cfg.ii g
       in
       let witness =
         match cycle with

@@ -17,6 +17,13 @@ let c_resolve_warm = Obs.Counter.get "simplex.resolve_warm"
 let c_resolve_cold = Obs.Counter.get "simplex.resolve_cold"
 let c_resolve_cold_pivots = Obs.Counter.get "simplex.resolve_cold_pivots"
 
+(* [simplex.resolve_cold.<reason>]: the cold rebuilds of each reason,
+   which sum to [simplex.resolve_cold]. *)
+let c_cold_reasons =
+  List.map
+    (fun r -> (r, Obs.Counter.get ("simplex.resolve_cold." ^ r)))
+    [ "dual_infeasible"; "periodic"; "stale_basis"; "repair_limit"; "no_state" ]
+
 type vstat = Basic of int (* row *) | At_lower | At_upper
 
 (* Internal working problem. All columns are shifted so the *original*
@@ -151,20 +158,28 @@ let recompute_z t =
 
 (* Recompute basic values beta = B⁻¹b - Σ_{nonbasic} (B⁻¹A_j)·x_j from the
    maintained [b] column — removes incremental drift across warm restarts.
-   Row by row over the nonbasic columns with x_j <> 0, in increasing j. *)
+   Row by row over the nonbasic columns with x_j <> 0, in increasing j:
+   the [n] slots hold exactly the nonbasic columns, so the few with a
+   nonzero value are read off them and sorted by column. *)
 let recompute_beta t =
   let sc = scratch t in
   let k = ref 0 in
-  for j = 0 to t.cols - 1 do
-    match t.stat.(j) with
-    | Basic _ -> ()
-    | At_lower | At_upper ->
-        let x = value t j in
-        if x <> 0.0 then begin
-          sc.nz.(!k) <- t.slot.(j);
-          sc.nzv.(!k) <- x;
-          incr k
-        end
+  for s = 0 to t.n - 1 do
+    let j = t.var_of.(s) in
+    if value t j <> 0.0 then begin
+      sc.nz.(!k) <- j;
+      incr k
+    end
+  done;
+  if !k > 1 then begin
+    let hits = Array.sub sc.nz 0 !k in
+    Array.sort Int.compare hits;
+    Array.blit hits 0 sc.nz 0 !k
+  end;
+  for p = 0 to !k - 1 do
+    let j = sc.nz.(p) in
+    sc.nz.(p) <- t.slot.(j);
+    sc.nzv.(p) <- value t j
   done;
   for i = 0 to t.m - 1 do
     let row = t.a.(i) in
@@ -714,58 +729,53 @@ let infeasible_result n =
    slack basis, one condensed row at a time: every structural column is
    nonbasic at its lower bound (slot j) and every row's slack is basic,
    at whatever value the shifted rhs gives it. [reuse] is a tableau about
-   to be dropped: its row arrays are refilled wherever they are long
-   enough, so a cold rebuild inside a tree search allocates no new rows. *)
+   to be dropped: when its per-row arrays hold [m] rows (capacity from
+   {!reserve_rows} counts) every array of it is refilled, and each row
+   array wherever it is long enough, so a cold rebuild inside a tree
+   search allocates nothing in proportion to the model. [z] and [beta]
+   are left to {!from_slack_basis}, which recomputes both whole. *)
 let build ?reuse (raw : Model.raw) lbv ubv =
   let n = raw.n in
   let m = Array.length raw.rows in
   let cols = n + m in
-  let slot = Array.make cols (-1) in
-  let var_of = Array.init n Fun.id in
-  Array.blit var_of 0 slot 0 n;
-  let lo = Array.make cols 0.0 in
-  let hi = Array.make cols infinity in
+  let t =
+    match reuse with
+    | Some o when o.n = n && Array.length o.b >= m -> { o with m; cols }
+    | _ ->
+        let f len x = Array.make len x in
+        { m; n; cols; a = f m [||]; slot = f cols 0; var_of = f n 0; b = f m 0.0
+        ; beta = f m 0.0; lo = f cols 0.0; hi = f cols 0.0; cost = f cols 0.0
+        ; z = f cols 0.0; stat = f cols At_lower; basis = f m 0; w = f m 1.0
+        ; sign = f m 1.0 }
+  in
+  Array.fill t.lo 0 cols 0.0;
+  Array.fill t.cost 0 cols 0.0;
   for j = 0 to n - 1 do
-    hi.(j) <- ubv.(j) -. lbv.(j)
+    t.slot.(j) <- j;
+    t.var_of.(j) <- j;
+    t.stat.(j) <- At_lower;
+    t.hi.(j) <- ubv.(j) -. lbv.(j)
   done;
   (* Normalize rows: >= becomes <= (negated); compute shifted rhs. *)
-  let sign = Array.make m 1.0 in
-  let b = Array.make m 0.0 in
-  let old_rows = match reuse with Some o -> o.a | None -> [||] in
-  let a =
-    Array.init m (fun i ->
-        (match (raw.senses.(i) : Model.sense) with
-        | Model.Ge -> sign.(i) <- -1.0
-        | Model.Eq -> hi.(n + i) <- 0.0
-        | Model.Le -> ());
-        let acc = ref (sign.(i) *. raw.rhs.(i)) in
-        Array.iter
-          (fun (j, c) -> acc := !acc -. (sign.(i) *. c *. lbv.(j)))
-          raw.rows.(i);
-        b.(i) <- !acc;
-        let row =
-          if i < Array.length old_rows && Array.length old_rows.(i) >= n then begin
-            let row = old_rows.(i) in
-            Array.fill row 0 n 0.0;
-            row
-          end
-          else Array.make n 0.0
-        in
-        Array.iter (fun (j, c) -> row.(j) <- row.(j) +. (sign.(i) *. c)) raw.rows.(i);
-        row)
-  in
-  let basis = Array.init m (fun i -> n + i) in
-  let stat = Array.make cols At_lower in
-  Array.iteri (fun i j -> stat.(j) <- Basic i) basis;
-  {
-    m; n; cols; a; slot; var_of; b;
-    beta = Array.copy b;
-    lo; hi;
-    cost = Array.make cols 0.0;
-    z = Array.make cols 0.0;
-    stat; basis; sign;
-    w = Array.make m 1.0;
-  }
+  for i = 0 to m - 1 do
+    let sense : Model.sense = raw.senses.(i) in
+    let sign = match sense with Model.Ge -> -1.0 | Model.Le | Model.Eq -> 1.0 in
+    let c = n + i in
+    t.slot.(c) <- -1;
+    t.stat.(c) <- Basic i;
+    t.hi.(c) <- (match sense with Model.Eq -> 0.0 | Model.Le | Model.Ge -> infinity);
+    t.basis.(i) <- c;
+    t.sign.(i) <- sign;
+    t.w.(i) <- 1.0;
+    let acc = ref (sign *. raw.rhs.(i)) in
+    Array.iter (fun (j, c) -> acc := !acc -. (sign *. c *. lbv.(j))) raw.rows.(i);
+    t.b.(i) <- !acc;
+    if Array.length t.a.(i) >= n then Array.fill t.a.(i) 0 n 0.0
+    else t.a.(i) <- Array.make n 0.0;
+    let row = t.a.(i) in
+    Array.iter (fun (j, c) -> row.(j) <- row.(j) +. (sign *. c)) raw.rows.(i)
+  done;
+  t
 
 (* ------------------------------------------------------------------ *)
 (* Certificate extraction                                              *)
@@ -943,18 +953,25 @@ let resolve ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
     infeasible_result raw.n
   end
   else begin
-    (* [reason] only feeds the [simplex.refactor] event: why this
-       resolve fell back to a full refactorization instead of the warm
-       dual-repair path. *)
+    (* [reason] says why this resolve fell back to a full
+       refactorization instead of the warm dual-repair path: it names the
+       [simplex.refactor] event and the reason's counter. The rebuild
+       refills the state's tableau and shift origin in place, so the
+       state is stale until it ends; [ub] is only read while building. *)
     let cold ?bland ~reason () =
       if Obs.recording ~level:Obs.Log.Debug () then
         Obs.emit ~level:Obs.Log.Debug ~cat:"simplex" "simplex.refactor"
           [ ("reason", Obs.Json.String reason) ];
       st.last_warm <- false;
+      st.warm_ok <- false;
       Obs.Counter.incr c_resolve_cold;
-      let lbv = Array.copy lb and ubv = Array.copy ub in
+      Obs.Counter.incr (List.assoc reason c_cold_reasons);
+      let lbv =
+        if Array.length st.base_lb <> Array.length lb then Array.copy lb
+        else (Array.blit lb 0 st.base_lb 0 (Array.length lb); st.base_lb)
+      in
       let t, status, iters, ray =
-        cold_start ?reuse:st.t ?bland raw lbv ubv ~max_iters ~deadline
+        cold_start ?reuse:st.t ?bland raw lbv ub ~max_iters ~deadline
       in
       st.t <- Some t;
       st.base_lb <- lbv;
@@ -967,29 +984,34 @@ let resolve ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
       finish t raw lbv status iters
     in
     let warm t =
-      (* Install the node bounds in shifted space. Slack and cost data are untouched; reduced costs are bound-independent, so
-         the parent's optimal basis stays dual feasible and a short dual
-         repair restores primal feasibility. *)
-      for j = 0 to raw.n - 1 do
-        t.lo.(j) <- lb.(j) -. st.base_lb.(j);
-        t.hi.(j) <- ub.(j) -. st.base_lb.(j);
-        match t.stat.(j) with
-        | At_upper when not (Float.is_finite t.hi.(j)) ->
-            (* cannot sit at an infinite bound; dual check below decides *)
-            t.stat.(j) <- At_lower
-        | _ -> ()
-      done;
-      (* z is NOT recomputed here: reduced costs are bound-independent and
-         are maintained exactly through every row reduction, so the parent's
-         cost row is already correct. Drift is bounded by the periodic cold
+      (* Install the node bounds in shifted space, checking each
+         structural column's dual feasibility in the same pass, then
+         check the slacks, whose bounds do not change. Reduced costs are
+         bound-independent, so the parent's optimal basis stays dual
+         feasible and a short dual repair restores primal feasibility.
+         z is NOT recomputed here: it is maintained exactly through every
+         row reduction, and drift is bounded by the periodic cold
          refactorization ([refactor_every]). *)
       let dual_ok = ref true in
-      for j = 0 to t.cols - 1 do
+      let check j =
         if t.hi.(j) -. t.lo.(j) > 0.0 then
           match t.stat.(j) with
           | Basic _ -> ()
           | At_lower -> if t.z.(j) < -1e-6 then dual_ok := false
           | At_upper -> if t.z.(j) > 1e-6 then dual_ok := false
+      in
+      for j = 0 to raw.n - 1 do
+        t.lo.(j) <- lb.(j) -. st.base_lb.(j);
+        t.hi.(j) <- ub.(j) -. st.base_lb.(j);
+        (match t.stat.(j) with
+        | At_upper when not (Float.is_finite t.hi.(j)) ->
+            (* cannot sit at an infinite bound; the check decides *)
+            t.stat.(j) <- At_lower
+        | _ -> ());
+        check j
+      done;
+      for j = raw.n to t.cols - 1 do
+        check j
       done;
       if not !dual_ok then cold ~reason:"dual_infeasible" ()
       else begin

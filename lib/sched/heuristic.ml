@@ -45,16 +45,19 @@ let res_mii ~resources g =
    d_u / T (fractional cycles of chained delay) minus II·dist for
    registered edges, a positive cycle means the recurrence cannot close.
    This is the continuous relaxation of the scheduling constraints — a
-   valid lower bound; the scheduler's fixed point does the exact check. *)
-let recurrence_feasible ~device ~delays ~ii g =
-  let n = Ir.Cdfg.num_nodes g in
+   valid lower bound; the scheduler's fixed point does the exact check.
+
+   [relax] runs the longest-path relaxation in node order for at most
+   [rounds] rounds, stopping once a round moves nothing, and returns the
+   last node a final round moved, or -1 when it converged. [parent], when
+   given, records each node's last improving predecessor. *)
+let relax ?parent ~device ~delays ~ii ~rounds g =
   let period = Fpga.Device.usable_period device in
-  let dist_arr = Array.make n 0.0 in
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed && !rounds <= n + 1 do
-    changed := false;
-    incr rounds;
+  let dist_arr = Array.make (Ir.Cdfg.num_nodes g) 0.0 in
+  let last = ref 0 and round = ref 0 in
+  while !last >= 0 && !round < rounds do
+    last := -1;
+    incr round;
     Ir.Cdfg.iter
       (fun nd ->
         Array.iter
@@ -65,12 +68,51 @@ let recurrence_feasible ~device ~delays ~ii g =
             in
             if dist_arr.(e.src) +. w > dist_arr.(nd.id) +. 1e-9 then begin
               dist_arr.(nd.id) <- dist_arr.(e.src) +. w;
-              changed := true
+              (match parent with Some p -> p.(nd.id) <- e.src | None -> ());
+              last := nd.id
             end)
           nd.preds)
       g
   done;
-  not !changed
+  !last
+
+let recurrence_feasible ~device ~delays ~ii g =
+  relax ~device ~delays ~ii ~rounds:(Ir.Cdfg.num_nodes g + 2) g < 0
+
+(* When [n + 1] rounds do not converge, the parent chain from a node the
+   last round moved contains the binding cycle. *)
+let recurrence_witness ~device ~delays ~ii g =
+  let n = Ir.Cdfg.num_nodes g in
+  let parent = Array.make n (-1) in
+  let last = relax ~parent ~device ~delays ~ii ~rounds:(n + 1) g in
+  if last < 0 then None
+  else begin
+    (* Walk n parent steps to land inside a cycle of the parent graph. *)
+    let v = ref last in
+    for _ = 1 to n do
+      if parent.(!v) >= 0 then v := parent.(!v)
+    done;
+    (* Find the cycle entry, then collect it. *)
+    let seen = Array.make n false in
+    let entry = ref (-1) in
+    let u = ref !v in
+    while !entry < 0 && parent.(!u) >= 0 do
+      if seen.(!u) then entry := !u
+      else begin
+        seen.(!u) <- true;
+        u := parent.(!u)
+      end
+    done;
+    if !entry < 0 then None
+    else begin
+      let start = !entry in
+      let rec collect acc u =
+        let p = parent.(u) in
+        if p = start then u :: acc else collect (u :: acc) p
+      in
+      Some (collect [] start)
+    end
+  end
 
 let rec_mii ~device ~delays g =
   let rec go ii =
@@ -166,7 +208,7 @@ let modulo ~device ~resources ~ii g { order; deps; delay; lat } =
   iterate 100;
   (cycle, start)
 
-let check ~ii g view cycle start =
+let check ~resources ~ii g view cycle start =
   let too_tight = ref None in
   Array.iteri
     (fun v deps ->
@@ -188,7 +230,18 @@ let check ~ii g view cycle start =
   match !too_tight with
   | Some m -> Error (Recurrence_too_tight m)
   | None when Array.exists (fun c -> c >= max_cycle) cycle ->
-      Error (Resource_infeasible "schedule did not converge")
+      (* only a limited resource class can hold a node back, so with
+         none the recurrence pushed the schedule off the horizon *)
+      if
+        List.exists
+          (fun (r, _) -> Option.is_some (Fpga.Resource.limit resources r))
+          (black_box_uses g)
+      then Error (Resource_infeasible "schedule did not converge")
+      else
+        Error
+          (Recurrence_too_tight
+             (Printf.sprintf "schedule ran past the %d-cycle horizon at II=%d"
+                max_cycle ii))
   | None -> Ok (Schedule.make ~ii ~cycle ~start)
 
 let schedule ~device ~delays ~resources ~ii g =
@@ -202,4 +255,4 @@ let schedule ~device ~delays ~resources ~ii g =
     }
   in
   let cycle, start = modulo ~device ~resources ~ii g view in
-  check ~ii g view cycle start
+  check ~resources ~ii g view cycle start

@@ -41,9 +41,17 @@ val rec_mii : device:Fpga.Device.t -> delays:Fpga.Delays.t -> Ir.Cdfg.t -> int
 val recurrence_feasible :
   device:Fpga.Device.t -> delays:Fpga.Delays.t -> ii:int -> Ir.Cdfg.t -> bool
 (** Whether the continuous relaxation of the dependence constraints admits
-    the given [ii] — the test underlying {!rec_mii}; exposed so the
-    pre-flight analyzer ({!Analyze.Preflight}) can extract a witness
-    cycle. *)
+    the given [ii] — the test underlying {!rec_mii}, and the pre-flight
+    analyzer's ({!Analyze.Preflight}) RecMII check. *)
+
+val recurrence_witness :
+  device:Fpga.Device.t -> delays:Fpga.Delays.t -> ii:int -> Ir.Cdfg.t ->
+  int list option
+(** The same relaxation run with parent pointers for [n + 1] rounds
+    ([n] nodes): when it does not converge, the binding dependence cycle
+    found by walking the parent chain back from a node the last round
+    moved, in edge order from its entry node; [None] when the relaxation
+    converges or the walk finds no cycle. *)
 
 val min_ii :
   delays:Fpga.Delays.t -> device:Fpga.Device.t ->
@@ -73,11 +81,13 @@ val modulo :
     100 rounds. Cycle and start per node id; unplaced nodes keep 0. *)
 
 val check :
-  ii:int -> Ir.Cdfg.t -> view -> int array -> float array ->
-  (Schedule.t, error) result
+  resources:Fpga.Resource.budget -> ii:int -> Ir.Cdfg.t -> view ->
+  int array -> float array -> (Schedule.t, error) result
 (** [Recurrence_too_tight] for the first loop-carried dependence (node-id
-    order) read before it crosses a register, else [Resource_infeasible]
-    when a cycle ran past the horizon, else the schedule. *)
+    order) read before it crosses a register; else, when a cycle ran past
+    the horizon, [Resource_infeasible] if a black box of the graph has a
+    limited resource class and [Recurrence_too_tight] (naming the
+    horizon) if none has; else the schedule. *)
 
 val schedule :
   device:Fpga.Device.t ->

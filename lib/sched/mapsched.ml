@@ -24,4 +24,4 @@ let schedule ~device ~delays ~resources ~ii g cover =
   Cover.iter_interior g cover (fun v o ->
       cycle.(v) <- cycle.(o);
       start.(v) <- start.(o));
-  Heuristic.check ~ii g view cycle start
+  Heuristic.check ~resources ~ii g view cycle start

@@ -283,6 +283,30 @@ let test_suite_path () =
   if digest <> "adc81136f55c20bcd92283cf1575d8ed" then
     Alcotest.failf "suite path digest %s moved:\n%s" digest (String.concat "\n" lines)
 
+(* GSM MILP-map at one domain, the job `pipesyn run -b GSM -m map
+   --domains 1` runs: every cold rebuild of a node LP is counted under
+   exactly one reason, and a wrong-sign reduced cost is the commonest. *)
+let test_cold_reasons () =
+  let value name = Obs.Counter.value (Obs.Counter.get name) in
+  let reasons =
+    [ "dual_infeasible"; "periodic"; "stale_basis"; "repair_limit"; "no_state" ]
+  in
+  let read () =
+    value "simplex.resolve_cold"
+    :: List.map (fun r -> value ("simplex.resolve_cold." ^ r)) reasons
+  in
+  let before = read () in
+  let e = Benchmarks.Registry.find "GSM" in
+  ignore (get (Mams.Flow.run (suite_setup e) Mams.Flow.Milp_map (e.build ())));
+  match List.map2 ( - ) (read ()) before with
+  | cold :: (dual :: _ as by_reason) ->
+      Alcotest.(check bool) "some rebuilds" true (cold > 0);
+      Alcotest.(check int) "the reasons sum to the rebuilds" cold
+        (List.fold_left ( + ) 0 by_reason);
+      Alcotest.(check bool) "dual_infeasible the largest" true
+        (List.for_all (fun c -> c <= dual) by_reason)
+  | _ -> assert false
+
 let () =
   Alcotest.run "flow"
     [
@@ -302,7 +326,10 @@ let () =
           Alcotest.test_case "row counts GC words" `Quick test_row_gc_words;
         ] );
       ( "exactness",
-        [ Alcotest.test_case "suite path" `Quick test_suite_path ] );
+        [
+          Alcotest.test_case "suite path" `Quick test_suite_path;
+          Alcotest.test_case "cold rebuild reasons" `Quick test_cold_reasons;
+        ] );
       ( "request codec",
         [
           Alcotest.test_case "round trip" `Quick test_request_round_trip;

@@ -2629,6 +2629,185 @@ let test_model_large () =
   expect "violated row" [ (4001, lb 4001 +. 1.0); (4002, lb 4002 +. 1.0) ] "row4001: ";
   expect "violated named row" [ (4000, lb 4000 +. 1.0); (4001, lb 4001 +. 1.0) ] "pair4000: "
 
+(* --- cold rebuilds refill the tableau they replace --------------------- *)
+
+(* Six columns, rows of all three senses with non-dyadic coefficients,
+   and nonzero lower bounds. The slack basis violates several rows, so
+   the dual phase follows the steepest-edge weights, and x0 (cost -1.3,
+   no upper bound) runs the dual phase at cost 0. *)
+let rebuild_raw () =
+  let m = Lp.Model.create () in
+  let bounds =
+    [| (0.0, infinity); (0.0, 4.0); (1.0, 5.0); (0.0, 3.0); (0.0, infinity);
+       (-1.0, 2.0) |]
+  in
+  let x =
+    Array.mapi
+      (fun i (lb, ub) -> Lp.Model.add_var m ~lb ~ub (Printf.sprintf "x%d" i))
+      bounds
+  in
+  let t = List.map (fun (c, i) -> (c, x.(i))) in
+  Lp.Model.add_ge m (t [ (0.3, 0); (1.1, 1); (-0.7, 2); (1.0, 3) ]) 1.7;
+  Lp.Model.add_le m (t [ (1.0, 0); (1.0, 2); (0.6, 4) ]) 6.1;
+  Lp.Model.add_ge m (t [ (1.9, 1); (0.2, 3); (1.0, 4); (-0.5, 5) ]) 2.3;
+  Lp.Model.add_eq m (t [ (1.0, 0); (-1.0, 1); (0.8, 5) ]) 0.9;
+  Lp.Model.add_le m (t [ (0.45, 0); (1.0, 2); (1.0, 3); (1.3, 4) ]) 7.7;
+  Lp.Model.add_ge m (t [ (1.0, 1); (1.0, 3); (1.0, 4) ]) 1.25;
+  Lp.Model.set_objective m
+    (t [ (-1.3, 0); (0.7, 1); (-0.9, 2); (1.1, 3); (0.4, 4); (-0.2, 5) ]);
+  Lp.Model.to_raw m
+
+let rebuild_cuts =
+  [| ([| (0, 1.0); (2, 1.0) |], 3.1); ([| (1, 1.0); (4, 0.5) |], 1.9);
+     ([| (0, 0.7); (3, 1.0); (5, -1.0) |], 2.2) |]
+
+(* [raw] with [cuts] appended as [<=] rows, the system [add_rows] leaves
+   in the state *)
+let with_rows (raw : Lp.Model.raw) cuts =
+  { raw with
+    Lp.Model.rows = Array.append raw.Lp.Model.rows (Array.map fst cuts);
+    senses = Array.append raw.senses (Array.make (Array.length cuts) Lp.Model.Le);
+    rhs = Array.append raw.rhs (Array.map snd cuts) }
+
+let same_solve what (want : Lp.Simplex.result) (got : Lp.Simplex.result) =
+  let h = Printf.sprintf "%h" in
+  Alcotest.(check string) (what ^ ": status") (status_name want.status)
+    (status_name got.status);
+  Alcotest.(check int) (what ^ ": iterations") want.iterations got.iterations;
+  Alcotest.(check string) (what ^ ": objective") (h want.objective)
+    (h got.objective);
+  Alcotest.(check (array string)) (what ^ ": x") (Array.map h want.x)
+    (Array.map h got.x)
+
+(* Drive a state into a cold rebuild for [reason], with or without cut
+   rows grown into the tableau by capacity first ([grown]), and require
+   the rebuilding resolve to be a fresh [Simplex.solve] of the same
+   system, bit for bit. Every rebuild reuses the tableau it replaces. *)
+let rebuild_case reason ~grown () =
+  let raw = rebuild_raw () in
+  let lb = Array.copy raw.lb and ub = Array.copy raw.ub in
+  (* x0 fixed at 1 sits at its upper bound (its cost is negative) *)
+  if reason = "dual_infeasible" then (lb.(0) <- 1.0; ub.(0) <- 1.0);
+  let _, st = Lp.Simplex.solve_state ~lb ~ub raw in
+  let raw =
+    if grown then begin
+      Lp.Simplex.add_rows st rebuild_cuts;
+      with_rows raw rebuild_cuts
+    end
+    else raw
+  in
+  (match reason with
+  | "stale_basis" ->
+      (* a repair stopped by an expired deadline leaves no basis *)
+      lb.(1) <- 2.5;
+      ub.(3) <- 0.25;
+      let deadline = Resilience.Deadline.of_budget 0.0 in
+      let r = Lp.Simplex.resolve ~deadline ~lb ~ub st in
+      Alcotest.(check string) "stopped by the deadline" "time-limit"
+        (status_name r.status)
+  | "periodic" ->
+      for _ = 1 to 255 do
+        ignore (Lp.Simplex.resolve ~lb ~ub st)
+      done;
+      lb.(1) <- 2.5
+  | "dual_infeasible" ->
+      (* a warm resolve first, then x0 unfixed: with no upper bound it
+         falls to its lower one, where its reduced cost has the wrong
+         sign *)
+      lb.(1) <- 0.5;
+      ignore (Lp.Simplex.resolve ~lb ~ub st);
+      Alcotest.(check bool) "warm before" true (Lp.Simplex.last_resolve_warm st);
+      lb.(0) <- raw.lb.(0);
+      ub.(0) <- raw.ub.(0)
+  | _ -> assert false);
+  let value name = Obs.Counter.value (Obs.Counter.get name) in
+  let cold = value "simplex.resolve_cold"
+  and why = value ("simplex.resolve_cold." ^ reason) in
+  let got = Lp.Simplex.resolve ~lb ~ub st in
+  Alcotest.(check bool) "cold" false (Lp.Simplex.last_resolve_warm st);
+  Alcotest.(check (pair int int)) ("one rebuild for " ^ reason) (cold + 1, why + 1)
+    (value "simplex.resolve_cold", value ("simplex.resolve_cold." ^ reason));
+  same_solve reason (Lp.Simplex.solve ~lb ~ub raw) got
+
+(* --- recompute_beta against the column scan it replaced ---------------- *)
+
+(* [recompute_beta] before it read the nonzero nonbasic columns off the
+   slots, verbatim: every column scanned in increasing index. *)
+let old_recompute_beta (t : Simplex_src.tab) =
+  let open Simplex_src in
+  let sc = scratch t in
+  let k = ref 0 in
+  for j = 0 to t.cols - 1 do
+    match t.stat.(j) with
+    | Basic _ -> ()
+    | At_lower | At_upper ->
+        let x = value t j in
+        if x <> 0.0 then begin
+          sc.nz.(!k) <- t.slot.(j);
+          sc.nzv.(!k) <- x;
+          incr k
+        end
+  done;
+  for i = 0 to t.m - 1 do
+    let row = t.a.(i) in
+    let acc = ref t.b.(i) in
+    for p = 0 to !k - 1 do
+      let aij = row.(sc.nz.(p)) in
+      if aij <> 0.0 then acc := !acc -. (aij *. sc.nzv.(p))
+    done;
+    t.beta.(i) <- !acc
+  done
+
+(* Property: on the tableau after a solve and after every resolve of a
+   random tightening chain (non-dyadic coefficients, both row senses,
+   bounds that park columns at nonzero values in permuted slots), the
+   new [recompute_beta] writes the same bits as the old one. *)
+let recompute_beta_matches_scan =
+  let gen =
+    QCheck.Gen.(
+      let coef = map (fun i -> float_of_int (i - 50) /. 7.0) (int_bound 100) in
+      let third = map (fun i -> float_of_int i /. 3.0) in
+      let* n = int_range 2 7 in
+      let* m = int_range 1 6 in
+      let* obj = list_repeat n coef in
+      let* rows = list_repeat m (list_repeat n coef) in
+      let* rhs = list_repeat m (third (int_bound 30)) in
+      let* steps =
+        list_size (int_range 1 6) (triple (int_bound (n - 1)) bool (third (int_bound 12)))
+      in
+      return (n, obj, rows, rhs, steps))
+  in
+  QCheck.Test.make ~name:"recompute_beta = the column scan" ~count:300
+    (QCheck.make gen) (fun (n, obj, rows, rhs, steps) ->
+      let m = Lp.Model.create () in
+      let xs = List.init n (fun i -> Lp.Model.add_var m ~ub:4.0 (Printf.sprintf "x%d" i)) in
+      List.iteri
+        (fun i (row, b) ->
+          let terms = List.map2 (fun c x -> (c, x)) row xs in
+          if i mod 2 = 0 then Lp.Model.add_le m terms b
+          else Lp.Model.add_ge m terms (-.b))
+        (List.combine rows rhs);
+      Lp.Model.set_objective m (List.map2 (fun c x -> (c, x)) obj xs);
+      let raw = Lp.Model.to_raw m in
+      let _, st = Simplex_src.solve_state raw in
+      let agree () =
+        match st.Simplex_src.t with
+        | None -> true
+        | Some t ->
+            old_recompute_beta t;
+            let want = Array.sub t.beta 0 t.m in
+            Simplex_src.recompute_beta t;
+            Array.for_all2 same_float want (Array.sub t.beta 0 t.m)
+      in
+      let lb = Array.copy raw.lb and ub = Array.copy raw.ub in
+      agree ()
+      && List.for_all
+           (fun step ->
+             tighten lb ub step;
+             ignore (Simplex_src.resolve ~lb ~ub st);
+             agree ())
+           steps)
+
 let () =
   Alcotest.run "lp"
     [
@@ -2718,6 +2897,17 @@ let () =
       qsuite "lp-random" [ lp_never_beaten_by_grid ];
       qsuite "milp-random" [ milp_matches_brute_force ];
       qsuite "resolve-random" [ resolve_equals_cold_solve ];
+      ( "rebuild",
+        List.concat_map
+          (fun reason ->
+            List.map
+              (fun grown ->
+                Alcotest.test_case
+                  (Printf.sprintf "%s%s" reason (if grown then " after add_rows" else ""))
+                  `Quick (rebuild_case reason ~grown))
+              [ false; true ])
+          [ "stale_basis"; "periodic"; "dual_infeasible" ]
+        @ snd (qsuite "" [ recompute_beta_matches_scan ]) );
       ( "model",
         Alcotest.test_case "several thousand variables" `Quick test_model_large
         :: snd (qsuite "" [ model_rows_normalize ]) );

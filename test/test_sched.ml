@@ -622,7 +622,7 @@ let golden_expected =
     ("MT t/2 II=3 map", "a7daddf3d409ab7b8cb8ab85e99ead1d");
     ("MT t/2 II=3 map-trivial", "5011d960dd2349717d9c60216ef8e672");
     ("MT t/2 II=3 sdc", "2f5aaefee88ff111eacb6ec3806ae61c");
-    ("MT t/4 II=1 hls", "resource infeasible: schedule did not converge");
+    ("MT t/4 II=1 hls", "recurrence too tight: schedule ran past the 160-cycle horizon at II=1");
     ("MT t/4 II=1 map", "recurrence too tight: edge snew->n3 (dist 1) at II=1");
     ("MT t/4 II=1 map-trivial", "recurrence too tight: edge snew->n3 (dist 1) at II=1");
     ("MT t/4 II=1 sdc", "recurrence too tight: SDC LP unsolvable at II=1");
@@ -678,11 +678,11 @@ let golden_expected =
     ("RS t/2 II=3 map", "cf7bb3d7e5c6bf838f54a9334d96d05c");
     ("RS t/2 II=3 map-trivial", "7b0f41e68960c539bf36fabfd89f451d");
     ("RS t/2 II=3 sdc", "eb962e0c7b5072276122821412f7e7c9");
-    ("RS t/4 II=1 hls", "resource infeasible: schedule did not converge");
+    ("RS t/4 II=1 hls", "recurrence too tight: schedule ran past the 196-cycle horizon at II=1");
     ("RS t/4 II=1 map", "aef8ecfac5e788bf92bbc4e838a37ef8");
-    ("RS t/4 II=1 map-trivial", "resource infeasible: schedule did not converge");
+    ("RS t/4 II=1 map-trivial", "recurrence too tight: schedule ran past the 196-cycle horizon at II=1");
     ("RS t/4 II=1 sdc", "recurrence too tight: SDC LP unsolvable at II=1");
-    ("RS t/4 II=3 hls", "resource infeasible: schedule did not converge");
+    ("RS t/4 II=3 hls", "recurrence too tight: schedule ran past the 196-cycle horizon at II=3");
     ("RS t/4 II=3 map", "c5379547dfb9083e57ccf9c34b6d8839");
     ("RS t/4 II=3 map-trivial", "7f61642835988f59ae311dd159c84c4e");
     ("RS t/4 II=3 sdc", "recurrence too tight: SDC LP unsolvable at II=3");
