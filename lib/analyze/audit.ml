@@ -771,7 +771,7 @@ let check_presolve ctx =
   (lb, ub)
 
 (* ------------------------------------------------------------------ *)
-(* Cutting-plane derivations (CERT109 / CERT110)                       *)
+(* Cutting-plane derivations (CERT109)                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Verify every recorded cut, in derivation order, against the
@@ -783,7 +783,6 @@ let check_presolve ctx =
    derivations may cite earlier cut rows. *)
 let check_cuts ctx (bp_lb, bp_ub) =
   let qone = Lp.Qd.of_int 1 in
-  let m0 = ctx.m in
   List.iteri
     (fun k (c : Lp.Cert.cut) ->
       let raw = ctx.raw in
@@ -799,186 +798,103 @@ let check_cuts ctx (bp_lb, bp_ub) =
          errorf ctx ~code:"CERT109" ~loc
            "cut %d is malformed (non-finite or out-of-range terms)" k
        else
-         match c.Lp.Cert.cut_deriv with
-         | Lp.Cert.Cg lam ->
-             let ok = ref true in
-             let fail fmt =
-               Printf.ksprintf
-                 (fun s ->
-                   if !ok then
-                     errorf ctx ~code:"CERT109" ~loc "cut %d: %s" k s;
-                   ok := false)
-                 fmt
-             in
-             Array.iter
-               (fun (i, l) ->
-                 if i < 0 || i >= ctx.m then
-                   fail "multiplier cites row %d out of range" i
-                 else if not (Float.is_finite l) then
-                   fail "non-finite multiplier on row %d" i
-                 else
-                   match raw.Lp.Model.senses.(i) with
-                   | Lp.Model.Le ->
-                       if l < 0.0 then
-                         fail "negative multiplier on <= row %d" i
-                   | Lp.Model.Ge ->
-                       if l > 0.0 then
-                         fail "positive multiplier on >= row %d" i
-                   | Lp.Model.Eq -> ())
-               lam;
-             if !ok then begin
-               (* exact aggregation of the cited rows *)
-               let abar = Array.make n Lp.Qd.zero in
-               let t = ref Lp.Qd.zero in
-               Array.iter
-                 (fun (i, l) ->
-                   if l <> 0.0 then begin
-                     let lq = q ctx l in
-                     t :=
-                       Lp.Qd.add !t (Lp.Qd.mul lq (q ctx raw.Lp.Model.rhs.(i)));
-                     Array.iter
-                       (fun (jj, a) ->
-                         abar.(jj) <-
-                           Lp.Qd.add abar.(jj) (Lp.Qd.mul lq (q ctx a)))
-                       raw.Lp.Model.rows.(i)
-                   end)
-                 lam;
-               let cvec = Array.make n 0.0 in
-               Array.iter
-                 (fun (j, cf) -> cvec.(j) <- cf)
-                 c.Lp.Cert.cut_terms;
-               (* Each column may deviate from the exact aggregation;
-                  the deviation (c_j - abar_j)·x_j is bounded over the
-                  box B_p by charging it to the finite bound where it
-                  maxes out. The shifted rhs t' = t + the sum of those
-                  charges then upper-bounds sum_j c_j·x_j everywhere in
-                  the box, and the integer-rounding step floors t'. *)
-               let delta = ref Lp.Qd.zero in
-               let support_int = ref true and coeffs_int = ref true in
-               for j = 0 to n - 1 do
-                 let cj = cvec.(j) in
-                 let cjq = q ctx cj in
-                 if not (Lp.Qd.equal abar.(j) cjq) then begin
-                   let diff = Lp.Qd.sub cjq abar.(j) in
-                   let bound =
-                     if Lp.Qd.sign diff > 0 then bp_ub.(j) else bp_lb.(j)
-                   in
-                   if not (Float.is_finite bound) then
-                     fail
-                       "coefficient change on variable %d (exact %s, cut \
-                        %.9g) is charged to an infinite bound"
-                       j (qstr abar.(j)) cj
-                   else delta := Lp.Qd.add !delta (Lp.Qd.mul diff (q ctx bound))
-                 end;
-                 if cj <> 0.0 then begin
-                   if not raw.Lp.Model.integer.(j) then support_int := false;
-                   if not (Lp.Qd.is_integer cjq) then coeffs_int := false
-                 end
-               done;
-               if !ok then begin
-                 let d = c.Lp.Cert.cut_rhs in
-                 let dq = q ctx d in
-                 let t' = Lp.Qd.add !t !delta in
-                 if Lp.Qd.geq dq t' then () (* plain shifted aggregation *)
-                 else if not !support_int then
-                   fail
-                     "rounded rhs %.9g < exact shifted rhs %s with \
-                      continuous support"
-                     d (qstr t')
-                 else if not !coeffs_int then
-                   fail
-                     "rounded rhs with non-integral cut coefficients"
-                 else if not (Lp.Qd.is_integer dq) then
-                   fail "rounded rhs %.9g is not integral" d
-                 else if not (Lp.Qd.lt t' (Lp.Qd.add dq qone)) then
-                   fail
-                     "rhs %.9g is below the floor of the exact shifted \
-                      rhs %s"
-                     d (qstr t')
-               end
-             end
-         | Lp.Cert.Cover { c_row; members } ->
-             let ok = ref true in
-             let fail fmt =
-               Printf.ksprintf
-                 (fun s ->
-                   if !ok then
-                     errorf ctx ~code:"CERT110" ~loc "cut %d: %s" k s;
-                   ok := false)
-                 fmt
-             in
-             if c_row < 0 || c_row >= m0 then
-               fail "cites row %d outside the model rows" c_row
-             else if raw.Lp.Model.senses.(c_row) <> Lp.Model.Le then
-               fail "cover derived from a non-<= row %d" c_row
-             else begin
-               let row = raw.Lp.Model.rows.(c_row) in
-               let mem = Hashtbl.create (Array.length members) in
-               Array.iter
-                 (fun j ->
-                   if j < 0 || j >= n then
-                     fail "member variable %d out of range" j
-                   else begin
-                     if Hashtbl.mem mem j then
-                       fail "duplicate member variable %d" j;
-                     Hashtbl.replace mem j ();
-                     if
-                       (not raw.Lp.Model.integer.(j))
-                       || bp_lb.(j) <> 0.0
-                       || bp_ub.(j) <> 1.0
-                     then fail "member variable %d is not a 0/1 binary" j
-                   end)
-                 members;
-               if !ok then begin
-                 (* members must over-cover the rhs exactly, and every
-                    non-member term must be nonnegative over the box *)
-                 let sum = ref Lp.Qd.zero in
-                 let found = ref 0 in
+         let (Lp.Cert.Cg lam) = c.Lp.Cert.cut_deriv in
+         let ok = ref true in
+         let fail fmt =
+           Printf.ksprintf
+             (fun s ->
+               if !ok then
+                 errorf ctx ~code:"CERT109" ~loc "cut %d: %s" k s;
+               ok := false)
+             fmt
+         in
+         Array.iter
+           (fun (i, l) ->
+             if i < 0 || i >= ctx.m then
+               fail "multiplier cites row %d out of range" i
+             else if not (Float.is_finite l) then
+               fail "non-finite multiplier on row %d" i
+             else
+               match raw.Lp.Model.senses.(i) with
+               | Lp.Model.Le ->
+                   if l < 0.0 then
+                     fail "negative multiplier on <= row %d" i
+               | Lp.Model.Ge ->
+                   if l > 0.0 then
+                     fail "positive multiplier on >= row %d" i
+               | Lp.Model.Eq -> ())
+           lam;
+         if !ok then begin
+           (* exact aggregation of the cited rows *)
+           let abar = Array.make n Lp.Qd.zero in
+           let t = ref Lp.Qd.zero in
+           Array.iter
+             (fun (i, l) ->
+               if l <> 0.0 then begin
+                 let lq = q ctx l in
+                 t :=
+                   Lp.Qd.add !t (Lp.Qd.mul lq (q ctx raw.Lp.Model.rhs.(i)));
                  Array.iter
                    (fun (jj, a) ->
-                     if Hashtbl.mem mem jj then begin
-                       incr found;
-                       sum := Lp.Qd.add !sum (q ctx a)
-                     end
-                     else if a < 0.0 then
-                       fail "non-member term on variable %d is negative" jj
-                     else if
-                       a > 0.0
-                       && not
-                            (Float.is_finite bp_lb.(jj) && bp_lb.(jj) >= 0.0)
-                     then
-                       fail
-                         "non-member variable %d has a negative lower bound"
-                         jj)
-                   row;
-                 if !found <> Array.length members then
-                   fail "members missing from the cited row";
-                 if
-                   !ok
-                   && not (Lp.Qd.lt (q ctx raw.Lp.Model.rhs.(c_row)) !sum)
-                 then
-                   fail
-                     "members do not cover: exact sum %s <= rhs %.9g"
-                     (qstr !sum) raw.Lp.Model.rhs.(c_row);
-                 (* the cut row itself must be exactly sum(members) <=
-                    |members| - 1 *)
-                 if !ok then begin
-                   let nm = Array.length members in
-                   if
-                     Array.length c.Lp.Cert.cut_terms <> nm
-                     || c.Lp.Cert.cut_rhs <> float_of_int (nm - 1)
-                     || not
-                          (Array.for_all
-                             (fun (jj, cf) ->
-                               cf = 1.0 && Hashtbl.mem mem jj)
-                             c.Lp.Cert.cut_terms)
-                   then
-                     fail
-                       "cut row is not sum of the %d members <= %d" nm
-                       (nm - 1)
-                 end
-               end
-             end);
+                     abar.(jj) <-
+                       Lp.Qd.add abar.(jj) (Lp.Qd.mul lq (q ctx a)))
+                   raw.Lp.Model.rows.(i)
+               end)
+             lam;
+           let cvec = Array.make n 0.0 in
+           Array.iter
+             (fun (j, cf) -> cvec.(j) <- cf)
+             c.Lp.Cert.cut_terms;
+           (* Each column may deviate from the exact aggregation;
+              the deviation (c_j - abar_j)·x_j is bounded over the
+              box B_p by charging it to the finite bound where it
+              maxes out. The shifted rhs t' = t + the sum of those
+              charges then upper-bounds sum_j c_j·x_j everywhere in
+              the box, and the integer-rounding step floors t'. *)
+           let delta = ref Lp.Qd.zero in
+           let support_int = ref true and coeffs_int = ref true in
+           for j = 0 to n - 1 do
+             let cj = cvec.(j) in
+             let cjq = q ctx cj in
+             if not (Lp.Qd.equal abar.(j) cjq) then begin
+               let diff = Lp.Qd.sub cjq abar.(j) in
+               let bound =
+                 if Lp.Qd.sign diff > 0 then bp_ub.(j) else bp_lb.(j)
+               in
+               if not (Float.is_finite bound) then
+                 fail
+                   "coefficient change on variable %d (exact %s, cut \
+                    %.9g) is charged to an infinite bound"
+                   j (qstr abar.(j)) cj
+               else delta := Lp.Qd.add !delta (Lp.Qd.mul diff (q ctx bound))
+             end;
+             if cj <> 0.0 then begin
+               if not raw.Lp.Model.integer.(j) then support_int := false;
+               if not (Lp.Qd.is_integer cjq) then coeffs_int := false
+             end
+           done;
+           if !ok then begin
+             let d = c.Lp.Cert.cut_rhs in
+             let dq = q ctx d in
+             let t' = Lp.Qd.add !t !delta in
+             if Lp.Qd.geq dq t' then () (* plain shifted aggregation *)
+             else if not !support_int then
+               fail
+                 "rounded rhs %.9g < exact shifted rhs %s with \
+                  continuous support"
+                 d (qstr t')
+             else if not !coeffs_int then
+               fail
+                 "rounded rhs with non-integral cut coefficients"
+             else if not (Lp.Qd.is_integer dq) then
+               fail "rounded rhs %.9g is not integral" d
+             else if not (Lp.Qd.lt t' (Lp.Qd.add dq qone)) then
+               fail
+                 "rhs %.9g is below the floor of the exact shifted \
+                  rhs %s"
+                 d (qstr t')
+           end
+         end);
       (* fold the cut row into the audited system *)
       ctx.raw <-
         {

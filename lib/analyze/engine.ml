@@ -98,7 +98,6 @@ let passes =
           ("CERT107", "status or incumbent bookkeeping inconsistent (stale incumbent)");
           ("CERT108", "root reduced-cost fix not justified by the pre-fixing duals");
           ("CERT109", "Chvátal-Gomory cut not implied by its recorded derivation");
-          ("CERT110", "cover cut not implied by its cited knapsack row");
           ("CERT111", "presolve bound tightening fails exact replay");
         ];
       description =

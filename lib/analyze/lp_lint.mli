@@ -26,5 +26,5 @@ val check : Lp.Model.t -> Diag.t list
 val check_cuts : n:int -> Lp.Cert.cut list -> Diag.t list
 (** [check_cuts ~n cuts] lints a certificate's applied cut rows against
     a model with [n] variables (LP006). Structural only — the cut
-    {e derivations} are the audit's CERT109/CERT110 business. The
+    {e derivations} are the audit's CERT109 business. The
     [Diag.Row] locations index into the cut list, not the model rows. *)

@@ -71,10 +71,6 @@ type cut_deriv =
          verified before this one. The audit clamps each multiplier to
          the row's sign cone, re-aggregates in exact arithmetic, and
          checks the integer rounding of the right-hand side. *)
-  | Cover of { c_row : int; members : int array }
-      (* knapsack cover: [<=] row [c_row] and a set of 0/1 columns whose
-         coefficient sum exceeds the rhs, yielding
-         [sum_{j in members} x_j <= |members| - 1] *)
 
 type cut = {
   cut_terms : (int * float) array;  (* sparse row over original columns *)

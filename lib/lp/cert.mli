@@ -71,9 +71,6 @@ type cut_deriv =
       (** Chvátal–Gomory aggregation multipliers, sparse over the
           extended row system at derivation time ([0..m-1] model rows,
           then previously applied cuts in order) *)
-  | Cover of { c_row : int; members : int array }
-      (** knapsack cover witness: [<=] row [c_row], 0/1 columns
-          [members] whose coefficients sum past the rhs *)
 
 type cut = {
   cut_terms : (int * float) array;  (** sparse row, original columns *)
@@ -81,7 +78,7 @@ type cut = {
   cut_deriv : cut_deriv;
 }
 (** An applied cutting plane plus the derivation the audit re-verifies
-    exactly (CERT109 for {!Cg}, CERT110 for {!Cover}). *)
+    exactly (CERT109). *)
 
 type t = {
   status : status;

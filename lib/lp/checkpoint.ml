@@ -168,26 +168,18 @@ let cut_to_json (c : Cert.cut) =
             (fun (j, v) -> J.Obj [ ("j", J.Int j); ("c", jf v) ])
             c.Cert.cut_terms))
   in
+  let (Cert.Cg mults) = c.Cert.cut_deriv in
   let deriv =
-    match c.Cert.cut_deriv with
-    | Cert.Cg mults ->
-        J.Obj
-          [
-            ("kind", J.String "cg");
-            ( "mults",
-              J.List
-                (Array.to_list
-                   (Array.map
-                      (fun (i, l) -> J.Obj [ ("i", J.Int i); ("l", jf l) ])
-                      mults)) );
-          ]
-    | Cert.Cover { c_row; members } ->
-        J.Obj
-          [
-            ("kind", J.String "cover");
-            ("row", J.Int c_row);
-            ("members", jiarr members);
-          ]
+    J.Obj
+      [
+        ("kind", J.String "cg");
+        ( "mults",
+          J.List
+            (Array.to_list
+               (Array.map
+                  (fun (i, l) -> J.Obj [ ("i", J.Int i); ("l", jf l) ])
+                  mults)) );
+      ]
   in
   J.Obj [ ("terms", terms); ("rhs", jf c.Cert.cut_rhs); ("deriv", deriv) ]
 
@@ -368,9 +360,6 @@ let cut_of_json j : Cert.cut =
                 (List.map
                    (fun m -> (int_ (mem "i" m), flt_ (mem "l" m)))
                    (list_ (mem "mults" d))))
-       | "cover" ->
-           Cert.Cover
-             { c_row = int_ (mem "row" d); members = iarr (mem "members" d) }
        | s -> fail "bad cut derivation kind %S" s);
   }
 

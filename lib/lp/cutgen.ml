@@ -1,14 +1,12 @@
 (* Root cutting planes (DESIGN.md §3j): Chvátal–Gomory rounds from the
-   simplex tableau and knapsack covers from the [<=] resource rows, with
-   a bounded, violation-ranked cut pool.
+   simplex tableau, with a bounded, violation-ranked cut pool.
 
    The contract with the audit is the same as {!Presolve}'s: every cut
    this module emits carries a {!Cert.cut_deriv} and is pre-verified
-   here in the exact arithmetic ({!Qd}) the audit re-runs (CERT109 for
-   CG, CERT110 for covers). The simplex tableau only *suggests* the CG
-   multipliers; the aggregated row, its floors and the rounded rhs are
-   all recomputed exactly from the cited multipliers and the original
-   rows, so float drift in the tableau can cost us a cut but can never
+   here in the exact arithmetic ({!Qd}) the audit re-runs (CERT109). The
+   simplex tableau only *suggests* the CG multipliers; the aggregated
+   row, its floors and the rounded rhs are all recomputed exactly from
+   the cited multipliers and the original rows, so float drift in the tableau can cost us a cut but can never
    produce an invalid one. The CG aggregation runs on {!Qd.Acc}, an
    exact register that allocates nothing per term; the audit re-derives
    it on the plain {!Qd} fold. There is deliberately no division
@@ -265,99 +263,6 @@ let cg_cuts (raw : Model.raw) ~lb ~ub ~x ~int_tol ~multipliers ~budget =
             | None -> ());
             incr tried;
             if !tried mod poll_every = 0 && budget () then j := raw.n
-    end
-  done;
-  !out
-
-(* ------------------------------------------------------------------ *)
-(* Knapsack cover separation                                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Covers from the first [n_rows] rows (the model rows — re-covering cut
-   rows is never a gain, their coefficients are already unit). A row
-   qualifies when its binary positive-coefficient terms can exceed the
-   rhs and every remaining term has nonnegative coefficient and lower
-   bound, so "all cover members at 1" provably violates the row. *)
-let cover_cuts (raw : Model.raw) ~n_rows ~lb ~ub ~x =
-  let out = ref [] in
-  for i = 0 to min n_rows (Array.length raw.rows) - 1 do
-    if raw.senses.(i) = Model.Le then begin
-      let row = raw.rows.(i) in
-      let bins = ref [] in
-      let rest_ok = ref true in
-      Array.iter
-        (fun (j, a) ->
-          if a <> 0.0 then
-            if raw.integer.(j) && lb.(j) = 0.0 && ub.(j) = 1.0 && a > 0.0 then
-              bins := (j, a) :: !bins
-            else if a >= 0.0 && lb.(j) >= 0.0 then ()
-            else rest_ok := false)
-        row;
-      if !rest_ok && !bins <> [] then begin
-        let b = raw.rhs.(i) in
-        let total = List.fold_left (fun s (_, a) -> s +. a) 0.0 !bins in
-        if total > b +. 1e-7 then begin
-          (* Greedy cover: take members most loaded at the LP point
-             first ((1 - x_j)/a_j ascending). *)
-          let sorted =
-            List.sort
-              (fun (j1, a1) (j2, a2) ->
-                compare ((1.0 -. x.(j1)) /. a1) ((1.0 -. x.(j2)) /. a2))
-              !bins
-          in
-          let cover = ref [] and acc = ref 0.0 in
-          (try
-             List.iter
-               (fun (j, a) ->
-                 cover := (j, a) :: !cover;
-                 acc := !acc +. a;
-                 if !acc > b +. 1e-7 then raise Exit)
-               sorted
-           with Exit -> ());
-          if !acc > b +. 1e-7 then begin
-            (* Minimalize: drop members (smallest coefficient first)
-               while what remains still covers. *)
-            let members =
-              List.sort (fun (_, a1) (_, a2) -> compare a1 a2) !cover
-            in
-            let members =
-              List.filter
-                (fun (_, a) ->
-                  if !acc -. a > b +. 1e-7 then begin
-                    acc := !acc -. a;
-                    false
-                  end
-                  else true)
-                members
-            in
-            (* Exact witness check, the condition CERT110 re-derives. *)
-            let qsum =
-              List.fold_left
-                (fun s (_, a) -> Qd.add s (Qd.of_float a))
-                Qd.zero members
-            in
-            if Qd.lt (Qd.of_float b) qsum && List.length members >= 2 then begin
-              let mjs =
-                Array.of_list (List.rev_map (fun (j, _) -> j) members)
-              in
-              Array.sort compare mjs;
-              let k = Array.length mjs in
-              let viol =
-                Array.fold_left (fun s j -> s +. x.(j)) 0.0 mjs
-                -. float_of_int (k - 1)
-              in
-              if viol > viol_eps then
-                out :=
-                  {
-                    Cert.cut_terms = Array.map (fun j -> (j, 1.0)) mjs;
-                    cut_rhs = float_of_int (k - 1);
-                    cut_deriv = Cert.Cover { c_row = i; members = mjs };
-                  }
-                  :: !out
-            end
-          end
-        end
-      end
     end
   done;
   !out

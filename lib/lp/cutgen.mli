@@ -1,9 +1,9 @@
-(** Root cutting planes: Chvátal–Gomory and knapsack cover separation
-    with a bounded, violation-ranked cut pool (DESIGN.md §3j).
+(** Root cutting planes: Chvátal–Gomory separation with a bounded,
+    violation-ranked cut pool (DESIGN.md §3j).
 
     Every returned cut carries its {!Cert.cut_deriv} and has already
     been verified here in the exact arithmetic ({!Qd}) that the audit
-    (CERT109/CERT110) re-runs: the tableau only {e suggests} CG
+    (CERT109) re-runs: the tableau only {e suggests} CG
     multipliers, everything downstream of the citation is recomputed
     exactly, so a drifted tableau can lose a cut but never emit an
     invalid one. *)
@@ -42,18 +42,6 @@ val cg_of_multipliers :
     aggregation is rounded column by column against the box, and the
     cut is returned when its rhs is a fractional value rounded down and
     it is violated at [x]. *)
-
-val cover_cuts :
-  Model.raw ->
-  n_rows:int ->
-  lb:float array ->
-  ub:float array ->
-  x:float array ->
-  Cert.cut list
-(** Minimal knapsack covers greedily separated from the first [n_rows]
-    [<=] rows (the model rows; re-covering cut rows has no gain): for a
-    cover [C] of binaries whose coefficients exceed the rhs,
-    [Σ_{j∈C} x_j <= |C| - 1]. *)
 
 (** {1 Cut pool} *)
 

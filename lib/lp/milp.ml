@@ -53,12 +53,15 @@ let c_cut_rounds = Obs.Counter.get "milp.cut_rounds"
 (* A solve is [Optimal] once its relative gap is at most this. *)
 let gap_tol = 1e-6
 
+(* An integer variable within this of an integer counts as integral. *)
+let int_tol = 1e-6
+
 (* The caller's warm start, validated even when a checkpoint's incumbent
    supersedes it. Near-integral entries are snapped so the stored
    incumbent is exactly integral: the certificate audit checks
    integrality with zero tolerance, and [Model.check] already vouched
    for the unsnapped point at the contract tolerance. *)
-let validate_seed model raw ~int_tol x =
+let validate_seed model raw x =
   if Array.length x <> raw.Model.n then
     invalid_arg "Milp.solve: incumbent length mismatch";
   (match Model.check model ~values:(fun v -> x.(Model.var_index v)) () with
@@ -95,7 +98,7 @@ let fresh_start ~domains (presolve, lb, ub) seed =
   }
 
 (* Statistics, status and certificate, all from the pool's one view. *)
-let finish ~model ~raw ~domains ~int_tol ~elapsed ~cpu0
+let finish ~model ~raw ~domains ~elapsed ~cpu0
     ~(root : Root.t) ~(pool : Pool.t) ~(start : Checkpoint.t) ~certs_on ~nodes
     (report : Supervisor.report) =
   let v = Pool.view pool in
@@ -207,7 +210,6 @@ let finish ~model ~raw ~domains ~int_tol ~elapsed ~cpu0
       { status; x = Array.make raw.Model.n 0.0; objective = infinity; stats; cert }
 
 let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
-    ?(int_tol = 1e-6)
     ?(deadline = Resilience.Deadline.none) ?incumbent ?branch_priority
     ?(domains = 1) ?(certificates = false) ?checkpoint ?resume ?stall_window
     ?(cuts = true) ?(presolve = true) model =
@@ -228,7 +230,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     if presolve && (not resumed) && not injected_timeout then Root.presolve raw
     else ([], raw.lb, raw.ub)
   in
-  let seed = Option.map (validate_seed model raw ~int_tol) incumbent in
+  let seed = Option.map (validate_seed model raw) incumbent in
   (* A checkpoint is pinned to the caller's model (before presolve and
      cuts, which it replays): resuming into another polytope would
      silently produce garbage. *)
@@ -301,7 +303,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
       ~w0
       ~helper:(fun wid -> worker wid (Array.copy w0.lb) (Array.copy w0.ub))
   in
-  finish ~model ~raw ~domains ~int_tol ~elapsed ~cpu0 ~root ~pool
+  finish ~model ~raw ~domains ~elapsed ~cpu0 ~root ~pool
     ~start ~certs_on ~nodes:(Atomic.get env.nodes) report
 
 let value r v = r.x.(Model.var_index v)

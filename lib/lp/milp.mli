@@ -100,7 +100,6 @@ val solve :
   ?time_limit:float ->
   ?node_limit:int ->
   ?max_lp_iters:int ->
-  ?int_tol:float ->
   ?deadline:Resilience.Deadline.t ->
   ?incumbent:float array ->
   ?branch_priority:int array ->
@@ -113,12 +112,12 @@ val solve :
   ?presolve:bool ->
   Model.t ->
   result
-(** Defaults: [time_limit = 60.] s, [node_limit = 200_000],
-    [int_tol = 1e-6]; a solve is {!Optimal} at a relative gap of at most
-    [1e-6]. A provided [incumbent] is validated against the model
-    ([Invalid_argument] if it is not feasible) and seeds the pruning
-    bound — unless [resume]'s checkpoint
-    carries an incumbent, which is then the one installed (the seed is
+(** Defaults: [time_limit = 60.] s, [node_limit = 200_000]. An integer
+    variable within [1e-6] of an integer counts as integral; a solve is
+    {!Optimal} at a relative gap of at most [1e-6]. A provided
+    [incumbent] is validated against the model ([Invalid_argument] if it
+    is not feasible) and seeds the pruning bound — unless [resume]'s
+    checkpoint carries an incumbent, which is then the one installed (the seed is
     still validated). [branch_priority] (one entry per variable, higher
     first) restricts pseudocost branching to the highest priority class
     with any fractionality ({!Node}). [presolve] and [cuts] (both default

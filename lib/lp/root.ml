@@ -88,10 +88,7 @@ let separate t (w : Node.worker) ~max_lp_iters ~int_tol ~budget =
         (* a round the budget cut short is dropped: the root node's LP
            comes first *)
         if budget () then stop := true
-        else begin
-          List.iter (Cutgen.offer pool)
-            (Cutgen.cover_cuts rawe ~n_rows:(Array.length t.raw.Model.rows)
-               ~lb:w.lb ~ub:w.ub ~x:!x);
+        else
           match Cutgen.select pool ~x:!x ~max_cuts:max_cuts_per_round with
           | [] -> stop := true
           | chosen -> (
@@ -127,7 +124,6 @@ let separate t (w : Node.worker) ~max_lp_iters ~int_tol ~budget =
                   (* Limit hit mid-resolve: the cuts stay (they are valid
                      regardless); node processing finishes the LP. *)
                   stop := true)
-        end
       done;
       (* Cuts pay rent only if they moved the root bound: every cut row
          slows every node LP and perturbs the node order, so a pass that

@@ -8,12 +8,11 @@
     CERT111 replay.
 
     {b Cutting planes.} Up to 8 rounds of Chvátal–Gomory cuts (from the
-    warm tableau) and knapsack cover cuts (from [<=] rows over binaries)
-    go through a violation-ranked pool ({!Cutgen}), at most 20 per round,
-    with warm resolves in between. Separation stops when a round moves
+    warm tableau) go through a violation-ranked pool ({!Cutgen}), at most
+    20 per round, with warm resolves in between. Separation stops when a round moves
     the bound by less than a relative 1e-9; a pass that did not lift it
     is discarded. Each cut's derivation is in the certificate and
-    re-verified exactly by the audit (CERT109/CERT110). Cuts exclude no
+    re-verified exactly by the audit (CERT109). Cuts exclude no
     integer point, so they do not change status, objective or incumbent
     of exhaustively solved models ([test/test_fuzz.ml]).
 

@@ -103,8 +103,6 @@ let run ~deadline steps =
                 if !trail <> [] then Obs.Counter.incr c_degraded;
                 Ok { value; trail = List.rev !trail }
             | Error (reason, detail) -> fail reason detail
-            | exception Deadline.Expired phase ->
-                fail "timeout" ("deadline expired in " ^ phase)
             | exception ((Out_of_memory | Stack_overflow) as e) -> raise e
             | exception e ->
                 Obs.Counter.incr c_contained;

@@ -66,7 +66,6 @@ val run : deadline:Deadline.t -> 'a step list -> ('a outcome, attempt list) resu
       always runs (under the expired deadline, so cooperative
       subsystems degrade immediately) — that is what guarantees the
       cascade produces a result whenever its last step cannot fail;
-    - a raised {!Deadline.Expired} is recorded as ["timeout"];
     - any other exception is contained and recorded as ["exception"]
       ([Out_of_memory] and [Stack_overflow] are re-raised — resource
       exhaustion must not be silently retried);

@@ -36,10 +36,6 @@ let expired t =
 
 let is_none t = t.expiry = None && t.cancel = None
 
-exception Expired of string
-
-let check t ~phase = if expired t then raise (Expired phase)
-
 let split t weights =
   match t.expiry with
   | None -> List.map (fun (name, _) -> (name, { t with expiry = None })) weights

@@ -73,12 +73,6 @@ val expired : t -> bool
 val is_none : t -> bool
 (** No expiry instant {e and} no cancel cell. *)
 
-exception Expired of string
-(** Raised by {!check}; the payload names the phase that ran out. *)
-
-val check : t -> phase:string -> unit
-(** Cooperative cancellation point: @raise Expired when [expired t]. *)
-
 val split : t -> (string * float) list -> (string * t) list
 (** [split d weights] schedules the named phases sequentially inside [d]:
     phase [i] receives a deadline at the cumulative

@@ -463,23 +463,14 @@ let hand_cg_cut rhs : Lp.Cert.cut =
     cut_deriv = Lp.Cert.Cg [| (0, 0.5) |];
   }
 
-(* Members {0, 1, 2} weigh 5 + 6 + 3 = 14 > 12: a genuine cover, so
-   x0 + x1 + x2 <= 2 passes the CERT110 replay. *)
-let hand_cover_cut ?(members = [| 0; 1; 2 |]) rhs : Lp.Cert.cut =
-  {
-    Lp.Cert.cut_terms = Array.map (fun j -> (j, 1.0)) members;
-    cut_rhs = rhs;
-    cut_deriv = Lp.Cert.Cover { c_row = 0; members };
-  }
-
-(* Swap in a hand-built cut list and collect only the cut/tighten codes:
+(* Swap in a hand-built cut list and collect only the cut code (CERT109):
    the solver's node duals were recorded over the unextended row system,
    so folding extra cut rows in legitimately perturbs the node checks —
    those codes are not under test here. *)
 let cut_codes cuts =
   let raw, cert = Lazy.force solved_knapsack in
   let diags = Analyze.Audit.check raw { cert with Lp.Cert.cuts } in
-  List.filter (fun c -> c = "CERT109" || c = "CERT110") (codes diags)
+  List.filter (fun c -> c = "CERT109") (codes diags)
 
 let test_cut_cg_validity () =
   Alcotest.(check (list string)) "valid CG derivation accepted" []
@@ -495,16 +486,6 @@ let test_cut_cg_validity () =
   terms.(0) <- (0, 4.0);
   Alcotest.(check (list string)) "inflated coefficient rejected" [ "CERT109" ]
     (cut_codes [ { inflated with Lp.Cert.cut_terms = terms } ])
-
-let test_cut_cover_validity () =
-  Alcotest.(check (list string)) "valid cover accepted" []
-    (cut_codes [ hand_cover_cut 2.0 ]);
-  (* rhs must be exactly |members| - 1 *)
-  Alcotest.(check (list string)) "tightened cover rhs rejected" [ "CERT110" ]
-    (cut_codes [ hand_cover_cut 1.0 ]);
-  (* members {2, 4} weigh 3 + 2 = 5 <= 12: not a cover at all *)
-  Alcotest.(check (list string)) "non-cover members rejected" [ "CERT110" ]
-    (cut_codes [ hand_cover_cut ~members:[| 2; 4 |] 1.0 ])
 
 let test_corrupt_tighten () =
   expect_clean_reference ();
@@ -564,8 +545,6 @@ let () =
             test_missing_certificate;
           Alcotest.test_case "cut CG validity -> CERT109" `Quick
             test_cut_cg_validity;
-          Alcotest.test_case "cut cover validity -> CERT110" `Quick
-            test_cut_cover_validity;
           Alcotest.test_case "fabricated tightening -> CERT111" `Quick
             test_corrupt_tighten;
         ] );

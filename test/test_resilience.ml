@@ -39,13 +39,6 @@ let test_deadline_clip () =
   Alcotest.(check bool) "clip keeps tighter deadline" true
     (Resilience.Deadline.remaining still <= 1.0)
 
-let test_deadline_check_raises () =
-  let d = Resilience.Deadline.of_budget 0.0 in
-  match Resilience.Deadline.check d ~phase:"unit" with
-  | () -> Alcotest.fail "expected Expired"
-  | exception Resilience.Deadline.Expired p ->
-      Alcotest.(check string) "phase name" "unit" p
-
 let test_deadline_split () =
   (* With no deadline every phase gets none. *)
   let phases =
@@ -472,7 +465,6 @@ let () =
           Alcotest.test_case "none" `Quick test_deadline_none;
           Alcotest.test_case "of_budget" `Quick test_deadline_budget;
           Alcotest.test_case "clip" `Quick test_deadline_clip;
-          Alcotest.test_case "check raises" `Quick test_deadline_check_raises;
           Alcotest.test_case "split" `Quick test_deadline_split;
         ] );
       ( "fault",

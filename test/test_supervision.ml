@@ -151,15 +151,16 @@ let test_cpu_below_wall_when_wedged () =
 
 (* --- checkpoint format ------------------------------------------------ *)
 
-(* Root cover cuts close the knapsack at (or one dive past) the root,
-   so every test whose premise is a multi-node tree — node-limit
+(* Root Chvátal–Gomory cuts close the 12-item knapsack at the root (one
+   node), so every test whose premise is a multi-node tree — node-limit
    interrupts, faults armed at node 2 — pins [~cuts:false]. The tests
    exercise supervision mechanics, which are downstream of (and
-   orthogonal to) root cut preparation. *)
+   orthogonal to) root cut preparation; the cut codec test turns cuts
+   on over the 16-item knapsack, whose root cuts leave a tree open. *)
 
 (* Run a solve that stops mid-tree and leaves a checkpoint file behind. *)
-let checkpointed_solve ?(certificates = false) ?(node_limit = 8) ?(domains = 1)
-    ?(model = fun () -> knapsack ()) ~path () =
+let checkpointed_solve ?(certificates = false) ?(cuts = false) ?(node_limit = 8)
+    ?(domains = 1) ?(model = fun () -> knapsack ()) ~path () =
   let sink =
     {
       Lp.Milp.ck_path = path;
@@ -168,8 +169,8 @@ let checkpointed_solve ?(certificates = false) ?(node_limit = 8) ?(domains = 1)
       ck_meta = Obs.Json.Obj [ ("origin", Obs.Json.String "test") ];
     }
   in
-  Lp.Milp.solve ~time_limit:60.0 ~node_limit ~certificates ~cuts:false
-    ~domains ~checkpoint:sink (model ())
+  Lp.Milp.solve ~time_limit:60.0 ~node_limit ~certificates ~cuts ~domains
+    ~checkpoint:sink (model ())
 
 let read_ck path =
   match Lp.Checkpoint.read ~path with
@@ -216,6 +217,23 @@ let check_roundtrip domains =
    subtrees. *)
 let test_checkpoint_roundtrip () = List.iter check_roundtrip [ 1; 4 ]
 
+(* [ck]'s document with its payload fields passed through [edit] and
+   the checksum recomputed, as a file written by other code would be. *)
+let edited_document ck edit =
+  let module J = Obs.Json in
+  let payload =
+    match J.member "payload" (Lp.Checkpoint.to_json ck) with
+    | Some (J.Obj fields) -> J.Obj (edit fields)
+    | _ -> Alcotest.fail "checkpoint document has no payload object"
+  in
+  J.Obj
+    [
+      ("schema", J.String Lp.Checkpoint.schema);
+      ( "checksum",
+        J.String (Digest.to_hex (Digest.string (J.to_string payload))) );
+      ("payload", payload);
+    ]
+
 (* A file written before checkpoints carried [pivots_done] still loads,
    with no pivots done. *)
 let test_checkpoint_without_pivots () =
@@ -223,26 +241,62 @@ let test_checkpoint_without_pivots () =
   ignore (checkpointed_solve ~path:p ());
   let ck = read_ck p in
   Sys.remove p;
-  let module J = Obs.Json in
-  let payload =
-    match J.member "payload" (Lp.Checkpoint.to_json ck) with
-    | Some (J.Obj fields) -> J.Obj (List.remove_assoc "pivots_done" fields)
-    | _ -> Alcotest.fail "checkpoint document has no payload object"
-  in
-  let doc =
-    J.Obj
-      [
-        ("schema", J.String Lp.Checkpoint.schema);
-        ( "checksum",
-          J.String (Digest.to_hex (Digest.string (J.to_string payload))) );
-        ("payload", payload);
-      ]
-  in
+  let doc = edited_document ck (List.remove_assoc "pivots_done") in
   match Lp.Checkpoint.of_json doc with
   | Error e -> Alcotest.failf "of_json without pivots_done: %s" e
   | Ok old ->
       Alcotest.(check bool) "decodes as the snapshot with 0 pivots" true
         (compare { ck with Lp.Checkpoint.pivots_done = 0 } old = 0)
+
+(* The cut codec: a solve with root cuts on, stopped mid-tree, carries
+   its applied cuts through [to_json]/[of_json] unchanged, and a
+   derivation kind the decoder does not know is rejected by name. *)
+let test_checkpoint_cuts () =
+  let p = tmp "pipesyn_ck_cuts.json" in
+  let r =
+    checkpointed_solve ~cuts:true ~model:(fun () -> knapsack ~n:16 ()) ~path:p ()
+  in
+  let ck = read_ck p in
+  Sys.remove p;
+  let applied = r.Lp.Milp.stats.Lp.Milp.cuts_applied in
+  Alcotest.(check bool) "the root applied CG cuts" true (applied > 0);
+  Alcotest.(check bool) "stopped mid-tree" true (ck.Lp.Checkpoint.frontier <> []);
+  Alcotest.(check int) "checkpoint holds them" applied
+    (List.length ck.Lp.Checkpoint.cuts);
+  (match Lp.Checkpoint.of_json (Lp.Checkpoint.to_json ck) with
+  | Error e -> Alcotest.failf "of_json (to_json ck): %s" e
+  | Ok ck' ->
+      Alcotest.(check bool) "cuts unchanged" true
+        (compare ck.Lp.Checkpoint.cuts ck'.Lp.Checkpoint.cuts = 0));
+  let module J = Obs.Json in
+  let as_cover = function
+    | J.Obj cut ->
+        let deriv =
+          match List.assoc_opt "deriv" cut with
+          | Some (J.Obj d) ->
+              J.Obj (("kind", J.String "cover") :: List.remove_assoc "kind" d)
+          | _ -> Alcotest.fail "cut without a derivation object"
+        in
+        J.Obj (("deriv", deriv) :: List.remove_assoc "deriv" cut)
+    | _ -> Alcotest.fail "cut is not an object"
+  in
+  let doc =
+    edited_document ck (fun fields ->
+        match List.assoc_opt "cuts" fields with
+        | Some (J.List (c :: cs)) ->
+            ("cuts", J.List (as_cover c :: cs)) :: List.remove_assoc "cuts" fields
+        | _ -> Alcotest.fail "checkpoint payload has no cuts")
+  in
+  match Lp.Checkpoint.of_json doc with
+  | Ok _ -> Alcotest.fail "a cover derivation decoded"
+  | Error e ->
+      let needle = "bad cut derivation kind" in
+      let n = String.length needle in
+      let rec has i =
+        i + n <= String.length e && (String.sub e i n = needle || has (i + 1))
+      in
+      Alcotest.(check bool) (Printf.sprintf "error %S names the kind" e) true
+        (has 0)
 
 let test_checkpoint_rejects_torn () =
   let p = tmp "pipesyn_ck_torn.json" in
@@ -668,6 +722,7 @@ let () =
             test_checkpoint_without_pivots;
           Alcotest.test_case "fingerprint mismatch" `Quick
             test_checkpoint_fingerprint_mismatch;
+          Alcotest.test_case "cut codec" `Quick test_checkpoint_cuts;
         ] );
       ( "resume",
         [
