@@ -897,13 +897,7 @@ let check_cuts ctx (bp_lb, bp_ub) =
          end);
       (* fold the cut row into the audited system *)
       ctx.raw <-
-        {
-          raw with
-          Lp.Model.rows =
-            Array.append raw.Lp.Model.rows [| c.Lp.Cert.cut_terms |];
-          senses = Array.append raw.Lp.Model.senses [| Lp.Model.Le |];
-          rhs = Array.append raw.Lp.Model.rhs [| c.Lp.Cert.cut_rhs |];
-        };
+        Lp.Model.with_le_rows raw [| (c.Lp.Cert.cut_terms, c.Lp.Cert.cut_rhs) |];
       ctx.m <- ctx.m + 1)
     ctx.cert.Lp.Cert.cuts
 

@@ -1,5 +1,5 @@
 (* Root cutting planes (DESIGN.md §3j): Chvátal–Gomory rounds from the
-   simplex tableau, with a bounded, violation-ranked cut pool.
+   simplex tableau; each round applies its own most-violated candidates.
 
    The contract with the audit is the same as {!Presolve}'s: every cut
    this module emits carries a {!Cert.cut_deriv} and is pre-verified
@@ -17,6 +17,11 @@
 let viol_eps = 1e-6
 let lam_drop = 1e-11  (* multipliers below this are noise: zero them *)
 let lam_max = 1e7  (* dynamism guard: reject wildly scaled aggregations *)
+
+let violation (c : Cert.cut) x =
+  Array.fold_left
+    (fun acc (j, v) -> acc +. (v *. x.(j)))
+    (-.c.Cert.cut_rhs) c.Cert.cut_terms
 
 (* ------------------------------------------------------------------ *)
 (* Chvátal–Gomory separation                                           *)
@@ -189,17 +194,11 @@ let cg_round (raw : Model.raw) ~lb ~ub ~x support =
       if Array.length terms = 0 then None
       else begin
         Array.sort (fun (j1, _) (j2, _) -> Int.compare j1 j2) terms;
-        let viol =
-          Array.fold_left (fun acc (j, c) -> acc +. (c *. x.(j))) (-.d) terms
+        let cut =
+          { Cert.cut_terms = terms; cut_rhs = d;
+            cut_deriv = Cert.Cg (Array.of_list support) }
         in
-        if viol > viol_eps then
-          Some
-            {
-              Cert.cut_terms = terms;
-              cut_rhs = d;
-              cut_deriv = Cert.Cg (Array.of_list support);
-            }
-        else None
+        if violation cut x > viol_eps then Some cut else None
       end
 
 (* One CG candidate from a multiplier suggestion [lam] (length = rows of
@@ -244,9 +243,13 @@ let cg_of_multipliers (raw : Model.raw) ~lb ~ub ~x lam =
    within a few milliseconds of the budget's end. *)
 let poll_every = 8
 
+(* An integer variable at most this far from an integer gets no
+   candidate. *)
+let frac_min = 0.005
+
 (* CG round: one candidate per fractional basic integer variable, using
    the tableau row's multipliers as the aggregation suggestion. *)
-let cg_cuts (raw : Model.raw) ~lb ~ub ~x ~int_tol ~multipliers ~budget =
+let cg_cuts (raw : Model.raw) ~lb ~ub ~x ~multipliers ~budget =
   let out = ref [] and tried = ref 0 in
   let j = ref 0 in
   while !j < raw.n do
@@ -254,7 +257,7 @@ let cg_cuts (raw : Model.raw) ~lb ~ub ~x ~int_tol ~multipliers ~budget =
     incr j;
     if raw.integer.(c) then begin
       let frac = Float.abs (x.(c) -. Float.round x.(c)) in
-      if frac > Float.max int_tol 0.005 then
+      if frac > frac_min then
         match multipliers c with
         | None -> ()
         | Some lam ->
@@ -268,30 +271,15 @@ let cg_cuts (raw : Model.raw) ~lb ~ub ~x ~int_tol ~multipliers ~budget =
   !out
 
 (* ------------------------------------------------------------------ *)
-(* Bounded cut pool                                                    *)
+(* Round selection                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type entry = {
-  cut : Cert.cut;
-  key : string;  (** the duplicate hash, also [select]'s tie-break *)
-  mutable age : int;
-  mutable active : bool;
-}
+type seen = (string, unit) Hashtbl.t
 
-type pool = {
-  mutable entries : entry list;
-  mutable size : int;  (** [List.length entries] *)
-  mutable pending : int;  (** the inactive entries *)
-  seen : (string, unit) Hashtbl.t;  (* duplicate hashing over terms+rhs *)
-  capacity : int;
-  max_age : int;
-  mutable n_applied : int;
-}
+let seen () = Hashtbl.create 64
 
-let create ?(capacity = 512) ?(max_age = 4) () =
-  { entries = []; size = 0; pending = 0; seen = Hashtbl.create 64; capacity;
-    max_age; n_applied = 0 }
-
+(* The duplicate hash over normalized terms and rhs, also [select]'s
+   tie-break. *)
 let key (c : Cert.cut) =
   let b = Buffer.create 64 in
   Array.iter
@@ -300,67 +288,26 @@ let key (c : Cert.cut) =
   Buffer.add_string b (Printf.sprintf "|%h" c.Cert.cut_rhs);
   Buffer.contents b
 
-let offer p (c : Cert.cut) =
-  let k = key c in
-  if (not (Hashtbl.mem p.seen k)) && p.size < p.capacity then begin
-    Hashtbl.add p.seen k ();
-    p.entries <- { cut = c; key = k; age = 0; active = false } :: p.entries;
-    p.size <- p.size + 1;
-    p.pending <- p.pending + 1
-  end
-
-let violation (c : Cert.cut) x =
-  Array.fold_left
-    (fun acc (j, v) -> acc +. (v *. x.(j)))
-    (-.c.Cert.cut_rhs) c.Cert.cut_terms
-
-(* Activate the [max_cuts] most violated inactive cuts at [x]; age out
-   inactive entries that keep failing to make the grade. Returns the
-   newly activated cuts in a deterministic (violation, then key) order. *)
-let select p ~x ~max_cuts =
+let select seen ~x ~max_cuts cands =
+  (* [filter_map] walks the list in order, so the first of two duplicates
+     is the one kept *)
   let scored =
     List.filter_map
-      (fun e ->
-        if e.active then None
-        else
-          let v = violation e.cut x in
-          if v > viol_eps then Some (v, e) else None)
-      p.entries
+      (fun c ->
+        let k = key c in
+        if Hashtbl.mem seen k then None
+        else begin
+          Hashtbl.add seen k ();
+          let v = violation c x in
+          if v > viol_eps then Some (v, k, c) else None
+        end)
+      cands
   in
   let scored =
     List.sort
-      (fun (v1, e1) (v2, e2) ->
-        match Float.compare v2 v1 with 0 -> String.compare e1.key e2.key | c -> c)
+      (fun (v1, k1, _) (v2, k2, _) ->
+        match Float.compare v2 v1 with 0 -> String.compare k1 k2 | c -> c)
       scored
   in
-  let rec take k = function
-    | [] -> []
-    | _ when k = 0 -> []
-    | (_, e) :: tl ->
-        e.active <- true;
-        e.cut :: take (k - 1) tl
-  in
-  let chosen = take max_cuts scored in
-  let n_chosen = List.length chosen in
-  p.n_applied <- p.n_applied + n_chosen;
-  p.pending <- p.pending - n_chosen;
-  (* Age-out: inactive survivors get older; the stale ones drop (their
-     hash stays in [seen], so they cannot be re-offered). *)
-  p.entries <-
-    List.filter
-      (fun e ->
-        if e.active then true
-        else begin
-          e.age <- e.age + 1;
-          let keep = e.age <= p.max_age in
-          if not keep then begin
-            p.size <- p.size - 1;
-            p.pending <- p.pending - 1
-          end;
-          keep
-        end)
-      p.entries;
-  chosen
-
-let applied p = p.n_applied
-let pending p = p.pending
+  let chosen = List.filteri (fun i _ -> i < max_cuts) scored in
+  (List.map (fun (_, _, c) -> c) chosen, List.length scored - List.length chosen)

@@ -1,5 +1,5 @@
-(** Root cutting planes: Chvátal–Gomory separation with a bounded,
-    violation-ranked cut pool (DESIGN.md §3j).
+(** Root cutting planes: Chvátal–Gomory separation and the per-round
+    selection of the most-violated candidates (DESIGN.md §3j).
 
     Every returned cut carries its {!Cert.cut_deriv} and has already
     been verified here in the exact arithmetic ({!Qd}) that the audit
@@ -13,14 +13,13 @@ val cg_cuts :
   lb:float array ->
   ub:float array ->
   x:float array ->
-  int_tol:float ->
   multipliers:(int -> float array option) ->
   budget:(unit -> bool) ->
   Cert.cut list
-(** One Chvátal–Gomory candidate per fractional integer variable of the
-    LP point [x], aggregating with [multipliers j] (the variable's
-    simplex tableau row, {!Simplex.tableau_multipliers}) clamped to the
-    audit's sign cone. [raw] may already contain earlier cut rows — CG
+(** One Chvátal–Gomory candidate per integer variable more than 0.005
+    from an integer at the LP point [x], aggregating with
+    [multipliers j] (the variable's simplex tableau row,
+    {!Simplex.tableau_multipliers}) clamped to the audit's sign cone. [raw] may already contain earlier cut rows — CG
     derivations then cite them, which is what makes successive rounds
     strictly stronger. Only candidates violated at [x] by more than the
     separation tolerance are returned. [budget] is polled after every
@@ -43,28 +42,20 @@ val cg_of_multipliers :
     cut is returned when its rhs is a fractional value rounded down and
     it is violated at [x]. *)
 
-(** {1 Cut pool} *)
+(** {1 Round selection} *)
 
-type pool
-(** Bounded pool with duplicate hashing (normalized terms + rhs),
-    violation-ranked activation and age-out of candidates that keep
-    missing the activation cut-off. *)
+type seen
+(** The keys (normalized terms + rhs) of every candidate a separation
+    pass has offered to {!select}. *)
 
-val create : ?capacity:int -> ?max_age:int -> unit -> pool
-(** Defaults: [capacity = 512] stored candidates, [max_age = 4]
-    selection rounds before an inactive candidate is dropped. *)
+val seen : unit -> seen
+(** An empty key table, one per separation pass. *)
 
-val offer : pool -> Cert.cut -> unit
-(** Add a candidate; duplicates (by normalized hash) are ignored, as is
-    everything past [capacity]. *)
-
-val select : pool -> x:float array -> max_cuts:int -> Cert.cut list
-(** Activate the (at most) [max_cuts] most-violated inactive candidates
-    at [x], age the rest, and return the newly activated cuts in a
-    deterministic order. Activated cuts are never returned twice. *)
-
-val applied : pool -> int
-(** Total cuts activated over the pool's lifetime. *)
-
-val pending : pool -> int
-(** Inactive candidates currently held. *)
+val select :
+  seen -> x:float array -> max_cuts:int -> Cert.cut list ->
+  Cert.cut list * int
+(** [select seen ~x ~max_cuts cands] drops every candidate whose key is
+    already in [seen] (the first of two duplicates stays) and adds the
+    rest's keys; of those violated at [x], it returns the (at most)
+    [max_cuts] most violated, ties broken by key, and how many violated
+    candidates it left out. *)

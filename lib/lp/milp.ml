@@ -53,9 +53,6 @@ let c_cut_rounds = Obs.Counter.get "milp.cut_rounds"
 (* A solve is [Optimal] once its relative gap is at most this. *)
 let gap_tol = 1e-6
 
-(* An integer variable within this of an integer counts as integral. *)
-let int_tol = 1e-6
-
 (* The caller's warm start, validated even when a checkpoint's incumbent
    supersedes it. Near-integral entries are snapped so the stored
    incumbent is exactly integral: the certificate audit checks
@@ -67,7 +64,7 @@ let validate_seed model raw x =
   (match Model.check model ~values:(fun v -> x.(Model.var_index v)) () with
   | Error msg -> invalid_arg ("Milp.solve: infeasible incumbent: " ^ msg)
   | Ok () -> ());
-  let x = Node.snap raw ~int_tol x in
+  let x = Node.snap raw x in
   (x, Node.objective raw x)
 
 (* A fresh solve starts from the same kind of state a resume loads. *)
@@ -195,7 +192,7 @@ let finish ~model ~raw ~domains ~elapsed ~cpu0
           lp_limited = v.limited;
           domains;
           gap_tol;
-          int_tol;
+          int_tol = Node.int_tol;
         }
       in
       if Obs.recording () then
@@ -209,7 +206,7 @@ let finish ~model ~raw ~domains ~elapsed ~cpu0
   | None ->
       { status; x = Array.make raw.Model.n 0.0; objective = infinity; stats; cert }
 
-let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
+let solve ?(time_limit = 60.0) ?(node_limit = 200_000)
     ?(deadline = Resilience.Deadline.none) ?incumbent ?branch_priority
     ?(domains = 1) ?(certificates = false) ?checkpoint ?resume ?stall_window
     ?(cuts = true) ?(presolve = true) model =
@@ -274,8 +271,6 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
     {
       Node.raw;
       system = (fun () -> root.system);
-      max_lp_iters;
-      int_tol;
       priority = branch_priority;
       certs_on;
       nodes = Atomic.make start.nodes_done;
@@ -293,7 +288,7 @@ let solve ?(time_limit = 60.0) ?(node_limit = 200_000) ?(max_lp_iters = 50_000)
   let worker wid lb ub = Node.worker ~wid ~lb ~ub ~pcs:start.pc ~deadline:dl in
   let w0 = worker 0 (Array.copy start.root_lb) (Array.copy start.root_ub) in
   if cuts && (not resumed) && not (budget ()) then begin
-    Root.separate root w0 ~max_lp_iters ~int_tol ~budget;
+    Root.separate root w0 ~budget;
     Pool.pass_root pool
   end;
   let report =

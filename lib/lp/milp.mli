@@ -33,7 +33,7 @@ type stats = {
   root_bound : float;  (** root LP relaxation objective *)
   gap : float;  (** relative gap between incumbent and open bound *)
   lp_limited : int;
-      (** node LPs pruned unsolved at their iteration cap — numeric
+      (** node LPs pruned unsolved at their 50,000-pivot cap — numeric
           trouble; nonzero demotes {!Optimal} to {!Feasible} because the
           pruned subtrees were never actually explored *)
   warm_hits : int;
@@ -99,7 +99,6 @@ exception Worker_killed
 val solve :
   ?time_limit:float ->
   ?node_limit:int ->
-  ?max_lp_iters:int ->
   ?deadline:Resilience.Deadline.t ->
   ?incumbent:float array ->
   ?branch_priority:int array ->

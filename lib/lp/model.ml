@@ -153,6 +153,16 @@ let to_raw m =
     rhs = Array.map (fun (r : row) -> r.rhs) rows;
   }
 
+let with_le_rows (raw : raw) rows =
+  if Array.length rows = 0 then raw
+  else
+    {
+      raw with
+      rows = Array.append raw.rows (Array.map fst rows);
+      senses = Array.append raw.senses (Array.make (Array.length rows) Le);
+      rhs = Array.append raw.rhs (Array.map snd rows);
+    }
+
 let check m ~values ?(eps = 1e-6) () =
   let fail fmt = Fmt.kstr (fun s -> Error s) fmt in
   let rec check_vars v =

@@ -65,6 +65,10 @@ type raw = {
 val to_raw : t -> raw
 (** Freeze into the solver's input form. *)
 
+val with_le_rows : raw -> ((int * float) array * float) array -> raw
+(** [raw] with [(terms, rhs)] rows (cutting planes) appended as [<=]
+    rows; [raw] itself when there are none. *)
+
 val check : t -> values:(var -> float) -> ?eps:float -> unit -> (unit, string) result
 (** Verify an assignment against bounds, integrality and all constraints —
     used to validate incumbents and solver output in tests. *)

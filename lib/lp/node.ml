@@ -114,12 +114,15 @@ let pc_record pc ~j ~dir_up ~unit ~degrade =
       pc.dn_n.(j) <- pc.dn_n.(j) + 1
     end
 
+(* An integer variable within this of an integer counts as integral. *)
+let int_tol = 1e-6
+
 (* Pseudocost branching seeded by priority: within the highest priority
    class having any fractionality, maximize the product of estimated
    degradations. Uninitialized variables use the average observed
    pseudocost; before any observation that degenerates to f·(1−f),
    i.e. plain most-fractional. *)
-let pseudocost_branch raw ~int_tol ?priority pc x =
+let pseudocost_branch raw ?priority pc x =
   let avg sum n =
     let tot = ref 0.0 and cnt = ref 0 in
     Array.iteri
@@ -172,7 +175,7 @@ let pseudocost_branch raw ~int_tol ?priority pc x =
     raw.Model.integer;
   !best
 
-let snap raw ~int_tol x =
+let snap raw x =
   Array.mapi
     (fun j v ->
       if raw.Model.integer.(j) && Float.abs (v -. Float.round v) <= 100. *. int_tol
@@ -218,18 +221,16 @@ let worker ~wid ~lb ~ub ~pcs ~deadline =
         nudged = Atomic.make false };
     cnode = Obs.Counter.get ("milp.nodes.d" ^ string_of_int wid) }
 
-let lp w ~max_iters system =
+let lp w system =
   let r =
     match w.lp with
     | None ->
         let r, st =
-          Simplex.solve_state ~max_iters ~deadline:w.ctl.dl ~lb:w.lb ~ub:w.ub
-            system
+          Simplex.solve_state ~deadline:w.ctl.dl ~lb:w.lb ~ub:w.ub system
         in
         w.lp <- Some st;
         r
-    | Some st ->
-        Simplex.resolve ~max_iters ~deadline:w.ctl.dl ~lb:w.lb ~ub:w.ub st
+    | Some st -> Simplex.resolve ~deadline:w.ctl.dl ~lb:w.lb ~ub:w.ub st
   in
   w.pivots <- w.pivots + r.Simplex.iterations;
   Obs.Counter.incr ~by:r.Simplex.iterations c_pivots;
@@ -264,8 +265,6 @@ type outcome =
 type env = {
   raw : Model.raw;
   system : unit -> Model.raw;
-  max_lp_iters : int;
-  int_tol : float;
   priority : int array option;
   certs_on : bool;
   nodes : int Atomic.t;
@@ -305,7 +304,7 @@ let solve env w node =
   goto ~lb:w.lb ~ub:w.ub ~from_:w.cur node.bounds;
   w.cur <- node.bounds;
   let resolved = Option.is_some w.lp in
-  let r = lp w ~max_iters:env.max_lp_iters (env.system ()) in
+  let r = lp w (env.system ()) in
   let warm =
     match w.lp with Some st -> Simplex.last_resolve_warm st | None -> false
   in
@@ -358,11 +357,10 @@ let solve env w node =
         end
         else begin
           let j =
-            pseudocost_branch env.raw ~int_tol:env.int_tol
-              ?priority:env.priority w.pc r.Simplex.x
+            pseudocost_branch env.raw ?priority:env.priority w.pc r.Simplex.x
           in
           if j < 0 then begin
-            let x = snap env.raw ~int_tol:env.int_tol r.Simplex.x in
+            let x = snap env.raw r.Simplex.x in
             (* A rejected point is no better than the incumbent. Its LP
                objective can still sit a few 1e-9 below it, when snapping
                rounds the point's objective up to a tie, so the leaf is

@@ -50,8 +50,12 @@ type pc = {
 
 val pc_copy : pc -> pc
 
-val snap : Model.raw -> int_tol:float -> float array -> float array
-(** Round near-integral integer entries to exact integers. *)
+val int_tol : float
+(** [1e-6]: an integer variable within this of an integer counts as
+    integral. *)
+
+val snap : Model.raw -> float array -> float array
+(** Round integer entries within [100 * int_tol] of an integer to it. *)
 
 val objective : Model.raw -> float array -> float
 (** Objective without the model constant. *)
@@ -82,10 +86,10 @@ val worker :
 (** A worker at the root of the box [lb]/[ub], which it owns. It starts
     from [pcs.(wid)] when that table fits the model. *)
 
-val lp : worker -> max_iters:int -> Model.raw -> Simplex.result
-(** The LP over the worker's box: a warm {!Simplex.resolve} when it holds
-    a state, else a cold build over the given rows. The one place pivots
-    are counted. *)
+val lp : worker -> Model.raw -> Simplex.result
+(** The LP over the worker's box, under {!Simplex}'s 50,000-pivot cap: a
+    warm {!Simplex.resolve} when it holds a state, else a cold build over
+    the given rows. The one place pivots are counted. *)
 
 val fix : worker -> int -> Cert.side -> unit
 (** Fix an integer column at its [Lower] (or [Upper]) bound. Only at
@@ -122,8 +126,6 @@ exception Worker_killed
 type env = {
   raw : Model.raw;  (** the caller's model *)
   system : unit -> Model.raw;  (** the rows node LPs solve (with cuts) *)
-  max_lp_iters : int;
-  int_tol : float;
   priority : int array option;
   certs_on : bool;
   nodes : int Atomic.t;  (** processed nodes; written only here *)

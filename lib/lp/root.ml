@@ -28,27 +28,15 @@ let presolve raw =
       [ ("tightened", Obs.Json.Int (List.length evs)) ];
   (evs, lb, ub)
 
-let extend_raw base cs =
-  if cs = [] then base
-  else
-    {
-      base with
-      Model.rows =
-        Array.append base.Model.rows
-          (Array.of_list (List.map (fun c -> c.Cert.cut_terms) cs));
-      senses =
-        Array.append base.Model.senses (Array.make (List.length cs) Model.Le);
-      rhs =
-        Array.append base.Model.rhs
-          (Array.of_list (List.map (fun c -> c.Cert.cut_rhs) cs));
-    }
+let cut_rows cs =
+  Array.of_list (List.map (fun c -> (c.Cert.cut_terms, c.Cert.cut_rhs)) cs)
 
 let create raw ~certs_on (start : Checkpoint.t) =
   {
     raw;
     certs_on;
     presolve = start.presolve;
-    system = extend_raw raw start.cuts;
+    system = Model.with_le_rows raw (cut_rows start.cuts);
     cuts = start.cuts;
     rounds = 0;
     bound_pre_cuts = Float.nan;
@@ -70,35 +58,35 @@ let max_cuts_per_round = 20
    repair over the extended rows. Every optimal LP of the loop bounds the
    root (cuts are valid inequalities), so [bound] follows them until the
    root node's own LP is solved. *)
-let separate t (w : Node.worker) ~max_lp_iters ~int_tol ~budget =
-  let r0 = Node.lp w ~max_iters:max_lp_iters t.system in
+let separate t (w : Node.worker) ~budget =
+  let r0 = Node.lp w t.system in
   match w.lp with
   | Some st when r0.Simplex.status = Simplex.Optimal ->
       t.bound_pre_cuts <- r0.Simplex.objective;
       t.bound_post_cuts <- r0.Simplex.objective;
       t.bound <- r0.Simplex.objective;
-      let pool = Cutgen.create () in
+      let seen = Cutgen.seen () in
       let x = ref r0.Simplex.x in
       let stop = ref false in
       while (not !stop) && t.rounds < max_rounds && not (budget ()) do
         let rawe = t.system in
-        List.iter (Cutgen.offer pool)
-          (Cutgen.cg_cuts rawe ~lb:w.lb ~ub:w.ub ~x:!x ~int_tol
-             ~multipliers:(Simplex.tableau_multipliers st) ~budget);
+        let cands =
+          Cutgen.cg_cuts rawe ~lb:w.lb ~ub:w.ub ~x:!x
+            ~multipliers:(Simplex.tableau_multipliers st) ~budget
+        in
         (* a round the budget cut short is dropped: the root node's LP
            comes first *)
         if budget () then stop := true
         else
-          match Cutgen.select pool ~x:!x ~max_cuts:max_cuts_per_round with
-          | [] -> stop := true
-          | chosen -> (
-              Simplex.add_rows st
-                (Array.of_list
-                   (List.map (fun c -> (c.Cert.cut_terms, c.Cert.cut_rhs)) chosen));
-              t.system <- extend_raw rawe chosen;
+          match Cutgen.select seen ~x:!x ~max_cuts:max_cuts_per_round cands with
+          | [], _ -> stop := true
+          | chosen, left -> (
+              let rows = cut_rows chosen in
+              Simplex.add_rows st rows;
+              t.system <- Model.with_le_rows rawe rows;
               t.cuts <- t.cuts @ chosen;
               t.rounds <- t.rounds + 1;
-              let r = Node.lp w ~max_iters:max_lp_iters t.system in
+              let r = Node.lp w t.system in
               match r.Simplex.status with
               | Simplex.Optimal ->
                   let prev = t.bound_post_cuts in
@@ -110,7 +98,7 @@ let separate t (w : Node.worker) ~max_lp_iters ~int_tol ~budget =
                       [
                         ("round", Obs.Json.Int t.rounds);
                         ("added", Obs.Json.Int (List.length chosen));
-                        ("pool", Obs.Json.Int (Cutgen.pending pool));
+                        ("pool", Obs.Json.Int left);
                         ("bound0", Obs.Json.Float t.bound_pre_cuts);
                         ("bound", Obs.Json.Float r.Simplex.objective);
                       ];

@@ -8,13 +8,14 @@
     CERT111 replay.
 
     {b Cutting planes.} Up to 8 rounds of Chvátal–Gomory cuts (from the
-    warm tableau) go through a violation-ranked pool ({!Cutgen}), at most
-    20 per round, with warm resolves in between. Separation stops when a round moves
-    the bound by less than a relative 1e-9; a pass that did not lift it
-    is discarded. Each cut's derivation is in the certificate and
-    re-verified exactly by the audit (CERT109). Cuts exclude no
-    integer point, so they do not change status, objective or incumbent
-    of exhaustively solved models ([test/test_fuzz.ml]).
+    warm tableau), each applying the 20 most violated of its own fresh
+    candidates ({!Cutgen.select}), with warm resolves in between.
+    Separation stops when a round moves the bound by less than a
+    relative 1e-9; a pass that did not lift it is discarded. Each cut's
+    derivation is in the certificate and re-verified exactly by the
+    audit (CERT109). Cuts exclude no integer point, so they do not
+    change status, objective or incumbent of exhaustively solved models
+    ([test/test_fuzz.ml]).
 
     A resumed solve takes the presolve events and cut rows from its
     checkpoint and never re-derives them, so node duals keep matching
@@ -57,13 +58,7 @@ val create : Model.raw -> certs_on:bool -> Checkpoint.t -> t
 (** The root as the start state left it: its presolve events, cut rows,
     fixings, duals, bound and box. *)
 
-val separate :
-  t ->
-  Node.worker ->
-  max_lp_iters:int ->
-  int_tol:float ->
-  budget:(unit -> bool) ->
-  unit
+val separate : t -> Node.worker -> budget:(unit -> bool) -> unit
 (** Solve the root LP on the worker and run the cut rounds, leaving the
     worker's warm state over the extended rows. Each optimal LP sets
     [bound]. *)

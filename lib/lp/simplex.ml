@@ -873,8 +873,12 @@ let finish t (raw : Model.raw) base_lb status iters =
   in
   { status; x; objective; iterations = iters }
 
-let solve ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none) ?lb ?ub
-    (raw : Model.raw) =
+(* The pivot cap of every LP that sets none; {!resolve} always runs
+   under it. *)
+let default_max_iters = 50_000
+
+let solve ?(max_iters = default_max_iters)
+    ?(deadline = Resilience.Deadline.none) ?lb ?ub (raw : Model.raw) =
   let lbv = match lb with Some a -> a | None -> raw.lb in
   let ubv = match ub with Some a -> a | None -> raw.ub in
   if crossed_bounds raw.n lbv ubv >= 0 then infeasible_result raw.n
@@ -906,8 +910,8 @@ type state = {
    cold rebuild) every this-many warm restarts. *)
 let refactor_every = 256
 
-let solve_state ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
-    ?lb ?ub (raw : Model.raw) =
+let solve_state ?(max_iters = default_max_iters)
+    ?(deadline = Resilience.Deadline.none) ?lb ?ub (raw : Model.raw) =
   let lbv = Array.copy (match lb with Some a -> a | None -> raw.lb) in
   let ubv = Array.copy (match ub with Some a -> a | None -> raw.ub) in
   let crossed = crossed_bounds raw.n lbv ubv in
@@ -940,8 +944,8 @@ let basis_status st j =
       | At_lower -> `At_lower
       | At_upper -> `At_upper)
 
-let resolve ?(max_iters = 50_000) ?(deadline = Resilience.Deadline.none)
-    ~lb ~ub st =
+let resolve ?(deadline = Resilience.Deadline.none) ~lb ~ub st =
+  let max_iters = default_max_iters in
   st.resolves <- st.resolves + 1;
   st.infeas <- None;
   let raw = st.raw in
@@ -1118,14 +1122,7 @@ let reserve_rows t m' =
 let add_rows st (new_rows : ((int * float) array * float) array) =
   let k = Array.length new_rows in
   if k > 0 then begin
-    let raw = st.raw in
-    st.raw <-
-      {
-        raw with
-        rows = Array.append raw.rows (Array.map fst new_rows);
-        senses = Array.append raw.senses (Array.make k Model.Le);
-        rhs = Array.append raw.rhs (Array.map snd new_rows);
-      };
+    st.raw <- Model.with_le_rows st.raw new_rows;
     match st.t with
     | None -> ()
     | Some t ->

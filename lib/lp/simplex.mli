@@ -89,7 +89,6 @@ val solve_state :
     caller may keep mutating its own arrays. *)
 
 val resolve :
-  ?max_iters:int ->
   ?deadline:Resilience.Deadline.t ->
   lb:float array ->
   ub:float array ->
@@ -97,7 +96,8 @@ val resolve :
   result
 (** [resolve ~lb ~ub st] re-optimizes the state's LP under new variable
     bounds, warm-starting from the last basis when it is still dual
-    feasible (dual-simplex repair, then primal clean-up). Falls back to a
+    feasible (dual-simplex repair, then primal clean-up), under the
+    default [max_iters] of {!solve}. Falls back to a
     cold rebuild — transparently, same result contract as {!solve} —
     whenever the inherited basis is unusable: the previous solve did not
     end {!Optimal}, the repair hit the pivot cap (that rebuild runs under

@@ -1403,7 +1403,7 @@ let test_cutgen_cg () =
   Alcotest.(check bool) "LP vertex fractional" true frac;
   let cuts =
     Lp.Cutgen.cg_cuts raw ~lb:raw.Lp.Model.lb ~ub:raw.Lp.Model.ub
-      ~x:r.Lp.Simplex.x ~int_tol:1e-6
+      ~x:r.Lp.Simplex.x
       ~multipliers:(Lp.Simplex.tableau_multipliers st)
       ~budget:(fun () -> false)
   in
@@ -1420,35 +1420,42 @@ let test_cutgen_cg () =
     cuts;
   check_cuts_exclude_no_integer_point raw cuts
 
-let test_cut_pool () =
-  let pool = Lp.Cutgen.create ~capacity:8 ~max_age:2 () in
-  let cut rhs : Lp.Cert.cut =
-    {
-      Lp.Cert.cut_terms = [| (0, 1.0); (1, 1.0) |];
-      cut_rhs = rhs;
-      cut_deriv = Lp.Cert.Cg [| (0, 0.5) |];
-    }
+(* Each round applies its own most-violated fresh candidates. The
+   [Cg] multiplier of each cut is its name here, which tells apart two
+   duplicates (same terms and rhs). *)
+let test_round_selection () =
+  let cut name terms rhs : Lp.Cert.cut =
+    { Lp.Cert.cut_terms = terms; cut_rhs = rhs;
+      cut_deriv = Lp.Cert.Cg [| (0, name) |] }
   in
-  Lp.Cutgen.offer pool (cut 1.0);
-  Lp.Cutgen.offer pool (cut 1.0);
-  (* duplicate by normalized hash *)
-  Alcotest.(check int) "duplicate offers collapse" 1 (Lp.Cutgen.pending pool);
-  Lp.Cutgen.offer pool (cut 2.0);
-  Alcotest.(check int) "distinct rhs kept" 2 (Lp.Cutgen.pending pool);
-  (* x = (1.5, 0.5): the rhs-1 cut is violated (2 > 1), the rhs-2 cut
-     is satisfied and must not be activated *)
-  let chosen = Lp.Cutgen.select pool ~x:[| 1.5; 0.5 |] ~max_cuts:4 in
-  Alcotest.(check int) "only the violated cut activates" 1 (List.length chosen);
-  Alcotest.(check (float 0.0)) "most violated first" 1.0
-    (List.hd chosen).Lp.Cert.cut_rhs;
-  Alcotest.(check int) "applied counted" 1 (Lp.Cutgen.applied pool);
-  (* an activated cut is never handed out twice *)
-  let again = Lp.Cutgen.select pool ~x:[| 1.5; 0.5 |] ~max_cuts:4 in
-  Alcotest.(check int) "no re-activation" 0 (List.length again);
-  (* the satisfied candidate ages out after max_age idle rounds *)
-  ignore (Lp.Cutgen.select pool ~x:[| 0.0; 0.0 |] ~max_cuts:4);
-  ignore (Lp.Cutgen.select pool ~x:[| 0.0; 0.0 |] ~max_cuts:4);
-  Alcotest.(check int) "aged out" 0 (Lp.Cutgen.pending pool)
+  let names (cs : Lp.Cert.cut list) =
+    List.map
+      (fun (c : Lp.Cert.cut) ->
+        match c.Lp.Cert.cut_deriv with
+        | Lp.Cert.Cg [| (_, l) |] -> l
+        | _ -> Float.nan)
+      cs
+  in
+  (* violations at x: a and its duplicate a' 1.0, b and c 0.5 (b's key
+     sorts first), d satisfied, e 0.5 *)
+  let x = [| 1.5; 0.5; 1.0 |] in
+  let a = cut 1.0 [| (0, 1.0); (1, 1.0) |] 1.0
+  and a' = cut 2.0 [| (0, 1.0); (1, 1.0) |] 1.0
+  and b = cut 3.0 [| (0, 1.0) |] 1.0
+  and c = cut 4.0 [| (1, 1.0); (2, 1.0) |] 1.0
+  and d = cut 5.0 [| (0, 1.0); (1, 1.0) |] 2.0
+  and e = cut 6.0 [| (2, 1.0) |] 0.5 in
+  let seen = Lp.Cutgen.seen () in
+  let chosen, left = Lp.Cutgen.select seen ~x ~max_cuts:2 [ c; a; a'; d; b ] in
+  Alcotest.(check (list (float 0.0)))
+    "at most max_cuts, by violation then key, first duplicate kept" [ 1.0; 3.0 ]
+    (names chosen);
+  Alcotest.(check int) "the duplicate and the satisfied cut are not left over" 1
+    left;
+  let chosen, left = Lp.Cutgen.select seen ~x ~max_cuts:20 [ a; c; d; e ] in
+  Alcotest.(check (list (float 0.0))) "earlier rounds' keys are skipped" [ 6.0 ]
+    (names chosen);
+  Alcotest.(check int) "nothing left over" 0 left
 
 let test_add_rows_warm () =
   (* append a violated cut row to a solved state: the next resolve must
@@ -1513,15 +1520,19 @@ let xorr_map () =
   Mams.Formulation.model (Mams.Formulation.build cfg g (Cuts.enumerate ~k:6 g))
 
 (* A root LP stopped by its pivot cap has no bound to report: the point
-   where the pivots stopped may lie above the relaxation. *)
+   where the pivots stopped may lie above the relaxation. The injected
+   cycle stops every LP at the cap. *)
 let test_capped_root_bound () =
   let model = xorr_map () in
   let relax = Lp.Simplex.solve (Lp.Model.to_raw model) in
   check_lp_obj "relaxation" relax.Lp.Simplex.objective relax;
   let relax = relax.Lp.Simplex.objective +. Lp.Model.objective_constant model in
+  (match Resilience.Fault.arm "simplex.cycle" with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "arm: %s" e);
   let r =
-    Lp.Milp.solve ~cuts:false ~presolve:false ~node_limit:1 ~max_lp_iters:150
-      model
+    Fun.protect ~finally:Resilience.Fault.clear (fun () ->
+        Lp.Milp.solve ~cuts:false ~presolve:false ~node_limit:1 model)
   in
   let s = r.Lp.Milp.stats in
   Alcotest.(check int) "the root LP hit its cap" 1 s.Lp.Milp.lp_limited;
@@ -2339,130 +2350,6 @@ let test_presolve_vs_reference () =
   done;
   Alcotest.(check bool) (Printf.sprintf "%d events" !events) true (!events > 2000)
 
-(* The cut pool as it stood before it kept its counts and keys, kept
-   verbatim as the reference [Lp.Cutgen]'s pool must reproduce: the same
-   cuts selected in the same order, the same [pending] and [applied]. *)
-module Ref_pool = struct
-  let viol_eps = 1e-6
-
-  type entry = { cut : Lp.Cert.cut; mutable age : int; mutable active : bool }
-
-  type pool = {
-    mutable entries : entry list;
-    seen : (string, unit) Hashtbl.t;
-    capacity : int;
-    max_age : int;
-    mutable n_applied : int;
-  }
-
-  let create ~capacity ~max_age =
-    { entries = []; seen = Hashtbl.create 64; capacity; max_age; n_applied = 0 }
-
-  let key (c : Lp.Cert.cut) =
-    let b = Buffer.create 64 in
-    Array.iter
-      (fun (j, v) -> Buffer.add_string b (Printf.sprintf "%d:%h;" j v))
-      c.Lp.Cert.cut_terms;
-    Buffer.add_string b (Printf.sprintf "|%h" c.Lp.Cert.cut_rhs);
-    Buffer.contents b
-
-  let offer p (c : Lp.Cert.cut) =
-    let k = key c in
-    if (not (Hashtbl.mem p.seen k)) && List.length p.entries < p.capacity then begin
-      Hashtbl.add p.seen k ();
-      p.entries <- { cut = c; age = 0; active = false } :: p.entries
-    end
-
-  let violation (c : Lp.Cert.cut) x =
-    Array.fold_left
-      (fun acc (j, v) -> acc +. (v *. x.(j)))
-      (-.c.Lp.Cert.cut_rhs) c.Lp.Cert.cut_terms
-
-  let select p ~x ~max_cuts =
-    let scored =
-      List.filter_map
-        (fun e ->
-          if e.active then None
-          else
-            let v = violation e.cut x in
-            if v > viol_eps then Some (v, e) else None)
-        p.entries
-    in
-    let scored =
-      List.sort
-        (fun (v1, e1) (v2, e2) ->
-          match compare v2 v1 with 0 -> compare (key e1.cut) (key e2.cut) | c -> c)
-        scored
-    in
-    let rec take k = function
-      | [] -> []
-      | _ when k = 0 -> []
-      | (_, e) :: tl ->
-          e.active <- true;
-          e.cut :: take (k - 1) tl
-    in
-    let chosen = take max_cuts scored in
-    p.n_applied <- p.n_applied + List.length chosen;
-    p.entries <-
-      List.filter
-        (fun e ->
-          if e.active then true
-          else begin
-            e.age <- e.age + 1;
-            e.age <= p.max_age
-          end)
-        p.entries;
-    chosen
-
-  let pending p = List.length (List.filter (fun e -> not e.active) p.entries)
-end
-
-(* Random offer/select sequences on both pools: small coefficients and
-   right-hand sides, so duplicates and violation ties are common, a
-   capacity the offers overrun, and ages that expire. *)
-let test_pool_vs_reference () =
-  let rs = Random.State.make [| 34 |] in
-  for case = 1 to 300 do
-    let capacity = 1 + Random.State.int rs 12 and max_age = Random.State.int rs 4 in
-    let pool = Lp.Cutgen.create ~capacity ~max_age () in
-    let rp = Ref_pool.create ~capacity ~max_age in
-    let n = 4 in
-    for step = 1 to 40 do
-      if Random.State.int rs 3 > 0 then begin
-        let terms =
-          List.filter_map
-            (fun j ->
-              match Random.State.int rs 3 with
-              | 0 -> None
-              | c -> Some (j, float_of_int c))
-            (List.init n Fun.id)
-        in
-        let cut : Lp.Cert.cut =
-          {
-            Lp.Cert.cut_terms = Array.of_list terms;
-            cut_rhs = float_of_int (Random.State.int rs 3);
-            cut_deriv = Lp.Cert.Cg [| (0, 1.0) |];
-          }
-        in
-        Lp.Cutgen.offer pool cut;
-        Ref_pool.offer rp cut
-      end
-      else begin
-        let x = Array.init n (fun _ -> float_of_int (Random.State.int rs 3) /. 2.0) in
-        let max_cuts = Random.State.int rs 4 in
-        let got = Lp.Cutgen.select pool ~x ~max_cuts in
-        let want = Ref_pool.select rp ~x ~max_cuts in
-        if List.map Ref_pool.key got <> List.map Ref_pool.key want then
-          Alcotest.failf "case %d step %d: select differs" case step
-      end;
-      if Lp.Cutgen.pending pool <> Ref_pool.pending rp then
-        Alcotest.failf "case %d step %d: pending %d, reference %d" case step
-          (Lp.Cutgen.pending pool) (Ref_pool.pending rp);
-      if Lp.Cutgen.applied pool <> rp.Ref_pool.n_applied then
-        Alcotest.failf "case %d step %d: applied differs" case step
-    done
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Lp.Model: row normalization and the variable arrays                 *)
 (* ------------------------------------------------------------------ *)
@@ -2854,8 +2741,7 @@ let () =
         [
           Alcotest.test_case "presolve tighten" `Quick test_presolve_tighten;
           Alcotest.test_case "cg separation" `Quick test_cutgen_cg;
-          Alcotest.test_case "cut pool" `Quick test_cut_pool;
-          Alcotest.test_case "cut pool vs reference" `Quick test_pool_vs_reference;
+          Alcotest.test_case "round selection" `Quick test_round_selection;
           Alcotest.test_case "add_rows warm" `Quick test_add_rows_warm;
           Alcotest.test_case "cuts A/B parity" `Quick test_milp_cuts_ab_parity;
         ] );
