@@ -47,9 +47,9 @@ val build : config -> Ir.Cdfg.t -> Cuts.t -> t
 val model : t -> Lp.Model.t
 
 val branch_priorities : t -> int array
-(** Branching guidance for {!Lp.Milp.solve}: cut-selection binaries first
-    (they shape area and timing), then roots and resource one-hots, then
-    cycle variables. *)
+(** Branching tie-break for {!Lp.Milp.solve}: among columns with equal
+    pseudocost scores, cut-selection binaries first (they shape area and
+    timing), then roots and resource one-hots, then cycle variables. *)
 
 val incumbent_of_schedule :
   t -> Sched.Schedule.t -> Sched.Cover.t -> float array

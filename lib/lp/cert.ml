@@ -102,7 +102,6 @@ type t = {
   lp_limited : int;
   domains : int;
   gap_tol : float;
-  int_tol : float;
 }
 
 let status_label = function

@@ -97,7 +97,6 @@ type t = {
   lp_limited : int;
   domains : int;
   gap_tol : float;
-  int_tol : float;
 }
 
 val status_label : status -> string

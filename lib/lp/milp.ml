@@ -192,7 +192,6 @@ let finish ~model ~raw ~domains ~elapsed ~cpu0
           lp_limited = v.limited;
           domains;
           gap_tol;
-          int_tol = Node.int_tol;
         }
       in
       if Obs.recording () then

@@ -118,8 +118,8 @@ val solve :
     is not feasible) and seeds the pruning bound — unless [resume]'s
     checkpoint carries an incumbent, which is then the one installed (the seed is
     still validated). [branch_priority] (one entry per variable, higher
-    first) restricts pseudocost branching to the highest priority class
-    with any fractionality ({!Node}). [presolve] and [cuts] (both default
+    first) breaks ties in the pseudocost score, which ranks every
+    fractional integer column ({!Node}). [presolve] and [cuts] (both default
     [true]) switch off root bound tightening and root cuts ([Root]).
 
     [domains] (default 1; clamped to \[1, 64\]) sets how many OCaml 5 domains explore the tree ([Pool]).

@@ -117,11 +117,12 @@ let pc_record pc ~j ~dir_up ~unit ~degrade =
 (* An integer variable within this of an integer counts as integral. *)
 let int_tol = 1e-6
 
-(* Pseudocost branching seeded by priority: within the highest priority
-   class having any fractionality, maximize the product of estimated
-   degradations. Uninitialized variables use the average observed
-   pseudocost; before any observation that degenerates to f·(1−f),
-   i.e. plain most-fractional. *)
+(* Pseudocost branching over every fractional integer column: maximize
+   the product of estimated degradations, break ties in it (within
+   1e-12) by the higher priority class, then by fractionality.
+   Uninitialized variables use the average observed pseudocost; before
+   any observation that degenerates to f·(1−f), i.e. plain
+   most-fractional with the classes deciding equal fractionalities. *)
 let pseudocost_branch raw ?priority pc x =
   let avg sum n =
     let tot = ref 0.0 and cnt = ref 0 in
@@ -160,10 +161,9 @@ let pseudocost_branch raw ?priority pc x =
             Float.max 1e-9 (fdn *. pcd) *. Float.max 1e-9 (fup *. pcu)
           in
           if
-            p > !best_prio
-            || (p = !best_prio
-               && (score > !best_score +. 1e-12
-                  || (score > !best_score -. 1e-12 && frac > !best_frac)))
+            score > !best_score +. 1e-12
+            || score > !best_score -. 1e-12
+               && (p > !best_prio || (p = !best_prio && frac > !best_frac))
           then begin
             best := j;
             best_score := score;

@@ -50,12 +50,9 @@ type pc = {
 
 val pc_copy : pc -> pc
 
-val int_tol : float
-(** [1e-6]: an integer variable within this of an integer counts as
-    integral. *)
-
 val snap : Model.raw -> float array -> float array
-(** Round integer entries within [100 * int_tol] of an integer to it. *)
+(** Round integer entries within [1e-4] (100 times the [1e-6] within
+    which an integer variable counts as integral) of an integer to it. *)
 
 val objective : Model.raw -> float array -> float
 (** Objective without the model constant. *)
@@ -140,7 +137,8 @@ type env = {
 val process : env -> worker -> t -> outcome * Cert.node option
 (** Decide one node: prune it on its parent bound without an LP
     ([F_dominated]), or solve its LP and fathom it, accept an integral
-    point, or branch by pseudocosts within the highest [priority] class.
+    point, or branch on the fractional integer column with the best
+    pseudocost score ([priority], then fractionality, break ties).
     Returns its certificate entry for when it is retired ([None] while
     it stays open or without certificates). Fault sites, after the
     dominance check: [milp.worker_kill] raises {!Worker_killed} before

@@ -280,8 +280,22 @@ let test_suite_path () =
     @ List.map (suite_line Mams.Flow.Milp_map) [ "GFMUL"; "CORDIC"; "DR"; "RS"; "GSM" ]
   in
   let digest = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
-  if digest <> "adc81136f55c20bcd92283cf1575d8ed" then
+  if digest <> "3d98abdcf056245c004a63e9a23379a2" then
     Alcotest.failf "suite path digest %s moved:\n%s" digest (String.concat "\n" lines)
+
+(* MT and AES MILP-map under the same setup, which the suite leaves
+   out. Their trees only prove, so they show how branching sizes a
+   proof: both must end optimal at one domain on these exact lines. *)
+let test_mt_aes_path () =
+  List.iter
+    (fun (name, expect) ->
+      Alcotest.(check string) name expect (suite_line Mams.Flow.Milp_map name))
+    [
+      ("MT",
+       "MILP-map/MT optimal obj=0x1.5p+5 nodes=514 pivots=7149 lut=68 ff=16");
+      ("AES",
+       "MILP-map/AES optimal obj=0x1.8p+5 nodes=129 pivots=3159 lut=96 ff=0");
+    ]
 
 (* GSM MILP-map at one domain, the job `pipesyn run -b GSM -m map
    --domains 1` runs: every cold rebuild of a node LP is counted under
@@ -328,6 +342,7 @@ let () =
       ( "exactness",
         [
           Alcotest.test_case "suite path" `Quick test_suite_path;
+          Alcotest.test_case "MT and AES map path" `Quick test_mt_aes_path;
           Alcotest.test_case "cold rebuild reasons" `Quick test_cold_reasons;
         ] );
       ( "request codec",

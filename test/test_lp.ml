@@ -346,6 +346,37 @@ let test_knapsack () =
   if not (feq (-21.0) r.Lp.Milp.objective) then
     Alcotest.failf "knapsack objective %g" r.Lp.Milp.objective
 
+(* Branching compares the pseudocost score over every fractional
+   integer column and consults [branch_priority] only on a tie. At the
+   root no pseudocost is observed yet, so the score is f·(1−f): x0
+   (class 0) sits at [a] and x1 (class 1) at [b], and the root's branch
+   variable shows which rule chose. Presolve and cuts are off so that
+   the root LP keeps both fractional. *)
+let root_branch_var a b =
+  let m = Lp.Model.create () in
+  let x0 = Lp.Model.bool_var m "x0" in
+  let x1 = Lp.Model.bool_var m "x1" in
+  Lp.Model.add_le m [ (1.0 /. a, x0) ] 1.0;
+  Lp.Model.add_le m [ (1.0 /. b, x1) ] 1.0;
+  Lp.Model.set_objective m [ (-1.0, x0); (-1.0, x1) ];
+  let r =
+    Lp.Milp.solve ~branch_priority:[| 0; 1 |] ~certificates:true
+      ~cuts:false ~presolve:false m
+  in
+  Alcotest.(check bool) "optimal" true (r.Lp.Milp.status = Lp.Milp.Optimal);
+  let cert = Option.get r.Lp.Milp.cert in
+  match
+    List.find (fun (n : Lp.Cert.node) -> n.id = 0) cert.Lp.Cert.nodes
+  with
+  | { fathom = Lp.Cert.F_branched { bvar; _ }; _ } -> bvar
+  | _ -> Alcotest.fail "the root did not branch"
+
+let test_milp_branch_priority_ties () =
+  Alcotest.(check int) "the larger f(1-f) wins across classes" 0
+    (root_branch_var 0.5 0.25);
+  Alcotest.(check int) "equal f(1-f): the higher class wins" 1
+    (root_branch_var 0.5 0.5)
+
 let test_milp_integer_general () =
   (* min 3x + 4y, 2x + y >= 5, x + 3y >= 7, x y integer >= 0.
      Optimal integer: try x=2,y=2: 2*2+2=6>=5, 2+6=8>=7 obj 14.
@@ -823,7 +854,6 @@ let audit_claim raw ~lb ~ub ~bound claim =
       lp_limited = 0;
       domains = 1;
       gap_tol = 1e-6;
-      int_tol = 1e-6;
     }
   in
   Analyze.Diag.errors (Analyze.Audit.check raw cert)
@@ -2692,6 +2722,8 @@ let () =
         [
           Alcotest.test_case "knapsack" `Quick test_knapsack;
           Alcotest.test_case "integer general" `Quick test_milp_integer_general;
+          Alcotest.test_case "branch priority breaks ties" `Quick
+            test_milp_branch_priority_ties;
           Alcotest.test_case "infeasible" `Quick test_milp_infeasible;
           Alcotest.test_case "incumbent" `Quick test_milp_incumbent;
           Alcotest.test_case "bad incumbent" `Quick test_milp_bad_incumbent;
