@@ -68,16 +68,14 @@ let grow_entries sc len =
     sc.ec <- Array.make cap 0.0
   end
 
-(* Transpose the support's rows into [sc] and fold [sum lambda_i rhs_i]
-   into [sc.rhs]; returns the number of columns. A non-finite
-   coefficient or rhs raises [Invalid_argument], as the exact
-   aggregation always has. *)
-let transpose (raw : Model.raw) sc support =
-  let nc = ref 0 and len = ref 0 in
-  Qd.Acc.clear sc.rhs;
+(* List the support's columns in [sc.cols], first-seen order, counting
+   each one's entries; returns the number of columns. A non-finite
+   coefficient raises [Invalid_argument], as the exact aggregation
+   always has. *)
+let columns (raw : Model.raw) sc support =
+  let nc = ref 0 in
   List.iter
-    (fun (i, l) ->
-      Qd.Acc.add_prod sc.rhs l raw.rhs.(i);
+    (fun (i, _) ->
       let row = raw.rows.(i) in
       for p = 0 to Array.length row - 1 do
         let j, c = row.(p) in
@@ -89,16 +87,23 @@ let transpose (raw : Model.raw) sc support =
           incr nc
         end;
         sc.cnt.(j) <- sc.cnt.(j) + 1
-      done;
-      len := !len + Array.length row)
+      done)
     support;
-  grow_entries sc !len;
+  !nc
+
+(* Fold [sum lambda_i rhs_i] into [sc.rhs] (a non-finite rhs raises
+   [Invalid_argument]) and transpose the support's rows into [sc], once
+   {!columns} has listed its [nc] columns. *)
+let transpose (raw : Model.raw) sc support nc =
+  Qd.Acc.clear sc.rhs;
+  List.iter (fun (i, l) -> Qd.Acc.add_prod sc.rhs l raw.rhs.(i)) support;
   let pos = ref 0 in
-  for p = 0 to !nc - 1 do
+  for p = 0 to nc - 1 do
     let j = sc.cols.(p) in
     sc.fill.(j) <- !pos;
     pos := !pos + sc.cnt.(j)
   done;
+  grow_entries sc !pos;
   List.iter
     (fun (i, l) ->
       let row = raw.rows.(i) in
@@ -109,8 +114,7 @@ let transpose (raw : Model.raw) sc support =
         sc.ec.(q) <- c;
         sc.fill.(j) <- q + 1
       done)
-    support;
-  !nc
+    support
 
 (* [t += (c - abar_j)·bound]: the rhs correction of rounding column [j]
    to [c] against [bound]. *)
@@ -130,9 +134,8 @@ let charge t abar c bound =
    rounded rhs is floor(t + delta) — fractional bound charges are what
    lets the cut bite even when t itself is integral (binaries parked at
    their upper bounds). *)
-let cg_round (raw : Model.raw) ~lb ~ub ~x support =
-  let sc = scratch raw.n in
-  let nc = transpose raw sc support in
+let round (raw : Model.raw) ~lb ~ub ~x sc support nc =
+  transpose raw sc support nc;
   let a = sc.abar and t = sc.rhs in
   let terms = ref [] in
   let valid = ref true in
@@ -201,42 +204,125 @@ let cg_round (raw : Model.raw) ~lb ~ub ~x support =
         if violation cut x > viol_eps then Some cut else None
       end
 
-(* One CG candidate from a multiplier suggestion [lam] (length = rows of
-   [raw], which may already include earlier cuts). Returns [None] when
-   the clamped aggregation cannot be rounded validly or yields nothing
-   violated. *)
-let cg_of_multipliers (raw : Model.raw) ~lb ~ub ~x lam =
-  (* Move into the sign cone the audit enforces: >= 0 on [<=] rows,
-     <= 0 on [>=] rows, free on [=] rows; drop noise. A wrong-sign
-     multiplier is frac-shifted by an integer (Gomory's trick: adding
-     an integer multiple of a row keeps the aggregation's fractional
-     structure when the row data is integral, and the final violation
-     check filters the cases where it is not) rather than clamped,
-     which would break the tableau-row identity outright. One pass from
-     the last row down clamps each multiplier and conses the support in
-     row order. *)
-  let ok_scale = ref true in
-  let support = ref [] in
-  let i = ref (Array.length lam - 1) in
-  while !ok_scale && !i >= 0 do
-    let l = lam.(!i) in
+(* A candidate's clamped support, built one multiplier at a time from
+   the last row down, so it comes out consed in row order. Each
+   multiplier is moved into the sign cone the audit enforces: >= 0 on
+   [<=] rows, <= 0 on [>=] rows, free on [=] rows; noise is dropped. A
+   wrong-sign multiplier is frac-shifted by an integer (Gomory's trick:
+   adding an integer multiple of a row keeps the aggregation's
+   fractional structure when the row data is integral, and the final
+   violation check filters the cases where it is not) rather than
+   clamped, which would break the tableau-row identity outright. Any
+   multiplier past [lam_max] rejects the candidate. *)
+type support = { mutable ok : bool; mutable rows : (int * float) list }
+
+let offer (raw : Model.raw) s i l =
+  if s.ok then begin
     let l =
-      match raw.senses.(!i) with
+      match raw.senses.(i) with
       | Model.Le -> if l < 0.0 then l -. Float.floor l else l
       | Model.Ge -> if l > 0.0 then l -. Float.ceil l else l
       | Model.Eq -> l
     in
     if not (Float.abs l < lam_drop) then begin
-      if Float.abs l > lam_max || not (Float.is_finite l) then ok_scale := false
-      else support := (!i, l) :: !support
-    end;
-    decr i
+      if Float.abs l > lam_max || not (Float.is_finite l) then s.ok <- false
+      else s.rows <- (i, l) :: s.rows
+    end
+  end
+
+(* ------------------------------------------------------------------ *)
+(* The separation pass's memory                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Both tables below compare floats by their bits. *)
+let[@inline] bits v = Int64.to_int (Int64.bits_of_float v)
+let[@inline] same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+let[@inline] mix h v = (h * 31) + (v lxor (v lsr 32))
+
+(* The candidate memo. A derivation reads its clamped support, the cited
+   rows, and the integrality, box and [x] of the columns they touch,
+   nothing else. Within one pass rows are only appended (an index always
+   names the same row) and the box does not move, so a candidate whose
+   support and [x] on its columns match an earlier one's, bit for bit,
+   derives the same result, and the memo hands that back instead. It
+   cannot change the applied cuts: [cg_cuts] returns the very list the
+   derivations would, so [select] chooses from the same candidates. *)
+type derived = {
+  support : (int * float) list;
+  xs : float array;  (** [x] on the support's columns, first-seen order *)
+  cut : Cert.cut option;
+}
+
+(* The keys of the cuts {!select} has seen: normalized terms and rhs. *)
+module Keys = Hashtbl.Make (struct
+  type t = Cert.cut
+
+  let equal (a : Cert.cut) (b : Cert.cut) =
+    let ta = a.Cert.cut_terms and tb = b.Cert.cut_terms in
+    same a.Cert.cut_rhs b.Cert.cut_rhs
+    && Array.length ta = Array.length tb
+    &&
+    let rec go p =
+      p < 0
+      || (let j, v = ta.(p) and k, w = tb.(p) in
+          j = k && same v w)
+         && go (p - 1)
+    in
+    go (Array.length ta - 1)
+
+  let hash (c : Cert.cut) =
+    Hashtbl.hash
+      (Array.fold_left
+         (fun h (j, v) -> mix (mix h j) (bits v))
+         (bits c.Cert.cut_rhs) c.Cert.cut_terms)
+end)
+
+type seen = { keys : unit Keys.t; memo : (int, derived) Hashtbl.t }
+
+let seen () = { keys = Keys.create 64; memo = Hashtbl.create 64 }
+
+(* The candidate of a clamped support, through the memo when there is
+   one: the columns are listed (cheap) before the memo is asked, and
+   only a miss pays for the exact rounding. *)
+let derive ?memo (raw : Model.raw) ~lb ~ub ~x s =
+  match s.rows with
+  | _ when not s.ok -> None
+  | [] -> None
+  | support -> (
+      let sc = scratch raw.n in
+      let nc = columns raw sc support in
+      match memo with
+      | None -> round raw ~lb ~ub ~x sc support nc
+      | Some memo -> (
+          let h = ref 0 in
+          List.iter (fun (i, l) -> h := mix (mix !h i) (bits l)) support;
+          for p = 0 to nc - 1 do
+            h := mix !h (bits x.(sc.cols.(p)))
+          done;
+          let matches d =
+            List.equal (fun (i, l) (k, w) -> i = k && same l w) d.support support
+            &&
+            let rec go p = p < 0 || (same d.xs.(p) x.(sc.cols.(p)) && go (p - 1)) in
+            go (nc - 1)
+          in
+          match List.find_opt matches (Hashtbl.find_all memo !h) with
+          | Some d -> d.cut
+          | None ->
+              let xs = Array.init nc (fun p -> x.(sc.cols.(p))) in
+              let cut = round raw ~lb ~ub ~x sc support nc in
+              Hashtbl.add memo !h { support; xs; cut };
+              cut))
+
+(* One CG candidate from a multiplier suggestion [lam] (length = rows of
+   [raw], which may already include earlier cuts). Returns [None] when
+   the clamped aggregation cannot be rounded validly or yields nothing
+   violated. *)
+let cg_of_multipliers (raw : Model.raw) ~lb ~ub ~x lam =
+  let s = { ok = true; rows = [] } in
+  for i = Array.length lam - 1 downto 0 do
+    offer raw s i lam.(i)
   done;
-  if not !ok_scale then None
-  else
-    match !support with
-    | [] -> None
-    | support -> cg_round raw ~lb ~ub ~x support
+  derive raw ~lb ~ub ~x s
 
 (* Candidates derived between two polls of the caller's budget: a wide
    candidate costs about 0.25 ms (XORR's MILP-map), so a round stops
@@ -249,23 +335,27 @@ let frac_min = 0.005
 
 (* CG round: one candidate per fractional basic integer variable, using
    the tableau row's multipliers as the aggregation suggestion. *)
-let cg_cuts (raw : Model.raw) ~lb ~ub ~x ~multipliers ~budget =
+let cg_cuts seen (raw : Model.raw) ~lb ~ub ~x ~multipliers ~budget =
   let out = ref [] and tried = ref 0 in
+  let s = { ok = true; rows = [] } in
+  let offer = offer raw s in
   let j = ref 0 in
   while !j < raw.n do
     let c = !j in
     incr j;
     if raw.integer.(c) then begin
       let frac = Float.abs (x.(c) -. Float.round x.(c)) in
-      if frac > frac_min then
-        match multipliers c with
-        | None -> ()
-        | Some lam ->
-            (match cg_of_multipliers raw ~lb ~ub ~x lam with
-            | Some cut -> out := cut :: !out
-            | None -> ());
-            incr tried;
-            if !tried mod poll_every = 0 && budget () then j := raw.n
+      if frac > frac_min then begin
+        s.ok <- true;
+        s.rows <- [];
+        if multipliers c offer then begin
+          (match derive ~memo:seen.memo raw ~lb ~ub ~x s with
+          | Some cut -> out := cut :: !out
+          | None -> ());
+          incr tried;
+          if !tried mod poll_every = 0 && budget () then j := raw.n
+        end
+      end
     end
   done;
   !out
@@ -274,12 +364,7 @@ let cg_cuts (raw : Model.raw) ~lb ~ub ~x ~multipliers ~budget =
 (* Round selection                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type seen = (string, unit) Hashtbl.t
-
-let seen () = Hashtbl.create 64
-
-(* The duplicate hash over normalized terms and rhs, also [select]'s
-   tie-break. *)
+(* The printed key: [select]'s tie-break between equal violations. *)
 let key (c : Cert.cut) =
   let b = Buffer.create 64 in
   Array.iter
@@ -294,19 +379,20 @@ let select seen ~x ~max_cuts cands =
   let scored =
     List.filter_map
       (fun c ->
-        let k = key c in
-        if Hashtbl.mem seen k then None
+        if Keys.mem seen.keys c then None
         else begin
-          Hashtbl.add seen k ();
+          Keys.add seen.keys c ();
           let v = violation c x in
-          if v > viol_eps then Some (v, k, c) else None
+          if v > viol_eps then Some (v, lazy (key c), c) else None
         end)
       cands
   in
   let scored =
     List.sort
       (fun (v1, k1, _) (v2, k2, _) ->
-        match Float.compare v2 v1 with 0 -> String.compare k1 k2 | c -> c)
+        match Float.compare v2 v1 with
+        | 0 -> String.compare (Lazy.force k1) (Lazy.force k2)
+        | c -> c)
       scored
   in
   let chosen = List.filteri (fun i _ -> i < max_cuts) scored in

@@ -8,23 +8,42 @@
     exactly, so a drifted tableau can lose a cut but never emit an
     invalid one. *)
 
+type seen
+(** A separation pass's memory: the keys (normalized terms + rhs) of
+    every candidate the pass has offered to {!select}, and every
+    candidate {!cg_cuts} has derived in it. *)
+
+val seen : unit -> seen
+(** An empty memory, one per separation pass. *)
+
 val cg_cuts :
+  seen ->
   Model.raw ->
   lb:float array ->
   ub:float array ->
   x:float array ->
-  multipliers:(int -> float array option) ->
+  multipliers:(int -> (int -> float -> unit) -> bool) ->
   budget:(unit -> bool) ->
   Cert.cut list
 (** One Chvátal–Gomory candidate per integer variable more than 0.005
-    from an integer at the LP point [x], aggregating with
-    [multipliers j] (the variable's simplex tableau row,
-    {!Simplex.tableau_multipliers}) clamped to the audit's sign cone. [raw] may already contain earlier cut rows — CG
-    derivations then cite them, which is what makes successive rounds
-    strictly stronger. Only candidates violated at [x] by more than the
-    separation tolerance are returned. [budget] is polled after every
-    eighth candidate; once it answers [true] the cuts found so far are
-    returned. *)
+    from an integer at the LP point [x], aggregating with the
+    variable's simplex tableau row: [multipliers j f] calls [f i λ_i]
+    for the row's nonzero multipliers, last row first, and answers
+    whether [j] has a row ({!Simplex.iter_multipliers}). The
+    multipliers are clamped to the audit's sign cone as in
+    {!cg_of_multipliers}. [raw] may already contain earlier cut rows —
+    CG derivations then cite them, which is what makes successive
+    rounds strictly stronger. Only candidates violated at [x] by more
+    than the separation tolerance are returned. [budget] is polled
+    after every eighth candidate; once it answers [true] the cuts found
+    so far are returned.
+
+    The result is what {!cg_of_multipliers} derives from each
+    candidate's multipliers, but a candidate whose clamped support and
+    [x] on the support's columns match, bit for bit, one derived
+    earlier in the same pass gets that one's result without a second
+    derivation. So every call of one pass must see the same [lb] and
+    [ub], and a [raw] that only grew by appended rows. *)
 
 val cg_of_multipliers :
   Model.raw ->
@@ -44,18 +63,14 @@ val cg_of_multipliers :
 
 (** {1 Round selection} *)
 
-type seen
-(** The keys (normalized terms + rhs) of every candidate a separation
-    pass has offered to {!select}. *)
-
-val seen : unit -> seen
-(** An empty key table, one per separation pass. *)
-
 val select :
   seen -> x:float array -> max_cuts:int -> Cert.cut list ->
   Cert.cut list * int
 (** [select seen ~x ~max_cuts cands] drops every candidate whose key is
     already in [seen] (the first of two duplicates stays) and adds the
     rest's keys; of those violated at [x], it returns the (at most)
-    [max_cuts] most violated, ties broken by key, and how many violated
-    candidates it left out. *)
+    [max_cuts] most violated, and how many violated candidates it left
+    out. Keys compare term by term and rhs, floats by their bits; ties
+    in violation go to the smaller printed key (each term as
+    [j:%h;], then [|%h] of the rhs, compared as strings), printed only
+    for such ties. *)

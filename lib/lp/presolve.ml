@@ -113,6 +113,22 @@ let tighten (raw : Model.raw) =
     incr nev
   in
   let changed = ref false in
+  (* Dirty rows. A row's scan reads the row, its rhs, and the box of the
+     columns in it, and it only moves bounds of those columns; so a scan
+     of a row none of whose columns moved since its previous scan
+     started repeats that scan, which emitted nothing, and is skipped.
+     [clock] counts the scans started, [scanned.(i)] is the clock at row
+     [i]'s last one, and [moved.(j)] the clock when column [j]'s box last
+     moved (0: before any scan, so every row with a column is scanned
+     once). *)
+  let clock = ref 0 in
+  let scanned = Array.make (Array.length raw.rows) (-1) in
+  let moved = Array.make n 0 in
+  let dirty i row =
+    let since = scanned.(i) in
+    let rec go p = p >= 0 && (moved.(fst row.(p)) >= since || go (p - 1)) in
+    go (Array.length row - 1)
+  in
   (* Integrality rounding of fractional model bounds (t_row = -1). *)
   for j = 0 to n - 1 do
     if raw.integer.(j) then begin
@@ -160,6 +176,7 @@ let tighten (raw : Model.raw) =
               else if event_valid_exact ~integer ~cj ~ma ~d ~hi v then begin
                 emit { Cert.t_var = j; t_hi = hi; t_new = v; t_row = i };
                 if hi then ub.(j) <- v else lb.(j) <- v;
+                moved.(j) <- !clock;
                 changed := true
               end
               else attempt (k + 1)
@@ -257,14 +274,18 @@ let tighten (raw : Model.raw) =
     changed := false;
     Array.iteri
       (fun i row ->
-        let len = Array.length row in
-        if Array.length !prod < len then prod := Array.make len 0.0;
-        let dup = ref false in
-        Array.iter
-          (fun (k, _) -> if mark.(k) = i then dup := true else mark.(k) <- i)
-          row;
-        Array.iter (fun (k, _) -> mark.(k) <- -1) row;
-        List.iter (view ~i ~row ~dup:!dup) (le_views raw i))
+        if dirty i row then begin
+          incr clock;
+          scanned.(i) <- !clock;
+          let len = Array.length row in
+          if Array.length !prod < len then prod := Array.make len 0.0;
+          let dup = ref false in
+          Array.iter
+            (fun (k, _) -> if mark.(k) = i then dup := true else mark.(k) <- i)
+            row;
+          Array.iter (fun (k, _) -> mark.(k) <- -1) row;
+          List.iter (view ~i ~row ~dup:!dup) (le_views raw i)
+        end)
       raw.rows;
     !changed
   in

@@ -69,10 +69,9 @@ let separate t (w : Node.worker) ~budget =
       let x = ref r0.Simplex.x in
       let stop = ref false in
       while (not !stop) && t.rounds < max_rounds && not (budget ()) do
-        let rawe = t.system in
         let cands =
-          Cutgen.cg_cuts rawe ~lb:w.lb ~ub:w.ub ~x:!x
-            ~multipliers:(Simplex.tableau_multipliers st) ~budget
+          Cutgen.cg_cuts seen t.system ~lb:w.lb ~ub:w.ub ~x:!x
+            ~multipliers:(Simplex.iter_multipliers st) ~budget
         in
         (* a round the budget cut short is dropped: the root node's LP
            comes first *)
@@ -81,9 +80,8 @@ let separate t (w : Node.worker) ~budget =
           match Cutgen.select seen ~x:!x ~max_cuts:max_cuts_per_round cands with
           | [], _ -> stop := true
           | chosen, left -> (
-              let rows = cut_rows chosen in
-              Simplex.add_rows st rows;
-              t.system <- Model.with_le_rows rawe rows;
+              Simplex.add_rows st (cut_rows chosen);
+              t.system <- Simplex.system st;
               t.cuts <- t.cuts @ chosen;
               t.rounds <- t.rounds + 1;
               let r = Node.lp w t.system in

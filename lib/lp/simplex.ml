@@ -1069,22 +1069,39 @@ let duals st =
 
 let last_infeasibility st = st.infeas
 
+let system st = st.raw
+
 (* Aggregation multipliers reproducing the tableau row of a basic
    structural column: row [r] of the reduced tableau satisfies
    [T_r = Σ_i λ_i · (original row i)] on the structural columns with
    [λ_i = sign_i · T_r(slack_i)], the same unwinding as in
    {!row_multipliers}. Consumed by {!Cutgen} as the *suggestion* for a
-   Chvátal–Gomory derivation; everything downstream is recomputed
-   exactly from the returned vector. *)
-let tableau_multipliers st j =
+   Chvátal–Gomory derivation, one row at a time, so no candidate needs
+   an m-length array; everything downstream is recomputed exactly from
+   the multipliers. *)
+let iter_multipliers st j f =
   match st.t with
-  | None -> None
+  | None -> false
   | Some t -> (
-      if j < 0 || j >= t.n then None
+      if j < 0 || j >= t.n then false
       else
         match t.stat.(j) with
-        | Basic r -> Some (slack_multipliers t r 1.0)
-        | At_lower | At_upper -> None)
+        | At_lower | At_upper -> false
+        | Basic r ->
+            (* the entries of [slack_multipliers t r 1.0], zeros skipped: a
+               nonbasic slack's from its slot, the unit entry of the slack
+               basic in row [r] *)
+            let row = t.a.(r) and own = t.basis.(r) in
+            for i = t.m - 1 downto 0 do
+              let c = t.n + i in
+              let s = t.slot.(c) in
+              if s >= 0 then begin
+                let e = row.(s) in
+                if e <> 0.0 then f i (t.sign.(i) *. e)
+              end
+              else if c = own then f i t.sign.(i)
+            done;
+            true)
 
 let edge_weights st =
   match st.t with

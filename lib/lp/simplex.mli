@@ -137,16 +137,19 @@ val duals : state -> float array option
     and equals its optimum up to float drift. [None] when the state was
     built from crossed bounds and holds no tableau. *)
 
-val tableau_multipliers : state -> int -> float array option
-(** [tableau_multipliers st j] returns, for a structural column [j] that
-    is basic in the current tableau, the aggregation multipliers [λ]
-    (one per row of the state's system, including any rows added with
+val iter_multipliers : state -> int -> (int -> float -> unit) -> bool
+(** [iter_multipliers st j f], for a structural column [j] that is basic
+    in the current tableau, reads the aggregation multipliers [λ] (one
+    per row of the state's system, including any rows added with
     {!add_rows}) such that [Σ_i λ_i · row_i] reproduces [j]'s tableau
-    row on the structural columns. This is the suggestion {!Cutgen}
+    row on the structural columns: it calls [f i λ_i] for every row [i]
+    whose multiplier is nonzero, from the last row down, and returns
+    [true]. It calls nothing and returns [false] when [j] is nonbasic or
+    the state holds no tableau. No array is built: the multipliers are
+    read off the row's slack entries. This is the suggestion {!Cutgen}
     turns into a Chvátal–Gomory derivation — only a suggestion: cut
     generation recomputes the aggregation exactly from [λ] and the
-    original rows. [None] when [j] is nonbasic or the state holds no
-    tableau. *)
+    original rows. *)
 
 val edge_weights : state -> (float * float) array
 (** One pair per row of the state's system: the dual steepest-edge
@@ -165,6 +168,10 @@ val add_rows : state -> ((int * float) array * float) array -> unit
     dual-simplex walk instead of re-solving from scratch. Subsequent
     {!duals} / {!last_infeasibility} vectors cover the extended row set
     (model rows first, added rows in call order). *)
+
+val system : state -> Model.raw
+(** The state's row system: the model it was solved over, then every
+    row {!add_rows} appended, in call order. *)
 
 val last_infeasibility : state -> Cert.farkas option
 (** Evidence for the most recent [Infeasible] outcome of {!solve_state} /

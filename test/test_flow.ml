@@ -297,6 +297,118 @@ let test_mt_aes_path () =
        "MILP-map/AES optimal obj=0x1.8p+5 nodes=129 pivots=3159 lut=96 ff=0");
     ]
 
+(* The model [Mams.Flow.run] hands the MILP for [m] on kernel [name]
+   under [suite_setup]: the same cuts, schedule-derived latency bound and
+   delay model as the flow's full-strength attempt. *)
+let suite_model m name =
+  let e = Benchmarks.Registry.find name in
+  let s = suite_setup e and g = e.build () in
+  let mapping_aware = m = Mams.Flow.Milp_map in
+  let k = s.device.Fpga.Device.k in
+  let schedule delays =
+    Sched.Heuristic.schedule ~device:s.device ~delays ~resources:s.resources
+      ~ii:s.ii g
+  in
+  let base =
+    match schedule s.delays with
+    | Ok sched -> sched
+    | Error _ -> Alcotest.failf "%s: no baseline schedule" name
+  in
+  let cuts =
+    if mapping_aware then Cuts.enumerate ~params:(Cuts.default_params ~k) ~k g
+    else Cuts.trivial_only ~k g
+  in
+  let warm =
+    if not mapping_aware then Some base
+    else
+      Result.to_option
+        (schedule
+           (Fpga.Delays.with_logic s.delays ~logic:s.device.Fpga.Device.lut_delay))
+  in
+  let max_latency =
+    List.fold_left
+      (fun acc sched -> max acc (Sched.Schedule.latency sched))
+      (Sched.Schedule.latency base) (Option.to_list warm)
+  in
+  let cfg =
+    {
+      Mams.Formulation.device = s.device;
+      delays = s.delays;
+      resources = s.resources;
+      ii = s.ii;
+      max_latency;
+      alpha = s.alpha;
+      beta = s.beta;
+      cut_delay =
+        (if mapping_aware then
+           Mams.Formulation.mapped_delay ~device:s.device ~delays:s.delays
+         else Mams.Formulation.additive_delay ~delays:s.delays);
+    }
+  in
+  Mams.Formulation.model (Mams.Formulation.build cfg g cuts)
+
+(* What the root produced on one suite model, read from the certificate
+   of a solve cut to its root node: the presolve events and the applied
+   cuts with their CG multipliers, each digested with every float as
+   [%h]. *)
+let root_line m name =
+  let r =
+    Lp.Milp.solve ~time_limit:60.0 ~node_limit:1 ~domains:1 ~certificates:true
+      (suite_model m name)
+  in
+  match r.Lp.Milp.cert with
+  | None -> Alcotest.failf "%s: no certificate" name
+  | Some c ->
+      let digest f l = Digest.to_hex (Digest.string (String.concat "\n" (List.map f l))) in
+      let floats f a = String.concat ";" (Array.to_list (Array.map f a)) in
+      let event (e : Lp.Cert.tighten) =
+        Printf.sprintf "%d %b %h %d" e.t_var e.t_hi e.t_new e.t_row
+      in
+      let cut (c : Lp.Cert.cut) =
+        let (Lp.Cert.Cg lam) = c.cut_deriv in
+        Printf.sprintf "%s <= %h by %s"
+          (floats (fun (j, v) -> Printf.sprintf "%d:%h" j v) c.cut_terms)
+          c.cut_rhs
+          (floats (fun (i, l) -> Printf.sprintf "%d:%h" i l) lam)
+      in
+      Printf.sprintf "%s/%s presolve=%d:%s cuts=%d:%s" (Mams.Flow.method_name m)
+        name (List.length c.presolve) (digest event c.presolve)
+        (List.length c.cuts) (digest cut c.cuts)
+
+(* The bounds and cuts the root derives on the suite jobs plus MT and AES
+   MILP-map. The suite path digest covers the search they lead to, not
+   the root's own output; a refactor of presolve or separation that must
+   not change either leaves these lines alone. *)
+let test_root_work () =
+  let jobs =
+    List.map
+      (fun k -> (Mams.Flow.Milp_base, k))
+      [ "CLZ"; "XORR"; "GFMUL"; "CORDIC"; "MT"; "AES"; "RS"; "DR"; "GSM" ]
+    @ List.map
+        (fun k -> (Mams.Flow.Milp_map, k))
+        [ "GFMUL"; "CORDIC"; "DR"; "RS"; "GSM"; "MT"; "AES" ]
+  in
+  Alcotest.(check (list string)) "root work"
+    [
+      "MILP-base/CLZ presolve=126:e468737662b66544079de9daa38a8db4 cuts=38:e31642d205bb5c017bbd510f93cad374";
+      "MILP-base/XORR presolve=180:48677464273f0ce534ff5a03fcb8302c cuts=17:6c475d7e6ec6516cbd5a5aeb33d1ff72";
+      "MILP-base/GFMUL presolve=73:08183f202cfcf0a071509bd0b17b107a cuts=11:802eef24d5eb176d0a044875b81e4a95";
+      "MILP-base/CORDIC presolve=136:a8098910166d26f53849d9ae4115cd9d cuts=16:9a732125514c22da46ef45ce832d3bd4";
+      "MILP-base/MT presolve=51:69483c5d60faf0f95771076fbc3125fc cuts=6:f8603d7d576ebc2d3c4b9ff7d588e5e7";
+      "MILP-base/AES presolve=124:2f690a64aed8163d453cf7e152c3a320 cuts=32:d8bdef9629c72b4c9b42b6014fb2c463";
+      "MILP-base/RS presolve=75:0d35f3446c2981d9085713126f4a8168 cuts=2:b3e168030b84640ac076da98411c7e83";
+      "MILP-base/DR presolve=88:2cd7fe0661794b3af3801e4b54426eee cuts=23:54937818ee5dc7b0d9e5f513f0420804";
+      "MILP-base/GSM presolve=67:34178603a9d8d018655e2ea36d714a95 cuts=31:b5c498f26518751e8168236049157ce7";
+      "MILP-map/GFMUL presolve=9:97c958db942d1ec336545516c8d2e9d7 cuts=22:91dbbaeafd6e32b8eca99764d013d6ad";
+      "MILP-map/CORDIC presolve=7:36df7cf1dfce29e9dedffe943be63215 cuts=0:d41d8cd98f00b204e9800998ecf8427e";
+      "MILP-map/DR presolve=11:82f5f653b0f3abc569612c23cee113b8 cuts=10:bd09edee4ea39f48c5ca03ead9a95653";
+      "MILP-map/RS presolve=9:d2bdd6a8e1e52005cb61d07befb7b906 cuts=3:3b2c6292cb4129a13370ad6699a36d31";
+      "MILP-map/GSM presolve=12:4db56974bff858dcab69c7d556f71afa cuts=0:d41d8cd98f00b204e9800998ecf8427e";
+      "MILP-map/MT presolve=7:e9ac2f99f6c1bebcd648e90238971f94 cuts=109:6d2f4390e2a6d6c9baa0a734c742b0ba";
+      "MILP-map/AES presolve=24:60bf3dbf5d781c72cf2d2727532d2cf9 cuts=60:8908e409463f407d52ab202618ee2467";
+    ]
+    (List.map (fun (m, k) -> root_line m k) jobs)
+
 (* GSM MILP-map at one domain, the job `pipesyn run -b GSM -m map
    --domains 1` runs: every cold rebuild of a node LP is counted under
    exactly one reason, and a wrong-sign reduced cost is the commonest. *)
@@ -343,6 +455,7 @@ let () =
         [
           Alcotest.test_case "suite path" `Quick test_suite_path;
           Alcotest.test_case "MT and AES map path" `Quick test_mt_aes_path;
+          Alcotest.test_case "root work" `Quick test_root_work;
           Alcotest.test_case "cold rebuild reasons" `Quick test_cold_reasons;
         ] );
       ( "request codec",

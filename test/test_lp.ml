@@ -1264,24 +1264,24 @@ let test_condensed_unit_columns () =
         (basic <> []);
       List.iter
         (fun j ->
-          match Lp.Simplex.tableau_multipliers st j with
-          | None -> Alcotest.failf "%s: no multipliers for basic %d" name j
-          | Some lam ->
-              let agg = Array.make n 0.0 in
-              Array.iteri
-                (fun i l ->
-                  if l <> 0.0 then
-                    Array.iter
-                      (fun (c, a) -> agg.(c) <- agg.(c) +. (l *. a))
-                      raw.Lp.Model.rows.(i))
-                lam;
-              List.iter
-                (fun k ->
-                  let want = if k = j then 1.0 else 0.0 in
-                  if Float.abs (agg.(k) -. want) > 1e-9 then
-                    Alcotest.failf "%s: row of basic %d is %.12g at basic %d"
-                      name j agg.(k) k)
-                basic)
+          let lam = Array.make (Array.length raw.Lp.Model.rows) 0.0 in
+          if not (Lp.Simplex.iter_multipliers st j (fun i l -> lam.(i) <- l))
+          then Alcotest.failf "%s: no multipliers for basic %d" name j;
+          let agg = Array.make n 0.0 in
+          Array.iteri
+            (fun i l ->
+              if l <> 0.0 then
+                Array.iter
+                  (fun (c, a) -> agg.(c) <- agg.(c) +. (l *. a))
+                  raw.Lp.Model.rows.(i))
+            lam;
+          List.iter
+            (fun k ->
+              let want = if k = j then 1.0 else 0.0 in
+              if Float.abs (agg.(k) -. want) > 1e-9 then
+                Alcotest.failf "%s: row of basic %d is %.12g at basic %d"
+                  name j agg.(k) k)
+            basic)
         basic)
     [ "GSM"; "RS" ]
 
@@ -1432,9 +1432,9 @@ let test_cutgen_cg () =
   in
   Alcotest.(check bool) "LP vertex fractional" true frac;
   let cuts =
-    Lp.Cutgen.cg_cuts raw ~lb:raw.Lp.Model.lb ~ub:raw.Lp.Model.ub
-      ~x:r.Lp.Simplex.x
-      ~multipliers:(Lp.Simplex.tableau_multipliers st)
+    Lp.Cutgen.cg_cuts (Lp.Cutgen.seen ()) raw ~lb:raw.Lp.Model.lb
+      ~ub:raw.Lp.Model.ub ~x:r.Lp.Simplex.x
+      ~multipliers:(Lp.Simplex.iter_multipliers st)
       ~budget:(fun () -> false)
   in
   Alcotest.(check bool) "a CG cut separates" true (cuts <> []);
@@ -1486,6 +1486,110 @@ let test_round_selection () =
   Alcotest.(check (list (float 0.0))) "earlier rounds' keys are skipped" [ 6.0 ]
     (names chosen);
   Alcotest.(check int) "nothing left over" 0 left
+
+(* [Cutgen.select] as it stood, keying every candidate by its Printf
+   string, kept verbatim as the reference the hash-keyed one must match. *)
+module Ref_select : sig
+  type seen
+
+  val seen : unit -> seen
+
+  val select :
+    seen -> x:float array -> max_cuts:int -> Lp.Cert.cut list ->
+    Lp.Cert.cut list * int
+end = struct
+  open Lp
+
+  let viol_eps = 1e-6
+
+  let violation (c : Cert.cut) x =
+    Array.fold_left
+      (fun acc (j, v) -> acc +. (v *. x.(j)))
+      (-.c.Cert.cut_rhs) c.Cert.cut_terms
+
+  type seen = (string, unit) Hashtbl.t
+
+  let seen () = Hashtbl.create 64
+
+  (* The duplicate hash over normalized terms and rhs, also [select]'s
+     tie-break. *)
+  let key (c : Cert.cut) =
+    let b = Buffer.create 64 in
+    Array.iter
+      (fun (j, v) -> Buffer.add_string b (Printf.sprintf "%d:%h;" j v))
+      c.Cert.cut_terms;
+    Buffer.add_string b (Printf.sprintf "|%h" c.Cert.cut_rhs);
+    Buffer.contents b
+
+  let select seen ~x ~max_cuts cands =
+    (* [filter_map] walks the list in order, so the first of two duplicates
+       is the one kept *)
+    let scored =
+      List.filter_map
+        (fun c ->
+          let k = key c in
+          if Hashtbl.mem seen k then None
+          else begin
+            Hashtbl.add seen k ();
+            let v = violation c x in
+            if v > viol_eps then Some (v, k, c) else None
+          end)
+        cands
+    in
+    let scored =
+      List.sort
+        (fun (v1, k1, _) (v2, k2, _) ->
+          match Float.compare v2 v1 with 0 -> String.compare k1 k2 | c -> c)
+        scored
+    in
+    let chosen = List.filteri (fun i _ -> i < max_cuts) scored in
+    (List.map (fun (_, _, c) -> c) chosen, List.length scored - List.length chosen)
+end
+
+(* Rounds of candidates drawn from a small pool of cut shapes, so the
+   same terms and rhs recur within a round and across rounds, over a
+   grid point [x] where violations tie exactly; signed zeros make two
+   shapes equal as floats but not as bits. Every draw is a separate
+   candidate (its [Cg] multiplier numbers it), and both selections must
+   choose the same candidates, physically, in the same order, and leave
+   out as many. *)
+let select_matches_reference =
+  let gen =
+    QCheck.Gen.(
+      let coef = oneofl [ -1.0; -0.0; 0.0; 0.5; 1.0; 2.0 ] in
+      let terms =
+        map
+          (fun cs ->
+            Array.of_list
+              (List.filter_map Fun.id
+                 (List.mapi (fun j c -> Option.map (fun c -> (j, c)) c) cs)))
+          (list_repeat 4 (opt coef))
+      in
+      let shape = pair terms (oneofl [ -0.0; 0.0; 0.5; 1.0; 2.0 ]) in
+      list_size (int_range 1 6) shape >>= fun pool ->
+      triple
+        (array_repeat 4 (oneofl [ 0.0; 0.5; 1.0; 1.5 ]))
+        (int_range 1 5)
+        (list_size (int_range 1 4) (list_size (int_range 0 12) (oneofl pool))))
+  in
+  QCheck.Test.make ~name:"select = Printf-keyed reference" ~count:1000
+    (QCheck.make gen) (fun (x, max_cuts, rounds) ->
+      let seen = Lp.Cutgen.seen () and ref_seen = Ref_select.seen () in
+      let drawn = ref 0 in
+      List.for_all
+        (fun round ->
+          let cands =
+            List.map
+              (fun (terms, rhs) ->
+                incr drawn;
+                { Lp.Cert.cut_terms = terms; cut_rhs = rhs;
+                  cut_deriv = Lp.Cert.Cg [| (0, float_of_int !drawn) |] })
+              round
+          in
+          let got, left = Lp.Cutgen.select seen ~x ~max_cuts cands in
+          let want, want_left = Ref_select.select ref_seen ~x ~max_cuts cands in
+          List.equal ( == ) got want && left = want_left)
+        rounds)
 
 let test_add_rows_warm () =
   (* append a violated cut row to a solved state: the next resolve must
@@ -2116,6 +2220,66 @@ let test_cg_vs_reference () =
        !off_floors)
     true
     (!cuts > 1000 && !nones > 1000 && !off_floors < 200)
+
+(* One separation pass over [gen_cg_input]'s inputs: three rounds on one
+   [seen], at [x], at [x] with some columns moved, and at [x] again, where
+   every fractional integer column's candidate aggregates with the same
+   [lam] (odd columns get none). Whatever the memo hands back must be
+   what [cg_of_multipliers] derives afresh, in column order. *)
+let test_cg_memo () =
+  let rs = Random.State.make [| 41 |] in
+  let hits = ref 0 and moved_cuts = ref 0 in
+  for case = 1 to 3000 do
+    let raw, lb, ub, x, lam = gen_cg_input rs in
+    let n = raw.Lp.Model.n in
+    let moved =
+      Array.mapi
+        (fun j v ->
+          if Random.State.bool rs then v
+          else
+            let lo = if Float.is_finite lb.(j) then lb.(j) else -5.0 in
+            let hi = if Float.is_finite ub.(j) then ub.(j) else lo +. 10.0 in
+            lo +. Random.State.float rs (hi -. lo))
+        x
+    in
+    let multipliers c f =
+      c mod 2 = 0
+      && begin
+           for i = Array.length lam - 1 downto 0 do
+             if lam.(i) <> 0.0 then f i lam.(i)
+           done;
+           true
+         end
+    in
+    let seen = Lp.Cutgen.seen () in
+    List.iteri
+      (fun round x ->
+        let got =
+          List.rev
+            (Lp.Cutgen.cg_cuts seen raw ~lb ~ub ~x ~multipliers
+               ~budget:(fun () -> false))
+        in
+        let want =
+          List.filter_map
+            (fun c ->
+              if raw.Lp.Model.integer.(c) && c mod 2 = 0
+                 && Float.abs (x.(c) -. Float.round x.(c)) > 0.005
+              then Lp.Cutgen.cg_of_multipliers raw ~lb ~ub ~x lam
+              else None)
+            (List.init n Fun.id)
+        in
+        if not (List.equal same_cut got want) then
+          Alcotest.failf "case %d round %d: %d cuts, fresh derivations %d" case
+            round (List.length got) (List.length want);
+        if round = 1 then moved_cuts := !moved_cuts + List.length got;
+        if round = 2 then hits := !hits + List.length got)
+      [ x; moved; x ]
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d cuts at the moved point, %d from the memo" !moved_cuts
+       !hits)
+    true
+    (!moved_cuts > 100 && !hits > 100)
 
 (* [Presolve.tighten] as it stood, re-folding the row for every term's
    coefficient and rest activity, kept verbatim as the reference the
@@ -2774,6 +2938,7 @@ let () =
           Alcotest.test_case "presolve tighten" `Quick test_presolve_tighten;
           Alcotest.test_case "cg separation" `Quick test_cutgen_cg;
           Alcotest.test_case "round selection" `Quick test_round_selection;
+          QCheck_alcotest.to_alcotest select_matches_reference;
           Alcotest.test_case "add_rows warm" `Quick test_add_rows_warm;
           Alcotest.test_case "cuts A/B parity" `Quick test_milp_cuts_ab_parity;
         ] );
@@ -2781,6 +2946,7 @@ let () =
         [
           Alcotest.test_case "accumulator vs Qd folds" `Quick test_acc_vs_qd;
           Alcotest.test_case "cg vs reference" `Quick test_cg_vs_reference;
+          Alcotest.test_case "cg memo" `Quick test_cg_memo;
           Alcotest.test_case "presolve vs reference" `Quick
             test_presolve_vs_reference;
         ] );
