@@ -84,11 +84,12 @@ let off_flag_arg feature ~doc =
 let cuts_flag_arg =
   off_flag_arg "cuts"
     ~doc:
-      "Disable certified root cutting planes (Chvatal-Gomory and knapsack \
-       covers separated at the MILP root; see the README's \"Root cuts\" \
-       section), which are on by default. Results (status, objective, \
-       incumbent) are identical either way — cuts only change how much of \
-       the gap closes before branching."
+      "Disable the certified Chvatal-Gomory cutting planes separated at \
+       the MILP root (DESIGN.md, section 3j), which are on by default. A \
+       solve that ends optimal reports the same status and objective \
+       either way; cuts move the root bound and so the search after it, \
+       so a run cut short by its budget can end with a different \
+       incumbent and gap."
 
 let presolve_flag_arg =
   off_flag_arg "presolve"

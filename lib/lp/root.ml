@@ -31,12 +31,18 @@ let presolve raw =
 let cut_rows cs =
   Array.of_list (List.map (fun c -> (c.Cert.cut_terms, c.Cert.cut_rhs)) cs)
 
+(* The tree's system carries the start box as its own bounds, so every
+   column presolve (or a resumed root) fixed is a constant of the system
+   that {!Simplex} stores out of its tableau. *)
 let create raw ~certs_on (start : Checkpoint.t) =
   {
     raw;
     certs_on;
     presolve = start.presolve;
-    system = Model.with_le_rows raw (cut_rows start.cuts);
+    system =
+      { (Model.with_le_rows raw (cut_rows start.cuts)) with
+        Model.lb = Array.copy start.root_lb;
+        ub = Array.copy start.root_ub };
     cuts = start.cuts;
     rounds = 0;
     bound_pre_cuts = Float.nan;
@@ -126,7 +132,8 @@ let separate t (w : Node.worker) ~budget =
               ("bound", Obs.Json.Float b0);
             ];
         t.cuts <- [];
-        t.system <- t.raw;
+        t.system <-
+          { t.raw with Model.lb = t.system.Model.lb; ub = t.system.Model.ub };
         t.rounds <- 0;
         t.bound <- b0;
         t.bound_pre_cuts <- Float.nan;

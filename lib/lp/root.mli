@@ -33,7 +33,9 @@ type t = private {
   raw : Model.raw;  (** the caller's model *)
   certs_on : bool;
   presolve : Cert.tighten list;  (** application order *)
-  mutable system : Model.raw;  (** model rows plus every applied cut *)
+  mutable system : Model.raw;
+      (** model rows plus every applied cut, bounded by the start box
+          (the presolved one on a fresh solve) *)
   mutable cuts : Cert.cut list;  (** derivation order *)
   mutable rounds : int;  (** separation rounds run this solve *)
   mutable bound_pre_cuts : float;  (** [nan] without a cut pass *)

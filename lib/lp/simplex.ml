@@ -22,7 +22,12 @@ let c_resolve_cold_pivots = Obs.Counter.get "simplex.resolve_cold_pivots"
 let c_cold_reasons =
   List.map
     (fun r -> (r, Obs.Counter.get ("simplex.resolve_cold." ^ r)))
-    [ "dual_infeasible"; "periodic"; "stale_basis"; "repair_limit"; "no_state" ]
+    [ "dual_infeasible"; "periodic"; "stale_basis"; "repair_limit"; "no_state";
+      "unfixed" ]
+
+(* [simplex.build_cells]: the rows × stored slots of every tableau
+   {!build} fills. *)
+let c_build_cells = Obs.Counter.get "simplex.build_cells"
 
 type vstat = Basic of int (* row *) | At_lower | At_upper
 
@@ -33,29 +38,43 @@ type vstat = Basic of int (* row *) | At_lower | At_upper
    [lo], not at 0).
 
    The tableau is condensed: every basic column is a unit vector (1 in
-   its own row, 0 elsewhere), so only the [n] nonbasic columns are
-   stored ([cols - m], as there is one slack per row). [slot] and
-   [var_of] tie each nonbasic column to its storage slot; a pivot hands
-   the entering column's slot to the leaving one. A row array may be
-   longer than [n] (a cold rebuild reuses the previous tableau's rows);
-   slots from [n] on are never read. Likewise the per-row arrays may be
-   longer than [m] and the per-column ones than [cols] ({!add_rows}
-   grows them by capacity); entries past those are never read.
+   its own row, 0 elsewhere), so only the nonbasic columns are stored
+   ([n] of them, [cols - m], as there is one slack per row). A
+   structural column that the solved system fixes ([raw.lb = raw.ub],
+   and the build's bounds keep it there) is stored out: it is a
+   constant, nonbasic at shifted value 0 with [lo = hi = 0], so it never
+   enters, no ratio test takes it, {!recompute_beta} skips it and its
+   rhs contribution is folded into [b] by the lower-bound shift. The
+   other [ns] nonbasic columns are stored, in slots [0 .. ns - 1].
+   [slot] and [var_of] tie each stored column to its slot; a pivot
+   hands the entering column's slot to the leaving one. The stored
+   columns take their slots in increasing column order at build time;
+   on a tableau that stored every column a stored-out column would keep
+   its slot for good, as it never enters, so every slot scan visits the
+   stored columns in the order it would there, and every entry gets the
+   same float operations. A row array may be longer than [ns] (a cold
+   rebuild reuses the previous tableau's rows); slots from [ns] on are
+   never read. Likewise the per-row arrays may be longer than [m] and
+   the per-column ones than [cols] ({!add_rows} grows them by
+   capacity); entries past those are never read.
 
    Each pivot touches only nonzeros: the entering column's are gathered
    once ({!gather_col}), the pivot row's once ({!gather_row}), into the
    domain's {!scratch}, and every step of the pivot reads those lists. *)
 type tab = {
   m : int;  (** rows *)
-  n : int;  (** structural columns, and stored (nonbasic) columns *)
+  n : int;  (** structural columns, and nonbasic columns *)
+  ns : int;  (** stored slots: the nonbasic columns not stored out *)
   cols : int;  (** structural + slack columns, [n + m] *)
   a : float array array;
-      (** m x n condensed tableau, kept row-reduced: row [i] holds
-          nonbasic column [c] at [slot.(c)] *)
+      (** m x ns condensed tableau, kept row-reduced: row [i] holds
+          stored column [c] at [slot.(c)] *)
   slot : int array;
-      (** length [cols]: storage slot of a nonbasic column, -1 for a
-          basic one *)
-  var_of : int array;  (** length [n]: the column held in each slot *)
+      (** length [cols]: storage slot of a stored column, -1 for a basic
+          or stored-out one *)
+  var_of : int array;
+      (** length [n]: the column held in each of the [ns] slots, then
+          the stored-out columns in increasing order *)
   b : float array;
       (** B⁻¹·(shifted rhs): transformed alongside [a] by every pivot so
           basic values can be recomputed exactly after bound changes *)
@@ -89,12 +108,12 @@ let value t j =
    largest tableau seen and are then never allocated again. *)
 type scratch = {
   mutable rs : int array;
-      (** length at least [n]: the slots where the pivot row is nonzero,
+      (** length at least [ns]: the slots where the pivot row is nonzero,
           in increasing order ({!gather_row}) *)
   mutable nz : int array;
-      (** length at least [n]: the pivot row's nonzero slots other than
+      (** length at least [ns]: the pivot row's nonzero slots other than
           the entering column's ({!row_reduce}: structural columns' slots
-          from index 0 up, slacks' from [n - 1] down), the dual ratio
+          from index 0 up, slacks' from [ns - 1] down), the dual ratio
           test's candidate columns in increasing index ({!dual_repair}),
           or the slots of the nonbasic columns with a nonzero value
           ({!recompute_beta}) *)
@@ -122,10 +141,10 @@ let scratch_key =
 (* The calling domain's scratch, grown to fit [t]. *)
 let scratch t =
   let sc = Domain.DLS.get scratch_key in
-  if Array.length sc.nz < t.n then begin
-    sc.rs <- Array.make t.n 0;
-    sc.nz <- Array.make t.n 0;
-    sc.nzv <- Array.make t.n 0.0
+  if Array.length sc.nz < t.ns then begin
+    sc.rs <- Array.make t.ns 0;
+    sc.nz <- Array.make t.ns 0;
+    sc.nzv <- Array.make t.ns 0.0
   end;
   if Array.length sc.ci < t.m then begin
     sc.ci <- Array.make t.m 0;
@@ -145,7 +164,7 @@ let recompute_z t =
     let cb = t.cost.(bi) in
     if cb <> 0.0 then begin
       let row = t.a.(i) in
-      for s = 0 to t.n - 1 do
+      for s = 0 to t.ns - 1 do
         let aij = row.(s) in
         if aij <> 0.0 then begin
           let j = t.var_of.(s) in
@@ -159,12 +178,13 @@ let recompute_z t =
 (* Recompute basic values beta = B⁻¹b - Σ_{nonbasic} (B⁻¹A_j)·x_j from the
    maintained [b] column — removes incremental drift across warm restarts.
    Row by row over the nonbasic columns with x_j <> 0, in increasing j:
-   the [n] slots hold exactly the nonbasic columns, so the few with a
-   nonzero value are read off them and sorted by column. *)
+   the [ns] slots hold every nonbasic column but the stored-out ones,
+   whose value is 0, so the few with a nonzero value are read off them
+   and sorted by column. *)
 let recompute_beta t =
   let sc = scratch t in
   let k = ref 0 in
-  for s = 0 to t.n - 1 do
+  for s = 0 to t.ns - 1 do
     let j = t.var_of.(s) in
     if value t j <> 0.0 then begin
       sc.nz.(!k) <- j;
@@ -245,7 +265,7 @@ let gather_col t sc j =
 let gather_row t sc r =
   let row = t.a.(r) and rs = sc.rs in
   let k = ref 0 in
-  for s = 0 to t.n - 1 do
+  for s = 0 to t.ns - 1 do
     Array.unsafe_set rs !k s;
     k := !k + Bool.to_int (Array.unsafe_get row s <> 0.0)
   done;
@@ -301,7 +321,7 @@ let w_floor = 1e-12
 let fresh_weight t i =
   let row = t.a.(i) in
   let acc = ref (if t.basis.(i) >= t.n then 1.0 else 0.0) in
-  for s = 0 to t.n - 1 do
+  for s = 0 to t.ns - 1 do
     if t.var_of.(s) >= t.n then acc := !acc +. (row.(s) *. row.(s))
   done;
   !acc
@@ -319,7 +339,7 @@ let fresh_weight t i =
    {!gather_col} found nonzero in column j, with [f] read from [sc.cv]
    (entering columns are about 13% nonzero on GSM's MILP-map). A zero
    entry of either leaves its target unchanged up to the sign of a zero.
-   The slots in [rs] and [nz] are distinct and below [n], and the rows in
+   The slots in [rs] and [nz] are distinct and below [ns], and the rows in
    [ci] distinct and below [m], which is what makes the unchecked
    accesses safe.
 
@@ -340,14 +360,14 @@ let fresh_weight t i =
    the square of its new slot-[s] entry when the leaving column is a
    slack. Rows with [f = 0] keep their weights. *)
 let row_reduce t sc j r kc kr =
-  let n = t.n in
+  let n = t.n and ns = t.ns in
   let s = t.slot.(j) in
   let l = t.basis.(r) in
   let prow = t.a.(r) in
   let piv = prow.(s) in
   let inv = 1.0 /. piv in
   let rs = sc.rs and nz = sc.nz and nzv = sc.nzv and var_of = t.var_of in
-  let k = ref 0 and ks = ref n in
+  let k = ref 0 and ks = ref ns in
   let wr = ref ((if j >= n then 1.0 else 0.0) +. if l >= n then inv *. inv else 0.0) in
   for p = 0 to kr - 1 do
     let c = Array.unsafe_get rs p in
@@ -405,7 +425,7 @@ let row_reduce t sc j r kc kr =
       done;
       (* the slack slots, and the weight change they make *)
       let dw = ref (if j >= n then 0.0 -. (f *. f) else 0.0) in
-      for q = ks to n - 1 do
+      for q = ks to ns - 1 do
         let c = Array.unsafe_get nz q in
         let old = Array.unsafe_get row_i c in
         let v = old -. (f *. Array.unsafe_get nzv q) in
@@ -427,7 +447,7 @@ let row_reduce t sc j r kc kr =
       let c = var_of.(nz.(p)) in
       z.(c) <- z.(c) -. (zf *. nzv.(p))
     done;
-    for p = ks to n - 1 do
+    for p = ks to ns - 1 do
       let c = var_of.(nz.(p)) in
       z.(c) <- z.(c) -. (zf *. nzv.(p))
     done;
@@ -725,37 +745,61 @@ let crossed_bounds n lbv ubv =
 let infeasible_result n =
   { status = Infeasible; x = Array.make n 0.0; objective = 0.0; iterations = 0 }
 
+(* Whether column [j] is stored out of a tableau built under [lbv]/[ubv]:
+   the system fixes it and the bounds keep it at that value. *)
+let stored_out (raw : Model.raw) lbv ubv j =
+  let v = raw.lb.(j) in
+  raw.ub.(j) = v && lbv.(j) = v && ubv.(j) = v
+
 (* Build the shifted tableau for [raw] under bounds [lbv]/[ubv] on the
    slack basis, one condensed row at a time: every structural column is
-   nonbasic at its lower bound (slot j) and every row's slack is basic,
-   at whatever value the shifted rhs gives it. [reuse] is a tableau about
-   to be dropped: when its per-row arrays hold [m] rows (capacity from
-   {!reserve_rows} counts) every array of it is refilled, and each row
-   array wherever it is long enough, so a cold rebuild inside a tree
-   search allocates nothing in proportion to the model. [z] and [beta]
-   are left to {!from_slack_basis}, which recomputes both whole. *)
+   nonbasic at its lower bound and every row's slack is basic, at
+   whatever value the shifted rhs gives it. The stored columns take
+   slots [0 .. ns - 1] in increasing order; the stored-out ones follow
+   them in [var_of], and every row's rhs is still shifted over all its
+   terms. [reuse] is a tableau about to be dropped: when its per-row
+   arrays hold [m] rows (capacity from {!reserve_rows} counts) every
+   array of it is refilled, and each row array wherever it is long
+   enough, so a cold rebuild inside a tree search allocates nothing in
+   proportion to the model. [z] and [beta] are left to
+   {!from_slack_basis}, which recomputes both whole. *)
 let build ?reuse (raw : Model.raw) lbv ubv =
   let n = raw.n in
   let m = Array.length raw.rows in
   let cols = n + m in
+  let ns = ref n in
+  for j = 0 to n - 1 do
+    if stored_out raw lbv ubv j then decr ns
+  done;
+  let ns = !ns in
   let t =
     match reuse with
-    | Some o when o.n = n && Array.length o.b >= m -> { o with m; cols }
+    | Some o when o.n = n && Array.length o.b >= m -> { o with m; ns; cols }
     | _ ->
         let f len x = Array.make len x in
-        { m; n; cols; a = f m [||]; slot = f cols 0; var_of = f n 0; b = f m 0.0
-        ; beta = f m 0.0; lo = f cols 0.0; hi = f cols 0.0; cost = f cols 0.0
-        ; z = f cols 0.0; stat = f cols At_lower; basis = f m 0; w = f m 1.0
-        ; sign = f m 1.0 }
+        { m; n; ns; cols; a = f m [||]; slot = f cols 0; var_of = f n 0
+        ; b = f m 0.0; beta = f m 0.0; lo = f cols 0.0; hi = f cols 0.0
+        ; cost = f cols 0.0; z = f cols 0.0; stat = f cols At_lower
+        ; basis = f m 0; w = f m 1.0; sign = f m 1.0 }
   in
   Array.fill t.lo 0 cols 0.0;
   Array.fill t.cost 0 cols 0.0;
+  let live = ref 0 and out = ref ns in
   for j = 0 to n - 1 do
-    t.slot.(j) <- j;
-    t.var_of.(j) <- j;
     t.stat.(j) <- At_lower;
-    t.hi.(j) <- ubv.(j) -. lbv.(j)
+    t.hi.(j) <- ubv.(j) -. lbv.(j);
+    if stored_out raw lbv ubv j then begin
+      t.slot.(j) <- -1;
+      t.var_of.(!out) <- j;
+      incr out
+    end
+    else begin
+      t.slot.(j) <- !live;
+      t.var_of.(!live) <- j;
+      incr live
+    end
   done;
+  Obs.Counter.incr ~by:(m * ns) c_build_cells;
   (* Normalize rows: >= becomes <= (negated); compute shifted rhs. *)
   for i = 0 to m - 1 do
     let sense : Model.sense = raw.senses.(i) in
@@ -770,10 +814,14 @@ let build ?reuse (raw : Model.raw) lbv ubv =
     let acc = ref (sign *. raw.rhs.(i)) in
     Array.iter (fun (j, c) -> acc := !acc -. (sign *. c *. lbv.(j))) raw.rows.(i);
     t.b.(i) <- !acc;
-    if Array.length t.a.(i) >= n then Array.fill t.a.(i) 0 n 0.0
-    else t.a.(i) <- Array.make n 0.0;
+    if Array.length t.a.(i) >= ns then Array.fill t.a.(i) 0 ns 0.0
+    else t.a.(i) <- Array.make ns 0.0;
     let row = t.a.(i) in
-    Array.iter (fun (j, c) -> row.(j) <- row.(j) +. (sign *. c)) raw.rows.(i)
+    Array.iter
+      (fun (j, c) ->
+        let s = t.slot.(j) in
+        if s >= 0 then row.(s) <- row.(s) +. (sign *. c))
+      raw.rows.(i)
   done;
   t
 
@@ -1054,11 +1102,23 @@ let resolve ?(deadline = Resilience.Deadline.none) ~lb ~ub st =
             finish t raw st.base_lb status iters
       end
     in
+    (* A stored-out column has no slot to move in: a box that takes one
+       off its fixed value is solved by a rebuild that stores it. *)
+    let unfixed t =
+      let moved = ref false in
+      for p = t.ns to t.n - 1 do
+        let j = t.var_of.(p) in
+        let v = st.base_lb.(j) in
+        if lb.(j) <> v || ub.(j) <> v then moved := true
+      done;
+      !moved
+    in
     match st.t with
     | None -> cold ~reason:"no_state" ()
     | Some _ when not st.warm_ok -> cold ~reason:"stale_basis" ()
     | Some _ when st.resolves mod refactor_every = 0 ->
         cold ~reason:"periodic" ()
+    | Some t when unfixed t -> cold ~reason:"unfixed" ()
     | Some t -> warm t
   end
 
@@ -1131,11 +1191,18 @@ let reserve_rows t m' =
    basis. The extended tableau keeps every old column at its index —
    structural then one slack per old row — and gives each new row its
    own slack, entered basic after reducing the row against the current
-   basis. That leaves exactly [n] nonbasic columns, in their old slots.
+   basis. That leaves the old nonbasic columns in their old slots.
    Reduced costs are untouched (the new basic slacks cost 0), so a
    dual-feasible basis stays dual feasible and the next {!resolve}
    warm-repairs the (intentionally) violated new rows with a few dual
-   pivots. The tableau grows in place ({!reserve_rows}). *)
+   pivots; that resolve recomputes the basic values before reading any.
+   The tableau grows in place ({!reserve_rows}).
+
+   Each cut is reduced straight into its slot row. The reduction writes
+   only stored slots, so the factor of each basic row is the cut's own
+   coefficient at that row's basic column (0 at a basic slack, which no
+   cut names). A stored-out column takes no slot but still shifts the
+   rhs. *)
 let add_rows st (new_rows : ((int * float) array * float) array) =
   let k = Array.length new_rows in
   if k > 0 then begin
@@ -1143,37 +1210,38 @@ let add_rows st (new_rows : ((int * float) array * float) array) =
     match st.t with
     | None -> ()
     | Some t ->
-        let n = t.n and m = t.m in
+        let n = t.n and ns = t.ns and m = t.m in
         let m' = m + k in
         let t = reserve_rows t m' in
-        (* one new row at a time, over the old columns; its own slack is
-           basic and the other new slacks are zero in it *)
-        let row = Array.make (n + m) 0.0 in
+        (* the current cut's coefficients by column, zero elsewhere *)
+        let coef = Array.make n 0.0 in
         Array.iteri
           (fun p (terms, rhs) ->
             let r = m + p in
-            Array.fill row 0 (n + m) 0.0;
-            Array.iter (fun (j, c) -> row.(j) <- row.(j) +. c) terms;
+            let row = Array.make ns 0.0 in
             let bshift = ref rhs in
             Array.iter
-              (fun (j, c) -> bshift := !bshift -. (c *. st.base_lb.(j)))
+              (fun (j, c) ->
+                coef.(j) <- coef.(j) +. c;
+                let s = t.slot.(j) in
+                if s >= 0 then row.(s) <- row.(s) +. c;
+                bshift := !bshift -. (c *. st.base_lb.(j)))
               terms;
             (* reduce against the inherited basis so the tableau stays
                row-reduced *)
             for i = 0 to m - 1 do
               let bi = t.basis.(i) in
-              let f = row.(bi) in
+              let f = if bi < n then coef.(bi) else 0.0 in
               if f <> 0.0 then begin
                 let src = t.a.(i) in
-                for s = 0 to n - 1 do
-                  let c = t.var_of.(s) in
-                  row.(c) <- row.(c) -. (f *. src.(s))
+                for s = 0 to ns - 1 do
+                  row.(s) <- row.(s) -. (f *. src.(s))
                 done;
-                row.(bi) <- 0.0;
                 bshift := !bshift -. (f *. t.b.(i))
               end
             done;
-            t.a.(r) <- Array.map (fun c -> row.(c)) t.var_of;
+            Array.iter (fun (j, _) -> coef.(j) <- 0.0) terms;
+            t.a.(r) <- row;
             t.b.(r) <- !bshift;
             t.basis.(r) <- n + r;
             t.w.(r) <- fresh_weight t r;
@@ -1186,7 +1254,5 @@ let add_rows st (new_rows : ((int * float) array * float) array) =
             t.cost.(c) <- 0.0;
             t.z.(c) <- 0.0)
           new_rows;
-        let t' = { t with m = m'; cols = n + m' } in
-        recompute_beta t';
-        st.t <- Some t'
+        st.t <- Some { t with m = m'; cols = n + m' }
   end

@@ -75,7 +75,16 @@ val solve :
 
 type state
 (** Tableau + basis + bound status after a {!solve_state} or {!resolve}
-    call. Mutable: {!resolve} and {!add_rows} update it in place. *)
+    call. Mutable: {!resolve} and {!add_rows} update it in place.
+
+    A structural column that the state's own system fixes ([lb = ub] in
+    the {!Model.raw}) is a constant of every LP the state solves, as long
+    as the call's bounds keep it at that value: the tableau stores no
+    column for it, so no build, pivot or {!add_rows} pays for it, while
+    its value still enters every right-hand side. Bounds passed to
+    {!solve_state} or {!resolve} that fix a column the system leaves
+    free keep it stored: the tree's branching fixes columns only until
+    the search leaves a subtree. ({!solve} applies the same rule.) *)
 
 val solve_state :
   ?max_iters:int ->
@@ -102,14 +111,21 @@ val resolve :
     whenever the inherited basis is unusable: the previous solve did not
     end {!Optimal}, the repair hit the pivot cap (that rebuild runs under
     Bland's rule from its first pivot), or every
-    [refactor_every = 256] calls to bound numerical drift. Equivalent to
+    [refactor_every = 256] calls to bound numerical drift, or a box that
+    moves a column the system fixes off its value (the column has no
+    tableau column to move in; the rebuild stores it, costing one
+    solve from the slack basis). Equivalent to
     [solve ~lb ~ub raw] up to degenerate alternate optima: same status,
     same objective within [1e-6] (property-tested in [test/test_lp.ml]).
 
     Counters ({!Obs}): [simplex.resolve_pivots] (dual + primal pivots
     spent here), [simplex.resolve_cold_pivots] (the part of them spent
     in cold rebuilds), [simplex.resolve_warm] / [simplex.resolve_cold]
-    (which path ran). *)
+    (which path ran), and [simplex.resolve_cold.<reason>] for each
+    reason ([dual_infeasible], [periodic], [stale_basis],
+    [repair_limit], [no_state], [unfixed]), which sum to
+    [simplex.resolve_cold]. [simplex.build_cells] counts the rows ×
+    stored columns of every tableau built, here and in {!solve}. *)
 
 val last_resolve_warm : state -> bool
 (** Whether the most recent {!resolve} used the warm path (including
@@ -118,10 +134,14 @@ val last_resolve_warm : state -> bool
 val reduced_cost : state -> int -> float
 (** Reduced cost of structural column [j] under the model's objective.
     Meaningful after an {!Optimal} solve; used for reduced-cost bound
-    fixing in {!Milp}. *)
+    fixing in {!Milp}. A column the state's system fixes (see {!state})
+    is never priced, and this returns its objective coefficient. *)
 
 val basis_status : state -> int -> [ `Basic | `At_lower | `At_upper ]
-(** Basis status of structural column [j] in the current basis. *)
+(** Basis status of structural column [j] in the current basis. A
+    column the state's system fixes is never basic: it reports
+    [`At_upper] when its objective coefficient is negative, else
+    [`At_lower]; both bounds are its fixed value. *)
 
 (** {1 Certificate extraction}
 

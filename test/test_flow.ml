@@ -273,12 +273,13 @@ let suite_line m name =
     (stat (fun st -> st.Lp.Milp.lp_iterations))
     r.qor.luts r.qor.ffs
 
-let test_suite_path () =
+let suite_lines () =
   let kernels = [ "CLZ"; "XORR"; "GFMUL"; "CORDIC"; "MT"; "AES"; "RS"; "DR"; "GSM" ] in
-  let lines =
-    List.map (suite_line Mams.Flow.Milp_base) kernels
-    @ List.map (suite_line Mams.Flow.Milp_map) [ "GFMUL"; "CORDIC"; "DR"; "RS"; "GSM" ]
-  in
+  List.map (suite_line Mams.Flow.Milp_base) kernels
+  @ List.map (suite_line Mams.Flow.Milp_map) [ "GFMUL"; "CORDIC"; "DR"; "RS"; "GSM" ]
+
+let test_suite_path () =
+  let lines = suite_lines () in
   let digest = Digest.to_hex (Digest.string (String.concat "\n" lines)) in
   if digest <> "3d98abdcf056245c004a63e9a23379a2" then
     Alcotest.failf "suite path digest %s moved:\n%s" digest (String.concat "\n" lines)
@@ -409,6 +410,20 @@ let test_root_work () =
     ]
     (List.map (fun (m, k) -> root_line m k) jobs)
 
+(* The tableau cells one pass of the 14 suite jobs builds
+   ([simplex.build_cells]: rows × stored slots per build). Columns the
+   tree's system fixes take no slot, which is most of the drop from
+   6,382,693 cells when every column was stored; no node LP moves one
+   off its fixed value, so no resolve rebuilds for that. *)
+let test_build_cells () =
+  let value name = Obs.Counter.value (Obs.Counter.get name) in
+  let cells = value "simplex.build_cells"
+  and unfixed = value "simplex.resolve_cold.unfixed" in
+  ignore (suite_lines ());
+  Alcotest.(check int) "build cells" 4_817_796 (value "simplex.build_cells" - cells);
+  Alcotest.(check int) "unfixed rebuilds" 0
+    (value "simplex.resolve_cold.unfixed" - unfixed)
+
 (* GSM MILP-map at one domain, the job `pipesyn run -b GSM -m map
    --domains 1` runs: every cold rebuild of a node LP is counted under
    exactly one reason, and a wrong-sign reduced cost is the commonest. *)
@@ -457,6 +472,7 @@ let () =
           Alcotest.test_case "MT and AES map path" `Quick test_mt_aes_path;
           Alcotest.test_case "root work" `Quick test_root_work;
           Alcotest.test_case "cold rebuild reasons" `Quick test_cold_reasons;
+          Alcotest.test_case "build cells" `Quick test_build_cells;
         ] );
       ( "request codec",
         [

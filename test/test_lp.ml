@@ -2783,6 +2783,130 @@ let rebuild_case reason ~grown () =
     (value "simplex.resolve_cold", value ("simplex.resolve_cold." ^ reason));
   same_solve reason (Lp.Simplex.solve ~lb ~ub raw) got
 
+(* The same drive for a column the system itself fixes (x3 at 1.5), which
+   the tableau stores out: a warm resolve first, then a box that moves x3
+   off that value. It has no slot to move in, so the resolve rebuilds
+   cold under [unfixed], storing it, and equals a fresh [Simplex.solve]
+   bit for bit. *)
+let unfixed_case ~grown () =
+  let raw = rebuild_raw () in
+  let fix a = Array.mapi (fun j v -> if j = 3 then 1.5 else v) a in
+  let raw = { raw with lb = fix raw.lb; ub = fix raw.ub } in
+  let lb = Array.copy raw.lb and ub = Array.copy raw.ub in
+  let value name = Obs.Counter.value (Obs.Counter.get name) in
+  let cells = value "simplex.build_cells" in
+  let _, st = Lp.Simplex.solve_state ~lb ~ub raw in
+  Alcotest.(check int) "six rows over five stored columns" (6 * 5)
+    (value "simplex.build_cells" - cells);
+  let raw =
+    if grown then begin
+      Lp.Simplex.add_rows st rebuild_cuts;
+      with_rows raw rebuild_cuts
+    end
+    else raw
+  in
+  lb.(1) <- 0.5;
+  ignore (Lp.Simplex.resolve ~lb ~ub st);
+  Alcotest.(check bool) "warm before" true (Lp.Simplex.last_resolve_warm st);
+  lb.(3) <- 0.0;
+  ub.(3) <- 3.0;
+  let cold = value "simplex.resolve_cold"
+  and why = value "simplex.resolve_cold.unfixed" in
+  let cells = value "simplex.build_cells" in
+  let got = Lp.Simplex.resolve ~lb ~ub st in
+  Alcotest.(check bool) "cold" false (Lp.Simplex.last_resolve_warm st);
+  Alcotest.(check (pair int int)) "one rebuild for unfixed" (cold + 1, why + 1)
+    (value "simplex.resolve_cold", value "simplex.resolve_cold.unfixed");
+  Alcotest.(check int) "x3 stored again"
+    ((if grown then 9 else 6) * 6)
+    (value "simplex.build_cells" - cells);
+  same_solve "unfixed" (Lp.Simplex.solve ~lb ~ub raw) got
+
+(* --- columns the system fixes are stored out ------------------------- *)
+
+(* Property: a random LP (non-dyadic coefficients, both row senses) whose
+   system fixes some columns at nonzero values, so that its tableau
+   stores them out, gives the same bits as the same LP whose system
+   leaves those columns in [0, 4] and whose calls' bounds fix them, so
+   that they stay stored: [solve], then [solve_state] and a chain of
+   [resolve]s under tightenings of the other columns, each optionally
+   preceded by an [add_rows] cut over every column. Status, iterations,
+   objective, [x], duals and basis statuses agree after every call. *)
+let stored_out_inert =
+  let gen =
+    QCheck.Gen.(
+      let coef = map (fun i -> float_of_int (i - 50) /. 7.0) (int_bound 100) in
+      let third = map (fun i -> float_of_int i /. 3.0) in
+      let* n = int_range 2 7 in
+      let* m = int_range 1 6 in
+      let* obj = list_repeat n coef in
+      let* rows = list_repeat m (list_repeat n coef) in
+      let* rhs = list_repeat m (third (int_bound 30)) in
+      let* fixed = list_repeat n (opt ~ratio:0.4 (third (int_range 1 12))) in
+      let cut =
+        let* terms = list_repeat n coef in
+        let* rhs = third (int_bound 30) in
+        return (terms, rhs)
+      in
+      let* steps =
+        list_size (int_range 1 6)
+          (pair (triple (int_bound (n - 1)) bool (third (int_bound 12))) (opt cut))
+      in
+      return (n, obj, rows, rhs, fixed, steps))
+  in
+  QCheck.Test.make ~name:"stored-out columns are inert" ~count:300
+    (QCheck.make gen) (fun (n, obj, rows, rhs, fixed, steps) ->
+      let m = Lp.Model.create () in
+      let xs = List.init n (fun i -> Lp.Model.add_var m ~ub:4.0 (Printf.sprintf "x%d" i)) in
+      List.iteri
+        (fun i (row, b) ->
+          let terms = List.map2 (fun c x -> (c, x)) row xs in
+          if i mod 2 = 0 then Lp.Model.add_le m terms b
+          else Lp.Model.add_ge m terms (-.b))
+        (List.combine rows rhs);
+      Lp.Model.set_objective m (List.map2 (fun c x -> (c, x)) obj xs);
+      let free = Lp.Model.to_raw m in
+      let fixed = Array.of_list fixed in
+      let fix a = Array.mapi (fun j v -> Option.value fixed.(j) ~default:v) a in
+      let sys = { free with lb = fix free.lb; ub = fix free.ub } in
+      let lb = Array.copy sys.lb and ub = Array.copy sys.ub in
+      let same (a : Lp.Simplex.result) (b : Lp.Simplex.result) =
+        a.status = b.status && a.iterations = b.iterations
+        && same_float a.objective b.objective
+        && Array.for_all2 same_float a.x b.x
+      in
+      let same_state sa sb =
+        (match (Lp.Simplex.duals sa, Lp.Simplex.duals sb) with
+        | Some u, Some v -> Array.for_all2 same_float u v
+        | None, None -> true
+        | _ -> false)
+        && List.for_all
+             (fun j -> Lp.Simplex.basis_status sa j = Lp.Simplex.basis_status sb j)
+             (List.init n Fun.id)
+      in
+      let ra, sa = Lp.Simplex.solve_state sys in
+      let rb, sb = Lp.Simplex.solve_state ~lb ~ub free in
+      same (Lp.Simplex.solve sys) (Lp.Simplex.solve ~lb ~ub free)
+      && same ra rb && same_state sa sb
+      && List.for_all
+           (fun (((j, _, _) as step), cut) ->
+             Option.iter
+               (fun (terms, rhs) ->
+                 let row =
+                   [| (Array.of_list
+                         (List.filter (fun (_, c) -> c <> 0.0) (List.mapi (fun j c -> (j, c)) terms)),
+                       rhs) |]
+                 in
+                 Lp.Simplex.add_rows sa row;
+                 Lp.Simplex.add_rows sb row)
+               cut;
+             if fixed.(j) = None then tighten lb ub step;
+             let ra = Lp.Simplex.resolve ~lb ~ub sa in
+             let rb = Lp.Simplex.resolve ~lb ~ub sb in
+             same ra rb && same_state sa sb
+             && Lp.Simplex.last_resolve_warm sa = Lp.Simplex.last_resolve_warm sb)
+           steps)
+
 (* --- recompute_beta against the column scan it replaced ---------------- *)
 
 (* [recompute_beta] before it read the nonzero nonbasic columns off the
@@ -2963,7 +3087,13 @@ let () =
                   `Quick (rebuild_case reason ~grown))
               [ false; true ])
           [ "stale_basis"; "periodic"; "dual_infeasible" ]
-        @ snd (qsuite "" [ recompute_beta_matches_scan ]) );
+        @ List.map
+            (fun grown ->
+              Alcotest.test_case
+                ("unfixed" ^ if grown then " after add_rows" else "")
+                `Quick (unfixed_case ~grown))
+            [ false; true ]
+        @ snd (qsuite "" [ recompute_beta_matches_scan; stored_out_inert ]) );
       ( "model",
         Alcotest.test_case "several thousand variables" `Quick test_model_large
         :: snd (qsuite "" [ model_rows_normalize ]) );
