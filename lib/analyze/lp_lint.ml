@@ -27,7 +27,10 @@ let row_label name i =
 let check m =
   let rows = Lp.Model.rows m in
   let empty_inf = ref [] and empty_vac = ref [] and dups = ref [] in
-  let seen : (string, int) Hashtbl.t = Hashtbl.create 256 in
+  (* rows keyed by the exact bits of sense, rhs and every coefficient *)
+  let seen : (Lp.Model.sense * int64 * (int * int64) list, int) Hashtbl.t =
+    Hashtbl.create 256
+  in
   Array.iteri
     (fun i (name, terms, sense, rhs) ->
       (match terms with
@@ -52,11 +55,11 @@ let check m =
               :: !empty_inf
       | _ :: _ ->
           let key =
-            String.concat ";"
-              (Printf.sprintf "%s%g" (sense_str sense) rhs
-              :: List.map
-                   (fun (c, v) -> Printf.sprintf "%d:%g" (Lp.Model.var_index v) c)
-                   terms)
+            ( sense,
+              Int64.bits_of_float rhs,
+              List.map
+                (fun (c, v) -> (Lp.Model.var_index v, Int64.bits_of_float c))
+                terms )
           in
           (match Hashtbl.find_opt seen key with
           | Some j ->

@@ -21,6 +21,14 @@ let additive_delay ~delays g (cut : Cuts.cut) =
   in
   Fpga.Delays.additive delays ~cls:(Ir.Op.classify op) ~width
 
+(* Per-leaf dependence summary of one cut: how the leaf's value enters the
+   cone. *)
+type leaf_info = {
+  has_comb : bool;  (** some dist-0 edge into the cone *)
+  min_reg_dist : int option;  (** tightest registered entry *)
+  max_dist : int;  (** worst-case lifetime distance *)
+}
+
 type t = {
   g : Ir.Cdfg.t;
   cfg : config;
@@ -32,27 +40,17 @@ type t = {
   root : Lp.Model.var array;
   reg : Lp.Model.var option array;
   lat : int array;
+  infos : (int * leaf_info) list array array;  (** [leaf_infos] per cut *)
   onehot : (int * Lp.Model.var array) list;
       (** black-box one-hot cycle binaries, when resources are limited *)
 }
 
-(* Per-leaf dependence summary of one cut: how the leaf's value enters the
-   cone. *)
-type leaf_info = {
-  has_comb : bool;  (** some dist-0 edge into the cone *)
-  min_reg_dist : int option;  (** tightest registered entry *)
-  max_dist : int;  (** worst-case lifetime distance *)
-}
-
+(* Sorted by leaf: a cut has few leaves, so an insertion into the sorted
+   list beats a table. *)
 let leaf_infos g (cut : Cuts.cut) =
-  let tbl : (int, leaf_info) Hashtbl.t = Hashtbl.create 8 in
-  Cuts.iter_inputs g cut (fun _ e ->
-      let p =
-        Option.value
-          (Hashtbl.find_opt tbl e.src)
-          ~default:{ has_comb = false; min_reg_dist = None; max_dist = 0 }
-      in
-      Hashtbl.replace tbl e.src
+  let infos = ref [] in
+  Cuts.iter_inputs g cut (fun _ (e : Ir.Cdfg.edge) ->
+      let merge p =
         {
           has_comb = p.has_comb || e.dist = 0;
           min_reg_dist =
@@ -61,9 +59,17 @@ let leaf_infos g (cut : Cuts.cut) =
             | None -> Some e.dist
             | Some d -> Some (min d e.dist));
           max_dist = max p.max_dist e.dist;
-        });
-  Hashtbl.fold (fun u info acc -> (u, info) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+        }
+      in
+      let rec add = function
+        | (u, p) :: rest when u = e.src -> (u, merge p) :: rest
+        | ((u, _) as x) :: rest when u < e.src -> x :: add rest
+        | l ->
+            (e.src, merge { has_comb = false; min_reg_dist = None; max_dist = 0 })
+            :: l
+      in
+      infos := add !infos);
+  !infos
 
 let is_source g v =
   match Ir.Cdfg.op g v with
@@ -102,26 +108,27 @@ let build cfg g cuts =
   let mt = period *. (mc +. 1.0) in
   let mreg = mc in
   let model = Lp.Model.create ~name:"mams" () in
-  let name fmt = Printf.sprintf fmt in
   let s_cycle =
     Array.init n (fun v ->
         Lp.Model.add_var model ~integer:true ~lb:0.0
           ~ub:(float_of_int m_lat)
-          (name "S_%s" (Ir.Cdfg.node_name g v)))
+          (lazy (Printf.sprintf "S_%s" (Ir.Cdfg.node_name g v))))
   in
   let l_start =
     Array.init n (fun v ->
         Lp.Model.add_var model ~lb:0.0 ~ub:period
-          (name "L_%s" (Ir.Cdfg.node_name g v)))
+          (lazy (Printf.sprintf "L_%s" (Ir.Cdfg.node_name g v))))
   in
   let c_cut =
     Array.init n (fun v ->
         Array.init (Array.length cuts.(v)) (fun i ->
-            Lp.Model.bool_var model (name "c_%s_%d" (Ir.Cdfg.node_name g v) i)))
+            Lp.Model.bool_var model
+              (lazy (Printf.sprintf "c_%s_%d" (Ir.Cdfg.node_name g v) i))))
   in
   let root =
     Array.init n (fun v ->
-        Lp.Model.bool_var model (name "root_%s" (Ir.Cdfg.node_name g v)))
+        Lp.Model.bool_var model
+          (lazy (Printf.sprintf "root_%s" (Ir.Cdfg.node_name g v))))
   in
   let reg =
     Array.init n (fun v ->
@@ -129,10 +136,7 @@ let build cfg g cuts =
         else
           Some
             (Lp.Model.add_var model ~lb:0.0 ~ub:mreg
-               (name "reg_%s" (Ir.Cdfg.node_name g v))))
-  in
-  let cut_delays =
-    Array.init n (fun v -> Array.map (fun c -> cfg.cut_delay g c) cuts.(v))
+               (lazy (Printf.sprintf "reg_%s" (Ir.Cdfg.node_name g v)))))
   in
   (* Sources are available at the very start of the pipeline; multi-cycle
      operations start at the cycle boundary. *)
@@ -143,27 +147,53 @@ let build cfg g cuts =
     end;
     if lat.(v) >= 1 then Lp.Model.fix model l_start.(v) 0.0
   done;
+  (* Every row below lists its terms in ascending variable order, which
+     [Lp.Model] stores without a sort: the variables were created block
+     by block (S, L, c, root, reg), each block in node order, so within a
+     block node [u]'s variable precedes node [v]'s iff [u < v]. *)
+  (* [coeff · c_{v,i}] for each [i] in [is], ahead of [tail] *)
+  let ind v coeff is tail =
+    List.fold_right (fun i acc -> (coeff, c_cut.(v).(i)) :: acc) is tail
+  in
   (* Eq. (2): root_v = Σ_i c_{v,i}; Eq. (3): outputs (and all physical
      sources / black boxes) are roots. *)
   for v = 0 to n - 1 do
-    let sum = Array.to_list (Array.map (fun c -> (1.0, c)) c_cut.(v)) in
-    Lp.Model.add_eq model ~name:(name "cover_%d" v)
-      ((-1.0, root.(v)) :: sum)
+    Lp.Model.add_eq model ~name:(lazy (Printf.sprintf "cover_%d" v))
+      (Array.fold_right
+         (fun c acc -> (1.0, c) :: acc)
+         c_cut.(v) [ (-1.0, root.(v)) ])
       0.0;
     if forced_root g v then Lp.Model.fix model root.(v) 1.0
   done;
+  (* The selected cut's delay as [Σ_i delay_i · c_{v,i}], zero delays
+     left out. *)
+  let dterms =
+    Array.init n (fun v ->
+        let cs = c_cut.(v) in
+        List.init (Array.length cs) (fun i ->
+            (cfg.cut_delay g cuts.(v).(i), cs.(i)))
+        |> List.filter (fun (d, _) -> d <> 0.0))
+  in
   (* Eq. (8): the selected cut's delay fits the cycle. *)
   for v = 0 to n - 1 do
-    if lat.(v) = 0 then begin
-      let dterms =
-        Array.to_list (Array.mapi (fun i c -> (cut_delays.(v).(i), c)) c_cut.(v))
-        |> List.filter (fun (d, _) -> d <> 0.0)
-      in
-      Lp.Model.add_le model ~name:(name "fit_%d" v)
-        ((1.0, l_start.(v)) :: dterms)
+    if lat.(v) = 0 then
+      Lp.Model.add_le model ~name:(lazy (Printf.sprintf "fit_%d" v))
+        ((1.0, l_start.(v)) :: dterms.(v))
         period
-    end
   done;
+  (* Chaining terms of a leaf [u]: the delay of its selected cut, and the
+     residual delay past the cycle boundary of a multi-cycle producer. *)
+  let du_terms =
+    Array.init n (fun u -> if is_black_box g u then [] else dterms.(u))
+  in
+  let residual =
+    Array.init n (fun u ->
+        if is_black_box g u then
+          let d = additive_delay ~delays:cfg.delays g cuts.(u).(0) in
+          d -. (float_of_int lat.(u) *. period)
+        else 0.0)
+  in
+  let infos = Array.map (Array.map (leaf_infos g)) cuts in
   (* Per-cut constraints: Eq. (4), dependence + chaining (Eq. 7 & 9), and
      register lifetimes — clique-merged per (v, leaf). Cut selection at
      [v] is one-hot (Eq. (2) with root_v <= 1), so the per-(v,i,u)
@@ -172,34 +202,52 @@ let build cfg g cuts =
      for integer points at most one summand is 1 and the merged row is
      exactly the selected cut's row, while the LP relaxation gets the
      sum of the fractional selections instead of their maximum. Rows
-     whose rhs depends on the entry distance merge per (v,u,dist). *)
+     whose rhs depends on the entry distance merge per (v,u,dist), in
+     the order [Hashtbl.iter] visits the distances: one table, reset per
+     use, keeps that order. *)
+  let by_leaf = Array.make n [] in
+  let groups : (int, int list ref) Hashtbl.t = Hashtbl.create 4 in
+  let iter_groups key entries f =
+    match entries with
+    | [ (i, info) ] -> Option.iter (fun k -> f k [ i ]) (key info)
+    | _ ->
+        Hashtbl.reset groups;
+        List.iter
+          (fun (i, info) ->
+            match key info with
+            | None -> ()
+            | Some k -> (
+                match Hashtbl.find_opt groups k with
+                | Some l -> l := i :: !l
+                | None -> Hashtbl.add groups k (ref [ i ])))
+          entries;
+        Hashtbl.iter (fun k is -> f k (List.rev !is)) groups
+  in
   for v = 0 to n - 1 do
-    (* group (cut index, leaf_info) by leaf *)
-    let by_leaf : (int, (int * leaf_info) list ref) Hashtbl.t =
-      Hashtbl.create 16
-    in
+    (* (cut index, leaf_info) entries grouped by leaf, leaves in order of
+       first appearance *)
     let leaf_order = ref [] in
     Array.iteri
-      (fun i (cut : Cuts.cut) ->
+      (fun i leaves ->
         List.iter
           (fun (u, info) ->
-            match Hashtbl.find_opt by_leaf u with
-            | Some l -> l := (i, info) :: !l
-            | None ->
-                Hashtbl.add by_leaf u (ref [ (i, info) ]);
-                leaf_order := u :: !leaf_order)
-          (leaf_infos g cut))
-      cuts.(v);
+            (match by_leaf.(u) with
+            | [] -> leaf_order := u :: !leaf_order
+            | _ :: _ -> ());
+            by_leaf.(u) <- (i, info) :: by_leaf.(u))
+          leaves)
+      infos.(v);
     List.iter
       (fun u ->
-        let entries = List.rev !(Hashtbl.find by_leaf u) in
-        let csum is = List.map (fun i -> c_cut.(v).(i)) is in
+        let entries = List.rev by_leaf.(u) in
+        by_leaf.(u) <- [];
         (* Eq. (4): leaves of the selected cut are roots. *)
         if not (forced_root g u) then
           Lp.Model.add_le model
-            ~name:(name "leafroot_%d_%d" v u)
-            (((-1.0), root.(u))
-            :: List.map (fun c -> (1.0, c)) (csum (List.map fst entries)))
+            ~name:(lazy (Printf.sprintf "leafroot_%d_%d" v u))
+            (List.fold_right
+               (fun (i, _) acc -> (1.0, c_cut.(v).(i)) :: acc)
+               entries [ (-1.0, root.(u)) ])
             0.0;
         let latu = float_of_int lat.(u) in
         let comb_is =
@@ -208,84 +256,56 @@ let build cfg g cuts =
             entries
         in
         if comb_is <> [] && not (is_source g u) then begin
-          let ind coeff = List.map (fun c -> (coeff, c)) (csum comb_is) in
           (* cycle ordering: S_u + lat_u <= S_v when selected *)
+          let s_uv tail =
+            if u < v then (1.0, s_cycle.(u)) :: (-1.0, s_cycle.(v)) :: tail
+            else (-1.0, s_cycle.(v)) :: (1.0, s_cycle.(u)) :: tail
+          in
           Lp.Model.add_le model
-            ~name:(name "dep_%d_%d" v u)
-            ([ (1.0, s_cycle.(u)); (-1.0, s_cycle.(v)) ] @ ind mc)
+            ~name:(lazy (Printf.sprintf "dep_%d_%d" v u))
+            (s_uv (ind v mc comb_is []))
             (mc -. latu);
           (* chaining: same-cycle arrival respects start times;
              residual covers multi-cycle producers *)
-          let residual u =
-            if is_black_box g u then
-              let d = additive_delay ~delays:cfg.delays g cuts.(u).(0) in
-              d -. (float_of_int lat.(u) *. period)
-            else 0.0
-          in
-          let du_terms =
-            if is_black_box g u then []
+          let terms =
+            if u < v then
+              (period, s_cycle.(u)) :: (-.period, s_cycle.(v))
+              :: (1.0, l_start.(u)) :: (-1.0, l_start.(v))
+              :: (du_terms.(u) @ ind v mt comb_is [])
             else
-              Array.to_list
-                (Array.mapi (fun j c -> (cut_delays.(u).(j), c)) c_cut.(u))
-              |> List.filter (fun (d, _) -> d <> 0.0)
+              (-.period, s_cycle.(v)) :: (period, s_cycle.(u))
+              :: (-1.0, l_start.(v)) :: (1.0, l_start.(u))
+              :: ind v mt comb_is du_terms.(u)
           in
           Lp.Model.add_le model
-            ~name:(name "chain_%d_%d" v u)
-            ([
-               (period, s_cycle.(u));
-               (-.period, s_cycle.(v));
-               (1.0, l_start.(u));
-               (-1.0, l_start.(v));
-             ]
-            @ ind mt @ du_terms)
-            (mt -. (latu *. period) -. residual u)
+            ~name:(lazy (Printf.sprintf "chain_%d_%d" v u))
+            terms
+            (mt -. (latu *. period) -. residual.(u))
         end;
         (* registered entries: produced strictly before use; the rhs
            depends on the entry distance, so merge per distance *)
-        let reg_groups : (int, int list ref) Hashtbl.t = Hashtbl.create 4 in
-        List.iter
-          (fun (i, info) ->
-            match info.min_reg_dist with
-            | None -> ()
-            | Some d -> (
-                match Hashtbl.find_opt reg_groups d with
-                | Some l -> l := i :: !l
-                | None -> Hashtbl.add reg_groups d (ref [ i ])))
-          entries;
-        Hashtbl.iter
-          (fun d is ->
+        iter_groups (fun info -> info.min_reg_dist) entries (fun d is ->
+            let terms = ind v mc is [] in
             Lp.Model.add_le model
-              ~name:(name "regdep_%d_%d_%d" v u d)
-              ([ (1.0, s_cycle.(u)); (-1.0, s_cycle.(v)) ]
-              @ List.map (fun c -> (mc, c)) (csum (List.rev !is)))
-              (mc +. float_of_int ((cfg.ii * d) - 1) -. latu))
-          reg_groups;
+              ~name:(lazy (Printf.sprintf "regdep_%d_%d_%d" v u d))
+              (if u <= v then
+                 (1.0, s_cycle.(u)) :: (-1.0, s_cycle.(v)) :: terms
+               else (-1.0, s_cycle.(v)) :: (1.0, s_cycle.(u)) :: terms)
+              (mc +. float_of_int ((cfg.ii * d) - 1) -. latu));
         (* register lifetime of the leaf's value, merged per worst-case
            entry distance *)
         match reg.(u) with
         | None -> ()
         | Some reg_u ->
-            let life_groups : (int, int list ref) Hashtbl.t =
-              Hashtbl.create 4
-            in
-            List.iter
-              (fun (i, info) ->
-                match Hashtbl.find_opt life_groups info.max_dist with
-                | Some l -> l := i :: !l
-                | None -> Hashtbl.add life_groups info.max_dist (ref [ i ]))
-              entries;
-            Hashtbl.iter
+            iter_groups (fun info -> Some info.max_dist) entries
               (fun dist is ->
+                let terms = ind v mreg is [ (-1.0, reg_u) ] in
                 Lp.Model.add_le model
-                  ~name:(name "life_%d_%d_%d" v u dist)
-                  ([
-                     (1.0, s_cycle.(v));
-                     (-1.0, s_cycle.(u));
-                     (-1.0, reg_u);
-                   ]
-                  @ List.map (fun c -> (mreg, c)) (csum (List.rev !is)))
-                  (mreg -. float_of_int (cfg.ii * dist) +. latu))
-              life_groups)
+                  ~name:(lazy (Printf.sprintf "life_%d_%d_%d" v u dist))
+                  (if v <= u then
+                     (1.0, s_cycle.(v)) :: (-1.0, s_cycle.(u)) :: terms
+                   else (-1.0, s_cycle.(u)) :: (1.0, s_cycle.(v)) :: terms)
+                  (mreg -. float_of_int (cfg.ii * dist) +. latu)))
       (List.rev !leaf_order)
   done;
   (* Eq. (14): modulo resource constraints via one-hot cycle binaries for
@@ -302,14 +322,14 @@ let build cfg g cuts =
           let onehot =
             Array.init (m_lat + 1) (fun t ->
                 Lp.Model.bool_var model
-                  (name "s_%s_%d" (Ir.Cdfg.node_name g v) t))
+                  (lazy (Printf.sprintf "s_%s_%d" (Ir.Cdfg.node_name g v) t)))
           in
           Lp.Model.add_eq model
-            ~name:(name "onehot_%d" v)
+            ~name:(lazy (Printf.sprintf "onehot_%d" v))
             (Array.to_list (Array.map (fun x -> (1.0, x)) onehot))
             1.0;
           Lp.Model.add_eq model
-            ~name:(name "slink_%d" v)
+            ~name:(lazy (Printf.sprintf "slink_%d" v))
             ((-1.0, s_cycle.(v))
             :: Array.to_list
                  (Array.mapi (fun t x -> (float_of_int t, x)) onehot))
@@ -341,7 +361,7 @@ let build cfg g cuts =
               in
               if terms <> [] then
                 Lp.Model.add_le model
-                  ~name:(name "res_%s_%d" r phase)
+                  ~name:(lazy (Printf.sprintf "res_%s_%d" r phase))
                   terms (float_of_int lim)
             done
         | _, _ -> ())
@@ -370,7 +390,7 @@ let build cfg g cuts =
   done;
   Lp.Model.set_objective model !obj;
   {
-    g; cfg; cuts; model; s_cycle; l_start; c_cut; root; reg; lat;
+    g; cfg; cuts; model; s_cycle; l_start; c_cut; root; reg; lat; infos;
     onehot = !all_onehots;
   }
 
@@ -407,19 +427,20 @@ let incumbent_of_schedule t (sched : Sched.Schedule.t) cover =
         | Some _ -> ());
         !found
   in
-  for v = 0 to n - 1 do
-    match chosen_index v with
-    | None -> ()
-    | Some i ->
-        set t.c_cut.(v).(i) 1.0;
-        set t.root.(v) 1.0
-  done;
+  let chosen = Array.init n chosen_index in
+  Array.iteri
+    (fun v -> function
+      | None -> ()
+      | Some i ->
+          set t.c_cut.(v).(i) 1.0;
+          set t.root.(v) 1.0)
+    chosen;
   (* Register lifetimes implied by the chosen cuts. *)
   let need = Array.make n 0.0 in
   for v = 0 to n - 1 do
-    match Sched.Cover.chosen cover v with
+    match chosen.(v) with
     | None -> ()
-    | Some cut ->
+    | Some i ->
         List.iter
           (fun (u, info) ->
             let life =
@@ -429,7 +450,7 @@ let incumbent_of_schedule t (sched : Sched.Schedule.t) cover =
                 - sched.cycle.(u) - t.lat.(u))
             in
             if life > need.(u) then need.(u) <- life)
-          (leaf_infos t.g cut)
+          t.infos.(v).(i)
   done;
   for v = 0 to n - 1 do
     match t.reg.(v) with Some r -> set r need.(v) | None -> ()

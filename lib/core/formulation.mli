@@ -70,5 +70,5 @@ type leaf_info = {
 }
 
 val leaf_infos : Ir.Cdfg.t -> Cuts.cut -> (int * leaf_info) list
-(** How each leaf's value enters the cone — shared with the paper-exact
-    formulation. *)
+(** How each leaf's value enters the cone, sorted by leaf — shared with
+    the paper-exact formulation. *)

@@ -39,32 +39,32 @@ let build (cfg : Formulation.config) g cuts =
   let d_op v = cfg.cut_delay g cuts.(v).(0) in
   let lat v = int_of_float (floor (d_op v /. period)) in
   let model = Lp.Model.create ~name:"mams-exact" () in
-  let name fmt = Printf.sprintf fmt in
   let onehot =
     Array.init n (fun v ->
         Array.init (m_lat + 1) (fun t ->
             Lp.Model.bool_var model
-              (name "s_%s_%d" (Ir.Cdfg.node_name g v) t)))
+              (lazy (Printf.sprintf "s_%s_%d" (Ir.Cdfg.node_name g v) t))))
   in
   let s_cycle =
     Array.init n (fun v ->
         Lp.Model.add_var model ~lb:0.0 ~ub:(float_of_int m_lat)
-          (name "S_%s" (Ir.Cdfg.node_name g v)))
+          (lazy (Printf.sprintf "S_%s" (Ir.Cdfg.node_name g v))))
   in
   let l_start =
     Array.init n (fun v ->
         Lp.Model.add_var model ~lb:0.0 ~ub:period
-          (name "L_%s" (Ir.Cdfg.node_name g v)))
+          (lazy (Printf.sprintf "L_%s" (Ir.Cdfg.node_name g v))))
   in
   let c_cut =
     Array.init n (fun v ->
         Array.init (Array.length cuts.(v)) (fun i ->
             Lp.Model.bool_var model
-              (name "c_%s_%d" (Ir.Cdfg.node_name g v) i)))
+              (lazy (Printf.sprintf "c_%s_%d" (Ir.Cdfg.node_name g v) i))))
   in
   let root =
     Array.init n (fun v ->
-        Lp.Model.bool_var model (name "root_%s" (Ir.Cdfg.node_name g v)))
+        Lp.Model.bool_var model
+          (lazy (Printf.sprintf "root_%s" (Ir.Cdfg.node_name g v))))
   in
   let live =
     Array.init n (fun v ->
@@ -72,16 +72,16 @@ let build (cfg : Formulation.config) g cuts =
         else
           Array.init (m_live + 1) (fun t ->
               Lp.Model.bool_var model
-                (name "live_%s_%d" (Ir.Cdfg.node_name g v) t)))
+                (lazy (Printf.sprintf "live_%s_%d" (Ir.Cdfg.node_name g v) t))))
   in
   (* Eq. (5)–(6): one cycle per operation, S_v = Σ t·s_{v,t}. *)
   for v = 0 to n - 1 do
     Lp.Model.add_eq model
-      ~name:(name "onehot_%d" v)
+      ~name:(lazy (Printf.sprintf "onehot_%d" v))
       (Array.to_list (Array.map (fun x -> (1.0, x)) onehot.(v)))
       1.0;
     Lp.Model.add_eq model
-      ~name:(name "slink_%d" v)
+      ~name:(lazy (Printf.sprintf "slink_%d" v))
       ((-1.0, s_cycle.(v))
       :: Array.to_list (Array.mapi (fun t x -> (float_of_int t, x)) onehot.(v)))
       0.0;
@@ -95,7 +95,7 @@ let build (cfg : Formulation.config) g cuts =
   (* Eq. (2)–(3): cover structure. *)
   for v = 0 to n - 1 do
     Lp.Model.add_eq model
-      ~name:(name "cover_%d" v)
+      ~name:(lazy (Printf.sprintf "cover_%d" v))
       ((-1.0, root.(v))
       :: Array.to_list (Array.map (fun c -> (1.0, c)) c_cut.(v)))
       0.0;
@@ -113,7 +113,7 @@ let build (cfg : Formulation.config) g cuts =
             else float_of_int ((cfg.ii * e.dist) - 1 - lat e.src)
           in
           Lp.Model.add_le model
-            ~name:(name "dep_%d_%d" e.src nd.id)
+            ~name:(lazy (Printf.sprintf "dep_%d_%d" e.src nd.id))
             [ (1.0, s_cycle.(e.src)); (-1.0, s_cycle.(nd.id)) ]
             margin)
         nd.preds)
@@ -122,21 +122,22 @@ let build (cfg : Formulation.config) g cuts =
   for v = 0 to n - 1 do
     if lat v = 0 then
       Lp.Model.add_le model
-        ~name:(name "fit_%d" v)
+        ~name:(lazy (Printf.sprintf "fit_%d" v))
         [ (1.0, l_start.(v)) ]
         (period -. d_op v)
   done;
   (* Eq. (9), as printed: for u in CUT_v[i] entering with distance d,
      (S_u - S_v - II*d)*T + (L_u - L_v + c_{v,i} * d_u) <= 0. *)
+  let infos = Array.map (Array.map (Formulation.leaf_infos g)) cuts in
   for v = 0 to n - 1 do
     Array.iteri
-      (fun i (cut : Cuts.cut) ->
+      (fun i leaves ->
         List.iter
           (fun (u, (info : Formulation.leaf_info)) ->
             let emit dist =
               if not (is_source g u) then
                 Lp.Model.add_le model
-                  ~name:(name "chain_%d_%d_%d_%d" v i u dist)
+                  ~name:(lazy (Printf.sprintf "chain_%d_%d_%d_%d" v i u dist))
                   [
                     (period, s_cycle.(u));
                     (-.period, s_cycle.(v));
@@ -153,19 +154,18 @@ let build (cfg : Formulation.config) g cuts =
             (* Eq. (4): leaves of a selected cut are roots. *)
             if not (forced_root g u) then
               Lp.Model.add_le model
-                ~name:(name "leafroot_%d_%d_%d" v i u)
+                ~name:(lazy (Printf.sprintf "leafroot_%d_%d_%d" v i u))
                 [ (1.0, c_cut.(v).(i)); (-1.0, root.(u)) ]
                 0.0)
-          (Formulation.leaf_infos g cut))
-      cuts.(v)
+          leaves)
+      infos.(v)
   done;
   (* Eq. (10)–(12): def/kill/live. For each selected cut i of v and each
      leaf u entering with distance d:
        def_{u,t} - kill_{v, t - II*d} - (1 - c_{v,i}) <= live_{u,t}. *)
   for v = 0 to n - 1 do
     Array.iteri
-      (fun i (cut : Cuts.cut) ->
-        let infos = Formulation.leaf_infos g cut in
+      (fun i leaves ->
         List.iter
           (fun (u, (info : Formulation.leaf_info)) ->
             let max_dist = info.Formulation.max_dist in
@@ -185,14 +185,14 @@ let build (cfg : Formulation.config) g cuts =
                 in
                 if def_terms <> [] then
                   Lp.Model.add_le model
-                    ~name:(name "live_%d_%d_%d_%d" v i u t)
+                    ~name:(lazy (Printf.sprintf "live_%d_%d_%d_%d" v i u t))
                     (((-1.0), live.(u).(t))
                     :: (1.0, c_cut.(v).(i))
                     :: (def_terms @ kill_terms))
                     1.0
               done)
-          infos)
-      cuts.(v)
+          leaves)
+      infos.(v)
   done;
   (* Eq. (14): modulo resources. *)
   List.iter
@@ -213,7 +213,7 @@ let build (cfg : Formulation.config) g cuts =
             done;
             if !terms <> [] then
               Lp.Model.add_le model
-                ~name:(name "res_%s_%d" r phase)
+                ~name:(lazy (Printf.sprintf "res_%s_%d" r phase))
                 !terms (float_of_int lim)
           done)
     (Fpga.Resource.classes cfg.resources);

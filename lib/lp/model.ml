@@ -2,7 +2,7 @@ type sense = Le | Ge | Eq
 type var = int
 
 type row = {
-  r_name : string option;
+  r_name : string Lazy.t option;
   terms : (int * float) array;  (* normalized: ascending, no zero *)
   sense : sense;
   rhs : float;
@@ -14,7 +14,7 @@ type row = {
    model's size. *)
 type t = {
   m_name : string;
-  mutable names : string array;
+  mutable names : string Lazy.t array;
   mutable lbs : float array;
   mutable ubs : float array;
   mutable ints : bool array;
@@ -48,13 +48,15 @@ let grow a n dflt =
     b
   end
 
+let unnamed = Lazy.from_val ""
+
 let add_var m ?(integer = false) ?(lb = 0.0) ?(ub = infinity) name =
   if Float.is_nan lb || Float.is_nan ub then invalid_arg "Model.add_var: NaN";
   if not (Float.is_finite lb) then
     invalid_arg "Model.add_var: lower bound must be finite";
   if ub < lb then invalid_arg "Model.add_var: ub < lb";
   let id = m.nvars in
-  m.names <- grow m.names id "";
+  m.names <- grow m.names id unnamed;
   m.lbs <- grow m.lbs id 0.0;
   m.ubs <- grow m.ubs id 0.0;
   m.ints <- grow m.ints id false;
@@ -69,23 +71,41 @@ let bool_var m name = add_var m ~integer:true ~lb:0.0 ~ub:1.0 name
 
 (* Terms sorted by variable, each variable's coefficients summed from
    [0.0] in list order (a stable sort keeps that order), exact zeros
-   dropped. *)
+   dropped. A list already strictly increasing by variable (as the
+   builders emit their rows) exits early: each variable's sum [0.0 +. c]
+   is [c] itself or a zero, so one pass keeps the nonzero terms. *)
 let normalize_terms terms =
-  (* [s] sums variable [v]'s coefficients so far *)
-  let rec merge acc v s = function
-    | (c, v') :: rest when v' = v -> merge acc v (s +. c) rest
-    | rest -> (
-        let acc = if s = 0.0 then acc else (v, s) :: acc in
-        match rest with
-        | [] -> List.rev acc
-        | (c, v') :: rest -> merge acc v' (0.0 +. c) rest)
+  (* the nonzero count of a strictly increasing list, [-1] otherwise *)
+  let rec scan k prev = function
+    | [] -> k
+    | (c, v) :: rest ->
+        if v <= prev then -1 else scan (if c = 0.0 then k else k + 1) v rest
   in
-  match List.stable_sort (fun (_, a) (_, b) -> Int.compare a b) terms with
-  | [] -> []
-  | (c, v) :: rest -> merge [] v (0.0 +. c) rest
+  let k = scan 0 min_int terms in
+  if k >= 0 then begin
+    let out = Array.make k (0, 0.0) in
+    ignore
+      (List.fold_left
+         (fun i (c, v) -> if c = 0.0 then i else (out.(i) <- (v, c); i + 1))
+         0 terms);
+    out
+  end
+  else
+    (* [s] sums variable [v]'s coefficients so far *)
+    let rec merge acc v s = function
+      | (c, v') :: rest when v' = v -> merge acc v (s +. c) rest
+      | rest -> (
+          let acc = if s = 0.0 then acc else (v, s) :: acc in
+          match rest with
+          | [] -> Array.of_list (List.rev acc)
+          | (c, v') :: rest -> merge acc v' (0.0 +. c) rest)
+    in
+    match List.stable_sort (fun (_, a) (_, b) -> Int.compare a b) terms with
+    | [] -> [||]
+    | (c, v) :: rest -> merge [] v (0.0 +. c) rest
 
 let add_constraint m ?name terms sense rhs =
-  let terms = Array.of_list (normalize_terms terms) in
+  let terms = normalize_terms terms in
   m.rows <- grow m.rows m.nrows { r_name = None; terms = [||]; sense = Le; rhs = 0.0 };
   m.rows.(m.nrows) <- { r_name = name; terms; sense; rhs };
   m.nrows <- m.nrows + 1
@@ -113,18 +133,21 @@ let fix m v x =
   m.lbs.(v) <- x;
   m.ubs.(v) <- x
 
-let var_name m v = checked m v "Model.var_name"; m.names.(v)
+let var_name m v = checked m v "Model.var_name"; Lazy.force m.names.(v)
 let is_integer m v = checked m v "Model.is_integer"; m.ints.(v)
 let bounds m v = checked m v "Model.bounds"; (m.lbs.(v), m.ubs.(v))
 let objective_constant m = m.obj_const
 
 let objective_terms m =
-  List.map (fun (v, c) -> (c, v)) (normalize_terms m.obj)
+  Array.fold_right (fun (v, c) acc -> (c, v) :: acc) (normalize_terms m.obj) []
 
 let rows m =
   Array.init m.nrows (fun i ->
       let r = m.rows.(i) in
-      (r.r_name, Array.fold_right (fun (v, c) acc -> (c, v) :: acc) r.terms [], r.sense, r.rhs))
+      ( Option.map Lazy.force r.r_name,
+        Array.fold_right (fun (v, c) acc -> (c, v) :: acc) r.terms [],
+        r.sense,
+        r.rhs ))
 
 type raw = {
   n : int;
@@ -148,7 +171,7 @@ let to_raw m =
     ub = Array.sub m.ubs 0 n;
     integer = Array.sub m.ints 0 n;
     obj;
-    rows = Array.map (fun r -> Array.copy r.terms) rows;
+    rows = Array.map (fun r -> r.terms) rows;
     senses = Array.map (fun r -> r.sense) rows;
     rhs = Array.map (fun (r : row) -> r.rhs) rows;
   }
@@ -171,14 +194,18 @@ let check m ~values ?(eps = 1e-6) () =
       let x = values v in
       let lb = m.lbs.(v) and ub = m.ubs.(v) in
       if x < lb -. eps || x > ub +. eps then
-        fail "variable %s = %g outside [%g, %g]" m.names.(v) x lb ub
+        fail "variable %s = %g outside [%g, %g]" (Lazy.force m.names.(v)) x lb ub
       else if m.ints.(v) && Float.abs (x -. Float.round x) > eps then
-        fail "variable %s = %g not integral" m.names.(v) x
+        fail "variable %s = %g not integral" (Lazy.force m.names.(v)) x
       else check_vars (v + 1)
   in
   let check_row i (r : row) =
     let lhs = Array.fold_left (fun acc (v, c) -> acc +. (c *. values v)) 0.0 r.terms in
-    let name () = Option.value r.r_name ~default:(Printf.sprintf "row%d" i) in
+    let name () =
+      match r.r_name with
+      | Some s -> Lazy.force s
+      | None -> Printf.sprintf "row%d" i
+    in
     match r.sense with
     | Le when lhs > r.rhs +. eps -> fail "%s: %g > %g" (name ()) lhs r.rhs
     | Ge when lhs < r.rhs -. eps -> fail "%s: %g < %g" (name ()) lhs r.rhs

@@ -66,7 +66,7 @@ let schedule ~device ~delays ~resources ~ii g =
     let s =
       Array.init n (fun v ->
           Lp.Model.add_var model ~lb:0.0 ~ub:horizon
-            (Printf.sprintf "S_%s" (Ir.Cdfg.node_name g v)))
+            (lazy (Printf.sprintf "S_%s" (Ir.Cdfg.node_name g v))))
     in
     let is_const v =
       match Ir.Cdfg.op g v with Ir.Op.Const _ -> true | _ -> false
@@ -77,7 +77,7 @@ let schedule ~device ~delays ~resources ~ii g =
           else
             Some
               (Lp.Model.add_var model ~lb:0.0 ~ub:horizon
-                 (Printf.sprintf "reg_%s" (Ir.Cdfg.node_name g v))))
+                 (lazy (Printf.sprintf "reg_%s" (Ir.Cdfg.node_name g v)))))
     in
     (* dependence / registered-edge difference constraints *)
     Ir.Cdfg.iter

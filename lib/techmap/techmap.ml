@@ -201,7 +201,7 @@ let map_exact ?(time_limit = 10.0) ~device ~delays ~cuts g sched =
       (fun v cs ->
         List.mapi
           (fun i c ->
-            (Lp.Model.bool_var model (Printf.sprintf "c_%d_%d" v i), c))
+            (Lp.Model.bool_var model (lazy (Printf.sprintf "c_%d_%d" v i)), c))
           cs)
       eligible
   in

@@ -276,9 +276,9 @@ let test_pre004_zero_budget () =
 
 let test_lp001_infeasible_empty_row () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
+  let x = Lp.Model.add_var m (lazy "x") in
   (* Terms cancel to nothing; 0 >= 1 is false. *)
-  Lp.Model.add_ge m ~name:"cancelled" [ (1.0, x); (-1.0, x) ] 1.0;
+  Lp.Model.add_ge m ~name:(lazy "cancelled") [ (1.0, x); (-1.0, x) ] 1.0;
   Lp.Model.set_objective m [ (1.0, x) ];
   let d = find_code "LP001" (Analyze.Lp_lint.check m) in
   check_severity "LP001 severity" Analyze.Diag.Error d;
@@ -287,7 +287,7 @@ let test_lp001_infeasible_empty_row () =
 
 let test_lp002_vacuous_empty_row () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
+  let x = Lp.Model.add_var m (lazy "x") in
   Lp.Model.add_le m [ (1.0, x); (-1.0, x) ] 1.0;
   Lp.Model.set_objective m [ (1.0, x) ];
   let d = find_code "LP002" (Analyze.Lp_lint.check m) in
@@ -295,21 +295,37 @@ let test_lp002_vacuous_empty_row () =
 
 let test_lp003_duplicate_rows () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
-  let y = Lp.Model.add_var m "y" in
-  Lp.Model.add_le m ~name:"first" [ (1.0, x); (2.0, y) ] 3.0;
+  let x = Lp.Model.add_var m (lazy "x") in
+  let y = Lp.Model.add_var m (lazy "y") in
+  Lp.Model.add_le m ~name:(lazy "first") [ (1.0, x); (2.0, y) ] 3.0;
   (* Same normalized terms in a different order: still a duplicate. *)
-  Lp.Model.add_le m ~name:"second" [ (2.0, y); (1.0, x) ] 3.0;
+  Lp.Model.add_le m ~name:(lazy "second") [ (2.0, y); (1.0, x) ] 3.0;
   Lp.Model.set_objective m [ (1.0, x); (1.0, y) ];
   let d = find_code "LP003" (Analyze.Lp_lint.check m) in
   check_severity "LP003 severity" Analyze.Diag.Warning d;
   Alcotest.(check (list string)) "witness pairs rows" [ "first"; "second" ]
     d.witness
 
+let test_lp003_near_rows_differ () =
+  (* Rows equal to 6 significant digits but not in their bits are not
+     duplicates, whether they differ in a coefficient or in the rhs. *)
+  let m = Lp.Model.create () in
+  let x = Lp.Model.add_var m (lazy "x") in
+  let y = Lp.Model.add_var m (lazy "y") in
+  Lp.Model.add_le m [ (1.0000001, x); (2.0, y) ] 3.0;
+  Lp.Model.add_le m [ (1.0000002, x); (2.0, y) ] 3.0;
+  Lp.Model.add_ge m [ (1.0, x); (2.0, y) ] 1.0000001;
+  Lp.Model.add_ge m [ (1.0, x); (2.0, y) ] 1.0000002;
+  Lp.Model.set_objective m [ (1.0, x); (1.0, y) ];
+  Alcotest.(check (list string)) "no LP003" []
+    (List.filter_map
+       (fun (d : Analyze.Diag.t) -> if d.code = "LP003" then Some d.message else None)
+       (Analyze.Lp_lint.check m))
+
 let test_lp004_free_column () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
-  let free = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 "loose" in
+  let x = Lp.Model.add_var m (lazy "x") in
+  let free = Lp.Model.add_var m ~lb:0.0 ~ub:10.0 (lazy "loose") in
   ignore free;
   Lp.Model.add_le m [ (1.0, x) ] 1.0;
   Lp.Model.set_objective m [ (1.0, x) ];
@@ -320,14 +336,14 @@ let test_lp004_free_column () =
 
 let test_lp005_integer_infeasible_bounds () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~integer:true ~lb:0.4 ~ub:0.6 "frac" in
+  let x = Lp.Model.add_var m ~integer:true ~lb:0.4 ~ub:0.6 (lazy "frac") in
   Lp.Model.add_ge m [ (1.0, x) ] 0.0;
   let d = find_code "LP005" (Analyze.Lp_lint.check m) in
   check_severity "LP005 severity" Analyze.Diag.Error d
 
 let test_lp_report_cap () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
+  let x = Lp.Model.add_var m (lazy "x") in
   for _ = 1 to 40 do
     Lp.Model.add_ge m [ (1.0, x); (-1.0, x) ] 1.0
   done;
@@ -667,6 +683,8 @@ let () =
             test_lp002_vacuous_empty_row;
           Alcotest.test_case "LP003 duplicate rows" `Quick
             test_lp003_duplicate_rows;
+          Alcotest.test_case "LP003 near rows differ" `Quick
+            test_lp003_near_rows_differ;
           Alcotest.test_case "LP004 free column" `Quick test_lp004_free_column;
           Alcotest.test_case "LP005 integer bounds" `Quick
             test_lp005_integer_infeasible_bounds;

@@ -82,7 +82,7 @@ let knapsack () =
   let weights = [| 5.0; 6.0; 3.0; 4.0; 2.0; 5.0 |] in
   let m = Lp.Model.create () in
   let xs =
-    Array.mapi (fun i _ -> Lp.Model.bool_var m (Printf.sprintf "x%d" i)) values
+    Array.mapi (fun i _ -> Lp.Model.bool_var m (lazy (Printf.sprintf "x%d" i))) values
   in
   Lp.Model.add_le m
     (Array.to_list (Array.mapi (fun i x -> (weights.(i), x)) xs))
@@ -93,16 +93,16 @@ let knapsack () =
 
 let symmetric_cover () =
   let m = Lp.Model.create () in
-  let xs = Array.init 6 (fun i -> Lp.Model.bool_var m (Printf.sprintf "s%d" i)) in
+  let xs = Array.init 6 (fun i -> Lp.Model.bool_var m (lazy (Printf.sprintf "s%d" i))) in
   Lp.Model.add_eq m (Array.to_list (Array.map (fun x -> (1.0, x)) xs)) 3.0;
   Lp.Model.set_objective m (Array.to_list (Array.map (fun x -> (1.0, x)) xs));
   m
 
 let general_integer () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~integer:true ~ub:10.0 "x" in
-  let y = Lp.Model.add_var m ~integer:true ~ub:10.0 "y" in
-  let z = Lp.Model.add_var m ~integer:true ~ub:10.0 "z" in
+  let x = Lp.Model.add_var m ~integer:true ~ub:10.0 (lazy "x") in
+  let y = Lp.Model.add_var m ~integer:true ~ub:10.0 (lazy "y") in
+  let z = Lp.Model.add_var m ~integer:true ~ub:10.0 (lazy "z") in
   Lp.Model.add_le m [ (2.0, x); (3.0, y); (1.0, z) ] 12.0;
   Lp.Model.add_ge m [ (1.0, x); (1.0, y) ] 2.0;
   Lp.Model.set_objective m [ (-3.0, x); (-5.0, y); (-1.0, z) ];
@@ -110,8 +110,8 @@ let general_integer () =
 
 let infeasible () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.bool_var m "x" in
-  let y = Lp.Model.bool_var m "y" in
+  let x = Lp.Model.bool_var m (lazy "x") in
+  let y = Lp.Model.bool_var m (lazy "y") in
   Lp.Model.add_ge m [ (1.0, x); (1.0, y) ] 3.0;
   Lp.Model.set_objective m [ (1.0, x); (1.0, y) ];
   m
@@ -121,8 +121,8 @@ let infeasible () =
    conventions of the extraction in [Simplex.duals] *)
 let mixed_sense_lp () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~ub:5.0 "x" in
-  let y = Lp.Model.add_var m ~ub:5.0 "y" in
+  let x = Lp.Model.add_var m ~ub:5.0 (lazy "x") in
+  let y = Lp.Model.add_var m ~ub:5.0 (lazy "y") in
   Lp.Model.add_ge m [ (1.0, x); (1.0, y) ] 2.0;
   Lp.Model.add_eq m [ (1.0, x); (-1.0, y) ] 0.0;
   Lp.Model.add_le m [ (3.0, x); (1.0, y) ] 12.0;
@@ -131,7 +131,7 @@ let mixed_sense_lp () =
 
 let infeasible_lp () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~ub:10.0 "x" in
+  let x = Lp.Model.add_var m ~ub:10.0 (lazy "x") in
   Lp.Model.add_ge m [ (1.0, x) ] 3.0;
   Lp.Model.add_le m [ (1.0, x) ] 1.0;
   Lp.Model.set_objective m [ (1.0, x) ];
@@ -174,7 +174,7 @@ let test_audit_lp_farkas () = check_audit_clean "infeasible LP" infeasible_lp
    row to y >= 1) and no cuts: the case does not depend on timing. *)
 let test_audit_tied_integral_leaf () =
   let m = Lp.Model.create () in
-  let y = Lp.Model.bool_var m "y" in
+  let y = Lp.Model.bool_var m (lazy "y") in
   Lp.Model.add_ge m [ (1.0, y) ] (1.0 -. 1.7e-9);
   Lp.Model.set_objective m [ (3.0, y) ];
   let raw = Lp.Model.to_raw m in

@@ -159,6 +159,130 @@ let test_branch_priorities_shape () =
   Alcotest.(check bool) "has prioritized classes" true
     (Array.exists (fun x -> x = 3) p && Array.exists (fun x -> x = 1) p)
 
+(* The models [Mams.Flow.run] builds for the perfbench `suite' jobs under
+   the registry setup (MILP-base on the nine kernels, MILP-map on five):
+   the same cuts, schedule-derived latency bound and delay model as the
+   flow's full-strength attempt. *)
+let suite_kernels = [ "CLZ"; "XORR"; "GFMUL"; "CORDIC"; "MT"; "AES"; "RS"; "DR"; "GSM" ]
+
+let suite_inputs ~mapping_aware name =
+  let e = Benchmarks.Registry.find name in
+  let s =
+    { (Mams.Flow.default_setup ~device:(Fpga.Device.make ~t_clk:e.t_clk ()))
+      with resources = e.resources }
+  in
+  let g = e.build () in
+  let k = s.device.Fpga.Device.k in
+  let schedule delays =
+    Sched.Heuristic.schedule ~device:s.device ~delays ~resources:s.resources
+      ~ii:s.ii g
+  in
+  let base =
+    match schedule s.delays with
+    | Ok sched -> sched
+    | Error _ -> Alcotest.failf "%s: no baseline schedule" name
+  in
+  let cuts =
+    if mapping_aware then Cuts.enumerate ~params:(Cuts.default_params ~k) ~k g
+    else Cuts.trivial_only ~k g
+  in
+  let warm =
+    if not mapping_aware then Some base
+    else
+      Result.to_option
+        (schedule
+           (Fpga.Delays.with_logic s.delays ~logic:s.device.Fpga.Device.lut_delay))
+  in
+  let max_latency =
+    List.fold_left
+      (fun acc sched -> max acc (Sched.Schedule.latency sched))
+      (Sched.Schedule.latency base) (Option.to_list warm)
+  in
+  let cfg : Mams.Formulation.config =
+    {
+      device = s.device;
+      delays = s.delays;
+      resources = s.resources;
+      ii = s.ii;
+      max_latency;
+      alpha = s.alpha;
+      beta = s.beta;
+      cut_delay =
+        (if mapping_aware then
+           Mams.Formulation.mapped_delay ~device:s.device ~delays:s.delays
+         else Mams.Formulation.additive_delay ~delays:s.delays);
+    }
+  in
+  (cfg, g, cuts)
+
+(* Every bit of a model: bounds, integrality, objective, each row's
+   sense, rhs and terms (floats as [%h]), and every variable and row
+   name. *)
+let model_text m =
+  let b = Buffer.create 65536 in
+  let raw = Lp.Model.to_raw m in
+  for v = 0 to raw.n - 1 do
+    Printf.bprintf b "v %s %h %h %b %h\n"
+      (Lp.Model.var_name m (Lp.Model.var_of_index m v))
+      raw.lb.(v) raw.ub.(v) raw.integer.(v) raw.obj.(v)
+  done;
+  let names = Lp.Model.rows m in
+  Array.iteri
+    (fun i terms ->
+      let name, _, _, _ = names.(i) in
+      Printf.bprintf b "r %s %s %h"
+        (Option.value name ~default:"-")
+        (match raw.senses.(i) with Lp.Model.Le -> "<=" | Ge -> ">=" | Eq -> "=")
+        raw.rhs.(i);
+      Array.iter (fun (v, c) -> Printf.bprintf b " %d:%h" v c) terms;
+      Buffer.add_char b '\n')
+    raw.rows;
+  Buffer.contents b
+
+let test_model_identity () =
+  let compact ~mapping_aware name =
+    let cfg, g, cuts = suite_inputs ~mapping_aware name in
+    Mams.Formulation.model (Mams.Formulation.build cfg g cuts)
+  in
+  let exact name =
+    let cfg, g, cuts = suite_inputs ~mapping_aware:false name in
+    Mams.Formulation_exact.model (Mams.Formulation_exact.build cfg g cuts)
+  in
+  let models =
+    List.map (fun k -> ("base/" ^ k, compact ~mapping_aware:false k)) suite_kernels
+    @ List.map
+        (fun k -> ("map/" ^ k, compact ~mapping_aware:true k))
+        [ "GFMUL"; "CORDIC"; "DR"; "RS"; "GSM" ]
+    @ List.map (fun k -> ("exact/" ^ k, exact k)) suite_kernels
+  in
+  let text =
+    String.concat ""
+      (List.map (fun (label, m) -> label ^ "\n" ^ model_text m) models)
+  in
+  Alcotest.(check string) "model digest" "afe67922f61da3f4a4853b87e907a4dc"
+    (Digest.to_hex (Digest.string text))
+
+(* A leaf that enters two cuts of one node at different distances, so the
+   node's distance-merged rows ([regdep], [life]) come in groups of two
+   keys: none of the suite models has such a pair. *)
+let two_distances () =
+  let b = Ir.Builder.create () in
+  let x = Ir.Builder.input b ~width:4 "x" in
+  let c1 = Ir.Builder.feedback b ~width:4 ~init:0L ~dist:1 in
+  let c2 = Ir.Builder.feedback b ~width:4 ~init:0L ~dist:2 in
+  let v = Ir.Builder.xor_ b (Ir.Builder.not_ b c1) (Ir.Builder.not_ b c2) in
+  let t = Ir.Builder.xor_ b x v in
+  Ir.Builder.drive b ~cell:c1 t;
+  Ir.Builder.drive b ~cell:c2 t;
+  Ir.Builder.output b v;
+  Ir.Builder.finish b
+
+let test_two_distances_identity () =
+  let g = two_distances () in
+  let f = Mams.Formulation.build (base_cfg ~mapped:true ()) g (Cuts.enumerate ~k:4 g) in
+  Alcotest.(check string) "model digest" "a166c353bea90fc379c0d017eb658b64"
+    (Digest.to_hex (Digest.string (model_text (Mams.Formulation.model f))))
+
 let () =
   Alcotest.run "formulation"
     [
@@ -179,5 +303,11 @@ let () =
             test_incumbents_feasible_everywhere;
           Alcotest.test_case "branch priorities" `Quick
             test_branch_priorities_shape;
+        ] );
+      ( "model identity",
+        [
+          Alcotest.test_case "suite and exact models" `Quick test_model_identity;
+          Alcotest.test_case "two-distance leaves" `Quick
+            test_two_distances_identity;
         ] );
     ]

@@ -432,7 +432,7 @@ let random_milp seed =
   let build () =
     let m = Lp.Model.create () in
     let xs =
-      Array.init n (fun i -> Lp.Model.bool_var m (Printf.sprintf "x%d" i))
+      Array.init n (fun i -> Lp.Model.bool_var m (lazy (Printf.sprintf "x%d" i)))
     in
     Array.iter
       (fun (coeffs, rhs) ->

@@ -13,15 +13,15 @@ let solve_model m = Lp.Simplex.solve (Lp.Model.to_raw m)
 
 let test_min_single () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
+  let x = Lp.Model.add_var m (lazy "x") in
   Lp.Model.add_ge m [ (1.0, x) ] 3.0;
   Lp.Model.set_objective m [ (1.0, x) ];
   check_lp_obj "min x, x>=3" 3.0 (solve_model m)
 
 let test_max_2d () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
-  let y = Lp.Model.add_var m "y" in
+  let x = Lp.Model.add_var m (lazy "x") in
+  let y = Lp.Model.add_var m (lazy "y") in
   Lp.Model.add_le m [ (1.0, x); (1.0, y) ] 4.0;
   Lp.Model.add_le m [ (1.0, x) ] 2.0;
   Lp.Model.set_objective m [ (-1.0, x); (-1.0, y) ];
@@ -29,8 +29,8 @@ let test_max_2d () =
 
 let test_equality () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~ub:3.0 "x" in
-  let y = Lp.Model.add_var m ~ub:3.0 "y" in
+  let x = Lp.Model.add_var m ~ub:3.0 (lazy "x") in
+  let y = Lp.Model.add_var m ~ub:3.0 (lazy "y") in
   Lp.Model.add_eq m [ (1.0, x); (1.0, y) ] 5.0;
   Lp.Model.set_objective m [ (1.0, x) ];
   let r = solve_model m in
@@ -39,8 +39,8 @@ let test_equality () =
 
 let test_ge_rows () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
-  let y = Lp.Model.add_var m "y" in
+  let x = Lp.Model.add_var m (lazy "x") in
+  let y = Lp.Model.add_var m (lazy "y") in
   Lp.Model.add_ge m [ (1.0, x); (2.0, y) ] 4.0;
   Lp.Model.add_ge m [ (3.0, x); (1.0, y) ] 6.0;
   Lp.Model.set_objective m [ (1.0, x); (1.0, y) ];
@@ -48,15 +48,15 @@ let test_ge_rows () =
 
 let test_bound_flip () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~ub:1.0 "x" in
-  let y = Lp.Model.add_var m ~ub:1.0 "y" in
+  let x = Lp.Model.add_var m ~ub:1.0 (lazy "x") in
+  let y = Lp.Model.add_var m ~ub:1.0 (lazy "y") in
   Lp.Model.add_le m [ (1.0, x); (1.0, y) ] 1.5;
   Lp.Model.set_objective m [ (-1.0, x); (-2.0, y) ];
   check_lp_obj "bound flip" (-2.5) (solve_model m)
 
 let test_infeasible () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
+  let x = Lp.Model.add_var m (lazy "x") in
   Lp.Model.add_ge m [ (1.0, x) ] 5.0;
   Lp.Model.add_le m [ (1.0, x) ] 2.0;
   Lp.Model.set_objective m [ (1.0, x) ];
@@ -65,14 +65,14 @@ let test_infeasible () =
 
 let test_unbounded () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
+  let x = Lp.Model.add_var m (lazy "x") in
   Lp.Model.set_objective m [ (-1.0, x) ];
   let r = solve_model m in
   Alcotest.(check bool) "unbounded" true (r.Lp.Simplex.status = Lp.Simplex.Unbounded)
 
 let test_negative_lb () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~lb:(-5.0) ~ub:5.0 "x" in
+  let x = Lp.Model.add_var m ~lb:(-5.0) ~ub:5.0 (lazy "x") in
   Lp.Model.add_ge m [ (1.0, x) ] (-2.0);
   Lp.Model.set_objective m [ (1.0, x) ];
   check_lp_obj "negative lower bound" (-2.0) (solve_model m)
@@ -81,8 +81,8 @@ let test_free_via_shift () =
   (* min x + y with x in [-10,10], x + y = 1, y >= 0 -> x = -10? No:
      obj = x + y = 1 whenever the equality holds and y >= 0 needs x <= 1. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~lb:(-10.0) ~ub:10.0 "x" in
-  let y = Lp.Model.add_var m "y" in
+  let x = Lp.Model.add_var m ~lb:(-10.0) ~ub:10.0 (lazy "x") in
+  let y = Lp.Model.add_var m (lazy "y") in
   Lp.Model.add_eq m [ (1.0, x); (1.0, y) ] 1.0;
   Lp.Model.set_objective m [ (1.0, x); (1.0, y) ];
   check_lp_obj "objective along equality" 1.0 (solve_model m)
@@ -90,8 +90,8 @@ let test_free_via_shift () =
 let test_degenerate () =
   (* Multiple constraints meeting at the optimum. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
-  let y = Lp.Model.add_var m "y" in
+  let x = Lp.Model.add_var m (lazy "x") in
+  let y = Lp.Model.add_var m (lazy "y") in
   Lp.Model.add_le m [ (1.0, x); (1.0, y) ] 2.0;
   Lp.Model.add_le m [ (1.0, x) ] 1.0;
   Lp.Model.add_le m [ (1.0, y) ] 1.0;
@@ -102,8 +102,8 @@ let test_degenerate () =
 let test_bound_overrides () =
   (* branch-and-bound tightens bounds without rebuilding the model *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~ub:10.0 "x" in
-  let y = Lp.Model.add_var m ~ub:10.0 "y" in
+  let x = Lp.Model.add_var m ~ub:10.0 (lazy "x") in
+  let y = Lp.Model.add_var m ~ub:10.0 (lazy "y") in
   Lp.Model.add_le m [ (1.0, x); (1.0, y) ] 12.0;
   Lp.Model.set_objective m [ (-1.0, x); (-1.0, y) ];
   let raw = Lp.Model.to_raw m in
@@ -124,8 +124,8 @@ let test_bound_overrides () =
 
 let test_fixed_variables () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~ub:10.0 "x" in
-  let y = Lp.Model.add_var m ~ub:10.0 "y" in
+  let x = Lp.Model.add_var m ~ub:10.0 (lazy "x") in
+  let y = Lp.Model.add_var m ~ub:10.0 (lazy "y") in
   Lp.Model.fix m x 4.0;
   Lp.Model.add_ge m [ (1.0, x); (1.0, y) ] 6.0;
   Lp.Model.set_objective m [ (1.0, y) ];
@@ -137,7 +137,7 @@ let test_highly_degenerate () =
   (* many redundant constraints through the same vertex: exercises the
      anti-cycling path *)
   let m = Lp.Model.create () in
-  let xs = List.init 6 (fun i -> Lp.Model.add_var m ~ub:1.0 (Printf.sprintf "x%d" i)) in
+  let xs = List.init 6 (fun i -> Lp.Model.add_var m ~ub:1.0 (lazy (Printf.sprintf "x%d" i))) in
   List.iteri
     (fun i x ->
       List.iteri
@@ -243,7 +243,7 @@ let test_milp_time_limit_returns_feasible () =
   (* a painful MILP with a tiny budget still returns its warm start *)
   let m = Lp.Model.create () in
   let n = 18 in
-  let xs = List.init n (fun i -> Lp.Model.bool_var m (Printf.sprintf "b%d" i)) in
+  let xs = List.init n (fun i -> Lp.Model.bool_var m (lazy (Printf.sprintf "b%d" i))) in
   List.iteri
     (fun i x ->
       List.iteri
@@ -277,7 +277,7 @@ let random_lp_gen =
 
 let build_random_lp (n, obj, rows, rhs) =
   let m = Lp.Model.create () in
-  let xs = List.init n (fun i -> Lp.Model.add_var m ~ub:5.0 (Printf.sprintf "x%d" i)) in
+  let xs = List.init n (fun i -> Lp.Model.add_var m ~ub:5.0 (lazy (Printf.sprintf "x%d" i))) in
   List.iter2
     (fun row b ->
       let terms = List.map2 (fun c x -> (c, x)) row xs in
@@ -336,7 +336,7 @@ let test_knapsack () =
   let weights = [| 5.0; 6.0; 3.0; 4.0 |] in
   let cap = 10.0 in
   let m = Lp.Model.create () in
-  let xs = Array.mapi (fun i _ -> Lp.Model.bool_var m (Printf.sprintf "x%d" i)) values in
+  let xs = Array.mapi (fun i _ -> Lp.Model.bool_var m (lazy (Printf.sprintf "x%d" i))) values in
   Lp.Model.add_le m (Array.to_list (Array.mapi (fun i x -> (weights.(i), x)) xs)) cap;
   Lp.Model.set_objective m
     (Array.to_list (Array.mapi (fun i x -> (-.values.(i), x)) xs));
@@ -354,8 +354,8 @@ let test_knapsack () =
    the root LP keeps both fractional. *)
 let root_branch_var a b =
   let m = Lp.Model.create () in
-  let x0 = Lp.Model.bool_var m "x0" in
-  let x1 = Lp.Model.bool_var m "x1" in
+  let x0 = Lp.Model.bool_var m (lazy "x0") in
+  let x1 = Lp.Model.bool_var m (lazy "x1") in
   Lp.Model.add_le m [ (1.0 /. a, x0) ] 1.0;
   Lp.Model.add_le m [ (1.0 /. b, x1) ] 1.0;
   Lp.Model.set_objective m [ (-1.0, x0); (-1.0, x1) ];
@@ -383,8 +383,8 @@ let test_milp_integer_general () =
      x=1,y=3: 2+3=5, 1+9=10, obj 15. x=3,y=2: obj 17. x=2,y=2 -> 14.
      x=4,y=1: 9>=5, 7>=7 obj 16. So 14. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~integer:true ~ub:10.0 "x" in
-  let y = Lp.Model.add_var m ~integer:true ~ub:10.0 "y" in
+  let x = Lp.Model.add_var m ~integer:true ~ub:10.0 (lazy "x") in
+  let y = Lp.Model.add_var m ~integer:true ~ub:10.0 (lazy "y") in
   Lp.Model.add_ge m [ (2.0, x); (1.0, y) ] 5.0;
   Lp.Model.add_ge m [ (1.0, x); (3.0, y) ] 7.0;
   Lp.Model.set_objective m [ (3.0, x); (4.0, y) ];
@@ -395,8 +395,8 @@ let test_milp_integer_general () =
 
 let test_milp_infeasible () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.bool_var m "x" in
-  let y = Lp.Model.bool_var m "y" in
+  let x = Lp.Model.bool_var m (lazy "x") in
+  let y = Lp.Model.bool_var m (lazy "y") in
   Lp.Model.add_ge m [ (1.0, x); (1.0, y) ] 3.0;
   Lp.Model.set_objective m [ (1.0, x) ];
   let r = Lp.Milp.solve ~time_limit:10.0 m in
@@ -405,8 +405,8 @@ let test_milp_infeasible () =
 let test_milp_incumbent () =
   (* Warm start with the known optimum; solver must not return worse. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.bool_var m "x" in
-  let y = Lp.Model.bool_var m "y" in
+  let x = Lp.Model.bool_var m (lazy "x") in
+  let y = Lp.Model.bool_var m (lazy "y") in
   Lp.Model.add_le m [ (1.0, x); (1.0, y) ] 1.0;
   Lp.Model.set_objective m [ (-2.0, x); (-1.0, y) ];
   let r = Lp.Milp.solve ~incumbent:[| 1.0; 0.0 |] ~time_limit:10.0 m in
@@ -415,7 +415,7 @@ let test_milp_incumbent () =
 
 let test_milp_bad_incumbent () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.bool_var m "x" in
+  let x = Lp.Model.bool_var m (lazy "x") in
   Lp.Model.add_le m [ (1.0, x) ] 0.0;
   Lp.Model.set_objective m [ (1.0, x) ];
   Alcotest.check_raises "rejects infeasible incumbent"
@@ -424,7 +424,7 @@ let test_milp_bad_incumbent () =
 
 let test_objective_constant () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.bool_var m "x" in
+  let x = Lp.Model.bool_var m (lazy "x") in
   Lp.Model.set_objective m ~constant:10.0 [ (1.0, x) ];
   let r = Lp.Milp.solve ~time_limit:5.0 m in
   if not (feq 10.0 r.Lp.Milp.objective) then
@@ -445,7 +445,7 @@ let milp_matches_brute_force =
   QCheck.Test.make ~name:"binary MILP matches brute force" ~count:120
     (QCheck.make gen) (fun (n, obj, rows, rhs) ->
       let m = Lp.Model.create () in
-      let xs = List.init n (fun i -> Lp.Model.bool_var m (Printf.sprintf "b%d" i)) in
+      let xs = List.init n (fun i -> Lp.Model.bool_var m (lazy (Printf.sprintf "b%d" i))) in
       List.iter2
         (fun row b -> Lp.Model.add_le m (List.map2 (fun c x -> (c, x)) row xs) b)
         rows rhs;
@@ -484,8 +484,8 @@ let status_name = function
 (* min -x - y  s.t.  x + y <= 4, x <= 2; root optimum -4 at (2, 2). *)
 let resolve_fixture () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
-  let y = Lp.Model.add_var m "y" in
+  let x = Lp.Model.add_var m (lazy "x") in
+  let y = Lp.Model.add_var m (lazy "y") in
   Lp.Model.add_le m [ (1.0, x); (1.0, y) ] 4.0;
   Lp.Model.add_le m [ (1.0, x) ] 2.0;
   Lp.Model.set_objective m [ (-1.0, x); (-1.0, y) ];
@@ -509,7 +509,7 @@ let test_resolve_warm_tighten () =
   let weights = [| 5.0; 6.0; 3.0; 4.0 |] in
   let m = Lp.Model.create () in
   let xs =
-    Array.mapi (fun i _ -> Lp.Model.bool_var m (Printf.sprintf "x%d" i)) values
+    Array.mapi (fun i _ -> Lp.Model.bool_var m (lazy (Printf.sprintf "x%d" i))) values
   in
   Lp.Model.add_le m
     (Array.to_list (Array.mapi (fun i x -> (weights.(i), x)) xs))
@@ -686,9 +686,9 @@ let edge_weights_exact =
    which lifts x to 6 as well, and the repair ends after one pivot. *)
 let test_steepest_row_leaves_first () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m "x" in
-  let y = Lp.Model.add_var m "y" in
-  let e = Lp.Model.add_var m "e" in
+  let x = Lp.Model.add_var m (lazy "x") in
+  let y = Lp.Model.add_var m (lazy "y") in
+  let e = Lp.Model.add_var m (lazy "e") in
   Lp.Model.add_ge m [ (0.1, x); (-0.5, e) ] 0.1;
   Lp.Model.add_ge m [ (1.0, y); (-1.0, e) ] 1.0;
   Lp.Model.set_objective m [ (1.0, x); (1.0, y); (-5.5, e) ];
@@ -903,7 +903,7 @@ let check_resolve_certified ?(expect = "optimal") name raw st ~lb ~ub =
 let test_kernel_dense_row () =
   let m = Lp.Model.create () in
   let xs =
-    Array.init 4 (fun i -> Lp.Model.add_var m ~ub:2.0 (Printf.sprintf "x%d" i))
+    Array.init 4 (fun i -> Lp.Model.add_var m ~ub:2.0 (lazy (Printf.sprintf "x%d" i)))
   in
   Lp.Model.add_le m
     (List.map2 (fun c x -> (c, x)) [ 2.0; 1.0; 3.0; 1.0 ] (Array.to_list xs))
@@ -942,9 +942,9 @@ let test_kernel_dense_row () =
    its slack, and the coupling row is reduced over two columns only. *)
 let singleton_rows () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~ub:4.0 "x" in
-  let y = Lp.Model.add_var m ~ub:4.0 "y" in
-  let z = Lp.Model.add_var m ~ub:4.0 "z" in
+  let x = Lp.Model.add_var m ~ub:4.0 (lazy "x") in
+  let y = Lp.Model.add_var m ~ub:4.0 (lazy "y") in
+  let z = Lp.Model.add_var m ~ub:4.0 (lazy "z") in
   Lp.Model.add_le m [ (1.0, x) ] 1.5;
   Lp.Model.add_le m [ (1.0, y) ] 2.5;
   Lp.Model.add_le m [ (1.0, x); (1.0, y); (1.0, z) ] 3.0;
@@ -974,7 +974,7 @@ let sparse_lp ~cuts =
   let n = 10 in
   let m = Lp.Model.create () in
   let xs =
-    Array.init n (fun i -> Lp.Model.add_var m ~ub:3.0 (Printf.sprintf "x%d" i))
+    Array.init n (fun i -> Lp.Model.add_var m ~ub:3.0 (lazy (Printf.sprintf "x%d" i)))
   in
   (* row i touches columns i, i+3, i+7 (mod n): 30% dense *)
   for i = 0 to 7 do
@@ -1044,10 +1044,10 @@ let test_kernel_add_rows_warm () =
    dual repair enters it on once x2 is capped below 1. *)
 let test_kernel_singleton_column () =
   let m = Lp.Model.create () in
-  let x0 = Lp.Model.add_var m "x0" in
-  let x1 = Lp.Model.add_var m ~ub:4.0 "x1" in
-  let x2 = Lp.Model.add_var m ~ub:4.0 "x2" in
-  let x3 = Lp.Model.add_var m ~ub:2.0 "x3" in
+  let x0 = Lp.Model.add_var m (lazy "x0") in
+  let x1 = Lp.Model.add_var m ~ub:4.0 (lazy "x1") in
+  let x2 = Lp.Model.add_var m ~ub:4.0 (lazy "x2") in
+  let x3 = Lp.Model.add_var m ~ub:2.0 (lazy "x3") in
   Lp.Model.add_le m [ (1.0, x0); (1.0, x1) ] 3.0;
   Lp.Model.add_le m [ (1.0, x1); (1.0, x2) ] 2.0;
   Lp.Model.add_ge m [ (1.0, x2); (1.0, x3) ] 1.0;
@@ -1072,8 +1072,8 @@ let test_kernel_singleton_column () =
    the most violated row; without one the primal clean-up enters it. *)
 let dense_column ~x0_ub =
   let m = Lp.Model.create () in
-  let x0 = Lp.Model.add_var m ~ub:x0_ub "x0" in
-  let ys = Array.init 6 (fun i -> Lp.Model.add_var m ~ub:3.0 (Printf.sprintf "y%d" i)) in
+  let x0 = Lp.Model.add_var m ~ub:x0_ub (lazy "x0") in
+  let ys = Array.init 6 (fun i -> Lp.Model.add_var m ~ub:3.0 (lazy (Printf.sprintf "y%d" i))) in
   Array.iteri
     (fun i y -> Lp.Model.add_le m [ (1.0, x0); (1.0, y) ] (float_of_int (i + 1)))
     ys;
@@ -1107,7 +1107,7 @@ let test_kernel_dense_column () =
 let grown_lp ~cuts =
   let m = Lp.Model.create () in
   let xs =
-    Array.init 6 (fun i -> Lp.Model.add_var m ~ub:2.0 (Printf.sprintf "x%d" i))
+    Array.init 6 (fun i -> Lp.Model.add_var m ~ub:2.0 (lazy (Printf.sprintf "x%d" i)))
   in
   Lp.Model.add_le m (Array.to_list (Array.map (fun x -> (1.0, x)) xs)) 8.0;
   Lp.Model.add_le m [ (1.0, xs.(0)); (1.0, xs.(2)); (1.0, xs.(4)) ] 3.0;
@@ -1164,7 +1164,7 @@ let tied_lp () =
   let m = Lp.Model.create () in
   let x =
     Array.mapi
-      (fun i ub -> Lp.Model.add_var m ~ub (Printf.sprintf "x%d" i))
+      (fun i ub -> Lp.Model.add_var m ~ub (lazy (Printf.sprintf "x%d" i)))
       [| infinity; 1.0; infinity; 1.0; 2.0; 2.0 |]
   in
   let row terms rhs =
@@ -1290,9 +1290,9 @@ let test_condensed_unit_columns () =
    solve that add_rows extends starts with dual pivots on them. *)
 let artificial_lp ~cuts =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~ub:4.0 "x" in
-  let y = Lp.Model.add_var m ~ub:4.0 "y" in
-  let z = Lp.Model.add_var m ~ub:4.0 "z" in
+  let x = Lp.Model.add_var m ~ub:4.0 (lazy "x") in
+  let y = Lp.Model.add_var m ~ub:4.0 (lazy "y") in
+  let z = Lp.Model.add_var m ~ub:4.0 (lazy "z") in
   Lp.Model.add_eq m [ (1.0, x); (1.0, y); (1.0, z) ] 3.0;
   Lp.Model.add_ge m [ (1.0, x); (2.0, y) ] 2.0;
   List.iter
@@ -1339,12 +1339,12 @@ let test_presolve_tighten () =
      one-hot a + b + c = 1 with a pinned then fixes b and c to 0 in the
      same fixpoint (clique-style fixing through activity propagation). *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.bool_var m "x" in
-  let y = Lp.Model.bool_var m "y" in
-  let z = Lp.Model.bool_var m "z" in
-  let a = Lp.Model.bool_var m "a" in
-  let b = Lp.Model.bool_var m "b" in
-  let c = Lp.Model.bool_var m "c" in
+  let x = Lp.Model.bool_var m (lazy "x") in
+  let y = Lp.Model.bool_var m (lazy "y") in
+  let z = Lp.Model.bool_var m (lazy "z") in
+  let a = Lp.Model.bool_var m (lazy "a") in
+  let b = Lp.Model.bool_var m (lazy "b") in
+  let c = Lp.Model.bool_var m (lazy "c") in
   Lp.Model.add_le m [ (2.0, x); (2.0, y) ] 1.0;
   Lp.Model.add_ge m [ (1.0, z) ] 1.0;
   Lp.Model.add_eq m [ (1.0, a); (1.0, b); (1.0, c) ] 1.0;
@@ -1363,7 +1363,7 @@ let test_presolve_tighten () =
   (* the emitted log replays clean under the audit's CERT111 check: a
      certified solve of the same model must come back clean *)
   let m2 = Lp.Model.create () in
-  let xs = Array.init 6 (fun i -> Lp.Model.bool_var m2 (Printf.sprintf "v%d" i)) in
+  let xs = Array.init 6 (fun i -> Lp.Model.bool_var m2 (lazy (Printf.sprintf "v%d" i))) in
   Lp.Model.add_le m2 [ (2.0, xs.(0)); (2.0, xs.(1)) ] 1.0;
   Lp.Model.add_ge m2 [ (1.0, xs.(2)) ] 1.0;
   Lp.Model.add_eq m2 [ (1.0, xs.(3)); (1.0, xs.(4)); (1.0, xs.(5)) ] 1.0;
@@ -1420,8 +1420,8 @@ let test_cutgen_cg () =
      fractional and the CG round over the tableau row yields the cut
      x + y <= 1, which closes the integrality gap at the root. *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.bool_var m "x" in
-  let y = Lp.Model.bool_var m "y" in
+  let x = Lp.Model.bool_var m (lazy "x") in
+  let y = Lp.Model.bool_var m (lazy "y") in
   Lp.Model.add_le m [ (2.0, x); (2.0, y) ] 3.0;
   Lp.Model.set_objective m [ (-1.0, x); (-1.0, y) ];
   let raw = Lp.Model.to_raw m in
@@ -1595,8 +1595,8 @@ let test_add_rows_warm () =
   (* append a violated cut row to a solved state: the next resolve must
      repair it on the warm path, and the duals must cover the new row *)
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~ub:2.0 "x" in
-  let y = Lp.Model.add_var m ~ub:2.0 "y" in
+  let x = Lp.Model.add_var m ~ub:2.0 (lazy "x") in
+  let y = Lp.Model.add_var m ~ub:2.0 (lazy "y") in
   Lp.Model.add_le m [ (1.0, x); (1.0, y) ] 3.0;
   Lp.Model.set_objective m [ (-1.0, x); (-1.0, y) ];
   let raw = Lp.Model.to_raw m in
@@ -1615,9 +1615,9 @@ let test_milp_cuts_ab_parity () =
      on the general-integer model that actually branches *)
   let build () =
     let m = Lp.Model.create () in
-    let x = Lp.Model.add_var m ~integer:true ~ub:10.0 "x" in
-    let y = Lp.Model.add_var m ~integer:true ~ub:10.0 "y" in
-    let z = Lp.Model.add_var m ~integer:true ~ub:10.0 "z" in
+    let x = Lp.Model.add_var m ~integer:true ~ub:10.0 (lazy "x") in
+    let y = Lp.Model.add_var m ~integer:true ~ub:10.0 (lazy "y") in
+    let z = Lp.Model.add_var m ~integer:true ~ub:10.0 (lazy "z") in
     Lp.Model.add_le m [ (2.0, x); (3.0, y); (1.0, z) ] 12.0;
     Lp.Model.add_ge m [ (1.0, x); (1.0, y) ] 2.0;
     Lp.Model.set_objective m [ (-3.0, x); (-5.0, y); (-1.0, z) ];
@@ -2595,22 +2595,67 @@ let model_rows_normalize =
        terms_gen)
     (fun (nv, terms) ->
       let m = Lp.Model.create () in
-      let xs = Array.init nv (fun i -> Lp.Model.add_var m (Printf.sprintf "x%d" i)) in
+      let xs = Array.init nv (fun i -> Lp.Model.add_var m (lazy (Printf.sprintf "x%d" i))) in
+      let increasing = List.sort_uniq (fun (_, a) (_, b) -> Int.compare a b) terms in
       let terms = List.map (fun (c, v) -> (c, xs.(v))) terms in
       Lp.Model.add_le m terms 1.0;
       Lp.Model.add_eq m (List.rev terms) 0.0;
+      (* strictly increasing by variable: stored without a sort *)
+      let increasing = List.map (fun (c, v) -> (c, xs.(v))) increasing in
+      Lp.Model.add_ge m increasing 0.0;
       Lp.Model.set_objective m terms;
       let index = List.map (fun (c, v) -> (c, Lp.Model.var_index v)) in
       let want l = ref_normalize_terms (index l) in
       let rows = Lp.Model.rows m in
-      let _, r0, _, _ = rows.(0) and _, r1, _, _ = rows.(1) in
+      let _, r0, _, _ = rows.(0) and _, r1, _, _ = rows.(1) and _, r2, _, _ = rows.(2) in
       let raw = Lp.Model.to_raw m in
       same_terms (index r0) (want terms)
       && same_terms (index r1) (want (List.rev terms))
+      && same_terms (index r2) (want increasing)
       && same_terms (index (Lp.Model.objective_terms m)) (want terms)
       && same_terms
            (List.map (fun (v, c) -> (c, v)) (Array.to_list raw.Lp.Model.rows.(0)))
            (want terms))
+
+(* Nothing on the solver path reads a name: a model whose every name
+   raises when forced solves with presolve, cuts, certificates and the
+   audit, and [check] forces only the name of the variable it reports. *)
+let test_names_unforced () =
+  let m = Lp.Model.create () in
+  let var i ~ub =
+    Lp.Model.add_var m ~integer:true ~ub
+      (lazy (failwith (Printf.sprintf "name of x%d forced" i)))
+  in
+  let xs = Array.init 4 (fun i -> var i ~ub:5.0) in
+  let row i = Some (lazy (failwith (Printf.sprintf "name of row %d forced" i))) in
+  let t cs = List.map2 (fun c x -> (c, x)) cs (Array.to_list xs) in
+  (* LP optimum x0 + x1 = 1.5, x2 + x3 = 2.5: presolve rounds the upper
+     bounds and Chvátal–Gomory cuts round both sums down *)
+  Lp.Model.add_le m ?name:(row 0) (t [ 2.0; 2.0; 0.0; 0.0 ]) 3.0;
+  Lp.Model.add_le m ?name:(row 1) (t [ 0.0; 0.0; 2.0; 2.0 ]) 5.0;
+  Lp.Model.add_ge m ?name:(row 2) (t [ 1.0; 0.0; 1.0; 0.0 ]) 1.0;
+  Lp.Model.set_objective m (t [ -1.0; -1.1; -1.2; -1.3 ]);
+  List.iter
+    (fun certificates ->
+      let r =
+        Lp.Milp.solve ~time_limit:10.0 ~domains:1 ~cuts:true ~presolve:true
+          ~certificates ~incumbent:[| 1.0; 0.0; 0.0; 0.0 |] m
+      in
+      Alcotest.(check bool) "optimal" true (r.Lp.Milp.status = Lp.Milp.Optimal);
+      Alcotest.(check bool) "a cut round" true (r.Lp.Milp.stats.Lp.Milp.cut_rounds > 0);
+      match r.Lp.Milp.cert with
+      | None -> ()
+      | Some cert ->
+          Alcotest.(check bool) "presolve events" true (cert.Lp.Cert.presolve <> []);
+          Alcotest.(check int) "audit errors" 0
+            (List.length (Analyze.Diag.errors (Analyze.Audit.check_result m r))))
+    [ false; true ];
+  Alcotest.check_raises "check names the variable at fault"
+    (Failure "name of x2 forced") (fun () ->
+      ignore
+        (Lp.Model.check m
+           ~values:(fun v -> if Lp.Model.var_index v = 2 then 9.0 else 0.0)
+           ()))
 
 (* A model of several thousand variables: every accessor returns what
    was added, [fix] narrows one variable only, and [check]'s error names
@@ -2624,11 +2669,11 @@ let test_model_large () =
   let xs =
     Array.init n (fun i ->
         Lp.Model.add_var m ~integer:(integer i) ~lb:(lb i) ~ub:(ub i)
-          (Printf.sprintf "v%d" i))
+          (lazy (Printf.sprintf "v%d" i)))
   in
   (* x_i + x_{i+1} <= lb_i + lb_{i+1} + 1, every other row named *)
   for i = 0 to n - 2 do
-    let name = if i mod 2 = 0 then Some (Printf.sprintf "pair%d" i) else None in
+    let name = if i mod 2 = 0 then Some (lazy (Printf.sprintf "pair%d" i)) else None in
     Lp.Model.add_le m ?name [ (1.0, xs.(i)); (1.0, xs.(i + 1)) ] (lb i +. lb (i + 1) +. 1.0)
   done;
   Lp.Model.set_objective m (List.init n (fun i -> (float_of_int (i mod 11), xs.(n - 1 - i))));
@@ -2697,7 +2742,7 @@ let rebuild_raw () =
   in
   let x =
     Array.mapi
-      (fun i (lb, ub) -> Lp.Model.add_var m ~lb ~ub (Printf.sprintf "x%d" i))
+      (fun i (lb, ub) -> Lp.Model.add_var m ~lb ~ub (lazy (Printf.sprintf "x%d" i)))
       bounds
   in
   let t = List.map (fun (c, i) -> (c, x.(i))) in
@@ -2857,7 +2902,7 @@ let stored_out_inert =
   QCheck.Test.make ~name:"stored-out columns are inert" ~count:300
     (QCheck.make gen) (fun (n, obj, rows, rhs, fixed, steps) ->
       let m = Lp.Model.create () in
-      let xs = List.init n (fun i -> Lp.Model.add_var m ~ub:4.0 (Printf.sprintf "x%d" i)) in
+      let xs = List.init n (fun i -> Lp.Model.add_var m ~ub:4.0 (lazy (Printf.sprintf "x%d" i))) in
       List.iteri
         (fun i (row, b) ->
           let terms = List.map2 (fun c x -> (c, x)) row xs in
@@ -2958,7 +3003,7 @@ let recompute_beta_matches_scan =
   QCheck.Test.make ~name:"recompute_beta = the column scan" ~count:300
     (QCheck.make gen) (fun (n, obj, rows, rhs, steps) ->
       let m = Lp.Model.create () in
-      let xs = List.init n (fun i -> Lp.Model.add_var m ~ub:4.0 (Printf.sprintf "x%d" i)) in
+      let xs = List.init n (fun i -> Lp.Model.add_var m ~ub:4.0 (lazy (Printf.sprintf "x%d" i))) in
       List.iteri
         (fun i (row, b) ->
           let terms = List.map2 (fun c x -> (c, x)) row xs in
@@ -3096,6 +3141,7 @@ let () =
         @ snd (qsuite "" [ recompute_beta_matches_scan; stored_out_inert ]) );
       ( "model",
         Alcotest.test_case "several thousand variables" `Quick test_model_large
+        :: Alcotest.test_case "names stay unforced" `Quick test_names_unforced
         :: snd (qsuite "" [ model_rows_normalize ]) );
       ( "steepest-edge",
         Alcotest.test_case "steepest row leaves first" `Quick

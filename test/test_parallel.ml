@@ -52,7 +52,7 @@ let knapsack () =
   let weights = [| 5.0; 6.0; 3.0; 4.0; 2.0; 5.0 |] in
   let m = Lp.Model.create () in
   let xs =
-    Array.mapi (fun i _ -> Lp.Model.bool_var m (Printf.sprintf "x%d" i)) values
+    Array.mapi (fun i _ -> Lp.Model.bool_var m (lazy (Printf.sprintf "x%d" i))) values
   in
   Lp.Model.add_le m
     (Array.to_list (Array.mapi (fun i x -> (weights.(i), x)) xs))
@@ -65,7 +65,7 @@ let knapsack () =
    incumbent tie-break, not just the objective comparison. *)
 let symmetric_cover () =
   let m = Lp.Model.create () in
-  let xs = Array.init 6 (fun i -> Lp.Model.bool_var m (Printf.sprintf "s%d" i)) in
+  let xs = Array.init 6 (fun i -> Lp.Model.bool_var m (lazy (Printf.sprintf "s%d" i))) in
   (* pick exactly 3 of 6 identical items *)
   Lp.Model.add_eq m (Array.to_list (Array.map (fun x -> (1.0, x)) xs)) 3.0;
   Lp.Model.set_objective m
@@ -74,17 +74,17 @@ let symmetric_cover () =
 
 let infeasible () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.bool_var m "x" in
-  let y = Lp.Model.bool_var m "y" in
+  let x = Lp.Model.bool_var m (lazy "x") in
+  let y = Lp.Model.bool_var m (lazy "y") in
   Lp.Model.add_ge m [ (1.0, x); (1.0, y) ] 3.0;
   Lp.Model.set_objective m [ (1.0, x); (1.0, y) ];
   m
 
 let general_integer () =
   let m = Lp.Model.create () in
-  let x = Lp.Model.add_var m ~integer:true ~ub:10.0 "x" in
-  let y = Lp.Model.add_var m ~integer:true ~ub:10.0 "y" in
-  let z = Lp.Model.add_var m ~integer:true ~ub:10.0 "z" in
+  let x = Lp.Model.add_var m ~integer:true ~ub:10.0 (lazy "x") in
+  let y = Lp.Model.add_var m ~integer:true ~ub:10.0 (lazy "y") in
+  let z = Lp.Model.add_var m ~integer:true ~ub:10.0 (lazy "z") in
   Lp.Model.add_le m [ (2.0, x); (3.0, y); (1.0, z) ] 12.0;
   Lp.Model.add_ge m [ (1.0, x); (1.0, y) ] 2.0;
   Lp.Model.set_objective m [ (-3.0, x); (-5.0, y); (-1.0, z) ];
@@ -339,7 +339,7 @@ let parallel_matches_sequential =
       let build () =
         let m = Lp.Model.create () in
         let xs =
-          List.init n (fun i -> Lp.Model.bool_var m (Printf.sprintf "b%d" i))
+          List.init n (fun i -> Lp.Model.bool_var m (lazy (Printf.sprintf "b%d" i)))
         in
         List.iter2
           (fun row b ->

@@ -56,7 +56,7 @@ let knapsack ?(n = 12) () =
   let cap = Array.fold_left ( +. ) 0.0 weights /. 2.0 in
   let m = Lp.Model.create () in
   let xs =
-    Array.mapi (fun i _ -> Lp.Model.bool_var m (Printf.sprintf "x%d" i)) values
+    Array.mapi (fun i _ -> Lp.Model.bool_var m (lazy (Printf.sprintf "x%d" i))) values
   in
   Lp.Model.add_le m
     (Array.to_list (Array.mapi (fun i x -> (weights.(i), x)) xs))
@@ -72,7 +72,7 @@ let knapsack ?(n = 12) () =
 let parity_wall ?(n = 34) () =
   let m = Lp.Model.create () in
   let xs =
-    Array.init n (fun i -> Lp.Model.bool_var m (Printf.sprintf "p%d" i))
+    Array.init n (fun i -> Lp.Model.bool_var m (lazy (Printf.sprintf "p%d" i)))
   in
   Lp.Model.add_eq m
     (Array.to_list (Array.map (fun x -> (2.0, x)) xs))
