@@ -21,8 +21,9 @@ let cap code diags =
                  (n - max_reports) code max_reports);
           ]
 
+(* A row's name, forced only here: for a row a finding reports. *)
 let row_label name i =
-  match name with Some s -> s | None -> Printf.sprintf "row%d" i
+  match name with Some s -> Lazy.force s | None -> Printf.sprintf "row%d" i
 
 let check m =
   let rows = Lp.Model.rows m in

@@ -222,6 +222,9 @@ type table = {
   (* The supports of this table's calls, [arena.(0 .. top - 1)]. *)
   mutable arena : int array;
   mutable top : int;
+  (* The max support and LUT bits of the last [compose]'s record. *)
+  mutable last_max : int;
+  mutable last_lut : int;
 }
 
 (* [a] with room for at least [n] ints, its contents kept. The copy is a
@@ -293,6 +296,8 @@ let build g spare =
     seen = fit (old (fun t -> t.seen)) (bits * span);
     arena = old (fun t -> t.arena);
     top = 0;
+    last_max = 0;
+    last_lut = 0;
   }
 
 (* The arrays of the calling domain's last table whose [with_table] has
@@ -316,7 +321,8 @@ exception Too_wide
    above [k] is too wide; it is [k + 1] when the bit reads a too-wide bit
    of an in-cone operand, else the exact count. Each union is built at
    the arena's top and checked against [seen]; a record is kept by moving
-   [top] past it. *)
+   [top] past it. The record's max support and LUT bits are counted as
+   its bits are written. *)
 let compose ?(stop = false) t ~k ~root ops =
   let stride = k + 2 and first = t.base.(root) in
   let w = t.base.(root + 1) - first and at = t.top in
@@ -325,6 +331,7 @@ let compose ?(stop = false) t ~k ~root ops =
     t.arena <-
       ensure t.arena (Int.max (at + (w * stride)) (2 * t.bits * stride));
   let out = t.arena and rd = t.reads in
+  let max_support = ref 0 and lut_bits = ref 0 in
   match
     for bit = 0 to w - 1 do
       let f = first + bit and o = at + (bit * stride) in
@@ -361,24 +368,22 @@ let compose ?(stop = false) t ~k ~root ops =
           incr r
         end
       done;
-      out.(o) <- (if !wide then k + 1 else !n);
-      out.(o + 1) <- (if !wire then 1 else 0)
+      let size = if !wide then k + 1 else !n in
+      out.(o) <- size;
+      out.(o + 1) <- (if !wire then 1 else 0);
+      if size > !max_support then max_support := size;
+      if size >= 2 || (size = 1 && not !wire) then incr lut_bits
     done
   with
   | exception Too_wide -> -1
   | () ->
       t.top <- at + (w * stride);
+      t.last_max <- !max_support;
+      t.last_lut <- !lut_bits;
       at
 
-let measure t ~k ~root sup =
-  let stride = k + 2 and a = t.arena in
-  let max_support = ref 0 and lut_bits = ref 0 in
-  for b = 0 to t.base.(root + 1) - t.base.(root) - 1 do
-    let o = sup + (b * stride) in
-    max_support := Int.max !max_support a.(o);
-    if a.(o) >= 2 || (a.(o) = 1 && a.(o + 1) = 0) then incr lut_bits
-  done;
-  { max_support = !max_support; lut_bits = !lut_bits }
+let max_support t = t.last_max
+let lut_bits t = t.last_lut
 
 let mark t = t.top
 let release t at = t.top <- at

@@ -95,11 +95,17 @@ val compose :
     node's trivial cone, whose sizes are all exact.
 
     [-1], and nothing written, iff [stop] (default [false]) and some
-    output bit is too wide; it then stops at the first such bit. *)
+    output bit is too wide; it then stops at the first such bit. Else
+    {!max_support} and {!lut_bits} read the record's measure until the
+    next [compose]. *)
 
-val measure : table -> k:int -> root:int -> supports -> cone_support
-(** The [max_support] and [lut_bits] of [root]'s supports built with
-    [k]. *)
+val max_support : table -> int
+(** The [max_support] of the supports the last {!compose} on [t] returned
+    (one that did not return [-1]), counted as it wrote them. *)
+
+val lut_bits : table -> int
+(** The [lut_bits] of the supports the last {!compose} on [t] returned,
+    counted as it wrote them. *)
 
 val mark : table -> int
 (** The arena's top: the offset the next {!compose} writes at. *)

@@ -14,9 +14,13 @@
       supports from those its operands' chosen cuts already hold, and
       composes an operand's sub-cone afresh only when another operand put
       a leaf inside that cut's cone;
+    - a candidate none of whose chosen cuts' cones holds one of its leaves
+      takes its cone from those cuts; only the others walk their cone
+      from the root;
     - a merge keeps its work in flat int scratch that every merge of the
-      call reuses: candidates and distinct cones are interned slices of
-      leaves, a cone's members a slice of a members pool, and its
+      call reuses: leaf sets are bit masks over the leaves the merge's
+      operands offer, candidates and distinct cones interned entries of
+      one table, a cone's members a slice of a members pool, and its
       supports an offset into the table's arena. Only the at most
       [max_cuts] kept cones become {!cut}s; the supports of the rest are
       dropped from the arena when the merge ends;

@@ -144,7 +144,7 @@ let objective_terms m =
 let rows m =
   Array.init m.nrows (fun i ->
       let r = m.rows.(i) in
-      ( Option.map Lazy.force r.r_name,
+      ( r.r_name,
         Array.fold_right (fun (v, c) acc -> (c, v) :: acc) r.terms [],
         r.sense,
         r.rhs ))

@@ -7,9 +7,9 @@
 
     Names are [string Lazy.t]: a builder passes
     [lazy (Printf.sprintf ...)] and the text is formatted only when a
-    diagnostic reads it. {!var_name}, {!rows} and {!check}'s failure
-    message force names; building, {!to_raw} and every solver path never
-    do, so a name's thunk runs only for a model someone inspects. *)
+    diagnostic reads it. {!var_name} and {!check}'s failure message force
+    names; building, {!rows}, {!to_raw} and every solver path never do,
+    so a name's thunk runs only for a model someone inspects. *)
 
 type t
 type var
@@ -56,12 +56,13 @@ val objective_terms : t -> (float * var) list
 (** The current minimization objective as [(coefficient, variable)] pairs;
     duplicates summed, zero coefficients dropped. *)
 
-val rows : t -> (string option * (float * var) list * sense * float) array
+val rows :
+  t -> (string Lazy.t option * (float * var) list * sense * float) array
 (** All constraints in insertion order as
     [(name, terms, sense, rhs)] — the introspection surface used by the
-    static model lints ({!Analyze.Lp_lint}). Forces every row name. Terms
-    are normalized (sorted by column, duplicates summed, zeros
-    dropped). *)
+    static model lints ({!Analyze.Lp_lint}). Names stay unforced: a
+    reader forces the ones it prints. Terms are normalized (sorted by
+    column, duplicates summed, zeros dropped). *)
 
 type raw = {
   n : int;  (** variable count *)

@@ -322,6 +322,22 @@ let test_lp003_near_rows_differ () =
        (fun (d : Analyze.Diag.t) -> if d.code = "LP003" then Some d.message else None)
        (Analyze.Lp_lint.check m))
 
+(* The lint formats a row or variable name only for a finding: a clean
+   model whose every name raises when forced lints clean. *)
+let test_lp_clean_names_unforced () =
+  let m = Lp.Model.create () in
+  let unforced what = lazy (failwith ("forced the name of " ^ what)) in
+  let x = Lp.Model.add_var m (unforced "x") in
+  let y = Lp.Model.add_var m ~integer:true ~ub:3.0 (unforced "y") in
+  Lp.Model.add_le m ~name:(unforced "r0") [ (1.0, x); (2.0, y) ] 3.0;
+  Lp.Model.add_ge m ~name:(unforced "r1") [ (1.0, x); (-1.0, y) ] 0.0;
+  Lp.Model.add_eq m ~name:(unforced "r2") [ (1.0, y) ] 1.0;
+  Lp.Model.set_objective m [ (1.0, x); (1.0, y) ];
+  Alcotest.(check (list string)) "no findings" []
+    (List.map
+       (fun (d : Analyze.Diag.t) -> d.message)
+       (Analyze.Lp_lint.check m))
+
 let test_lp004_free_column () =
   let m = Lp.Model.create () in
   let x = Lp.Model.add_var m (lazy "x") in
@@ -685,6 +701,8 @@ let () =
             test_lp003_duplicate_rows;
           Alcotest.test_case "LP003 near rows differ" `Quick
             test_lp003_near_rows_differ;
+          Alcotest.test_case "clean model forces no name" `Quick
+            test_lp_clean_names_unforced;
           Alcotest.test_case "LP004 free column" `Quick test_lp004_free_column;
           Alcotest.test_case "LP005 integer bounds" `Quick
             test_lp005_integer_infeasible_bounds;

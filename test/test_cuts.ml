@@ -204,6 +204,32 @@ let test_trivial_only_k () =
         triv)
     Benchmarks.Registry.all
 
+(* The cut sets of [Cuts.enumerate] at K = 4 as text, with the number of
+   cone walks the call ran. *)
+let cut_text cuts =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  Array.to_list cuts
+  |> List.concat_map (fun cs ->
+         Array.to_list cs
+         |> List.map (fun (c : Cuts.cut) ->
+                Printf.sprintf "%d|%s|%s|%d|%d" c.root (ints c.leaves)
+                  (ints (Bitdep.Int_set.elements c.cone))
+                  c.support c.area))
+
+let walks = Obs.Counter.get "cuts.walks"
+
+(* [g]'s cut sets at K = 4, checked against the oracle's, and the cone
+   walks they took. *)
+let enumerate_vs_oracle g =
+  let params = Cuts.default_params ~k:4 in
+  let w0 = Obs.Counter.value walks in
+  let cuts = Cuts.enumerate ~params ~k:4 g in
+  let walked = Obs.Counter.value walks - w0 in
+  let want, _ = Cuts_oracle.enumerate ~params g in
+  Alcotest.(check (list string))
+    "cut sets = oracle's" (cut_text want) (cut_text cuts);
+  (cuts, walked)
+
 (* A reconvergent graph whose candidates reuse and rebuild operand
    sub-cones. [v = u | w] with [u = x ^ b], [w = x & c] and [x = ~a], all
    2 bits wide. Choosing [u]'s cut over [{a, b}] (cone [{u, x}]) and [w]'s
@@ -212,7 +238,7 @@ let test_trivial_only_k () =
    sub-cone under the candidate is [{u}] alone and its supports are built,
    not reused. Per bit the cone over [{u, w}] reads [{x, b, c}], 3 bits;
    reusing [u]'s cone would read [{a, b, x, c}], 4. The cut sets equal the
-   oracle's. *)
+   oracle's, and that candidate walks its cone. *)
 let test_reconvergent_fallback () =
   let b = Ir.Builder.create () in
   let a = Ir.Builder.input b ~width:2 "a" in
@@ -224,20 +250,8 @@ let test_reconvergent_fallback () =
   let v = Ir.Builder.or_ b u w in
   Ir.Builder.output b v;
   let g = Ir.Builder.finish b in
-  let params = Cuts.default_params ~k:4 in
-  let cuts = Cuts.enumerate ~params ~k:4 g in
-  let want, _ = Cuts_oracle.enumerate ~params g in
-  let text cuts =
-    let ints l = String.concat "," (List.map string_of_int l) in
-    Array.to_list cuts
-    |> List.concat_map (fun cs ->
-           Array.to_list cs
-           |> List.map (fun (c : Cuts.cut) ->
-                  Printf.sprintf "%d|%s|%s|%d|%d" c.root (ints c.leaves)
-                    (ints (Bitdep.Int_set.elements c.cone))
-                    c.support c.area))
-  in
-  Alcotest.(check (list string)) "cut sets = oracle's" (text want) (text cuts);
+  let cuts, walked = enumerate_vs_oracle g in
+  Alcotest.(check bool) "cuts.walks moved" true (walked > 0);
   let root = Ir.Cdfg.num_nodes g - 1 in
   let over_u_w =
     Array.to_list cuts.(root)
@@ -248,6 +262,68 @@ let test_reconvergent_fallback () =
     over_u_w.leaves;
   Alcotest.(check int) "cone over {u, w} reads 3 bits per bit" 3
     over_u_w.support
+
+(* [v = u & u] with [u = x ^ b] and [x = ~a]: both operand edges come
+   from [u], and a candidate may pick a different block of [u] for each,
+   such as [{u}] itself and [u]'s trivial cut, or [u]'s trivial cut and
+   its cut over [{a, b}]. Such a candidate has a chosen cone holding a
+   leaf (its root [u], or [x]), so it walks. *)
+let test_one_node_two_picks () =
+  let b = Ir.Builder.create () in
+  let a = Ir.Builder.input b ~width:2 "a" in
+  let bb = Ir.Builder.input b ~width:2 "b" in
+  let x = Ir.Builder.not_ b a in
+  let u = Ir.Builder.xor_ b x bb in
+  let v = Ir.Builder.and_ b u u in
+  Ir.Builder.output b v;
+  let _, walked = enumerate_vs_oracle (Ir.Builder.finish b) in
+  Alcotest.(check bool) "cuts.walks moved" true (walked > 0)
+
+(* [v = ~u] with [u = x ^ v@1]: [u]'s trivial cut has the leaves
+   [{x, v}], so the candidate choosing it holds the root [v] as a leaf,
+   and is rejected although no chosen cone holds one of its leaves. [v]
+   keeps only its trivial cut. *)
+let test_self_recurrent_root () =
+  let b = Ir.Builder.create () in
+  let x = Ir.Builder.input b ~width:4 "x" in
+  let cell = Ir.Builder.feedback b ~width:4 ~init:0L ~dist:1 in
+  let u = Ir.Builder.xor_ b x cell in
+  let v = Ir.Builder.not_ b u in
+  Ir.Builder.drive b ~cell v;
+  Ir.Builder.output b v;
+  let g = Ir.Builder.finish b in
+  let cuts, _ = enumerate_vs_oracle g in
+  let root = Ir.Cdfg.num_nodes g - 1 in
+  Alcotest.(check bool) "u reads v through the register" true
+    (List.mem root cuts.(root - 1).(0).leaves);
+  Alcotest.(check int) "v keeps only its trivial cut" 1
+    (Array.length cuts.(root))
+
+(* [v = u | w] with [u = a ^ b] and [w = u & c]: choosing [u]'s trivial
+   cut (leaves [{a, b}]) and [w]'s (leaves [{u, c}]) gives the candidate
+   [{a, b, c, u}], whose chosen block for [u] has [u], another operand's
+   leaf, as its root. It walks: its cone is [{w, v}] over [{u, c}]. *)
+let test_block_root_is_leaf () =
+  let b = Ir.Builder.create () in
+  let a = Ir.Builder.input b ~width:2 "a" in
+  let bb = Ir.Builder.input b ~width:2 "b" in
+  let c = Ir.Builder.input b ~width:2 "c" in
+  let u = Ir.Builder.xor_ b a bb in
+  let w = Ir.Builder.and_ b u c in
+  let v = Ir.Builder.or_ b u w in
+  Ir.Builder.output b v;
+  let g = Ir.Builder.finish b in
+  let cuts, walked = enumerate_vs_oracle g in
+  Alcotest.(check bool) "cuts.walks moved" true (walked > 0);
+  let root = Ir.Cdfg.num_nodes g - 1 in
+  let over_w =
+    Array.to_list cuts.(root)
+    |> List.find_opt (fun (c : Cuts.cut) ->
+           Bitdep.Int_set.elements c.cone = [ root - 1; root ])
+  in
+  Alcotest.(check (option (list int)))
+    "cone {w, v} stops at c and u" (Some [ 2; root - 2 ])
+    (Option.map (fun (c : Cuts.cut) -> c.leaves) over_w)
 
 (* Structural invariants on random-ish benchmark graphs. *)
 let cut_invariants =
@@ -392,13 +468,35 @@ let test_closures_counter () =
         true (closures < verdicts))
     [ (4, 10350); (6, 11607) ]
 
+(* [cuts.walks] counts the cone walks run: one per eligible candidate
+   (few enough leaves, the root not among them) that is not clean, that
+   is, whose chosen blocks' cones hold one of its leaves. A clean
+   candidate takes its cone from its chosen blocks, so the walks stay
+   below the candidates that reach a verdict, each of which walked when
+   every eligible candidate did. Pinned over the golden graphs at K = 4
+   and 6. *)
+let test_walks_counter () =
+  let value name = Obs.Counter.value (Obs.Counter.get name) in
+  List.iter
+    (fun (k, want) ->
+      let w0 = value "cuts.walks"
+      and v0 = value "cuts.enumerated" + value "cuts.infeasible" in
+      List.iter (fun (_, g) -> ignore (Cuts.enumerate ~k g)) (golden_graphs ());
+      let walked = value "cuts.walks" - w0
+      and verdicts = value "cuts.enumerated" + value "cuts.infeasible" - v0 in
+      Alcotest.(check int) (Printf.sprintf "walks at K = %d" k) want walked;
+      Alcotest.(check bool)
+        (Printf.sprintf "%d walks < %d verdicts at K = %d" walked verdicts k)
+        true (walked < verdicts))
+    [ (4, 4182); (6, 4847) ]
+
 (* The minor-heap words of one K = 4 sweep of [Cuts.enumerate] over the
    nine kernels plus XORR n=12, measured after a warm-up sweep has grown
    the domain's [Bitdep] arrays. Enumeration allocates the cuts it keeps
    and little per candidate or per cone: the ceiling is the sweep's
-   488 K words with about 25% headroom. The enumerator that gave every
-   cone its own supports array, members array and hashed leaf list
-   allocated 1.49 M. *)
+   353 K words with 25% headroom. The enumerator that gave every cone its
+   own supports array, members array and hashed leaf list allocated
+   1.49 M, and the one whose blocks held leaf lists 494 K. *)
 let test_allocation_ceiling () =
   let graphs =
     List.map
@@ -412,7 +510,7 @@ let test_allocation_ceiling () =
   sweep ();
   let w0 = Gc.minor_words () in
   sweep ();
-  let words = Gc.minor_words () -. w0 and ceiling = 610_000. in
+  let words = Gc.minor_words () -. w0 and ceiling = 441_000. in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words <= %.0f" words ceiling)
     true (words <= ceiling)
@@ -437,6 +535,12 @@ let () =
           Alcotest.test_case "trivial only at K = 6" `Quick test_trivial_only_k;
           Alcotest.test_case "reconvergent operand cones" `Quick
             test_reconvergent_fallback;
+          Alcotest.test_case "one operand node, two picks" `Quick
+            test_one_node_two_picks;
+          Alcotest.test_case "self-recurrent root rejected" `Quick
+            test_self_recurrent_root;
+          Alcotest.test_case "chosen block's root is a leaf" `Quick
+            test_block_root_is_leaf;
         ] );
       ( "cost model",
         [
@@ -452,6 +556,8 @@ let () =
             test_golden_params;
           Alcotest.test_case "one closure per distinct cone" `Quick
             test_closures_counter;
+          Alcotest.test_case "cone walks for unclean candidates only" `Quick
+            test_walks_counter;
           Alcotest.test_case "allocation ceiling" `Quick
             test_allocation_ceiling;
         ] );

@@ -231,7 +231,7 @@ let model_text m =
     (fun i terms ->
       let name, _, _, _ = names.(i) in
       Printf.bprintf b "r %s %s %h"
-        (Option.value name ~default:"-")
+        (match name with Some n -> Lazy.force n | None -> "-")
         (match raw.senses.(i) with Lp.Model.Le -> "<=" | Ge -> ">=" | Eq -> "=")
         raw.rhs.(i);
       Array.iter (fun (v, c) -> Printf.bprintf b " %d:%h" v c) terms;
