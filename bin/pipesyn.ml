@@ -711,9 +711,9 @@ let rtl_cmd =
 
 (* Run every analyzer pass that applies to a benchmark: CDFG lints and
    the pipelining pre-flight directly on the graph; then — when a
-   baseline schedule exists — the MILP model lints (build, don't solve),
-   the netlist lints on the HLS-flow netlist, and the schedule
-   certificate checker. *)
+   baseline schedule exists — the LP lints on the flow's MILP-map model
+   (built, not solved), the netlist lints on the HLS-flow netlist, and
+   the schedule certificate checker. *)
 let lint_entry ~k ~ii (e : Benchmarks.Registry.entry) =
   let g = e.build () in
   let setup = setup_of ~k ~ii ~time_limit:1.0 e in
@@ -725,31 +725,11 @@ let lint_entry ~k ~ii (e : Benchmarks.Registry.entry) =
       (* No point scheduling a graph the gate would reject. *)
       []
     else
-      match
-        Sched.Heuristic.schedule ~device:setup.device ~delays:setup.delays
-          ~resources:setup.resources ~ii:setup.ii g
-      with
+      match Mams.Flow.problem setup Mams.Flow.Milp_map g with
       | Error _ -> [] (* pre-flight already reported why *)
-      | Ok sched ->
-          let cuts = Cuts.enumerate ~k:setup.device.Fpga.Device.k g in
-          let fcfg =
-            Mams.Formulation.
-              {
-                device = setup.device;
-                delays = setup.delays;
-                resources = setup.resources;
-                ii = setup.ii;
-                max_latency = Sched.Schedule.latency sched;
-                alpha = setup.alpha;
-                beta = setup.beta;
-                cut_delay =
-                  Mams.Formulation.mapped_delay ~device:setup.device
-                    ~delays:setup.delays;
-              }
-          in
-          let f = Mams.Formulation.build fcfg g cuts in
+      | Ok { baseline = sched; cuts; formulation; _ } ->
           let model_diags =
-            Analyze.Engine.check_model (Mams.Formulation.model f)
+            Analyze.Engine.check_model (Mams.Formulation.model formulation)
           in
           let cover =
             Techmap.map_schedule ~device:setup.device ~delays:setup.delays
@@ -923,13 +903,15 @@ let diags_cmd =
     List.iter
       (fun (p : Analyze.Engine.pass) ->
         if markdown then
-          Fmt.pr "## %s (%s)@.@.%s.@.@.| Code | Description |@.|------|-------------|@."
+          Fmt.pr
+            "## %s (%s)@.@.%s.@.@.| Code | Severity | Description |@.\
+             |------|----------|-------------|@."
             p.name p.artifact p.description
         else Fmt.pr "%s (%s): %s@." p.name p.artifact p.description;
         List.iter
-          (fun (c, d) ->
-            if markdown then Fmt.pr "| %s | %s |@." c d
-            else Fmt.pr "  %-9s %s@." c d)
+          (fun (c, sev, d) ->
+            if markdown then Fmt.pr "| %s | %s | %s |@." c sev d
+            else Fmt.pr "  %-9s %-8s %s@." c sev d)
           p.codes;
         Fmt.pr "@.")
       Analyze.Engine.passes

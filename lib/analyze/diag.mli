@@ -6,8 +6,9 @@
     concrete evidence (a cycle path, a duplicated row pair, an undriven
     wire) that lets a reader confirm the finding without re-running the
     pass. Codes are namespaced per artifact ([CDFGnnn], [PREnnn], [LPnnn],
-    [NETnnn], [CERTnnn]) and documented in README.md ("Diagnostics"); they
-    are stable across releases so downstream tooling can match on them. *)
+    [NETnnn], [CERTnnn], [RESnnn]) and listed in docs/DIAGNOSTICS.md,
+    generated from [Engine.passes]; they are stable across releases so
+    downstream tooling can match on them. *)
 
 type severity =
   | Error  (** the flow would fail or produce an illegal result *)

@@ -1,7 +1,7 @@
 type pass = {
   name : string;
   artifact : string;
-  codes : (string * string) list;
+  codes : (string * string * string) list;
   description : string;
 }
 
@@ -12,12 +12,12 @@ let passes =
       artifact = "cdfg";
       codes =
         [
-          ("CDFG001", "distance-0 combinational cycle (witness: the cycle path)");
-          ("CDFG002", "black box on a zero-aggregate-distance feedback cycle");
-          ("CDFG003", "operand/result width inconsistent with the opcode");
-          ("CDFG004", "dead node: no path to any primary output");
-          ("CDFG005", "constant-foldable cone (the frontend simplifier would remove it)");
-          ("CDFG006", "malformed structure: ids not dense, dangling edges, no outputs");
+          ("CDFG001", "error", "distance-0 combinational cycle (witness: the cycle path)");
+          ("CDFG002", "error", "black box on a zero-aggregate-distance feedback cycle");
+          ("CDFG003", "error", "operand/result width inconsistent with the opcode");
+          ("CDFG004", "warning", "dead node: no path to any primary output");
+          ("CDFG005", "info", "constant-foldable cone (the frontend simplifier would remove it)");
+          ("CDFG006", "error", "malformed structure: ids not dense, dangling edges, no outputs");
         ];
       description =
         "combinational cycles, black-box feedback, width discipline, dead \
@@ -28,10 +28,11 @@ let passes =
       artifact = "cdfg+setup";
       codes =
         [
-          ("PRE001", "requested II below RecMII (witness: the binding dependence cycle)");
-          ("PRE002", "requested II below ResMII (witness: the binding resource class)");
-          ("PRE003", "slowest single-op delay exceeds the usable clock period");
-          ("PRE004", "black-box resource class used but budgeted at zero units");
+          ("PRE001", "error", "requested II below RecMII (witness: the binding dependence cycle)");
+          ("PRE002", "error", "requested II below ResMII (witness: the binding resource class)");
+          ( "PRE003", "warning (error under `strict_period`)",
+            "slowest single-op delay exceeds the usable clock period" );
+          ("PRE004", "error", "black-box resource class used but budgeted at zero units");
         ];
       description =
         "II vs RecMII/ResMII with recurrence-cycle and resource-class \
@@ -42,12 +43,12 @@ let passes =
       artifact = "lp";
       codes =
         [
-          ("LP001", "trivially infeasible empty constraint row (e.g. 0 >= 1)");
-          ("LP002", "vacuous empty constraint row (constrains nothing)");
-          ("LP003", "duplicate rows (same terms, sense, and right-hand side)");
-          ("LP004", "variable referenced by no constraint or objective");
-          ("LP005", "integer variable with no integer between its bounds");
-          ("LP006", "malformed cutting-plane row in a certificate");
+          ("LP001", "error", "trivially infeasible empty constraint row (e.g. 0 >= 1)");
+          ("LP002", "warning", "vacuous empty constraint row (constrains nothing)");
+          ("LP003", "warning", "duplicate rows (same terms, sense, and right-hand side)");
+          ("LP004", "warning", "variable referenced by no constraint or objective");
+          ("LP005", "error", "integer variable with no integer between its bounds");
+          ("LP006", "error", "malformed cutting-plane row in a certificate");
         ];
       description =
         "empty/duplicate rows, free columns, trivially infeasible bounds, \
@@ -58,12 +59,12 @@ let passes =
       artifact = "netlist";
       codes =
         [
-          ("NET001", "expression reads an undriven signal");
-          ("NET002", "signal driven more than once");
-          ("NET003", "operator applied to the wrong operand count (unconnected pin)");
-          ("NET004", "wire reads a wire defined after it (combinational order violation)");
-          ("NET005", "wire driven but never read");
-          ("NET006", "operand/result widths inconsistent at a netlist operator");
+          ("NET001", "error", "expression reads an undriven signal");
+          ("NET002", "error", "signal driven more than once");
+          ("NET003", "error", "operator applied to the wrong operand count (unconnected pin)");
+          ("NET004", "error", "wire reads a wire defined after it (combinational order violation)");
+          ("NET005", "warning", "wire driven but never read");
+          ("NET006", "error", "operand/result widths inconsistent at a netlist operator");
         ];
       description =
         "undriven/multiply-driven signals, unconnected pins, combinational \
@@ -74,12 +75,12 @@ let passes =
       artifact = "schedule+cover";
       codes =
         [
-          ("CERT000", "Sched.Verify violation with no equation tag");
-          ("CERT001", "cover violates the cut constraints (paper Eq. 2-4)");
-          ("CERT002", "value produced after it is consumed (paper Eq. 7)");
-          ("CERT003", "operation finishes past the clock period (paper Eq. 8)");
-          ("CERT004", "chained arrival time too late (paper Eq. 9)");
-          ("CERT005", "resource class over its budget (paper Eq. 14)");
+          ("CERT000", "error", "Sched.Verify violation with no equation tag");
+          ("CERT001", "error", "cover violates the cut constraints (paper Eq. 2-4)");
+          ("CERT002", "error", "value produced after it is consumed (paper Eq. 7)");
+          ("CERT003", "error", "operation finishes past the clock period (paper Eq. 8)");
+          ("CERT004", "error", "chained arrival time too late (paper Eq. 9)");
+          ("CERT005", "error", "resource class over its budget (paper Eq. 14)");
         ];
       description =
         "Sched.Verify certificate rewrapped with paper-equation codes";
@@ -89,16 +90,16 @@ let passes =
       artifact = "milp certificate";
       codes =
         [
-          ("CERT101", "missing, malformed or truncated certificate evidence");
-          ("CERT102", "incumbent violates bounds, integrality or a constraint");
-          ("CERT103", "dual vector fails to certify the claimed LP objective");
-          ("CERT104", "Farkas evidence fails to prove node infeasibility");
-          ("CERT105", "fathomed or abandoned subtree not excluded by its exact dual bound");
-          ("CERT106", "malformed tree: branch arithmetic or box bookkeeping inconsistent");
-          ("CERT107", "status or incumbent bookkeeping inconsistent (stale incumbent)");
-          ("CERT108", "root reduced-cost fix not justified by the pre-fixing duals");
-          ("CERT109", "Chvátal-Gomory cut not implied by its recorded derivation");
-          ("CERT111", "presolve bound tightening fails exact replay");
+          ("CERT101", "error", "missing, malformed or truncated certificate evidence");
+          ("CERT102", "error", "incumbent violates bounds, integrality or a constraint");
+          ("CERT103", "error", "dual vector fails to certify the claimed LP objective");
+          ("CERT104", "error", "Farkas evidence fails to prove node infeasibility");
+          ("CERT105", "error", "fathomed or abandoned subtree not excluded by its exact dual bound");
+          ("CERT106", "error", "malformed tree: branch arithmetic or box bookkeeping inconsistent");
+          ("CERT107", "error", "status or incumbent bookkeeping inconsistent (stale incumbent)");
+          ("CERT108", "error", "root reduced-cost fix not justified by the pre-fixing duals");
+          ("CERT109", "error", "Chvátal-Gomory cut not implied by its recorded derivation");
+          ("CERT111", "error", "presolve bound tightening fails exact replay");
         ];
       description =
         "exact-rational replay of a proof-carrying MILP solve \
@@ -113,11 +114,11 @@ let passes =
       artifact = "flow run";
       codes =
         [
-          ("RES001", "attempt raised; exception contained, cascade continued");
-          ("RES002", "attempt failed or degraded; next fallback ran");
-          ("RES003", "cascade exhausted: every fallback failed (run error)");
-          ("RES004", "transient failure retried in place on the same rung (bounded, deterministic)");
-          ("RES005", "supervised in-flight recovery: worker death replayed or stalled node requeued; results unaffected");
+          ("RES001", "warning", "attempt raised; exception contained, cascade continued");
+          ("RES002", "warning", "attempt failed or degraded; next fallback ran");
+          ("RES003", "error", "cascade exhausted: every fallback failed (run error)");
+          ("RES004", "warning", "transient failure retried in place on the same rung (bounded, deterministic)");
+          ("RES005", "warning", "supervised in-flight recovery: worker death replayed or stalled node requeued; results unaffected");
         ];
       description =
         "degradation-cascade and solve-supervision events recorded \

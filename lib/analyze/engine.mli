@@ -13,10 +13,12 @@
 type pass = {
   name : string;
   artifact : string;  (** what the pass inspects: ["cdfg"], ["lp"], … *)
-  codes : (string * string) list;
-      (** diagnostic codes the pass can emit, each with a one-line
-          description — the source of truth for [pipesyn diags] and the
-          generated docs/DIAGNOSTICS.md *)
+  codes : (string * string * string) list;
+      (** diagnostic codes the pass can emit as [(code, severity,
+          description)]: the severity its findings carry (a
+          {!Diag.severity_name}, qualified where a setting changes it)
+          and a one-line description — the source of truth for [pipesyn
+          diags] and the generated docs/DIAGNOSTICS.md *)
   description : string;
 }
 

@@ -371,20 +371,23 @@ let sdc setup g =
     (Sched.Sdc.schedule ~device:setup.device ~delays:setup.delays
        ~resources:setup.resources ~ii:setup.ii g)
 
-(* Schedule first, then map under that schedule: cut enumeration, cover,
+(* Downstream mapping under a fixed schedule: cut enumeration, cover,
    final QoR. With [trivial] the attempt skips cut enumeration, and so
    (having no LP or MILP either) survives every fault point. *)
-let schedule_then_map schedule ?(trivial = false) ~deadline ~as_ setup ctx g =
+let map_downstream ?(trivial = false) ~deadline ~as_ setup ctx g sched solve =
+  let cuts =
+    if trivial then Cuts.trivial_only ~k:setup.device.Fpga.Device.k g
+    else enum_cuts ~deadline setup ctx g
+  in
+  let cover = map_with ~deadline setup ctx ~cuts g sched in
+  finalize setup g ~cuts_total:(Cuts.total_cuts cuts) cover sched solve as_
+
+(* Schedule first, then map under that schedule. *)
+let schedule_then_map schedule ?trivial ~deadline ~as_ setup ctx g =
   match schedule setup g with
   | Error _ as e -> e
   | Ok sched ->
-      let cuts =
-        if trivial then Cuts.trivial_only ~k:setup.device.Fpga.Device.k g
-        else enum_cuts ~deadline setup ctx g
-      in
-      let cover = map_with ~deadline setup ctx ~cuts g sched in
-      finalize setup g ~cuts_total:(Cuts.total_cuts cuts) cover sched
-        heuristic_info as_
+      map_downstream ?trivial ~deadline ~as_ setup ctx g sched heuristic_info
 
 (* HLS-Tool: heuristic schedule + downstream mapping. Its [trivial] run is
    the terminal fallback of every cascade. *)
@@ -395,39 +398,43 @@ let run_sdc = schedule_then_map sdc
 
 (* Map-first (the paper's future-work heuristic): area-flow cover of the
    whole graph, then cover-aware ASAP modulo scheduling. *)
+let map_first ~deadline setup ctx ~cuts g =
+  let cover = map_global_with ~deadline setup ctx ~cuts g in
+  Result.map
+    (fun sched -> (cover, sched))
+    (Sched.Mapsched.schedule ~device:setup.device ~delays:setup.delays
+       ~resources:setup.resources ~ii:setup.ii g cover)
+
 let run_map_first ?(coarse = false) ?(trivial = false) ~deadline ~as_ setup
     ctx g =
   let cuts =
     if trivial then Cuts.trivial_only ~k:setup.device.Fpga.Device.k g
     else enum_cuts ~coarse ~deadline setup ctx g
   in
-  let cover = map_global_with ~deadline setup ctx ~cuts g in
-  match
-    Sched.Mapsched.schedule ~device:setup.device ~delays:setup.delays
-      ~resources:setup.resources ~ii:setup.ii g cover
-  with
+  match map_first ~deadline setup ctx ~cuts g with
   | Error e ->
       Error ("schedule", Fmt.str "map-first failed: %a" Sched.Heuristic.pp_error e)
-  | Ok sched ->
+  | Ok (cover, sched) ->
       finalize setup g ~cuts_total:(Cuts.total_cuts cuts) cover sched
         heuristic_info as_
 
-let run_milp ?(coarse = false) ?resume ~deadline ~as_ setup ctx g
-    ~mapping_aware =
-  (* Phase budgeting inside the attempt: cumulative checkpoints, so cheap
-     phases donate their slack to the solver. Only MILP-base maps after
-     the solve; MILP-map's solve may run to the attempt's deadline. *)
-  let phases =
-    Resilience.Deadline.split deadline
-      (if mapping_aware then [ ("cuts", 0.2); ("solve", 0.8) ]
-       else [ ("cuts", 0.2); ("solve", 0.6); ("map", 0.2) ])
-  in
-  let phase name = List.assoc name phases in
+type problem = {
+  baseline : Sched.Schedule.t;
+  config : Formulation.config;
+  cuts : Cuts.t;
+  formulation : Formulation.t;
+  incumbent : float array option;
+}
+
+(* The MILP a MILP rung solves: its cuts (enumerated under [deadline]),
+   the latency bound of the heuristic schedules, the delay model, and a
+   warm start. *)
+let milp_problem ?(coarse = false) ~deadline setup ctx g ~mapping_aware =
   match baseline setup g with
-  | Error _ as e -> e
-  | Ok base_sched -> (
+  | Error e -> Error e
+  | Ok base_sched ->
       let cuts =
-        if mapping_aware then enum_cuts ~coarse ~deadline:(phase "cuts") setup ctx g
+        if mapping_aware then enum_cuts ~coarse ~deadline setup ctx g
         else Cuts.trivial_only ~k:setup.device.Fpga.Device.k g
       in
       (* The warm start must be feasible under the formulation's own delay
@@ -455,7 +462,7 @@ let run_milp ?(coarse = false) ?resume ~deadline ~as_ setup ctx g
           (Sched.Schedule.latency base_sched)
           (Option.to_list incumbent_sched)
       in
-      let cfg =
+      let config =
         Formulation.
           {
             device = setup.device;
@@ -472,7 +479,7 @@ let run_milp ?(coarse = false) ?resume ~deadline ~as_ setup ctx g
                else Formulation.additive_delay ~delays:setup.delays);
           }
       in
-      let f = Formulation.build cfg g cuts in
+      let f = Formulation.build config g cuts in
       let trivial_cover = Sched.Cover.all_trivial g cuts in
       (* For MILP-map the strongest safe warm start is the area-flow mapped
          cover of the warm schedule (the full HLS-Tool result under mapped
@@ -503,26 +510,16 @@ let run_milp ?(coarse = false) ?resume ~deadline ~as_ setup ctx g
         match incumbent_sched with
         | None -> None
         | Some s ->
-            let map_first () =
-              let cover =
-                map_global_with ~deadline:(phase "cuts") setup ctx ~cuts g
-              in
-              match
-                Sched.Mapsched.schedule ~device:setup.device
-                  ~delays:setup.delays ~resources:setup.resources ~ii:setup.ii
-                  g cover
-              with
-              | Ok ms when Sched.Schedule.latency ms <= cfg.Formulation.max_latency
-                -> try_incumbent ms cover
-              | Ok _ | Error _ -> None
-            in
             let candidates =
               if mapping_aware then
                 [
-                  map_first;
                   (fun () ->
-                    try_incumbent s
-                      (map_with ~deadline:(phase "cuts") setup ctx ~cuts g s));
+                    match map_first ~deadline setup ctx ~cuts g with
+                    | Ok (cover, ms) when Sched.Schedule.latency ms <= max_latency
+                      -> try_incumbent ms cover
+                    | Ok _ | Error _ -> None);
+                  (fun () ->
+                    try_incumbent s (map_with ~deadline setup ctx ~cuts g s));
                   (fun () -> try_incumbent s trivial_cover);
                 ]
               else [ (fun () -> try_incumbent s trivial_cover) ]
@@ -531,6 +528,32 @@ let run_milp ?(coarse = false) ?resume ~deadline ~as_ setup ctx g
               (fun acc c -> match acc with Some _ -> acc | None -> c ())
               None candidates
       in
+      Ok { baseline = base_sched; config; cuts; formulation = f; incumbent }
+
+let problem setup method_ g =
+  match method_ with
+  | Milp_base | Milp_map ->
+      Result.map_error snd
+        (milp_problem ~deadline:Resilience.Deadline.none setup
+           { notes = ref [] } g ~mapping_aware:(method_ = Milp_map))
+  | Hls_tool | Sdc_tool | Map_heuristic ->
+      Error (method_name method_ ^ " solves no MILP")
+
+let run_milp ?coarse ?resume ~deadline ~as_ setup ctx g ~mapping_aware =
+  (* Phase budgeting inside the attempt: cumulative checkpoints, so cheap
+     phases donate their slack to the solver. Only MILP-base maps after
+     the solve; MILP-map's solve may run to the attempt's deadline. *)
+  let phases =
+    Resilience.Deadline.split deadline
+      (if mapping_aware then [ ("cuts", 0.2); ("solve", 0.8) ]
+       else [ ("cuts", 0.2); ("solve", 0.6); ("map", 0.2) ])
+  in
+  let phase name = List.assoc name phases in
+  match
+    milp_problem ?coarse ~deadline:(phase "cuts") setup ctx g ~mapping_aware
+  with
+  | Error e -> Error e
+  | Ok { cuts; formulation = f; incumbent; _ } -> (
       let t0 = Obs.Clock.wall () in
       if Obs.recording () then
         Obs.emit ~cat:"flow" "flow.phase" [ ("phase", Obs.Json.String "solve") ];
@@ -623,13 +646,8 @@ let run_milp ?(coarse = false) ?resume ~deadline ~as_ setup ctx g
           else
             (* MILP-base: exact schedule, then the same downstream mapping
                as the commercial flow. *)
-            let cuts_full = enum_cuts ~deadline:(phase "map") setup ctx g in
-            let cover =
-              map_with ~deadline:(phase "map") setup ctx ~cuts:cuts_full g
-                sched
-            in
-            finalize setup g ~cuts_total:(Cuts.total_cuts cuts_full) cover
-              sched solve as_)
+            map_downstream ~deadline:(phase "map") ~as_ setup ctx g sched
+              solve)
 
 let preflight_config (s : setup) =
   {
@@ -655,15 +673,9 @@ let steps_of setup ctx method_ g :
      exception before the cascade degrades the formulation; every other
      rung degrades immediately (retrying a heuristic replays the same
      deterministic failure). *)
-  let no_retry = (0, []) in
-  let milp_retry = (1, [ "exception" ]) in
+  let step ?(retries = 0) slabel run = { slabel; retries; run } in
   let hls_fallback label =
-    { slabel = label; retries = 0; retry_on = [];
-      run = (fun dl -> run_hls ~trivial:true ~deadline:dl ~as_:method_ setup ctx g) }
-  in
-  let step ?(retry = no_retry) slabel run =
-    let retries, retry_on = retry in
-    { slabel; retries; retry_on; run }
+    step label (fun dl -> run_hls ~trivial:true ~deadline:dl ~as_:method_ setup ctx g)
   in
   match method_ with
   | Hls_tool ->
@@ -689,7 +701,7 @@ let steps_of setup ctx method_ g :
       ]
   | Milp_base ->
       [
-        step "milp-base.full" ~retry:milp_retry (fun dl ->
+        step "milp-base.full" ~retries:1 (fun dl ->
             run_milp ?resume:setup.resume ~deadline:dl ~as_:method_ setup ctx g
               ~mapping_aware:false);
         step "milp-base.sdc-fallback" (fun dl ->
@@ -698,7 +710,7 @@ let steps_of setup ctx method_ g :
       ]
   | Milp_map ->
       [
-        step "milp-map.full" ~retry:milp_retry (fun dl ->
+        step "milp-map.full" ~retries:1 (fun dl ->
             run_milp ?resume:setup.resume ~deadline:dl ~as_:method_ setup ctx g
               ~mapping_aware:true);
         step "milp-map.coarse" (fun dl ->

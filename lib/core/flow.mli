@@ -177,6 +177,31 @@ val run : setup -> method_ -> Ir.Cdfg.t -> (result, string) Stdlib.result
     runs. [Error] means the lint gate found errors or the cascade was
     exhausted (["RES003"]). *)
 
+(** The MILP a MILP flow's full-strength rung solves. *)
+type problem = {
+  baseline : Sched.Schedule.t;
+      (** the heuristic schedule under the setup's delays *)
+  config : Formulation.config;
+      (** [max_latency] is the latest of [baseline] and, for MILP-map, the
+          heuristic schedule with logic delays pinned to one LUT delay;
+          MILP-map prices cuts with {!Formulation.mapped_delay}, MILP-base
+          with {!Formulation.additive_delay} *)
+  cuts : Cuts.t;  (** enumerated for MILP-map, trivial for MILP-base *)
+  formulation : Formulation.t;
+  incumbent : float array option;
+      (** the warm start: for MILP-map the first of the map-first design,
+          the downstream-mapped warm schedule and its all-trivial cover
+          that the model accepts; for MILP-base the baseline's all-trivial
+          cover *)
+}
+
+val problem : setup -> method_ -> Ir.Cdfg.t -> (problem, string) Stdlib.result
+(** What {!run} hands {!Lp.Milp.solve} for [Milp_base] or [Milp_map] (with
+    {!Formulation.branch_priorities}), built the same way but under no
+    deadline, so cut enumeration and the warm start run to the end.
+    [Error] when the heuristic baseline fails or the method solves no
+    MILP. *)
+
 val run_all :
   setup -> Ir.Cdfg.t -> (method_ * (result, string) Stdlib.result) list
 (** All three flows in Table 1 order. *)

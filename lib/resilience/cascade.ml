@@ -31,7 +31,6 @@ let pp_attempt ppf a =
 type 'a step = {
   slabel : string;
   retries : int;
-  retry_on : string list;
   run : Deadline.t -> ('a, string * string) result;
 }
 
@@ -44,11 +43,11 @@ let run ~deadline steps =
   let rec go = function
     | [] -> Error (List.rev !trail)
     | s :: rest ->
-        (* [try_n] is how many tries of this rung already failed; a
-           transient failure class retries the same rung
-           (deterministically, under what is left of the deadline) up to
-           [s.retries] times before the cascade falls through to the next
-           rung. *)
+        (* [try_n] is how many tries of this rung already failed; an
+           exception, the one transient failure class, retries the same
+           rung (deterministically, under what is left of the deadline)
+           up to [s.retries] times before the cascade falls through to
+           the next rung. *)
         let rec try_step try_n =
           Obs.Counter.incr c_attempts;
           let t0 = Obs.Clock.wall () in
@@ -59,7 +58,7 @@ let run ~deadline steps =
               :: !trail;
             let retryable =
               try_n < s.retries
-              && List.mem reason s.retry_on
+              && reason = "exception"
               && not (Deadline.expired deadline)
             in
             (* Degradation transitions and retries are events, so the

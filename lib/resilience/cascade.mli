@@ -35,14 +35,11 @@ type 'a step = {
   retries : int;
       (** bounded retry count: how many extra times this {e same} rung
           is re-run (deterministically, under what is left of the
-          cascade deadline) when it fails with a reason in [retry_on],
-          before the cascade degrades to the next rung. 0 = never
-          retry. *)
-  retry_on : string list;
-      (** the transient failure classes (reason tokens, e.g.
-          ["exception"]) eligible for bounded retry. Timeouts are
-          normally {e not} transient: retrying a rung that ran out of
-          time just spends the rest of the budget. *)
+          cascade deadline) when it fails with reason ["exception"],
+          the one transient failure class, before the cascade degrades
+          to the next rung. 0 = never retry. Any other reason degrades
+          at once: a timeout retried just spends the rest of the
+          budget, and a structured failure replays itself. *)
   run : Deadline.t -> ('a, string * string) result;
       (** receives the cascade deadline; [Error (reason, detail)]
           on structured failure, exceptions are contained by {!run} *)
@@ -69,9 +66,9 @@ val run : deadline:Deadline.t -> 'a step list -> ('a outcome, attempt list) resu
     - any other exception is contained and recorded as ["exception"]
       ([Out_of_memory] and [Stack_overflow] are re-raised — resource
       exhaustion must not be silently retried);
-    - a failure whose reason is in the step's [retry_on] re-runs the
-      {e same} rung up to [retries] more times before degrading (skipped
-      once the cascade deadline has expired). Every failed try lands in
+    - a failure with reason ["exception"] re-runs the {e same} rung up
+      to [retries] more times before degrading (skipped once the
+      cascade deadline has expired). Every failed try lands in
       the trail with its [retry] index, so the degradation log carries
       the full retry trail.
 

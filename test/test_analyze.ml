@@ -583,7 +583,7 @@ let test_flow_gate_integration () =
 let test_registry_covers_codes () =
   let codes =
     List.concat_map
-      (fun (p : Analyze.Engine.pass) -> List.map fst p.codes)
+      (fun (p : Analyze.Engine.pass) -> List.map (fun (c, _, _) -> c) p.codes)
       Analyze.Engine.passes
   in
   Alcotest.(check bool) "at least 10 documented codes" true
@@ -601,11 +601,17 @@ let test_registry_covers_codes () =
   List.iter
     (fun (p : Analyze.Engine.pass) ->
       List.iter
-        (fun (_, d) ->
+        (fun (c, sev, d) ->
           Alcotest.(check bool)
             (Printf.sprintf "%s descriptions non-empty" p.name)
             true
-            (String.length d > 0))
+            (String.length d > 0);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s has a severity" c)
+            true
+            (List.exists
+               (fun s -> String.starts_with ~prefix:(Analyze.Diag.severity_name s) sev)
+               Analyze.Diag.[ Error; Warning; Info ]))
         p.codes)
     Analyze.Engine.passes
 

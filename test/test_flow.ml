@@ -273,10 +273,15 @@ let suite_line m name =
     (stat (fun st -> st.Lp.Milp.lp_iterations))
     r.qor.luts r.qor.ffs
 
-let suite_lines () =
-  let kernels = [ "CLZ"; "XORR"; "GFMUL"; "CORDIC"; "MT"; "AES"; "RS"; "DR"; "GSM" ] in
-  List.map (suite_line Mams.Flow.Milp_base) kernels
-  @ List.map (suite_line Mams.Flow.Milp_map) [ "GFMUL"; "CORDIC"; "DR"; "RS"; "GSM" ]
+let suite_jobs =
+  List.map
+    (fun k -> (Mams.Flow.Milp_base, k))
+    [ "CLZ"; "XORR"; "GFMUL"; "CORDIC"; "MT"; "AES"; "RS"; "DR"; "GSM" ]
+  @ List.map
+      (fun k -> (Mams.Flow.Milp_map, k))
+      [ "GFMUL"; "CORDIC"; "DR"; "RS"; "GSM" ]
+
+let suite_lines () = List.map (fun (m, k) -> suite_line m k) suite_jobs
 
 let test_suite_path () =
   let lines = suite_lines () in
@@ -298,55 +303,39 @@ let test_mt_aes_path () =
        "MILP-map/AES optimal obj=0x1.8p+5 nodes=129 pivots=3159 lut=96 ff=0");
     ]
 
-(* The model [Mams.Flow.run] hands the MILP for [m] on kernel [name]
-   under [suite_setup]: the same cuts, schedule-derived latency bound and
-   delay model as the flow's full-strength attempt. *)
-let suite_model m name =
+let suite_problem m name =
   let e = Benchmarks.Registry.find name in
-  let s = suite_setup e and g = e.build () in
-  let mapping_aware = m = Mams.Flow.Milp_map in
-  let k = s.device.Fpga.Device.k in
-  let schedule delays =
-    Sched.Heuristic.schedule ~device:s.device ~delays ~resources:s.resources
-      ~ii:s.ii g
+  get (Mams.Flow.problem (suite_setup e) m (e.build ()))
+
+(* [Mams.Flow.problem] is the MILP [Mams.Flow.run] solves: on every suite
+   job, a one-domain solve of its model from its warm start, under the
+   formulation's branch priorities, takes the flow's own search to the
+   bit. *)
+let test_problem_is_solved () =
+  let line status objective (st : Lp.Milp.stats) =
+    Fmt.str "%a obj=%h nodes=%d pivots=%d" Lp.Milp.pp_status status objective
+      st.nodes st.lp_iterations
   in
-  let base =
-    match schedule s.delays with
-    | Ok sched -> sched
-    | Error _ -> Alcotest.failf "%s: no baseline schedule" name
-  in
-  let cuts =
-    if mapping_aware then Cuts.enumerate ~params:(Cuts.default_params ~k) ~k g
-    else Cuts.trivial_only ~k g
-  in
-  let warm =
-    if not mapping_aware then Some base
-    else
-      Result.to_option
-        (schedule
-           (Fpga.Delays.with_logic s.delays ~logic:s.device.Fpga.Device.lut_delay))
-  in
-  let max_latency =
-    List.fold_left
-      (fun acc sched -> max acc (Sched.Schedule.latency sched))
-      (Sched.Schedule.latency base) (Option.to_list warm)
-  in
-  let cfg =
-    {
-      Mams.Formulation.device = s.device;
-      delays = s.delays;
-      resources = s.resources;
-      ii = s.ii;
-      max_latency;
-      alpha = s.alpha;
-      beta = s.beta;
-      cut_delay =
-        (if mapping_aware then
-           Mams.Formulation.mapped_delay ~device:s.device ~delays:s.delays
-         else Mams.Formulation.additive_delay ~delays:s.delays);
-    }
-  in
-  Mams.Formulation.model (Mams.Formulation.build cfg g cuts)
+  List.iter
+    (fun (m, name) ->
+      let e = Benchmarks.Registry.find name in
+      let s = suite_setup e in
+      let flow = (get (Mams.Flow.run s m (e.build ()))).solve in
+      let p = suite_problem m name in
+      let r =
+        Lp.Milp.solve ~time_limit:s.time_limit ?domains:s.domains ?cuts:s.cuts
+          ?presolve:s.presolve ?incumbent:p.incumbent
+          ~branch_priority:(Mams.Formulation.branch_priorities p.formulation)
+          (Mams.Formulation.model p.formulation)
+      in
+      match (flow.milp_status, flow.milp_objective, flow.milp_stats) with
+      | Some status, Some objective, Some stats ->
+          Alcotest.(check string)
+            (Mams.Flow.method_name m ^ "/" ^ name)
+            (line status objective stats)
+            (line r.Lp.Milp.status r.Lp.Milp.objective r.Lp.Milp.stats)
+      | _ -> Alcotest.failf "%s: the flow reports no MILP solve" name)
+    suite_jobs
 
 (* What the root produced on one suite model, read from the certificate
    of a solve cut to its root node: the presolve events and the applied
@@ -355,7 +344,7 @@ let suite_model m name =
 let root_line m name =
   let r =
     Lp.Milp.solve ~time_limit:60.0 ~node_limit:1 ~domains:1 ~certificates:true
-      (suite_model m name)
+      (Mams.Formulation.model (suite_problem m name).formulation)
   in
   match r.Lp.Milp.cert with
   | None -> Alcotest.failf "%s: no certificate" name
@@ -381,14 +370,7 @@ let root_line m name =
    the root's own output; a refactor of presolve or separation that must
    not change either leaves these lines alone. *)
 let test_root_work () =
-  let jobs =
-    List.map
-      (fun k -> (Mams.Flow.Milp_base, k))
-      [ "CLZ"; "XORR"; "GFMUL"; "CORDIC"; "MT"; "AES"; "RS"; "DR"; "GSM" ]
-    @ List.map
-        (fun k -> (Mams.Flow.Milp_map, k))
-        [ "GFMUL"; "CORDIC"; "DR"; "RS"; "GSM"; "MT"; "AES" ]
-  in
+  let jobs = suite_jobs @ [ (Mams.Flow.Milp_map, "MT"); (Mams.Flow.Milp_map, "AES") ] in
   Alcotest.(check (list string)) "root work"
     [
       "MILP-base/CLZ presolve=126:e468737662b66544079de9daa38a8db4 cuts=38:e31642d205bb5c017bbd510f93cad374";
@@ -471,6 +453,8 @@ let () =
           Alcotest.test_case "suite path" `Quick test_suite_path;
           Alcotest.test_case "MT and AES map path" `Quick test_mt_aes_path;
           Alcotest.test_case "root work" `Quick test_root_work;
+          Alcotest.test_case "problem is what run solves" `Quick
+            test_problem_is_solved;
           Alcotest.test_case "cold rebuild reasons" `Quick test_cold_reasons;
           Alcotest.test_case "build cells" `Quick test_build_cells;
         ] );

@@ -159,61 +159,20 @@ let test_branch_priorities_shape () =
   Alcotest.(check bool) "has prioritized classes" true
     (Array.exists (fun x -> x = 3) p && Array.exists (fun x -> x = 1) p)
 
-(* The models [Mams.Flow.run] builds for the perfbench `suite' jobs under
-   the registry setup (MILP-base on the nine kernels, MILP-map on five):
-   the same cuts, schedule-derived latency bound and delay model as the
-   flow's full-strength attempt. *)
+(* The perfbench `suite' jobs: MILP-base on the nine kernels, MILP-map
+   on five, under the registry setup. *)
 let suite_kernels = [ "CLZ"; "XORR"; "GFMUL"; "CORDIC"; "MT"; "AES"; "RS"; "DR"; "GSM" ]
 
-let suite_inputs ~mapping_aware name =
+let suite_problem m name =
   let e = Benchmarks.Registry.find name in
   let s =
     { (Mams.Flow.default_setup ~device:(Fpga.Device.make ~t_clk:e.t_clk ()))
       with resources = e.resources }
   in
   let g = e.build () in
-  let k = s.device.Fpga.Device.k in
-  let schedule delays =
-    Sched.Heuristic.schedule ~device:s.device ~delays ~resources:s.resources
-      ~ii:s.ii g
-  in
-  let base =
-    match schedule s.delays with
-    | Ok sched -> sched
-    | Error _ -> Alcotest.failf "%s: no baseline schedule" name
-  in
-  let cuts =
-    if mapping_aware then Cuts.enumerate ~params:(Cuts.default_params ~k) ~k g
-    else Cuts.trivial_only ~k g
-  in
-  let warm =
-    if not mapping_aware then Some base
-    else
-      Result.to_option
-        (schedule
-           (Fpga.Delays.with_logic s.delays ~logic:s.device.Fpga.Device.lut_delay))
-  in
-  let max_latency =
-    List.fold_left
-      (fun acc sched -> max acc (Sched.Schedule.latency sched))
-      (Sched.Schedule.latency base) (Option.to_list warm)
-  in
-  let cfg : Mams.Formulation.config =
-    {
-      device = s.device;
-      delays = s.delays;
-      resources = s.resources;
-      ii = s.ii;
-      max_latency;
-      alpha = s.alpha;
-      beta = s.beta;
-      cut_delay =
-        (if mapping_aware then
-           Mams.Formulation.mapped_delay ~device:s.device ~delays:s.delays
-         else Mams.Formulation.additive_delay ~delays:s.delays);
-    }
-  in
-  (cfg, g, cuts)
+  match Mams.Flow.problem s m g with
+  | Ok p -> (p, g)
+  | Error msg -> Alcotest.failf "%s: %s" name msg
 
 (* Every bit of a model: bounds, integrality, objective, each row's
    sense, rhs and terms (floats as [%h]), and every variable and row
@@ -240,18 +199,17 @@ let model_text m =
   Buffer.contents b
 
 let test_model_identity () =
-  let compact ~mapping_aware name =
-    let cfg, g, cuts = suite_inputs ~mapping_aware name in
-    Mams.Formulation.model (Mams.Formulation.build cfg g cuts)
+  let compact m name =
+    Mams.Formulation.model (fst (suite_problem m name)).formulation
   in
   let exact name =
-    let cfg, g, cuts = suite_inputs ~mapping_aware:false name in
-    Mams.Formulation_exact.model (Mams.Formulation_exact.build cfg g cuts)
+    let p, g = suite_problem Mams.Flow.Milp_base name in
+    Mams.Formulation_exact.model (Mams.Formulation_exact.build p.config g p.cuts)
   in
   let models =
-    List.map (fun k -> ("base/" ^ k, compact ~mapping_aware:false k)) suite_kernels
+    List.map (fun k -> ("base/" ^ k, compact Mams.Flow.Milp_base k)) suite_kernels
     @ List.map
-        (fun k -> ("map/" ^ k, compact ~mapping_aware:true k))
+        (fun k -> ("map/" ^ k, compact Mams.Flow.Milp_map k))
         [ "GFMUL"; "CORDIC"; "DR"; "RS"; "GSM" ]
     @ List.map (fun k -> ("exact/" ^ k, exact k)) suite_kernels
   in

@@ -1211,38 +1211,16 @@ let test_kernel_ratio_ties () =
 
 (* --- condensed tableau: the implicit unit columns ----------------------- *)
 
-(* The root LP of [name]'s MILP-map model: mapped cut delays over the
-   k = 4 cuts, latency bound from the list scheduler. *)
+(* The root LP of [name]'s MILP-map model under the registry setup. *)
 let milp_map_root name =
-  let e =
-    List.find
-      (fun (e : Benchmarks.Registry.entry) -> e.name = name)
-      Benchmarks.Registry.all
-  in
-  let g = e.build () in
+  let e = Benchmarks.Registry.find name in
   let device = Fpga.Device.make ~t_clk:e.t_clk () in
-  let delays = Fpga.Delays.default in
-  let base =
-    match
-      Sched.Heuristic.schedule ~device ~delays ~resources:e.resources ~ii:1 g
-    with
-    | Ok s -> s
-    | Error err -> Alcotest.failf "%s: %a" name Sched.Heuristic.pp_error err
+  let setup =
+    { (Mams.Flow.default_setup ~device) with resources = e.resources }
   in
-  let cfg : Mams.Formulation.config =
-    {
-      device;
-      delays;
-      resources = e.resources;
-      ii = 1;
-      max_latency = Sched.Schedule.latency base;
-      alpha = 0.5;
-      beta = 0.5;
-      cut_delay = Mams.Formulation.mapped_delay ~device ~delays;
-    }
-  in
-  let f = Mams.Formulation.build cfg g (Cuts.enumerate ~k:4 g) in
-  Lp.Model.to_raw (Mams.Formulation.model f)
+  match Mams.Flow.problem setup Mams.Flow.Milp_map (e.build ()) with
+  | Ok p -> Lp.Model.to_raw (Mams.Formulation.model p.formulation)
+  | Error msg -> Alcotest.failf "%s: %s" name msg
 
 (* A basic column is stored nowhere, so the tableau row of each basic
    structural j has to come out of the multipliers alone: Σ_i λ_i·row_i

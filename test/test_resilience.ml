@@ -137,7 +137,7 @@ let test_fault_points_registered () =
 (* ------------------------------------------------------------------ *)
 
 let step label run : int Resilience.Cascade.step =
-  { Resilience.Cascade.slabel = label; retries = 0; retry_on = []; run }
+  { Resilience.Cascade.slabel = label; retries = 0; run }
 
 let test_cascade_first_ok () =
   match

@@ -624,7 +624,6 @@ let test_cascade_retry_then_success () =
     {
       Resilience.Cascade.slabel = "flaky";
       retries = 2;
-      retry_on = [ "exception" ];
       run =
         (fun _ ->
           incr calls;
@@ -643,14 +642,13 @@ let test_cascade_retry_then_success () =
            o.Resilience.Cascade.trail)
 
 let test_cascade_retry_class_gated () =
-  (* A failure reason outside [retry_on] must degrade immediately. *)
+  (* A failure reason other than "exception" must degrade immediately. *)
   let calls = ref 0 in
   let steps =
     [
       {
         Resilience.Cascade.slabel = "wrong-class";
         retries = 5;
-        retry_on = [ "exception" ];
         run =
           (fun _ ->
             incr calls;
@@ -659,7 +657,6 @@ let test_cascade_retry_class_gated () =
       {
         Resilience.Cascade.slabel = "fallback";
         retries = 0;
-        retry_on = [];
         run = (fun _ -> Ok 99);
       };
     ]
@@ -680,7 +677,6 @@ let test_cascade_retry_bounded () =
       {
         Resilience.Cascade.slabel = "always-down";
         retries = 2;
-        retry_on = [ "exception" ];
         run =
           (fun _ ->
             incr calls;
@@ -689,7 +685,6 @@ let test_cascade_retry_bounded () =
       {
         Resilience.Cascade.slabel = "fallback";
         retries = 0;
-        retry_on = [];
         run = (fun _ -> Ok 1);
       };
     ]
