@@ -150,33 +150,26 @@ let method_name = function
    message in [run]). *)
 let trail_diags trail =
   List.map
-    (fun (a : Resilience.Cascade.attempt) ->
-      if a.Resilience.Cascade.retry > 0 then
-        Analyze.Diag.warnf
-          ~witness:[ a.Resilience.Cascade.detail ]
-          ~code:"RES004" ~pass:"resilience.cascade" ~loc:Analyze.Diag.Global
-          "attempt '%s' retried in place (try %d, %s): transient failure \
-           class, same rung re-run before degrading"
-          a.Resilience.Cascade.label a.Resilience.Cascade.retry
-          a.Resilience.Cascade.reason
-      else if a.Resilience.Cascade.reason = "recovery" then
-        Analyze.Diag.warnf
-          ~witness:[ a.Resilience.Cascade.detail ]
-          ~code:"RES005" ~pass:"resilience.cascade" ~loc:Analyze.Diag.Global
-          "attempt '%s' recovered in flight: %s" a.Resilience.Cascade.label
-          a.Resilience.Cascade.detail
-      else if a.Resilience.Cascade.reason = "exception" then
-        Analyze.Diag.warnf
-          ~witness:[ a.Resilience.Cascade.detail ]
-          ~code:"RES001" ~pass:"resilience.cascade" ~loc:Analyze.Diag.Global
-          "attempt '%s' raised; exception contained, cascade continued"
-          a.Resilience.Cascade.label
-      else
-        Analyze.Diag.warnf
-          ~witness:[ a.Resilience.Cascade.detail ]
-          ~code:"RES002" ~pass:"resilience.cascade" ~loc:Analyze.Diag.Global
-          "attempt '%s' degraded (%s)" a.Resilience.Cascade.label
-          a.Resilience.Cascade.reason)
+    (fun { Resilience.Cascade.label; reason; detail; retry; _ } ->
+      let code, message =
+        if retry > 0 then
+          ( "RES004",
+            Printf.sprintf
+              "attempt '%s' retried in place (try %d, %s): transient failure \
+               class, same rung re-run before degrading"
+              label retry reason )
+        else if reason = "recovery" then
+          ( "RES005",
+            Printf.sprintf "attempt '%s' recovered in flight: %s" label detail )
+        else if reason = "exception" then
+          ( "RES001",
+            Printf.sprintf
+              "attempt '%s' raised; exception contained, cascade continued"
+              label )
+        else ("RES002", Printf.sprintf "attempt '%s' degraded (%s)" label reason)
+      in
+      Analyze.Diag.make ~witness:[ detail ] Analyze.Diag.Warning ~code
+        ~pass:"resilience.cascade" ~loc:Analyze.Diag.Global message)
     trail
 
 let heuristic_info = { runtime = 0.0; milp_status = None; milp_stats = None;
@@ -303,14 +296,22 @@ let finalize setup g ~cuts_total cover sched solve method_ =
           { method_; schedule = sched; cover; qor; solve;
             metrics = Obs.Json.Null; trail = [] } )
 
+(* [f] under a [truncated] flag: a call that reached its deadline notes
+   a timeout under [label]. *)
+let noting_timeout ctx ~label ~detail f =
+  let truncated = ref false in
+  let x = f truncated in
+  if !truncated then note ctx ~label ~reason:"timeout" ~detail;
+  x
+
 let enum_cuts ?(coarse = false) ~deadline setup ctx g =
   let params =
     match setup.cut_params with
     | Some p -> p
     | None -> Cuts.default_params ~k:setup.device.Fpga.Device.k
   in
-  (* Coarser enumeration: the degraded-retry setting — fewer cuts kept and
-     far fewer merge candidates explored, trading area for solve time. *)
+  (* Coarser enumeration, map-first's degraded retry: fewer cuts kept and
+     far fewer merge candidates explored, so a different cover. *)
   let params =
     if coarse then
       {
@@ -320,38 +321,26 @@ let enum_cuts ?(coarse = false) ~deadline setup ctx g =
       }
     else params
   in
-  let truncated = ref false in
-  let cuts =
-    Cuts.enumerate ~params ~deadline ~truncated ~k:setup.device.Fpga.Device.k g
-  in
-  if !truncated then
-    note ctx ~label:"cuts.enumerate" ~reason:"timeout"
-      ~detail:
-        "cut enumeration truncated at deadline; unfinished nodes keep their \
-         trivial cut";
-  cuts
+  noting_timeout ctx ~label:"cuts.enumerate"
+    ~detail:
+      "cut enumeration truncated at deadline; unfinished nodes keep their \
+       trivial cut"
+    (fun truncated ->
+      Cuts.enumerate ~params ~deadline ~truncated ~k:setup.device.Fpga.Device.k g)
 
 let map_with ~deadline setup ctx ~cuts g sched =
-  let truncated = ref false in
-  let cover =
-    Techmap.map_schedule ~deadline ~truncated ~device:setup.device
-      ~delays:setup.delays ~cuts g sched
-  in
-  if !truncated then
-    note ctx ~label:"techmap.map" ~reason:"timeout"
-      ~detail:"area-flow labelling degraded to trivial cuts at deadline";
-  cover
+  noting_timeout ctx ~label:"techmap.map"
+    ~detail:"area-flow labelling degraded to trivial cuts at deadline"
+    (fun truncated ->
+      Techmap.map_schedule ~deadline ~truncated ~device:setup.device
+        ~delays:setup.delays ~cuts g sched)
 
 let map_global_with ~deadline setup ctx ~cuts g =
-  let truncated = ref false in
-  let cover =
-    Techmap.map_global ~deadline ~truncated ~device:setup.device
-      ~delays:setup.delays ~cuts g
-  in
-  if !truncated then
-    note ctx ~label:"techmap.map" ~reason:"timeout"
-      ~detail:"global area-flow labelling degraded to trivial cuts at deadline";
-  cover
+  noting_timeout ctx ~label:"techmap.map"
+    ~detail:"global area-flow labelling degraded to trivial cuts at deadline"
+    (fun truncated ->
+      Techmap.map_global ~deadline ~truncated ~device:setup.device
+        ~delays:setup.delays ~cuts g)
 
 let baseline setup g =
   Result.map_error
@@ -427,23 +416,23 @@ type problem = {
 }
 
 (* The MILP a MILP rung solves: its cuts (enumerated under [deadline]),
-   the latency bound of the heuristic schedules, the delay model, and a
-   warm start. *)
-let milp_problem ?(coarse = false) ~deadline setup ctx g ~mapping_aware =
+   the latency bound of the heuristic schedules, the delay model, and, for
+   MILP-map, the map-first design as its warm start. *)
+let milp_problem ~deadline setup ctx g ~mapping_aware =
   match baseline setup g with
   | Error e -> Error e
   | Ok base_sched ->
       let cuts =
-        if mapping_aware then enum_cuts ~coarse ~deadline setup ctx g
+        if mapping_aware then enum_cuts ~deadline setup ctx g
         else Cuts.trivial_only ~k:setup.device.Fpga.Device.k g
       in
-      (* The warm start must be feasible under the formulation's own delay
-         model. For MILP-map that model prices every trivial logic cut at
-         one LUT delay, which can exceed the characterized delay — so the
-         incumbent is re-scheduled with logic delays pinned to the LUT
+      (* MILP-map prices every trivial logic cut at one LUT delay, which
+         can exceed the characterized delay, so its latency bound also
+         admits the heuristic schedule with logic delays pinned to the LUT
          delay. *)
-      let incumbent_sched =
-        if not mapping_aware then Some base_sched
+      let max_latency =
+        let base = Sched.Schedule.latency base_sched in
+        if not mapping_aware then base
         else
           let warm_delays =
             Fpga.Delays.with_logic setup.delays
@@ -453,14 +442,8 @@ let milp_problem ?(coarse = false) ~deadline setup ctx g ~mapping_aware =
             Sched.Heuristic.schedule ~device:setup.device ~delays:warm_delays
               ~resources:setup.resources ~ii:setup.ii g
           with
-          | Ok s -> Some s
-          | Error _ -> None
-      in
-      let max_latency =
-        List.fold_left
-          (fun acc s -> max acc (Sched.Schedule.latency s))
-          (Sched.Schedule.latency base_sched)
-          (Option.to_list incumbent_sched)
+          | Ok s -> max base (Sched.Schedule.latency s)
+          | Error _ -> base
       in
       let config =
         Formulation.
@@ -480,53 +463,35 @@ let milp_problem ?(coarse = false) ~deadline setup ctx g ~mapping_aware =
           }
       in
       let f = Formulation.build config g cuts in
-      let trivial_cover = Sched.Cover.all_trivial g cuts in
-      (* For MILP-map the strongest safe warm start is the area-flow mapped
-         cover of the warm schedule (the full HLS-Tool result under mapped
-         delays); fall back to the all-trivial cover, then to no warm
-         start. *)
-      let try_incumbent s cover =
-        let sched =
-          Sched.Timing.recompute_starts ~device:setup.device
-            ~delays:setup.delays g cover s
-        in
-        match Formulation.incumbent_of_schedule f sched cover with
-        | exception Invalid_argument _ -> None
-        | x -> (
-            match
-              Lp.Model.check (Formulation.model f)
-                ~values:(fun v -> x.(Lp.Model.var_index v))
-                ()
-            with
-            | Ok () -> Some x
-            | Error msg ->
-                if Obs.recording () then
-                  Obs.emit ~cat:"flow" "flow.warm_start_dropped"
-                    [ ("reason", Obs.Json.String msg) ];
-                None)
-      in
+      (* MILP-map starts from the map-first design when it fits the
+         latency bound and the model accepts it. MILP-base starts cold: a
+         seed there moves no node and no pivot. *)
       let incumbent =
-        Obs.span ~cat:"flow" "flow.warm-start" @@ fun () ->
-        match incumbent_sched with
-        | None -> None
-        | Some s ->
-            let candidates =
-              if mapping_aware then
-                [
-                  (fun () ->
-                    match map_first ~deadline setup ctx ~cuts g with
-                    | Ok (cover, ms) when Sched.Schedule.latency ms <= max_latency
-                      -> try_incumbent ms cover
-                    | Ok _ | Error _ -> None);
-                  (fun () ->
-                    try_incumbent s (map_with ~deadline setup ctx ~cuts g s));
-                  (fun () -> try_incumbent s trivial_cover);
-                ]
-              else [ (fun () -> try_incumbent s trivial_cover) ]
-            in
-            List.fold_left
-              (fun acc c -> match acc with Some _ -> acc | None -> c ())
-              None candidates
+        if not mapping_aware then None
+        else
+          Obs.span ~cat:"flow" "flow.warm-start" @@ fun () ->
+          match map_first ~deadline setup ctx ~cuts g with
+          | Error _ -> None
+          | Ok (_, sched) when Sched.Schedule.latency sched > max_latency -> None
+          | Ok (cover, sched) -> (
+              let sched =
+                Sched.Timing.recompute_starts ~device:setup.device
+                  ~delays:setup.delays g cover sched
+              in
+              match Formulation.incumbent_of_schedule f sched cover with
+              | exception Invalid_argument _ -> None
+              | x -> (
+                  match
+                    Lp.Model.check (Formulation.model f)
+                      ~values:(fun v -> x.(Lp.Model.var_index v))
+                      ()
+                  with
+                  | Ok () -> Some x
+                  | Error msg ->
+                      if Obs.recording () then
+                        Obs.emit ~cat:"flow" "flow.warm_start_dropped"
+                          [ ("reason", Obs.Json.String msg) ];
+                      None))
       in
       Ok { baseline = base_sched; config; cuts; formulation = f; incumbent }
 
@@ -539,7 +504,7 @@ let problem setup method_ g =
   | Hls_tool | Sdc_tool | Map_heuristic ->
       Error (method_name method_ ^ " solves no MILP")
 
-let run_milp ?coarse ?resume ~deadline ~as_ setup ctx g ~mapping_aware =
+let run_milp ?resume ~deadline ~as_ setup ctx g ~mapping_aware =
   (* Phase budgeting inside the attempt: cumulative checkpoints, so cheap
      phases donate their slack to the solver. Only MILP-base maps after
      the solve; MILP-map's solve may run to the attempt's deadline. *)
@@ -550,7 +515,7 @@ let run_milp ?coarse ?resume ~deadline ~as_ setup ctx g ~mapping_aware =
   in
   let phase name = List.assoc name phases in
   match
-    milp_problem ?coarse ~deadline:(phase "cuts") setup ctx g ~mapping_aware
+    milp_problem ~deadline:(phase "cuts") setup ctx g ~mapping_aware
   with
   | Error e -> Error e
   | Ok { cuts; formulation = f; incumbent; _ } -> (
@@ -660,12 +625,13 @@ let preflight_config (s : setup) =
 let lint setup g = Analyze.Engine.static_gate (preflight_config setup) g
 
 (* The per-method degradation cascade. Ordering rationale (DESIGN.md 3d):
-   full strength first; then relaxations that keep the method's character
-   (coarser or trivial cuts); then a different algorithm of the same
-   family; finally the trivial-cuts heuristic, which touches neither cut
-   enumeration nor any LP/MILP and therefore survives every registered
-   fault point. Every rung runs under what is left of the run's one
-   deadline. *)
+   full strength first; then, for the heuristics, relaxations that keep
+   the method's character (coarser or trivial cuts; a MILP on fewer cuts
+   would replay every fault and timeout of its full rung); then a
+   different algorithm of the same family; finally the trivial-cuts
+   heuristic, which touches neither cut enumeration nor any LP/MILP and
+   therefore survives every registered fault point. Every rung runs under
+   what is left of the run's one deadline. *)
 let steps_of setup ctx method_ g :
     (int * result) Resilience.Cascade.step list =
   let open Resilience.Cascade in
@@ -712,9 +678,6 @@ let steps_of setup ctx method_ g :
       [
         step "milp-map.full" ~retries:1 (fun dl ->
             run_milp ?resume:setup.resume ~deadline:dl ~as_:method_ setup ctx g
-              ~mapping_aware:true);
-        step "milp-map.coarse" (fun dl ->
-            run_milp ~coarse:true ~deadline:dl ~as_:method_ setup ctx g
               ~mapping_aware:true);
         step "milp-map.map-first" (fun dl ->
             run_map_first ~deadline:dl ~as_:method_ setup ctx g);

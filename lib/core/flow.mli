@@ -13,8 +13,8 @@
       [3]) — additive delays, LP-based, downstream mapping;
     - {b Map-first} (extension, the paper's Sec. 5 future work): a
       scalable heuristic that maps the whole graph with area flow first,
-      then runs cover-aware ASAP modulo scheduling — no MILP. Also used as
-      the MILP-map warm start.
+      then runs cover-aware ASAP modulo scheduling — no MILP. Its design
+      is MILP-map's one warm start.
 
     All flows report QoR under the same post-mapping delay/area model, the
     analogue of measuring everything post place-and-route.
@@ -23,8 +23,9 @@
 
     Every method runs through a {!Resilience.Cascade} under the run's one
     wall budget ([setup.time_limit]): the full-strength configuration
-    first, then progressively relaxed attempts (coarser or trivial cut
-    parameters), then algorithmic fallbacks, each under what is left of
+    first, then, for the heuristics, relaxed attempts (coarser or trivial
+    cut parameters), then algorithmic fallbacks (MILP-map: full →
+    map-first → HLS trivial), each under what is left of
     the budget, ending in a trivial-cuts heuristic that touches
     neither cut enumeration nor any LP/MILP and therefore survives every
     registered fault point ({!Resilience.Fault}). Exceptions raised inside
@@ -189,10 +190,10 @@ type problem = {
   cuts : Cuts.t;  (** enumerated for MILP-map, trivial for MILP-base *)
   formulation : Formulation.t;
   incumbent : float array option;
-      (** the warm start: for MILP-map the first of the map-first design,
-          the downstream-mapped warm schedule and its all-trivial cover
-          that the model accepts; for MILP-base the baseline's all-trivial
-          cover *)
+      (** the warm start: for MILP-map the map-first design (the
+          {!Map_heuristic} flow's schedule and cover), when its latency is
+          within [max_latency] and the model accepts it; [None] for
+          MILP-base, whose solves start cold *)
 }
 
 val problem : setup -> method_ -> Ir.Cdfg.t -> (problem, string) Stdlib.result

@@ -12,14 +12,7 @@ type config = {
 let mapped_delay ~device ~delays g cut = Cuts.delay ~device ~delays g cut
 
 let additive_delay ~delays g (cut : Cuts.cut) =
-  let v = cut.Cuts.root in
-  let op = Ir.Cdfg.op g v in
-  let width =
-    match op with
-    | Ir.Op.Cmp _ -> Ir.Cdfg.width g (Ir.Cdfg.preds g v).(0).Ir.Cdfg.src
-    | _ -> Ir.Cdfg.width g v
-  in
-  Fpga.Delays.additive delays ~cls:(Ir.Op.classify op) ~width
+  Sched.Heuristic.op_delay ~delays g cut.Cuts.root
 
 (* Per-leaf dependence summary of one cut: how the leaf's value enters the
    cone. *)

@@ -36,8 +36,23 @@ val mapped_delay : device:Fpga.Device.t -> delays:Fpga.Delays.t ->
 (** {!Cuts.delay}: one LUT level per mapped cone (MILP-map). *)
 
 val additive_delay : delays:Fpga.Delays.t -> Ir.Cdfg.t -> Cuts.cut -> float
-(** The characterized delay of the root operation regardless of the cone
+(** {!Sched.Heuristic.op_delay} of the cut's root, regardless of the cone
     (MILP-base / traditional scheduling). *)
+
+(** {2 Node predicates}
+
+    Shared with the paper-exact formulation. *)
+
+val is_source : Ir.Cdfg.t -> int -> bool
+(** An input or a constant: available at cycle 0, time 0. *)
+
+val is_const : Ir.Cdfg.t -> int -> bool
+(** A constant: never held in a register. *)
+
+val is_black_box : Ir.Cdfg.t -> int -> bool
+
+val forced_root : Ir.Cdfg.t -> int -> bool
+(** Sources, black boxes and outputs: always the root of a selected cut. *)
 
 type t
 (** A built formulation: the model plus variable handles. *)
@@ -53,8 +68,8 @@ val branch_priorities : t -> int array
 
 val incumbent_of_schedule :
   t -> Sched.Schedule.t -> Sched.Cover.t -> float array
-(** Translate a feasible (schedule, cover) pair — typically the heuristic
-    baseline with the all-trivial cover — into a warm-start assignment.
+(** Translate a feasible (schedule, cover) pair — the map-first design
+    in [Flow] — into a warm-start assignment.
     @raise Invalid_argument if the pair does not fit the formulation. *)
 
 val extract : t -> Lp.Milp.result -> Sched.Schedule.t * Sched.Cover.t

@@ -10,20 +10,6 @@ type t = {
   live : Lp.Model.var array array;  (* live_{v,t}, [||] for constants *)
 }
 
-let is_const g v =
-  match Ir.Cdfg.op g v with Ir.Op.Const _ -> true | _ -> false
-
-let is_source g v =
-  match Ir.Cdfg.op g v with
-  | Ir.Op.Input _ | Ir.Op.Const _ -> true
-  | _ -> false
-
-let is_black_box g v =
-  match Ir.Cdfg.op g v with Ir.Op.Black_box _ -> true | _ -> false
-
-let forced_root g v =
-  is_source g v || is_black_box g v || Ir.Cdfg.is_output g v
-
 let build (cfg : Formulation.config) g cuts =
   let n = Ir.Cdfg.num_nodes g in
   let period = Fpga.Device.usable_period cfg.device in
@@ -68,7 +54,7 @@ let build (cfg : Formulation.config) g cuts =
   in
   let live =
     Array.init n (fun v ->
-        if is_const g v then [||]
+        if Formulation.is_const g v then [||]
         else
           Array.init (m_live + 1) (fun t ->
               Lp.Model.bool_var model
@@ -85,7 +71,7 @@ let build (cfg : Formulation.config) g cuts =
       ((-1.0, s_cycle.(v))
       :: Array.to_list (Array.mapi (fun t x -> (float_of_int t, x)) onehot.(v)))
       0.0;
-    if is_source g v then begin
+    if Formulation.is_source g v then begin
       Lp.Model.fix model onehot.(v).(0) 1.0;
       Lp.Model.fix model l_start.(v) 0.0
     end;
@@ -99,7 +85,7 @@ let build (cfg : Formulation.config) g cuts =
       ((-1.0, root.(v))
       :: Array.to_list (Array.map (fun c -> (1.0, c)) c_cut.(v)))
       0.0;
-    if forced_root g v then Lp.Model.fix model root.(v) 1.0
+    if Formulation.forced_root g v then Lp.Model.fix model root.(v) 1.0
   done;
   (* Eq. (7): dependence constraints per CDFG edge, with the register-read
      correction for loop-carried edges (the paper's form would allow
@@ -135,7 +121,7 @@ let build (cfg : Formulation.config) g cuts =
         List.iter
           (fun (u, (info : Formulation.leaf_info)) ->
             let emit dist =
-              if not (is_source g u) then
+              if not (Formulation.is_source g u) then
                 Lp.Model.add_le model
                   ~name:(lazy (Printf.sprintf "chain_%d_%d_%d_%d" v i u dist))
                   [
@@ -152,7 +138,7 @@ let build (cfg : Formulation.config) g cuts =
             | Some d -> emit d
             | None -> ());
             (* Eq. (4): leaves of a selected cut are roots. *)
-            if not (forced_root g u) then
+            if not (Formulation.forced_root g u) then
               Lp.Model.add_le model
                 ~name:(lazy (Printf.sprintf "leafroot_%d_%d_%d" v i u))
                 [ (1.0, c_cut.(v).(i)); (-1.0, root.(u)) ]
@@ -169,7 +155,7 @@ let build (cfg : Formulation.config) g cuts =
         List.iter
           (fun (u, (info : Formulation.leaf_info)) ->
             let max_dist = info.Formulation.max_dist in
-            if not (is_const g u) then
+            if not (Formulation.is_const g u) then
               for t = 0 to m_live do
                 let def_terms =
                   let hi = min (t - lat u) m_lat in
@@ -220,7 +206,7 @@ let build (cfg : Formulation.config) g cuts =
   (* Eq. (13) + (15): α·Σ Bits·root + β·Σ Bits·live. *)
   let obj = ref [] in
   for v = 0 to n - 1 do
-    if not (is_source g v || is_black_box g v) then
+    if not (Formulation.is_source g v || Formulation.is_black_box g v) then
       obj := (cfg.alpha *. float_of_int (Ir.Cdfg.width g v), root.(v)) :: !obj;
     Array.iter
       (fun lv ->
@@ -262,7 +248,7 @@ let objective_breakdown t (r : Lp.Milp.result) ~lut_bits ~reg_bits =
   let n = Ir.Cdfg.num_nodes t.g in
   for v = 0 to n - 1 do
     if
-      (not (is_source t.g v || is_black_box t.g v))
+      (not (Formulation.is_source t.g v || Formulation.is_black_box t.g v))
       && Lp.Milp.int_value r t.root.(v) = 1
     then lut_bits := !lut_bits + Ir.Cdfg.width t.g v;
     Array.iter

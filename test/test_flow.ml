@@ -337,6 +337,35 @@ let test_problem_is_solved () =
       | _ -> Alcotest.failf "%s: the flow reports no MILP solve" name)
     suite_jobs
 
+(* MILP-map's one warm start is the map-first design: on the suite's
+   MILP-map kernels [Mams.Flow.problem]'s incumbent is, to the bit, the
+   Map-first flow's schedule and cover in the formulation's variables.
+   MILP-base starts cold. *)
+let test_warm_start_is_map_first () =
+  let bits a = Array.map Int64.bits_of_float a in
+  List.iter
+    (fun (m, name) ->
+      let p = suite_problem m name in
+      match m with
+      | Mams.Flow.Milp_map -> (
+          let e = Benchmarks.Registry.find name in
+          let r =
+            get (Mams.Flow.run (suite_setup e) Mams.Flow.Map_heuristic (e.build ()))
+          in
+          let design =
+            Mams.Formulation.incumbent_of_schedule p.formulation r.schedule
+              r.cover
+          in
+          match p.incumbent with
+          | Some x ->
+              Alcotest.(check bool) (name ^ " map-first design") true
+                (bits x = bits design)
+          | None -> Alcotest.failf "MILP-map/%s: no warm start" name)
+      | _ ->
+          Alcotest.(check bool) ("MILP-base/" ^ name ^ " starts cold") true
+            (p.incumbent = None))
+    suite_jobs
+
 (* What the root produced on one suite model, read from the certificate
    of a solve cut to its root node: the presolve events and the applied
    cuts with their CG multipliers, each digested with every float as
@@ -453,6 +482,8 @@ let () =
           Alcotest.test_case "suite path" `Quick test_suite_path;
           Alcotest.test_case "MT and AES map path" `Quick test_mt_aes_path;
           Alcotest.test_case "root work" `Quick test_root_work;
+          Alcotest.test_case "warm start is the map-first design" `Quick
+            test_warm_start_is_map_first;
           Alcotest.test_case "problem is what run solves" `Quick
             test_problem_is_solved;
           Alcotest.test_case "cold rebuild reasons" `Quick test_cold_reasons;

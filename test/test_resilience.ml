@@ -292,7 +292,7 @@ let test_fault_matrix () =
     Resilience.Fault.points
 
 (* The expected cascade shape for the hardest input: milp.timeout makes
-   both MILP attempts report Unknown, so map-first must win. *)
+   the MILP attempt report Unknown, so the map-first rung must win. *)
 let test_milp_timeout_trail_shape () =
   Resilience.Fault.clear ();
   (match Resilience.Fault.arm "milp.timeout" with
@@ -313,13 +313,21 @@ let test_milp_timeout_trail_shape () =
       let labels =
         List.map (fun a -> a.Resilience.Cascade.label) r.Mams.Flow.trail
       in
-      Alcotest.(check (list string)) "both MILP attempts failed unknown"
-        [ "milp-map.full"; "milp-map.coarse" ] labels;
+      Alcotest.(check (list string)) "the MILP attempt failed unknown"
+        [ "milp-map.full" ] labels;
       List.iter
         (fun a ->
           Alcotest.(check string) "reason" "unknown"
             a.Resilience.Cascade.reason)
         r.Mams.Flow.trail;
+      let map_first =
+        match Mams.Flow.run setup Mams.Flow.Map_heuristic g with
+        | Ok m -> m
+        | Error msg -> Alcotest.failf "map-first: %s" msg
+      in
+      Alcotest.(check bool) "map-first rung's design" true
+        (r.Mams.Flow.solve.Mams.Flow.milp_status = None
+        && r.Mams.Flow.qor = map_first.Mams.Flow.qor);
       Alcotest.(check bool) "requested method kept" true
         (Obs.Json.member "method" r.Mams.Flow.metrics
         = Some (Obs.Json.String "MILP-map"))
